@@ -20,6 +20,16 @@ node slots can be expanded level by level with pure array operations; the
 executor in :mod:`repro.engine.executor` never touches a Python ``Rect``
 on its hot path.
 
+**Two entry layouts.**  The flat ``entry_*`` arrays above are the
+canonical form: they are what :mod:`repro.engine.snapshot_io` persists and
+fingerprints, and what kNN, the joins and the write path read.  The range
+frontier reads a second, *node-major* form derived from them on first use
+(:meth:`ColumnarIndex.node_major`): every node's entries padded to the
+widest fan-out, one ``(n_nodes, max_fanout)`` array per dimension and
+bound, so a frontier level is one row gather and one dense compare per
+dimension and bound instead of a gather per entry.  It is cached on the
+snapshot object and never written to disk.
+
 **Snapshot semantics / invalidation.**  A snapshot is an immutable copy:
 it shares the indexed :class:`SpatialObject` instances with the source
 tree but none of its structure.  Any ``insert``/``delete`` on the source
@@ -36,7 +46,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.engine.kernels import masks_to_bool
+from repro.engine.kernels import expand_segments, masks_to_bool
 from repro.geometry.objects import SpatialObject
 from repro.rtree.base import RTreeBase
 from repro.rtree.clipped import ClippedRTree
@@ -100,6 +110,13 @@ class ColumnarIndex:
     :func:`repro.engine.executor.knn_batch` or the convenience methods
     here.  The snapshot keeps a reference to its source only to implement
     :attr:`is_stale` and :meth:`refresh`.
+
+    The constructor arguments are the canonical state.  Three members are
+    derived from them lazily and cached, the snapshot being immutable:
+    :meth:`node_bounds` and :meth:`node_levels` (which ``snapshot_io``
+    also stores, so loaded snapshots skip the derivation) and
+    :meth:`node_major`, the padded entry layout of the range frontier,
+    which is never persisted.
     """
 
     ROOT_SLOT = 0
@@ -150,6 +167,7 @@ class ColumnarIndex:
         self._node_lows: Optional[np.ndarray] = None
         self._node_highs: Optional[np.ndarray] = None
         self._node_levels: Optional[np.ndarray] = None
+        self._node_major: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -348,6 +366,34 @@ class ColumnarIndex:
                     levels[slot] = levels[entry_child[entry_start[slot]]] + 1
             self._node_levels = levels
         return self._node_levels
+
+    def node_major(self) -> tuple:
+        """Entry bounds with one padded row per node, as ``(lows, highs)`` (cached).
+
+        Both are float64 arrays of shape ``(dims, n_nodes, max_fanout)``:
+        ``lows[dim]`` is a C-contiguous ``(n_nodes, max_fanout)`` matrix
+        whose cell ``[slot, j]`` is the bound of the slot's ``j``-th entry,
+        i.e. of flat entry ``entry_start[slot] + j``.
+
+        Cells past a node's own fan-out are NaN.  Not ±inf: ``Rect``
+        accepts infinite bounds and ``inf <= inf`` holds, so an all-space
+        query would match ±inf padding, while every ``<=`` against NaN is
+        False — no query can select a padded cell.
+
+        Derivation only reads the flat arrays (they may be read-only
+        memmaps) and costs a few milliseconds per 20k objects; the result
+        holds ``n_nodes × max_fanout × 16 d`` bytes.
+        """
+        if self._node_major is None:
+            flat, owners = expand_segments(self.entry_start, self.entry_count)
+            cols = flat - self.entry_start[owners]
+            shape = (self.dims, len(self.entry_count), int(self.entry_count.max()))
+            lows = np.full(shape, np.nan, dtype=np.float64)
+            highs = np.full(shape, np.nan, dtype=np.float64)
+            lows[:, owners, cols] = self.entry_lows[flat].T
+            highs[:, owners, cols] = self.entry_highs[flat].T
+            self._node_major = (lows, highs)
+        return self._node_major
 
     def precompute_derived(self) -> None:
         """Force the lazy :meth:`node_bounds` / :meth:`node_levels` caches.

@@ -2,9 +2,15 @@
 
 :func:`range_query_batch` runs *all* queries simultaneously with a
 level-synchronous frontier: each iteration expands every pending
-``(query, node)`` pair of one tree level through the vectorized kernels —
-one intersection test over every entry of every frontier node, one clip
-pruning pass over every candidate child — so the per-level Python
+``(query, node)`` pair of one tree level.  The entry test reads the
+snapshot's node-major padded layout
+(:meth:`~repro.engine.columnar.ColumnarIndex.node_major`): per dimension
+one row gather of the frontier's nodes and one dense ``<=`` against the
+frontier's query bounds, and-ed in place into a single ``(frontier,
+max_fanout)`` mask whose row-major ``np.nonzero`` is the ``(frontier row,
+entry)`` discovery order.  Matched directory entries then take one clip
+pruning pass (:func:`~repro.engine.kernels.clip_prune_mask` over the flat
+clip arrays) before they become the next frontier.  The per-level Python
 overhead is a handful of NumPy calls regardless of how many queries or
 nodes are in flight.
 
@@ -32,7 +38,6 @@ from repro.engine.columnar import ColumnarIndex
 from repro.engine.kernels import (
     clip_prune_mask,
     expand_segments,
-    intersect_mask,
     min_dist_sq,
     segment_any,
 )
@@ -72,6 +77,11 @@ def gather_range_hits(
     they materialise the hits; ``IOStats`` accounting is identical to the
     scalar traversal either way.
     """
+    lows, highs = index.node_major()
+    # One contiguous row per dimension: the frontier gathers query bounds a
+    # dimension at a time.
+    q_low_t = np.ascontiguousarray(q_lows.T)
+    q_high_t = np.ascontiguousarray(q_highs.T)
     n_queries = len(q_lows)
     frontier_q = np.arange(n_queries, dtype=np.int64)
     frontier_n = np.full(n_queries, ColumnarIndex.ROOT_SLOT, dtype=np.int64)
@@ -81,46 +91,45 @@ def gather_range_hits(
     while len(frontier_n):
         if access_hook is not None:
             access_hook(frontier_q, index.node_ids[frontier_n])
-        leaf_sel = index.is_leaf[frontier_n]
 
-        # --- leaf visits: match entries, record hits --------------------
-        leaf_q = frontier_q[leaf_sel]
-        leaf_n = frontier_n[leaf_sel]
-        if len(leaf_n):
-            flat, owners = expand_segments(
-                index.entry_start[leaf_n], index.entry_count[leaf_n]
-            )
-            hit = intersect_mask(
-                index.entry_lows[flat],
-                index.entry_highs[flat],
-                q_lows[leaf_q[owners]],
-                q_highs[leaf_q[owners]],
-            )
-            if stats is not None:
-                contributed = segment_any(hit, owners, len(leaf_n))
-                stats.leaf_accesses += int(len(leaf_n))
-                stats.contributing_leaf_accesses += int(contributed.sum())
-            hit_rows = np.nonzero(hit)[0]
+        # --- every entry of every frontier node against its query -------
+        # ``Rect.intersects`` per cell; padded cells are NaN and fail it.
+        match = lows[0][frontier_n] <= q_high_t[0][frontier_q][:, None]
+        match &= q_low_t[0][frontier_q][:, None] <= highs[0][frontier_n]
+        for dim in range(1, index.dims):
+            match &= lows[dim][frontier_n] <= q_high_t[dim][frontier_q][:, None]
+            match &= q_low_t[dim][frontier_q][:, None] <= highs[dim][frontier_n]
+        # Row-major order is (frontier row, entry) order — discovery order.
+        rows, cols = np.nonzero(match)
+        # Cell [row, j] is flat entry ``entry_start[node] + j``.
+        matched_e = index.entry_start[frontier_n[rows]] + cols
+        matched_q = frontier_q[rows]
+        leaf_sel = index.is_leaf[frontier_n]
+        at_leaf = leaf_sel[rows]
+
+        # --- leaf visits: record hits -----------------------------------
+        n_leaves = int(np.count_nonzero(leaf_sel))
+        hit_rows = rows[at_leaf]
+        if stats is not None:
+            stats.leaf_accesses += n_leaves
             if len(hit_rows):
-                hit_queries_rounds.append(leaf_q[owners[hit_rows]])
-                hit_objects_rounds.append(index.entry_child[flat[hit_rows]])
+                # ``hit_rows`` ascends: contributing leaves = distinct rows.
+                stats.contributing_leaf_accesses += 1 + int(
+                    np.count_nonzero(hit_rows[1:] != hit_rows[:-1])
+                )
+        if len(hit_rows):
+            hit_queries_rounds.append(matched_q[at_leaf])
+            hit_objects_rounds.append(index.entry_child[matched_e[at_leaf]])
 
         # --- internal visits: filter children into the next frontier ----
-        int_q = frontier_q[~leaf_sel]
-        int_n = frontier_n[~leaf_sel]
+        n_internal = len(frontier_n) - n_leaves
         if stats is not None:
-            stats.internal_accesses += int(len(int_n))
-        if not len(int_n):
+            stats.internal_accesses += n_internal
+        if not n_internal:
             break
-        flat, owners = expand_segments(index.entry_start[int_n], index.entry_count[int_n])
-        isect = intersect_mask(
-            index.entry_lows[flat],
-            index.entry_highs[flat],
-            q_lows[int_q[owners]],
-            q_highs[int_q[owners]],
-        )
-        cand = flat[isect]
-        cand_q = int_q[owners[isect]]
+        below = ~at_leaf
+        cand = matched_e[below]
+        cand_q = matched_q[below]
 
         if index.has_clips and len(cand):
             cflat, cowners = expand_segments(

@@ -14,10 +14,14 @@ scalar :class:`~repro.geometry.rect.Rect` objects, so every kernel decides
 each predicate *identically* to its scalar counterpart — the differential
 test-suite (``tests/test_engine_differential.py``) pins this down.
 
-:func:`expand_segments` is the shared indexing helper that turns per-node
-``(start, count)`` slices into a flat gather index plus an owner map, the
-core trick that lets one NumPy call test every entry of every frontier
-node at once.
+:func:`expand_segments` is the shared indexing helper that turns
+``(start, count)`` slices of a flat array into a gather index plus an
+owner map, and :func:`segment_any` folds per-row verdicts back onto the
+owners.  The clip-point probe, the STT join's node-pair expansion and the
+derivation of :meth:`ColumnarIndex.node_major
+<repro.engine.columnar.ColumnarIndex.node_major>` use them; the range
+frontier's entry test itself runs on that padded layout and needs no
+gather index.
 """
 
 from __future__ import annotations
@@ -129,6 +133,4 @@ def segment_any(flags: np.ndarray, owners: np.ndarray, n_segments: int) -> np.nd
     Safe for empty segments (they aggregate to False), unlike
     ``np.logical_or.reduceat``.
     """
-    if len(flags) == 0:
-        return np.zeros(n_segments, dtype=bool)
-    return np.bincount(owners, weights=flags.astype(np.float64), minlength=n_segments) > 0.0
+    return np.bincount(owners[flags], minlength=n_segments) > 0

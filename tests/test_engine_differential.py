@@ -13,13 +13,16 @@ rectangles and guaranteed-empty queries, asserting identical result sets
 internal accesses) between the scalar and batch paths.
 """
 
+import math
 import random
+from collections import Counter
 
 import pytest
 
 from repro.datasets.registry import DATASET_NAMES, generate
-from repro.engine import ColumnarIndex, knn_batch, range_query_batch
+from repro.engine import ColumnarIndex, inlj_batch, knn_batch, range_query_batch
 from repro.geometry.rect import Rect
+from repro.join.inlj import index_nested_loop_join
 from repro.query.knn import knn_query
 from repro.query.range_query import brute_force_range, execute_workload
 from repro.query.workload import RangeQueryWorkload
@@ -104,6 +107,100 @@ class TestDifferentialAcrossVariantsAndDatasets:
         queries = _workload_queries(objects, seed=37)
         tree = build_rtree("rrstar", objects, max_entries=10)
         _assert_engines_agree(ClippedRTree.wrap(tree), objects, queries)
+
+
+def _all_space(dims):
+    return Rect((-math.inf,) * dims, (math.inf,) * dims)
+
+
+class TestNodeMajorLayoutEdgeCases:
+    """Shapes that stress the frontier's padded node-major entry layout.
+
+    Insertion-built variants leave nodes under-full, so most rows of the
+    layout end in padding; the padding must be invisible to every query
+    and to every ``IOStats`` counter.
+    """
+
+    @pytest.mark.parametrize("max_entries", [4, 10, 48])
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_under_full_nodes_plain_and_clipped(self, variant, max_entries):
+        objects = make_random_objects(260, dims=2, seed=41)
+        queries = _workload_queries(objects, seed=43)
+        tree = build_rtree(variant, objects, max_entries=max_entries)
+        counts = ColumnarIndex.from_tree(tree).entry_count
+        assert counts.min() < counts.max()  # the layout really is padded
+        # The same tree frozen without and with its clip points.
+        _assert_engines_agree(tree, objects, queries)
+        _assert_engines_agree(ClippedRTree.wrap(tree), objects, queries)
+
+    @pytest.mark.parametrize("dims", [2, 4, 6, 8])
+    def test_dimensions(self, dims):
+        objects = make_random_objects(150, dims=dims, seed=47 + dims)
+        queries = _workload_queries(objects, seed=53)
+        tree = build_rtree("rstar", objects, max_entries=10)
+        _assert_engines_agree(tree, objects, queries)
+        _assert_engines_agree(ClippedRTree.wrap(tree), objects, queries)
+
+    def test_root_is_leaf(self):
+        objects = make_random_objects(5, dims=2, seed=59)
+        tree = build_rtree("quadratic", objects, max_entries=10)
+        assert tree.node(tree.root_id).is_leaf
+        _assert_engines_agree(tree, objects, _workload_queries(objects, seed=61))
+
+    @pytest.mark.parametrize("n_objects", [0, 5, 260])
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_all_space_query_never_matches_padding(self, dims, n_objects):
+        # ``inf <= inf`` holds, so ±inf padding would hand this query a
+        # phantom entry in every under-full node; NaN padding cannot.
+        objects = make_random_objects(n_objects, dims=dims, seed=67)
+        tree = QuadraticRTree(dims=dims, max_entries=8)
+        for obj in objects:
+            tree.insert(obj)
+        queries = [_all_space(dims), _all_space(dims)]
+        # Brute force returns every object; batch must match it and the
+        # scalar result lengths, so a phantom hit cannot hide.
+        _assert_engines_agree(tree, objects, queries)
+        _assert_engines_agree(ClippedRTree.wrap(tree), objects, queries)
+
+    @pytest.mark.parametrize("clipped", [False, True])
+    def test_access_hook_sees_the_scalar_visits_level_by_level(self, clipped):
+        objects = make_random_objects(400, dims=2, seed=71)
+        queries = _workload_queries(objects, seed=73)
+        tree = build_rtree("rrstar", objects, max_entries=6)
+        index = ClippedRTree.wrap(tree) if clipped else tree
+        height = tree.node(tree.root_id).level
+
+        # Round r of the frontier visits what the scalar traversal visits
+        # at depth r: the same (query, node id) pairs, each exactly once.
+        expected = [Counter() for _ in range(height + 1)]
+        for q, query in enumerate(queries):
+            index.range_query(
+                query,
+                access_hook=lambda node, q=q: expected[height - node.level].update(
+                    [(q, node.node_id)]
+                ),
+            )
+        rounds = []
+        range_query_batch(
+            ColumnarIndex.from_tree(index),
+            queries,
+            access_hook=lambda qs, nodes: rounds.append(
+                Counter(zip(qs.tolist(), nodes.tolist()))
+            ),
+        )
+        assert rounds == expected
+
+    def test_inlj_through_padded_inner(self):
+        outer = make_random_objects(120, dims=2, seed=79, max_side=6.0)
+        inner = make_random_objects(300, dims=2, seed=83, max_side=6.0)
+        inner_index = ClippedRTree.wrap(build_rtree("hilbert", inner, max_entries=48))
+        scalar = index_nested_loop_join(outer, inner_index)
+        batch = inlj_batch(outer, ColumnarIndex.from_tree(inner_index))
+        assert batch.pair_count == scalar.pair_count > 0
+        assert Counter((a.oid, b.oid) for a, b in batch.pairs) == Counter(
+            (a.oid, b.oid) for a, b in scalar.pairs
+        )
+        assert batch.inner_stats == scalar.inner_stats
 
 
 class TestWorkloadEngineParity:

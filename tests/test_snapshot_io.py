@@ -145,6 +145,55 @@ def test_loaded_snapshot_has_derived_caches(tmp_path):
     np.testing.assert_array_equal(loaded.node_levels(), ref_levels)
 
 
+def _directory_bytes(directory):
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_node_major_layout_is_never_persisted(tmp_path):
+    objects, reference = _frozen(clip="stairline")
+    queries = _queries(objects)
+    save_snapshot(reference, tmp_path / "before")
+    assert reference._node_major is None  # saving derives no layout...
+    range_query_batch(reference, queries)
+    assert reference._node_major is not None  # ...the first batch does...
+    save_snapshot(reference, tmp_path / "after")
+    # ...and a save after it writes the same files, byte for byte.
+    before = _directory_bytes(tmp_path / "before")
+    assert _directory_bytes(tmp_path / "after") == before
+
+    # Deriving the layout of a read-only mmap view must not write through.
+    loaded = load_snapshot(tmp_path / "before", mmap=True)
+    assert not loaded.entry_lows.flags.writeable
+    _assert_differentially_identical(reference, loaded, queries)
+    assert loaded._node_major is not None
+    assert _directory_bytes(tmp_path / "before") == before
+
+
+def test_worker_derives_layout_once_per_process(tmp_path, monkeypatch):
+    from repro.engine import parallel
+
+    objects, reference = _frozen()
+    save_snapshot(reference, tmp_path)
+    queries = _queries(objects)
+    q_lows = np.array([q.low for q in queries])
+    q_highs = np.array([q.high for q in queries])
+    # What a pool worker runs per shard, in this process on a fresh cache.
+    monkeypatch.setattr(parallel, "_WORKER_SNAPSHOTS", {})
+    first = parallel._range_task(str(tmp_path), q_lows, q_highs)
+    cached = parallel._WORKER_SNAPSHOTS[str(tmp_path)]
+    layout = cached._node_major
+    assert layout is not None
+    second = parallel._range_task(str(tmp_path), q_lows, q_highs)
+    assert parallel._WORKER_SNAPSHOTS[str(tmp_path)] is cached
+    assert cached._node_major is layout  # the second shard reused it
+    np.testing.assert_array_equal(first[0], second[0])
+    np.testing.assert_array_equal(first[1], second[1])
+
+
 def test_no_mmap_load_survives_directory_removal(tmp_path):
     objects, reference = _frozen()
     queries = _queries(objects)
