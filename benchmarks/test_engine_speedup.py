@@ -57,8 +57,8 @@ def test_engine_speedup_smoke(bench_recorder):
     snapshot = ColumnarIndex.from_tree(tree)
     freeze_seconds = time.perf_counter() - freeze_start
 
-    scalar_result = execute_workload(tree, queries, engine="scalar")
-    batch_result = execute_workload(snapshot, queries, engine="columnar")
+    scalar_result = execute_workload(tree, queries)
+    batch_result = execute_workload(snapshot, queries)
     # The two engines must agree before their timing is comparable.
     assert batch_result.total_results == scalar_result.total_results
     assert batch_result.stats.leaf_accesses == scalar_result.stats.leaf_accesses
@@ -67,9 +67,9 @@ def test_engine_speedup_smoke(bench_recorder):
         == scalar_result.stats.contributing_leaf_accesses
     )
 
-    scalar_seconds = _best_of(lambda: execute_workload(tree, queries, engine="scalar"))
+    scalar_seconds = _best_of(lambda: execute_workload(tree, queries))
     batch_seconds = _best_of(
-        lambda: execute_workload(snapshot, queries, engine="columnar")
+        lambda: execute_workload(snapshot, queries)
     )
     speedup = scalar_seconds / batch_seconds
 

@@ -9,6 +9,7 @@ Run with ``python examples/neuroscience_join.py``.
 """
 
 from repro.datasets import NeuriteGenerator
+from repro.engine import ColumnarIndex
 from repro.join import execute_join, index_nested_loop_join, synchronized_tree_traversal_join
 from repro.rtree import ClippedRTree, build_rtree
 
@@ -40,9 +41,11 @@ def main() -> None:
     print(f"\nSTT: leaf accesses unclipped: {plain_stt.total_leaf_accesses}")
     print(f"     leaf accesses clipped:   {fast_stt.total_leaf_accesses}")
 
-    # --- The columnar batch engine runs either strategy over snapshots. ---
+    # --- Hand in frozen snapshots and the batch joins run instead. -------
     columnar_stt = execute_join(
-        clipped_axons, clipped_dendrites, algorithm="stt", engine="columnar",
+        ColumnarIndex.from_tree(clipped_axons),
+        ColumnarIndex.from_tree(clipped_dendrites),
+        algorithm="stt",
         collect_pairs=False,
     )
     print(f"\ncolumnar STT: leaf accesses {columnar_stt.total_leaf_accesses}")

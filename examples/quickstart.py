@@ -44,17 +44,18 @@ def main() -> None:
         }
     print("query results verified identical with and without clipping")
 
-    # 6. Batch the whole workload through the columnar engine: same
-    #    results, same I/O counts, answered by vectorized kernels.
-    #    (Re-freeze with ColumnarIndex.from_tree after inserts/deletes —
-    #    a snapshot is immutable; check snapshot.is_stale.)
+    # 6. Freeze the tree and hand the snapshot to the same call: the
+    #    whole workload is answered by vectorized kernels, with the same
+    #    results and the same I/O counts.  (Re-freeze with
+    #    ColumnarIndex.from_tree after inserts/deletes — a snapshot is
+    #    immutable; check snapshot.is_stale.)
     import time
 
     from repro.engine import ColumnarIndex
 
     snapshot = ColumnarIndex.from_tree(clipped)
     start = time.perf_counter()
-    batch = execute_workload(snapshot, queries, engine="columnar")
+    batch = execute_workload(snapshot, queries)
     batch_s = time.perf_counter() - start
     start = time.perf_counter()
     scalar = execute_workload(clipped, queries)

@@ -63,25 +63,8 @@ class BenchConfig:
     clip_tau: float = 0.025
     #: base RNG seed
     seed: int = 7
-    #: query engine for the range-query experiments: "scalar" runs one
-    #: Python traversal per query, "columnar" answers whole batches via
-    #: the vectorized engine (identical I/O counts, much faster)
-    engine: str = "scalar"
-    #: construction engine for clipping whole trees: "scalar" runs
-    #: Algorithm 1 one node at a time, "vectorized" the level-synchronous
-    #: bulk_clip (identical clip points, much faster)
-    build_engine: str = "scalar"
-    #: join engine for the §V spatial-join experiment: "scalar" runs the
-    #: reference INLJ/STT, "columnar" the vectorized batch joins over
-    #: frozen snapshots (identical pairs and I/O counts, much faster)
-    join_engine: str = "scalar"
-    #: update engine for the incremental-updates experiment: "delta"
-    #: absorbs writes in a SnapshotManager overlay and compacts with
-    #: dirty-node-only re-clipping, "refreeze" rebuilds the snapshot on
-    #: every write (identical query results, much slower)
-    update_engine: str = "delta"
-    #: worker processes for the columnar engines (1 = in-process serial;
-    #: >1 shards batches/joins across a pool over a shared mmap snapshot,
+    #: worker processes for the batch queries and joins (1 = in-process
+    #: serial; >1 shards them across a pool over a shared mmap snapshot,
     #: see repro.engine.parallel)
     workers: int = 1
     #: requests driven through the ``serve`` experiment's closed loop
@@ -132,7 +115,8 @@ class BenchConfig:
         """Rebuild a config from :meth:`as_dict` output (extra keys ignored).
 
         Used by ``repro bench compare`` to re-run an experiment under the
-        exact configuration recorded in a baseline archive.
+        configuration recorded in a baseline archive (an archive may
+        record keys this build has no field for; they do not fail it).
         """
         names = {fld.name for fld in dataclasses.fields(cls)}
         kwargs = {key: value for key, value in data.items() if key in names}

@@ -92,11 +92,11 @@ def run_k_sweep_io(
     """Relative query I/O as the number of clip points per node grows."""
     tree = context.tree(dataset, variant)
     queries = context.queries(dataset, target_results)
-    base = execute_workload(tree, queries)
+    base = execute_workload(context.snapshot(tree), queries)
     rows: List[Dict] = []
     for k in k_values:
         clipped = context.clipped(dataset, variant, method="stairline", k=k)
-        result = execute_workload(clipped, queries)
+        result = execute_workload(context.snapshot(clipped), queries)
         relative = (
             100.0 * result.avg_leaf_accesses / base.avg_leaf_accesses
             if base.avg_leaf_accesses

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.bench.harness import ExperimentContext
 from repro.bench.reporting import percent
-from repro.cbb.clipping import ClippingConfig
 from repro.metrics.dead_space import average_dead_space, clipped_dead_space_summary
 from repro.query.range_query import execute_workload
 from repro.rtree.clipped import ClippedRTree
@@ -42,29 +41,19 @@ def run(
 ) -> List[Dict]:
     """Clipped dead space and relative query I/O per dimensionality."""
     config = context.config
-    engine = config.engine
-    workers = config.workers if engine == "columnar" else 1
+    workers = config.workers
     rows: List[Dict] = []
     for d in dims:
         dataset = dataset_for(d)
         tree = context.tree(dataset, variant, size=size)
         queries = context.queries(dataset, target_results, size=size)
-        base = execute_workload(
-            context.query_index(tree), queries, engine=engine, workers=workers
-        )
+        base = execute_workload(context.snapshot(tree), queries, workers=workers)
         for method in methods:
-            # Scalar corner enumeration is exponential in d, so the sweep
-            # always clips with the vectorized engine — the clip points
-            # (and therefore every metric below) are engine-invariant.
-            clipped = ClippedRTree(
-                tree,
-                ClippingConfig(
-                    method=method, k=config.clip_k, tau=config.clip_tau
-                ),
+            clipped = ClippedRTree.wrap(
+                tree, method=method, k=config.clip_k, tau=config.clip_tau
             )
-            clipped.clip_all(engine="vectorized")
             result = execute_workload(
-                context.query_index(clipped), queries, engine=engine, workers=workers
+                context.snapshot(clipped), queries, workers=workers
             )
             summary = clipped_dead_space_summary(clipped)
             relative = (

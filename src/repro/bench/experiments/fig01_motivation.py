@@ -52,7 +52,7 @@ def run_io_optimality(context: ExperimentContext) -> List[Dict]:
     """Figure 1c: fraction of RR*-tree leaf accesses that contribute results."""
     rows = []
     for dataset in DATASETS:
-        tree = context.tree(dataset, "rrstar")
+        snapshot = context.snapshot(context.tree(dataset, "rrstar"))
         for profile in STANDARD_PROFILES:
             queries = context.queries(dataset, profile.target_results)
             rows.append(
@@ -60,7 +60,7 @@ def run_io_optimality(context: ExperimentContext) -> List[Dict]:
                     "dataset": dataset,
                     "profile": profile.name,
                     "selectivity": {"QR0": "high", "QR1": "medium", "QR2": "low"}[profile.name],
-                    "optimal_leaf_access_pct": percent(io_optimality(tree, queries)),
+                    "optimal_leaf_access_pct": percent(io_optimality(snapshot, queries)),
                 }
             )
     return rows

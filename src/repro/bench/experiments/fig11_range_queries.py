@@ -24,15 +24,14 @@ def run(
 ) -> List[Dict]:
     """Average leaf accesses per query for unclipped and clipped trees.
 
-    Runs through the engine selected by ``context.config.engine`` — the
-    columnar engine reports the same leaf-access counts as the scalar
-    traversal, so the reproduced figure is identical either way.
+    Every index is frozen once (``context.snapshot``) and answers whole
+    batches through the columnar kernels, which report the same
+    leaf-access counts as the scalar traversal.
     ``context.config.workers`` > 1 additionally shards each batch across
-    a process pool over a shared mmap snapshot (columnar engine only),
-    again with identical counts.
+    a process pool over a shared mmap snapshot, again with identical
+    counts.
     """
-    engine = context.config.engine
-    workers = context.config.workers if engine == "columnar" else 1
+    workers = context.config.workers
     rows: List[Dict] = []
     for dataset in datasets:
         for profile in STANDARD_PROFILES:
@@ -40,7 +39,7 @@ def run(
             for variant in context.config.variants:
                 tree = context.tree(dataset, variant)
                 base = execute_workload(
-                    context.query_index(tree), queries, engine=engine, workers=workers
+                    context.snapshot(tree), queries, workers=workers
                 )
                 row = {
                     "dataset": dataset,
@@ -52,7 +51,7 @@ def run(
                 for method in methods:
                     clipped = context.clipped(dataset, variant, method=method)
                     result = execute_workload(
-                        context.query_index(clipped), queries, engine=engine, workers=workers
+                        context.snapshot(clipped), queries, workers=workers
                     )
                     relative = (
                         100.0 * result.avg_leaf_accesses / base.avg_leaf_accesses

@@ -31,7 +31,7 @@ def run(
             clipped = ClippedRTree(
                 tree, ClippingConfig(method=method, k=config.clip_k, tau=config.clip_tau)
             )
-            clipped.clip_all(engine=config.build_engine)
+            clipped.clip_all()
             cause_counts = {cause: 0 for cause in ReclipCause}
             for obj in inserts:
                 report = clipped.insert(obj)

@@ -43,7 +43,7 @@ def run(context: ExperimentContext, datasets: Sequence[str] = DATASET_NAMES) -> 
                 rrstar_tree,
                 ClippingConfig(method=method, k=config.clip_k, tau=config.clip_tau),
             )
-            clipped.clip_all(engine=config.build_engine)
+            clipped.clip_all()
             clip_times[method] = time.perf_counter() - start
 
         def relative(value: float) -> float:

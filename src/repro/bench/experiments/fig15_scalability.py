@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.bench.harness import ExperimentContext
-from repro.cbb.clipping import ClippingConfig
 from repro.engine import ColumnarIndex, range_query_batch
 from repro.query.workload import RangeQueryWorkload, STANDARD_PROFILES
 from repro.rtree.base import RTreeBase
@@ -37,7 +36,7 @@ def _replay_scalar_order(snapshot: ColumnarIndex, queries, pool: BufferPool) -> 
     that visited subtree per query with the same stack discipline as
     ``RTreeBase.range_query`` (children pushed in entry order, popped
     LIFO), so the buffer pool and simulated disk see the identical page
-    sequence — fig15 numbers match the scalar engine byte for byte.
+    sequence — fig15 numbers match the scalar traversal byte for byte.
     """
     visit_queries: List[np.ndarray] = []
     visit_nodes: List[np.ndarray] = []
@@ -77,19 +76,15 @@ def _replay_scalar_order(snapshot: ColumnarIndex, queries, pool: BufferPool) -> 
                         stack.append(child)
 
 
-def _simulated_query_time_ms(
-    index,
-    tree: RTreeBase,
-    queries,
-    buffer_fraction: float,
-    snapshot: Optional[ColumnarIndex] = None,
-) -> float:
+def _simulated_query_time_ms(index, tree: RTreeBase, queries, buffer_fraction: float) -> float:
     """Average simulated query latency in milliseconds.
 
-    When ``snapshot`` is given (columnar engine), the node visits are
-    computed by the batch executor and replayed into the buffer pool in
-    scalar traversal order, so both engines charge the simulated disk
-    identically and the reproduced figure is engine-independent.
+    ``index`` is a frozen :class:`ColumnarIndex` of ``tree`` (plain or
+    clipped) — its node visits come from the batch executor and are
+    replayed into the buffer pool in scalar traversal order — or the
+    tree / clipped wrapper itself, whose scalar traversal charges the
+    pool directly: the reference the replay must match
+    (``tests/test_bench_experiments.py::test_fig15_engine_equivalence``).
     """
     disk = SimulatedDisk()
     for node in tree.nodes():
@@ -97,8 +92,8 @@ def _simulated_query_time_ms(
     capacity = max(1, int(tree.node_count() * buffer_fraction))
     pool = BufferPool(capacity, disk=disk, stats=IOStats())
 
-    if snapshot is not None:
-        _replay_scalar_order(snapshot, queries, pool)
+    if isinstance(index, ColumnarIndex):
+        _replay_scalar_order(index, queries, pool)
     else:
         def charge(node) -> None:
             pool.access(node.node_id)
@@ -126,19 +121,13 @@ def run(
         objects = context.objects(dataset, size=size)
         for variant in VARIANTS:
             tree = build_rtree(variant, objects, max_entries=config.max_entries)
-            indexes = {"unclipped": tree}
-            for method, label in (("skyline", "CSKY"), ("stairline", "CSTA")):
-                clipped = ClippedRTree(
-                    tree, ClippingConfig(method=method, k=config.clip_k, tau=config.clip_tau)
-                )
-                clipped.clip_all(engine=config.build_engine)
-                indexes[label] = clipped
             # Freeze each index once, not once per profile.
-            snapshots = (
-                {label: ColumnarIndex.from_tree(idx) for label, idx in indexes.items()}
-                if config.engine == "columnar"
-                else {}
-            )
+            snapshots = {"unclipped": ColumnarIndex.from_tree(tree)}
+            for method, label in (("skyline", "CSKY"), ("stairline", "CSTA")):
+                clipped = ClippedRTree.wrap(
+                    tree, method=method, k=config.clip_k, tau=config.clip_tau
+                )
+                snapshots[label] = ColumnarIndex.from_tree(clipped)
             for profile in STANDARD_PROFILES:
                 workload = RangeQueryWorkload.from_objects(
                     objects, target_results=profile.target_results, seed=config.seed
@@ -149,12 +138,9 @@ def run(
                     "variant": "HR-tree" if variant == "hilbert" else "RR*-tree",
                     "profile": profile.name,
                 }
-                for label, index in indexes.items():
+                for label, snapshot in snapshots.items():
                     row[f"{label}_ms"] = round(
-                        _simulated_query_time_ms(
-                            index, tree, queries, buffer_fraction,
-                            snapshot=snapshots.get(label),
-                        ),
+                        _simulated_query_time_ms(snapshot, tree, queries, buffer_fraction),
                         3,
                     )
                 rows.append(row)

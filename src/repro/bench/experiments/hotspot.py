@@ -96,8 +96,8 @@ def run(
     }
     rows: List[Dict] = []
     for profile, queries in profiles.items():
-        base = execute_workload(tree, queries, engine="scalar")
-        clip = execute_workload(clipped, queries, engine="scalar")
+        base = execute_workload(context.snapshot(tree), queries)
+        clip = execute_workload(context.snapshot(clipped), queries)
         relative = (
             100.0 * clip.avg_leaf_accesses / base.avg_leaf_accesses
             if base.avg_leaf_accesses > 0

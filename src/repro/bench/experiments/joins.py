@@ -5,9 +5,8 @@ dendrites in a shared, denser brain sub-volume for this experiment so that
 the join produces a meaningful number of result pairs (the real datasets
 occupy the same brain model).
 
-``BenchConfig.join_engine`` (CLI: ``--join-engine``) selects the
-execution path: the scalar reference joins or the columnar batch joins —
-the reported pair counts and leaf accesses are identical either way.
+Every index is frozen once and joined through the columnar batch joins,
+whose pair counts and leaf accesses equal the scalar reference joins'.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.bench.harness import ExperimentContext
-from repro.cbb.clipping import ClippingConfig
 from repro.datasets.neurites import NeuriteGenerator
 from repro.join import execute_join
 from repro.rtree.clipped import ClippedRTree
@@ -46,38 +44,29 @@ def run(
     for variant in variants:
         indexed_axons = build_rtree(variant, axons, max_entries=config.max_entries)
         indexed_dendrites = build_rtree(variant, dendrites, max_entries=config.max_entries)
-        clip_config = ClippingConfig(method=method, k=config.clip_k, tau=config.clip_tau)
-        clipped_axons = ClippedRTree(indexed_axons, clip_config)
-        clipped_axons.clip_all(engine=config.build_engine)
-        clipped_dendrites = ClippedRTree(indexed_dendrites, clip_config)
-        clipped_dendrites.clip_all(engine=config.build_engine)
-
-        engine = config.join_engine
-        workers = config.workers if engine == "columnar" else 1
-        if engine == "columnar":
-            # Freeze each index once (cached per structure version by the
-            # harness); execute_join passes snapshots straight through.
-            indexed_axons = context.snapshot(indexed_axons)
-            indexed_dendrites = context.snapshot(indexed_dendrites)
-            clipped_axons = context.snapshot(clipped_axons)
-            clipped_dendrites = context.snapshot(clipped_dendrites)
+        # Freeze each index once (cached per structure version by the
+        # harness); execute_join passes snapshots straight through.
+        clip = dict(method=method, k=config.clip_k, tau=config.clip_tau)
+        clipped_axons = context.snapshot(ClippedRTree.wrap(indexed_axons, **clip))
+        clipped_dendrites = context.snapshot(ClippedRTree.wrap(indexed_dendrites, **clip))
+        indexed_axons = context.snapshot(indexed_axons)
+        indexed_dendrites = context.snapshot(indexed_dendrites)
+        workers = config.workers
         inlj_plain = execute_join(
-            dendrites, indexed_axons, algorithm="inlj", engine=engine,
-            collect_pairs=False, workers=workers,
+            dendrites, indexed_axons, algorithm="inlj", collect_pairs=False, workers=workers
         )
         inlj_clip = execute_join(
-            dendrites, clipped_axons, algorithm="inlj", engine=engine,
-            collect_pairs=False, workers=workers,
+            dendrites, clipped_axons, algorithm="inlj", collect_pairs=False, workers=workers
         )
         stt_plain = execute_join(
-            indexed_axons, indexed_dendrites, algorithm="stt", engine=engine,
+            indexed_axons, indexed_dendrites, algorithm="stt",
             collect_pairs=False, workers=workers,
         )
         stt_clip = execute_join(
-            clipped_axons, clipped_dendrites, algorithm="stt", engine=engine,
+            clipped_axons, clipped_dendrites, algorithm="stt",
             collect_pairs=False, workers=workers,
         )
-        # Every strategy enumerates the same join, whatever the engine.
+        # Every strategy enumerates the same join.
         assert (
             inlj_plain.pair_count == inlj_clip.pair_count
             == stt_plain.pair_count == stt_clip.pair_count

@@ -83,7 +83,6 @@ def run(
     target_results: int = 10,
 ) -> List[Dict]:
     """Mixed-stream throughput of both update engines, with equal answers."""
-    config = context.config
     if total_ops is None:
         total_ops = max(40, min(240, len(context.objects(dataset)) // 10))
     reference = context.clipped(dataset, variant, method=method)
@@ -95,7 +94,6 @@ def run(
             copy.deepcopy(reference),
             update_engine="delta",
             compact_every=compact_every,
-            clip_engine="vectorized" if config.build_engine == "vectorized" else "scalar",
         )
         refreeze = SnapshotManager(copy.deepcopy(reference), update_engine="refreeze")
         delta_seconds, delta_answers = _replay(delta, ops)

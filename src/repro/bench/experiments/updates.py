@@ -13,10 +13,7 @@ absorb the same mixed insert/delete stream over identical clipped trees:
 
 Both managers answer an identical query workload at the end and must
 agree exactly — the speedup column is only meaningful because the two
-engines serve the same results.  ``BenchConfig.update_engine`` (CLI:
-``--update-engine``) selects which engine's manager backs the
-differential check's reference side; it is reported per row so the flag
-is observable in the output.
+engines serve the same results.
 """
 
 from __future__ import annotations
@@ -88,18 +85,14 @@ def run(
                 copy.deepcopy(reference),
                 update_engine="delta",
                 compact_every=compact_every,
-                clip_engine="vectorized" if config.build_engine == "vectorized" else "scalar",
             )
             refreeze_seconds = _apply(refreeze, ops)
             delta_seconds = _apply(delta, ops)
 
-            # Both engines must serve identical live states, whichever one
-            # the config designates as the serving side.
-            serving, other = (
-                (delta, refreeze) if config.update_engine == "delta" else (refreeze, delta)
+            # Both engines must serve identical live states.
+            assert _result_keys(delta.range_query_batch(queries)) == _result_keys(
+                refreeze.range_query_batch(queries)
             )
-            served = _result_keys(serving.range_query_batch(queries))
-            assert served == _result_keys(other.range_query_batch(queries))
 
             per_update = 1000.0 / len(ops)
             rows.append(
@@ -114,7 +107,6 @@ def run(
                     else float("inf"),
                     "compactions": delta.total_compactions,
                     "reclipped_nodes": delta.total_reclipped_nodes,
-                    "serving_engine": config.update_engine,
                 }
             )
     return rows

@@ -128,7 +128,7 @@ class ExperimentContext:
         key = (id(tree), method, k, tau)
         if key not in self._clipped:
             clipped = ClippedRTree(tree, ClippingConfig(method=method, k=k, tau=tau))
-            clipped.clip_all(engine=self.config.build_engine)
+            clipped.clip_all()
             self._clipped[key] = clipped
         return self._clipped[key]
 
@@ -143,11 +143,6 @@ class ExperimentContext:
         if key not in self._snapshots:
             self._snapshots[key] = ColumnarIndex.from_tree(index)
         return self._snapshots[key]
-
-    def query_index(self, index, engine: Optional[str] = None):
-        """``index`` itself for the scalar engine, its snapshot for columnar."""
-        engine = self.config.engine if engine is None else engine
-        return self.snapshot(index) if engine == "columnar" else index
 
     def workload(self, dataset: str, target_results: int, size: Optional[int] = None) -> RangeQueryWorkload:
         """A calibrated range-query workload over ``dataset`` (cached).

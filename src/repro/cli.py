@@ -22,7 +22,7 @@ Examples::
 
     python -m repro list-experiments
     python -m repro run fig11 --queries 20 --size 1000
-    python -m repro bench run dims --set size=1600 --set build_engine=vectorized
+    python -m repro bench run dims --set size=1600 --set clip_tau=0.05
     python -m repro bench run all --smoke --archive-root /tmp/archive
     python -m repro bench compare hotspot --against latest
     python -m repro build-info axo03 rstar --size 2000
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.bench import BenchConfig, ExperimentContext, ParameterError, format_table
 from repro.bench.archive import (
@@ -63,18 +63,6 @@ from repro.rtree.clipped import ClippedRTree
 from repro.rtree.registry import VARIANT_NAMES, build_rtree
 
 
-def _render_experiment(experiment_id: str, context: ExperimentContext) -> str:
-    experiment = get_experiment(experiment_id)
-    return render_tables(experiment, experiment.build(context))
-
-
-#: id → renderer, registry-backed (kept for backwards compatibility).
-EXPERIMENTS: Dict[str, Callable[[ExperimentContext], str]] = {
-    experiment_id: (lambda context, _id=experiment_id: _render_experiment(_id, context))
-    for experiment_id in experiment_ids()
-}
-
-
 def _make_config(args: argparse.Namespace) -> BenchConfig:
     config = BenchConfig()
     if args.size is not None:
@@ -83,14 +71,6 @@ def _make_config(args: argparse.Namespace) -> BenchConfig:
         config.queries_per_profile = args.queries
     if args.max_entries is not None:
         config.max_entries = args.max_entries
-    if getattr(args, "engine", None) is not None:
-        config.engine = args.engine
-    if getattr(args, "build_engine", None) is not None:
-        config.build_engine = args.build_engine
-    if getattr(args, "join_engine", None) is not None:
-        config.join_engine = args.join_engine
-    if getattr(args, "update_engine", None) is not None:
-        config.update_engine = args.update_engine
     if getattr(args, "workers", None) is not None:
         config.workers = args.workers
     return config
@@ -115,11 +95,13 @@ def _cmd_datasets(_: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.experiment not in EXPERIMENTS:
+    try:
+        experiment = get_experiment(args.experiment)
+    except UnknownExperimentError:
         print(f"unknown experiment {args.experiment!r}; try 'list-experiments'", file=sys.stderr)
         return 2
     context = ExperimentContext(_make_config(args))
-    print(EXPERIMENTS[args.experiment](context))
+    print(render_tables(experiment, experiment.build(context)))
     return 0
 
 
@@ -227,7 +209,7 @@ def _cmd_build_info(args: argparse.Namespace) -> int:
     print(format_table([stats.as_row()], title=f"{args.variant} over {args.dataset}"))
     print(f"average dead space per node: {100 * average_dead_space(tree):.1f}%")
     for method in ("skyline", "stairline"):
-        clipped = ClippedRTree.wrap(tree, method=method, engine=config.build_engine)
+        clipped = ClippedRTree.wrap(tree, method=method)
         summary = clipped_dead_space_summary(clipped)
         print(
             f"{method:10s}: {100 * summary.clipped_share_of_dead_space:5.1f}% of dead space clipped, "
@@ -251,7 +233,7 @@ def _cmd_snapshot_save(args: argparse.Namespace) -> int:
     objects = dataset_info(args.dataset).generate(config.size_of(args.dataset), seed=config.seed)
     index = build_rtree(args.variant, objects, max_entries=config.max_entries)
     if args.clip != "none":
-        index = ClippedRTree.wrap(index, method=args.clip, engine=config.build_engine)
+        index = ClippedRTree.wrap(index, method=args.clip)
     start = time.perf_counter()
     snapshot = ColumnarIndex.from_tree(index)
     freeze_s = time.perf_counter() - start
@@ -300,7 +282,7 @@ def _cmd_snapshot_load(args: argparse.Namespace) -> int:
         queries = workload.query_list(args.queries, seed=7)
         workers = args.workers or 1
         start = time.perf_counter()
-        result = execute_workload(snapshot, queries, engine="columnar", workers=workers)
+        result = execute_workload(snapshot, queries, workers=workers)
         query_s = time.perf_counter() - start
         print(
             f"{result.queries} sanity queries (workers={workers}) in "
@@ -324,7 +306,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     objects = dataset_info(args.dataset).generate(config.size_of(args.dataset), seed=config.seed)
     index = build_rtree(args.variant, objects, max_entries=config.max_entries)
     if args.clip != "none":
-        index = ClippedRTree.wrap(index, method=args.clip, engine=config.build_engine)
+        index = ClippedRTree.wrap(index, method=args.clip)
     manager = SnapshotManager(index, update_engine="delta")
     report, responses = run_serve_scenario(
         manager,
@@ -371,28 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = subparsers.add_parser("run", help="run one experiment and print its tables")
     run_parser.add_argument("experiment", help="experiment id, e.g. fig11")
     run_parser.add_argument(
-        "--engine",
-        choices=("scalar", "columnar"),
-        default=None,
-        help="query engine for range-query experiments (columnar = vectorized batch)",
-    )
-    run_parser.add_argument(
-        "--join-engine",
-        choices=("scalar", "columnar"),
-        default=None,
-        help="join engine for the joins experiment (columnar = vectorized batch joins)",
-    )
-    run_parser.add_argument(
-        "--update-engine",
-        choices=("delta", "refreeze"),
-        default=None,
-        help="update engine for the updates experiment (delta = overlay + compaction)",
-    )
-    run_parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker processes for the columnar engines (>1 shards batches "
+        help="worker processes for batch queries and joins (>1 shards them "
         "across a pool over a shared mmap snapshot)",
     )
 
@@ -421,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tiny configuration + per-experiment smoke kwargs (seconds per experiment)",
     )
     bench_run.add_argument(
-        "--workers", type=int, default=None, help="worker processes for the columnar engines"
+        "--workers", type=int, default=None, help="worker processes for batch queries and joins"
     )
     bench_run.add_argument(
         "--quiet", action="store_true", help="print only the archive location, not the tables"
@@ -554,12 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--size", type=int, default=None, help="objects per dataset")
         sub.add_argument("--queries", type=int, default=None, help="queries per profile")
         sub.add_argument("--max-entries", type=int, default=None, help="node capacity")
-        sub.add_argument(
-            "--build-engine",
-            choices=("scalar", "vectorized"),
-            default=None,
-            help="clip-point construction engine (vectorized = level-synchronous bulk_clip)",
-        )
     return parser
 
 

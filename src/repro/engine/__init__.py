@@ -1,38 +1,32 @@
 """Columnar batch engine: vectorized querying *and* construction.
 
-Querying (PR 1): freeze any R-tree variant (plain or clipped) into
-contiguous NumPy arrays and answer whole query batches through
-vectorized kernels — the fast path behind
-``execute_workload(..., engine="columnar")``, the ``--engine columnar``
-CLI flag, and the fig11/fig15 experiments.
+Querying: freeze any R-tree variant (plain or clipped) into contiguous
+NumPy arrays (:class:`ColumnarIndex`) and answer whole query batches
+through vectorized kernels — what ``execute_workload`` runs when it is
+handed a ``ColumnarIndex``, and what every experiment runs after
+``context.snapshot(...)``.
 
-Construction (the build-side twin): :func:`build_columnar_str` STR-packs
-objects straight into a :class:`ColumnarIndex` with no intermediate
-Python nodes, and :func:`bulk_clip` computes the paper's Algorithm 1 for
-whole tree levels at once — the path behind
-``ClippedRTree.clip_all(engine="vectorized")``, the ``--build-engine``
-CLI flag, and ``BenchConfig.build_engine``.
+Construction: :func:`build_columnar_str` STR-packs objects straight into
+a :class:`ColumnarIndex` with no intermediate Python nodes, and
+:func:`bulk_clip` computes the paper's Algorithm 1 for whole tree levels
+at once — the default path of ``ClippedRTree.clip_all`` / ``wrap``.
 
-Updates (the write-side twin): :class:`SnapshotManager` +
-:class:`DeltaOverlay` absorb inserts/deletes on top of a frozen snapshot
-and fold them in via compaction with dirty-node-only re-clipping
-(:func:`reclip_nodes`) — the path behind
-``BenchConfig.update_engine``, the ``--update-engine`` CLI flag, and the
-``updates`` experiment.
+Updates: :class:`SnapshotManager` + :class:`DeltaOverlay` absorb
+inserts/deletes on top of a frozen snapshot and fold them in via
+compaction with dirty-node-only re-clipping
+(:func:`reclip_nodes_for_results`).
 
-Joins (the §V twin): :func:`inlj_batch` and :func:`stt_batch` run both
-spatial-join strategies over snapshots with scalar-identical pairs and
-I/O accounting — the path behind
-``execute_join(..., engine="columnar")``, the ``--join-engine`` CLI
-flag, and ``BenchConfig.join_engine``.
+Joins: :func:`inlj_batch` and :func:`stt_batch` run both spatial-join
+strategies over snapshots with scalar-identical pairs and I/O
+accounting — what ``execute_join`` runs on ``ColumnarIndex`` inputs;
+:func:`overlay_join` adds the pending deltas of managed inputs.
 
-Persistence + parallelism (the scale-out twin):
-:func:`save_snapshot`/:func:`load_snapshot` persist a snapshot as
-memory-mappable ``.npy`` files (near-instant zero-copy loads shared
-across processes) and :class:`ParallelExecutor` shards batch queries
-and joins across a worker pool over such a shared snapshot — the path
-behind ``execute_workload(..., workers=N)`` /
-``execute_join(..., workers=N)``, the ``--workers`` CLI flag, and the
+Persistence + parallelism: :func:`save_snapshot`/:func:`load_snapshot`
+persist a snapshot as memory-mappable ``.npy`` files (near-instant
+zero-copy loads shared across processes) and :class:`ParallelExecutor`
+shards batch queries and joins across a worker pool over such a shared
+snapshot — handed to ``execute_workload`` / ``execute_join`` directly,
+or built by them for ``workers=N``, the ``--workers`` CLI flag, and the
 ``repro snapshot save/load`` subcommands.
 
 See :mod:`repro.engine.columnar` for the snapshot layout,
@@ -57,7 +51,7 @@ from repro.engine.delta import (
     overlay_join,
 )
 from repro.engine.executor import knn_batch, range_query_batch
-from repro.engine.incremental_clip import reclip_nodes, reclip_nodes_for_results
+from repro.engine.incremental_clip import reclip_live_nodes, reclip_nodes_for_results
 from repro.engine.join_exec import inlj_batch, stt_batch
 from repro.engine.parallel import ParallelExecutor, default_workers
 from repro.engine.snapshot_io import (
@@ -87,7 +81,7 @@ __all__ = [
     "load_snapshot",
     "overlay_join",
     "range_query_batch",
-    "reclip_nodes",
+    "reclip_live_nodes",
     "reclip_nodes_for_results",
     "resolve_stale",
     "save_snapshot",

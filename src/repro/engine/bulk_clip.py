@@ -96,7 +96,7 @@ def clip_nodes_batch(
 
     The shared core of :func:`bulk_clip` (every node of a tree) and the
     incremental dirty-node re-clipper
-    (:func:`repro.engine.incremental_clip.reclip_nodes`, a handful of
+    (:func:`repro.engine.incremental_clip.reclip_live_nodes`, a handful of
     nodes after a compaction).  Returns ``{node_id: [ClipPoint, ...]}``
     containing only nodes that earned at least one clip point; each list
     is value-for-value what the scalar ``compute_clip_points`` produces

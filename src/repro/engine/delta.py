@@ -48,7 +48,7 @@ from repro.engine.columnar import ColumnarIndex
 from repro.engine.incremental_clip import reclip_nodes_for_results
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
-from repro.join.result import JoinResult
+from repro.join import JoinResult, check_join_algorithm
 from repro.query.knn import knn_query
 from repro.rtree.base import RTreeBase
 from repro.rtree.clipped import ClippedRTree
@@ -712,6 +712,7 @@ def overlay_join(
     """
     from repro.engine.join_exec import inlj_batch, stt_batch
 
+    check_join_algorithm(algorithm)
     if algorithm == "inlj":
         if isinstance(left, SnapshotManager):
             probes: Sequence[SpatialObject] = left.live_objects()
@@ -722,7 +723,7 @@ def overlay_join(
         pairs: List[Tuple[SpatialObject, SpatialObject]] = []
         _probe_pairs(probes, r_snap, r_overlay, result.inner_stats, pairs)
         result.pairs = pairs if collect_pairs else []
-        result.set_pair_count(len(pairs), collected=collect_pairs)
+        result.pair_count = len(pairs)
         return result
 
     l_snap, l_overlay = _join_side(left)
@@ -748,5 +749,5 @@ def overlay_join(
             include_delta=False,
         )
     result.pairs = pairs if collect_pairs else []
-    result.set_pair_count(len(pairs), collected=collect_pairs)
+    result.pair_count = len(pairs)
     return result

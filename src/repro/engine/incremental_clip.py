@@ -6,9 +6,11 @@ buffered batch of inserts/deletes to the source tree *without* the
 per-update re-clipping of :meth:`repro.rtree.clipped.ClippedRTree.insert`
 — change tracking (:class:`~repro.rtree.base.InsertResult` /
 :class:`~repro.rtree.base.DeleteResult`) accumulates the set of nodes
-whose entry lists changed, and :func:`reclip_nodes` recomputes exactly
-those nodes' clip points in one batched pass through
-:func:`repro.engine.bulk_clip.clip_nodes_batch`.
+whose entry lists changed, and :func:`reclip_nodes_for_results` has
+:meth:`~repro.rtree.clipped.ClippedRTree.reclip_nodes` recompute exactly
+those nodes' clip points — by default in one batched pass through
+:func:`repro.engine.bulk_clip.clip_nodes_batch`
+(:func:`reclip_live_nodes`).
 
 Because a node's clip points are a pure function of its own entry
 rectangles, re-clipping the dirty set leaves the store identical to a
@@ -19,7 +21,7 @@ and update interleavings.
 
 from __future__ import annotations
 
-from typing import Iterable, Set, Union
+from typing import Iterable, Sequence, Set, Union
 
 from repro.engine.bulk_clip import clip_nodes_batch
 from repro.rtree.base import DeleteResult, InsertResult
@@ -59,8 +61,8 @@ def reclip_nodes_for_results(
 
     Adds the current parent of every MBB-changed node (its entry rect
     for that child was refreshed), drops clip entries of removed nodes,
-    then delegates to :func:`reclip_nodes`.  Returns the number of live
-    nodes re-clipped.
+    then delegates to :meth:`ClippedRTree.reclip_nodes`.  Returns the
+    number of live nodes re-clipped.
     """
     results = list(results)
     dirty = dirty_node_ids(results)
@@ -78,37 +80,21 @@ def reclip_nodes_for_results(
             parent_id = parents.get(node_id)
             if parent_id is not None:
                 dirty.add(parent_id)
-    return reclip_nodes(clipped, dirty, engine=engine)
+    return clipped.reclip_nodes(dirty, engine=engine)
 
 
-def reclip_nodes(
-    clipped: ClippedRTree, node_ids: Iterable[int], engine: str = "vectorized"
-) -> int:
-    """Recompute clip points for exactly ``node_ids`` of ``clipped``.
+def reclip_live_nodes(clipped: ClippedRTree, node_ids: Sequence[int]) -> None:
+    """The vectorised half of :meth:`ClippedRTree.reclip_nodes`.
 
-    Ids of nodes that no longer exist are dropped from the store; each
-    surviving node gets the same clip points a full ``clip_all`` would
-    assign it (vectorized and scalar engines agree value for value).
-    Returns the number of live nodes re-clipped.
+    ``node_ids`` must all exist in ``clipped.tree``; each gets the clip
+    points a full ``clip_all`` would assign it, computed in one batched
+    pass (nodes left without clip points are dropped from the store).
     """
-    if engine not in ClippedRTree.CLIP_ENGINES:
-        raise ValueError(
-            f"unknown clip engine {engine!r}; known: {ClippedRTree.CLIP_ENGINES}"
-        )
     tree = clipped.tree
-    ids = set(node_ids)
-    live = sorted(nid for nid in ids if tree.has_node(nid))
-    for node_id in ids.difference(live):
-        clipped.store.remove(node_id)
-    if engine == "scalar":
-        for node_id in live:
-            clipped._clip_node(tree.node(node_id))
-        return len(live)
-    results = clip_nodes_batch([tree.node(nid) for nid in live], tree.dims, clipped.config)
-    for node_id in live:
+    results = clip_nodes_batch([tree.node(nid) for nid in node_ids], tree.dims, clipped.config)
+    for node_id in node_ids:
         clips = results.get(node_id)
         if clips:
             clipped.store.put(node_id, clips)
         else:
             clipped.store.remove(node_id)
-    return len(live)

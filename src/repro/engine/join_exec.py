@@ -63,7 +63,6 @@ def inlj_batch(
     outer_objects = list(outer_objects)
     result = JoinResult()
     if not outer_objects:
-        result.set_pair_count(0, collected=collect_pairs)
         return result
     q_lows = np.array([o.rect.low for o in outer_objects], dtype=np.float64)
     q_highs = np.array([o.rect.high for o in outer_objects], dtype=np.float64)
@@ -83,7 +82,7 @@ def inlj_batch(
             (outer_objects[q], get(o))
             for q, o in zip(all_q[order].tolist(), all_obj[order].tolist())
         )
-    result.set_pair_count(int(len(all_q)), collected=collect_pairs)
+    result.pair_count = int(len(all_q))
     return result
 
 
@@ -454,15 +453,13 @@ def stt_batch(
     ledger = _PairLedger()
     frontier = stt_root_frontier(left, right, ledger)
     if frontier is None:
-        result.set_pair_count(0, collected=collect_pairs)
         return result
     collected: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     _stt_rounds(left, right, frontier, ledger, collected, collect_pairs)
     emitted = ledger.settle(result)
-    pair_count = int(emitted[0]) if len(emitted) else 0
+    result.pair_count = int(emitted[0]) if len(emitted) else 0
     if collect_pairs:
         materialize_stt_pairs(result, left, right, ((a, b) for a, b, _ in collected))
-    result.set_pair_count(pair_count, collected=collect_pairs)
     return result
 
 

@@ -387,7 +387,6 @@ class ParallelExecutor:
         outer_objects = list(outer_objects)
         result = JoinResult()
         if not outer_objects:
-            result.set_pair_count(0, collected=collect_pairs)
             return result
         q_lows = np.array([o.rect.low for o in outer_objects], dtype=np.float64)
         q_highs = np.array([o.rect.high for o in outer_objects], dtype=np.float64)
@@ -404,7 +403,7 @@ class ParallelExecutor:
                 (outer_objects[q], get(o))
                 for q, o in zip(all_q[order].tolist(), all_obj[order].tolist())
             )
-        result.set_pair_count(int(len(all_q)), collected=collect_pairs)
+        result.pair_count = int(len(all_q))
         return result
 
     def stt_batch(
@@ -441,7 +440,6 @@ class ParallelExecutor:
         ledger = _PairLedger()
         frontier = stt_root_frontier(left, right, ledger)
         if frontier is None:
-            result.set_pair_count(0, collected=collect_pairs)
             return result
 
         collected: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -493,13 +491,12 @@ class ParallelExecutor:
                 )
 
         emitted = ledger.settle(result)
-        pair_count = int(emitted[0]) if len(emitted) else 0
+        result.pair_count = int(emitted[0]) if len(emitted) else 0
         if collect_pairs:
             chunks = [(a, b) for a, b, _ in collected]
             if shipped_pairs is not None:
                 chunks.append(shipped_pairs)
             materialize_stt_pairs(result, left, right, chunks)
-        result.set_pair_count(pair_count, collected=collect_pairs)
         return result
 
     # ------------------------------------------------------------------

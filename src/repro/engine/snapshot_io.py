@@ -34,8 +34,7 @@ manifest is the single commit point — a process killed at any offset of
 the write sequence leaves the directory loading either the old snapshot
 or the new one, never garbage (``tests/test_snapshot_durability.py``
 kills a simulated save at every byte offset to prove it).  Superseded
-generations are garbage-collected strictly *after* the commit.  Version
-1 directories (arrays at the top level, no fsync guarantees) still load.
+generations are garbage-collected strictly *after* the commit.
 """
 
 from __future__ import annotations
@@ -56,9 +55,6 @@ from repro.geometry.rect import Rect
 
 #: On-disk format version; bump on any incompatible layout change.
 FORMAT_VERSION = 2
-
-#: Format versions :func:`load_snapshot` can read.
-_COMPAT_VERSIONS = (1, 2)
 
 #: Manifest file name inside a snapshot directory.
 MANIFEST_NAME = "manifest.json"
@@ -174,8 +170,8 @@ def _committed_manifest(directory: Path) -> Optional[dict]:
     return manifest if isinstance(manifest, dict) else None
 
 
-def _gc_stale_generations(directory: Path, keep: str, array_names) -> None:
-    """Remove superseded generation dirs and stale v1 top-level arrays.
+def _gc_stale_generations(directory: Path, keep: str) -> None:
+    """Remove superseded generation dirs.
 
     Only called after the new manifest is committed, so nothing a
     loadable manifest references is ever deleted.
@@ -183,15 +179,6 @@ def _gc_stale_generations(directory: Path, keep: str, array_names) -> None:
     for child in directory.iterdir():
         if child.is_dir() and _GENERATION_RE.match(child.name) and child.name != keep:
             shutil.rmtree(child, ignore_errors=True)
-        elif (
-            child.is_file()
-            and child.suffix == ".npy"
-            and child.stem in array_names
-        ):
-            try:
-                child.unlink()
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
 
 
 def save_snapshot(index: ColumnarIndex, directory: Union[str, Path]) -> Path:
@@ -302,7 +289,7 @@ def save_snapshot(index: ColumnarIndex, directory: Union[str, Path]) -> Path:
         os.fsync(handle.fileno())
     os.replace(tmp_path, directory / MANIFEST_NAME)
     _fsync_path(directory)
-    _gc_stale_generations(directory, generation, set(arrays))
+    _gc_stale_generations(directory, generation)
     return directory
 
 
@@ -317,12 +304,12 @@ def read_manifest(directory: Union[str, Path]) -> dict:
     except (OSError, ValueError) as exc:
         raise SnapshotFormatError(f"unreadable snapshot manifest {manifest_path}: {exc}")
     version = manifest.get("format_version")
-    if version not in _COMPAT_VERSIONS:
+    if version != FORMAT_VERSION:
         raise SnapshotFormatError(
             f"snapshot format version {version!r} at {directory} is not supported "
-            f"(this build reads versions {_COMPAT_VERSIONS})"
+            f"(this build reads version {FORMAT_VERSION})"
         )
-    for key in ("dims", "arrays"):
+    for key in ("dims", "arrays", "data_dir"):
         if key not in manifest:
             raise SnapshotFormatError(f"snapshot manifest {manifest_path} lacks {key!r}")
     return manifest
@@ -390,9 +377,7 @@ def load_snapshot(directory: Union[str, Path], mmap: bool = True) -> ColumnarInd
             f"snapshot manifest {directory / MANIFEST_NAME} lacks arrays: "
             f"{sorted(missing)}"
         )
-    # Version 2 manifests point at a generation subdirectory; version 1
-    # kept arrays at the top level (data_dir absent → the directory).
-    data_path = directory / manifest.get("data_dir", "")
+    data_path = directory / manifest["data_dir"]
     arrays = {
         name: _load_array(data_path, name, specs[name], mmap) for name in sorted(expected)
     }

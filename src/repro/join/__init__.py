@@ -1,52 +1,54 @@
 """Spatial joins: Index Nested Loop Join and Synchronised Tree Traversal.
 
-Two interchangeable execution engines serve both strategies:
+:func:`execute_join` runs either strategy and has no engine switch; the
+indexed inputs it is handed pick the implementation:
 
-* ``"scalar"`` — the reference implementations in :mod:`repro.join.inlj`
+* R-trees / :class:`~repro.rtree.clipped.ClippedRTree` wrappers on every
+  indexed side — the scalar reference joins of :mod:`repro.join.inlj`
   and :mod:`repro.join.stt`, one Python node visit at a time;
-* ``"columnar"`` — :mod:`repro.engine.join_exec`, which freezes the
-  indexes into :class:`~repro.engine.columnar.ColumnarIndex` snapshots
-  and runs the joins level-synchronously through NumPy kernels, with
-  identical pairs, ``pair_count`` and ``IOStats``.
+* a frozen :class:`~repro.engine.columnar.ColumnarIndex` on any indexed
+  side — the level-synchronous batch joins of
+  :mod:`repro.engine.join_exec` (a tree on the other side of an STT is
+  frozen on the fly);
+* a :class:`~repro.engine.delta.SnapshotManager` on either side —
+  :func:`repro.engine.delta.overlay_join`, the batch join of the base
+  snapshots merged with the pending deltas;
+* a :class:`~repro.engine.parallel.ParallelExecutor` as the INLJ inner
+  or the STT left input — the batch join sharded across its pool.
 
-:func:`execute_join` is the engine-dispatching entry point the
-experiments and the CLI use.
+Pairs, ``pair_count`` and both sides' ``IOStats`` are identical across
+these paths (``tests/test_join_differential.py``,
+``tests/test_backend_conformance.py``).
 """
 
 from __future__ import annotations
+
+import contextlib
 
 from repro.join.inlj import index_nested_loop_join
 from repro.join.result import JoinResult
 from repro.join.stt import synchronized_tree_traversal_join
 
-JOIN_ENGINES = ("scalar", "columnar")
 JOIN_ALGORITHMS = ("inlj", "stt")
 
 
-def _as_snapshot(index, stale: str = "refresh"):
-    """``index`` as a ColumnarIndex, freezing trees on the fly.
-
-    A pre-frozen snapshot whose source has mutated is resolved through
-    the ``stale`` policy (refresh by default) so joins never silently
-    run against an outdated freeze.
-    """
-    from repro.engine import ColumnarIndex, resolve_stale
-
-    if isinstance(index, ColumnarIndex):
-        return resolve_stale(index, stale)
-    return ColumnarIndex.from_tree(index)
+def check_join_algorithm(algorithm: str) -> None:
+    """Raise ``ValueError`` unless ``algorithm`` is one of :data:`JOIN_ALGORITHMS`."""
+    if algorithm not in JOIN_ALGORITHMS:
+        raise ValueError(
+            f"unknown join algorithm {algorithm!r}; known: {JOIN_ALGORITHMS}"
+        )
 
 
 def execute_join(
     left,
     right,
     algorithm: str = "stt",
-    engine: str = "scalar",
     collect_pairs: bool = True,
     stale: str = "refresh",
     workers: int = 1,
 ) -> JoinResult:
-    """Run one spatial join with the selected algorithm and engine.
+    """Run one spatial join; the inputs pick the path (module docstring).
 
     ``algorithm``:
 
@@ -55,82 +57,68 @@ def execute_join(
       the indexed inner input;
     * ``"stt"`` — ``left`` and ``right`` are both indexed inputs.
 
-    Indexed inputs are plain trees, :class:`ClippedRTree` wrappers, or —
-    for the columnar engine — pre-frozen
-    :class:`~repro.engine.columnar.ColumnarIndex` snapshots (trees are
-    frozen on the fly; pass snapshots to amortise the freeze across many
-    joins).  Both engines return identical results and I/O accounting;
-    ``tests/test_join_differential.py`` pins the equivalence.
-
     Pre-frozen snapshots are checked for staleness under the ``stale``
     policy (``"refresh"`` / ``"raise"`` / ``"serve"``, see
-    :func:`repro.engine.columnar.resolve_stale`).  Either side may also
-    be a :class:`~repro.engine.delta.SnapshotManager`, in which case the
-    join merges its base snapshot with the pending delta regardless of
-    ``engine``.
+    :func:`repro.engine.columnar.resolve_stale`); pass snapshots rather
+    than trees to amortise the freeze across many joins.
 
-    ``workers`` > 1 (columnar engine only) shards the join across a
-    process pool over shared mmap snapshots — INLJ by outer-object
-    partition, STT by pair-frontier partition (see
-    :class:`~repro.engine.parallel.ParallelExecutor`).  Pair counts and
-    both sides' ``IOStats`` still match the serial engines exactly;
-    STT's collected pairs arrive in a different (deterministic) order.
+    ``workers`` > 1 wraps the frozen INLJ inner / STT left snapshot in a
+    short-lived :class:`~repro.engine.parallel.ParallelExecutor` — INLJ
+    sharded by outer-object partition, STT by pair-frontier partition.
+    Pair counts and both sides' ``IOStats`` still match the serial joins
+    exactly; STT's collected pairs arrive in a different (deterministic)
+    order.  It is a ``ValueError`` when every indexed side is a tree.
     """
-    if algorithm not in JOIN_ALGORITHMS:
-        raise ValueError(
-            f"unknown join algorithm {algorithm!r}; known: {JOIN_ALGORITHMS}"
-        )
-    if engine not in JOIN_ENGINES:
-        raise ValueError(f"unknown join engine {engine!r}; known: {JOIN_ENGINES}")
+    check_join_algorithm(algorithm)
     workers = int(workers)
+    indexed = (right,) if algorithm == "inlj" else (left, right)
     if getattr(left, "is_snapshot_manager", False) or getattr(
         right, "is_snapshot_manager", False
     ):
-        # A SnapshotManager serves base + pending delta; its merge join is
-        # the only engine that sees both layers.
         from repro.engine.delta import overlay_join
 
         return overlay_join(left, right, algorithm=algorithm, collect_pairs=collect_pairs)
-    if workers > 1 and engine != "columnar":
-        raise ValueError(
-            "workers > 1 requires the columnar join engine (pass engine='columnar')"
-        )
-    if engine == "columnar":
-        # Imported lazily: the scalar path must not require NumPy.
-        from repro.engine.join_exec import inlj_batch, stt_batch
-
+    if not any(hasattr(side, "range_query_batch") for side in indexed):
         if workers > 1:
-            from repro.engine.parallel import ParallelExecutor
-
-            if algorithm == "inlj":
-                with ParallelExecutor(
-                    _as_snapshot(right, stale), workers=workers
-                ) as executor:
-                    return executor.inlj_batch(left, collect_pairs=collect_pairs)
-            with ParallelExecutor(
-                _as_snapshot(left, stale), workers=workers
-            ) as executor:
-                return executor.stt_batch(
-                    _as_snapshot(right, stale), collect_pairs=collect_pairs
-                )
-        if algorithm == "inlj":
-            return inlj_batch(
-                left, _as_snapshot(right, stale), collect_pairs=collect_pairs
+            raise ValueError(
+                "workers > 1 needs a frozen index; pass ColumnarIndex.from_tree(tree)"
             )
+        if algorithm == "inlj":
+            return index_nested_loop_join(left, right, collect_pairs=collect_pairs)
+        return synchronized_tree_traversal_join(left, right, collect_pairs=collect_pairs)
+
+    # Imported lazily: only the scalar path works without NumPy.
+    from repro.engine import ColumnarIndex, ParallelExecutor, resolve_stale
+    from repro.engine.join_exec import inlj_batch, stt_batch
+
+    def snapshot_of(index) -> ColumnarIndex:
+        if isinstance(index, ColumnarIndex):
+            return resolve_stale(index, stale)
+        if isinstance(index, ParallelExecutor):
+            return index.snapshot
+        return ColumnarIndex.from_tree(index)
+
+    with contextlib.ExitStack() as stack:
+        pool = indexed[0] if isinstance(indexed[0], ParallelExecutor) else None
+        if pool is None and workers > 1:
+            pool = stack.enter_context(
+                ParallelExecutor(snapshot_of(indexed[0]), workers=workers)
+            )
+        if pool is not None:
+            if algorithm == "inlj":
+                return pool.inlj_batch(left, collect_pairs=collect_pairs)
+            return pool.stt_batch(snapshot_of(right), collect_pairs=collect_pairs)
+        if algorithm == "inlj":
+            return inlj_batch(left, snapshot_of(right), collect_pairs=collect_pairs)
         return stt_batch(
-            _as_snapshot(left, stale),
-            _as_snapshot(right, stale),
-            collect_pairs=collect_pairs,
+            snapshot_of(left), snapshot_of(right), collect_pairs=collect_pairs
         )
-    if algorithm == "inlj":
-        return index_nested_loop_join(left, right, collect_pairs=collect_pairs)
-    return synchronized_tree_traversal_join(left, right, collect_pairs=collect_pairs)
 
 
 __all__ = [
     "JOIN_ALGORITHMS",
-    "JOIN_ENGINES",
     "JoinResult",
+    "check_join_algorithm",
     "execute_join",
     "index_nested_loop_join",
     "synchronized_tree_traversal_join",

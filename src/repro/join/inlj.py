@@ -36,5 +36,5 @@ def index_nested_loop_join(
         pair_count += len(matches)
         if collect_pairs:
             result.pairs.extend((outer, inner) for inner in matches)
-    result.set_pair_count(pair_count, collected=collect_pairs)
+    result.pair_count = pair_count
     return result

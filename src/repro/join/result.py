@@ -8,11 +8,6 @@ from typing import List, Tuple
 from repro.geometry.objects import SpatialObject
 from repro.storage.stats import IOStats
 
-#: Deprecated ``IOStats.extra`` key that used to smuggle the pair count out
-#: of ``collect_pairs=False`` joins.  Read :attr:`JoinResult.pair_count`
-#: instead; the alias is still written for one deprecation cycle.
-UNCOLLECTED_PAIRS_KEY = "uncollected_pairs"
-
 
 @dataclass
 class JoinResult:
@@ -21,9 +16,7 @@ class JoinResult:
     ``pair_count`` is maintained by every join algorithm in both modes:
     with ``collect_pairs=True`` it equals ``len(pairs)``, with
     ``collect_pairs=False`` the pairs are counted without being
-    materialised.  (Older code read the count from
-    ``inner_stats.extra["uncollected_pairs"]``; that key is still written
-    in uncollected mode as a deprecated alias.)
+    materialised.
 
     ``outer_stats`` / ``inner_stats`` separate the leaf accesses incurred
     in each input index (for INLJ only the inner side is indexed, so
@@ -34,17 +27,6 @@ class JoinResult:
     pair_count: int = 0
     outer_stats: IOStats = field(default_factory=IOStats)
     inner_stats: IOStats = field(default_factory=IOStats)
-
-    def set_pair_count(self, count: int, collected: bool) -> None:
-        """Record the final pair count (and the deprecated alias).
-
-        ``collected`` mirrors the join's ``collect_pairs`` flag: the
-        legacy ``uncollected_pairs`` alias is only written when the pairs
-        were *not* materialised, exactly as the old API did.
-        """
-        self.pair_count = count
-        if not collected:
-            self.inner_stats.bump(UNCOLLECTED_PAIRS_KEY, count)
 
     @property
     def total_leaf_accesses(self) -> int:

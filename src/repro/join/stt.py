@@ -111,5 +111,5 @@ def synchronized_tree_traversal_join(
         pair_count = join_nodes(root_l, root_r)
         _record_access(result.outer_stats, root_l, pair_count)
         _record_access(result.inner_stats, root_r, pair_count)
-    result.set_pair_count(pair_count, collected=collect_pairs)
+    result.pair_count = pair_count
     return result

@@ -2,24 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable
 
 from repro.geometry.rect import Rect
 from repro.query.range_query import execute_workload
-from repro.rtree.base import RTreeBase
-from repro.rtree.clipped import ClippedRTree
 
 
-def io_optimality(
-    index: Union[RTreeBase, ClippedRTree],
-    queries: Iterable[Rect],
-    engine: str = "scalar",
-) -> float:
+def io_optimality(index, queries: Iterable[Rect]) -> float:
     """Fraction of leaf accesses containing at least one result object.
 
     1.0 means every leaf read was useful ("optimal"); the complement is
-    the fraction of reads that only touched dead space.  Both engines
-    report the same value — they visit the same leaves.
+    the fraction of reads that only touched dead space.  ``index`` is
+    anything :func:`~repro.query.range_query.execute_workload` accepts;
+    every backend reports the same value — they visit the same leaves.
     """
-    result = execute_workload(index, queries, engine=engine)
-    return result.io_optimality
+    return execute_workload(index, queries).io_optimality

@@ -1,16 +1,32 @@
-"""Range-query execution helpers with I/O accounting."""
+"""Range-query workloads with I/O accounting: the backend picks the path.
+
+:func:`execute_workload` has no engine switch.  What runs is decided by
+the index object it is handed:
+
+* an R-tree or a :class:`~repro.rtree.clipped.ClippedRTree` — one scalar
+  Python traversal per query, the reference every batch path is pinned
+  against;
+* a frozen :class:`~repro.engine.columnar.ColumnarIndex` — the whole
+  batch through the vectorised frontier kernels;
+* a :class:`~repro.engine.delta.SnapshotManager` — the batch kernels on
+  its base snapshot merged with the pending delta overlay;
+* a :class:`~repro.engine.parallel.ParallelExecutor` — the batch sharded
+  across the executor's worker pool.
+
+All four report identical result counts and, on the same frozen state,
+identical :class:`~repro.storage.stats.IOStats`
+(``tests/test_backend_conformance.py``).
+"""
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Iterable, List, Protocol, Sequence
 
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.storage.stats import IOStats
-
-#: Engines understood by :func:`execute_workload`.
-ENGINES = ("scalar", "columnar")
 
 
 class SupportsRangeQuery(Protocol):
@@ -24,10 +40,10 @@ class SupportsRangeQuery(Protocol):
 class WorkloadResult:
     """Aggregate result of running a batch of range queries.
 
-    The scalar and columnar engines produce identical instances on
-    identical workloads: both visit the same node set per query, so
-    ``stats.leaf_accesses`` and ``stats.contributing_leaf_accesses`` — and
-    therefore :attr:`io_optimality` — agree exactly (pinned by
+    Every backend produces identical instances on identical workloads:
+    all visit the same node set per query, so ``stats.leaf_accesses`` and
+    ``stats.contributing_leaf_accesses`` — and therefore
+    :attr:`io_optimality` — agree exactly (pinned by
     ``tests/test_engine_differential.py``).
     """
 
@@ -56,97 +72,57 @@ class WorkloadResult:
 def execute_workload(
     index: SupportsRangeQuery,
     queries: Iterable[Rect],
-    engine: str = "scalar",
     stale: str = "refresh",
     workers: int = 1,
     snapshot_dir=None,
 ) -> WorkloadResult:
     """Run every query against ``index`` and accumulate I/O statistics.
 
-    ``engine`` selects the execution path:
+    The path follows from ``index`` (see the module docstring): a tree is
+    traversed query by query, anything exposing ``range_query_batch`` — a
+    ``ColumnarIndex``, a ``SnapshotManager``, a ``ParallelExecutor`` —
+    answers the batch in one call.
 
-    * ``"scalar"`` (default) — one Python traversal per query, exactly as
-      before;
-    * ``"columnar"`` — freeze ``index`` into a
-      :class:`~repro.engine.columnar.ColumnarIndex` snapshot (or reuse
-      ``index`` directly if it already is one) and answer the whole batch
-      through the vectorized executor.  Result counts and I/O statistics
-      are identical to the scalar path; only wall-clock time differs.
+    A ``ColumnarIndex`` whose source tree has mutated is handled per
+    ``stale``: ``"refresh"`` (default) re-freezes first, ``"raise"``
+    raises :class:`~repro.engine.columnar.StaleSnapshotError`,
+    ``"serve"`` knowingly answers from the frozen state.
 
-    ``workers`` > 1 additionally shards the batch by query partition
-    across a process pool (:class:`~repro.engine.parallel.
-    ParallelExecutor`): the snapshot is persisted once (into
-    ``snapshot_dir``, or a temp directory) and every worker opens it as a
-    read-only mmap, so results and I/O statistics still match the serial
-    engines exactly.  Parallel execution implies the columnar engine; it
-    is a ``ValueError`` to combine ``workers > 1`` with
-    ``engine="scalar"`` or with a
-    :class:`~repro.engine.delta.SnapshotManager` (whose mutable overlay
-    lives only in the serving process).
-
-    Passing an already-frozen ``ColumnarIndex`` selects the columnar
-    engine automatically — a snapshot has no scalar traversal to fall
-    back on.  A pre-frozen snapshot whose source tree has mutated is
-    handled per ``stale``: ``"refresh"`` (default) re-freezes first,
-    ``"raise"`` raises
-    :class:`~repro.engine.columnar.StaleSnapshotError`, ``"serve"``
-    knowingly answers from the frozen state.  A
-    :class:`~repro.engine.delta.SnapshotManager` is served through its
-    base + delta merge regardless of ``engine``.
+    ``workers`` > 1 wraps a ``ColumnarIndex`` in a short-lived
+    :class:`~repro.engine.parallel.ParallelExecutor` (the snapshot is
+    persisted once into ``snapshot_dir``, or a temp directory, and every
+    worker mmaps it).  It is a ``ValueError`` with any other backend: a
+    tree has nothing to share across processes, a manager's overlay
+    lives only in this process, and an executor already owns its pool.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
-    workers = int(workers)
-    if workers > 1 and engine == "scalar" and hasattr(index, "range_query"):
-        raise ValueError(
-            "workers > 1 requires the columnar engine (pass engine='columnar')"
-        )
-    if (
-        engine == "columnar"
-        or workers > 1
-        or not hasattr(index, "range_query")
-        or getattr(index, "is_snapshot_manager", False)
-    ):
-        # Imported lazily: the engine pulls in NumPy-heavy modules that the
-        # scalar path never needs.  An already-frozen ColumnarIndex has no
-        # scalar traversal, so it always runs columnar regardless of the
-        # ``engine`` default.
-        from repro.engine import ColumnarIndex, range_query_batch, resolve_stale
-
-        stats = IOStats()
-        queries = list(queries)
-        if getattr(index, "is_snapshot_manager", False):
-            if workers > 1:
-                raise ValueError(
-                    "workers > 1 cannot serve a SnapshotManager; compact it "
-                    "and pass the frozen snapshot instead"
-                )
-            results = index.range_query_batch(queries, stats=stats)
-        else:
-            if isinstance(index, ColumnarIndex):
-                snapshot = resolve_stale(index, stale)
-            else:
-                snapshot = ColumnarIndex.from_tree(index)
-            if workers > 1:
-                from repro.engine.parallel import ParallelExecutor
-
-                with ParallelExecutor(
-                    snapshot, workers=workers, snapshot_dir=snapshot_dir
-                ) as executor:
-                    results = executor.range_query_batch(queries, stats=stats)
-            else:
-                results = range_query_batch(snapshot, queries, stats=stats)
-        total_results = sum(len(r) for r in results)
-        return WorkloadResult(queries=len(queries), total_results=total_results, stats=stats)
-
+    queries = list(queries)
     stats = IOStats()
-    total_results = 0
-    count = 0
-    for query in queries:
-        results = index.range_query(query, stats=stats)
-        total_results += len(results)
-        count += 1
-    return WorkloadResult(queries=count, total_results=total_results, stats=stats)
+    workers = int(workers)
+    if not hasattr(index, "range_query_batch"):
+        if workers > 1:
+            raise ValueError(
+                "workers > 1 needs a frozen index; pass ColumnarIndex.from_tree(tree)"
+            )
+        total_results = sum(len(index.range_query(q, stats=stats)) for q in queries)
+        return WorkloadResult(len(queries), total_results, stats)
+
+    # Imported lazily: only the scalar path works without NumPy.
+    from repro.engine import ColumnarIndex, ParallelExecutor, resolve_stale
+
+    with contextlib.ExitStack() as stack:
+        if isinstance(index, ColumnarIndex):
+            index = resolve_stale(index, stale)
+            if workers > 1:
+                index = stack.enter_context(
+                    ParallelExecutor(index, workers=workers, snapshot_dir=snapshot_dir)
+                )
+        elif workers > 1:
+            raise ValueError(
+                f"workers > 1 cannot wrap a {type(index).__name__}; hand in a "
+                "frozen ColumnarIndex (compact a manager first) or the executor alone"
+            )
+        results = index.range_query_batch(queries, stats=stats)
+    return WorkloadResult(len(queries), sum(map(len, results)), stats)
 
 
 def brute_force_range(objects: Sequence[SpatialObject], rect: Rect) -> List[SpatialObject]:

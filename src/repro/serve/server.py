@@ -1,12 +1,25 @@
 """The coalescing async serving loop over a live :class:`SnapshotManager`.
 
-:class:`CoalescingServer` is the online layer ROADMAP item 1 asks for:
-concurrent range/kNN/join/write requests are admitted synchronously
+Concurrent range/kNN/join/write requests are admitted synchronously
 (token bucket — over-capacity requests get an explicit ``shed`` response
 instead of joining an unbounded queue), coalesced per kind into
-micro-batches inside a small time window, and executed through the
-columnar batch engines (`range_query_batch`/`knn_batch`/`overlay_join`)
-against the manager's live ``(snapshot, overlay)`` view.
+micro-batches inside a small time window, and answered by one function,
+:meth:`CoalescingServer._answer`, through whichever *backend* the
+server's state selects:
+
+* normally the live :class:`~repro.engine.delta.SnapshotManager` (base
+  snapshot merged with the pending overlay), or — with ``workers > 1``
+  and a clean overlay — a :class:`~repro.engine.parallel.
+  ParallelExecutor` over the same base, rebuilt whenever the manager's
+  epoch moves;
+* degraded, the frozen base :class:`~repro.engine.columnar.
+  ColumnarIndex` alone, under the ``resolve_stale(..., "serve")``
+  policy, with ``stale=True`` stamped on every answer that may miss
+  pending writes.
+
+All three expose the same ``range_query_batch`` / ``knn_batch`` calls
+and are accepted by :func:`~repro.engine.delta.overlay_join`, so the
+answering code does not know which one it holds.
 
 The robustness kernel wraps every batch execution:
 
@@ -18,15 +31,10 @@ The robustness kernel wraps every batch execution:
   absorbed by :class:`~repro.serve.resilience.RetryPolicy` with
   exponential backoff and deterministic seeded jitter;
 * **circuit breaker** — consecutive failures trip it open, and open
-  batches take the *degraded* path instead of failing hard: batch
-  windows shrink (``degraded_batch_window``), queries are served
-  serially from the frozen base snapshot via the existing
-  ``resolve_stale(..., "serve")`` policy with ``stale=True`` stamped in
-  the response metadata whenever the answer may miss pending writes,
-  and the :class:`~repro.engine.parallel.ParallelExecutor` is bypassed;
-* **self-healing parallelism** — when ``workers > 1`` and the overlay is
-  clean, query batches run through a ``ParallelExecutor`` (rebuilt
-  whenever the manager's epoch moves); its pool-rebuild/serial-fallback
+  batches are served degraded instead of failing hard: batch windows
+  shrink (``degraded_batch_window``), queries go to the frozen base,
+  writes keep landing in the overlay, compaction is refused;
+* **self-healing parallelism** — the pool's rebuild/serial-fallback
   recovery and the snapshot-load validation both thread through the
   attached :class:`~repro.serve.faults.FaultPlan`.
 
@@ -58,8 +66,7 @@ from repro.engine import (
     resolve_stale,
 )
 from repro.engine.delta import overlay_join
-from repro.engine.executor import knn_batch as base_knn_batch
-from repro.engine.executor import range_query_batch as base_range_query_batch
+from repro.join import check_join_algorithm
 from repro.serve.faults import BATCH_FAULT, REQUEST_LATENCY, InjectedFault, TransientFault
 from repro.serve.metrics import ServerMetrics
 from repro.serve.resilience import (
@@ -104,6 +111,9 @@ class Request:
     ``knn`` → ``(point, k)``; ``join`` → a dict with ``algorithm`` plus
     ``probes`` (INLJ) or ``other`` (STT); ``insert``/``delete`` → a
     :class:`~repro.geometry.objects.SpatialObject`; ``compact`` → None.
+    An unknown kind, an unknown join algorithm, or a join missing the
+    input its algorithm needs is a ``ValueError`` here, at construction,
+    never a queued request.
     ``deadline_s`` overrides the server's default deadline (None → use
     the default; ``float("inf")`` effectively disables it).
     """
@@ -115,6 +125,14 @@ class Request:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown request kind {self.kind!r}; known: {KINDS}")
+        if self.kind == "join":
+            if not isinstance(self.payload, dict):
+                raise ValueError("a join request's payload is a dict; see Request.join")
+            algorithm = self.payload.get("algorithm")
+            check_join_algorithm(algorithm)
+            side = "probes" if algorithm == "inlj" else "other"
+            if self.payload.get(side) is None:
+                raise ValueError(f"{algorithm.upper()} join request needs `{side}`")
 
     # convenience constructors --------------------------------------------
     @classmethod
@@ -513,9 +531,7 @@ class CoalescingServer:
         if degraded:
             self.metrics.incr("degraded_batches")
             try:
-                values = await asyncio.to_thread(
-                    self._execute_degraded_sync, kind, live
-                )
+                values = await asyncio.to_thread(self._execute_degraded, kind, live)
             except Exception as exc:
                 self.metrics.incr("errors", len(live))
                 for item in live:
@@ -571,160 +587,106 @@ class CoalescingServer:
         item.future.set_result(response)
 
     # ------------------------------------------------------------------
-    # execution — normal path
+    # execution: pick a backend, answer through it
     # ------------------------------------------------------------------
 
     async def _execute(self, kind: str, items: List[_Pending]):
+        """Normal service: the live manager, or the pool when eligible."""
         plan = self.fault_plan
         if plan is not None:
             # One consultation per execution attempt, in the event loop
             # (single-flighted), so a seeded burst maps to exact retry
             # and breaker counts.
             plan.raise_if_fires(BATCH_FAULT)
+
         def work():
             with self._engine_lock:
-                return self._execute_sync(kind, items)
+                epoch = self.manager.epoch
+                if epoch != self._last_epoch:
+                    self.metrics.incr("snapshot_swaps", epoch - self._last_epoch)
+                    self._last_epoch = epoch
+                executor = (
+                    self._parallel_executor() if kind in ("range", "knn") else None
+                )
+                backend = self.manager if executor is None else executor
+                values = self._answer(kind, items, backend, stale=False)
+                if executor is not None:
+                    self._drain_executor_counters(executor)
+                return values
 
         return await asyncio.to_thread(work)
 
-    def _execute_sync(self, kind: str, items: List[_Pending]):
-        manager = self.manager
-        epoch = manager.epoch
-        if epoch != self._last_epoch:
-            self.metrics.incr("snapshot_swaps", epoch - self._last_epoch)
-            self._last_epoch = epoch
-        out: List[Tuple[str, Any, bool]] = []
-        if kind == "range":
-            rects = [item.request.payload for item in items]
-            executor = self._parallel_executor()
-            if executor is not None:
-                results = executor.range_query_batch(rects)
-                self._drain_executor_counters(executor)
-            else:
-                results = manager.range_query_batch(rects)
-            out = [("ok", hits, False) for hits in results]
-        elif kind == "knn":
-            points = [item.request.payload[0] for item in items]
-            ks = [item.request.payload[1] for item in items]
-            kmax = max(ks)
-            executor = self._parallel_executor()
-            if executor is not None:
-                results = executor.knn_batch(points, kmax)
-                self._drain_executor_counters(executor)
-            else:
-                results = manager.knn_batch(points, kmax)
-            out = [("ok", hits[:k], False) for hits, k in zip(results, ks)]
-        else:
-            for item in items:
-                out.append(self._execute_single(item.request))
-        return out
+    def _execute_degraded(self, kind: str, items: List[_Pending]):
+        """Degraded service: the frozen base alone, staleness stamped.
 
-    def _execute_single(self, request: Request) -> Tuple[str, Any, bool]:
-        manager = self.manager
-        if request.kind == "join":
-            spec = request.payload
-            algorithm = spec.get("algorithm", "inlj")
-            if algorithm == "inlj":
-                probes = spec.get("probes")
-                if probes is None:
-                    left = spec.get("other")
-                    if left is None:
-                        raise ValueError("INLJ join request needs probes")
-                    probes = left
-                result = overlay_join(probes, manager, algorithm="inlj")
-            else:
-                other = spec.get("other")
-                if other is None:
-                    raise ValueError("STT join request needs an `other` index")
-                result = overlay_join(other, manager, algorithm=algorithm)
-            return ("ok", result, False)
-        if request.kind == "insert":
-            manager.insert(request.payload)
-            self._maybe_background_compact()
-            return ("ok", True, False)
-        if request.kind == "delete":
-            found = manager.delete(request.payload)
-            self._maybe_background_compact()
-            return ("ok", found, False)
-        if request.kind == "compact":
-            try:
-                stats = manager.compact()
-            except BaseException:
-                self.metrics.incr("compaction_failures")
-                raise
-            self.metrics.incr("compactions")
-            return ("ok", stats, False)
-        raise ValueError(f"unroutable request kind {request.kind!r}")
-
-    # ------------------------------------------------------------------
-    # execution — degraded (serve-stale) path
-    # ------------------------------------------------------------------
-
-    def _execute_degraded_sync(self, kind: str, items: List[_Pending]):
-        """Serve from the frozen base, serially, stamping staleness.
-
-        The breaker is open (or retries ran dry): bypass the parallel
-        pool and the overlay merge, answer queries straight off the base
-        snapshot under the ``"serve"`` stale policy, and mark every
-        answer that may be missing pending writes with ``stale=True``.
-        Writes still apply (the overlay is cheap and not the failing
-        component); explicit compaction requests are refused while
-        degraded.
+        The breaker is open (or retries ran dry): bypass the pool and the
+        overlay merge and answer straight off the base snapshot under the
+        ``"serve"`` stale policy; every answer that may be missing
+        pending writes carries ``stale=True``.
         """
         with self._engine_lock:
-            manager = self.manager
-            snapshot, overlay = manager.view
-            snapshot = resolve_stale(snapshot, "serve")
+            snapshot, overlay = self.manager.view
             stale = bool(snapshot.is_stale or not overlay.is_empty)
-            out: List[Tuple[str, Any, bool]] = []
-            if kind == "range":
-                rects = [item.request.payload for item in items]
-                results = base_range_query_batch(snapshot, rects)
-                out = [("ok", hits, stale) for hits in results]
-            elif kind == "knn":
-                points = [item.request.payload[0] for item in items]
-                ks = [item.request.payload[1] for item in items]
-                results = base_knn_batch(snapshot, points, max(ks))
-                out = [("ok", hits[:k], stale) for hits, k in zip(results, ks)]
+            return self._answer(
+                kind, items, resolve_stale(snapshot, "serve"), stale=stale
+            )
+
+    def _answer(
+        self, kind: str, items: List[_Pending], backend, stale: bool
+    ) -> List[Tuple[str, Any, bool]]:
+        """``(status, value, stale)`` per item, queries through ``backend``.
+
+        ``backend`` is the live manager, the pool executor, or the frozen
+        base; queries are stamped ``stale`` as given.  Writes always go to
+        the live manager's overlay (it is cheap and never the failing
+        component) and are never stale.  Only the live manager compacts:
+        behind any other backend a ``compact`` is refused, no background
+        compaction starts, and a delete that races a running compaction
+        is answered with a per-item error instead of failing the batch
+        into another retry.
+        """
+        if kind == "range":
+            results = backend.range_query_batch([item.request.payload for item in items])
+            return [("ok", hits, stale) for hits in results]
+        if kind == "knn":
+            ks = [item.request.payload[1] for item in items]
+            results = backend.knn_batch(
+                [item.request.payload[0] for item in items], max(ks)
+            )
+            return [("ok", hits[:k], stale) for hits, k in zip(results, ks)]
+        manager = self.manager
+        live = backend is manager
+        out: List[Tuple[str, Any, bool]] = []
+        for item in items:
+            request = item.request
+            if request.kind == "join":
+                spec = request.payload
+                algorithm = spec["algorithm"]
+                left = spec["probes"] if algorithm == "inlj" else spec["other"]
+                out.append(("ok", overlay_join(left, backend, algorithm=algorithm), stale))
+            elif request.kind == "insert":
+                manager.insert(request.payload)
+                out.append(("ok", True, False))
+            elif request.kind == "delete":
+                try:
+                    out.append(("ok", manager.delete(request.payload), False))
+                except CompactionInProgressError:
+                    if live:
+                        raise  # the retry loop waits out the swap
+                    out.append(("error", "delete raced a compaction; retry", False))
+            elif not live:
+                out.append(("error", "compaction refused while degraded", False))
             else:
-                for item in items:
-                    request = item.request
-                    if request.kind == "join":
-                        spec = request.payload
-                        algorithm = spec.get("algorithm", "inlj")
-                        left = spec.get("probes") or spec.get("other")
-                        if algorithm == "inlj":
-                            from repro.engine.join_exec import inlj_batch
-
-                            result = inlj_batch(list(left), snapshot)
-                        else:
-                            from repro.engine.join_exec import stt_batch
-
-                            other = spec.get("other")
-                            other_snapshot = (
-                                other.snapshot
-                                if getattr(other, "is_snapshot_manager", False)
-                                else other
-                            )
-                            result = stt_batch(other_snapshot, snapshot)
-                        out.append(("ok", result, stale))
-                    elif request.kind == "insert":
-                        manager.insert(request.payload)
-                        out.append(("ok", True, False))
-                    elif request.kind == "delete":
-                        try:
-                            found = manager.delete(request.payload)
-                        except CompactionInProgressError:
-                            out.append(
-                                ("error", "delete raced a compaction; retry", False)
-                            )
-                            continue
-                        out.append(("ok", found, False))
-                    else:  # compact
-                        out.append(
-                            ("error", "compaction refused while degraded", False)
-                        )
-            return out
+                try:
+                    stats = manager.compact()
+                except BaseException:
+                    self.metrics.incr("compaction_failures")
+                    raise
+                self.metrics.incr("compactions")
+                out.append(("ok", stats, False))
+            if live and request.kind in ("insert", "delete"):
+                self._maybe_background_compact()
+        return out
 
     # ------------------------------------------------------------------
     # parallel execution + background compaction plumbing

@@ -39,12 +39,9 @@ from repro.rtree.rrstar import RRStarTree
 from repro.rtree.rstar import RStarTree
 
 _MAGIC = b"CBBRTREE"
-#: v2 widened the clip-point mask field from ``<I`` (32-bit) to ``<Q``:
-#: corner bitmasks have one bit per dimension, so any index beyond 32
-#: dimensions overflows — and ``struct.pack`` refuses — the old field.
-#: v1 files remain loadable.
+#: The clip-point mask field is ``<Q``: corner bitmasks have one bit per
+#: dimension, and version 1's 32-bit field overflowed beyond 32 of them.
 _VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
 
 _VARIANT_CODES: Dict[str, int] = {
     "quadratic": 1,
@@ -133,7 +130,7 @@ def load_tree(path: Union[str, Path]) -> Tuple[RTreeBase, Optional[ClippedRTree]
         version, variant_code, dims, max_entries, min_entries, root_id, size = struct.unpack(
             "<HHIIIqI", data.read(struct.calcsize("<HHIIIqI"))
         )
-        if version not in _SUPPORTED_VERSIONS:
+        if version != _VERSION:
             raise ValueError(f"unsupported file version {version}")
 
         cls = _VARIANT_CLASSES.get(variant_code, QuadraticRTree)
@@ -162,8 +159,7 @@ def load_tree(path: Union[str, Path]) -> Tuple[RTreeBase, Optional[ClippedRTree]
         if clip_node_count == 0:
             return tree, None
         clipped = ClippedRTree(tree)
-        # v1 stored the mask as 32-bit; v2 widened it to 64-bit.
-        clip_format = "<Qd" if version >= 2 else "<Id"
+        clip_format = "<Qd"
         clip_header_size = struct.calcsize(clip_format)
         for _ in range(clip_node_count):
             node_id, clip_count = struct.unpack("<qI", data.read(12))

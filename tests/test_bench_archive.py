@@ -230,9 +230,18 @@ def test_apply_overrides_bad_value():
 
 def test_config_dict_round_trip():
     config = BenchConfig.tiny()
-    config.apply_overrides({"engine": "columnar", "seed": "11"})
-    rebuilt = BenchConfig.from_dict(json.loads(json.dumps(config.as_dict())))
-    assert rebuilt == config
+    config.apply_overrides({"variants": "str,rstar", "seed": "11"})
+    recorded = json.loads(json.dumps(config.as_dict()))
+    assert BenchConfig.from_dict(recorded) == config
+    # The pinned archives predate the retirement of the engine fields and
+    # still record them; replaying such a config must not fail.
+    recorded.update(engine="scalar", build_engine="scalar", join_engine="scalar",
+                    update_engine="delta")
+    assert BenchConfig.from_dict(recorded) == config
+    for retired in ("engine", "build_engine", "join_engine", "update_engine"):
+        assert retired not in BenchConfig.param_schema()
+        with pytest.raises(ParameterError):
+            BenchConfig.tiny().apply_overrides({retired: "scalar"})
 
 
 def test_parse_set_overrides():

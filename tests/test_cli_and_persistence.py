@@ -5,7 +5,8 @@ import struct
 import pytest
 
 from repro.cbb.clip_point import ClipPoint
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.bench.registry import experiment_ids
+from repro.cli import build_parser, main
 from repro.geometry.rect import Rect
 from repro.query.range_query import brute_force_range
 from repro.rtree.clipped import ClippedRTree
@@ -113,17 +114,14 @@ class TestPersistence:
         assert clip.mask == wide_mask
         assert clip.coord == coord
 
-    def test_loads_v1_files(self, tmp_path, small_objects_2d):
-        """Files written by the old 32-bit-mask format stay loadable."""
+    def test_rejects_v1_files(self, tmp_path, small_objects_2d):
+        """A well-formed file in the 32-bit-mask format is refused, not misread."""
         tree = build_rtree("quadratic", small_objects_2d, max_entries=8)
         clipped = ClippedRTree.wrap(tree, method="stairline")
         path = tmp_path / "legacy.cbbr"
         self._save_v1(clipped, path)
-        loaded_tree, loaded_clipped = load_tree(path)
-        assert len(loaded_tree) == len(tree)
-        assert loaded_clipped is not None
-        assert dict(loaded_clipped.store.items()) == dict(clipped.store.items())
-        loaded_clipped.check_clip_invariants()
+        with pytest.raises(ValueError, match="unsupported file version 1"):
+            load_tree(path)
 
     @staticmethod
     def _save_v1(clipped, path):
@@ -164,7 +162,7 @@ class TestCli:
     def test_list_experiments(self, capsys):
         assert main(["list-experiments"]) == 0
         output = capsys.readouterr().out
-        for name in EXPERIMENTS:
+        for name in experiment_ids():
             assert name in output
 
     def test_datasets_listing(self, capsys):
@@ -196,20 +194,21 @@ class TestCli:
         assert main(["build-info", "nope", "rstar"]) == 2
         assert main(["build-info", "par02", "kd-tree"]) == 2
 
-    def test_update_engine_flag_parses(self):
-        args = build_parser().parse_args(["run", "updates", "--update-engine", "refreeze"])
-        assert args.update_engine == "refreeze"
+    @pytest.mark.parametrize(
+        "flag", ["--engine", "--build-engine", "--join-engine", "--update-engine"]
+    )
+    def test_engine_flags_are_gone(self, flag):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "updates", "--update-engine", "eager"])
+            build_parser().parse_args(["run", "updates", flag, "scalar"])
 
     def test_run_updates_experiment(self, capsys):
         assert main([
             "run", "updates", "--size", "150", "--queries", "4",
-            "--max-entries", "8", "--update-engine", "refreeze",
+            "--max-entries", "8",
         ]) == 0
         output = capsys.readouterr().out
         assert "refreeze_ms_per_update" in output
-        assert "refreeze" in output
+        assert "delta_ms_per_update" in output
 
     def test_serve_command_runs_chaos_scenario(self, capsys):
         assert main([

@@ -267,7 +267,7 @@ class TestWorkloadAndJoinRouting:
             manager.insert(obj)
         queries = _queries(rng, 6)
         managed = execute_workload(manager, queries)
-        scalar = execute_workload(reference, queries, engine="scalar")
+        scalar = execute_workload(reference, queries)
         assert managed.queries == scalar.queries
         assert managed.total_results == scalar.total_results
 

@@ -204,15 +204,15 @@ class TestNodeMajorLayoutEdgeCases:
 
 
 class TestWorkloadEngineParity:
-    """``execute_workload`` reports identical results for both engines."""
+    """``execute_workload`` reports identical results for a tree and its freeze."""
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_workload_results_identical(self, variant, medium_objects_2d):
         tree = build_rtree(variant, medium_objects_2d, max_entries=10)
         queries = _workload_queries(medium_objects_2d, seed=41)
         for index in (tree, ClippedRTree.wrap(tree)):
-            scalar = execute_workload(index, queries, engine="scalar")
-            batch = execute_workload(index, queries, engine="columnar")
+            scalar = execute_workload(index, queries)
+            batch = execute_workload(ColumnarIndex.from_tree(index), queries)
             assert batch.queries == scalar.queries
             assert batch.total_results == scalar.total_results
             assert batch.stats.leaf_accesses == scalar.stats.leaf_accesses
@@ -228,27 +228,24 @@ class TestWorkloadEngineParity:
         tree = build_rtree("quadratic", small_objects_2d, max_entries=8)
         snapshot = ColumnarIndex.from_tree(tree)
         queries = _workload_queries(small_objects_2d, seed=43)
-        direct = execute_workload(tree, queries, engine="columnar")
-        reused = execute_workload(snapshot, queries, engine="columnar")
-        assert reused.total_results == direct.total_results
-        assert reused.stats.leaf_accesses == direct.stats.leaf_accesses
-        # A snapshot has no scalar traversal: the default engine argument
-        # must route it through the columnar executor, not crash.
-        defaulted = execute_workload(snapshot, queries)
-        assert defaulted.total_results == direct.total_results
-        assert defaulted.stats.leaf_accesses == direct.stats.leaf_accesses
+        direct = execute_workload(tree, queries)
+        for _ in range(2):
+            reused = execute_workload(snapshot, queries)
+            assert reused.total_results == direct.total_results
+            assert reused.stats.leaf_accesses == direct.stats.leaf_accesses
 
-    def test_unknown_engine_rejected(self, small_objects_2d):
+    def test_engine_keyword_is_gone(self, small_objects_2d):
         tree = build_rtree("quadratic", small_objects_2d, max_entries=8)
-        with pytest.raises(ValueError):
-            execute_workload(tree, [], engine="gpu")
+        with pytest.raises(TypeError):
+            execute_workload(tree, [], engine="columnar")
 
     def test_empty_query_batch(self, small_objects_2d):
         tree = build_rtree("quadratic", small_objects_2d, max_entries=8)
-        result = execute_workload(tree, [], engine="columnar")
-        assert result.queries == 0
-        assert result.total_results == 0
-        assert result.io_optimality == 1.0
+        for index in (tree, ColumnarIndex.from_tree(tree)):
+            result = execute_workload(index, [])
+            assert result.queries == 0
+            assert result.total_results == 0
+            assert result.io_optimality == 1.0
 
 
 class TestStatsPinned:
@@ -275,11 +272,13 @@ class TestStatsPinned:
         tree = build_rtree("rstar", objects, max_entries=8)
         return tree, ClippedRTree.wrap(tree)
 
-    @pytest.mark.parametrize("engine", ["scalar", "columnar"])
-    def test_pinned_counts(self, engine):
+    @pytest.mark.parametrize("freeze", [False, True], ids=["scalar", "columnar"])
+    def test_pinned_counts(self, freeze):
         tree, clipped = self._fixed_indexes()
+        engine = "columnar" if freeze else "scalar"
         for index, pinned in ((tree, self.PINNED_PLAIN), (clipped, self.PINNED_CLIPPED)):
-            result = execute_workload(index, self.QUERIES, engine=engine)
+            backend = ColumnarIndex.from_tree(index) if freeze else index
+            result = execute_workload(backend, self.QUERIES)
             observed = (
                 result.total_results,
                 result.stats.leaf_accesses,
@@ -290,8 +289,8 @@ class TestStatsPinned:
 
     def test_pinned_io_optimality(self):
         tree, clipped = self._fixed_indexes()
-        assert execute_workload(tree, self.QUERIES, engine="columnar").io_optimality == pytest.approx(5 / 6)
-        assert execute_workload(clipped, self.QUERIES, engine="columnar").io_optimality == 1.0
+        assert execute_workload(ColumnarIndex.from_tree(tree), self.QUERIES).io_optimality == pytest.approx(5 / 6)
+        assert execute_workload(ColumnarIndex.from_tree(clipped), self.QUERIES).io_optimality == 1.0
 
 
 class TestKnnDifferential:

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.incremental_clip import (
     dirty_node_ids,
-    reclip_nodes,
+    reclip_live_nodes,
     reclip_nodes_for_results,
 )
 from repro.geometry.objects import SpatialObject
@@ -101,7 +101,7 @@ class TestReclipNodes:
         clipped = self._clipped()
         node_ids = [node.node_id for node in clipped.tree.nodes()]
         before = _store_state(clipped)
-        count = reclip_nodes(clipped, node_ids, engine=engine)
+        count = clipped.reclip_nodes(node_ids, engine=engine)
         assert count == len(node_ids)
         assert _store_state(clipped) == before
 
@@ -109,20 +109,26 @@ class TestReclipNodes:
         clipped = self._clipped()
         ghost_id = 10_000
         clipped.store.put(ghost_id, clipped.store.get(clipped.tree.root_id))
-        assert reclip_nodes(clipped, [ghost_id]) == 0
-        assert clipped.store.get(ghost_id) == []
+        for engine in ("scalar", "vectorized"):
+            clipped.store.put(ghost_id, clipped.store.get(clipped.tree.root_id))
+            assert clipped.reclip_nodes([ghost_id], engine=engine) == 0
+            assert clipped.store.get(ghost_id) == []
 
     def test_clipped_rtree_wrapper_delegates(self):
+        """The default engine is the batched kernel pass, and nothing else is."""
         clipped = self._clipped()
-        node_ids = [node.node_id for node in clipped.tree.nodes()]
+        node_ids = sorted(node.node_id for node in clipped.tree.nodes())
         before = _store_state(clipped)
-        for engine in ("scalar", "vectorized"):
-            assert clipped.reclip_nodes(node_ids, engine=engine) == len(node_ids)
-            assert _store_state(clipped) == before
+        clipped.store.clear()
+        assert clipped.reclip_nodes(node_ids) == len(node_ids)
+        assert _store_state(clipped) == before
+        clipped.store.clear()
+        reclip_live_nodes(clipped, node_ids)
+        assert _store_state(clipped) == before
 
     def test_rejects_unknown_engine(self):
         clipped = self._clipped()
         with pytest.raises(ValueError):
-            reclip_nodes(clipped, [clipped.tree.root_id], engine="gpu")
-        with pytest.raises(ValueError):
             clipped.reclip_nodes([clipped.tree.root_id], engine="gpu")
+        with pytest.raises(ValueError):
+            reclip_nodes_for_results(clipped, [], engine="gpu")

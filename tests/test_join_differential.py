@@ -10,8 +10,8 @@ Four implementations must enumerate the same join:
 
 On top of the pair sets, the columnar joins must report **identical**
 ``pair_count`` and ``IOStats`` (leaf, contributing-leaf, and internal
-accesses on both sides, plus the deprecated ``uncollected_pairs`` alias)
-to their scalar counterparts — across every registered R-tree variant ×
+accesses on both sides, and nothing in ``extra``) to their scalar
+counterparts — across every registered R-tree variant ×
 dataset × clipped/plain, including disjoint inputs, trees of unequal
 height, single-leaf trees, and empty trees.
 
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets.registry import DATASET_NAMES, generate
-from repro.engine import ColumnarIndex, inlj_batch, stt_batch
+from repro.engine import ColumnarIndex, SnapshotManager, inlj_batch, overlay_join, stt_batch
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.join import execute_join
@@ -51,7 +51,7 @@ def _stats_tuple(stats):
         stats.leaf_accesses,
         stats.contributing_leaf_accesses,
         stats.internal_accesses,
-        stats.extra.get("uncollected_pairs"),
+        dict(stats.extra),
     )
 
 
@@ -77,7 +77,7 @@ def _assert_join_engines_agree(left_objects, right_objects, left_index, right_in
                 assert _pair_oids(result) == expected
             else:
                 assert result.pairs == []
-                assert result.inner_stats.extra["uncollected_pairs"] == len(expected)
+                assert result.inner_stats.extra == {}
 
         assert _stats_tuple(batch_inlj.inner_stats) == _stats_tuple(
             scalar_inlj.inner_stats
@@ -233,30 +233,45 @@ class TestExecuteJoinDispatch:
         left_tree = build_rtree("rstar", left, max_entries=8)
         right_tree = build_rtree("rstar", right, max_entries=8)
         expected = _brute_force_pairs(left, right)
-        for engine in ("scalar", "columnar"):
-            stt = execute_join(left_tree, right_tree, algorithm="stt", engine=engine)
-            inlj = execute_join(left, right_tree, algorithm="inlj", engine=engine)
+        for freeze in (lambda tree: tree, ColumnarIndex.from_tree):
+            stt = execute_join(freeze(left_tree), freeze(right_tree), algorithm="stt")
+            inlj = execute_join(left, freeze(right_tree), algorithm="inlj")
             assert _pair_oids(stt) == _pair_oids(inlj) == expected
+
+    def test_a_tree_beside_a_snapshot_is_frozen_on_the_fly(self, small_objects_2d):
+        right = make_random_objects(50, seed=44)
+        left_tree = build_rtree("rstar", small_objects_2d, max_entries=8)
+        right_tree = build_rtree("rstar", right, max_entries=8)
+        scalar = execute_join(left_tree, right_tree)
+        for left, right_index in (
+            (ColumnarIndex.from_tree(left_tree), right_tree),
+            (left_tree, ColumnarIndex.from_tree(right_tree)),
+        ):
+            mixed = execute_join(left, right_index)
+            assert _pair_oids(mixed) == _pair_oids(scalar)
+            assert mixed.outer_stats == scalar.outer_stats
+            assert mixed.inner_stats == scalar.inner_stats
 
     def test_precomputed_snapshots_are_accepted(self, small_objects_2d):
         right = make_random_objects(50, seed=44)
         left_tree = build_rtree("rstar", small_objects_2d, max_entries=8)
         right_tree = build_rtree("rstar", right, max_entries=8)
-        direct = execute_join(left_tree, right_tree, engine="columnar")
+        direct = execute_join(left_tree, right_tree)
         reused = execute_join(
-            ColumnarIndex.from_tree(left_tree),
-            ColumnarIndex.from_tree(right_tree),
-            engine="columnar",
+            ColumnarIndex.from_tree(left_tree), ColumnarIndex.from_tree(right_tree)
         )
         assert _pair_oids(reused) == _pair_oids(direct)
         assert reused.total_leaf_accesses == direct.total_leaf_accesses
 
     def test_unknown_engine_and_algorithm_rejected(self, small_objects_2d):
         tree = build_rtree("quadratic", small_objects_2d, max_entries=8)
-        with pytest.raises(ValueError):
-            execute_join(tree, tree, engine="gpu")
-        with pytest.raises(ValueError):
-            execute_join(tree, tree, algorithm="hash")
+        with pytest.raises(TypeError):
+            execute_join(tree, tree, engine="columnar")
+        for index in (tree, ColumnarIndex.from_tree(tree), SnapshotManager(tree)):
+            with pytest.raises(ValueError, match="inlj.*stt"):
+                execute_join(index, index, algorithm="hash")
+        with pytest.raises(ValueError, match="inlj.*stt"):
+            overlay_join(tree, SnapshotManager(tree), algorithm="hash")
 
     def test_dimension_mismatch_rejected(self, small_objects_2d, small_objects_3d):
         tree_2d = ColumnarIndex.from_tree(

@@ -48,9 +48,8 @@ class TestInlj:
         assert counted.pairs == []
         assert collected.pair_count == len(collected.pairs)
         assert counted.pair_count == len(collected.pairs)
-        # Deprecated alias, kept for one cycle — prefer ``pair_count``.
-        assert counted.inner_stats.extra["uncollected_pairs"] == len(collected.pairs)
-        assert "uncollected_pairs" not in collected.inner_stats.extra
+        # The count travels in ``pair_count`` only, never in the I/O counters.
+        assert counted.inner_stats.extra == collected.inner_stats.extra == {}
 
     def test_empty_outer(self, join_inputs):
         _, right = join_inputs

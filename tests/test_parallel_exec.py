@@ -185,9 +185,9 @@ def test_default_workers_positive():
 
 def test_execute_workload_workers_parity(frozen, queries):
     objects, _ = frozen
-    tree = build_rtree("rstar", objects, max_entries=8)
-    serial = execute_workload(tree, queries, engine="columnar")
-    parallel = execute_workload(tree, queries, engine="columnar", workers=2)
+    snapshot = ColumnarIndex.from_tree(build_rtree("rstar", objects, max_entries=8))
+    serial = execute_workload(snapshot, queries)
+    parallel = execute_workload(snapshot, queries, workers=2)
     assert parallel.queries == serial.queries
     assert parallel.total_results == serial.total_results
     assert parallel.stats == serial.stats
@@ -196,22 +196,18 @@ def test_execute_workload_workers_parity(frozen, queries):
 def test_execute_join_workers_parity(frozen):
     objects, left = frozen
     right_objects = make_random_objects(180, dims=3, seed=15)
-    right_tree = build_rtree("rstar", right_objects, max_entries=8)
+    right_tree = ColumnarIndex.from_tree(build_rtree("rstar", right_objects, max_entries=8))
 
-    serial = execute_join(objects, right_tree, algorithm="inlj", engine="columnar")
-    parallel = execute_join(
-        objects, right_tree, algorithm="inlj", engine="columnar", workers=2
-    )
+    serial = execute_join(objects, right_tree, algorithm="inlj")
+    parallel = execute_join(objects, right_tree, algorithm="inlj", workers=2)
     assert parallel.pair_count == serial.pair_count
     assert parallel.inner_stats == serial.inner_stats
     assert [(a.oid, b.oid) for a, b in parallel.pairs] == [
         (a.oid, b.oid) for a, b in serial.pairs
     ]
 
-    serial = execute_join(left, right_tree, algorithm="stt", engine="columnar")
-    parallel = execute_join(
-        left, right_tree, algorithm="stt", engine="columnar", workers=2
-    )
+    serial = execute_join(left, right_tree, algorithm="stt")
+    parallel = execute_join(left, right_tree, algorithm="stt", workers=2)
     assert parallel.pair_count == serial.pair_count
     assert parallel.outer_stats == serial.outer_stats
     assert parallel.inner_stats == serial.inner_stats
@@ -221,12 +217,13 @@ def test_execute_join_workers_parity(frozen):
 
 
 def test_workers_require_columnar_engine(frozen, queries):
+    """A scalar tree has nothing to share across processes."""
     objects, _ = frozen
     tree = build_rtree("quadratic", objects[:80], max_entries=8)
-    with pytest.raises(ValueError, match="columnar"):
-        execute_workload(tree, queries, engine="scalar", workers=2)
-    with pytest.raises(ValueError, match="columnar"):
-        execute_join(objects[:20], tree, algorithm="inlj", engine="scalar", workers=2)
+    with pytest.raises(ValueError, match="ColumnarIndex"):
+        execute_workload(tree, queries, workers=2)
+    with pytest.raises(ValueError, match="ColumnarIndex"):
+        execute_join(objects[:20], tree, algorithm="inlj", workers=2)
 
 
 def test_workers_reject_snapshot_manager(frozen, queries):
@@ -234,4 +231,4 @@ def test_workers_reject_snapshot_manager(frozen, queries):
     tree = build_rtree("rstar", objects[:80], max_entries=8)
     manager = SnapshotManager(tree)
     with pytest.raises(ValueError, match="SnapshotManager"):
-        execute_workload(manager, queries, engine="columnar", workers=2)
+        execute_workload(manager, queries, workers=2)

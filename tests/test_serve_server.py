@@ -9,10 +9,12 @@ never as silence or a wrong answer.
 """
 
 import asyncio
+import threading
+from types import SimpleNamespace
 
 import pytest
 
-from repro.engine import SnapshotManager
+from repro.engine import ColumnarIndex, SnapshotManager, resolve_stale
 from repro.engine.delta import overlay_join
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
@@ -50,6 +52,28 @@ def test_request_validation():
         Request("frobnicate")
     assert Request.range(Rect([0, 0], [1, 1])).kind == "range"
     assert Request.knn((0, 0), 3).payload == ((0.0, 0.0), 3)
+
+
+def test_join_request_validation():
+    """A join the server cannot run never becomes a queued request.
+
+    Regression: ``algorithm="hash"`` used to be answered ``ok`` with the
+    STT result, because only ``execute_join`` validated the name.
+    """
+    _, manager = _manager(count=30)
+    probes = make_random_objects(5, dims=2, seed=9)
+    with pytest.raises(ValueError, match="inlj.*stt"):
+        Request.join(other=manager, algorithm="hash")
+    with pytest.raises(ValueError, match="inlj.*stt"):
+        overlay_join(manager, manager, algorithm="hash")
+    with pytest.raises(ValueError, match="probes"):
+        Request.join(other=manager, algorithm="inlj")
+    with pytest.raises(ValueError, match="other"):
+        Request.join(probes=probes, algorithm="stt")
+    with pytest.raises(ValueError, match="dict"):
+        Request("join", None)
+    assert Request.join(probes=[], algorithm="inlj").payload["probes"] == []
+    assert Request.join(other=manager, algorithm="stt").payload["other"] is manager
 
 
 def test_answers_match_direct_engine():
@@ -373,3 +397,139 @@ def test_report_shape():
     assert report["offered"] == report["admitted"] == report["completed"] == 1
     assert report["breaker_state"] == "closed"
     assert isinstance(Response(status="ok").ok, bool)
+
+
+# ----------------------------------------------------------------------
+# one answering function, two backends
+# ----------------------------------------------------------------------
+
+
+def _answer_values(server, kind, requests, backend, stale):
+    """``server._answer`` output reduced to comparable ``(status, ids, stale)``."""
+    items = [SimpleNamespace(request=request) for request in requests]
+    out = []
+    for status, value, stamped in server._answer(kind, items, backend, stale):
+        if kind == "range":
+            ids = _oids(value)
+        elif kind == "knn":
+            ids = [(d, o.oid) for d, o in value]
+        else:
+            ids = sorted((a.oid, b.oid) for a, b in value.pairs)
+            assert value.pair_count == len(ids)
+        out.append((status, ids, stamped))
+    return out
+
+
+def _query_batches(objects, other):
+    probes = make_random_objects(25, dims=2, seed=9)
+    return [
+        ("range", [Request.range(r) for r in _rects(objects, 8)]),
+        ("knn", [Request.knn(o.rect.low, k) for k, o in enumerate(objects[:5], start=1)]),
+        ("join", [Request.join(probes=probes, algorithm="inlj")]),
+        ("join", [Request.join(other=other, algorithm="stt")]),
+    ]
+
+
+def test_fresh_and_frozen_backends_answer_alike_on_a_clean_overlay():
+    objects, manager = _manager()
+    other = ColumnarIndex.from_tree(
+        build_rtree("rstar", make_random_objects(60, dims=2, seed=21), max_entries=8)
+    )
+    server = CoalescingServer(manager)
+    frozen = resolve_stale(manager.snapshot, "serve")
+    for kind, requests in _query_batches(objects, other):
+        fresh = _answer_values(server, kind, requests, manager, stale=False)
+        base = _answer_values(server, kind, requests, frozen, stale=False)
+        assert fresh == base
+        assert all(status == "ok" and not stamped for status, _, stamped in fresh)
+        assert any(ids for _, ids, _ in fresh), "vacuous batch"
+
+
+def test_frozen_backend_serves_the_base_and_stamps_it_when_writes_are_pending():
+    objects, manager = _manager()
+    other = ColumnarIndex.from_tree(
+        build_rtree("rstar", make_random_objects(60, dims=2, seed=21), max_entries=8)
+    )
+    server = CoalescingServer(manager)
+    batches = _query_batches(objects, other)
+    clean = [
+        _answer_values(server, kind, requests, manager, stale=False)
+        for kind, requests in batches
+    ]
+    # One pending insert inside the first query window, one pending delete.
+    window = _rects(objects, 8)[0]
+    manager.insert(SpatialObject(10**6, Rect(window.low, window.high)))
+    assert manager.delete(objects[0])
+    frozen = resolve_stale(manager.snapshot, "serve")
+    for (kind, requests), before in zip(batches, clean):
+        base = _answer_values(server, kind, requests, frozen, stale=True)
+        # base-only values: exactly what the clean index answered ...
+        assert [(status, ids) for status, ids, _ in base] == [
+            (status, ids) for status, ids, _ in before
+        ]
+        # ... and every one of them says it may be missing writes.
+        assert all(stamped for _, _, stamped in base)
+        live = _answer_values(server, kind, requests, manager, stale=False)
+        assert not any(stamped for _, _, stamped in live)
+    live_ranges = _answer_values(server, "range", batches[0][1], manager, stale=False)
+    assert 10**6 in live_ranges[0][1] and objects[0].oid not in live_ranges[0][1]
+
+
+def test_degraded_mode_keeps_its_write_rules():
+    """Refuses ``compact``, answers a raced delete per item, never compacts."""
+    objects, manager = _manager()
+    config = ServeConfig(compact_threshold=1, breaker_cooldown=60.0)
+    in_hook, release = threading.Event(), threading.Event()
+
+    def stall_compaction():
+        in_hook.set()
+        assert release.wait(timeout=10)
+
+    async def main():
+        async with CoalescingServer(manager, config) as server:
+            server.breaker.force_open()
+            inserts = [
+                await server.insert(
+                    SpatialObject(10**6 + i, Rect([float(i), 0.0], [i + 1.0, 1.0]))
+                )
+                for i in range(3)
+            ]
+            background = server._compaction_task
+            refused = await server.compact()
+            # An outside compaction is mid-flight while a degraded delete arrives.
+            manager.compaction_fault_hook = stall_compaction
+            outside = asyncio.create_task(asyncio.to_thread(manager.compact))
+            assert await asyncio.to_thread(in_hook.wait, 10)
+            late = SpatialObject(10**6 + 9, Rect([9.0, 9.0], [9.5, 9.5]))
+            raced, neighbour = await asyncio.gather(
+                server.delete(objects[0]), server.insert(late)
+            )
+            release.set()
+            await outside
+            manager.compaction_fault_hook = None
+            return inserts, background, refused, raced, neighbour, server.report()
+
+    inserts, background, refused, raced, neighbour, report = _run(main())
+    assert all(r.ok and r.degraded and not r.stale for r in inserts)
+    assert background is None and report["compactions"] == 0
+    assert refused.status == "error" and refused.degraded
+    assert "refused while degraded" in refused.error
+    assert raced.status == "error" and "raced a compaction" in raced.error
+    assert raced.retries == 0
+    assert neighbour.ok  # staged by the manager, not dragged down by the delete
+    assert objects[0].oid in _oids(manager.range_query(objects[0].rect))
+
+
+def test_degraded_join_with_an_empty_probe_list():
+    """Regression: ``probes=[]`` fell through ``probes or other`` to
+    ``list(None)`` and failed the whole degraded batch."""
+    _, manager = _manager(count=60)
+
+    async def main():
+        async with CoalescingServer(manager) as server:
+            server.breaker.force_open()
+            return await server.join(probes=[], algorithm="inlj")
+
+    response = _run(main())
+    assert response.ok and response.degraded
+    assert response.value.pair_count == 0 and response.value.pairs == []

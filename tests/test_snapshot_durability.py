@@ -15,8 +15,8 @@ after the final rename.
 The rest pins the supporting machinery: old generations are
 garbage-collected only after a commit, an interrupted save is cleanly
 resumable, re-saving identical content is a no-op, format-version-1
-layouts (arrays at top level, no ``data_dir``) still load, and the load
-fault hook used by the chaos suite installs and restores correctly.
+layouts (arrays at top level, no ``data_dir``) are refused with the typed
+error, and the load fault hook used by the chaos suite installs and restores correctly.
 """
 
 import json
@@ -156,8 +156,8 @@ def test_identical_resave_is_a_noop(tmp_path):
     assert (tmp_path / MANIFEST_NAME).read_bytes() == manifest_before
 
 
-def test_format_version_1_layout_still_loads(tmp_path):
-    """v1 snapshots (top-level arrays, no data_dir) remain readable."""
+def test_format_version_1_layout_is_rejected(tmp_path):
+    """v1 snapshots (top-level arrays, no data_dir) raise the typed error."""
     snapshot = _tiny_snapshot(seed=1)
     save_snapshot(snapshot, tmp_path)
     manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
@@ -168,12 +168,14 @@ def test_format_version_1_layout_still_loads(tmp_path):
     (tmp_path / generation).rmdir()
     (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
 
-    loaded = load_snapshot(tmp_path)
-    assert len(loaded.objects) == len(snapshot.objects)
-    probe = [Rect([0.0, 0.0], [100.0, 100.0])]
-    assert {o.oid for o in range_query_batch(loaded, probe)[0]} == {
-        o.oid for o in range_query_batch(snapshot, probe)[0]
-    }
+    with pytest.raises(SnapshotFormatError, match="format version 1"):
+        load_snapshot(tmp_path)
+    # A current-version manifest that lost its data_dir is malformed too,
+    # not silently read from the top level.
+    manifest["format_version"] = 2
+    (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+    with pytest.raises(SnapshotFormatError, match="data_dir"):
+        load_snapshot(tmp_path)
 
 
 def test_load_fault_hook_install_and_restore(tmp_path):

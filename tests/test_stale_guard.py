@@ -86,7 +86,7 @@ class TestJoinStaleGuard:
     def test_default_refresh_matches_scalar_join(self, mutated_setup):
         tree, snapshot, _ = mutated_setup
         other = build_rtree("quadratic", make_random_objects(40, seed=33), max_entries=8)
-        managed = execute_join(snapshot, other, algorithm="stt", engine="columnar")
+        managed = execute_join(snapshot, other, algorithm="stt")
         scalar = synchronized_tree_traversal_join(tree, other)
         assert managed.pair_count == scalar.pair_count
 
@@ -94,13 +94,13 @@ class TestJoinStaleGuard:
         _, snapshot, _ = mutated_setup
         other = build_rtree("quadratic", make_random_objects(40, seed=33), max_entries=8)
         with pytest.raises(StaleSnapshotError):
-            execute_join(snapshot, other, algorithm="stt", engine="columnar", stale="raise")
+            execute_join(snapshot, other, algorithm="stt", stale="raise")
 
     def test_serve_policy_joins_the_freeze(self, mutated_setup):
         tree, snapshot, _ = mutated_setup
         other = build_rtree("quadratic", make_random_objects(40, seed=33), max_entries=8)
-        served = execute_join(snapshot, other, algorithm="stt", engine="columnar", stale="serve")
-        fresh = execute_join(tree, other, algorithm="stt", engine="columnar")
+        served = execute_join(snapshot, other, algorithm="stt", stale="serve")
+        fresh = execute_join(tree, other, algorithm="stt")
         # The frozen side misses the post-freeze inserts, so it can only
         # produce a subset of the fresh join's pairs.
         assert served.pair_count <= fresh.pair_count
