@@ -22,13 +22,15 @@ on its hot path.
 
 **Two entry layouts.**  The flat ``entry_*`` arrays above are the
 canonical form: they are what :mod:`repro.engine.snapshot_io` persists and
-fingerprints, and what kNN, the joins and the write path read.  The range
-frontier reads a second, *node-major* form derived from them on first use
+fingerprints, and what kNN, the clip probes and the write path read.  The
+range frontier, the INLJ (which runs on it) and both stages of the STT
+join read a second, *node-major* form derived from them on first use
 (:meth:`ColumnarIndex.node_major`): every node's entries padded to the
 widest fan-out, one ``(n_nodes, max_fanout)`` array per dimension and
 bound, so a frontier level is one row gather and one dense compare per
-dimension and bound instead of a gather per entry.  It is cached on the
-snapshot object and never written to disk.
+dimension and bound instead of a gather per entry, and a leaf×leaf pair
+is one broadcast compare of two rows.  It is cached on the snapshot
+object and never written to disk.
 
 **Snapshot semantics / invalidation.**  A snapshot is an immutable copy:
 it shares the indexed :class:`SpatialObject` instances with the source
@@ -116,7 +118,7 @@ class ColumnarIndex:
     :meth:`node_bounds` and :meth:`node_levels` (which ``snapshot_io``
     also stores, so loaded snapshots skip the derivation) and
     :meth:`node_major`, the padded entry layout of the range frontier,
-    which is never persisted.
+    INLJ and STT join, which is never persisted.
     """
 
     ROOT_SLOT = 0
@@ -378,7 +380,12 @@ class ColumnarIndex:
         Cells past a node's own fan-out are NaN.  Not ±inf: ``Rect``
         accepts infinite bounds and ``inf <= inf`` holds, so an all-space
         query would match ±inf padding, while every ``<=`` against NaN is
-        False — no query can select a padded cell.
+        False — no query can select a padded cell, and neither can the
+        other side of a join, whose own padding is NaN too.
+
+        Readers: the range frontier and the INLJ built on it
+        (:func:`~repro.engine.executor.gather_range_hits`) and both stages
+        of the STT join (:mod:`repro.engine.join_exec`).
 
         Derivation only reads the flat arrays (they may be read-only
         memmaps) and costs a few milliseconds per 20k objects; the result
@@ -403,6 +410,10 @@ class ColumnarIndex:
         first use (``node_levels`` is a Python sweep over every slot).
         Call this once before fanning out — ``snapshot_io.save_snapshot``
         does, persisting the caches so loaded snapshots never recompute.
+        :meth:`node_major` is deliberately not forced here: it is a few
+        vectorised milliseconds to derive, so every process serving range
+        queries, INLJ or STT derives its own on first use and nothing of
+        it reaches the disk.
         """
         self.node_bounds()
         self.node_levels()

@@ -39,6 +39,7 @@ from repro.engine.kernels import (
     clip_prune_mask,
     expand_segments,
     min_dist_sq,
+    padded_intersect_mask,
     segment_any,
 )
 from repro.geometry.objects import SpatialObject
@@ -93,12 +94,9 @@ def gather_range_hits(
             access_hook(frontier_q, index.node_ids[frontier_n])
 
         # --- every entry of every frontier node against its query -------
-        # ``Rect.intersects`` per cell; padded cells are NaN and fail it.
-        match = lows[0][frontier_n] <= q_high_t[0][frontier_q][:, None]
-        match &= q_low_t[0][frontier_q][:, None] <= highs[0][frontier_n]
-        for dim in range(1, index.dims):
-            match &= lows[dim][frontier_n] <= q_high_t[dim][frontier_q][:, None]
-            match &= q_low_t[dim][frontier_q][:, None] <= highs[dim][frontier_n]
+        match = padded_intersect_mask(
+            lows, highs, frontier_n, q_low_t, q_high_t, frontier_q
+        )
         # Row-major order is (frontier row, entry) order — discovery order.
         rows, cols = np.nonzero(match)
         # Cell [row, j] is flat entry ``entry_start[node] + j``.

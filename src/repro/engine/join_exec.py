@@ -8,11 +8,14 @@ The two §V join strategies, vectorized:
   kernel sweep per tree level instead of one Python traversal per probe.
 * :func:`stt_batch` — Synchronised Tree Traversal: the frontier holds
   *pairs* of node slots, one from each snapshot.  Each round splits the
-  frontier into leaf×leaf pairs (joined immediately via a flattened
-  cross-product kernel) and descending pairs, expands the deeper side's
-  entries, and filters the candidate child pairs with the MBB
-  intersection kernel plus the paper's clipped dominance pruning — the
-  candidate child's clip points probed with the partner's MBB and the
+  frontier into leaf×leaf pairs and descending pairs.  Both read the
+  node-major padded layout (:meth:`ColumnarIndex.node_major`): a block of
+  leaf pairs is joined by dense broadcast compares of the two leaves'
+  entry rows into one ``(pairs, left fan-out, right fan-out)`` mask, and
+  a descending pair tests the deeper side's entry row against the
+  partner's MBB as the range frontier tests it against a query.  The
+  surviving child pairs then take the paper's clipped dominance pruning —
+  the candidate child's clip points probed with the partner's MBB and the
   partner's clip points probed with the candidate's rectangle, exactly
   the two ``node_intersects`` tests of the scalar ``_pair_passes``.
 
@@ -37,15 +40,19 @@ import numpy as np
 
 from repro.engine.columnar import ColumnarIndex
 from repro.engine.executor import gather_range_hits
-from repro.engine.join_kernels import expand_cross, segment_counts
 from repro.engine.kernels import (
     clip_prune_mask,
     expand_segments,
     intersect_mask,
+    padded_intersect_mask,
     segment_any,
 )
 from repro.geometry.objects import SpatialObject
 from repro.join.result import JoinResult
+
+#: Mask cells (pairs × left fan-out × right fan-out) per leaf×leaf block:
+#: what bounds the join's working memory, whatever the frontier's length.
+_LEAF_BLOCK_CELLS = 1 << 18
 
 
 def inlj_batch(
@@ -241,17 +248,13 @@ def _stt_descend(
     outer_side: bool,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Expand one side's entries against the partner nodes of the other."""
-    flat, owners = expand_segments(desc.entry_start[nodes], desc.entry_count[nodes])
-    partner = partners[owners]
-    parent = pids[owners]
-    root = roots[owners]
-    keep = intersect_mask(
-        desc.entry_lows[flat],
-        desc.entry_highs[flat],
-        other_lows[partner],
-        other_highs[partner],
+    lows, highs = desc.node_major()
+    match = padded_intersect_mask(
+        lows, highs, nodes, other_lows.T, other_highs.T, partners
     )
-    flat, partner, parent, root = flat[keep], partner[keep], parent[keep], root[keep]
+    rows, cols = np.nonzero(match)
+    flat = desc.entry_start[nodes[rows]] + cols
+    partner, parent, root = partners[rows], pids[rows], roots[rows]
     if desc.has_clips and len(flat):
         # Candidate child's own clip points vs the partner's MBB.
         veto = _clips_veto_pair(
@@ -280,6 +283,50 @@ def _stt_descend(
     return children, partner, new_pids, root
 
 
+def _join_leaf_pairs(
+    left: ColumnarIndex,
+    right: ColumnarIndex,
+    leaf_a: np.ndarray,
+    leaf_b: np.ndarray,
+    roots: np.ndarray,
+    collected: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
+) -> np.ndarray:
+    """Join leaf pairs entry by entry; returns the emissions per pair.
+
+    Cell ``[p, i, j]`` of a block's mask is ``Rect.intersects`` of the
+    ``i``-th entry of ``leaf_a[p]`` and the ``j``-th of ``leaf_b[p]``
+    (NaN padding fails it), so row-major ``np.nonzero`` lists the hits in
+    the scalar loop's left-outer / right-inner order.  ``collected``, when
+    given, receives them as ``(left_obj_idx, right_obj_idx, root_tag)``.
+    """
+    l_lows, l_highs = left.node_major()
+    r_lows, r_highs = right.node_major()
+    step = max(1, _LEAF_BLOCK_CELLS // (l_lows.shape[2] * r_lows.shape[2]))
+    counts = np.empty(len(leaf_a), dtype=np.int64)
+    for start in range(0, len(leaf_a), step):
+        a = leaf_a[start : start + step]
+        b = leaf_b[start : start + step]
+        hit = l_lows[0][a][:, :, None] <= r_highs[0][b][:, None, :]
+        hit &= r_lows[0][b][:, None, :] <= l_highs[0][a][:, :, None]
+        for dim in range(1, left.dims):
+            hit &= l_lows[dim][a][:, :, None] <= r_highs[dim][b][:, None, :]
+            hit &= r_lows[dim][b][:, None, :] <= l_highs[dim][a][:, :, None]
+        counts[start : start + step] = np.count_nonzero(hit, axis=(1, 2))
+        if collected is not None:
+            # Row-major ``np.nonzero(hit)``, an order of magnitude faster
+            # on a sparse 3-d mask.
+            pair, i, j = np.unravel_index(np.flatnonzero(hit), hit.shape)
+            if len(pair):
+                collected.append(
+                    (
+                        left.entry_child[left.entry_start[a[pair]] + i],
+                        right.entry_child[right.entry_start[b[pair]] + j],
+                        roots[start + pair],
+                    )
+                )
+    return counts
+
+
 def _stt_rounds(
     left: ColumnarIndex,
     right: ColumnarIndex,
@@ -296,7 +343,7 @@ def _stt_rounds(
     With ``stop_len``, the loop instead returns as soon as the frontier
     holds at least that many pairs — the parent process ships the
     returned frontier to the worker pool.  ``collected`` receives
-    ``(left_obj_idx, right_obj_idx, root_tag)`` triples per round.
+    ``(left_obj_idx, right_obj_idx, root_tag)`` triples per leaf block.
     """
     l_lows, l_highs = left.node_bounds()
     r_lows, r_highs = right.node_bounds()
@@ -313,32 +360,15 @@ def _stt_rounds(
 
         both = a_leaf & b_leaf
         if both.any():
-            leaf_a = frontier_a[both]
-            leaf_b = frontier_b[both]
-            owners, ai, bi = expand_cross(
-                left.entry_start[leaf_a],
-                left.entry_count[leaf_a],
-                right.entry_start[leaf_b],
-                right.entry_count[leaf_b],
+            counts = _join_leaf_pairs(
+                left,
+                right,
+                frontier_a[both],
+                frontier_b[both],
+                frontier_root[both],
+                collected if collect_pairs else None,
             )
-            hit = intersect_mask(
-                left.entry_lows[ai],
-                left.entry_highs[ai],
-                right.entry_lows[bi],
-                right.entry_highs[bi],
-            )
-            ledger.record_emissions(
-                frontier_pid[both], segment_counts(hit, owners, len(leaf_a))
-            )
-            if collect_pairs and hit.any():
-                rows = np.nonzero(hit)[0]
-                collected.append(
-                    (
-                        left.entry_child[ai[rows]],
-                        right.entry_child[bi[rows]],
-                        frontier_root[both][owners[rows]],
-                    )
-                )
+            ledger.record_emissions(frontier_pid[both], counts)
 
         rest = ~both
         rest_a = frontier_a[rest]

@@ -17,11 +17,13 @@ test-suite (``tests/test_engine_differential.py``) pins this down.
 :func:`expand_segments` is the shared indexing helper that turns
 ``(start, count)`` slices of a flat array into a gather index plus an
 owner map, and :func:`segment_any` folds per-row verdicts back onto the
-owners.  The clip-point probe, the STT join's node-pair expansion and the
+owners.  The clip-point probes (range frontier and STT join) and the
 derivation of :meth:`ColumnarIndex.node_major
-<repro.engine.columnar.ColumnarIndex.node_major>` use them; the range
-frontier's entry test itself runs on that padded layout and needs no
-gather index.
+<repro.engine.columnar.ColumnarIndex.node_major>` use them; the entry
+tests themselves — range frontier, INLJ and both stages of the STT join —
+run on that padded layout (:func:`padded_intersect_mask` and its
+leaf×leaf analogue in :mod:`repro.engine.join_exec`) and need no gather
+index.
 """
 
 from __future__ import annotations
@@ -67,6 +69,33 @@ def intersect_mask(
     in every dimension.
     """
     return np.logical_and(lows <= q_highs, q_lows <= highs).all(axis=-1)
+
+
+def padded_intersect_mask(
+    lows: np.ndarray,
+    highs: np.ndarray,
+    nodes: np.ndarray,
+    q_lows_t: np.ndarray,
+    q_highs_t: np.ndarray,
+    queries: np.ndarray,
+) -> np.ndarray:
+    """:func:`intersect_mask` of whole nodes' entries on the node-major layout.
+
+    ``lows``/``highs`` are :meth:`ColumnarIndex.node_major
+    <repro.engine.columnar.ColumnarIndex.node_major>` arrays; row ``r`` of
+    the result tests every (padded) entry of ``nodes[r]`` against the
+    rectangle ``queries[r]`` of ``q_lows_t``/``q_highs_t``, which hold one
+    row per dimension.  Per dimension that is one row gather and one dense
+    ``<=`` per bound, and-ed in place; padded cells are NaN and fail it.
+    Row-major ``np.nonzero`` of the ``(len(nodes), max_fanout)`` mask is
+    ``(row, entry)`` order — the order a per-entry gather would test in.
+    """
+    match = lows[0][nodes] <= q_highs_t[0][queries][:, None]
+    match &= q_lows_t[0][queries][:, None] <= highs[0][nodes]
+    for dim in range(1, len(lows)):
+        match &= lows[dim][nodes] <= q_highs_t[dim][queries][:, None]
+        match &= q_lows_t[dim][queries][:, None] <= highs[dim][nodes]
+    return match
 
 
 def min_dist_sq(lows: np.ndarray, highs: np.ndarray, point: np.ndarray) -> np.ndarray:

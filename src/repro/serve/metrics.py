@@ -13,10 +13,15 @@ QPS) are timing metrics and are reported but never gated.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Deque, Dict, Optional, Sequence
+
+#: Latency samples a :class:`ServerMetrics` keeps: the most recent this
+#: many, so a long-lived server's memory does not grow with its traffic.
+LATENCY_WINDOW = 65_536
 
 
-def percentile(values: List[float], q: float) -> Optional[float]:
+def percentile(values: Sequence[float], q: float) -> Optional[float]:
     """The ``q``-th percentile (0..100) by linear interpolation.
 
     Returns ``None`` for an empty sample (no latencies recorded yet).
@@ -36,7 +41,12 @@ def percentile(values: List[float], q: float) -> Optional[float]:
 
 
 class ServerMetrics:
-    """Thread-safe counters + latency sample for one server instance."""
+    """Thread-safe counters + latency sample for one server instance.
+
+    The latency sample is a sliding window of the most recent
+    :data:`LATENCY_WINDOW` observations; :meth:`latency_count` still
+    counts every observation ever made.
+    """
 
     COUNTERS = (
         "offered",
@@ -62,7 +72,8 @@ class ServerMetrics:
     def __init__(self):
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {name: 0 for name in self.COUNTERS}
-        self._latencies: List[float] = []
+        self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
+        self._latency_total = 0
         self._elapsed: float = 0.0
 
     # ------------------------------------------------------------------
@@ -86,6 +97,7 @@ class ServerMetrics:
     def observe_latency(self, seconds: float) -> None:
         with self._lock:
             self._latencies.append(float(seconds))
+            self._latency_total += 1
 
     def set_elapsed(self, seconds: float) -> None:
         """Record the wall-clock span of the measured run (for QPS)."""
@@ -97,15 +109,18 @@ class ServerMetrics:
     # ------------------------------------------------------------------
 
     def latency_count(self) -> int:
+        """Latencies observed in total, including those the window dropped."""
         with self._lock:
-            return len(self._latencies)
+            return self._latency_total
 
     def p50_ms(self) -> Optional[float]:
+        """Median latency over the most recent :data:`LATENCY_WINDOW` samples."""
         with self._lock:
             p = percentile(self._latencies, 50.0)
         return None if p is None else p * 1000.0
 
     def p99_ms(self) -> Optional[float]:
+        """99th-percentile latency over the most recent :data:`LATENCY_WINDOW` samples."""
         with self._lock:
             p = percentile(self._latencies, 99.0)
         return None if p is None else p * 1000.0
@@ -118,7 +133,11 @@ class ServerMetrics:
             return self._counters["completed"] / self._elapsed
 
     def snapshot(self) -> Dict[str, object]:
-        """A plain-dict view: every counter plus the derived numbers."""
+        """A plain-dict view: every counter plus the derived numbers.
+
+        ``p50_ms``/``p99_ms`` describe the most recent
+        :data:`LATENCY_WINDOW` latency samples, the counters the whole run.
+        """
         with self._lock:
             out: Dict[str, object] = dict(self._counters)
             latencies = list(self._latencies)

@@ -17,7 +17,7 @@ from repro.serve.faults import (
     InjectedFault,
     TransientFault,
 )
-from repro.serve.metrics import ServerMetrics, percentile
+from repro.serve.metrics import LATENCY_WINDOW, ServerMetrics, percentile
 from repro.serve.resilience import (
     CircuitBreaker,
     Deadline,
@@ -246,6 +246,29 @@ def test_server_metrics_counters_and_latency():
     assert snap["offered"] == 3
     assert snap["p50_ms"] == pytest.approx(2.5)
     assert metrics.latency_count() == 4
+
+
+def test_server_metrics_latency_sample_is_a_bounded_window():
+    # A run shorter than the window reports what the unbounded list did.
+    short = [((i * 7919) % 1000) / 1000.0 for i in range(1000)]
+    metrics = ServerMetrics()
+    for seconds in short:
+        metrics.observe_latency(seconds)
+    assert metrics.p50_ms() == percentile(short, 50.0) * 1000.0
+    assert metrics.p99_ms() == percentile(short, 99.0) * 1000.0
+    assert metrics.snapshot()["p99_ms"] == metrics.p99_ms()
+
+    metrics = ServerMetrics()
+    for i in range(100_000):
+        metrics.observe_latency(i / 1000.0)
+    assert len(metrics._latencies) == LATENCY_WINDOW
+    assert metrics.latency_count() == 100_000
+    # The window is the most recent samples: i in [34_464, 100_000).
+    first = 100_000 - LATENCY_WINDOW
+    assert metrics.p50_ms() == pytest.approx((first + 99_999) / 2.0)
+    assert metrics.snapshot()["p99_ms"] == pytest.approx(
+        first + 0.99 * (LATENCY_WINDOW - 1)
+    )
 
 
 # ----------------------------------------------------------------------
