@@ -63,10 +63,6 @@ class BenchConfig:
     clip_tau: float = 0.025
     #: base RNG seed
     seed: int = 7
-    #: worker processes for the batch queries and joins (1 = in-process
-    #: serial; >1 shards them across a pool over a shared mmap snapshot,
-    #: see repro.engine.parallel)
-    workers: int = 1
     #: requests driven through the ``serve`` experiment's closed loop
     serve_requests: int = 400
     #: maximum in-flight requests in the ``serve`` experiment

@@ -41,20 +41,17 @@ def run(
 ) -> List[Dict]:
     """Clipped dead space and relative query I/O per dimensionality."""
     config = context.config
-    workers = config.workers
     rows: List[Dict] = []
     for d in dims:
         dataset = dataset_for(d)
         tree = context.tree(dataset, variant, size=size)
         queries = context.queries(dataset, target_results, size=size)
-        base = execute_workload(context.snapshot(tree), queries, workers=workers)
+        base = execute_workload(context.snapshot(tree), queries)
         for method in methods:
             clipped = ClippedRTree.wrap(
                 tree, method=method, k=config.clip_k, tau=config.clip_tau
             )
-            result = execute_workload(
-                context.snapshot(clipped), queries, workers=workers
-            )
+            result = execute_workload(context.snapshot(clipped), queries)
             summary = clipped_dead_space_summary(clipped)
             relative = (
                 100.0 * result.avg_leaf_accesses / base.avg_leaf_accesses

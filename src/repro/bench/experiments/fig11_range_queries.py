@@ -27,20 +27,14 @@ def run(
     Every index is frozen once (``context.snapshot``) and answers whole
     batches through the columnar kernels, which report the same
     leaf-access counts as the scalar traversal.
-    ``context.config.workers`` > 1 additionally shards each batch across
-    a process pool over a shared mmap snapshot, again with identical
-    counts.
     """
-    workers = context.config.workers
     rows: List[Dict] = []
     for dataset in datasets:
         for profile in STANDARD_PROFILES:
             queries = context.queries(dataset, profile.target_results)
             for variant in context.config.variants:
                 tree = context.tree(dataset, variant)
-                base = execute_workload(
-                    context.snapshot(tree), queries, workers=workers
-                )
+                base = execute_workload(context.snapshot(tree), queries)
                 row = {
                     "dataset": dataset,
                     "profile": profile.name,
@@ -50,9 +44,7 @@ def run(
                 }
                 for method in methods:
                     clipped = context.clipped(dataset, variant, method=method)
-                    result = execute_workload(
-                        context.snapshot(clipped), queries, workers=workers
-                    )
+                    result = execute_workload(context.snapshot(clipped), queries)
                     relative = (
                         100.0 * result.avg_leaf_accesses / base.avg_leaf_accesses
                         if base.avg_leaf_accesses > 0

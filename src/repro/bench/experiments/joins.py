@@ -51,20 +51,17 @@ def run(
         clipped_dendrites = context.snapshot(ClippedRTree.wrap(indexed_dendrites, **clip))
         indexed_axons = context.snapshot(indexed_axons)
         indexed_dendrites = context.snapshot(indexed_dendrites)
-        workers = config.workers
         inlj_plain = execute_join(
-            dendrites, indexed_axons, algorithm="inlj", collect_pairs=False, workers=workers
+            dendrites, indexed_axons, algorithm="inlj", collect_pairs=False
         )
         inlj_clip = execute_join(
-            dendrites, clipped_axons, algorithm="inlj", collect_pairs=False, workers=workers
+            dendrites, clipped_axons, algorithm="inlj", collect_pairs=False
         )
         stt_plain = execute_join(
-            indexed_axons, indexed_dendrites, algorithm="stt",
-            collect_pairs=False, workers=workers,
+            indexed_axons, indexed_dendrites, algorithm="stt", collect_pairs=False
         )
         stt_clip = execute_join(
-            clipped_axons, clipped_dendrites, algorithm="stt",
-            collect_pairs=False, workers=workers,
+            clipped_axons, clipped_dendrites, algorithm="stt", collect_pairs=False
         )
         # Every strategy enumerates the same join.
         assert (

@@ -65,7 +65,6 @@ def run_experiment(
     overrides: Optional[Mapping[str, str]] = None,
     *,
     smoke: bool = False,
-    workers: Optional[int] = None,
     archive_root: Optional[Union[str, Path]] = None,
     config: Optional[BenchConfig] = None,
     run_kwargs: Optional[Mapping] = None,
@@ -80,8 +79,6 @@ def run_experiment(
     experiment = get_experiment(experiment_id)
     if config is None:
         config = BenchConfig.tiny() if smoke else BenchConfig()
-    if workers is not None:
-        config.workers = workers
     config.apply_overrides(dict(overrides or {}))
     if run_kwargs is None:
         run_kwargs = dict(experiment.smoke_kwargs) if smoke else {}

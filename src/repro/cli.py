@@ -27,7 +27,7 @@ Examples::
     python -m repro bench compare hotspot --against latest
     python -m repro build-info axo03 rstar --size 2000
     python -m repro snapshot save /tmp/snap --dataset axo03 --variant rstar --clip stairline
-    python -m repro snapshot load /tmp/snap --queries 50 --workers 2
+    python -m repro snapshot load /tmp/snap --queries 50
     python -m repro serve --dataset par02 --requests 200 --chaos-seed 11
 """
 
@@ -71,8 +71,6 @@ def _make_config(args: argparse.Namespace) -> BenchConfig:
         config.queries_per_profile = args.queries
     if args.max_entries is not None:
         config.max_entries = args.max_entries
-    if getattr(args, "workers", None) is not None:
-        config.workers = args.workers
     return config
 
 
@@ -124,7 +122,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
                 target,
                 overrides,
                 smoke=args.smoke,
-                workers=args.workers,
                 archive_root=_bench_root(args),
             )
             if not args.quiet:
@@ -280,12 +277,11 @@ def _cmd_snapshot_load(args: argparse.Namespace) -> int:
             list(snapshot.objects), target_results=10, seed=7
         )
         queries = workload.query_list(args.queries, seed=7)
-        workers = args.workers or 1
         start = time.perf_counter()
-        result = execute_workload(snapshot, queries, workers=workers)
+        result = execute_workload(snapshot, queries)
         query_s = time.perf_counter() - start
         print(
-            f"{result.queries} sanity queries (workers={workers}) in "
+            f"{result.queries} sanity queries in "
             f"{query_s * 1000:.1f} ms: {result.avg_results:.1f} results/query, "
             f"{result.avg_leaf_accesses:.1f} leaf accesses/query"
         )
@@ -313,7 +309,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         n_requests=args.requests,
         seed=args.chaos_seed,
         concurrency=args.concurrency,
-        workers=args.workers or 1,
         admission_rate=args.admission_rate,
     )
     row = report_row(report, dataset=args.dataset, variant=args.variant)
@@ -328,8 +323,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"robustness: {report['stale_served']} stale-stamped answers, "
         f"{report['degraded_batches']} degraded batches, "
         f"{report['deadline_exceeded']} deadline misses, "
-        f"{report['pool_rebuilds']} pool rebuilds, "
-        f"{report['serial_fallbacks']} serial fallbacks, "
         f"breaker {report['breaker_state']}"
     )
     explicit = sum(1 for r in responses if r.status in ("ok", "shed"))
@@ -352,13 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = subparsers.add_parser("run", help="run one experiment and print its tables")
     run_parser.add_argument("experiment", help="experiment id, e.g. fig11")
-    run_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for batch queries and joins (>1 shards them "
-        "across a pool over a shared mmap snapshot)",
-    )
 
     bench_parser = subparsers.add_parser(
         "bench", help="archived-experiment harness: run / compare / archive"
@@ -383,9 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--smoke",
         action="store_true",
         help="tiny configuration + per-experiment smoke kwargs (seconds per experiment)",
-    )
-    bench_run.add_argument(
-        "--workers", type=int, default=None, help="worker processes for batch queries and joins"
     )
     bench_run.add_argument(
         "--quiet", action="store_true", help="print only the archive location, not the tables"
@@ -473,12 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="run N calibrated sanity range queries against the loaded snapshot",
     )
-    load_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the sanity queries (>1 uses the shared snapshot)",
-    )
 
     serve_parser = subparsers.add_parser(
         "serve",
@@ -506,12 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--chaos-seed", type=int, default=11, help="seed for the deterministic fault plan"
-    )
-    serve_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for read batches (>1 engages the self-healing pool)",
     )
 
     for sub in (run_parser, info_parser, save_parser, serve_parser):

@@ -25,9 +25,8 @@ Persistence + parallelism: :func:`save_snapshot`/:func:`load_snapshot`
 persist a snapshot as memory-mappable ``.npy`` files (near-instant
 zero-copy loads shared across processes) and :class:`ParallelExecutor`
 shards batch queries and joins across a worker pool over such a shared
-snapshot — handed to ``execute_workload`` / ``execute_join`` directly,
-or built by them for ``workers=N``, the ``--workers`` CLI flag, and the
-``repro snapshot save/load`` subcommands.
+snapshot — constructed by the caller, kept alive across batches, and
+handed to ``execute_workload`` / ``execute_join`` like any other backend.
 
 See :mod:`repro.engine.columnar` for the snapshot layout,
 :mod:`repro.engine.kernels` / :mod:`repro.engine.clip_kernels` for the

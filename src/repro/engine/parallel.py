@@ -35,7 +35,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,6 +63,10 @@ from repro.storage.stats import IOStats
 #: frontier — and therefore merged ordering and accounting — is identical
 #: for every pool size.
 STT_SHIP_THRESHOLD = 64
+
+#: Shards per worker: more chunks than workers, so an expensive shard does
+#: not leave the rest of the pool idle.
+CHUNKS_PER_WORKER = 4
 
 #: Fault-injection site consulted once per shard submission when a
 #: ``fault_plan`` is attached (a literal, not an import: the engine never
@@ -185,19 +189,18 @@ class ParallelExecutor:
         snapshot: Union[ColumnarIndex, str, Path],
         workers: Optional[int] = None,
         snapshot_dir: Optional[Union[str, Path]] = None,
-        chunks_per_worker: int = 4,
         task_timeout: Optional[float] = 600.0,
         pool_rebuild_retries: int = 2,
         fault_plan=None,
     ):
         self.workers = default_workers() if workers is None else max(1, int(workers))
-        self.chunks_per_worker = max(1, int(chunks_per_worker))
         self.task_timeout = task_timeout
         self.pool_rebuild_retries = max(0, int(pool_rebuild_retries))
         self.fault_plan = fault_plan
         self.pool_rebuilds = 0
         self.serial_fallbacks = 0
         self._owned_dirs: List[Path] = []
+        self._temp_snapshots: Dict[int, Tuple[ColumnarIndex, Path]] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         self.snapshot, self.path = self._resolve(snapshot, snapshot_dir)
 
@@ -208,14 +211,27 @@ class ParallelExecutor:
     ) -> Tuple[ColumnarIndex, Path]:
         if isinstance(snapshot, ColumnarIndex):
             if snapshot_dir is None:
-                directory = Path(tempfile.mkdtemp(prefix="repro-snapshot-"))
-                self._owned_dirs.append(directory)
-            else:
-                directory = Path(snapshot_dir)
+                return snapshot, self._temp_snapshot(snapshot)
+            directory = Path(snapshot_dir)
             save_snapshot(snapshot, directory)
             return snapshot, directory
         directory = Path(snapshot)
         return load_snapshot(directory, mmap=True), directory
+
+    def _temp_snapshot(self, index: ColumnarIndex) -> Path:
+        """The temp directory ``index`` is saved in, written on first sight.
+
+        Keyed by object identity (snapshots are immutable); the entry
+        keeps ``index`` alive so its ``id`` cannot be reused before
+        :meth:`close` removes the directory.
+        """
+        held = self._temp_snapshots.get(id(index))
+        if held is None:
+            directory = Path(tempfile.mkdtemp(prefix="repro-snapshot-"))
+            self._owned_dirs.append(directory)
+            save_snapshot(index, directory)
+            held = self._temp_snapshots[id(index)] = (index, directory)
+        return held[1]
 
     # ------------------------------------------------------------------
     # pool plumbing
@@ -233,12 +249,8 @@ class ParallelExecutor:
         return self._pool
 
     def _chunk_bounds(self, n_items: int) -> List[Tuple[int, int]]:
-        """Contiguous ``(start, end)`` shards covering ``range(n_items)``.
-
-        More chunks than workers (``chunks_per_worker``) so an expensive
-        shard does not leave the rest of the pool idle.
-        """
-        n_chunks = min(n_items, self.workers * self.chunks_per_worker)
+        """Contiguous ``(start, end)`` shards covering ``range(n_items)``."""
+        n_chunks = min(n_items, self.workers * CHUNKS_PER_WORKER)
         if n_chunks <= 0:
             return []
         edges = np.linspace(0, n_items, n_chunks + 1, dtype=np.int64)
@@ -427,10 +439,7 @@ class ParallelExecutor:
         if isinstance(other, ParallelExecutor):
             right, right_path = other.snapshot, other.path
         elif isinstance(other, ColumnarIndex):
-            directory = Path(tempfile.mkdtemp(prefix="repro-snapshot-"))
-            self._owned_dirs.append(directory)
-            save_snapshot(other, directory)
-            right, right_path = other, directory
+            right, right_path = other, self._temp_snapshot(other)
         else:
             right_path = Path(other)
             right = load_snapshot(right_path, mmap=True)
@@ -517,6 +526,7 @@ class ParallelExecutor:
             pool.shutdown(wait=True, cancel_futures=True)
         dirs = getattr(self, "_owned_dirs", None) or []
         self._owned_dirs = []
+        self._temp_snapshots = {}
         rmtree = getattr(shutil, "rmtree", None) if shutil is not None else None
         if rmtree is not None:
             for directory in dirs:

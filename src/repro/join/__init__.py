@@ -23,8 +23,6 @@ these paths (``tests/test_join_differential.py``,
 
 from __future__ import annotations
 
-import contextlib
-
 from repro.join.inlj import index_nested_loop_join
 from repro.join.result import JoinResult
 from repro.join.stt import synchronized_tree_traversal_join
@@ -46,7 +44,6 @@ def execute_join(
     algorithm: str = "stt",
     collect_pairs: bool = True,
     stale: str = "refresh",
-    workers: int = 1,
 ) -> JoinResult:
     """Run one spatial join; the inputs pick the path (module docstring).
 
@@ -62,15 +59,13 @@ def execute_join(
     :func:`repro.engine.columnar.resolve_stale`); pass snapshots rather
     than trees to amortise the freeze across many joins.
 
-    ``workers`` > 1 wraps the frozen INLJ inner / STT left snapshot in a
-    short-lived :class:`~repro.engine.parallel.ParallelExecutor` — INLJ
-    sharded by outer-object partition, STT by pair-frontier partition.
-    Pair counts and both sides' ``IOStats`` still match the serial joins
+    A :class:`~repro.engine.parallel.ParallelExecutor` shards INLJ by
+    outer-object partition and STT by pair-frontier partition.  Pair
+    counts and both sides' ``IOStats`` still match the serial joins
     exactly; STT's collected pairs arrive in a different (deterministic)
-    order.  It is a ``ValueError`` when every indexed side is a tree.
+    order.
     """
     check_join_algorithm(algorithm)
-    workers = int(workers)
     indexed = (right,) if algorithm == "inlj" else (left, right)
     if getattr(left, "is_snapshot_manager", False) or getattr(
         right, "is_snapshot_manager", False
@@ -79,10 +74,6 @@ def execute_join(
 
         return overlay_join(left, right, algorithm=algorithm, collect_pairs=collect_pairs)
     if not any(hasattr(side, "range_query_batch") for side in indexed):
-        if workers > 1:
-            raise ValueError(
-                "workers > 1 needs a frozen index; pass ColumnarIndex.from_tree(tree)"
-            )
         if algorithm == "inlj":
             return index_nested_loop_join(left, right, collect_pairs=collect_pairs)
         return synchronized_tree_traversal_join(left, right, collect_pairs=collect_pairs)
@@ -98,21 +89,14 @@ def execute_join(
             return index.snapshot
         return ColumnarIndex.from_tree(index)
 
-    with contextlib.ExitStack() as stack:
-        pool = indexed[0] if isinstance(indexed[0], ParallelExecutor) else None
-        if pool is None and workers > 1:
-            pool = stack.enter_context(
-                ParallelExecutor(snapshot_of(indexed[0]), workers=workers)
-            )
-        if pool is not None:
-            if algorithm == "inlj":
-                return pool.inlj_batch(left, collect_pairs=collect_pairs)
-            return pool.stt_batch(snapshot_of(right), collect_pairs=collect_pairs)
+    if isinstance(indexed[0], ParallelExecutor):
+        pool = indexed[0]
         if algorithm == "inlj":
-            return inlj_batch(left, snapshot_of(right), collect_pairs=collect_pairs)
-        return stt_batch(
-            snapshot_of(left), snapshot_of(right), collect_pairs=collect_pairs
-        )
+            return pool.inlj_batch(left, collect_pairs=collect_pairs)
+        return pool.stt_batch(snapshot_of(right), collect_pairs=collect_pairs)
+    if algorithm == "inlj":
+        return inlj_batch(left, snapshot_of(right), collect_pairs=collect_pairs)
+    return stt_batch(snapshot_of(left), snapshot_of(right), collect_pairs=collect_pairs)
 
 
 __all__ = [

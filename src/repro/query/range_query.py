@@ -20,7 +20,6 @@ identical :class:`~repro.storage.stats.IOStats`
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Iterable, List, Protocol, Sequence
 
@@ -73,8 +72,6 @@ def execute_workload(
     index: SupportsRangeQuery,
     queries: Iterable[Rect],
     stale: str = "refresh",
-    workers: int = 1,
-    snapshot_dir=None,
 ) -> WorkloadResult:
     """Run every query against ``index`` and accumulate I/O statistics.
 
@@ -87,41 +84,19 @@ def execute_workload(
     ``stale``: ``"refresh"`` (default) re-freezes first, ``"raise"``
     raises :class:`~repro.engine.columnar.StaleSnapshotError`,
     ``"serve"`` knowingly answers from the frozen state.
-
-    ``workers`` > 1 wraps a ``ColumnarIndex`` in a short-lived
-    :class:`~repro.engine.parallel.ParallelExecutor` (the snapshot is
-    persisted once into ``snapshot_dir``, or a temp directory, and every
-    worker mmaps it).  It is a ``ValueError`` with any other backend: a
-    tree has nothing to share across processes, a manager's overlay
-    lives only in this process, and an executor already owns its pool.
     """
     queries = list(queries)
     stats = IOStats()
-    workers = int(workers)
     if not hasattr(index, "range_query_batch"):
-        if workers > 1:
-            raise ValueError(
-                "workers > 1 needs a frozen index; pass ColumnarIndex.from_tree(tree)"
-            )
         total_results = sum(len(index.range_query(q, stats=stats)) for q in queries)
         return WorkloadResult(len(queries), total_results, stats)
 
     # Imported lazily: only the scalar path works without NumPy.
-    from repro.engine import ColumnarIndex, ParallelExecutor, resolve_stale
+    from repro.engine import ColumnarIndex, resolve_stale
 
-    with contextlib.ExitStack() as stack:
-        if isinstance(index, ColumnarIndex):
-            index = resolve_stale(index, stale)
-            if workers > 1:
-                index = stack.enter_context(
-                    ParallelExecutor(index, workers=workers, snapshot_dir=snapshot_dir)
-                )
-        elif workers > 1:
-            raise ValueError(
-                f"workers > 1 cannot wrap a {type(index).__name__}; hand in a "
-                "frozen ColumnarIndex (compact a manager first) or the executor alone"
-            )
-        results = index.range_query_batch(queries, stats=stats)
+    if isinstance(index, ColumnarIndex):
+        index = resolve_stale(index, stale)
+    results = index.range_query_batch(queries, stats=stats)
     return WorkloadResult(len(queries), sum(map(len, results)), stats)
 
 

@@ -12,7 +12,7 @@ The package has four parts, composable but separately testable:
   micro-batching loop over a live :class:`~repro.engine.delta.
   SnapshotManager`, wrapped in the kernel (shed → explicit
   ``Overloaded``-style responses, breaker-open → serve-stale degraded
-  mode, self-healing parallel execution);
+  mode);
 * :mod:`repro.serve.loadgen` / :mod:`repro.serve.bench` — the
   closed-loop hotspot load generator and the chaos scenario behind the
   ``serve`` experiment and ``BENCH_serve.json``.

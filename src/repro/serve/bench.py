@@ -51,7 +51,6 @@ def scenario_config(
     admission_rate: float = 80.0,
     admission_burst: int = 24,
     breaker_threshold: int = 3,
-    workers: int = 1,
 ) -> ServeConfig:
     """The :class:`ServeConfig` the scenario runs under.
 
@@ -70,7 +69,6 @@ def scenario_config(
         retry_max_delay=0.01,
         breaker_failure_threshold=breaker_threshold,
         breaker_cooldown=0.5,  # logical seconds; recovers mid-run
-        workers=workers,
     )
 
 
@@ -108,7 +106,6 @@ def run_serve_scenario(
     admission_rate: float = 80.0,
     admission_burst: int = 24,
     breaker_threshold: int = 3,
-    workers: int = 1,
     latency_delay: float = 0.005,
     extent: float = 100.0,
     force_degraded_probe: bool = False,
@@ -129,7 +126,6 @@ def run_serve_scenario(
         admission_rate=admission_rate,
         admission_burst=admission_burst,
         breaker_threshold=breaker_threshold,
-        workers=workers,
     )
 
     async def main() -> Tuple[Dict[str, Any], List[Response]]:

@@ -218,20 +218,16 @@ class FaultPlan:
         seed: int = 0,
         *,
         breaker_threshold: int = 3,
-        include_pool_faults: bool = False,
         latency_spikes: int = 1,
         latency_delay: float = 0.02,
     ) -> "FaultPlan":
         """A seed-deterministic chaos schedule for load-generator runs.
 
-        Always includes one burst of ``breaker_threshold`` consecutive
-        transient batch faults (enough to trip a breaker with that
-        threshold) and ``latency_spikes`` slow-request stalls; with
-        ``include_pool_faults`` it additionally kills one pool worker
-        mid-batch and corrupts one snapshot load (only meaningful when
-        the server runs a :class:`~repro.engine.parallel.ParallelExecutor`,
-        i.e. ``workers > 1``).  All ordinals are drawn from ``seed``, so
-        two plans built with the same arguments fire identically.
+        One burst of ``breaker_threshold`` consecutive transient batch
+        faults (enough to trip a breaker with that threshold) and
+        ``latency_spikes`` slow-request stalls.  All ordinals are drawn
+        from ``seed``, so two plans built with the same arguments fire
+        identically.
         """
         rng = random.Random(seed)
         specs = [
@@ -249,15 +245,6 @@ class FaultPlan:
                     at=rng.randint(1, 3),
                     delay=latency_delay,
                     message="latency spike",
-                )
-            )
-        if include_pool_faults:
-            specs.append(
-                FaultSpec(WORKER_KILL, at=rng.randint(1, 2), message="worker killed")
-            )
-            specs.append(
-                FaultSpec(
-                    SNAPSHOT_LOAD, at=rng.randint(1, 2), message="snapshot load I/O error"
                 )
             )
         return cls(specs, seed=seed)

@@ -64,8 +64,6 @@ class ServerMetrics:
         "compactions",
         "compaction_failures",
         "snapshot_swaps",
-        "pool_rebuilds",
-        "serial_fallbacks",
         "faults_injected",
     )
 

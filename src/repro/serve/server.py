@@ -8,35 +8,28 @@ micro-batches inside a small time window, and answered by one function,
 server's state selects:
 
 * normally the live :class:`~repro.engine.delta.SnapshotManager` (base
-  snapshot merged with the pending overlay), or — with ``workers > 1``
-  and a clean overlay — a :class:`~repro.engine.parallel.
-  ParallelExecutor` over the same base, rebuilt whenever the manager's
-  epoch moves;
+  snapshot merged with the pending overlay);
 * degraded, the frozen base :class:`~repro.engine.columnar.
   ColumnarIndex` alone, under the ``resolve_stale(..., "serve")``
   policy, with ``stale=True`` stamped on every answer that may miss
   pending writes.
 
-All three expose the same ``range_query_batch`` / ``knn_batch`` calls
-and are accepted by :func:`~repro.engine.delta.overlay_join`, so the
-answering code does not know which one it holds.
+Both expose the same ``range_query_batch`` / ``knn_batch`` calls and are
+accepted by :func:`~repro.engine.delta.overlay_join`, so the answering
+code does not know which one it holds.
 
 The robustness kernel wraps every batch execution:
 
 * **deadlines** — each request carries a :class:`~repro.serve.resilience.
   Deadline`; expired requests are answered ``deadline`` (never silently
   served late), checked both before execution and before delivery;
-* **retries** — transient faults (injected chaos, a broken worker pool,
-  a truncated snapshot load, an I/O error, a raced compaction) are
-  absorbed by :class:`~repro.serve.resilience.RetryPolicy` with
-  exponential backoff and deterministic seeded jitter;
+* **retries** — transient faults (injected chaos, an I/O error, a raced
+  compaction) are absorbed by :class:`~repro.serve.resilience.
+  RetryPolicy` with exponential backoff and deterministic seeded jitter;
 * **circuit breaker** — consecutive failures trip it open, and open
   batches are served degraded instead of failing hard: batch windows
   shrink (``degraded_batch_window``), queries go to the frozen base,
-  writes keep landing in the overlay, compaction is refused;
-* **self-healing parallelism** — the pool's rebuild/serial-fallback
-  recovery and the snapshot-load validation both thread through the
-  attached :class:`~repro.serve.faults.FaultPlan`.
+  writes keep landing in the overlay, compaction is refused.
 
 Determinism: admission is decided *synchronously at submit time* in
 issue order, so with a :class:`~repro.serve.resilience.LogicalClock`
@@ -51,20 +44,13 @@ a fault burst is absorbed by one batch's retry loop).  That is what lets
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
+import numbers
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine import (
-    CompactionInProgressError,
-    ParallelExecutor,
-    SnapshotFormatError,
-    SnapshotManager,
-    load_snapshot,
-    resolve_stale,
-)
+from repro.engine import CompactionInProgressError, SnapshotManager, resolve_stale
 from repro.engine.delta import overlay_join
 from repro.join import check_join_algorithm
 from repro.serve.faults import BATCH_FAULT, REQUEST_LATENCY, InjectedFault, TransientFault
@@ -78,23 +64,8 @@ from repro.serve.resilience import (
     TokenBucket,
 )
 
-try:  # pragma: no cover - exercised only where process pools exist
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover
-    class BrokenProcessPool(RuntimeError):
-        """Placeholder on platforms without process pools."""
-
-
 #: Exceptions the retry policy absorbs (everything else is a hard error).
-RETRYABLE_EXCEPTIONS = (
-    TransientFault,
-    BrokenProcessPool,
-    SnapshotFormatError,
-    CompactionInProgressError,
-    concurrent.futures.TimeoutError,
-    TimeoutError,
-    OSError,
-)
+RETRYABLE_EXCEPTIONS = (TransientFault, CompactionInProgressError, TimeoutError, OSError)
 
 #: Request kinds the server understands.
 KINDS = ("range", "knn", "join", "insert", "delete", "compact")
@@ -111,9 +82,9 @@ class Request:
     ``knn`` → ``(point, k)``; ``join`` → a dict with ``algorithm`` plus
     ``probes`` (INLJ) or ``other`` (STT); ``insert``/``delete`` → a
     :class:`~repro.geometry.objects.SpatialObject`; ``compact`` → None.
-    An unknown kind, an unknown join algorithm, or a join missing the
-    input its algorithm needs is a ``ValueError`` here, at construction,
-    never a queued request.
+    An unknown kind, a kNN ``k`` that is not an integer ≥ 1, an unknown
+    join algorithm, or a join missing the input its algorithm needs is a
+    ``ValueError`` here, at construction, never a queued request.
     ``deadline_s`` overrides the server's default deadline (None → use
     the default; ``float("inf")`` effectively disables it).
     """
@@ -125,6 +96,10 @@ class Request:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown request kind {self.kind!r}; known: {KINDS}")
+        if self.kind == "knn":
+            _, k = self.payload
+            if not isinstance(k, numbers.Integral) or k < 1:
+                raise ValueError(f"a kNN request needs an integer k >= 1, got {k!r}")
         if self.kind == "join":
             if not isinstance(self.payload, dict):
                 raise ValueError("a join request's payload is a dict; see Request.join")
@@ -141,7 +116,7 @@ class Request:
 
     @classmethod
     def knn(cls, point, k: int, deadline_s: Optional[float] = None) -> "Request":
-        return cls("knn", (tuple(point), int(k)), deadline_s)
+        return cls("knn", (tuple(point), k), deadline_s)
 
     @classmethod
     def join(
@@ -210,10 +185,15 @@ class ServeConfig:
     retry_seed: int = 0
     breaker_failure_threshold: int = 3
     breaker_cooldown: float = 0.05
-    workers: int = 1  # >1 enables the ParallelExecutor fast path
-    pool_rebuild_retries: int = 2
     compact_threshold: Optional[int] = None  # pending ops before background compact
-    task_timeout: float = 120.0
+    workers: int = 1  # only 1: perf/workloads.py still passes it (see ROADMAP item 3)
+
+    def __post_init__(self):
+        if self.workers != 1:
+            raise ValueError(
+                "the server builds no worker pool; for batches large enough to "
+                "win, construct a repro.engine.ParallelExecutor and query it directly"
+            )
 
 
 class _Pending:
@@ -251,8 +231,7 @@ class CoalescingServer:
     :class:`~repro.serve.resilience.LogicalClock` for determinism);
     latencies are always measured on the wall clock.  ``fault_plan`` is
     installed on :meth:`start` (snapshot-load hook, compaction hook,
-    worker kills, batch faults, latency spikes) and uninstalled on
-    :meth:`stop`.
+    batch faults, latency spikes) and uninstalled on :meth:`stop`.
 
     Lifecycle::
 
@@ -298,9 +277,6 @@ class CoalescingServer:
         self._compaction_task: Optional[asyncio.Task] = None
         self._engine_lock = threading.Lock()
         self._execute_gate: Optional[asyncio.Lock] = None
-        self._executor: Optional[ParallelExecutor] = None
-        self._executor_epoch: Optional[int] = None
-        self._executor_seen: Dict[str, int] = {}
         self._last_epoch = self.manager.epoch
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._running = False
@@ -340,9 +316,6 @@ class CoalescingServer:
         if plan is not None:
             plan.uninstall()
             self.manager.compaction_fault_hook = None
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
         # Anything still queued gets an explicit error, never silence.
         for queue in self._queues.values():
             while not queue.empty():
@@ -381,6 +354,13 @@ class CoalescingServer:
             )
             return future
         self.metrics.incr("admitted")
+        # Bad input is the caller's error, not a backend failure: answer it
+        # here, so it can neither fail its batch-mates nor trip the breaker.
+        mismatch = self._dims_mismatch(request)
+        if mismatch is not None:
+            self.metrics.incr("errors")
+            future.set_result(Response(status="error", error=mismatch))
+            return future
         seconds = (
             request.deadline_s
             if request.deadline_s is not None
@@ -394,6 +374,20 @@ class CoalescingServer:
         )
         self._queues[_QUEUE_FOR_KIND[request.kind]].put_nowait(item)
         return future
+
+    def _dims_mismatch(self, request: Request) -> Optional[str]:
+        """Why a range/kNN/write payload does not fit the index, or None."""
+        kind, payload = request.kind, request.payload
+        if kind == "knn":
+            got = len(payload[0])
+        elif kind in ("range", "insert", "delete"):
+            got = getattr(payload, "dims", None)
+        else:
+            return None
+        expected = self.manager.snapshot.dims
+        if got == expected:
+            return None
+        return f"{kind} payload has {got} dims, the index expects {expected}"
 
     async def submit(self, request: Request) -> Response:
         """Submit and await the response."""
@@ -591,7 +585,7 @@ class CoalescingServer:
     # ------------------------------------------------------------------
 
     async def _execute(self, kind: str, items: List[_Pending]):
-        """Normal service: the live manager, or the pool when eligible."""
+        """Normal service: the live manager."""
         plan = self.fault_plan
         if plan is not None:
             # One consultation per execution attempt, in the event loop
@@ -605,24 +599,17 @@ class CoalescingServer:
                 if epoch != self._last_epoch:
                     self.metrics.incr("snapshot_swaps", epoch - self._last_epoch)
                     self._last_epoch = epoch
-                executor = (
-                    self._parallel_executor() if kind in ("range", "knn") else None
-                )
-                backend = self.manager if executor is None else executor
-                values = self._answer(kind, items, backend, stale=False)
-                if executor is not None:
-                    self._drain_executor_counters(executor)
-                return values
+                return self._answer(kind, items, self.manager, stale=False)
 
         return await asyncio.to_thread(work)
 
     def _execute_degraded(self, kind: str, items: List[_Pending]):
         """Degraded service: the frozen base alone, staleness stamped.
 
-        The breaker is open (or retries ran dry): bypass the pool and the
-        overlay merge and answer straight off the base snapshot under the
-        ``"serve"`` stale policy; every answer that may be missing
-        pending writes carries ``stale=True``.
+        The breaker is open (or retries ran dry): bypass the overlay merge
+        and answer straight off the base snapshot under the ``"serve"``
+        stale policy; every answer that may be missing pending writes
+        carries ``stale=True``.
         """
         with self._engine_lock:
             snapshot, overlay = self.manager.view
@@ -636,14 +623,13 @@ class CoalescingServer:
     ) -> List[Tuple[str, Any, bool]]:
         """``(status, value, stale)`` per item, queries through ``backend``.
 
-        ``backend`` is the live manager, the pool executor, or the frozen
-        base; queries are stamped ``stale`` as given.  Writes always go to
-        the live manager's overlay (it is cheap and never the failing
-        component) and are never stale.  Only the live manager compacts:
-        behind any other backend a ``compact`` is refused, no background
-        compaction starts, and a delete that races a running compaction
-        is answered with a per-item error instead of failing the batch
-        into another retry.
+        ``backend`` is the live manager or the frozen base; queries are
+        stamped ``stale`` as given.  Writes always go to the live manager's
+        overlay (it is cheap and never the failing component) and are never
+        stale.  Only the live manager compacts: behind the frozen base a
+        ``compact`` is refused, no background compaction starts, and a
+        delete that races a running compaction is answered with a per-item
+        error instead of failing the batch into another retry.
         """
         if kind == "range":
             results = backend.range_query_batch([item.request.payload for item in items])
@@ -689,52 +675,8 @@ class CoalescingServer:
         return out
 
     # ------------------------------------------------------------------
-    # parallel execution + background compaction plumbing
+    # background compaction plumbing
     # ------------------------------------------------------------------
-
-    def _parallel_executor(self) -> Optional[ParallelExecutor]:
-        """The pool-backed executor, when eligible (workers>1, clean overlay).
-
-        Rebuilt whenever the manager's epoch moves (the pool mmaps a
-        saved copy of the snapshot; a swap makes it stale).  The saved
-        snapshot is validated with one coordinator-side
-        :func:`load_snapshot` — the deterministic point where an attached
-        plan's snapshot-load fault fires (and gets retried upstream).
-        """
-        if self.config.workers <= 1:
-            return None
-        manager = self.manager
-        snapshot, overlay = manager.view
-        if not overlay.is_empty:
-            return None  # pool serves the base only; overlay needs the manager
-        if self._executor is not None and self._executor_epoch != manager.epoch:
-            self._executor.close()
-            self._executor = None
-        if self._executor is None:
-            executor = ParallelExecutor(
-                snapshot,
-                workers=self.config.workers,
-                task_timeout=self.config.task_timeout,
-                pool_rebuild_retries=self.config.pool_rebuild_retries,
-                fault_plan=self.fault_plan,
-            )
-            try:
-                load_snapshot(executor.path, mmap=True)
-            except BaseException:
-                executor.close()
-                raise
-            self._executor = executor
-            self._executor_epoch = manager.epoch
-            self._executor_seen = {"pool_rebuilds": 0, "serial_fallbacks": 0}
-        return self._executor
-
-    def _drain_executor_counters(self, executor: ParallelExecutor) -> None:
-        for name in ("pool_rebuilds", "serial_fallbacks"):
-            current = getattr(executor, name)
-            seen = self._executor_seen.get(name, 0)
-            if current > seen:
-                self.metrics.incr(name, current - seen)
-                self._executor_seen[name] = current
 
     def _maybe_background_compact(self) -> None:
         threshold = self.config.compact_threshold

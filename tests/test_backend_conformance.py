@@ -8,8 +8,14 @@ like a brute-force scan of the live objects, and the backends that serve
 nothing but the frozen base must also charge identical ``IOStats``.
 """
 
+import dataclasses
+import inspect
+
 import pytest
 
+from repro.bench import BenchConfig
+from repro.bench.runner import run_experiment
+from repro.cli import main
 from repro.engine import ColumnarIndex, ParallelExecutor, SnapshotManager
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
@@ -17,6 +23,7 @@ from repro.join import execute_join
 from repro.query.range_query import brute_force_range, execute_workload
 from repro.rtree.clipped import ClippedRTree
 from repro.rtree.registry import build_rtree
+from repro.serve.server import ServeConfig
 from tests.conftest import make_random_objects
 
 BACKENDS = ("tree", "columnar", "manager", "manager_pending", "pool")
@@ -133,12 +140,21 @@ def test_join_iostats_equal_across_base_only_backends(backends, world):
         assert (got.outer_stats, got.inner_stats) == (stt.outer_stats, stt.inner_stats), name
 
 
-def test_workers_only_wrap_a_frozen_index(backends, world):
+def test_executor_handed_in_equals_the_serial_snapshot(backends, world):
     queries = world[3]
-    snapshot = backends["columnar"][0]
-    assert execute_workload(snapshot, queries, workers=2).stats == execute_workload(
-        snapshot, queries
-    ).stats
-    for name in ("tree", "manager", "pool"):
-        with pytest.raises(ValueError, match="workers > 1"):
-            execute_workload(backends[name][0], queries, workers=2)
+    assert execute_workload(backends["pool"][0], queries) == execute_workload(
+        backends["columnar"][0], queries
+    )
+
+
+def test_no_entry_point_builds_a_pool_from_a_workers_option(capsys):
+    for entry_point in (execute_workload, execute_join, run_experiment):
+        assert "workers" not in inspect.signature(entry_point).parameters
+    assert "workers" not in {fld.name for fld in dataclasses.fields(BenchConfig)}
+    with pytest.raises(SystemExit) as usage:
+        main(["run", "fig11", "--workers", "2"])
+    assert usage.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+    assert ServeConfig(workers=1).workers == 1
+    with pytest.raises(ValueError, match="ParallelExecutor"):
+        ServeConfig(workers=2)

@@ -213,14 +213,14 @@ def test_apply_overrides_parses_types():
             "clip_tau": "0.1",
             "clip_k": "none",
             "variants": "rstar, hilbert",
-            "workers": "3",
+            "max_entries": "12",
         }
     )
     assert set(config.dataset_sizes.values()) == {123}
     assert config.clip_tau == 0.1
     assert config.clip_k is None
     assert config.variants == ("rstar", "hilbert")
-    assert config.workers == 3
+    assert config.max_entries == 12
 
 
 def test_apply_overrides_bad_value():

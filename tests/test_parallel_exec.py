@@ -27,7 +27,6 @@ from repro.engine import (
     save_snapshot,
     stt_batch,
 )
-from repro.engine.delta import SnapshotManager
 from repro.geometry.rect import Rect
 from repro.join import execute_join
 from repro.query.range_query import execute_workload
@@ -183,23 +182,25 @@ def test_default_workers_positive():
     assert default_workers() <= len(os.sched_getaffinity(0)) or default_workers() == 1
 
 
-def test_execute_workload_workers_parity(frozen, queries):
+def test_execute_workload_executor_parity(frozen, queries):
     objects, _ = frozen
     snapshot = ColumnarIndex.from_tree(build_rtree("rstar", objects, max_entries=8))
     serial = execute_workload(snapshot, queries)
-    parallel = execute_workload(snapshot, queries, workers=2)
+    with ParallelExecutor(snapshot, workers=2) as pool:
+        parallel = execute_workload(pool, queries)
     assert parallel.queries == serial.queries
     assert parallel.total_results == serial.total_results
     assert parallel.stats == serial.stats
 
 
-def test_execute_join_workers_parity(frozen):
+def test_execute_join_executor_parity(frozen):
     objects, left = frozen
     right_objects = make_random_objects(180, dims=3, seed=15)
     right_tree = ColumnarIndex.from_tree(build_rtree("rstar", right_objects, max_entries=8))
 
     serial = execute_join(objects, right_tree, algorithm="inlj")
-    parallel = execute_join(objects, right_tree, algorithm="inlj", workers=2)
+    with ParallelExecutor(right_tree, workers=2) as pool:
+        parallel = execute_join(objects, pool, algorithm="inlj")
     assert parallel.pair_count == serial.pair_count
     assert parallel.inner_stats == serial.inner_stats
     assert [(a.oid, b.oid) for a, b in parallel.pairs] == [
@@ -207,7 +208,8 @@ def test_execute_join_workers_parity(frozen):
     ]
 
     serial = execute_join(left, right_tree, algorithm="stt")
-    parallel = execute_join(left, right_tree, algorithm="stt", workers=2)
+    with ParallelExecutor(left, workers=2) as pool:
+        parallel = execute_join(pool, right_tree, algorithm="stt")
     assert parallel.pair_count == serial.pair_count
     assert parallel.outer_stats == serial.outer_stats
     assert parallel.inner_stats == serial.inner_stats
@@ -216,19 +218,22 @@ def test_execute_join_workers_parity(frozen):
     )
 
 
-def test_workers_require_columnar_engine(frozen, queries):
-    """A scalar tree has nothing to share across processes."""
-    objects, _ = frozen
-    tree = build_rtree("quadratic", objects[:80], max_entries=8)
-    with pytest.raises(ValueError, match="ColumnarIndex"):
-        execute_workload(tree, queries, workers=2)
-    with pytest.raises(ValueError, match="ColumnarIndex"):
-        execute_join(objects[:20], tree, algorithm="inlj", workers=2)
-
-
-def test_workers_reject_snapshot_manager(frozen, queries):
-    objects, _ = frozen
-    tree = build_rtree("rstar", objects[:80], max_entries=8)
-    manager = SnapshotManager(tree)
-    with pytest.raises(ValueError, match="SnapshotManager"):
-        execute_workload(manager, queries, workers=2)
+def test_stt_saves_a_right_hand_index_once(frozen):
+    """Repeated joins against one index reuse its temp snapshot."""
+    _, left = frozen
+    right = ColumnarIndex.from_tree(
+        build_rtree("rstar", make_random_objects(180, dims=3, seed=15), max_entries=8)
+    )
+    executor = ParallelExecutor(left, workers=2)
+    results = [executor.stt_batch(right) for _ in range(3)]
+    owned = list(executor._owned_dirs)
+    assert len(owned) == 2  # the executor's own snapshot + one for ``right``
+    assert all(directory.is_dir() for directory in owned)
+    first = [(a.oid, b.oid) for a, b in results[0].pairs]
+    assert first
+    for result in results[1:]:
+        assert [(a.oid, b.oid) for a, b in result.pairs] == first
+        assert result.outer_stats == results[0].outer_stats
+        assert result.inner_stats == results[0].inner_stats
+    executor.close()
+    assert not any(directory.exists() for directory in owned)

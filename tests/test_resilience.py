@@ -336,11 +336,11 @@ def test_fault_plan_install_routes_snapshot_loads(tmp_path):
 
 
 def test_chaos_plan_is_seed_deterministic():
-    a = FaultPlan.chaos(42, include_pool_faults=True)
-    b = FaultPlan.chaos(42, include_pool_faults=True)
+    a = FaultPlan.chaos(42)
+    b = FaultPlan.chaos(42)
     assert a.specs == b.specs
     assert {spec.site for spec in a.specs} <= set(KNOWN_SITES)
-    c = FaultPlan.chaos(43, include_pool_faults=True)
+    c = FaultPlan.chaos(43)
     assert a.specs != c.specs
     burst = [s for s in a.specs if s.site == BATCH_FAULT]
     assert len(burst) == 1 and burst[0].times == 3

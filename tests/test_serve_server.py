@@ -52,6 +52,9 @@ def test_request_validation():
         Request("frobnicate")
     assert Request.range(Rect([0, 0], [1, 1])).kind == "range"
     assert Request.knn((0, 0), 3).payload == ((0.0, 0.0), 3)
+    for k in (0, -2, 2.5, None):
+        with pytest.raises(ValueError, match="integer k >= 1"):
+            Request.knn((0.0, 0.0), k)
 
 
 def test_join_request_validation():
@@ -114,6 +117,49 @@ def test_coalescing_batches_concurrent_requests():
     batches, coalesced = _run(main())
     assert batches < len(rects)
     assert coalesced >= len(rects) - batches
+
+
+def test_wrong_dimensionality_fails_alone_and_spares_the_breaker():
+    """Bad input is the caller's error, not a backend failure.
+
+    Regression: one 3-d rect coalesced with ten valid 2-d ones turned all
+    eleven answers into errors, and a few malformed requests in a row
+    opened the breaker, degrading the valid request that followed.
+    """
+    objects, manager = _manager()
+    rects = _rects(objects, 10)
+    box = Rect([0.0] * 3, [1.0] * 3)
+    stray = SpatialObject(10**6, box)
+    malformed = [
+        Request.range(box),
+        Request.knn((0.0, 0.0, 0.0), 2),
+        Request.insert(stray),
+        Request.delete(stray),
+        Request.range(None),
+    ]
+
+    async def main():
+        async with CoalescingServer(manager, ServeConfig(batch_window=0.01)) as server:
+            futures = [server.submit_nowait(Request.range(r)) for r in rects]
+            futures.insert(5, server.submit_nowait(Request.range(box)))
+            mixed = await asyncio.gather(*futures)
+            alone = await asyncio.gather(*map(server.submit_nowait, malformed))
+            state = server.breaker.state
+            after = await server.range_query(rects[0])
+            return mixed, alone, state, after, server.report()
+
+    mixed, alone, state, after, report = _run(main())
+    assert [r.status for r in mixed] == ["ok"] * 5 + ["error"] + ["ok"] * 5
+    for rect, response in zip(rects, mixed[:5] + mixed[6:]):
+        assert _oids(response.value) == _oids(manager.range_query(rect))
+    assert all(r.status == "error" and "dims" in r.error for r in alone)
+    assert state == "closed" and report["breaker_opens"] == 0
+    assert after.ok and not after.degraded
+    assert manager.pending_ops == 0
+    assert report["errors"] == 1 + len(malformed)
+    assert report["admitted"] == (
+        report["completed"] + report["deadline_exceeded"] + report["errors"]
+    )
 
 
 def test_admission_shed_is_deterministic_on_logical_clock():
