@@ -20,17 +20,22 @@ node slots can be expanded level by level with pure array operations; the
 executor in :mod:`repro.engine.executor` never touches a Python ``Rect``
 on its hot path.
 
-**Two entry layouts.**  The flat ``entry_*`` arrays above are the
-canonical form: they are what :mod:`repro.engine.snapshot_io` persists and
-fingerprints, and what kNN, the clip probes and the write path read.  The
-range frontier, the INLJ (which runs on it) and both stages of the STT
-join read a second, *node-major* form derived from them on first use
-(:meth:`ColumnarIndex.node_major`): every node's entries padded to the
-widest fan-out, one ``(n_nodes, max_fanout)`` array per dimension and
-bound, so a frontier level is one row gather and one dense compare per
-dimension and bound instead of a gather per entry, and a leaf×leaf pair
-is one broadcast compare of two rows.  It is cached on the snapshot
-object and never written to disk.
+**Derived layouts.**  The flat ``entry_*`` and ``clip_*`` arrays above are
+the canonical form: they are what :mod:`repro.engine.snapshot_io` persists
+and fingerprints, and what kNN and the write path read.  The range
+frontier, the INLJ (which runs on it) and the STT join read two
+*node-major* forms derived from them on first use, one padded row per
+node.  :meth:`ColumnarIndex.node_major` holds every node's entries padded
+to the widest fan-out, one ``(n_nodes, max_fanout)`` array per dimension
+and bound, so a frontier level is one row gather and one dense compare
+per dimension and bound instead of a gather per entry, and a leaf×leaf
+pair is one broadcast compare of two rows.
+:meth:`ColumnarIndex.node_major_clips` holds every node's clip points
+padded to the widest clip count, one ``(n_nodes, max_clips)`` array per
+dimension and side of the corner mask, so the dominance probe of a whole
+candidate list is the same row gather and one strict compare per
+dimension and side.  Both are cached on the snapshot object and never
+written to disk.
 
 **Snapshot semantics / invalidation.**  A snapshot is an immutable copy:
 it shares the indexed :class:`SpatialObject` instances with the source
@@ -113,12 +118,18 @@ class ColumnarIndex:
     here.  The snapshot keeps a reference to its source only to implement
     :attr:`is_stale` and :meth:`refresh`.
 
-    The constructor arguments are the canonical state.  Three members are
+    The constructor arguments are the canonical state.  Four members are
     derived from them lazily and cached, the snapshot being immutable:
     :meth:`node_bounds` and :meth:`node_levels` (which ``snapshot_io``
-    also stores, so loaded snapshots skip the derivation) and
-    :meth:`node_major`, the padded entry layout of the range frontier,
-    INLJ and STT join, which is never persisted.
+    also stores, so loaded snapshots skip the derivation) and the two
+    padded layouts of the range frontier, INLJ and STT join,
+    :meth:`node_major` (entries) and :meth:`node_major_clips` (clip
+    points), which are never persisted.
+
+    ``node_clip_start`` / ``node_clip_count`` may be omitted only when
+    there are no clip points: every clip probe reads the per-node view,
+    so an index that carried clip points without it would silently prune
+    nothing.
     """
 
     ROOT_SLOT = 0
@@ -158,11 +169,14 @@ class ColumnarIndex:
         self.clip_is_high = _pinned(clip_is_high, np.bool_)
         self.objects = objects
         self.source_version = source_version
-        n_nodes = len(is_leaf)
-        if node_clip_start is None:
-            node_clip_start = np.zeros(n_nodes, dtype=np.int64)
-        if node_clip_count is None:
-            node_clip_count = np.zeros(n_nodes, dtype=np.int64)
+        if node_clip_start is None or node_clip_count is None:
+            if len(self.clip_coords):
+                raise ValueError(
+                    f"{len(self.clip_coords)} clip points but no node_clip_start / "
+                    "node_clip_count: the clip probes read the per-node view"
+                )
+            node_clip_start = np.zeros(len(is_leaf), dtype=np.int64)
+            node_clip_count = np.zeros(len(is_leaf), dtype=np.int64)
         self.node_clip_start = _pinned(node_clip_start, np.int64)
         self.node_clip_count = _pinned(node_clip_count, np.int64)
         # Lazily derived per-slot geometry (cached; the snapshot is immutable).
@@ -170,6 +184,7 @@ class ColumnarIndex:
         self._node_highs: Optional[np.ndarray] = None
         self._node_levels: Optional[np.ndarray] = None
         self._node_major: Optional[tuple] = None
+        self._node_major_clips: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -402,6 +417,48 @@ class ColumnarIndex:
             self._node_major = (lows, highs)
         return self._node_major
 
+    def node_major_clips(self) -> tuple:
+        """Clip points with one padded row per node, as ``(high_side, low_side)`` (cached).
+
+        Both are float64 arrays of shape ``(dims, n_nodes, max_clips)``.
+        Cell ``[dim, slot, j]`` describes the slot's ``j``-th clip point,
+        flat clip ``node_clip_start[slot] + j``: ``high_side`` holds its
+        coordinate where bit ``dim`` of its corner mask is set (it clips
+        towards the MBB's maximum there) and NaN where it is cleared,
+        ``low_side`` the mirror image.  The mask is thereby folded into
+        *which array carries the coordinate*, and the probe
+        (:func:`~repro.engine.kernels.padded_clip_veto`) is ``p_low >
+        high_side`` or-ed with ``p_high < low_side`` with no selector.
+
+        Cells past a node's own clip count are NaN in both arrays.  As in
+        :meth:`node_major`, NaN is the one padding no probe can select:
+        every compare against it is False, strict ``>`` / ``<`` as much as
+        ``<=``, whatever ±inf the probe carries — and ``Rect`` rejects NaN
+        bounds, so no real coordinate is mistaken for padding.
+
+        The rows come from the per-node view, root included; the range
+        frontier reaches them through ``entry_child``, the STT join
+        directly.  Readers: the range frontier and the INLJ built on it,
+        both veto passes of the STT descent and its root test.  Only call
+        it when :attr:`has_clips`.
+
+        Derivation only reads the flat arrays (they may be read-only
+        memmaps) and costs a couple of milliseconds per 30k objects; the
+        result holds ``n_nodes × max_clips × 16 d`` bytes.
+        """
+        if self._node_major_clips is None:
+            flat, owners = expand_segments(self.node_clip_start, self.node_clip_count)
+            cols = flat - self.node_clip_start[owners]
+            shape = (self.dims, len(self.node_clip_count), int(self.node_clip_count.max()))
+            high_side = np.full(shape, np.nan, dtype=np.float64)
+            low_side = np.full(shape, np.nan, dtype=np.float64)
+            coords = self.clip_coords[flat].T
+            is_high = self.clip_is_high[flat].T
+            high_side[:, owners, cols] = np.where(is_high, coords, np.nan)
+            low_side[:, owners, cols] = np.where(is_high, np.nan, coords)
+            self._node_major_clips = (high_side, low_side)
+        return self._node_major_clips
+
     def precompute_derived(self) -> None:
         """Force the lazy :meth:`node_bounds` / :meth:`node_levels` caches.
 
@@ -410,10 +467,10 @@ class ColumnarIndex:
         first use (``node_levels`` is a Python sweep over every slot).
         Call this once before fanning out — ``snapshot_io.save_snapshot``
         does, persisting the caches so loaded snapshots never recompute.
-        :meth:`node_major` is deliberately not forced here: it is a few
-        vectorised milliseconds to derive, so every process serving range
-        queries, INLJ or STT derives its own on first use and nothing of
-        it reaches the disk.
+        :meth:`node_major` and :meth:`node_major_clips` are deliberately
+        not forced here: each is a few vectorised milliseconds to derive,
+        so every process serving range queries, INLJ or STT derives its
+        own on first use and nothing of them reaches the disk.
         """
         self.node_bounds()
         self.node_levels()

@@ -7,12 +7,16 @@ snapshot's node-major padded layout
 (:meth:`~repro.engine.columnar.ColumnarIndex.node_major`): per dimension
 one row gather of the frontier's nodes and one dense ``<=`` against the
 frontier's query bounds, and-ed in place into a single ``(frontier,
-max_fanout)`` mask whose row-major ``np.nonzero`` is the ``(frontier row,
-entry)`` discovery order.  Matched directory entries then take one clip
-pruning pass (:func:`~repro.engine.kernels.clip_prune_mask` over the flat
-clip arrays) before they become the next frontier.  The per-level Python
-overhead is a handful of NumPy calls regardless of how many queries or
-nodes are in flight.
+max_fanout)`` mask whose row-major cell order is the ``(frontier row,
+entry)`` discovery order.  Matched directory entries then take the clip
+pruning pass, the same shape one step later: the children's rows of the
+node-major clip layout
+(:meth:`~repro.engine.columnar.ColumnarIndex.node_major_clips`) against
+their queries' bounds, one strict compare per dimension and mask side
+(:func:`~repro.engine.kernels.padded_clip_veto`), over the candidates
+only — a few thousand rows, not the whole mask — before they become the
+next frontier.  The per-level Python overhead is a handful of NumPy calls
+regardless of how many queries or nodes are in flight.
 
 :func:`knn_batch` keeps the scalar best-first control flow (a heap per
 query — best-first order is inherently sequential) but replaces the
@@ -36,11 +40,10 @@ import numpy as np
 
 from repro.engine.columnar import ColumnarIndex
 from repro.engine.kernels import (
-    clip_prune_mask,
-    expand_segments,
+    mask_cells,
     min_dist_sq,
+    padded_clip_veto,
     padded_intersect_mask,
-    segment_any,
 )
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
@@ -79,6 +82,7 @@ def gather_range_hits(
     scalar traversal either way.
     """
     lows, highs = index.node_major()
+    clips = index.node_major_clips() if index.has_clips else None
     # One contiguous row per dimension: the frontier gathers query bounds a
     # dimension at a time.
     q_low_t = np.ascontiguousarray(q_lows.T)
@@ -98,9 +102,9 @@ def gather_range_hits(
             lows, highs, frontier_n, q_low_t, q_high_t, frontier_q
         )
         # Row-major order is (frontier row, entry) order — discovery order.
-        rows, cols = np.nonzero(match)
+        rows, cols = mask_cells(match)
         # Cell [row, j] is flat entry ``entry_start[node] + j``.
-        matched_e = index.entry_start[frontier_n[rows]] + cols
+        matched_child = index.entry_child[index.entry_start[frontier_n[rows]] + cols]
         matched_q = frontier_q[rows]
         leaf_sel = index.is_leaf[frontier_n]
         at_leaf = leaf_sel[rows]
@@ -117,7 +121,7 @@ def gather_range_hits(
                 )
         if len(hit_rows):
             hit_queries_rounds.append(matched_q[at_leaf])
-            hit_objects_rounds.append(index.entry_child[matched_e[at_leaf]])
+            hit_objects_rounds.append(matched_child[at_leaf])
 
         # --- internal visits: filter children into the next frontier ----
         n_internal = len(frontier_n) - n_leaves
@@ -126,26 +130,12 @@ def gather_range_hits(
         if not n_internal:
             break
         below = ~at_leaf
-        cand = matched_e[below]
-        cand_q = matched_q[below]
-
-        if index.has_clips and len(cand):
-            cflat, cowners = expand_segments(
-                index.clip_start[cand], index.clip_count[cand]
-            )
-            if len(cflat):
-                prune_rows = clip_prune_mask(
-                    q_lows[cand_q[cowners]],
-                    q_highs[cand_q[cowners]],
-                    index.clip_coords[cflat],
-                    index.clip_is_high[cflat],
-                )
-                keep = ~segment_any(prune_rows, cowners, len(cand))
-                cand = cand[keep]
-                cand_q = cand_q[keep]
-
-        frontier_q = cand_q
-        frontier_n = index.entry_child[cand]
+        frontier_n = matched_child[below]
+        frontier_q = matched_q[below]
+        if clips is not None:
+            keep = ~padded_clip_veto(*clips, frontier_n, q_low_t, q_high_t, frontier_q)
+            frontier_n = frontier_n[keep]
+            frontier_q = frontier_q[keep]
 
     if hit_queries_rounds:
         return np.concatenate(hit_queries_rounds), np.concatenate(hit_objects_rounds)

@@ -17,7 +17,10 @@ The two §V join strategies, vectorized:
   surviving child pairs then take the paper's clipped dominance pruning —
   the candidate child's clip points probed with the partner's MBB and the
   partner's clip points probed with the candidate's rectangle, exactly
-  the two ``node_intersects`` tests of the scalar ``_pair_passes``.
+  the two ``node_intersects`` tests of the scalar ``_pair_passes`` — as
+  two calls of the range frontier's probe
+  (:func:`~repro.engine.kernels.padded_clip_veto` on
+  :meth:`ColumnarIndex.node_major_clips`), which the root pair takes too.
 
 Both reproduce the scalar joins (:mod:`repro.join`) exactly: the same
 result pairs, the same ``pair_count``, and the same ``IOStats`` — one
@@ -41,11 +44,10 @@ import numpy as np
 from repro.engine.columnar import ColumnarIndex
 from repro.engine.executor import gather_range_hits
 from repro.engine.kernels import (
-    clip_prune_mask,
-    expand_segments,
     intersect_mask,
+    mask_cells,
+    padded_clip_veto,
     padded_intersect_mask,
-    segment_any,
 )
 from repro.geometry.objects import SpatialObject
 from repro.join.result import JoinResult
@@ -156,62 +158,22 @@ class _PairLedger:
         return emitted
 
 
-def _clips_veto_pair(
-    owner: ColumnarIndex,
-    clip_start: np.ndarray,
-    clip_count: np.ndarray,
-    probe_lows: np.ndarray,
-    probe_highs: np.ndarray,
-) -> np.ndarray:
-    """Rows whose clip points prove the probe rectangle hits dead space only.
-
-    ``clip_start``/``clip_count`` select one clip-point run of ``owner``
-    per row; ``probe_lows``/``probe_highs`` is the partner rectangle of
-    that row — the vectorized ``node_intersects`` of the scalar join.
-    """
-    n_rows = len(clip_start)
-    flat, owners = expand_segments(clip_start, clip_count)
-    if not len(flat):
-        return np.zeros(n_rows, dtype=bool)
-    pruned = clip_prune_mask(
-        probe_lows[owners],
-        probe_highs[owners],
-        owner.clip_coords[flat],
-        owner.clip_is_high[flat],
-    )
-    return segment_any(pruned, owners, n_rows)
-
-
 def _stt_roots_pass(left: ColumnarIndex, right: ColumnarIndex) -> bool:
     """The scalar ``_pair_passes`` test applied to the two root nodes."""
-    root = ColumnarIndex.ROOT_SLOT
-    root_arr = np.array([root], dtype=np.int64)
+    root = np.array([ColumnarIndex.ROOT_SLOT], dtype=np.int64)
     l_lows, l_highs = left.node_bounds()
     r_lows, r_highs = right.node_bounds()
-    roots_pass = bool(
-        intersect_mask(l_lows[root_arr], l_highs[root_arr], r_lows[root], r_highs[root])[0]
-    )
-    if roots_pass and left.has_clips:
-        roots_pass = not bool(
-            _clips_veto_pair(
-                left,
-                left.node_clip_start[root_arr],
-                left.node_clip_count[root_arr],
-                r_lows[root_arr],
-                r_highs[root_arr],
-            )[0]
-        )
-    if roots_pass and right.has_clips:
-        roots_pass = not bool(
-            _clips_veto_pair(
-                right,
-                right.node_clip_start[root_arr],
-                right.node_clip_count[root_arr],
-                l_lows[root_arr],
-                l_highs[root_arr],
-            )[0]
-        )
-    return roots_pass
+    if not intersect_mask(l_lows[root], l_highs[root], r_lows[root], r_highs[root])[0]:
+        return False
+    if left.has_clips and padded_clip_veto(
+        *left.node_major_clips(), root, r_lows.T, r_highs.T, root
+    )[0]:
+        return False
+    if right.has_clips and padded_clip_veto(
+        *right.node_major_clips(), root, l_lows.T, l_highs.T, root
+    )[0]:
+        return False
+    return True
 
 
 class _SttFrontier:
@@ -243,44 +205,45 @@ def _stt_descend(
     partners: np.ndarray,
     pids: np.ndarray,
     roots: np.ndarray,
-    other_lows: np.ndarray,
-    other_highs: np.ndarray,
+    other_lows_t: np.ndarray,
+    other_highs_t: np.ndarray,
     outer_side: bool,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Expand one side's entries against the partner nodes of the other."""
+    """Expand one side's entries against the partner nodes of the other.
+
+    ``other_lows_t`` / ``other_highs_t`` are the partner side's node MBBs,
+    one row per dimension.
+    """
     lows, highs = desc.node_major()
     match = padded_intersect_mask(
-        lows, highs, nodes, other_lows.T, other_highs.T, partners
+        lows, highs, nodes, other_lows_t, other_highs_t, partners
     )
-    rows, cols = np.nonzero(match)
+    rows, cols = mask_cells(match)
     flat = desc.entry_start[nodes[rows]] + cols
-    partner, parent, root = partners[rows], pids[rows], roots[rows]
-    if desc.has_clips and len(flat):
+    if desc.has_clips:
         # Candidate child's own clip points vs the partner's MBB.
-        veto = _clips_veto_pair(
-            desc,
-            desc.clip_start[flat],
-            desc.clip_count[flat],
-            other_lows[partner],
-            other_highs[partner],
+        keep = ~padded_clip_veto(
+            *desc.node_major_clips(),
+            desc.entry_child[flat],
+            other_lows_t,
+            other_highs_t,
+            partners[rows],
         )
-        keep = ~veto
-        flat, partner, parent, root = flat[keep], partner[keep], parent[keep], root[keep]
-    if other.has_clips and len(flat):
+        rows, flat = rows[keep], flat[keep]
+    if other.has_clips:
         # Partner node's clip points vs the candidate child's rectangle.
-        veto = _clips_veto_pair(
-            other,
-            other.node_clip_start[partner],
-            other.node_clip_count[partner],
-            desc.entry_lows[flat],
-            desc.entry_highs[flat],
+        keep = ~padded_clip_veto(
+            *other.node_major_clips(),
+            partners[rows],
+            desc.entry_lows.T,
+            desc.entry_highs.T,
+            flat,
         )
-        keep = ~veto
-        flat, partner, parent, root = flat[keep], partner[keep], parent[keep], root[keep]
+        rows, flat = rows[keep], flat[keep]
     children = desc.entry_child[flat]
-    new_pids = ledger.add_pairs(parent)
+    new_pids = ledger.add_pairs(pids[rows])
     ledger.record_accesses(outer_side, new_pids, desc.is_leaf[children])
-    return children, partner, new_pids, root
+    return children, partners[rows], new_pids, roots[rows]
 
 
 def _join_leaf_pairs(
@@ -295,9 +258,10 @@ def _join_leaf_pairs(
 
     Cell ``[p, i, j]`` of a block's mask is ``Rect.intersects`` of the
     ``i``-th entry of ``leaf_a[p]`` and the ``j``-th of ``leaf_b[p]``
-    (NaN padding fails it), so row-major ``np.nonzero`` lists the hits in
-    the scalar loop's left-outer / right-inner order.  ``collected``, when
-    given, receives them as ``(left_obj_idx, right_obj_idx, root_tag)``.
+    (NaN padding fails it), so its row-major cells (:func:`mask_cells`) are
+    the hits in the scalar loop's left-outer / right-inner order.
+    ``collected``, when given, receives them as ``(left_obj_idx,
+    right_obj_idx, root_tag)``.
     """
     l_lows, l_highs = left.node_major()
     r_lows, r_highs = right.node_major()
@@ -313,9 +277,7 @@ def _join_leaf_pairs(
             hit &= r_lows[dim][b][:, None, :] <= l_highs[dim][a][:, :, None]
         counts[start : start + step] = np.count_nonzero(hit, axis=(1, 2))
         if collected is not None:
-            # Row-major ``np.nonzero(hit)``, an order of magnitude faster
-            # on a sparse 3-d mask.
-            pair, i, j = np.unravel_index(np.flatnonzero(hit), hit.shape)
+            pair, i, j = mask_cells(hit)
             if len(pair):
                 collected.append(
                     (
@@ -345,8 +307,9 @@ def _stt_rounds(
     returned frontier to the worker pool.  ``collected`` receives
     ``(left_obj_idx, right_obj_idx, root_tag)`` triples per leaf block.
     """
-    l_lows, l_highs = left.node_bounds()
-    r_lows, r_highs = right.node_bounds()
+    # One contiguous row per dimension, as the descent's kernels gather them.
+    l_lows_t, l_highs_t = (np.ascontiguousarray(b.T) for b in left.node_bounds())
+    r_lows_t, r_highs_t = (np.ascontiguousarray(b.T) for b in right.node_bounds())
     l_levels = left.node_levels()
     r_levels = right.node_levels()
 
@@ -394,8 +357,8 @@ def _stt_rounds(
                 rest_b[go_left],
                 rest_pid[go_left],
                 rest_root[go_left],
-                r_lows,
-                r_highs,
+                r_lows_t,
+                r_highs_t,
                 outer_side=True,
             )
             next_a.append(children)
@@ -412,8 +375,8 @@ def _stt_rounds(
                 rest_a[go_right],
                 rest_pid[go_right],
                 rest_root[go_right],
-                l_lows,
-                l_highs,
+                l_lows_t,
+                l_highs_t,
                 outer_side=False,
             )
             next_a.append(partner)

@@ -4,9 +4,11 @@ Each kernel is the array analogue of one scalar geometric predicate:
 
 =============================  ==============================================
 :func:`intersect_mask`         :meth:`repro.geometry.rect.Rect.intersects`
+:func:`padded_intersect_mask`  the same, for every entry of whole nodes
 :func:`min_dist_sq`            :meth:`repro.geometry.rect.Rect.min_distance_sq`
-:func:`clip_prune_mask`        :func:`repro.cbb.intersection.clipped_intersects`
-                               (the per-clip-point dominance probe)
+:func:`padded_clip_veto`       ``not`` :func:`repro.cbb.intersection.clipped_intersects`
+                               of a rectangle that meets the node's MBB (the
+                               dominance probe over all of a node's clip points)
 =============================  ==============================================
 
 All comparisons run in float64 on the exact coordinate values held by the
@@ -14,16 +16,16 @@ scalar :class:`~repro.geometry.rect.Rect` objects, so every kernel decides
 each predicate *identically* to its scalar counterpart — the differential
 test-suite (``tests/test_engine_differential.py``) pins this down.
 
-:func:`expand_segments` is the shared indexing helper that turns
-``(start, count)`` slices of a flat array into a gather index plus an
-owner map, and :func:`segment_any` folds per-row verdicts back onto the
-owners.  The clip-point probes (range frontier and STT join) and the
-derivation of :meth:`ColumnarIndex.node_major
-<repro.engine.columnar.ColumnarIndex.node_major>` use them; the entry
-tests themselves — range frontier, INLJ and both stages of the STT join —
-run on that padded layout (:func:`padded_intersect_mask` and its
-leaf×leaf analogue in :mod:`repro.engine.join_exec`) and need no gather
-index.
+The two ``padded_*`` kernels read the node-major layouts a
+:class:`~repro.engine.columnar.ColumnarIndex` derives from its flat arrays
+(:meth:`~repro.engine.columnar.ColumnarIndex.node_major` for entries,
+:meth:`~repro.engine.columnar.ColumnarIndex.node_major_clips` for clip
+points): one row per node, NaN past its own count, so a whole frontier is
+a row gather and one dense compare per dimension and bound, with no gather
+index and no owner map.  The range frontier, the INLJ and the STT join
+share both.  :func:`expand_segments`, which turns ``(start, count)``
+slices of a flat array into a gather index plus an owner map, is what the
+two derivations are built with.
 """
 
 from __future__ import annotations
@@ -87,15 +89,25 @@ def padded_intersect_mask(
     rectangle ``queries[r]`` of ``q_lows_t``/``q_highs_t``, which hold one
     row per dimension.  Per dimension that is one row gather and one dense
     ``<=`` per bound, and-ed in place; padded cells are NaN and fail it.
-    Row-major ``np.nonzero`` of the ``(len(nodes), max_fanout)`` mask is
-    ``(row, entry)`` order — the order a per-entry gather would test in.
+    Row-major order (:func:`mask_cells`) of the ``(len(nodes), max_fanout)``
+    mask is ``(row, entry)`` order — the order a per-entry gather would
+    test in.
     """
-    match = lows[0][nodes] <= q_highs_t[0][queries][:, None]
-    match &= q_lows_t[0][queries][:, None] <= highs[0][nodes]
+    match = lows[0].take(nodes, axis=0) <= q_highs_t[0].take(queries)[:, None]
+    match &= q_lows_t[0].take(queries)[:, None] <= highs[0].take(nodes, axis=0)
     for dim in range(1, len(lows)):
-        match &= lows[dim][nodes] <= q_highs_t[dim][queries][:, None]
-        match &= q_lows_t[dim][queries][:, None] <= highs[dim][nodes]
+        match &= lows[dim].take(nodes, axis=0) <= q_highs_t[dim].take(queries)[:, None]
+        match &= q_lows_t[dim].take(queries)[:, None] <= highs[dim].take(nodes, axis=0)
     return match
+
+
+def mask_cells(mask: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Index arrays of the True cells of a dense mask, in row-major order.
+
+    ``np.nonzero(mask)``, several times faster on a sparse 2-d mask and an
+    order of magnitude on a 3-d one: the flat scan is the fast path.
+    """
+    return np.unravel_index(np.flatnonzero(mask), mask.shape)
 
 
 def min_dist_sq(lows: np.ndarray, highs: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -119,29 +131,53 @@ def min_dist_sq(lows: np.ndarray, highs: np.ndarray, point: np.ndarray) -> np.nd
     return total
 
 
-def clip_prune_mask(
-    q_lows: np.ndarray,
-    q_highs: np.ndarray,
-    clip_coords: np.ndarray,
-    clip_is_high: np.ndarray,
+#: Cells (rows × widest clip count) per block of :func:`padded_clip_veto`:
+#: what bounds its working memory, however long the candidate list.
+_CLIP_BLOCK_CELLS = 1 << 18
+
+
+def padded_clip_veto(
+    high_side: np.ndarray,
+    low_side: np.ndarray,
+    nodes: np.ndarray,
+    p_lows_t: np.ndarray,
+    p_highs_t: np.ndarray,
+    probes: np.ndarray,
 ) -> np.ndarray:
-    """Per-clip-point pruning verdicts (paper, Algorithm 2 with the query selector).
+    """Rows whose node's clip points prove the probe hits dead space only.
 
-    Row ``j`` pairs one clip point (``clip_coords[j]``, ``clip_is_high[j]``
-    — the boolean per-dimension expansion of the corner bitmask) with the
-    query rectangle ``(q_lows[j], q_highs[j])`` probing it.  The scalar
-    test probes the query corner *opposite* the clip corner and prunes
-    when that corner lies strictly inside the clipped region; expanded per
-    dimension that is ``q_low > coord`` on set mask bits and ``q_high <
-    coord`` on cleared ones.  Returns True for rows whose clip point
-    proves the query intersects only dead space.
+    The paper's Algorithm 2 with the query selector, for all clip points of
+    ``nodes[r]`` against the rectangle ``probes[r]`` of ``p_lows_t``/
+    ``p_highs_t`` (one row per dimension), on the
+    :meth:`ColumnarIndex.node_major_clips
+    <repro.engine.columnar.ColumnarIndex.node_major_clips>` layout.  The
+    scalar test probes the rectangle's corner *opposite* the clip corner
+    and prunes when it lies strictly inside the clipped region: per
+    dimension ``p_low > coord`` on set mask bits, ``p_high < coord`` on
+    cleared ones.  ``high_side`` carries the coordinate only where the bit
+    is set and ``low_side`` only where it is cleared, so that is one ``>``
+    or-ed with one ``<``, and-ed over the dimensions; a row is vetoed when
+    ``any`` of its node's clip points passes all of them.
 
-    Strictness mirrors ``strictly_inside_corner_region``: boundary contact
-    never prunes, so an object touching a clipped region's face is never
-    lost.
+    Every strict compare against NaN is False: padding, clip-less nodes and
+    the side a clip point does not use can never dominate.  Strictness is
+    ``strictly_inside_corner_region``'s — boundary contact never prunes, so
+    an object touching a clipped region's face is never lost.  The caller
+    has already established that the probe meets the node's MBB.
     """
-    cond = np.where(clip_is_high, q_lows > clip_coords, q_highs < clip_coords)
-    return cond.all(axis=-1)
+    veto = np.empty(len(nodes), dtype=bool)
+    step = max(1, _CLIP_BLOCK_CELLS // high_side.shape[2])
+    for start in range(0, len(nodes), step):
+        block = nodes[start : start + step]
+        probe = probes[start : start + step]
+        inside = p_lows_t[0].take(probe)[:, None] > high_side[0].take(block, axis=0)
+        inside |= p_highs_t[0].take(probe)[:, None] < low_side[0].take(block, axis=0)
+        for dim in range(1, len(high_side)):
+            closer = p_lows_t[dim].take(probe)[:, None] > high_side[dim].take(block, axis=0)
+            closer |= p_highs_t[dim].take(probe)[:, None] < low_side[dim].take(block, axis=0)
+            inside &= closer
+        veto[start : start + step] = inside.any(axis=1)
+    return veto
 
 
 def masks_to_bool(masks: np.ndarray, dims: int) -> np.ndarray:
@@ -149,17 +185,8 @@ def masks_to_bool(masks: np.ndarray, dims: int) -> np.ndarray:
 
     Bit ``i`` of a mask selects the max-extent corner in dimension ``i``
     (see ``repro.geometry.bitmask.corner_of``); the boolean expansion is
-    what :func:`clip_prune_mask` consumes.
+    the persisted ``clip_is_high`` column.
     """
     masks = np.asarray(masks, dtype=np.int64).reshape(-1, 1)
     bits = np.arange(dims, dtype=np.int64)
     return (masks >> bits) & 1 > 0
-
-
-def segment_any(flags: np.ndarray, owners: np.ndarray, n_segments: int) -> np.ndarray:
-    """Per-segment logical OR of ``flags`` grouped by ``owners``.
-
-    Safe for empty segments (they aggregate to False), unlike
-    ``np.logical_or.reduceat``.
-    """
-    return np.bincount(owners[flags], minlength=n_segments) > 0

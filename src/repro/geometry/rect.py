@@ -13,7 +13,10 @@ class Rect:
 
     ``low`` and ``high`` are tuples of floats with ``low[i] <= high[i]`` in
     every dimension.  A point is represented as a degenerate rectangle with
-    ``low == high``.  Instances are immutable and hashable.
+    ``low == high``.  Bounds may be infinite but never NaN: every
+    comparison with NaN is False, so no query could find such a rectangle
+    (the padded layouts of :mod:`repro.engine.columnar` use NaN for exactly
+    that reason).  Instances are immutable and hashable.
     """
 
     __slots__ = ("low", "high")
@@ -29,8 +32,10 @@ class Rect:
         if not low:
             raise ValueError("a rectangle needs at least one dimension")
         for lo, hi in zip(low, high):
-            if lo > hi:
-                raise ValueError(f"low {low} exceeds high {high}")
+            if not lo <= hi:
+                if lo > hi:
+                    raise ValueError(f"low {low} exceeds high {high}")
+                raise ValueError(f"NaN bound in low {low} / high {high}")
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
 

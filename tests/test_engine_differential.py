@@ -15,12 +15,23 @@ internal accesses) between the scalar and batch paths.
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.datasets.registry import DATASET_NAMES, generate
-from repro.engine import ColumnarIndex, inlj_batch, knn_batch, range_query_batch
+from repro.engine import (
+    ColumnarIndex,
+    executor,
+    inlj_batch,
+    kernels,
+    knn_batch,
+    load_snapshot,
+    range_query_batch,
+    save_snapshot,
+)
 from repro.geometry.rect import Rect
 from repro.join.inlj import index_nested_loop_join
 from repro.query.knn import knn_query
@@ -56,14 +67,44 @@ def _workload_queries(objects, seed):
     return queries
 
 
-def _assert_engines_agree(index, objects, queries):
-    """Scalar ≡ batch ≡ brute force on results; scalar ≡ batch on stats."""
+def _scalar_rounds(index, queries):
+    """Per depth, the multiset of ``(query, node id)`` visits of the scalar walk."""
+    tree = getattr(index, "tree", index)
+    height = tree.node(tree.root_id).level
+    rounds = [Counter() for _ in range(height + 1)]
+    for q, query in enumerate(queries):
+        index.range_query(
+            query,
+            access_hook=lambda node, q=q: rounds[height - node.level].update(
+                [(q, node.node_id)]
+            ),
+        )
+    # The frontier stops at the first level nobody reaches.
+    while rounds and not rounds[-1]:
+        rounds.pop()
+    return rounds
+
+
+def _assert_engines_agree(index, objects, queries, check_rounds=False):
+    """Scalar ≡ batch ≡ brute force on results; scalar ≡ batch on stats.
+
+    With ``check_rounds`` the batch's ``access_hook`` calls must also be,
+    round for round, the scalar traversal's visits at that depth.
+    """
     scalar_stats = IOStats()
     scalar_results = [index.range_query(q, stats=scalar_stats) for q in queries]
 
     snapshot = ColumnarIndex.from_tree(index)
     batch_stats = IOStats()
-    batch_results = range_query_batch(snapshot, queries, stats=batch_stats)
+    rounds = []
+    batch_results = range_query_batch(
+        snapshot,
+        queries,
+        stats=batch_stats,
+        access_hook=lambda qs, nodes: rounds.append(Counter(zip(qs.tolist(), nodes.tolist()))),
+    )
+    if check_rounds:
+        assert rounds == _scalar_rounds(index, queries)
 
     for query, scalar_res, batch_res in zip(queries, scalar_results, batch_results):
         expected = {obj.oid for obj in brute_force_range(objects, query)}
@@ -131,7 +172,7 @@ class TestNodeMajorLayoutEdgeCases:
         assert counts.min() < counts.max()  # the layout really is padded
         # The same tree frozen without and with its clip points.
         _assert_engines_agree(tree, objects, queries)
-        _assert_engines_agree(ClippedRTree.wrap(tree), objects, queries)
+        _assert_engines_agree(ClippedRTree.wrap(tree), objects, queries, check_rounds=True)
 
     @pytest.mark.parametrize("dims", [2, 4, 6, 8])
     def test_dimensions(self, dims):
@@ -139,7 +180,7 @@ class TestNodeMajorLayoutEdgeCases:
         queries = _workload_queries(objects, seed=53)
         tree = build_rtree("rstar", objects, max_entries=10)
         _assert_engines_agree(tree, objects, queries)
-        _assert_engines_agree(ClippedRTree.wrap(tree), objects, queries)
+        _assert_engines_agree(ClippedRTree.wrap(tree), objects, queries, check_rounds=True)
 
     def test_root_is_leaf(self):
         objects = make_random_objects(5, dims=2, seed=59)
@@ -158,9 +199,10 @@ class TestNodeMajorLayoutEdgeCases:
             tree.insert(obj)
         queries = [_all_space(dims), _all_space(dims)]
         # Brute force returns every object; batch must match it and the
-        # scalar result lengths, so a phantom hit cannot hide.
+        # scalar result lengths, so a phantom hit cannot hide.  Nor may the
+        # clip layout's NaN padding veto (or a ±inf probe select) anything.
         _assert_engines_agree(tree, objects, queries)
-        _assert_engines_agree(ClippedRTree.wrap(tree), objects, queries)
+        _assert_engines_agree(ClippedRTree.wrap(tree), objects, queries, check_rounds=True)
 
     @pytest.mark.parametrize("clipped", [False, True])
     def test_access_hook_sees_the_scalar_visits_level_by_level(self, clipped):
@@ -168,18 +210,11 @@ class TestNodeMajorLayoutEdgeCases:
         queries = _workload_queries(objects, seed=73)
         tree = build_rtree("rrstar", objects, max_entries=6)
         index = ClippedRTree.wrap(tree) if clipped else tree
-        height = tree.node(tree.root_id).level
 
         # Round r of the frontier visits what the scalar traversal visits
         # at depth r: the same (query, node id) pairs, each exactly once.
-        expected = [Counter() for _ in range(height + 1)]
-        for q, query in enumerate(queries):
-            index.range_query(
-                query,
-                access_hook=lambda node, q=q: expected[height - node.level].update(
-                    [(q, node.node_id)]
-                ),
-            )
+        expected = _scalar_rounds(index, queries)
+        assert len(expected) == tree.node(tree.root_id).level + 1
         rounds = []
         range_query_batch(
             ColumnarIndex.from_tree(index),
@@ -201,6 +236,160 @@ class TestNodeMajorLayoutEdgeCases:
             (a.oid, b.oid) for a, b in scalar.pairs
         )
         assert batch.inner_stats == scalar.inner_stats
+
+
+def _assert_entry_and_node_clip_views_agree(snapshot):
+    """Every directory entry names the clip run its child's slot owns."""
+    directory = np.repeat(~snapshot.is_leaf, snapshot.entry_count)
+    children = snapshot.entry_child[directory]
+    assert len(children) > 0
+    np.testing.assert_array_equal(
+        snapshot.clip_start[directory], snapshot.node_clip_start[children]
+    )
+    np.testing.assert_array_equal(
+        snapshot.clip_count[directory], snapshot.node_clip_count[children]
+    )
+    # Leaf entries point at objects and own no clip points.
+    assert not snapshot.clip_count[~directory].any()
+    # The runs tile the clip columns: the root's comes last, no entry names it.
+    root = ColumnarIndex.ROOT_SLOT
+    assert snapshot.node_clip_count.sum() == len(snapshot.clip_coords)
+    assert snapshot.clip_count.sum() + snapshot.node_clip_count[root] == len(snapshot.clip_coords)
+
+
+class TestNodeClipView:
+    """The per-node clip view the node-major clip layout is derived from.
+
+    The range frontier used to read the per-entry ``clip_start`` /
+    ``clip_count`` and now reaches the same runs through ``entry_child``
+    and the per-node view; the two must describe the same slices.
+    """
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_every_entry_names_its_childs_run(self, variant, tmp_path):
+        objects = make_random_objects(400, dims=3, seed=89)
+        tree = build_rtree(variant, objects, max_entries=8)
+        snapshot = ColumnarIndex.from_tree(ClippedRTree.wrap(tree, method="stairline"))
+        assert snapshot.has_clips
+        _assert_entry_and_node_clip_views_agree(snapshot)
+        save_snapshot(snapshot, tmp_path)
+        loaded = load_snapshot(tmp_path, mmap=True)
+        assert not loaded.node_clip_start.flags.writeable
+        _assert_entry_and_node_clip_views_agree(loaded)
+        for mine, theirs in zip(loaded.node_major_clips(), snapshot.node_major_clips()):
+            np.testing.assert_array_equal(mine, theirs)
+
+    def test_clip_points_without_the_node_view_are_rejected(self):
+        objects = make_random_objects(120, dims=2, seed=97)
+        tree = build_rtree("rstar", objects, max_entries=8)
+        frozen = ColumnarIndex.from_tree(ClippedRTree.wrap(tree))
+        columns = dict(
+            source=None,
+            dims=frozen.dims,
+            is_leaf=frozen.is_leaf,
+            entry_start=frozen.entry_start,
+            entry_count=frozen.entry_count,
+            node_ids=frozen.node_ids,
+            entry_lows=frozen.entry_lows,
+            entry_highs=frozen.entry_highs,
+            entry_child=frozen.entry_child,
+            clip_start=frozen.clip_start,
+            clip_count=frozen.clip_count,
+            clip_coords=frozen.clip_coords,
+            clip_is_high=frozen.clip_is_high,
+            objects=frozen.objects,
+            source_version=None,
+        )
+        # Zero-filling the view would switch all pruning off: right
+        # results, wrong IOStats, no error.
+        with pytest.raises(ValueError, match="node_clip_start"):
+            ColumnarIndex(**columns)
+        with pytest.raises(ValueError, match="node_clip_start"):
+            ColumnarIndex(**columns, node_clip_start=frozen.node_clip_start)
+        queries = _workload_queries(objects, seed=101)
+        complete = ColumnarIndex(
+            **columns,
+            node_clip_start=frozen.node_clip_start,
+            node_clip_count=frozen.node_clip_count,
+        )
+        stats, expected = IOStats(), IOStats()
+        range_query_batch(complete, queries, stats=stats)
+        range_query_batch(frozen, queries, stats=expected)
+        assert stats == expected
+        # Without clip points there is nothing to view.
+        plain = ColumnarIndex.from_tree(tree)
+        columns.update(
+            clip_start=plain.clip_start,
+            clip_count=plain.clip_count,
+            clip_coords=plain.clip_coords,
+            clip_is_high=plain.clip_is_high,
+        )
+        bare = ColumnarIndex(**columns)
+        assert not bare.has_clips and not bare.node_clip_count.any()
+        stats, expected = IOStats(), IOStats()
+        range_query_batch(bare, queries, stats=stats)
+        range_query_batch(plain, queries, stats=expected)
+        assert stats == expected
+
+
+@pytest.fixture(scope="module")
+def wide_clip_rows():
+    """A clipped 8-d tree whose clip rows are 512 cells wide, and 500 queries."""
+    objects = generate("uniform08", 1500, seed=5)
+    tree = build_rtree("str", objects, max_entries=12)
+    snapshot = ColumnarIndex.from_tree(ClippedRTree.wrap(tree, method="stairline"))
+    assert snapshot.node_major_clips()[0].shape[2] == 2 ** (8 + 1)
+    workload = RangeQueryWorkload.from_objects(objects, target_results=10, seed=6)
+    return snapshot, workload.query_list(500, seed=7)
+
+
+def _hits_in_order(snapshot, queries):
+    stats = IOStats()
+    results = range_query_batch(snapshot, queries, stats=stats)
+    return [[obj.oid for obj in hits] for hits in results], stats
+
+
+class TestClipBlocksBoundMemory:
+    """The clip probe walks its candidates in blocks of a fixed cell budget."""
+
+    def test_peak_memory_is_a_few_bytes_per_budgeted_cell(self, wide_clip_rows):
+        snapshot, queries = wide_clip_rows
+        candidates = []
+        range_query_batch(
+            snapshot, queries, access_hook=lambda qs, nodes: candidates.append(len(qs))
+        )
+        # Unblocked, the widest level alone would gather this many cells …
+        assert max(candidates) * 512 > 8 * kernels._CLIP_BLOCK_CELLS
+        tracemalloc.start()
+        try:
+            range_query_batch(snapshot, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # … at 11 bytes each: one gathered float64 row and three bool masks.
+        # 24 bytes per *budgeted* cell covers a block and the rest of the
+        # batch (measured 13.9); the whole level at once would be ≈ 200.
+        assert peak <= 24 * kernels._CLIP_BLOCK_CELLS
+
+    def test_many_blocks_equal_one_block(self, wide_clip_rows, monkeypatch):
+        snapshot, queries = wide_clip_rows
+        candidates = []
+
+        def counting_veto(*args):
+            candidates.append(len(args[2]))
+            return kernels.padded_clip_veto(*args)
+
+        monkeypatch.setattr(executor, "padded_clip_veto", counting_veto)
+        blocked = _hits_in_order(snapshot, queries)
+        rows_per_block = kernels._CLIP_BLOCK_CELLS // 512
+        assert max(candidates) > 2 * rows_per_block  # at least three blocks
+        monkeypatch.setattr(kernels, "_CLIP_BLOCK_CELLS", 1 << 40)
+        single = _hits_in_order(snapshot, queries)
+        assert blocked == single
+        assert sum(len(hits) for hits in single[0]) > 0
+        few = _hits_in_order(snapshot, queries[:40])
+        monkeypatch.setattr(kernels, "_CLIP_BLOCK_CELLS", 512)  # one row a block
+        assert _hits_in_order(snapshot, queries[:40]) == few
 
 
 class TestWorkloadEngineParity:

@@ -13,16 +13,17 @@ import random
 import numpy as np
 import pytest
 
+from repro.cbb.clip_point import ClipPoint
 from repro.cbb.clipping import ClippingConfig, compute_clip_points
 from repro.cbb.intersection import clipped_intersects
-from repro.engine import ColumnarIndex, range_query_batch
+from repro.engine import ColumnarIndex, inlj_batch, range_query_batch, stt_batch
 from repro.engine.kernels import (
-    clip_prune_mask,
     expand_segments,
     intersect_mask,
+    mask_cells,
     masks_to_bool,
     min_dist_sq,
-    segment_any,
+    padded_clip_veto,
 )
 from repro.geometry.dominance import strictly_inside_corner_region
 from repro.geometry.rect import Rect, mbb_of_rects
@@ -114,6 +115,59 @@ class TestMinDistKernel:
             assert dists == sorted(dists)
 
 
+def _clip_layout_index(dims, node_clips):
+    """A bare ``ColumnarIndex`` whose slot ``i`` owns ``node_clips[i]``.
+
+    Only the clip columns and the per-node view matter here: the probe
+    kernel reads nothing else of the index.
+    """
+    flat = [clip for clips in node_clips for clip in clips]
+    counts = np.array([len(clips) for clips in node_clips], dtype=np.int64)
+    n_nodes = len(node_clips)
+    none = np.zeros(0, dtype=np.int64)
+    return ColumnarIndex(
+        source=None,
+        dims=dims,
+        is_leaf=np.ones(n_nodes, dtype=bool),
+        entry_start=np.zeros(n_nodes, dtype=np.int64),
+        entry_count=np.zeros(n_nodes, dtype=np.int64),
+        node_ids=np.arange(n_nodes),
+        entry_lows=np.zeros((0, dims)),
+        entry_highs=np.zeros((0, dims)),
+        entry_child=none,
+        clip_start=none,
+        clip_count=none,
+        clip_coords=np.array([c.coord for c in flat], dtype=np.float64).reshape(-1, dims),
+        clip_is_high=masks_to_bool(np.array([c.mask for c in flat], dtype=np.int64), dims),
+        objects=[],
+        source_version=None,
+        node_clip_start=np.cumsum(counts) - counts,
+        node_clip_count=counts,
+    )
+
+
+def _veto(index, nodes, rects):
+    """``padded_clip_veto`` of ``rects[i]`` against slot ``nodes[i]``."""
+    lows_t = np.ascontiguousarray(np.array([r.low for r in rects]).T)
+    highs_t = np.ascontiguousarray(np.array([r.high for r in rects]).T)
+    return padded_clip_veto(
+        *index.node_major_clips(),
+        np.asarray(nodes, dtype=np.int64),
+        lows_t,
+        highs_t,
+        np.arange(len(rects), dtype=np.int64),
+    )
+
+
+def _scalar_veto(clips, query):
+    """Algorithm 2's dominance probe, clip point by clip point."""
+    selector = (1 << query.dims) - 1
+    return any(
+        strictly_inside_corner_region(query.corner(selector ^ c.mask), c.coord, c.mask)
+        for c in clips
+    )
+
+
 class TestClipPruneKernel:
     def _random_clipped_node(self, rng, dims):
         rects = [_grid_rect(rng, dims) for _ in range(rng.randint(4, 14))]
@@ -121,53 +175,106 @@ class TestClipPruneKernel:
         clips = compute_clip_points(mbb, rects, ClippingConfig(method="stairline"))
         return mbb, clips
 
-    @pytest.mark.parametrize("dims", [2, 3])
+    @pytest.mark.parametrize("dims", [2, 3, 5, 8])
     def test_matches_scalar_dominance_probe(self, dims):
         rng = random.Random(300 + dims)
-        cases = 0
-        for _ in range(60):
-            mbb, clips = self._random_clipped_node(rng, dims)
-            if not clips:
-                continue
-            coords = np.array([c.coord for c in clips])
-            is_high = masks_to_bool(np.array([c.mask for c in clips]), dims)
+        # Fewer nodes where the scalar stairline is slow (256 corners at d = 8).
+        n_nodes = {2: 60, 3: 60, 5: 20, 8: 6}[dims]
+        nodes = [self._random_clipped_node(rng, dims) for _ in range(n_nodes)]
+        index = _clip_layout_index(dims, [clips for _, clips in nodes])
+        slots, queries = [], []
+        for slot in range(len(nodes)):
             for _ in range(20):
-                query = _grid_rect(rng, dims)
-                q_low = np.broadcast_to(np.array(query.low), coords.shape)
-                q_high = np.broadcast_to(np.array(query.high), coords.shape)
-                verdicts = clip_prune_mask(q_low, q_high, coords, is_high)
-                selector = (1 << dims) - 1
-                expected = np.array(
-                    [
-                        strictly_inside_corner_region(
-                            query.corner(selector ^ c.mask), c.coord, c.mask
-                        )
-                        for c in clips
-                    ]
-                )
-                assert np.array_equal(verdicts, expected)
-                # Aggregated: any pruning clip ≙ clipped_intersects == False
-                if mbb.intersects(query):
-                    assert (not clipped_intersects(mbb, clips, query)) == bool(
-                        verdicts.any()
-                    )
-                cases += 1
-        assert cases > 100, "not enough clipped nodes generated"
+                slots.append(slot)
+                queries.append(_grid_rect(rng, dims))
+        verdicts = _veto(index, slots, queries)
+        clipped_cases = 0
+        for slot, query, verdict in zip(slots, queries, verdicts.tolist()):
+            mbb, clips = nodes[slot]
+            assert verdict == _scalar_veto(clips, query)
+            # The caller has already matched the MBB; then a veto is
+            # exactly ``clipped_intersects`` failing.
+            if mbb.intersects(query):
+                assert verdict == (not clipped_intersects(mbb, clips, query))
+            clipped_cases += bool(clips)
+        assert clipped_cases > 100, "not enough clipped nodes generated"
+        assert verdicts.any() and not verdicts.all()
 
     def test_boundary_contact_never_prunes(self):
         """A query corner exactly on the clip point must not be pruned."""
-        mbb = Rect((0.0, 0.0), (10.0, 10.0))
-        coords = np.array([[8.0, 8.0]])
-        is_high = masks_to_bool(np.array([0b11]), 2)  # clips towards (10, 10)
+        clips = [ClipPoint((8.0, 8.0), 0b11)]  # clips towards (10, 10)
+        index = _clip_layout_index(2, [clips])
         # Query's far corner (towards the clip corner) lands exactly on the
         # clip coordinate: strictness requires no pruning.
-        q_low = np.array([[8.0, 8.0]])
-        q_high = np.array([[8.0, 8.0]])
-        assert not clip_prune_mask(q_low, q_high, coords, is_high)[0]
+        on_the_point = Rect((8.0, 8.0), (8.0, 8.0))
+        # Touching the clipped region's face in one dimension only.
+        on_one_face = Rect((8.0, 8.5), (9.0, 9.0))
         # Strictly inside the dead region: pruned.
-        q_low = np.array([[8.5, 8.5]])
-        q_high = np.array([[9.0, 9.0]])
-        assert clip_prune_mask(q_low, q_high, coords, is_high)[0]
+        inside = Rect((8.5, 8.5), (9.0, 9.0))
+        assert _veto(index, [0, 0, 0], [on_the_point, on_one_face, inside]).tolist() == [
+            False,
+            False,
+            True,
+        ]
+
+    @pytest.mark.parametrize("dims", [2, 3, 5, 8])
+    def test_clipless_node_beside_a_full_one(self, dims):
+        """Rows of NaN padding next to a row with all ``k`` cells real."""
+        k = 2 ** (dims + 1)
+        # Two clip points per corner, nested: the full row has no padding.
+        full = [
+            ClipPoint(tuple(6.0 + step if (mask >> d) & 1 else 4.0 - step for d in range(dims)), mask)
+            for mask in range(1 << dims)
+            for step in (0.0, 1.0)
+        ]
+        index = _clip_layout_index(dims, [[], full, [], full[:3]])
+        high_side, low_side = index.node_major_clips()
+        assert high_side.shape == low_side.shape == (dims, 4, k)
+        # A clip-less node is a row of NaN on both sides …
+        assert np.isnan(high_side[:, 0]).all() and np.isnan(low_side[:, 0]).all()
+        # … and a real cell carries its coordinate on exactly one of them.
+        assert (np.isnan(high_side[:, 1]) ^ np.isnan(low_side[:, 1])).all()
+        assert np.isnan(high_side[:, 3, 3:]).all() and np.isnan(low_side[:, 3, 3:]).all()
+
+        inf = float("inf")
+        probes = [
+            Rect((6.5,) * dims, (8.0,) * dims),  # inside the all-high corner's region
+            Rect((0.0,) * dims, (3.5,) * dims),  # inside the all-low corner's region
+            Rect((4.5,) * dims, (5.5,) * dims),  # the live middle
+            Rect((-inf,) * dims, (inf,) * dims),  # all of space
+            Rect((6.5,) * dims, (inf,) * dims),  # half-infinite, still dominated
+            Rect((-inf,) * dims, (3.5,) * dims),
+            Rect((6.0,) * dims, (8.0,) * dims),  # touches the outer clip coordinate
+        ]
+        for slot, clips in enumerate([[], full, [], full[:3]]):
+            expected = [_scalar_veto(clips, probe) for probe in probes]
+            assert _veto(index, [slot] * len(probes), probes).tolist() == expected
+        assert _veto(index, [0] * len(probes), probes).tolist() == [False] * len(probes)
+        assert _veto(index, [1] * len(probes), probes).tolist() == [
+            True,
+            True,
+            False,
+            False,
+            True,
+            True,
+            False,
+        ]
+
+    def test_plain_snapshot_never_derives_the_layout(self):
+        objects = make_random_objects(200, dims=2, seed=74)
+        tree = build_rtree("rstar", objects, max_entries=8)
+        plain = ColumnarIndex.from_tree(tree)
+        assert not plain.has_clips
+        range_query_batch(plain, [Rect((0.0, 0.0), (100.0, 100.0))])
+        inlj_batch(objects[:20], plain)
+        stt_batch(plain, plain)
+        assert plain._node_major is not None
+        assert plain._node_major_clips is None
+        # The same tree with its clip points does, on first use.
+        clipped = ColumnarIndex.from_tree(ClippedRTree.wrap(tree))
+        assert clipped.has_clips and clipped._node_major_clips is None
+        range_query_batch(clipped, [Rect((0.0, 0.0), (100.0, 100.0))])
+        assert clipped._node_major_clips is not None
 
     @pytest.mark.parametrize("seed", [71, 72, 73])
     def test_never_prunes_a_contributing_leaf(self, seed):
@@ -216,24 +323,9 @@ class TestIndexingHelpers:
                 for bit in range(dims):
                     assert bools[mask, bit] == bool((mask >> bit) & 1)
 
-    def test_segment_any_reference(self):
-        rng = random.Random(500)
-        for _ in range(50):
-            n_seg = rng.randint(1, 8)
-            owners, flags = [], []
-            for seg in range(n_seg):
-                for _ in range(rng.randint(0, 4)):
-                    owners.append(seg)
-                    flags.append(rng.random() < 0.3)
-            result = segment_any(np.array(flags, dtype=bool), np.array(owners), n_seg)
-            expected = [
-                any(f for o, f in zip(owners, flags) if o == seg) for seg in range(n_seg)
-            ]
-            assert result.tolist() == expected
-
-    def test_segment_any_empty(self):
-        assert segment_any(np.zeros(0, bool), np.zeros(0, np.int64), 3).tolist() == [
-            False,
-            False,
-            False,
-        ]
+    def test_mask_cells_is_row_major_nonzero(self):
+        rng = np.random.default_rng(500)
+        for shape in ((0, 4), (7, 1), (13, 48), (5, 4, 6), (3, 0, 2)):
+            mask = rng.random(shape) < 0.2
+            for got, expected in zip(mask_cells(mask), np.nonzero(mask)):
+                assert got.tolist() == expected.tolist()

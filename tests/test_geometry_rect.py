@@ -33,8 +33,35 @@ class TestRectConstruction:
         assert rect.high == (6.0, 7.0)
 
     def test_invalid_bounds_raise(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"low \(1\.0, 0\.0\) exceeds high \(0\.0, 1\.0\)"):
             Rect((1.0, 0.0), (0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "low,high",
+        [
+            ((math.nan, 0.0), (1.0, 1.0)),
+            ((0.0, 0.0), (1.0, math.nan)),
+            ((0.0, math.nan), (1.0, math.nan)),
+            ((math.nan,), (math.nan,)),
+        ],
+    )
+    def test_nan_bounds_raise(self, low, high):
+        # ``nan > x`` is False, so a guard written ``lo > hi`` lets NaN in;
+        # the rectangle would then be found by no query, all-space included.
+        with pytest.raises(ValueError, match="NaN bound"):
+            Rect(low, high)
+        with pytest.raises(ValueError, match="NaN bound"):
+            Rect.from_point(tuple(lo + hi for lo, hi in zip(low, high)))
+
+    def test_infinite_bounds_are_legal(self):
+        inf = math.inf
+        all_space = Rect((-inf, -inf), (inf, inf))
+        assert all_space.intersects(Rect((0.0, 0.0), (1.0, 1.0)))
+        assert Rect((-inf, 0.0), (3.0, inf)).high == (3.0, inf)
+        assert Rect((inf,), (inf,)).is_point()
+        assert Rect((-inf,), (-inf,)).is_point()
+        with pytest.raises(ValueError, match="exceeds"):
+            Rect((inf,), (-inf,))
 
     def test_dim_mismatch_raises(self):
         with pytest.raises(ValueError):

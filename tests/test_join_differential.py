@@ -396,6 +396,41 @@ class TestDenseLeafKernel:
             assert _assert_dense_stt_is_the_scalar_stt(left, right).pair_count > 0
         _assert_dense_stt_is_the_scalar_stt(few_tree, few_tree)
 
+    @pytest.mark.parametrize("dims", [2, 3, 5])
+    def test_root_pair_against_the_roots_own_clip_points(self, dims):
+        # One arm of half-unit boxes along every axis: the root's MBB is
+        # [0, 10]^d, everything beyond 2 in two or more dimensions is dead.
+        rng = np.random.default_rng(100 + dims)
+        lows = rng.uniform(0.0, 1.5, size=(300, dims))
+        lows[np.arange(300), np.arange(300) % dims] = rng.uniform(0.0, 9.5, size=300)
+        arms = [SpatialObject(i, Rect(low, low + 0.5)) for i, low in enumerate(lows)]
+        arms_index = ClippedRTree.wrap(
+            build_rtree("quadratic", arms, max_entries=8), method="stairline"
+        )
+        root_clips = arms_index.store.get(arms_index.tree.root_id)
+        assert root_clips, "the root, which no entry references, must carry clip points"
+
+        def cluster(low, high, clipped):
+            corners = rng.uniform(low, high - 0.3, size=(40, dims))
+            objects = [SpatialObject(i, Rect(c, c + 0.3)) for i, c in enumerate(corners)]
+            return _maybe_clipped(build_rtree("quadratic", objects, max_entries=8), clipped)
+
+        # In the dead corner: the root MBBs meet, the arms' root clip points
+        # veto the pair, and — as in the scalar STT — nothing is accessed.
+        far = cluster(8.5, 9.8, clipped=False)
+        assert arms_index.tree.root.mbb().contains(far.root.mbb())
+        for left, right in ((arms_index, far), (far, arms_index)):
+            scalar = _assert_dense_stt_is_the_scalar_stt(left, right)
+            assert scalar.pair_count == 0
+            assert scalar.outer_stats.total_accesses == 0
+            assert scalar.inner_stats.total_accesses == 0
+        # Where the arms meet: the same clip points are probed and pass.
+        near = cluster(0.0, 2.5, clipped=True)
+        for left, right in ((arms_index, near), (near, arms_index)):
+            scalar = _assert_dense_stt_is_the_scalar_stt(left, right)
+            assert scalar.pair_count > 0
+            assert scalar.outer_stats.total_accesses > 0 < scalar.inner_stats.total_accesses
+
     @staticmethod
     def _awkward_objects(dims, shift):
         """Touching unit cells, their corner points, half-spaces, all of space."""

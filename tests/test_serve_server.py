@@ -162,6 +162,44 @@ def test_wrong_dimensionality_fails_alone_and_spares_the_breaker():
     )
 
 
+def test_nan_rectangle_fails_where_it_is_built():
+    """A NaN bound never becomes a request, an indexed object or a batch-mate.
+
+    Regression: ``Rect((nan, 0), (1, 1))`` used to construct (``nan > x``
+    is False), was indexed by an insert, and was then returned by no query
+    — not even an all-space one.  It now fails in the caller's own frame,
+    before ``Request.range`` / ``Request.insert`` or the batcher see it.
+    """
+    nan, inf = float("nan"), float("inf")
+    objects, manager = _manager()
+    rects = _rects(objects, 6)
+    bad_bounds = [((nan, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, nan)), ((nan, nan), (nan, nan))]
+
+    async def main():
+        async with CoalescingServer(manager, ServeConfig(batch_window=0.01)) as server:
+            futures = [server.submit_nowait(Request.range(r)) for r in rects[:3]]
+            for low, high in bad_bounds:
+                with pytest.raises(ValueError, match="NaN bound"):
+                    futures.append(server.submit_nowait(Request.range(Rect(low, high))))
+                with pytest.raises(ValueError, match="NaN bound"):
+                    futures.append(
+                        server.submit_nowait(Request.insert(SpatialObject(10**6, Rect(low, high))))
+                    )
+            futures += [server.submit_nowait(Request.range(r)) for r in rects[3:]]
+            everything = await server.range_query(Rect((-inf, -inf), (inf, inf)))
+            return await asyncio.gather(*futures), everything, server.report()
+
+    answers, everything, report = _run(main())
+    assert [r.status for r in answers] == ["ok"] * len(rects)
+    for rect, response in zip(rects, answers):
+        assert _oids(response.value) == _oids(manager.range_query(rect))
+    # Nothing was written, and the all-space query still returns every object.
+    assert manager.pending_ops == 0
+    assert _oids(everything.value) == sorted(o.oid for o in objects)
+    assert report["admitted"] == report["completed"] == len(rects) + 1
+    assert report["errors"] == 0
+
+
 def test_admission_shed_is_deterministic_on_logical_clock():
     objects, manager = _manager()
     rect = _rects(objects, 1)[0]

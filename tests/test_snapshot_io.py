@@ -157,26 +157,53 @@ def test_node_major_layout_is_never_persisted(tmp_path):
     objects, reference = _frozen(clip="stairline")
     queries = _queries(objects)
     save_snapshot(reference, tmp_path / "before")
-    assert reference._node_major is None  # saving derives no layout...
+    # Saving derives neither layout...
+    assert reference._node_major is None and reference._node_major_clips is None
     range_query_batch(reference, queries)
-    assert reference._node_major is not None  # ...the first batch does...
+    # ...the first clipped batch derives both...
+    assert reference._node_major is not None and reference._node_major_clips is not None
     save_snapshot(reference, tmp_path / "after")
     # ...and a save after it writes the same files, byte for byte.
     before = _directory_bytes(tmp_path / "before")
     assert _directory_bytes(tmp_path / "after") == before
+    assert not any("major" in name for name in before)
 
-    # Deriving the layout of a read-only mmap view must not write through.
+    # Deriving the layouts of a read-only mmap view must not write through.
     loaded = load_snapshot(tmp_path / "before", mmap=True)
     assert not loaded.entry_lows.flags.writeable
+    assert not loaded.clip_coords.flags.writeable
     _assert_differentially_identical(reference, loaded, queries)
-    assert loaded._node_major is not None
+    assert loaded._node_major is not None and loaded._node_major_clips is not None
     assert _directory_bytes(tmp_path / "before") == before
+
+
+def test_read_only_mmap_snapshots_serve_a_clipped_stt(tmp_path):
+    # Both sides clipped: the descent's two veto passes and the root test
+    # each derive a clip layout from a read-only view.
+    _, left = _frozen(dims=2, count=200, clip="stairline", seed=1)
+    _, right = _frozen(dims=2, count=200, clip="stairline", seed=2)
+    save_snapshot(left, tmp_path / "left")
+    save_snapshot(right, tmp_path / "right")
+    before = _directory_bytes(tmp_path)
+    loaded_left = load_snapshot(tmp_path / "left", mmap=True)
+    loaded_right = load_snapshot(tmp_path / "right", mmap=True)
+    assert not loaded_left.node_clip_start.flags.writeable
+
+    ref = stt_batch(left, right)
+    got = stt_batch(loaded_left, loaded_right)
+    assert loaded_left._node_major_clips is not None
+    assert loaded_right._node_major_clips is not None
+    assert got.pair_count == ref.pair_count > 0
+    assert got.outer_stats == ref.outer_stats
+    assert got.inner_stats == ref.inner_stats
+    assert [(a.oid, b.oid) for a, b in got.pairs] == [(a.oid, b.oid) for a, b in ref.pairs]
+    assert _directory_bytes(tmp_path) == before
 
 
 def test_worker_derives_layout_once_per_process(tmp_path, monkeypatch):
     from repro.engine import parallel
 
-    objects, reference = _frozen()
+    objects, reference = _frozen(clip="stairline")
     save_snapshot(reference, tmp_path)
     queries = _queries(objects)
     q_lows = np.array([q.low for q in queries])
@@ -185,13 +212,18 @@ def test_worker_derives_layout_once_per_process(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "_WORKER_SNAPSHOTS", {})
     first = parallel._range_task(str(tmp_path), q_lows, q_highs)
     cached = parallel._WORKER_SNAPSHOTS[str(tmp_path)]
-    layout = cached._node_major
-    assert layout is not None
+    layouts = (cached._node_major, cached._node_major_clips)
+    assert layouts[0] is not None and layouts[1] is not None
     second = parallel._range_task(str(tmp_path), q_lows, q_highs)
+    # An STT shard of the same worker probes the same cached object too.
+    root = np.zeros(1, dtype=np.int64)
+    parallel._stt_task(str(tmp_path), str(tmp_path), root, root, False)
     assert parallel._WORKER_SNAPSHOTS[str(tmp_path)] is cached
-    assert cached._node_major is layout  # the second shard reused it
+    # The later shards reused both layouts.
+    assert cached._node_major is layouts[0] and cached._node_major_clips is layouts[1]
     np.testing.assert_array_equal(first[0], second[0])
     np.testing.assert_array_equal(first[1], second[1])
+    assert first[2] == second[2]
 
 
 def test_no_mmap_load_survives_directory_removal(tmp_path):
