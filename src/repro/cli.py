@@ -252,22 +252,20 @@ def _cmd_snapshot_save(args: argparse.Namespace) -> int:
 def _cmd_snapshot_load(args: argparse.Namespace) -> int:
     import time
 
-    from repro.engine import load_snapshot
-    from repro.engine.snapshot_io import SnapshotFormatError, read_manifest
+    from repro.engine import FORMAT_VERSION, SnapshotFormatError, load_snapshot
 
+    start = time.perf_counter()
     try:
-        manifest = read_manifest(args.directory)
+        snapshot = load_snapshot(args.directory, mmap=not args.no_mmap)
     except SnapshotFormatError as exc:
         print(f"not a snapshot: {exc}", file=sys.stderr)
         return 2
-    start = time.perf_counter()
-    snapshot = load_snapshot(args.directory, mmap=not args.no_mmap)
     load_s = time.perf_counter() - start
     mode = "copied into RAM" if args.no_mmap else "zero-copy mmap"
     print(
         f"loaded {args.directory} ({mode}) in {load_s * 1000:.2f} ms: "
         f"{len(snapshot.objects)} objects, {len(snapshot.is_leaf)} nodes, "
-        f"d={snapshot.dims}, format v{manifest['format_version']}"
+        f"d={snapshot.dims}, format v{FORMAT_VERSION}"
     )
     if args.queries:
         from repro.query.range_query import execute_workload

@@ -167,10 +167,10 @@ def build_columnar_str(
         entry_lows=entry_lows,
         entry_highs=entry_highs,
         entry_child=entry_child,
-        clip_start=np.zeros(total_entries, dtype=np.int64),
-        clip_count=np.zeros(total_entries, dtype=np.int64),
         clip_coords=np.empty((0, dims), dtype=np.float64),
         clip_is_high=np.empty((0, dims), dtype=bool),
+        node_clip_start=np.zeros(total_nodes, dtype=np.int64),
+        node_clip_count=np.zeros(total_nodes, dtype=np.int64),
         objects=[objects[i] for i in perm.tolist()],
         source_version=None,
     )

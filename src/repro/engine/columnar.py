@@ -5,37 +5,38 @@ variant — optionally wrapped in a
 :class:`~repro.rtree.clipped.ClippedRTree` — into contiguous NumPy
 arrays:
 
-* per-node: leaf flag and the ``(start, count)`` slice of its entries;
-* per-entry: rectangle lows/highs, the child (a node slot for directory
-  entries, an object index for leaf entries), and the ``(start, count)``
-  slice of the child's clip points;
+* per-node: leaf flag, the ``(start, count)`` slice of its entries, and
+  the ``(start, count)`` slice of its own clip points (the root's
+  included; a directory entry reaches its child's run through
+  ``entry_child``);
+* per-entry: rectangle lows/highs and the child (a node slot for
+  directory entries, an object index for leaf entries);
 * per-clip-point: coordinates and the boolean expansion of the corner
-  bitmask;
-* per-node (for the join executor): the ``(start, count)`` clip slice of
-  the node *itself* — the same slices as the per-entry view, plus the
-  root's clip points, which no entry references.
+  bitmask.
 
 Nodes are laid out in BFS order from the root (slot 0), so a frontier of
 node slots can be expanded level by level with pure array operations; the
 executor in :mod:`repro.engine.executor` never touches a Python ``Rect``
 on its hot path.
 
-**Derived layouts.**  The flat ``entry_*`` and ``clip_*`` arrays above are
-the canonical form: they are what :mod:`repro.engine.snapshot_io` persists
-and fingerprints, and what kNN and the write path read.  The range
-frontier, the INLJ (which runs on it) and the STT join read two
-*node-major* forms derived from them on first use, one padded row per
-node.  :meth:`ColumnarIndex.node_major` holds every node's entries padded
-to the widest fan-out, one ``(n_nodes, max_fanout)`` array per dimension
-and bound, so a frontier level is one row gather and one dense compare
-per dimension and bound instead of a gather per entry, and a leaf×leaf
-pair is one broadcast compare of two rows.
+**Derived state.**  The flat arrays above are the canonical form: they
+are what :mod:`repro.engine.snapshot_io` persists and fingerprints, and
+what kNN and the write path read.  Everything else is derived from them
+on first use, cached on the snapshot object and never written to disk:
+the per-slot :meth:`ColumnarIndex.node_bounds` and
+:meth:`ColumnarIndex.node_levels` of the STT join, and the two
+*node-major* forms, one padded row per node, that the range frontier, the
+INLJ (which runs on it) and the STT join read.
+:meth:`ColumnarIndex.node_major` holds every node's entries padded to the
+widest fan-out, one ``(n_nodes, max_fanout)`` array per dimension and
+bound, so a frontier level is one row gather and one dense compare per
+dimension and bound instead of a gather per entry, and a leaf×leaf pair
+is one broadcast compare of two rows.
 :meth:`ColumnarIndex.node_major_clips` holds every node's clip points
 padded to the widest clip count, one ``(n_nodes, max_clips)`` array per
 dimension and side of the corner mask, so the dominance probe of a whole
 candidate list is the same row gather and one strict compare per
-dimension and side.  Both are cached on the snapshot object and never
-written to disk.
+dimension and side.
 
 **Snapshot semantics / invalidation.**  A snapshot is an immutable copy:
 it shares the indexed :class:`SpatialObject` instances with the source
@@ -119,17 +120,21 @@ class ColumnarIndex:
     :attr:`is_stale` and :meth:`refresh`.
 
     The constructor arguments are the canonical state.  Four members are
-    derived from them lazily and cached, the snapshot being immutable:
-    :meth:`node_bounds` and :meth:`node_levels` (which ``snapshot_io``
-    also stores, so loaded snapshots skip the derivation) and the two
-    padded layouts of the range frontier, INLJ and STT join,
-    :meth:`node_major` (entries) and :meth:`node_major_clips` (clip
-    points), which are never persisted.
+    derived from them lazily and cached, the snapshot being immutable,
+    and none is ever persisted: :meth:`node_bounds` and
+    :meth:`node_levels` (the STT join) and the two padded layouts of the
+    range frontier, INLJ and STT join, :meth:`node_major` (entries) and
+    :meth:`node_major_clips` (clip points).
 
-    ``node_clip_start`` / ``node_clip_count`` may be omitted only when
-    there are no clip points: every clip probe reads the per-node view,
-    so an index that carried clip points without it would silently prune
-    nothing.
+    **Leaf rows are the objects.**  Directory slots precede leaf slots
+    (BFS over a balanced tree), so the leaves' entries are the trailing
+    ``len(objects)`` rows of ``entry_lows`` / ``entry_highs`` /
+    ``entry_child``, and ``entry_child`` counts ``0 .. len(objects) - 1``
+    over them: row ``len(entry_child) - len(objects) + i`` *is* the
+    rectangle of ``objects[i]``.  Both constructions (:meth:`from_tree`,
+    :func:`~repro.engine.builder.build_columnar_str`) lay the arrays out
+    this way; ``snapshot_io`` relies on it to store no object rectangle
+    a second time.
     """
 
     ROOT_SLOT = 0
@@ -145,14 +150,12 @@ class ColumnarIndex:
         entry_lows: np.ndarray,
         entry_highs: np.ndarray,
         entry_child: np.ndarray,
-        clip_start: np.ndarray,
-        clip_count: np.ndarray,
         clip_coords: np.ndarray,
         clip_is_high: np.ndarray,
+        node_clip_start: np.ndarray,
+        node_clip_count: np.ndarray,
         objects: List[SpatialObject],
         source_version: object,
-        node_clip_start: Optional[np.ndarray] = None,
-        node_clip_count: Optional[np.ndarray] = None,
     ):
         self.source = source
         self.dims = dims
@@ -163,22 +166,12 @@ class ColumnarIndex:
         self.entry_lows = _pinned(entry_lows, np.float64)
         self.entry_highs = _pinned(entry_highs, np.float64)
         self.entry_child = _pinned(entry_child, np.int64)
-        self.clip_start = _pinned(clip_start, np.int64)
-        self.clip_count = _pinned(clip_count, np.int64)
         self.clip_coords = _pinned(clip_coords, np.float64)
         self.clip_is_high = _pinned(clip_is_high, np.bool_)
-        self.objects = objects
-        self.source_version = source_version
-        if node_clip_start is None or node_clip_count is None:
-            if len(self.clip_coords):
-                raise ValueError(
-                    f"{len(self.clip_coords)} clip points but no node_clip_start / "
-                    "node_clip_count: the clip probes read the per-node view"
-                )
-            node_clip_start = np.zeros(len(is_leaf), dtype=np.int64)
-            node_clip_count = np.zeros(len(is_leaf), dtype=np.int64)
         self.node_clip_start = _pinned(node_clip_start, np.int64)
         self.node_clip_count = _pinned(node_clip_count, np.int64)
+        self.objects = objects
+        self.source_version = source_version
         # Lazily derived per-slot geometry (cached; the snapshot is immutable).
         self._node_lows: Optional[np.ndarray] = None
         self._node_highs: Optional[np.ndarray] = None
@@ -228,8 +221,6 @@ class ColumnarIndex:
         entry_lows = np.empty((total_entries, dims), dtype=np.float64)
         entry_highs = np.empty((total_entries, dims), dtype=np.float64)
         entry_child = np.empty(total_entries, dtype=np.int64)
-        clip_start = np.zeros(total_entries, dtype=np.int64)
-        clip_count = np.zeros(total_entries, dtype=np.int64)
         node_clip_start = np.zeros(n_nodes, dtype=np.int64)
         node_clip_count = np.zeros(n_nodes, dtype=np.int64)
 
@@ -252,30 +243,21 @@ class ColumnarIndex:
                     objects.append(entry.child)
                 else:
                     entry_child[cursor] = slot_of[entry.child]
-                    if store is not None:
-                        clips = store.get(entry.child)
-                        if clips:
-                            clip_start[cursor] = len(coords)
-                            clip_count[cursor] = len(clips)
-                            node_clip_start[slot_of[entry.child]] = len(coords)
-                            node_clip_count[slot_of[entry.child]] = len(clips)
-                            for clip in clips:
-                                coords.append(clip.coord)
-                                masks.append(clip.mask)
                 cursor += 1
 
-        # The root is referenced by no entry, but joins probe its clip
-        # points too (the scalar STT consults the ClipStore for any node
-        # pair); append them after the entry-ordered points.
+        # Clip runs, one per node: the slots below the root in slot order
+        # (the order the directory entries lead to them in), the root's
+        # last — no entry leads to it, but the STT join probes it like
+        # any other node (the scalar STT consults the ClipStore for any
+        # node pair).
         if store is not None:
-            root_clips = store.get(tree.root_id)
-            if root_clips:
-                root_slot = slot_of[tree.root_id]
-                node_clip_start[root_slot] = len(coords)
-                node_clip_count[root_slot] = len(root_clips)
-                for clip in root_clips:
-                    coords.append(clip.coord)
-                    masks.append(clip.mask)
+            for slot in [*range(1, n_nodes), cls.ROOT_SLOT]:
+                clips = store.get(order[slot])
+                if clips:
+                    node_clip_start[slot] = len(coords)
+                    node_clip_count[slot] = len(clips)
+                    coords.extend(clip.coord for clip in clips)
+                    masks.extend(clip.mask for clip in clips)
 
         clip_coords = (
             np.array(coords, dtype=np.float64)
@@ -297,14 +279,12 @@ class ColumnarIndex:
             entry_lows=entry_lows,
             entry_highs=entry_highs,
             entry_child=entry_child,
-            clip_start=clip_start,
-            clip_count=clip_count,
             clip_coords=clip_coords,
             clip_is_high=clip_is_high,
-            objects=objects,
-            source_version=cls._version_of(index),
             node_clip_start=node_clip_start,
             node_clip_count=node_clip_count,
+            objects=objects,
+            source_version=cls._version_of(index),
         )
 
     @staticmethod
@@ -369,18 +349,23 @@ class ColumnarIndex:
     def node_levels(self) -> np.ndarray:
         """Per-slot tree levels (0 = leaf), cached.
 
-        Parents precede children in the BFS slot layout, so one reverse
-        sweep suffices: a directory slot sits one level above its first
-        child.  The join executor uses levels to replicate the scalar
-        STT's descend-the-deeper-tree rule.
+        A directory slot sits one level above its first child.  Starting
+        from all zeros, every pass applies that rule to all directory
+        slots at once and settles one more level from the leaves up, so
+        it reaches the fixpoint in ``height`` passes (and a tree has
+        fewer levels than directory slots, which bounds the loop).  The
+        join executor uses levels to replicate the scalar STT's
+        descend-the-deeper-tree rule.
         """
         if self._node_levels is None:
             levels = np.zeros(len(self.is_leaf), dtype=np.int64)
-            entry_start = self.entry_start
-            entry_child = self.entry_child
-            for slot in range(len(levels) - 1, -1, -1):
-                if not self.is_leaf[slot]:
-                    levels[slot] = levels[entry_child[entry_start[slot]]] + 1
+            directory = np.flatnonzero(~self.is_leaf)
+            first_child = self.entry_child[self.entry_start[directory]]
+            for _ in range(len(directory)):
+                above = levels[first_child] + 1
+                if np.array_equal(above, levels[directory]):
+                    break
+                levels[directory] = above
             self._node_levels = levels
         return self._node_levels
 
@@ -458,35 +443,6 @@ class ColumnarIndex:
             low_side[:, owners, cols] = np.where(is_high, np.nan, coords)
             self._node_major_clips = (high_side, low_side)
         return self._node_major_clips
-
-    def precompute_derived(self) -> None:
-        """Force the lazy :meth:`node_bounds` / :meth:`node_levels` caches.
-
-        The caches are per-snapshot-object: a worker process that opens
-        its own view of the snapshot would otherwise re-derive them on
-        first use (``node_levels`` is a Python sweep over every slot).
-        Call this once before fanning out — ``snapshot_io.save_snapshot``
-        does, persisting the caches so loaded snapshots never recompute.
-        :meth:`node_major` and :meth:`node_major_clips` are deliberately
-        not forced here: each is a few vectorised milliseconds to derive,
-        so every process serving range queries, INLJ or STT derives its
-        own on first use and nothing of them reaches the disk.
-        """
-        self.node_bounds()
-        self.node_levels()
-
-    def seed_derived(
-        self, node_lows: np.ndarray, node_highs: np.ndarray, node_levels: np.ndarray
-    ) -> None:
-        """Install precomputed :meth:`node_bounds` / :meth:`node_levels` caches.
-
-        Used by :func:`repro.engine.snapshot_io.load_snapshot` to hand a
-        loaded snapshot the caches persisted at save time (as mmap views,
-        zero-copy).
-        """
-        self._node_lows = _pinned(node_lows, np.float64)
-        self._node_highs = _pinned(node_highs, np.float64)
-        self._node_levels = _pinned(node_levels, np.int64)
 
     def node_count(self) -> int:
         """Number of snapshot node slots."""

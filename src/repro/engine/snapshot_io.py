@@ -1,16 +1,32 @@
 """Zero-copy persistence for :class:`~repro.engine.columnar.ColumnarIndex`.
 
-:func:`save_snapshot` writes every snapshot array — including the lazily
-derived ``node_bounds``/``node_levels`` caches, precomputed at save time
-so no reader ever re-derives them — as an individual ``.npy`` file next
-to a JSON manifest recording the format version, dimensionality, per-
-array dtypes/shapes, and a content fingerprint.  :func:`load_snapshot`
-reads the directory back; with ``mmap=True`` (the default) every array
-is an ``mmap_mode="r"`` view of its file, so loading a multi-hundred-
-megabyte index costs milliseconds, touches no heap, and any number of
-processes opening the same directory share one page-cache copy of the
-data — the transport underneath
+:func:`save_snapshot` writes the canonical snapshot arrays as individual
+``.npy`` files next to a JSON manifest recording the format version,
+dimensionality, per-array dtypes/shapes, and a content fingerprint.
+:func:`load_snapshot` reads the directory back; with ``mmap=True`` (the
+default) every array is an ``mmap_mode="r"`` view of its file, so loading
+a multi-hundred-megabyte index costs milliseconds, touches no heap, and
+any number of processes opening the same directory share one page-cache
+copy of the data — the transport underneath
 :class:`~repro.engine.parallel.ParallelExecutor`'s worker pool.
+
+**What is stored (format version 3): every fact once.**  Twelve arrays —
+the eleven canonical ``ColumnarIndex`` arrays (node flags and entry
+slices, entry rectangles and children, clip points and the per-node clip
+slices) plus ``object_oids``.  Not stored, because the directory already
+says it:
+
+* object rectangles — they are the trailing ``len(object_oids)`` rows of
+  ``entry_lows`` / ``entry_highs`` (the leaf-rows invariant documented on
+  :class:`ColumnarIndex`), so a loaded snapshot's objects are zero-copy
+  views of those rows.  The two conditions that put the rows there —
+  leaf slots after directory slots, as many leaf entries as objects — are
+  checked on save (``ValueError``) and on load
+  (:class:`SnapshotFormatError`);
+* anything derived — ``node_bounds`` / ``node_levels`` / the node-major
+  layouts are derived per process on first use: opening one more file
+  costs about what deriving the bounds and levels of 30 000 objects does,
+  and only the STT join reads them.
 
 A loaded snapshot is *differentially identical* to the in-RAM original:
 ``range_query_batch``/``knn_batch``/``inlj_batch``/``stt_batch`` return
@@ -25,7 +41,7 @@ round-tripped Python object:
   Objects are materialised lazily on first access, so a worker that
   only counts hits never builds a single Python object.
 
-Durability (format version 2): a save is *crash-atomic at every byte*.
+Durability (format version 3): a save is *crash-atomic at every byte*.
 Array files land in a content-addressed generation directory
 (``g<fingerprint[:12]>/``) so an in-flight save never touches the bytes
 a committed manifest points at; every array file, the manifest, and the
@@ -34,7 +50,9 @@ manifest is the single commit point — a process killed at any offset of
 the write sequence leaves the directory loading either the old snapshot
 or the new one, never garbage (``tests/test_snapshot_durability.py``
 kills a simulated save at every byte offset to prove it).  Superseded
-generations are garbage-collected strictly *after* the commit.
+generations are garbage-collected strictly *after* the commit.  Older
+formats are refused with :class:`SnapshotFormatError`; there is no
+second reader.
 """
 
 from __future__ import annotations
@@ -54,7 +72,7 @@ from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 
 #: On-disk format version; bump on any incompatible layout change.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Manifest file name inside a snapshot directory.
 MANIFEST_NAME = "manifest.json"
@@ -62,32 +80,24 @@ MANIFEST_NAME = "manifest.json"
 #: Generation-directory names this module owns (and may GC).
 _GENERATION_RE = re.compile(r"^g[0-9a-f]{12}$")
 
-#: Snapshot arrays persisted verbatim: file stem → ColumnarIndex attribute.
-_CORE_ARRAYS = {
-    "is_leaf": "is_leaf",
-    "entry_start": "entry_start",
-    "entry_count": "entry_count",
-    "node_ids": "node_ids",
-    "entry_lows": "entry_lows",
-    "entry_highs": "entry_highs",
-    "entry_child": "entry_child",
-    "clip_start": "clip_start",
-    "clip_count": "clip_count",
-    "clip_coords": "clip_coords",
-    "clip_is_high": "clip_is_high",
-    "node_clip_start": "node_clip_start",
-    "node_clip_count": "node_clip_count",
-}
-
-#: Derived caches and object columns, produced at save time.
-_EXTRA_ARRAYS = (
-    "node_lows",
-    "node_highs",
-    "node_levels",
-    "object_oids",
-    "object_lows",
-    "object_highs",
+#: The ``ColumnarIndex`` arrays a snapshot persists, each under its
+#: attribute (and constructor parameter) name.
+_INDEX_ARRAYS = (
+    "is_leaf",
+    "entry_start",
+    "entry_count",
+    "node_ids",
+    "entry_lows",
+    "entry_highs",
+    "entry_child",
+    "clip_coords",
+    "clip_is_high",
+    "node_clip_start",
+    "node_clip_count",
 )
+
+#: Every array file of a snapshot directory, in the order they are written.
+_ARRAYS = _INDEX_ARRAYS + ("object_oids",)
 
 
 class SnapshotFormatError(RuntimeError):
@@ -97,10 +107,11 @@ class SnapshotFormatError(RuntimeError):
 class LazyObjectList:
     """A read-only sequence materialising :class:`SpatialObject` on demand.
 
-    Backed by the ``object_oids``/``object_lows``/``object_highs`` columns
-    (typically mmap views); an object is built — and cached — only when
-    indexed, so result-materialising code pays for exactly the objects it
-    returns.  Payloads are not persisted and come back as ``None``.
+    Backed by the ``object_oids`` column and the leaf rows of
+    ``entry_lows`` / ``entry_highs`` (typically mmap views); an object is
+    built — and cached — only when indexed, so result-materialising code
+    pays for exactly the objects it returns.  Payloads are not persisted
+    and come back as ``None``.
     """
 
     __slots__ = ("oids", "lows", "highs", "_cache")
@@ -158,18 +169,6 @@ def _fsync_path(path: Union[str, Path]) -> None:
         os.close(fd)
 
 
-def _committed_manifest(directory: Path) -> Optional[dict]:
-    """The directory's committed manifest, or None when absent/corrupt."""
-    path = directory / MANIFEST_NAME
-    if not path.is_file():
-        return None
-    try:
-        manifest = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    return manifest if isinstance(manifest, dict) else None
-
-
 def _gc_stale_generations(directory: Path, keep: str) -> None:
     """Remove superseded generation dirs.
 
@@ -181,16 +180,32 @@ def _gc_stale_generations(directory: Path, keep: str) -> None:
             shutil.rmtree(child, ignore_errors=True)
 
 
+def _leaf_rows_fault(index: ColumnarIndex, n_objects: int) -> Optional[str]:
+    """Why ``index``'s trailing ``n_objects`` entry rows are not its objects, or None.
+
+    The leaf-rows invariant of :class:`ColumnarIndex`, as far as it can be
+    checked in O(nodes): leaf slots come after directory slots, and the
+    leaves hold exactly one entry per object.
+    """
+    if np.any(index.is_leaf[:-1] & ~index.is_leaf[1:]):
+        return "a directory slot follows a leaf slot"
+    leaf_entries = int(index.entry_count[index.is_leaf].sum())
+    if leaf_entries != n_objects:
+        return f"the leaves hold {leaf_entries} entries for {n_objects} objects"
+    return None
+
+
 def save_snapshot(index: ColumnarIndex, directory: Union[str, Path]) -> Path:
     """Persist ``index`` into ``directory`` (created if needed).
 
     Every array lands in its own ``.npy`` file inside a content-addressed
     generation subdirectory; ``manifest.json`` records the format
     version, dims, per-array dtype/shape, the generation (``data_dir``),
-    and a content fingerprint.  The derived ``node_bounds``/
-    ``node_levels`` caches are forced first
-    (:meth:`ColumnarIndex.precompute_derived`) so loaded snapshots — and
-    every worker process that opens one — never recompute them.
+    and a content fingerprint.  Object rectangles are not written a
+    second time: they are the leaf rows of ``entry_lows`` /
+    ``entry_highs``, and an index laid out otherwise
+    (:func:`_leaf_rows_fault`) raises ``ValueError`` here rather than
+    :class:`SnapshotFormatError` at every later load.
 
     The save is crash-atomic: array files are written into a fresh
     generation directory (never the one a committed manifest points at)
@@ -203,34 +218,22 @@ def save_snapshot(index: ColumnarIndex, directory: Union[str, Path]) -> Path:
     already matches the committed manifest is a no-op (the bytes on disk
     are already the requested state).  Returns the directory path.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-
-    index.precompute_derived()
-    node_lows, node_highs = index.node_bounds()
     objects = index.objects
     if isinstance(objects, LazyObjectList):
         object_oids = np.ascontiguousarray(objects.oids, dtype=np.int64)
-        object_lows = np.ascontiguousarray(objects.lows, dtype=np.float64)
-        object_highs = np.ascontiguousarray(objects.highs, dtype=np.float64)
     else:
-        object_oids = np.array([obj.oid for obj in objects], dtype=np.int64)
-        object_lows = np.array(
-            [obj.rect.low for obj in objects], dtype=np.float64
-        ).reshape(len(objects), index.dims)
-        object_highs = np.array(
-            [obj.rect.high for obj in objects], dtype=np.float64
-        ).reshape(len(objects), index.dims)
+        object_oids = np.fromiter(
+            (obj.oid for obj in objects), dtype=np.int64, count=len(objects)
+        )
+    fault = _leaf_rows_fault(index, len(object_oids))
+    if fault is not None:
+        raise ValueError(f"cannot save {index!r}: {fault}")
 
-    arrays: Dict[str, np.ndarray] = {
-        name: getattr(index, attr) for name, attr in _CORE_ARRAYS.items()
-    }
-    arrays["node_lows"] = node_lows
-    arrays["node_highs"] = node_highs
-    arrays["node_levels"] = index.node_levels()
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+
+    arrays: Dict[str, np.ndarray] = {name: getattr(index, name) for name in _INDEX_ARRAYS}
     arrays["object_oids"] = object_oids
-    arrays["object_lows"] = object_lows
-    arrays["object_highs"] = object_highs
 
     fingerprint = _fingerprint(arrays)
     generation = f"g{fingerprint[:12]}"
@@ -238,15 +241,14 @@ def save_snapshot(index: ColumnarIndex, directory: Union[str, Path]) -> Path:
     # Idempotent re-save: when the committed manifest already records this
     # exact content (and its generation files exist), writing again would
     # overwrite the very bytes a committed manifest points at — skip.
-    committed = _committed_manifest(directory)
+    try:
+        committed = read_manifest(directory)
+    except SnapshotFormatError:
+        committed = {}  # nothing committed, or nothing this format can keep
     if (
-        committed is not None
-        and committed.get("fingerprint") == fingerprint
-        and committed.get("format_version") == FORMAT_VERSION
+        committed.get("fingerprint") == fingerprint
         and committed.get("data_dir") == generation
-        and all(
-            (directory / generation / f"{name}.npy").is_file() for name in arrays
-        )
+        and all((directory / generation / f"{name}.npy").is_file() for name in arrays)
     ):
         return directory
 
@@ -261,12 +263,6 @@ def save_snapshot(index: ColumnarIndex, directory: Union[str, Path]) -> Path:
     manifest = {
         "format_version": FORMAT_VERSION,
         "dims": index.dims,
-        "counts": {
-            "nodes": int(len(index.is_leaf)),
-            "entries": int(len(index.entry_child)),
-            "clip_points": int(len(index.clip_coords)),
-            "objects": int(len(object_oids)),
-        },
         "arrays": {
             name: {"dtype": str(array.dtype), "shape": list(array.shape)}
             for name, array in arrays.items()
@@ -294,15 +290,26 @@ def save_snapshot(index: ColumnarIndex, directory: Union[str, Path]) -> Path:
 
 
 def read_manifest(directory: Union[str, Path]) -> dict:
-    """Parse and version-check a snapshot directory's manifest."""
-    directory = Path(directory)
-    manifest_path = directory / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise SnapshotFormatError(f"no snapshot manifest at {manifest_path}")
+    """Parse and check a snapshot directory's manifest.
+
+    The one place manifest content is trusted from: everything
+    :func:`load_snapshot` later indexes, converts or joins onto a path is
+    type- and range-checked here, and every failure is a
+    :class:`SnapshotFormatError`.
+    """
+    path = Path(directory) / MANIFEST_NAME
+
+    def malformed(why: str) -> SnapshotFormatError:
+        return SnapshotFormatError(f"snapshot manifest {path} {why}")
+
+    if not path.is_file():
+        raise SnapshotFormatError(f"no snapshot manifest at {path}")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
-        raise SnapshotFormatError(f"unreadable snapshot manifest {manifest_path}: {exc}")
+        raise SnapshotFormatError(f"unreadable snapshot manifest {path}: {exc}")
+    if not isinstance(manifest, dict):
+        raise malformed("is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise SnapshotFormatError(
@@ -311,7 +318,27 @@ def read_manifest(directory: Union[str, Path]) -> dict:
         )
     for key in ("dims", "arrays", "data_dir"):
         if key not in manifest:
-            raise SnapshotFormatError(f"snapshot manifest {manifest_path} lacks {key!r}")
+            raise malformed(f"lacks {key!r}")
+    specs = manifest["arrays"]
+    if not isinstance(specs, dict):
+        raise malformed("lists its arrays as something other than an object")
+    missing = set(_ARRAYS) - set(specs)
+    if missing:
+        raise malformed(f"lacks arrays: {sorted(missing)}")
+    for name in _ARRAYS:
+        if not isinstance(specs[name], dict):
+            raise malformed(f"describes array {name!r} as {specs[name]!r}, not an object")
+    dims = manifest["dims"]
+    if isinstance(dims, bool) or not isinstance(dims, int) or dims < 1:
+        raise malformed(f"has dims {dims!r}, not a positive integer")
+    shape = specs["entry_lows"].get("shape")
+    if not isinstance(shape, list) or len(shape) != 2 or shape[1] != dims:
+        raise malformed(f"says dims {dims} over entry_lows of shape {shape!r}")
+    # The generation is joined onto the directory: a name of the saver's
+    # own shape cannot point outside it.
+    data_dir = manifest["data_dir"]
+    if not isinstance(data_dir, str) or not _GENERATION_RE.match(data_dir):
+        raise malformed(f"names data_dir {data_dir!r}, not a generation of this directory")
     return manifest
 
 
@@ -345,8 +372,8 @@ def _load_array(
         raise SnapshotFormatError(f"unreadable snapshot array {path}: {exc}")
     if str(array.dtype) != spec.get("dtype") or list(array.shape) != spec.get("shape"):
         raise SnapshotFormatError(
-            f"snapshot array {path} is {array.dtype}{array.shape}, manifest "
-            f"says {spec.get('dtype')}{tuple(spec.get('shape', ()))}"
+            f"snapshot array {path} is {array.dtype}{list(array.shape)}, manifest "
+            f"says {spec.get('dtype')}{spec.get('shape')}"
         )
     return array
 
@@ -361,49 +388,33 @@ def load_snapshot(directory: Union[str, Path], mmap: bool = True) -> ColumnarInd
     e.g. tests using temp dirs that outlive the view).
 
     Raises :class:`SnapshotFormatError` on a missing/corrupt manifest, a
-    format-version mismatch, or any array whose dtype/shape disagrees
-    with the manifest.
+    format-version mismatch, any array whose dtype/shape disagrees with
+    the manifest, or arrays whose leaf rows are not the objects'
+    (:func:`_leaf_rows_fault`).
     """
     directory = Path(directory)
     hook = _LOAD_FAULT_HOOK
     if hook is not None:
         hook(str(directory))
     manifest = read_manifest(directory)
-    specs = manifest["arrays"]
-    expected = set(_CORE_ARRAYS) | set(_EXTRA_ARRAYS)
-    missing = expected - set(specs)
-    if missing:
-        raise SnapshotFormatError(
-            f"snapshot manifest {directory / MANIFEST_NAME} lacks arrays: "
-            f"{sorted(missing)}"
-        )
     data_path = directory / manifest["data_dir"]
     arrays = {
-        name: _load_array(data_path, name, specs[name], mmap) for name in sorted(expected)
+        name: _load_array(data_path, name, manifest["arrays"][name], mmap)
+        for name in _ARRAYS
     }
-
+    oids = arrays.pop("object_oids")
+    # The objects' rectangles are the trailing rows of the entry columns.
+    first = len(arrays["entry_lows"]) - len(oids)
     snapshot = ColumnarIndex(
         source=None,
-        dims=int(manifest["dims"]),
-        is_leaf=arrays["is_leaf"],
-        entry_start=arrays["entry_start"],
-        entry_count=arrays["entry_count"],
-        node_ids=arrays["node_ids"],
-        entry_lows=arrays["entry_lows"],
-        entry_highs=arrays["entry_highs"],
-        entry_child=arrays["entry_child"],
-        clip_start=arrays["clip_start"],
-        clip_count=arrays["clip_count"],
-        clip_coords=arrays["clip_coords"],
-        clip_is_high=arrays["clip_is_high"],
+        dims=manifest["dims"],
         objects=LazyObjectList(
-            arrays["object_oids"], arrays["object_lows"], arrays["object_highs"]
+            oids, arrays["entry_lows"][first:], arrays["entry_highs"][first:]
         ),
         source_version=None,
-        node_clip_start=arrays["node_clip_start"],
-        node_clip_count=arrays["node_clip_count"],
+        **arrays,
     )
-    snapshot.seed_derived(
-        arrays["node_lows"], arrays["node_highs"], arrays["node_levels"]
-    )
+    fault = _leaf_rows_fault(snapshot, len(oids))
+    if fault is not None:
+        raise SnapshotFormatError(f"snapshot at {directory} is inconsistent: {fault}")
     return snapshot

@@ -12,7 +12,6 @@ from repro.storage.disk import DiskModel, SimulatedDisk
 from repro.storage.page import PageLayout
 from repro.storage.stats import IOStats
 
-# Index persistence (save_tree / load_tree) lives in
-# ``repro.storage.persistence``; it is not re-exported here because it
-# depends on the rtree package, which would create an import cycle.
+# This package models storage cost; it persists nothing.  The one on-disk
+# form of an index is the snapshot directory of ``repro.engine.snapshot_io``.
 __all__ = ["IOStats", "PageLayout", "DiskModel", "SimulatedDisk", "BufferPool"]

@@ -238,98 +238,100 @@ class TestNodeMajorLayoutEdgeCases:
         assert batch.inner_stats == scalar.inner_stats
 
 
-def _assert_entry_and_node_clip_views_agree(snapshot):
-    """Every directory entry names the clip run its child's slot owns."""
-    directory = np.repeat(~snapshot.is_leaf, snapshot.entry_count)
-    children = snapshot.entry_child[directory]
-    assert len(children) > 0
-    np.testing.assert_array_equal(
-        snapshot.clip_start[directory], snapshot.node_clip_start[children]
-    )
-    np.testing.assert_array_equal(
-        snapshot.clip_count[directory], snapshot.node_clip_count[children]
-    )
-    # Leaf entries point at objects and own no clip points.
-    assert not snapshot.clip_count[~directory].any()
-    # The runs tile the clip columns: the root's comes last, no entry names it.
+def _assert_node_clip_view_is_the_store(snapshot, store):
+    """Every slot's clip run is its node's ``ClipStore`` entry, point for point."""
+    starts, counts = snapshot.node_clip_start, snapshot.node_clip_count
+    assert counts.any()
+    for slot, node_id in enumerate(snapshot.node_ids.tolist()):
+        run = slice(int(starts[slot]), int(starts[slot] + counts[slot]))
+        clips = store.get(node_id)
+        assert [tuple(row) for row in snapshot.clip_coords[run].tolist()] == [
+            clip.coord for clip in clips
+        ]
+        np.testing.assert_array_equal(
+            snapshot.clip_is_high[run],
+            kernels.masks_to_bool(
+                np.array([clip.mask for clip in clips], dtype=np.int64), snapshot.dims
+            ),
+        )
+    # The runs tile the clip columns, the root's last: no entry leads to it.
+    assert counts.sum() == len(snapshot.clip_coords)
     root = ColumnarIndex.ROOT_SLOT
-    assert snapshot.node_clip_count.sum() == len(snapshot.clip_coords)
-    assert snapshot.clip_count.sum() + snapshot.node_clip_count[root] == len(snapshot.clip_coords)
+    if counts[root]:
+        assert starts[root] + counts[root] == len(snapshot.clip_coords)
 
 
 class TestNodeClipView:
-    """The per-node clip view the node-major clip layout is derived from.
+    """The per-node clip view — the only clip view — against its source.
 
-    The range frontier used to read the per-entry ``clip_start`` /
-    ``clip_count`` and now reaches the same runs through ``entry_child``
-    and the per-node view; the two must describe the same slices.
+    Every probe reaches a node's clip points through ``node_clip_start`` /
+    ``node_clip_count`` (the range frontier via ``entry_child``, the STT
+    join directly), so the runs must be the store's lists, in order.
     """
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_every_entry_names_its_childs_run(self, variant, tmp_path):
+        # An entry names a run only through ``entry_child``: the slot's own.
         objects = make_random_objects(400, dims=3, seed=89)
         tree = build_rtree(variant, objects, max_entries=8)
-        snapshot = ColumnarIndex.from_tree(ClippedRTree.wrap(tree, method="stairline"))
+        clipped = ClippedRTree.wrap(tree, method="stairline")
+        snapshot = ColumnarIndex.from_tree(clipped)
         assert snapshot.has_clips
-        _assert_entry_and_node_clip_views_agree(snapshot)
+        _assert_node_clip_view_is_the_store(snapshot, clipped.store)
         save_snapshot(snapshot, tmp_path)
         loaded = load_snapshot(tmp_path, mmap=True)
         assert not loaded.node_clip_start.flags.writeable
-        _assert_entry_and_node_clip_views_agree(loaded)
+        _assert_node_clip_view_is_the_store(loaded, clipped.store)
         for mine, theirs in zip(loaded.node_major_clips(), snapshot.node_major_clips()):
             np.testing.assert_array_equal(mine, theirs)
 
-    def test_clip_points_without_the_node_view_are_rejected(self):
-        objects = make_random_objects(120, dims=2, seed=97)
-        tree = build_rtree("rstar", objects, max_entries=8)
-        frozen = ColumnarIndex.from_tree(ClippedRTree.wrap(tree))
-        columns = dict(
-            source=None,
-            dims=frozen.dims,
-            is_leaf=frozen.is_leaf,
-            entry_start=frozen.entry_start,
-            entry_count=frozen.entry_count,
-            node_ids=frozen.node_ids,
-            entry_lows=frozen.entry_lows,
-            entry_highs=frozen.entry_highs,
-            entry_child=frozen.entry_child,
-            clip_start=frozen.clip_start,
-            clip_count=frozen.clip_count,
-            clip_coords=frozen.clip_coords,
-            clip_is_high=frozen.clip_is_high,
-            objects=frozen.objects,
-            source_version=None,
-        )
-        # Zero-filling the view would switch all pruning off: right
-        # results, wrong IOStats, no error.
-        with pytest.raises(ValueError, match="node_clip_start"):
-            ColumnarIndex(**columns)
-        with pytest.raises(ValueError, match="node_clip_start"):
-            ColumnarIndex(**columns, node_clip_start=frozen.node_clip_start)
-        queries = _workload_queries(objects, seed=101)
-        complete = ColumnarIndex(
-            **columns,
-            node_clip_start=frozen.node_clip_start,
-            node_clip_count=frozen.node_clip_count,
-        )
-        stats, expected = IOStats(), IOStats()
-        range_query_batch(complete, queries, stats=stats)
-        range_query_batch(frozen, queries, stats=expected)
-        assert stats == expected
-        # Without clip points there is nothing to view.
-        plain = ColumnarIndex.from_tree(tree)
-        columns.update(
-            clip_start=plain.clip_start,
-            clip_count=plain.clip_count,
-            clip_coords=plain.clip_coords,
-            clip_is_high=plain.clip_is_high,
-        )
-        bare = ColumnarIndex(**columns)
-        assert not bare.has_clips and not bare.node_clip_count.any()
-        stats, expected = IOStats(), IOStats()
-        range_query_batch(bare, queries, stats=stats)
-        range_query_batch(plain, queries, stats=expected)
-        assert stats == expected
+
+def _levels_slot_by_slot(snapshot):
+    """``node_levels`` by its rule, one slot at a time (the reference).
+
+    Parents precede children in the BFS layout, so one reverse sweep sees
+    every first child before its parent.
+    """
+    levels = np.zeros(len(snapshot.is_leaf), dtype=np.int64)
+    for slot in range(len(levels) - 1, -1, -1):
+        if not snapshot.is_leaf[slot]:
+            levels[slot] = levels[snapshot.entry_child[snapshot.entry_start[slot]]] + 1
+    return levels
+
+
+class TestNodeLevels:
+    """The vectorised fixpoint against the per-slot sweep it replaced."""
+
+    def _check(self, tree, height=None):
+        snapshot = ColumnarIndex.from_tree(tree)
+        levels = snapshot.node_levels()
+        assert levels.dtype == np.int64
+        np.testing.assert_array_equal(levels, _levels_slot_by_slot(snapshot))
+        assert levels[ColumnarIndex.ROOT_SLOT] == tree.node(tree.root_id).level
+        assert snapshot.node_levels() is levels  # cached
+        if height is not None:
+            assert levels[ColumnarIndex.ROOT_SLOT] >= height
+
+    def test_empty_tree(self):
+        self._check(QuadraticRTree(dims=2, max_entries=4))
+
+    def test_single_leaf(self):
+        self._check(build_rtree("quadratic", make_random_objects(3, seed=103), max_entries=4))
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_tall_narrow_tree(self, variant):
+        objects = make_random_objects(600, dims=2, seed=107)
+        self._check(build_rtree(variant, objects, max_entries=4), height=4)
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_after_condensing_deletes(self, variant):
+        objects = make_random_objects(300, dims=2, seed=109)
+        tree = build_rtree(variant, objects, max_entries=4)
+        before = tree.node(tree.root_id).level
+        for obj in objects[:280]:
+            tree.delete(obj)
+        assert tree.node(tree.root_id).level < before  # the tree really shrank
+        self._check(tree)
 
 
 @pytest.fixture(scope="module")

@@ -135,8 +135,6 @@ def _clip_layout_index(dims, node_clips):
         entry_lows=np.zeros((0, dims)),
         entry_highs=np.zeros((0, dims)),
         entry_child=none,
-        clip_start=none,
-        clip_count=none,
         clip_coords=np.array([c.coord for c in flat], dtype=np.float64).reshape(-1, dims),
         clip_is_high=masks_to_bool(np.array([c.mask for c in flat], dtype=np.int64), dims),
         objects=[],

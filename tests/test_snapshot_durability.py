@@ -15,17 +15,22 @@ after the final rename.
 The rest pins the supporting machinery: old generations are
 garbage-collected only after a commit, an interrupted save is cleanly
 resumable, re-saving identical content is a no-op, format-version-1
-layouts (arrays at top level, no ``data_dir``) are refused with the typed
-error, and the load fault hook used by the chaos suite installs and restores correctly.
+layouts (arrays at top level, no ``data_dir``) and format-version-2
+directories (nineteen arrays, caches and object columns included) are
+refused with the typed error — and a save over a committed format-2
+directory replaces it under the same commit rule — and the load fault
+hook used by the chaos suite installs and restores correctly.
 """
 
 import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.engine import (
+    FORMAT_VERSION,
     ColumnarIndex,
     SnapshotFormatError,
     load_snapshot,
@@ -33,6 +38,7 @@ from repro.engine import (
     save_snapshot,
     set_load_fault_hook,
 )
+from repro.engine import snapshot_io
 from repro.engine.snapshot_io import MANIFEST_NAME, read_manifest
 from repro.geometry.rect import Rect
 from repro.rtree.registry import build_rtree
@@ -172,10 +178,87 @@ def test_format_version_1_layout_is_rejected(tmp_path):
         load_snapshot(tmp_path)
     # A current-version manifest that lost its data_dir is malformed too,
     # not silently read from the top level.
-    manifest["format_version"] = 2
+    manifest["format_version"] = FORMAT_VERSION
     (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
     with pytest.raises(SnapshotFormatError, match="data_dir"):
         load_snapshot(tmp_path)
+
+
+def _write_format_2(snapshot, directory):
+    """Commit ``snapshot`` the way format 2 laid it out; returns the generation.
+
+    Nineteen arrays: today's twelve, the per-entry clip slices, the
+    ``node_bounds`` / ``node_levels`` caches and a second copy of every
+    object rectangle.
+    """
+    directory_rows = np.repeat(~snapshot.is_leaf, snapshot.entry_count)
+    children = np.where(directory_rows, snapshot.entry_child, 0)
+    node_lows, node_highs = snapshot.node_bounds()
+    arrays = {name: getattr(snapshot, name) for name in snapshot_io._INDEX_ARRAYS}
+    arrays.update(
+        clip_start=np.where(directory_rows, snapshot.node_clip_start[children], 0),
+        clip_count=np.where(directory_rows, snapshot.node_clip_count[children], 0),
+        node_lows=node_lows,
+        node_highs=node_highs,
+        node_levels=snapshot.node_levels(),
+        object_oids=np.array([obj.oid for obj in snapshot.objects], dtype=np.int64),
+    )
+    for bound in ("low", "high"):
+        arrays[f"object_{bound}s"] = np.array(
+            [getattr(obj.rect, bound) for obj in snapshot.objects]
+        )
+    assert len(arrays) == 19
+    fingerprint = snapshot_io._fingerprint(arrays)
+    generation = f"g{fingerprint[:12]}"
+    (directory / generation).mkdir(parents=True)
+    for name, array in arrays.items():
+        np.save(directory / generation / f"{name}.npy", array)
+    manifest = {
+        "format_version": 2,
+        "dims": snapshot.dims,
+        "arrays": {
+            name: {"dtype": str(array.dtype), "shape": list(array.shape)}
+            for name, array in arrays.items()
+        },
+        "data_dir": generation,
+        "fingerprint": fingerprint,
+    }
+    (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
+    return generation
+
+
+def test_format_version_2_directory_is_rejected(tmp_path):
+    _write_format_2(_tiny_snapshot(seed=1), tmp_path)
+    for reader in (read_manifest, load_snapshot):
+        with pytest.raises(SnapshotFormatError, match="format version 2"):
+            reader(tmp_path)
+
+
+def test_save_over_a_format_2_directory_commits_format_3(tmp_path, monkeypatch):
+    old_generation = _write_format_2(_tiny_snapshot(seed=1), tmp_path)
+    new = _tiny_snapshot(seed=2, count=12)
+
+    # The old generation outlives every step up to and including the commit.
+    seen_at_commit = []
+    replace = os.replace
+
+    def committing_replace(src, dst):
+        seen_at_commit.append((tmp_path / old_generation / "node_levels.npy").is_file())
+        replace(src, dst)
+        seen_at_commit.append((tmp_path / old_generation / "node_levels.npy").is_file())
+
+    monkeypatch.setattr(os, "replace", committing_replace)
+    save_snapshot(new, tmp_path)
+    assert seen_at_commit == [True, True]
+
+    manifest = read_manifest(tmp_path)
+    assert manifest["format_version"] == FORMAT_VERSION
+    assert len(manifest["arrays"]) == 12
+    assert not (tmp_path / old_generation).exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        [MANIFEST_NAME, manifest["data_dir"]]
+    )
+    assert len(load_snapshot(tmp_path).objects) == len(new.objects)
 
 
 def test_load_fault_hook_install_and_restore(tmp_path):

@@ -20,6 +20,7 @@ from repro.engine import (
     FORMAT_VERSION,
     ColumnarIndex,
     SnapshotFormatError,
+    SnapshotManager,
     inlj_batch,
     knn_batch,
     load_snapshot,
@@ -30,7 +31,7 @@ from repro.engine import (
 from repro.engine.snapshot_io import LazyObjectList, MANIFEST_NAME, read_manifest
 from repro.geometry.rect import Rect
 from repro.rtree.clipped import ClippedRTree
-from repro.rtree.registry import build_rtree
+from repro.rtree.registry import VARIANT_NAMES, build_rtree
 from repro.storage.stats import IOStats
 from tests.conftest import make_random_objects
 
@@ -130,27 +131,99 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert second["arrays"] == first["arrays"]
 
 
-def test_loaded_snapshot_has_derived_caches(tmp_path):
-    _, reference = _frozen()
-    ref_lows, ref_highs = reference.node_bounds()
-    ref_levels = reference.node_levels()
-    save_snapshot(reference, tmp_path / "snap")
-    loaded = load_snapshot(tmp_path / "snap")
-    # Seeded at load time from the persisted files — no recomputation.
-    assert loaded._node_lows is not None
-    assert loaded._node_levels is not None
-    lows, highs = loaded.node_bounds()
-    np.testing.assert_array_equal(lows, ref_lows)
-    np.testing.assert_array_equal(highs, ref_highs)
-    np.testing.assert_array_equal(loaded.node_levels(), ref_levels)
-
-
 def _directory_bytes(directory):
     return {
         str(path.relative_to(directory)): path.read_bytes()
         for path in sorted(directory.rglob("*"))
         if path.is_file()
     }
+
+
+def test_loaded_snapshot_has_derived_caches(tmp_path):
+    # Derived on first use, equal to the in-RAM index's, never stored.
+    _, reference = _frozen()
+    save_snapshot(reference, tmp_path / "snap")
+    assert reference._node_lows is None and reference._node_levels is None
+    before = _directory_bytes(tmp_path / "snap")
+    loaded = load_snapshot(tmp_path / "snap")
+    assert loaded._node_lows is None and loaded._node_levels is None
+    lows, highs = loaded.node_bounds()
+    ref_lows, ref_highs = reference.node_bounds()
+    np.testing.assert_array_equal(lows, ref_lows)
+    np.testing.assert_array_equal(highs, ref_highs)
+    np.testing.assert_array_equal(loaded.node_levels(), reference.node_levels())
+    assert loaded.node_bounds()[0] is lows and loaded.node_levels() is loaded._node_levels
+    assert _directory_bytes(tmp_path / "snap") == before
+
+
+#: Format 3, spelled out here on purpose: a thirteenth file fails this list.
+FORMAT_3_FILES = {
+    "is_leaf", "entry_start", "entry_count", "node_ids", "entry_lows",
+    "entry_highs", "entry_child", "clip_coords", "clip_is_high",
+    "node_clip_start", "node_clip_count", "object_oids",
+}
+
+
+def _assert_directory_is_format_3(directory):
+    manifest = read_manifest(directory)
+    assert manifest["format_version"] == FORMAT_VERSION == 3
+    assert set(manifest["arrays"]) == FORMAT_3_FILES
+    assert {path.name for path in directory.iterdir()} == {MANIFEST_NAME, manifest["data_dir"]}
+    generation = directory / manifest["data_dir"]
+    assert {path.name for path in generation.iterdir()} == {
+        f"{name}.npy" for name in FORMAT_3_FILES
+    }
+
+
+def _assert_objects_are_the_leaf_rows(reference, loaded):
+    """Loaded ``objects[i]`` is the in-RAM one, read straight off the entry columns."""
+    lazy = loaded.objects
+    assert len(lazy) == len(reference.objects)
+    for i, expected in enumerate(reference.objects):
+        assert lazy[i] == expected  # oid and rectangle
+    for column, entries in ((lazy.lows, loaded.entry_lows), (lazy.highs, loaded.entry_highs)):
+        assert len(column) == len(lazy)
+        if len(lazy):
+            assert np.shares_memory(column, entries)
+            assert np.shares_memory(column[-1], entries[-1])
+
+
+@pytest.mark.parametrize("clip", [None, "stairline"])
+@pytest.mark.parametrize("dims", [2, 3, 8])
+@pytest.mark.parametrize("variant", VARIANT_NAMES + ("str",))
+def test_directory_holds_each_fact_once(tmp_path, variant, dims, clip):
+    _, reference = _frozen(dims=dims, clip=clip, variant=variant)
+    save_snapshot(reference, tmp_path)
+    _assert_directory_is_format_3(tmp_path)
+    for mmap in (True, False):
+        _assert_objects_are_the_leaf_rows(reference, load_snapshot(tmp_path, mmap=mmap))
+
+
+@pytest.mark.parametrize("variant", VARIANT_NAMES)
+def test_compacted_snapshot_saves_the_same_file_set(tmp_path, variant):
+    # An insertion-built tree, condensed by deletes: not a bulk load's shape.
+    objects = make_random_objects(160, dims=2, seed=5)
+    tree = build_rtree(variant, objects[:100], max_entries=4)
+    manager = SnapshotManager(ClippedRTree.wrap(tree, method="stairline"))
+    for round_, start in enumerate(range(0, 60, 20)):
+        for obj in objects[start : start + 20]:
+            assert manager.delete(obj)
+        for obj in objects[100 + start : 120 + start]:
+            manager.insert(obj)
+        manager.compact()
+        published = manager.snapshot
+        target = tmp_path / f"round{round_}"
+        save_snapshot(published, target)
+        _assert_directory_is_format_3(target)
+        _assert_objects_are_the_leaf_rows(published, load_snapshot(target))
+    # ...and down to the empty tree.
+    for obj in manager.live_objects():
+        manager.delete(obj)
+    manager.compact()
+    assert len(manager.snapshot.objects) == 0
+    save_snapshot(manager.snapshot, tmp_path / "empty")
+    _assert_directory_is_format_3(tmp_path / "empty")
+    _assert_objects_are_the_leaf_rows(manager.snapshot, load_snapshot(tmp_path / "empty"))
 
 
 def test_node_major_layout_is_never_persisted(tmp_path):
@@ -271,7 +344,7 @@ def test_manifest_array_entry_missing(tmp_path):
     _, reference = _frozen(count=60)
     save_snapshot(reference, tmp_path)
     manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-    del manifest["arrays"]["node_levels"]
+    del manifest["arrays"]["object_oids"]
     (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
     with pytest.raises(SnapshotFormatError, match="lacks arrays"):
         load_snapshot(tmp_path)
@@ -286,6 +359,92 @@ def test_tampered_array_spec_rejected(tmp_path, field, value):
     (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
     with pytest.raises(SnapshotFormatError, match="manifest"):
         load_snapshot(tmp_path)
+
+
+def _rewrite_manifest(directory, edit):
+    manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    manifest = edit(manifest)
+    (directory / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+
+def _set(key, value):
+    return lambda manifest: {**manifest, key: value}
+
+
+def _elsewhere(manifest):
+    # A sibling directory holding the same files under the same generation name.
+    return {**manifest, "data_dir": f"../other/{manifest['data_dir']}"}
+
+
+#: Hostile manifests: (what the file says, the edit).  Every row but the
+#: last raised an untyped error, or loaded, before the checks were gathered
+#: into ``read_manifest``; ``load_snapshot`` already refused the last one,
+#: which is the control.
+HOSTILE_MANIFESTS = [
+    ("a list", lambda manifest: []),
+    ("null", lambda manifest: None),
+    ("a string for one array's spec", lambda m: {**m, "arrays": {**m["arrays"], "is_leaf": "x"}}),
+    ("dims 'x'", _set("dims", "x")),
+    ("data_dir 3", _set("data_dir", 3)),
+    ("a data_dir outside the directory", _elsewhere),
+    ("dims 3 over 2-d arrays", _set("dims", 3)),
+    ("arrays as a list", _set("arrays", [])),
+]
+
+
+@pytest.mark.parametrize("edit", [row[1] for row in HOSTILE_MANIFESTS],
+                         ids=[row[0] for row in HOSTILE_MANIFESTS])
+def test_hostile_manifest_raises_the_typed_error(tmp_path, edit):
+    _, reference = _frozen(dims=2, count=60)
+    save_snapshot(reference, tmp_path / "snap")
+    shutil.copytree(tmp_path / "snap", tmp_path / "other")
+    _rewrite_manifest(tmp_path / "snap", edit)
+    with pytest.raises(SnapshotFormatError):
+        read_manifest(tmp_path / "snap")
+    for mmap in (True, False):
+        with pytest.raises(SnapshotFormatError):
+            load_snapshot(tmp_path / "snap", mmap=mmap)
+
+
+def _overwrite_array(directory, name, array):
+    """Replace one array file, keeping the manifest's description of it true."""
+    np.save(directory / read_manifest(directory)["data_dir"] / f"{name}.npy", array)
+    spec = {"dtype": str(array.dtype), "shape": list(array.shape)}
+    _rewrite_manifest(directory, lambda m: {**m, "arrays": {**m["arrays"], name: spec}})
+
+
+def test_arrays_whose_leaf_rows_are_not_the_objects_are_refused(tmp_path):
+    _, reference = _frozen(dims=2, count=60)
+    assert not reference.is_leaf[0] and reference.is_leaf[-1]
+
+    # A leaf slot ahead of a directory slot: the leaves' entries no longer trail.
+    save_snapshot(reference, tmp_path / "order")
+    shuffled = reference.is_leaf.copy()
+    shuffled[[0, -1]] = shuffled[[-1, 0]]
+    _overwrite_array(tmp_path / "order", "is_leaf", shuffled)
+    with pytest.raises(SnapshotFormatError, match="directory slot follows a leaf slot"):
+        load_snapshot(tmp_path / "order")
+
+    # One oid short: the offset of the first object's row would be off by one.
+    save_snapshot(reference, tmp_path / "count")
+    oids = load_snapshot(tmp_path / "count", mmap=False).objects.oids
+    _overwrite_array(tmp_path / "count", "object_oids", oids[:-1])
+    with pytest.raises(SnapshotFormatError, match="60 entries for 59 objects"):
+        load_snapshot(tmp_path / "count")
+
+    # The writer refuses the same two shapes, and leaves nothing behind.
+    columns = {
+        name: getattr(reference, name)
+        for name in FORMAT_3_FILES - {"object_oids"}
+    }
+    columns.update(source=None, dims=2, source_version=None)
+    short = ColumnarIndex(**columns, objects=reference.objects[:-1])
+    with pytest.raises(ValueError, match="60 entries for 59 objects"):
+        save_snapshot(short, tmp_path / "refused")
+    columns["is_leaf"] = shuffled
+    with pytest.raises(ValueError, match="directory slot follows a leaf slot"):
+        save_snapshot(ColumnarIndex(**columns, objects=reference.objects), tmp_path / "refused")
+    assert not (tmp_path / "refused").exists()
 
 
 def test_lazy_object_list(tmp_path):
@@ -318,8 +477,6 @@ _EXPECTED_DTYPES = {
     "entry_count": np.int64,
     "node_ids": np.int64,
     "entry_child": np.int64,
-    "clip_start": np.int64,
-    "clip_count": np.int64,
     "node_clip_start": np.int64,
     "node_clip_count": np.int64,
 }
