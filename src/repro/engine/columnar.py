@@ -21,12 +21,12 @@ on its hot path.
 
 **Derived state.**  The flat arrays above are the canonical form: they
 are what :mod:`repro.engine.snapshot_io` persists and fingerprints, and
-what kNN and the write path read.  Everything else is derived from them
+what the write path reads.  Everything else is derived from them
 on first use, cached on the snapshot object and never written to disk:
 the per-slot :meth:`ColumnarIndex.node_bounds` and
 :meth:`ColumnarIndex.node_levels` of the STT join, and the two
 *node-major* forms, one padded row per node, that the range frontier, the
-INLJ (which runs on it) and the STT join read.
+INLJ (which runs on it), batched kNN and the STT join read.
 :meth:`ColumnarIndex.node_major` holds every node's entries padded to the
 widest fan-out, one ``(n_nodes, max_fanout)`` array per dimension and
 bound, so a frontier level is one row gather and one dense compare per
@@ -122,9 +122,9 @@ class ColumnarIndex:
     The constructor arguments are the canonical state.  Four members are
     derived from them lazily and cached, the snapshot being immutable,
     and none is ever persisted: :meth:`node_bounds` and
-    :meth:`node_levels` (the STT join) and the two padded layouts of the
-    range frontier, INLJ and STT join, :meth:`node_major` (entries) and
-    :meth:`node_major_clips` (clip points).
+    :meth:`node_levels` (the STT join) and the two padded layouts,
+    :meth:`node_major` (entries: range frontier, INLJ, kNN, STT join) and
+    :meth:`node_major_clips` (clip points: all of those but kNN).
 
     **Leaf rows are the objects.**  Directory slots precede leaf slots
     (BFS over a balanced tree), so the leaves' entries are the trailing
@@ -384,8 +384,10 @@ class ColumnarIndex:
         other side of a join, whose own padding is NaN too.
 
         Readers: the range frontier and the INLJ built on it
-        (:func:`~repro.engine.executor.gather_range_hits`) and both stages
-        of the STT join (:mod:`repro.engine.join_exec`).
+        (:func:`~repro.engine.executor.gather_range_hits`), both stages of
+        batched kNN (:func:`~repro.engine.executor.gather_knn_hits`, whose
+        MinDist² of a NaN cell is NaN and fails every bound) and both
+        stages of the STT join (:mod:`repro.engine.join_exec`).
 
         Derivation only reads the flat arrays (they may be read-only
         memmaps) and costs a few milliseconds per 20k objects; the result

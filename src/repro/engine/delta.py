@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.builder import build_columnar_str
 from repro.engine.columnar import ColumnarIndex
@@ -66,15 +66,19 @@ def object_key(obj: SpatialObject) -> ObjectKey:
     return (obj.oid, obj.rect.low, obj.rect.high)
 
 
+#: Longest stretch of apply work :meth:`SnapshotManager.compact` does
+#: between two calls of its ``pause`` hook, in seconds.
+_SLICE_SECONDS = 0.010
+
+
 class CompactionInProgressError(RuntimeError):
     """A write raced a running :meth:`SnapshotManager.compact`.
 
     Raised for operations that cannot be staged safely (``delete``, a
     reentrant ``compact``) — the caller should retry after the swap.
-    Concurrent *inserts* are never refused: they are staged and replayed
-    into the fresh overlay when the compaction commits (or back into the
-    current overlay when it fails), so a write accepted by the manager is
-    never silently dropped.
+    Concurrent *inserts* are never refused: they join the overlay being
+    folded and are staged for the fresh one, so a write accepted by the
+    manager is readable at once and never silently dropped.
     """
 
 
@@ -224,20 +228,25 @@ class SnapshotManager:
     unwrap to their source; source-free STR snapshots compact by
     rebuilding through :func:`repro.engine.builder.build_columnar_str`).
 
-    Concurrency contract (what a background-compacting server relies
-    on): writes and :meth:`compact` may race from different threads.
-    While a compaction is running, an ``insert`` is *staged* and
-    replayed — atomically with the snapshot swap — into the overlay that
-    ends up current (the fresh one on success, the old one on failure),
-    so it either lands in the new overlay or survives the crash; it is
-    never silently dropped.  A concurrent ``delete`` or a reentrant
-    ``compact`` raises :class:`CompactionInProgressError` instead (a
-    delete staged against a base being rebuilt could target either the
-    old or new snapshot, so the manager refuses rather than guess).
+    Concurrency contract (what a compacting server relies on): writes
+    and :meth:`compact` may race from different threads.  While a
+    compaction is running, an ``insert`` goes into the overlay being
+    folded — every read sees it from the moment it is acknowledged —
+    and is *staged* as well: on success the fresh overlay receives the
+    staged inserts atomically with the snapshot swap, on failure the
+    old overlay stays published and already holds them, so an insert is
+    never dropped, never invisible and never applied twice.  A
+    concurrent ``delete`` or a reentrant ``compact`` raises
+    :class:`CompactionInProgressError` instead (a delete staged against
+    a base being rebuilt could target either the old or new snapshot,
+    so the manager refuses rather than guess).  ``compact(pause=…)``
+    calls the hook between slices of bounded work (see
+    :meth:`compact`): how a server lets one compaction take turns with
+    its query batches instead of running beside them.
     ``compaction_fault_hook`` (chaos testing) is an optional callable
     invoked once after a compaction has started but *before* the source
     is mutated; raising from it models a background-rebuild crash —
-    the published view is untouched and staged inserts are recovered.
+    the published view is untouched and keeps the staged inserts.
     Readers are lock-free throughout: they grab the published
     ``(snapshot, overlay)`` tuple once per batch.
     """
@@ -283,6 +292,9 @@ class SnapshotManager:
         self.compaction_fault_hook = None
         self._write_lock = threading.Lock()
         self._compacting = False
+        #: True while the source tree holds writes no published snapshot
+        #: has: during a fold, and for good if one failed past that point.
+        self._source_ahead = False
         self._staged_inserts: List[SpatialObject] = []
         self._view: Tuple[ColumnarIndex, DeltaOverlay] = (
             snapshot,
@@ -335,9 +347,9 @@ class SnapshotManager:
     def insert(self, obj: SpatialObject) -> None:
         """Insert one object through the configured update engine.
 
-        Safe against a concurrent :meth:`compact`: mid-compaction
-        inserts are staged and replayed into whichever overlay is
-        current when the compaction finishes (see the class doc).
+        Safe against a concurrent :meth:`compact`: a mid-compaction
+        insert is readable at once and carried over to the overlay the
+        compaction publishes (see the class doc).
         """
         if self.update_engine == "refreeze":
             with self._write_lock:
@@ -348,15 +360,12 @@ class SnapshotManager:
                 self._refreeze_write(obj, delete=False)
             return
         with self._write_lock:
+            self.overlay.insert(obj)
             if self._compacting:
-                if obj.dims != self._view[0].dims:
-                    raise ValueError(
-                        f"object has {obj.dims} dims, manager expects "
-                        f"{self._view[0].dims}"
-                    )
+                # Readable at once through the overlay being folded; kept
+                # for the one that replaces it.
                 self._staged_inserts.append(obj)
                 return
-            self.overlay.insert(obj)
         self._maybe_compact()
 
     def delete(self, obj: SpatialObject) -> bool:
@@ -431,7 +440,7 @@ class SnapshotManager:
     # compaction
     # ------------------------------------------------------------------
 
-    def compact(self) -> CompactionStats:
+    def compact(self, pause: Optional[Callable[[], None]] = None) -> CompactionStats:
         """Fold the pending delta into the source and swap in a new freeze.
 
         Tree-backed sources apply the buffered deletes then inserts
@@ -441,13 +450,27 @@ class SnapshotManager:
         object set.  A no-op (returning zeroed stats) when nothing is
         pending.
 
+        ``pause``, when given, is called between *slices* of the fold: the
+        apply loop stops for it every ``_SLICE_SECONDS`` of work, the
+        re-clip after every chunk of dirty nodes, and the freeze plus the
+        swap are the last slice.  The hook decides what a pause is — a
+        server hands the execution lane to the waiting batches and blocks
+        until its turn comes round — and the work done and its order do
+        not depend on it: what is published is what ``compact()`` would
+        have published.  An exception it raises fails the compaction like
+        one from any other step.
+
         Thread-safe against concurrent writes: inserts accepted while
-        this runs are staged and replayed — under the write lock, so
-        atomically with the swap — into the overlay that is current when
-        it finishes; a raced ``delete`` or reentrant ``compact`` raises
-        :class:`CompactionInProgressError`.  If the rebuild crashes
-        (e.g. ``compaction_fault_hook``), the published view is
-        unchanged and the staged inserts land back in the old overlay.
+        this runs go into the overlay being folded, so reads see them at
+        once, and are staged for the fresh overlay, which receives them
+        under the write lock, atomically with the swap; a raced ``delete``
+        or reentrant ``compact`` raises :class:`CompactionInProgressError`.
+        If the rebuild crashes (e.g. ``compaction_fault_hook``), the
+        published view is unchanged and still holds them.  A crash after
+        the first write reached the source tree leaves that tree ahead of
+        the view; reads stay exact (they never touch it), but folding the
+        same delta into it again would apply writes twice, so every later
+        ``compact()`` raises ``RuntimeError`` instead.
         """
         with self._write_lock:
             if self._compacting:
@@ -456,10 +479,19 @@ class SnapshotManager:
                 )
             self._compacting = True
             snapshot, overlay = self._view
+            # This compaction's input, copied before any insert it stages
+            # can join the overlay.
+            deletes = overlay.deleted_objects()
+            inserts = list(overlay.tree.objects())
         stats = CompactionStats()
         fresh: Optional[ColumnarIndex] = None
         try:
-            if not overlay.is_empty:
+            if deletes or inserts:
+                if self._source_ahead:
+                    raise RuntimeError(
+                        "a failed compaction left the source tree ahead of the "
+                        "published view; folding the delta again would apply it twice"
+                    )
                 start = time.perf_counter()
                 hook = self.compaction_fault_hook
                 if hook is not None:
@@ -467,8 +499,6 @@ class SnapshotManager:
                     # source tree untouched, so a retry re-applies the
                     # full (still-buffered) delta exactly once.
                     hook()
-                deletes = overlay.deleted_objects()
-                inserts = list(overlay.tree.objects())
                 source = self._source
                 if source is None:
                     live = overlay.filter_base_hits(snapshot.objects)
@@ -478,28 +508,35 @@ class SnapshotManager:
                     clipped = source if isinstance(source, ClippedRTree) else None
                     tree = clipped.tree if clipped is not None else source
                     results = []
-                    for obj in deletes:
-                        results.append(tree.delete(obj))
-                    for obj in inserts:
-                        results.append(tree.insert(obj))
+                    self._source_ahead = True
+                    slice_end = start + _SLICE_SECONDS
+                    for apply, batch in ((tree.delete, deletes), (tree.insert, inserts)):
+                        for obj in batch:
+                            results.append(apply(obj))
+                            if pause is not None and time.perf_counter() >= slice_end:
+                                pause()
+                                slice_end = time.perf_counter() + _SLICE_SECONDS
+                    if pause is not None:
+                        pause()
                     if clipped is not None:
                         stats.reclipped_nodes = reclip_nodes_for_results(
-                            clipped, results, engine=self.clip_engine
+                            clipped, results, engine=self.clip_engine, pause=pause
                         )
                     fresh = ColumnarIndex.from_tree(source)
+                    self._source_ahead = False
                 stats.applied_inserts = len(inserts)
                 stats.applied_deletes = len(deletes)
                 stats.seconds = time.perf_counter() - start
         finally:
             with self._write_lock:
+                staged, self._staged_inserts = self._staged_inserts, []
                 if fresh is not None:
                     self.total_compactions += 1
                     self.total_reclipped_nodes += stats.reclipped_nodes
                     self._install(fresh)
-                staged, self._staged_inserts = self._staged_inserts, []
-                current_overlay = self._view[1]
-                for obj in staged:
-                    current_overlay.insert(obj)
+                    # The folded overlay held them; its replacement must.
+                    for obj in staged:
+                        self._view[1].insert(obj)
                 self._compacting = False
         return stats
 

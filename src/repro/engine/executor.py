@@ -18,22 +18,29 @@ only — a few thousand rows, not the whole mask — before they become the
 next frontier.  The per-level Python overhead is a handful of NumPy calls
 regardless of how many queries or nodes are in flight.
 
-:func:`knn_batch` keeps the scalar best-first control flow (a heap per
-query — best-first order is inherently sequential) but replaces the
-per-entry MinDist loop with one kernel call per visited node.
+:func:`knn_batch` runs the same way.  Best-first search reads exactly the
+nodes no farther than the k-th result, so the batch needs that distance,
+not a heap: a *bound* stage descends all points together along their few
+nearest entries and takes the k-th object distance it reaches, and an
+*exact* stage is the range frontier with a ball ``MinDist² <= bound`` per
+point in place of the box, on dense ``(frontier, max_fanout)`` MinDist²
+blocks (:func:`~repro.engine.kernels.padded_min_dist_sq`); one stable sort
+per level reproduces the scalar heap's order among equal distances
+(:func:`gather_knn_hits`).
 
-Both report :class:`~repro.storage.stats.IOStats` identically to the
-scalar traversals in :mod:`repro.rtree.base` and :mod:`repro.query.knn`:
-the same nodes are visited (in a different order), so ``leaf_accesses``,
+Both report :class:`~repro.storage.stats.IOStats` like the scalar
+traversals in :mod:`repro.rtree.base` and :mod:`repro.query.knn`.  A range
+batch visits the same nodes in a different order, so ``leaf_accesses``,
 ``contributing_leaf_accesses`` and ``internal_accesses`` match count for
-count.  ``tests/test_engine_differential.py`` asserts this for every
-variant.
+count.  A kNN batch counts the nodes within the k-th distance, which is
+the scalar access set except for nodes at exactly that distance, where the
+heap's tie order decides (:func:`knn_batch` states the bracket).
+``tests/test_engine_differential.py`` and ``tests/test_knn_ties.py`` assert
+both for every variant.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,9 +48,9 @@ import numpy as np
 from repro.engine.columnar import ColumnarIndex
 from repro.engine.kernels import (
     mask_cells,
-    min_dist_sq,
     padded_clip_veto,
     padded_intersect_mask,
+    padded_min_dist_sq,
 )
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
@@ -201,70 +208,157 @@ def knn_batch(
 ) -> List[List[Tuple[float, SpatialObject]]]:
     """The ``k`` nearest objects per query point (squared distance, object).
 
-    Result lists and ``IOStats`` counters match
-    :func:`repro.query.knn.knn_query` run on the source tree; clip points
-    are not consulted (MinDist to the MBB is already a valid lower bound,
-    so clipping could only tighten — never change — the result set).
+    Result lists equal :func:`repro.query.knn.knn_query` run on the source
+    tree point by point — distances bit for bit, objects in the scalar
+    heap's order, ties included (see :func:`gather_knn_hits`).  Clip points
+    are not consulted: MinDist to the MBB is already a valid lower bound,
+    so clipping could only tighten — never change — the result set.
+
+    ``IOStats`` count, per point, every node whose MinDist² is at most the
+    k-th result's distance² ``d_k²`` (every node when the tree holds fewer
+    than ``k`` objects).  That is exactly the scalar access set whenever
+    no node lies at exactly ``d_k > 0`` — ``d_k = 0`` included, where the
+    heap's first-in first-out tie order empties every distance-0 node
+    before the first distance-0 object.  A node at exactly ``d_k > 0`` is
+    read by the scalar heap only if it was pushed before the k-th result
+    was, so there the scalar count lies between the strict count
+    (``MinDist² < d_k²``) and the one reported here.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    return [_knn_single(index, point, k, stats) for point in points]
+    points = list(points)
+    if not points:
+        return []
+    counts, dists, objects = gather_knn_hits(index, _point_array(index, points), k, stats)
+    return materialize_knn_hits(index, counts, dists, objects)
 
 
-def _knn_single(
-    index: ColumnarIndex,
-    point: Sequence[float],
-    k: int,
-    stats: Optional[IOStats],
-) -> List[Tuple[float, SpatialObject]]:
-    return [
-        (dist, index.objects[obj_idx])
-        for dist, obj_idx in knn_single_indices(index, point, k, stats)
-    ]
-
-
-def knn_single_indices(
-    index: ColumnarIndex,
-    point: Sequence[float],
-    k: int,
-    stats: Optional[IOStats],
-) -> List[Tuple[float, int]]:
-    """Best-first kNN returning ``(squared distance, object index)`` pairs.
-
-    The index-level core of :func:`knn_batch`; the multi-process executor
-    runs this in workers and materialises objects in the coordinator.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    if point.shape != (index.dims,):
-        raise ValueError(f"point has shape {point.shape}, snapshot expects ({index.dims},)")
-    counter = itertools.count()
-    heap: List[Tuple[float, int, int, bool]] = [
-        (0.0, next(counter), ColumnarIndex.ROOT_SLOT, True)
-    ]
-    results: List[Tuple[float, int]] = []
-
-    while heap and len(results) < k:
-        dist, _, item, is_node = heapq.heappop(heap)
-        if not is_node:
-            results.append((dist, item))
-            continue
-        slot = item
-        leaf = bool(index.is_leaf[slot])
-        if stats is not None:
-            if leaf:
-                stats.record_leaf()
-            else:
-                stats.record_internal()
-        start = int(index.entry_start[slot])
-        count = int(index.entry_count[slot])
-        if not count:
-            continue
-        dists = min_dist_sq(
-            index.entry_lows[start : start + count],
-            index.entry_highs[start : start + count],
-            point,
+def _point_array(index: ColumnarIndex, points: Sequence[Sequence[float]]) -> np.ndarray:
+    array = np.asarray(points, dtype=np.float64)
+    if array.ndim != 2 or array.shape[1] != index.dims:
+        raise ValueError(
+            f"points have shape {array.shape}, snapshot expects (n, {index.dims})"
         )
-        children = index.entry_child[start : start + count]
-        for d, child in zip(dists.tolist(), children.tolist()):
-            heapq.heappush(heap, (d, next(counter), child, not leaf))
-    return results
+    return array
+
+
+def gather_knn_hits(
+    index: ColumnarIndex,
+    points: np.ndarray,
+    k: int,
+    stats: Optional[IOStats] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best-first kNN for a batch of points, in two level-synchronous stages.
+
+    Returns ``(counts, dists, objects)``: the number of results of each
+    point (row of ``points``), then their squared distances and object
+    indices as flat arrays in point order.  The shared core of
+    :func:`knn_batch` and the multi-process executor, which ships these
+    arrays and materialises objects in the coordinator.
+
+    Best-first search reads exactly the nodes no farther than the k-th
+    result, so its access set needs no heap to compute, only that
+    distance.  The *bound* stage finds an upper bound on it: all points
+    descend together, each keeping the few nearest entries of its current
+    nodes per level (as many as are sure to reach ``k`` objects), and the
+    k-th smallest object distance in the leaves reached is the bound.
+    The *exact* stage is the range frontier with a ball in place of the
+    box: per level one dense ``(frontier, max_fanout)`` MinDist² block
+    (:func:`~repro.engine.kernels.padded_min_dist_sq`) and one ``<=``
+    against each row's bound; the leaf level's cells are the candidate
+    objects, a superset of the answer.
+
+    The scalar heap pops by ``(distance, push ordinal)``, and ordinals
+    grow with the parent's pop time, then the position in the parent.  In
+    a balanced tree that order is reproducible level by level: a node's
+    pop rank within its level is its place in a stable sort by
+    ``(point, MinDist²)`` of cells generated in ``(parent's rank,
+    position)`` order — which is row-major order of the block, as long as
+    each frontier is kept in that sorted order.  The same sort at the leaf
+    level orders the candidate objects by ``(distance², leaf's rank,
+    position)``; the first ``k`` per point are the scalar result list.
+    Candidates the heap never popped sort behind the ones it did: within
+    the one distance they can share with a result they were pushed later.
+    """
+    n_points = len(points)
+    if not len(index.objects):
+        # The scalar search reads the (empty) root leaf and stops.
+        if stats is not None:
+            stats.leaf_accesses += n_points
+        empty = np.empty(0, dtype=np.int64)
+        return np.zeros(n_points, dtype=np.int64), np.empty(0, dtype=np.float64), empty
+    lows, highs = index.node_major()
+    fanout = lows.shape[2]
+    points_t = np.ascontiguousarray(points.T)
+    everyone = np.arange(n_points, dtype=np.int64)
+    root = np.full(n_points, ColumnarIndex.ROOT_SLOT, dtype=np.int64)
+
+    # --- bound stage: a beam of the nearest entries, down to the leaves --
+    # As many entries as are sure to hold k objects, and one to spare: the
+    # leaf nearest by MinDist alone seldom holds all k nearest objects.
+    width = -(-k // int(index.entry_count[index.is_leaf].min())) + 1
+    beam = root[:, None]
+    while True:
+        per_point = beam.shape[1]
+        block = padded_min_dist_sq(
+            lows, highs, beam.ravel(), points_t, np.repeat(everyone, per_point)
+        ).reshape(n_points, per_point * fanout)
+        if index.is_leaf[beam[0, 0]]:
+            break
+        # Every point keeps the same number of entries, so the beam stays a
+        # matrix: the fewest real (non-NaN) cells any point has caps it.
+        keep = min(width, int(index.entry_count[beam].sum(axis=1).min()))
+        cells = np.argpartition(block, keep - 1, axis=1)[:, :keep]
+        parent = np.take_along_axis(beam, cells // fanout, axis=1)
+        beam = index.entry_child[index.entry_start[parent] + cells % fanout]
+    if k <= block.shape[1]:
+        bound = np.partition(block, k - 1, axis=1)[:, k - 1]
+        bound[np.isnan(bound)] = np.inf  # fewer than k objects reached
+    else:
+        bound = np.full(n_points, np.inf)
+
+    # --- exact stage: the frontier of nodes within each point's bound ----
+    frontier_p, frontier_n = everyone, root
+    # (point, MinDist²) of every frontier row, level by level; the heap
+    # pushes the root at distance 0.
+    visited = [(everyone, np.zeros(n_points))]
+    while True:
+        block = padded_min_dist_sq(lows, highs, frontier_n, points_t, frontier_p)
+        cells = np.flatnonzero(block <= bound.take(frontier_p)[:, None])
+        rows = cells // fanout
+        dist = block.ravel().take(cells)
+        point = frontier_p.take(rows)
+        # Stable, and the cells arrive in (parent's rank, position) order.
+        order = np.lexsort((dist, point))
+        child = index.entry_child[index.entry_start[frontier_n.take(rows)] + cells % fanout]
+        point, dist, child = point.take(order), dist.take(order), child.take(order)
+        if index.is_leaf[frontier_n[0]]:
+            break
+        visited.append((point, dist))
+        frontier_p, frontier_n = point, child
+
+    # --- the first k candidates of each point -----------------------------
+    found = np.bincount(point, minlength=n_points)
+    starts = np.cumsum(found) - found
+    counts = np.minimum(found, k)
+    keep = np.arange(len(point)) - starts.take(point) < k
+    if stats is not None:
+        # d_k² per point; with fewer than k objects the heap drains the tree.
+        kth = np.full(n_points, np.inf)
+        full = found >= k
+        kth[full] = dist[starts[full] + (k - 1)]
+        accessed = [int(np.count_nonzero(d <= kth.take(p))) for p, d in visited]
+        stats.leaf_accesses += accessed[-1]
+        stats.internal_accesses += sum(accessed[:-1])
+    return counts, dist[keep], child[keep]
+
+
+def materialize_knn_hits(
+    index: ColumnarIndex, counts: np.ndarray, dists: np.ndarray, objects: np.ndarray
+) -> List[List[Tuple[float, SpatialObject]]]:
+    """Per-point ``(squared distance, object)`` lists from the flat arrays of
+    :func:`gather_knn_hits`."""
+    get = index.objects.__getitem__
+    pairs = list(zip(dists.tolist(), [get(i) for i in objects.tolist()]))
+    ends = np.cumsum(counts).tolist()
+    return [pairs[start:end] for start, end in zip([0] + ends, ends)]

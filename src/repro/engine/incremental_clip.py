@@ -21,11 +21,15 @@ and update interleavings.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Set, Union
+from typing import Callable, Iterable, Optional, Sequence, Set, Union
 
 from repro.engine.bulk_clip import clip_nodes_batch
 from repro.rtree.base import DeleteResult, InsertResult
 from repro.rtree.clipped import ClippedRTree
+
+#: Dirty nodes re-clipped between two calls of the ``pause`` hook of
+#: :func:`reclip_nodes_for_results`.
+_RECLIP_CHUNK_NODES = 24
 
 
 def dirty_node_ids(
@@ -56,13 +60,18 @@ def reclip_nodes_for_results(
     clipped: ClippedRTree,
     results: Iterable[Union[InsertResult, DeleteResult]],
     engine: str = "vectorized",
+    pause: Optional[Callable[[], None]] = None,
 ) -> int:
     """Re-clip everything a batch of tracked updates dirtied.
 
     Adds the current parent of every MBB-changed node (its entry rect
     for that child was refreshed), drops clip entries of removed nodes,
-    then delegates to :meth:`ClippedRTree.reclip_nodes`.  Returns the
-    number of live nodes re-clipped.
+    then delegates to :meth:`ClippedRTree.reclip_nodes` — in one call,
+    or, with a ``pause`` hook (see :meth:`SnapshotManager.compact
+    <repro.engine.delta.SnapshotManager.compact>`), in chunks of
+    ``_RECLIP_CHUNK_NODES`` with the hook called after each.  A node's
+    clip points depend on its own entries only, so the store ends up the
+    same either way.  Returns the number of live nodes re-clipped.
     """
     results = list(results)
     dirty = dirty_node_ids(results)
@@ -80,7 +89,14 @@ def reclip_nodes_for_results(
             parent_id = parents.get(node_id)
             if parent_id is not None:
                 dirty.add(parent_id)
-    return clipped.reclip_nodes(dirty, engine=engine)
+    if pause is None:
+        return clipped.reclip_nodes(dirty, engine=engine)
+    ordered = sorted(dirty)
+    count = 0
+    for start in range(0, len(ordered), _RECLIP_CHUNK_NODES):
+        count += clipped.reclip_nodes(ordered[start : start + _RECLIP_CHUNK_NODES], engine=engine)
+        pause()
+    return count
 
 
 def reclip_live_nodes(clipped: ClippedRTree, node_ids: Sequence[int]) -> None:

@@ -5,7 +5,8 @@ Each kernel is the array analogue of one scalar geometric predicate:
 =============================  ==============================================
 :func:`intersect_mask`         :meth:`repro.geometry.rect.Rect.intersects`
 :func:`padded_intersect_mask`  the same, for every entry of whole nodes
-:func:`min_dist_sq`            :meth:`repro.geometry.rect.Rect.min_distance_sq`
+:func:`padded_min_dist_sq`     :meth:`repro.geometry.rect.Rect.min_distance_sq`,
+                               for every entry of whole nodes
 :func:`padded_clip_veto`       ``not`` :func:`repro.cbb.intersection.clipped_intersects`
                                of a rectangle that meets the node's MBB (the
                                dominance probe over all of a node's clip points)
@@ -16,16 +17,17 @@ scalar :class:`~repro.geometry.rect.Rect` objects, so every kernel decides
 each predicate *identically* to its scalar counterpart — the differential
 test-suite (``tests/test_engine_differential.py``) pins this down.
 
-The two ``padded_*`` kernels read the node-major layouts a
+The ``padded_*`` kernels read the node-major layouts a
 :class:`~repro.engine.columnar.ColumnarIndex` derives from its flat arrays
 (:meth:`~repro.engine.columnar.ColumnarIndex.node_major` for entries,
 :meth:`~repro.engine.columnar.ColumnarIndex.node_major_clips` for clip
 points): one row per node, NaN past its own count, so a whole frontier is
 a row gather and one dense compare per dimension and bound, with no gather
 index and no owner map.  The range frontier, the INLJ and the STT join
-share both.  :func:`expand_segments`, which turns ``(start, count)``
-slices of a flat array into a gather index plus an owner map, is what the
-two derivations are built with.
+share the intersection and clip kernels; batched kNN runs on the MinDist
+one.  :func:`expand_segments`, which turns ``(start, count)`` slices of a
+flat array into a gather index plus an owner map, is what the two
+derivations are built with.
 """
 
 from __future__ import annotations
@@ -110,24 +112,39 @@ def mask_cells(mask: np.ndarray) -> Tuple[np.ndarray, ...]:
     return np.unravel_index(np.flatnonzero(mask), mask.shape)
 
 
-def min_dist_sq(lows: np.ndarray, highs: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Squared MinDist from ``point`` to each rectangle row.
+def padded_min_dist_sq(
+    lows: np.ndarray,
+    highs: np.ndarray,
+    nodes: np.ndarray,
+    points_t: np.ndarray,
+    queries: np.ndarray,
+) -> np.ndarray:
+    """Squared MinDist to every entry of whole nodes, on the node-major layout.
 
-    The array analogue of ``Rect.min_distance_sq``: per dimension the
-    distance is ``low - p`` when the point lies below the rectangle,
-    ``p - high`` when above, and zero inside the slab.
+    The kNN twin of :func:`padded_intersect_mask`: row ``r`` of the
+    ``(len(nodes), max_fanout)`` result holds the squared MinDist from
+    point ``queries[r]`` of ``points_t`` (one row per dimension) to every
+    (padded) entry of ``nodes[r]``.  Per dimension the gap is the larger
+    of ``low - p`` and ``p - high``, floored at zero — at most one of the
+    two is positive, so that is the scalar's ``low - p`` below the
+    rectangle, ``p - high`` above it and nothing inside the slab — and
+    ``gap * gap`` is accumulated in dimension order, the arithmetic of
+    ``Rect.min_distance_sq`` bit for bit.  Padded cells are NaN and stay
+    NaN through every step, so no ``<=`` against a bound selects them and
+    a sort or partition places them last.
     """
-    point = np.asarray(point, dtype=np.float64)
-    below = np.maximum(lows - point, 0.0)
-    above = np.maximum(point - highs, 0.0)
-    delta = np.maximum(below, above)
-    squared = np.square(delta)
-    # Accumulate dimension by dimension, in dimension order: ``np.sum`` may
-    # associate differently, and the scalar path's sequential accumulation
-    # must be matched bit for bit so heap orderings downstream agree.
-    total = squared[..., 0].copy()
-    for dim in range(1, squared.shape[-1]):
-        total += squared[..., dim]
+    total = None
+    for dim in range(len(lows)):
+        point = points_t[dim].take(queries)[:, None]
+        gap = lows[dim].take(nodes, axis=0)
+        gap -= point
+        np.maximum(gap, point - highs[dim].take(nodes, axis=0), out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        if total is None:
+            total = gap
+        else:
+            total += gap
     return total
 
 

@@ -41,9 +41,11 @@ import numpy as np
 
 from repro.engine.columnar import ColumnarIndex
 from repro.engine.executor import (
+    _point_array,
     _query_arrays,
+    gather_knn_hits,
     gather_range_hits,
-    knn_single_indices,
+    materialize_knn_hits,
     materialize_range_hits,
 )
 from repro.engine.join_exec import (
@@ -114,12 +116,12 @@ def _range_task(
 
 def _knn_task(
     path: str, points: np.ndarray, k: int
-) -> Tuple[List[List[Tuple[float, int]]], _StatsTriple]:
-    """One kNN shard: best-first search per point, objects as indices."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, _StatsTriple]:
+    """One kNN shard: the batched search, results as flat index arrays."""
     snapshot = _open_worker_snapshot(path)
     stats = IOStats()
-    results = [knn_single_indices(snapshot, point, k, stats) for point in points]
-    return results, _stats_triple(stats)
+    counts, dists, objects = gather_knn_hits(snapshot, points, k, stats)
+    return counts, dists, objects, _stats_triple(stats)
 
 
 def _stt_task(
@@ -366,24 +368,18 @@ class ParallelExecutor:
         """Sharded :func:`repro.engine.executor.knn_batch` (same contract)."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        points = np.asarray(list(points), dtype=np.float64)
-        if len(points) == 0:
+        points = list(points)
+        if not points:
             return []
-        if points.ndim != 2 or points.shape[1] != self.snapshot.dims:
-            raise ValueError(
-                f"points have shape {points.shape}, snapshot expects "
-                f"(n, {self.snapshot.dims})"
-            )
-        bounds = self._chunk_bounds(len(points))
+        points = _point_array(self.snapshot, points)
         path = str(self.path)
-        shard_args = [(path, points[s:e], k) for s, e in bounds]
-        objects = self.snapshot.objects
-        results: List[List[Tuple[float, SpatialObject]]] = []
-        for shard_results, triple in self._run_shards(_knn_task, shard_args):
+        shard_args = [(path, points[s:e], k) for s, e in self._chunk_bounds(len(points))]
+        counts, dists, objects, triples = zip(*self._run_shards(_knn_task, shard_args))
+        for triple in triples:
             _add_stats_triple(stats, triple)
-            for single in shard_results:
-                results.append([(dist, objects[idx]) for dist, idx in single])
-        return results
+        return materialize_knn_hits(
+            self.snapshot, np.concatenate(counts), np.concatenate(dists), np.concatenate(objects)
+        )
 
     # ------------------------------------------------------------------
     # joins

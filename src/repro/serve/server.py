@@ -31,6 +31,18 @@ The robustness kernel wraps every batch execution:
   shrink (``degraded_batch_window``), queries go to the frozen base,
   writes keep landing in the overlay, compaction is refused.
 
+One execution lane: every batch execution — normal or degraded — and
+every slice of the background compaction takes the same ``asyncio.Lock``
+(``_execute_gate``), so at any moment one thread at most is doing engine
+work.  The compaction is cut into slices by the manager's ``pause`` hook
+and gives the lane up between them (:meth:`CoalescingServer.
+_run_compaction`); the lock wakes its waiters first-in first-out, so no
+request waits on more than one slice plus one round of the other queues'
+batches.  A compaction thread running *beside* the batches would hold the
+interpreter for a whole switch interval each time a batch's NumPy call
+gave it up.  A ``delete`` or ``compact`` request that meets the
+compaction lets it finish within its own turn, then applies.
+
 Determinism: admission is decided *synchronously at submit time* in
 issue order, so with a :class:`~repro.serve.resilience.LogicalClock`
 advanced only by the load generator, shed counts are a pure function of
@@ -45,7 +57,6 @@ from __future__ import annotations
 
 import asyncio
 import numbers
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -199,18 +210,22 @@ class ServeConfig:
 class _Pending:
     """An admitted request waiting for (or undergoing) execution."""
 
-    __slots__ = ("request", "future", "deadline", "issued_wall")
+    __slots__ = ("request", "future", "deadline", "issued_wall", "outcome")
 
     def __init__(self, request: Request, future, deadline: Deadline, issued_wall: float):
         self.request = request
         self.future = future
         self.deadline = deadline
         self.issued_wall = issued_wall
+        #: ``(status, value, stale)`` once a join or write has been answered:
+        #: a retried turn runs the items still without one, no write twice.
+        self.outcome: Optional[Tuple[str, Any, bool]] = None
 
 
 _STOP = object()
 
-#: queue routing: range and kNN coalesce; everything else runs per-item.
+#: queue routing: range and kNN coalesce inside a window; joins and writes
+#: share one queue that takes whatever is already waiting into one turn.
 _QUEUE_FOR_KIND = {
     "range": "range",
     "knn": "knn",
@@ -275,8 +290,13 @@ class CoalescingServer:
         self._queues: Dict[str, asyncio.Queue] = {}
         self._batchers: List[asyncio.Task] = []
         self._compaction_task: Optional[asyncio.Task] = None
-        self._engine_lock = threading.Lock()
+        #: The one execution lane: whoever holds it — a batch, or one slice
+        #: of the background compaction — is the only engine work running.
         self._execute_gate: Optional[asyncio.Lock] = None
+        #: True from the background compaction's first slice to its last.
+        self._compacting = False
+        #: Set by a turn that needs that compaction over: it stops pausing.
+        self._drain_compaction = False
         self._last_epoch = self.manager.epoch
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._running = False
@@ -440,8 +460,18 @@ class CoalescingServer:
                         stopping = True
                         break
                     batch.append(nxt)
+            else:
+                # Whatever is waiting already shares this turn: served one
+                # item a turn, a write queues behind a compaction slice and
+                # a round of read batches per item ahead of it.
+                while len(batch) < self.config.max_batch and not queue.empty():
+                    nxt = queue.get_nowait()
+                    if nxt is _STOP:
+                        stopping = True
+                        break
+                    batch.append(nxt)
             try:
-                await self._dispatch(batch[0].request.kind if not coalesce else name, batch)
+                await self._dispatch(name, batch)
             except Exception as exc:  # pragma: no cover - defensive backstop
                 for pending in batch:
                     self._resolve(
@@ -477,10 +507,12 @@ class CoalescingServer:
         if not live:
             return
 
-        # ``other`` queue items are homogeneous per _dispatch only when
-        # not coalescing — they arrive one per batch, so kind is exact.
         assert self._execute_gate is not None
         async with self._execute_gate:
+            if kind == "other" and any(
+                item.request.kind in ("delete", "compact") for item in live
+            ):
+                await self._finish_compaction()
             await self._dispatch_locked(kind, live)
 
     async def _dispatch_locked(self, kind: str, live: List[_Pending]) -> None:
@@ -540,6 +572,8 @@ class CoalescingServer:
                     )
                 return
 
+        if kind == "other" and not degraded:
+            self._maybe_background_compact()
         epoch = self.manager.epoch
         assert values is not None
         for item, (status, value, stale) in zip(live, values):
@@ -594,12 +628,11 @@ class CoalescingServer:
             plan.raise_if_fires(BATCH_FAULT)
 
         def work():
-            with self._engine_lock:
-                epoch = self.manager.epoch
-                if epoch != self._last_epoch:
-                    self.metrics.incr("snapshot_swaps", epoch - self._last_epoch)
-                    self._last_epoch = epoch
-                return self._answer(kind, items, self.manager, stale=False)
+            epoch = self.manager.epoch
+            if epoch != self._last_epoch:
+                self.metrics.incr("snapshot_swaps", epoch - self._last_epoch)
+                self._last_epoch = epoch
+            return self._answer(kind, items, self.manager, stale=False)
 
         return await asyncio.to_thread(work)
 
@@ -611,12 +644,9 @@ class CoalescingServer:
         stale policy; every answer that may be missing pending writes
         carries ``stale=True``.
         """
-        with self._engine_lock:
-            snapshot, overlay = self.manager.view
-            stale = bool(snapshot.is_stale or not overlay.is_empty)
-            return self._answer(
-                kind, items, resolve_stale(snapshot, "serve"), stale=stale
-            )
+        snapshot, overlay = self.manager.view
+        stale = bool(snapshot.is_stale or not overlay.is_empty)
+        return self._answer(kind, items, resolve_stale(snapshot, "serve"), stale=stale)
 
     def _answer(
         self, kind: str, items: List[_Pending], backend, stale: bool
@@ -624,12 +654,12 @@ class CoalescingServer:
         """``(status, value, stale)`` per item, queries through ``backend``.
 
         ``backend`` is the live manager or the frozen base; queries are
-        stamped ``stale`` as given.  Writes always go to the live manager's
-        overlay (it is cheap and never the failing component) and are never
-        stale.  Only the live manager compacts: behind the frozen base a
-        ``compact`` is refused, no background compaction starts, and a
-        delete that races a running compaction is answered with a per-item
-        error instead of failing the batch into another retry.
+        stamped ``stale`` as given.  A range or kNN batch is one engine
+        call.  Joins and writes (the ``other`` queue) are answered item by
+        item and each keeps its own outcome: an exception is that item's
+        error, except that a retryable one from the live manager
+        propagates so the turn is retried — and the retry, or the degraded
+        path after it, runs only the items not answered yet.
         """
         if kind == "range":
             results = backend.range_query_batch([item.request.payload for item in items])
@@ -640,39 +670,52 @@ class CoalescingServer:
                 [item.request.payload[0] for item in items], max(ks)
             )
             return [("ok", hits[:k], stale) for hits, k in zip(results, ks)]
+        live = backend is self.manager
+        for item in items:
+            if item.outcome is None:
+                try:
+                    item.outcome = self._answer_one(item.request, backend, stale)
+                except Exception as exc:
+                    if live and isinstance(exc, RETRYABLE_EXCEPTIONS):
+                        raise
+                    item.outcome = ("error", repr(exc), False)
+        return [item.outcome for item in items]
+
+    def _answer_one(self, request: Request, backend, stale: bool) -> Tuple[str, Any, bool]:
+        """One join or write.
+
+        Writes always go to the live manager's overlay (it is cheap and
+        never the failing component) and are never stale.  Only the live
+        manager compacts: behind the frozen base a ``compact`` is refused
+        and a delete that races a compaction run from outside the server
+        is answered with an error instead of a retry.
+        """
         manager = self.manager
         live = backend is manager
-        out: List[Tuple[str, Any, bool]] = []
-        for item in items:
-            request = item.request
-            if request.kind == "join":
-                spec = request.payload
-                algorithm = spec["algorithm"]
-                left = spec["probes"] if algorithm == "inlj" else spec["other"]
-                out.append(("ok", overlay_join(left, backend, algorithm=algorithm), stale))
-            elif request.kind == "insert":
-                manager.insert(request.payload)
-                out.append(("ok", True, False))
-            elif request.kind == "delete":
-                try:
-                    out.append(("ok", manager.delete(request.payload), False))
-                except CompactionInProgressError:
-                    if live:
-                        raise  # the retry loop waits out the swap
-                    out.append(("error", "delete raced a compaction; retry", False))
-            elif not live:
-                out.append(("error", "compaction refused while degraded", False))
-            else:
-                try:
-                    stats = manager.compact()
-                except BaseException:
-                    self.metrics.incr("compaction_failures")
-                    raise
-                self.metrics.incr("compactions")
-                out.append(("ok", stats, False))
-            if live and request.kind in ("insert", "delete"):
-                self._maybe_background_compact()
-        return out
+        if request.kind == "join":
+            spec = request.payload
+            algorithm = spec["algorithm"]
+            left = spec["probes"] if algorithm == "inlj" else spec["other"]
+            return ("ok", overlay_join(left, backend, algorithm=algorithm), stale)
+        if request.kind == "insert":
+            manager.insert(request.payload)
+            return ("ok", True, False)
+        if request.kind == "delete":
+            try:
+                return ("ok", manager.delete(request.payload), False)
+            except CompactionInProgressError:
+                if live:
+                    raise  # the retry loop waits out the swap
+                return ("error", "delete raced a compaction; retry", False)
+        if not live:
+            return ("error", "compaction refused while degraded", False)
+        try:
+            stats = manager.compact()
+        except BaseException:
+            self.metrics.incr("compaction_failures")
+            raise
+        self.metrics.incr("compactions")
+        return ("ok", stats, False)
 
     # ------------------------------------------------------------------
     # background compaction plumbing
@@ -684,35 +727,77 @@ class CoalescingServer:
             return
         if self._compaction_task is not None and not self._compaction_task.done():
             return
-        if self._loop is None:
-            return
-        self._compaction_task = self._loop.create_task(self._run_compaction())
+        self._compaction_task = asyncio.ensure_future(self._run_compaction())
 
     async def _run_compaction(self) -> None:
-        """Background compaction with explicit failure accounting.
+        """Background compaction, one slice a turn on the execution lane.
 
-        Runs off the engine lock (readers keep serving the old view; the
-        swap is atomic).  A crash — injected or real — counts as a
-        breaker failure and a ``compaction_failures`` tick; the delta
-        stays buffered, so the next trigger retries the whole fold.
+        Holds the gate while ``compact`` works in its thread; between
+        slices the thread's ``pause`` hook (:meth:`_compaction_pause`)
+        releases the gate and queues for it again, behind every batch
+        already waiting — ``asyncio.Lock`` wakes waiters first-in
+        first-out.  So an idle server compacts at full speed, a busy one
+        runs one slice per round of batches, no request waits on more than
+        one slice plus one round, and the fold never shares the
+        interpreter with a batch: a thread blocked in ``pause`` does not
+        contend for the GIL.  Batches between slices read the old view;
+        the swap is the last slice's.  It is one ``compact()`` call in one
+        thread, so whatever follows that call through ``contextvars``
+        sees one compaction.
+
+        A crash — injected or real — counts as a breaker failure and a
+        ``compaction_failures`` tick; the delta stays buffered, so the
+        next trigger retries the whole fold.
         """
-        before = self.manager.epoch
-        try:
-            await asyncio.to_thread(self.manager.compact)
-        except CompactionInProgressError:
-            return  # another compaction beat us to it
-        except Exception:
-            self.metrics.incr("compaction_failures")
-            opened = self.breaker.opened_count
-            self.breaker.record_failure()
-            if self.breaker.opened_count > opened:
-                self.metrics.incr("breaker_opens")
-            return
-        self.metrics.incr("compactions")
-        swapped = self.manager.epoch - before
-        if swapped > 0:
-            self.metrics.incr("snapshot_swaps", swapped)
-            self._last_epoch = self.manager.epoch
+        assert self._execute_gate is not None
+        async with self._execute_gate:
+            before = self.manager.epoch
+            self._compacting = True
+            try:
+                await asyncio.to_thread(self.manager.compact, pause=self._compaction_pause)
+            except CompactionInProgressError:
+                return  # a compaction run from outside the server beat us to it
+            except Exception:
+                self.metrics.incr("compaction_failures")
+                opened = self.breaker.opened_count
+                self.breaker.record_failure()
+                if self.breaker.opened_count > opened:
+                    self.metrics.incr("breaker_opens")
+                return
+            finally:
+                self._compacting = False
+                self._drain_compaction = False
+            self.metrics.incr("compactions")
+            swapped = self.manager.epoch - before
+            if swapped > 0:
+                self.metrics.incr("snapshot_swaps", swapped)
+                self._last_epoch = self.manager.epoch
+
+    def _compaction_pause(self) -> None:
+        """``compact``'s pause hook: called on its thread, between slices."""
+        assert self._loop is not None
+        asyncio.run_coroutine_threadsafe(self._yield_lane(), self._loop).result()
+
+    async def _yield_lane(self) -> None:
+        if not self._drain_compaction:
+            self._execute_gate.release()
+            await self._execute_gate.acquire()
+
+    async def _finish_compaction(self) -> None:
+        """Let the background compaction run to its end; called holding the gate.
+
+        For a turn that cannot run beside it (a ``delete`` or ``compact``
+        the manager would refuse): the compaction, paused between two
+        slices, gets the gate back, stops pausing and swaps; the turn
+        then takes the gate again and applies.
+        """
+        while self._compacting:
+            self._drain_compaction = True
+            self._execute_gate.release()
+            try:
+                await asyncio.wait([self._compaction_task])
+            finally:
+                await self._execute_gate.acquire()
 
     # ------------------------------------------------------------------
     # reporting

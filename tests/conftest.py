@@ -54,3 +54,61 @@ def figure2_objects():
         Rect((8.0, 2.0), (9.0, 2.45)),   # o5: right
     ]
     return [SpatialObject(i + 1, rect) for i, rect in enumerate(rects)]
+
+
+def knn_reference(tree, point, k):
+    """The scalar kNN answer on ``tree`` and the bracket its I/O lies in.
+
+    Returns ``(results, stats, strict, closed)``: ``knn_query``'s result
+    list and ``IOStats``, then the ``(leaf, internal)`` counts of the
+    nodes whose MinDist² to ``point`` lies below the k-th result's
+    distance² (root included: it is always read) and of those at or below
+    it.  The heap reads every node of the first set and none outside the
+    second; with fewer than ``k`` objects it drains the tree and both
+    sets are every node.
+    """
+    from repro.query.knn import knn_query
+    from repro.storage.stats import IOStats
+
+    stats = IOStats()
+    results = knn_query(tree, point, k, stats=stats)
+    kth = results[-1][0] if len(results) == k else float("inf")
+    strict, closed = [0, 0], [0, 0]
+    stack = [(tree.root_id, 0.0)]
+    while stack:
+        node_id, dist = stack.pop()
+        node = tree.node(node_id)
+        level = 0 if node.is_leaf else 1
+        strict[level] += dist < kth or node_id == tree.root_id
+        closed[level] += dist <= kth
+        if not node.is_leaf:
+            stack.extend((e.child, e.rect.min_distance_sq(point)) for e in node.entries)
+    return results, stats, tuple(strict), tuple(closed)
+
+
+def assert_knn_contract(tree, points, k, batch_results, batch_stats):
+    """``knn_batch``'s documented contract against the scalar search on ``tree``.
+
+    Result lists identical, ties included.  ``batch_stats`` is the closed
+    count summed over the points; the scalar heap's own count equals it
+    for every point with no node at exactly ``d_k > 0`` and lies between
+    the strict and the closed count otherwise.  Returns how many points
+    fell into that tie class.
+    """
+    assert len(batch_results) == len(points)
+    leaf = internal = tied = 0
+    for point, got in zip(points, batch_results):
+        want, stats, strict, closed = knn_reference(tree, point, k)
+        assert [(d, o.oid) for d, o in got] == [(d, o.oid) for d, o in want]
+        scalar = (stats.leaf_accesses, stats.internal_accesses)
+        if strict == closed or not want or want[-1][0] == 0.0:
+            assert scalar == closed
+        else:
+            tied += 1
+            assert strict[0] <= scalar[0] <= closed[0]
+            assert strict[1] <= scalar[1] <= closed[1]
+        leaf += closed[0]
+        internal += closed[1]
+    assert (batch_stats.leaf_accesses, batch_stats.internal_accesses) == (leaf, internal)
+    assert batch_stats.contributing_leaf_accesses == 0
+    return tied

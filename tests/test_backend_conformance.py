@@ -20,6 +20,7 @@ from repro.engine import ColumnarIndex, ParallelExecutor, SnapshotManager
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.join import execute_join
+from repro.query.knn import knn_query
 from repro.query.range_query import brute_force_range, execute_workload
 from repro.rtree.clipped import ClippedRTree
 from repro.rtree.registry import build_rtree
@@ -91,6 +92,19 @@ def test_workload_matches_brute_force(name, backends, world):
     assert result.queries == len(queries)
     assert result.total_results == sum(len(brute_force_range(live, q)) for q in queries)
     assert result.total_results > 0
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_knn_matches_brute_force(name, backends, world):
+    backend, live = backends[name]
+    points = [query.center for query in world[3][:8]]
+    if name == "tree":
+        results = [knn_query(backend, point, 6) for point in points]
+    else:
+        results = backend.knn_batch(points, 6)
+    for point, hits in zip(points, results):
+        assert [d for d, _ in hits] == sorted(o.rect.min_distance_sq(point) for o in live)[:6]
+        assert all(o.rect.min_distance_sq(point) == d for d, o in hits)
 
 
 def test_workload_iostats_equal_across_base_only_backends(backends, world):

@@ -370,6 +370,40 @@ class TestCompactionConcurrency:
         again = manager.range_query(staged.rect)
         assert sum(1 for o in again if o.oid == staged.oid) == 1
 
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_insert_acknowledged_mid_compaction_is_readable_at_once(self, crash):
+        """Regression: a staged insert was on the replay list only, so
+        between its acknowledgement and the swap no read returned it."""
+        rng, objects, manager = self._manager()
+        manager.insert(_random_object(rng, 1000))
+        late = _random_object(rng, 2000)
+        centre = late.rect.center
+
+        def count(hits):
+            return sum(1 for obj in hits if obj.oid == late.oid)
+
+        def racer():
+            manager.insert(late)
+            assert count(manager.range_query(late.rect)) == 1
+            assert count(obj for _, obj in manager.knn_batch([centre], 3)[0]) == 1
+            if crash:
+                raise RuntimeError("compaction crashed mid-fold")
+
+        manager.compaction_fault_hook = racer
+        if crash:
+            with pytest.raises(RuntimeError, match="crashed mid-fold"):
+                manager.compact()
+        else:
+            assert manager.compact().applied_inserts == 1  # its own input excludes `late`
+        manager.compaction_fault_hook = None
+        assert manager.epoch == (0 if crash else 1)
+        assert manager.pending_ops == (2 if crash else 1)
+        for _ in range(2):  # before and after the fold that applies it
+            assert count(manager.range_query(late.rect)) == 1
+            assert count(obj for _, obj in manager.knn_batch([centre], 3)[0]) == 1
+            manager.compact()
+        assert manager.pending_ops == 0
+
     def test_delete_during_compaction_raises_cleanly(self):
         rng, objects, manager = self._manager()
         manager.insert(_random_object(rng, 1000))

@@ -41,7 +41,7 @@ from repro.rtree.clipped import ClippedRTree
 from repro.rtree.quadratic import QuadraticRTree
 from repro.rtree.registry import VARIANT_NAMES, build_rtree
 from repro.storage.stats import IOStats
-from tests.conftest import make_random_objects
+from tests.conftest import assert_knn_contract, make_random_objects
 
 ALL_VARIANTS = VARIANT_NAMES + ("str",)
 DATASET_SIZE = 220
@@ -485,21 +485,33 @@ class TestStatsPinned:
 
 
 class TestKnnDifferential:
+    """``knn_batch``'s two-part contract on scattered data (``tests/test_knn_ties.py``
+    forces ties): result lists are the scalar search's, and ``IOStats``
+    count the nodes within the k-th distance — the scalar count exactly,
+    since no node of a float-coordinate tree sits at exactly ``d_k``."""
+
+    POINTS = [(0.0, 0.0), (50.0, 50.0), (99.0, 1.0), (25.0, 75.0)]
+
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_knn_batch_matches_scalar(self, variant, medium_objects_2d):
+    def test_knn_results_match_scalar(self, variant, medium_objects_2d):
         tree = build_rtree(variant, medium_objects_2d, max_entries=10)
         snapshot = ColumnarIndex.from_tree(tree)
-        points = [(0.0, 0.0), (50.0, 50.0), (99.0, 1.0), (25.0, 75.0)]
+        for point, batch_res in zip(self.POINTS, knn_batch(snapshot, self.POINTS, k=9)):
+            assert [(d, o.oid) for d, o in batch_res] == [
+                (d, o.oid) for d, o in knn_query(tree, point, k=9)
+            ]
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_knn_io_matches_scalar(self, variant, medium_objects_2d):
+        tree = build_rtree(variant, medium_objects_2d, max_entries=10)
+        snapshot = ColumnarIndex.from_tree(tree)
         scalar_stats = IOStats()
         batch_stats = IOStats()
-        batch = knn_batch(snapshot, points, k=9, stats=batch_stats)
-        for point, batch_res in zip(points, batch):
-            scalar_res = knn_query(tree, point, k=9, stats=scalar_stats)
-            assert [(d, o.oid) for d, o in batch_res] == [
-                (d, o.oid) for d, o in scalar_res
-            ]
-        assert batch_stats.leaf_accesses == scalar_stats.leaf_accesses
-        assert batch_stats.internal_accesses == scalar_stats.internal_accesses
+        batch = knn_batch(snapshot, self.POINTS, k=9, stats=batch_stats)
+        for point in self.POINTS:
+            knn_query(tree, point, k=9, stats=scalar_stats)
+        assert assert_knn_contract(tree, self.POINTS, 9, batch, batch_stats) == 0
+        assert batch_stats == scalar_stats
 
     def test_knn_batch_on_clipped_snapshot(self, medium_objects_2d):
         tree = build_rtree("rstar", medium_objects_2d, max_entries=10)

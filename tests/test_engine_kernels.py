@@ -22,8 +22,8 @@ from repro.engine.kernels import (
     intersect_mask,
     mask_cells,
     masks_to_bool,
-    min_dist_sq,
     padded_clip_veto,
+    padded_min_dist_sq,
 )
 from repro.geometry.dominance import strictly_inside_corner_region
 from repro.geometry.rect import Rect, mbb_of_rects
@@ -79,26 +79,56 @@ class TestIntersectionKernel:
         assert np.array_equal(mask, expected)
 
 
+def _one_node(rects):
+    """Node-major ``(lows, highs)`` of a single node holding ``rects``."""
+    lows = np.array([r.low for r in rects]).T[:, None, :]
+    highs = np.array([r.high for r in rects]).T[:, None, :]
+    return np.ascontiguousarray(lows), np.ascontiguousarray(highs)
+
+
+def _min_dists(lows, highs, point):
+    points_t = np.array(point, dtype=np.float64)[:, None]
+    zero = np.zeros(1, dtype=np.int64)
+    return padded_min_dist_sq(lows, highs, zero, points_t, zero)[0]
+
+
 class TestMinDistKernel:
     @pytest.mark.parametrize("dims", [1, 2, 3])
     def test_matches_rect_min_distance_sq(self, dims):
         rng = random.Random(200 + dims)
         rects = [_grid_rect(rng, dims) for _ in range(300)]
-        lows = np.array([r.low for r in rects])
-        highs = np.array([r.high for r in rects])
+        lows, highs = _one_node(rects)
         for _ in range(30):
             point = [rng.uniform(-5.0, 18.0) for _ in range(dims)]
-            dists = min_dist_sq(lows, highs, np.array(point))
             expected = np.array([r.min_distance_sq(point) for r in rects])
             # Bit-exact: same per-dimension arithmetic, same accumulation order.
-            assert np.array_equal(dists, expected)
+            assert np.array_equal(_min_dists(lows, highs, point), expected)
 
     def test_zero_inside(self):
-        rect = Rect((0.0, 0.0), (10.0, 10.0))
-        dists = min_dist_sq(
-            np.array([rect.low]), np.array([rect.high]), np.array([5.0, 10.0])
-        )
-        assert dists[0] == 0.0
+        lows, highs = _one_node([Rect((0.0, 0.0), (10.0, 10.0))])
+        assert _min_dists(lows, highs, [5.0, 10.0])[0] == 0.0
+
+    def test_padding_stays_nan_and_rows_pair_with_their_points(self):
+        rng = random.Random(77)
+        objects = make_random_objects(90, dims=3, seed=78)
+        snapshot = ColumnarIndex.from_tree(build_rtree("rstar", objects, max_entries=7))
+        lows, highs = snapshot.node_major()
+        nodes = np.array([rng.randrange(snapshot.node_count()) for _ in range(40)])
+        points = np.array([[rng.uniform(-10, 110) for _ in range(3)] for _ in range(6)])
+        queries = np.array([rng.randrange(len(points)) for _ in nodes])
+        block = padded_min_dist_sq(lows, highs, nodes, np.ascontiguousarray(points.T), queries)
+        assert block.shape == (len(nodes), lows.shape[2])
+        for row, (slot, q) in enumerate(zip(nodes.tolist(), queries.tolist())):
+            start, count = snapshot.entry_start[slot], snapshot.entry_count[slot]
+            expected = [
+                Rect(lo, hi).min_distance_sq(points[q])
+                for lo, hi in zip(
+                    snapshot.entry_lows[start : start + count].tolist(),
+                    snapshot.entry_highs[start : start + count].tolist(),
+                )
+            ]
+            assert block[row, :count].tolist() == expected
+            assert np.isnan(block[row, count:]).all()
 
     def test_knn_ordering_matches_scalar(self):
         """The kernel drives knn_batch to the scalar traversal's ordering."""

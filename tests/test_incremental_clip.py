@@ -12,9 +12,11 @@ incremental pass, and compare against the full recompute.
 import copy
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine import SnapshotManager, delta, incremental_clip, save_snapshot
 from repro.engine.incremental_clip import (
     dirty_node_ids,
     reclip_live_nodes,
@@ -23,6 +25,7 @@ from repro.engine.incremental_clip import (
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.rtree.clipped import ClippedRTree
+from repro.engine.snapshot_io import read_manifest
 from repro.rtree.registry import VARIANT_NAMES, build_rtree
 
 
@@ -132,3 +135,67 @@ class TestReclipNodes:
             clipped.reclip_nodes([clipped.tree.root_id], engine="gpu")
         with pytest.raises(ValueError):
             reclip_nodes_for_results(clipped, [], engine="gpu")
+
+
+class TestSlicedCompaction:
+    """``compact(pause=…)`` is ``compact()`` with pauses: same work, same order."""
+
+    ARRAYS = (
+        "is_leaf", "entry_start", "entry_count", "node_ids", "entry_lows", "entry_highs",
+        "entry_child", "clip_coords", "clip_is_high", "node_clip_start", "node_clip_count",
+    )
+
+    def _managers(self, variant, seed):
+        rng = random.Random(seed)
+        live = [_random_object(rng, i) for i in range(220)]
+        ops = []
+        for step in range(140):
+            if rng.random() < 0.4:
+                ops.append(("delete", live.pop(rng.randrange(len(live)))))
+            else:
+                ops.append(("insert", _random_object(rng, 1000 + step)))
+        base = live + [obj for kind, obj in ops if kind == "delete"]
+        managers = []
+        for _ in range(2):
+            clipped = ClippedRTree.wrap(
+                build_rtree(variant, base, max_entries=5),
+                method="stairline",
+            )
+            manager = SnapshotManager(clipped)
+            for kind, obj in ops:
+                if kind == "insert":
+                    manager.insert(obj)
+                else:
+                    assert manager.delete(obj)
+            managers.append((manager, clipped))
+        return managers
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_paused_compaction_publishes_what_compact_publishes(
+        self, variant, monkeypatch, tmp_path
+    ):
+        # A budget of zero and two-node chunks: a pause after every op and chunk.
+        monkeypatch.setattr(delta, "_SLICE_SECONDS", 0.0)
+        monkeypatch.setattr(incremental_clip, "_RECLIP_CHUNK_NODES", 2)
+        (plain, plain_tree), (sliced, sliced_tree) = self._managers(variant, seed=17)
+        pauses = []
+        whole = plain.compact()
+        parts = sliced.compact(pause=lambda: pauses.append(sliced.epoch))
+        assert (parts.applied_inserts, parts.applied_deletes, parts.reclipped_nodes) == (
+            whole.applied_inserts, whole.applied_deletes, whole.reclipped_nodes,
+        )
+        # One per op, one to end the apply slice, one per re-clip chunk; all
+        # before the swap.
+        assert len(pauses) == 140 + 1 + -(-whole.reclipped_nodes // 2)
+        assert set(pauses) == {0} and sliced.epoch == 1
+        for name in self.ARRAYS:
+            ours, theirs = getattr(sliced.snapshot, name), getattr(plain.snapshot, name)
+            assert np.array_equal(ours, theirs), name
+        fingerprints = [
+            read_manifest(save_snapshot(manager.snapshot, tmp_path / name))["fingerprint"]
+            for name, manager in (("plain", plain), ("sliced", sliced))
+        ]
+        assert fingerprints[0] == fingerprints[1]
+        assert _store_state(sliced_tree) == _store_state(plain_tree)
+        assert _store_state(sliced_tree) == _full_recompute(sliced_tree, engine="vectorized")
+        sliced_tree.check_clip_invariants()

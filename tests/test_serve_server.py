@@ -490,7 +490,7 @@ def test_report_shape():
 
 def _answer_values(server, kind, requests, backend, stale):
     """``server._answer`` output reduced to comparable ``(status, ids, stale)``."""
-    items = [SimpleNamespace(request=request) for request in requests]
+    items = [SimpleNamespace(request=request, outcome=None) for request in requests]
     out = []
     for status, value, stamped in server._answer(kind, items, backend, stale):
         if kind == "range":
