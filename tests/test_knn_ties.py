@@ -15,7 +15,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import ColumnarIndex, ParallelExecutor, SnapshotManager, knn_batch
+from repro.engine import ColumnarIndex, ParallelExecutor, SnapshotManager, executor, knn_batch
 from repro.engine.delta import object_key
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
@@ -75,6 +75,27 @@ class TestTiesProperty:
             tree = build_rtree("rstar", _grid_objects(rng, 150, 2), max_entries=5)
             tied += _check(tree, ColumnarIndex.from_tree(tree), _grid_points(rng, 25, 2), 4)
         assert tied > 0
+
+
+    @pytest.mark.parametrize("near", [1, 3])
+    def test_nearest_leaves_first_changes_no_answer(self, monkeypatch, near):
+        """The exact stage reads each point's nearest leaves before the
+        rest, to tighten the bound the rest are held to; with one or three
+        leaves in that first round almost every point has leaves in both,
+        and lists, tie order and ``IOStats`` are what one round gives."""
+        rng = random.Random(31)
+        tree = build_rtree("rstar", _grid_objects(rng, 300, 2), max_entries=5)
+        index = ColumnarIndex.from_tree(tree)
+        points = _grid_points(rng, 40, 2)
+        monkeypatch.setattr(executor, "_NEAR_LEAVES", index.node_count())
+        one_round = [(k, IOStats()) for k in (1, 4, 17, 400)]
+        expected = [knn_batch(index, points, k, stats=stats) for k, stats in one_round]
+        monkeypatch.setattr(executor, "_NEAR_LEAVES", near)
+        for (k, stats), hits in zip(one_round, expected):
+            again = IOStats()
+            assert knn_batch(index, points, k, stats=again) == hits
+            assert again == stats
+            _check(tree, index, points, k)
 
 
 class TestEdgeCases:
