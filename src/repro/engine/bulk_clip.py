@@ -2,40 +2,66 @@
 whole tree levels at once).
 
 :func:`bulk_clip` computes clip points for *every* node of a tree with a
-handful of NumPy calls per (level, fan-out, corner) group instead of one
-Python loop nest per node per corner.  The result is a
+handful of NumPy calls per (level, fan-out) group instead of one Python
+loop nest per node per corner.  The result is a
 :class:`~repro.cbb.store.ClipStore` whose entries are *identical* to
 running the scalar :func:`~repro.cbb.clipping.compute_clip_points` over
 each node — same coordinate values, same scores, same per-node ordering,
 same byte accounting (``tests/test_build_differential.py`` pins this
-across tree variants, datasets, and both clipping methods).
+across tree variants, datasets, dimensionalities and both clipping
+methods).
 
-The batching strategy mirrors the query engine's frontier trick: nodes
-of one level are grouped by fan-out so their children's corners form a
-dense ``(nodes, fanout, dims)`` array, dominance/splice/validity run as
-broadcast comparisons (:mod:`repro.engine.clip_kernels`), and per-node
-selection — score > tau·volume, stable score-descending order, top-k —
-collapses into a single lexsort over flat candidate arrays.  Groups are
-chunked so no intermediate broadcast exceeds a fixed element budget.
+One pass over one problem axis.  Nodes of one level are grouped by
+fan-out so their children form dense ``(nodes, fanout, dims)`` arrays.
+Every corner is oriented once (:func:`~repro.engine.clip_kernels.orient`
+negates the max-extent dimensions), which turns "node x corner mask" into
+the batch axis of a single min-corner problem; nothing below loops over
+corners.  Per group:
 
-Exactness notes (why the store matches the scalar path bit for bit):
+======================================  ======================================
+stage                                   scalar counterpart
+======================================  ======================================
+``skyline_masks``: all ``2**d``         ``oriented_skyline``, once per corner
+corners of a node from ``2 * d``
+packed compare tables
+:func:`_stair_points`: problems         ``stairline_points``: splice, ``seen``
+regrouped by skyline size, pair         set, validity probe
+validity on a packed table,
+coordinates and dedup for the
+surviving pairs only
+flat scoring over (problem, candidate)  ``score_clip_candidates`` and the
+rows, threshold, one stable sort per    ``tau`` / top-``k`` selection of
+node                                    ``compute_clip_points``
+======================================  ======================================
+
+The surviving clip points are un-oriented at the very end.  The problem
+axis is walked in runs of nodes whose candidate count fits
+``_CHUNK_BUDGET`` (:func:`_candidate_slices`), and the skyline tables in
+their own chunks, so working memory does not grow with the tree
+(``TestClipChunksBoundMemory``).
+
+Exactness notes (why the store matches the scalar path bit for bit; the
+kernel-level ones are in :mod:`repro.engine.clip_kernels`):
 
 * all dominance / validity / dedup decisions are exact float64
-  comparisons on the same coordinate values the scalar path reads;
+  comparisons on the same coordinate values the scalar path reads —
+  orientation negates both sides of a comparison, which is exact;
 * volumes and overlaps multiply dimension by dimension in dimension
   order (:func:`~repro.engine.clip_kernels.sequential_prod`), matching
-  the scalar accumulation;
+  the scalar accumulation, and ``abs(corner - point)`` is the same float
+  with both operands negated;
 * the scalar path sorts each corner's candidates by descending score
   (stable), filters by threshold, concatenates corners in mask order,
   stable-sorts again, and truncates to ``k`` — which orders clips by
-  ``(-score, mask, stage, rank)`` with stage/rank the candidate's
-  generation position; one lexsort reproduces exactly that.
+  ``(-score, mask, position in the candidate list)``; the flat rows are
+  in ``(node, mask, position)`` order already, so one stable sort on
+  ``(node, -score)`` reproduces exactly that.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,22 +69,23 @@ from repro.cbb.clip_point import ClipPoint
 from repro.cbb.clipping import ClippingConfig
 from repro.cbb.store import ClipStore
 from repro.engine.clip_kernels import (
-    clip_volumes,
-    equals_any_point,
+    corner_distances,
     first_occurrence_mask,
+    orient,
     overlap_volumes,
+    pair_index,
     segment_first_argmax,
     sequential_prod,
-    skyline_mask_batch,
-    splice_candidates,
-    stair_invalid_mask,
+    skyline_masks,
+    splice,
+    valid_splices,
 )
 from repro.engine.kernels import masks_to_bool
 from repro.rtree.base import RTreeBase
 from repro.rtree.node import Node
 
-#: Ceiling on the element count of any broadcast intermediate; groups are
-#: split into chunks of nodes that stay below it.
+#: Ceiling on the element count of any broadcast intermediate, in units of
+#: about two bytes; groups are walked in chunks of nodes that stay below it.
 _CHUNK_BUDGET = 4_000_000
 
 
@@ -130,9 +157,7 @@ def _clip_group(
         lows[gi] = [entry.rect.low for entry in node.entries]
         highs[gi] = [entry.rect.high for entry in node.entries]
 
-    node_low = lows.min(axis=1)
-    node_high = highs.max(axis=1)
-    volume = sequential_prod(node_high - node_low)
+    volume = sequential_prod(highs.max(axis=1) - lows.min(axis=1))
 
     # Zero-volume nodes cannot be clipped meaningfully (scalar: empty list).
     active = volume > 0.0
@@ -140,158 +165,152 @@ def _clip_group(
         return
     if not active.all():
         nodes = [node for node, keep in zip(nodes, active) if keep]
-        lows, highs = lows[active], highs[active]
-        node_low, node_high = node_low[active], node_high[active]
-        volume = volume[active]
-    g = len(nodes)
+        lows, highs, volume = lows[active], highs[active], volume[active]
     threshold = config.tau * volume
     stairline = config.method == "stairline"
 
-    # Per-candidate accumulators across all corners, flat over the group.
-    acc_pts: List[np.ndarray] = []
-    acc_owner: List[np.ndarray] = []
-    acc_mask: List[np.ndarray] = []
-    acc_stage: List[np.ndarray] = []
-    acc_rank: List[np.ndarray] = []
-    acc_score: List[np.ndarray] = []
-
-    for mask in range(1 << dims):
-        is_high = masks_to_bool(np.array([mask]), dims)[0]
-        corners = np.where(is_high, highs, lows)
-        node_corner = np.where(is_high, node_high, node_low)
-
-        sky_mask = _chunked_skyline(corners, is_high, count, dims)
-        sky_owner = np.nonzero(sky_mask)[0]
-        sky_pts = corners[sky_mask]
-        sky_counts = sky_mask.sum(axis=1)
-
-        if stairline:
-            stair_pts, stair_owner, stair_rank = _stair_candidates(
-                corners, sky_mask, sky_counts, is_high, dims
-            )
-        else:
-            stair_pts = np.empty((0, dims), dtype=np.float64)
-            stair_owner = np.empty(0, dtype=np.int64)
-            stair_rank = np.empty(0, dtype=np.int64)
-
-        # Assemble the per-node candidate lists: skyline first (in child
-        # order), then valid stairline points (in pair order).
-        pts = np.concatenate([sky_pts, stair_pts])
-        owner = np.concatenate([sky_owner, stair_owner])
-        stage = np.concatenate(
-            [np.zeros(len(sky_pts), np.int64), np.ones(len(stair_pts), np.int64)]
-        )
-        rank = np.concatenate([_ranks_within(sky_owner), stair_rank])
-        order = np.lexsort((rank, stage, owner))
-        pts, owner, stage, rank = pts[order], owner[order], stage[order], rank[order]
-
-        counts = sky_counts + np.bincount(stair_owner, minlength=g)
-        starts = np.cumsum(counts) - counts
-
-        vols = clip_volumes(pts, node_corner[owner])
-        best_rows = segment_first_argmax(vols, starts, counts)[owner]
-        is_best = np.arange(len(pts)) == best_rows
-        scores = np.where(
-            is_best,
-            vols,
-            vols - overlap_volumes(pts, pts[best_rows], node_corner[owner]),
-        )
-
-        passing = scores > threshold[owner]
-        acc_pts.append(pts[passing])
-        acc_owner.append(owner[passing])
-        acc_mask.append(np.full(int(passing.sum()), mask, dtype=np.int64))
-        acc_stage.append(stage[passing])
-        acc_rank.append(rank[passing])
-        acc_score.append(scores[passing])
-
-    pts = np.concatenate(acc_pts)
-    owner = np.concatenate(acc_owner)
-    cmask = np.concatenate(acc_mask)
-    stage = np.concatenate(acc_stage)
-    rank = np.concatenate(acc_rank)
-    score = np.concatenate(acc_score)
-
-    # Final per-node order: descending score, ties by (mask, stage, rank) —
-    # exactly the scalar stable sort over mask-major sorted candidates.
-    order = np.lexsort((rank, stage, cmask, -score, owner))
-    owner = owner[order]
-    keep = _ranks_within(owner) < k
-    owner = owner[keep]
-    pts = pts[order][keep]
-    cmask = cmask[order][keep]
-    score = score[order][keep]
-
-    clips: Dict[int, List[ClipPoint]] = defaultdict(list)
-    for oi, coord, mask_val, score_val in zip(
-        owner.tolist(), pts.tolist(), cmask.tolist(), score.tolist()
-    ):
-        clips[oi].append(ClipPoint(tuple(coord), mask_val, score_val))
-    for oi, points in clips.items():
-        results[nodes[oi].node_id] = points
+    sky_mask = _chunked_skyline(lows, highs)
+    for part in _candidate_slices(sky_mask.sum(axis=2), dims, stairline):
+        clips = _clip_slice(lows[part], highs[part], sky_mask[part], threshold[part], stairline, k)
+        for node, points in zip(nodes[part], clips):
+            if points:
+                results[node.node_id] = points
 
 
-def _chunked_skyline(
-    corners: np.ndarray, is_high: np.ndarray, count: int, dims: int
-) -> np.ndarray:
-    """Skyline masks for all nodes, chunked to bound the (g,c,c,d) blow-up."""
-    step = max(1, _CHUNK_BUDGET // (count * count * dims))
+def _chunked_skyline(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """Skyline masks ``(g, 2**d, c)``, chunked to bound the (g,2**d,c,c) blow-up."""
+    _, count, dims = lows.shape
+    step = max(1, _CHUNK_BUDGET // ((count * count * dims) << dims))
     parts = [
-        skyline_mask_batch(corners[start : start + step], is_high)
-        for start in range(0, len(corners), step)
+        skyline_masks(lows[start : start + step], highs[start : start + step])
+        for start in range(0, len(lows), step)
     ]
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def _stair_candidates(
-    corners: np.ndarray,
-    sky_mask: np.ndarray,
-    sky_counts: np.ndarray,
-    is_high: np.ndarray,
-    dims: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Valid, deduplicated stairline points for every node of the group.
+def _candidate_slices(sky_counts: np.ndarray, dims: int, stairline: bool) -> Iterator[slice]:
+    """Cut a group's nodes into runs whose candidates fit the chunk budget.
 
-    Nodes are regrouped by skyline size so each subgroup forms a dense
-    ``(nodes, s, d)`` array; candidates come back flat with their owner
-    (group-node index) and rank (position among the node's *kept*
-    stairline points, in pair order) — what the final ordering needs.
+    ``sky_counts`` is ``(g, 2**d)``.  A corner with ``s`` skyline points
+    has at most ``s * (s + 1) / 2`` candidates (the skyline and, for
+    stairline clipping, every pair).  In the budget's units of about two
+    bytes, a candidate costs ``d`` float64 coordinates in up to six live
+    arrays plus, in the validity test, a byte per skyline point in up to
+    four.  Every run holds at least one node.
     """
+    candidates = sky_counts * (sky_counts + 1) // 2 if stairline else sky_counts
+    spent = np.cumsum((candidates * (24 * dims + 2 * sky_counts)).sum(axis=1))
+    start = 0
+    while start < len(spent):
+        allowance = _CHUNK_BUDGET + (spent[start - 1] if start else 0)
+        stop = max(start + 1, int(np.searchsorted(spent, allowance, side="right")))
+        yield slice(start, stop)
+        start = stop
+
+
+def _clip_slice(
+    lows: np.ndarray,
+    highs: np.ndarray,
+    sky_mask: np.ndarray,
+    threshold: np.ndarray,
+    stairline: bool,
+    k: int,
+) -> List[List[ClipPoint]]:
+    """Clip points of a run of nodes, given their children's skylines.
+
+    ``lows`` / ``highs`` are the ``(g, c, d)`` child rectangles,
+    ``sky_mask`` the ``(g, 2**d, c)`` output of
+    :func:`~repro.engine.clip_kernels.skyline_masks` for them and
+    ``threshold`` the score a node's clip points must exceed.
+    """
+    g, count, dims = lows.shape
+    # One min-corner problem per (node, corner), node-major: problem p is
+    # corner p % 2**d of node p // 2**d, and from here on "low" means
+    # "towards the corner" in every dimension.
+    corners = 1 << dims
+    problem_node = np.repeat(np.arange(g), corners)
+    is_high = np.tile(masks_to_bool(np.arange(corners), dims), (g, 1))
+    corner = orient(lows.min(axis=1)[problem_node], highs.max(axis=1)[problem_node], is_high)
+
+    sky_mask = sky_mask.reshape(-1, count)
+    sky_owner, child = np.nonzero(sky_mask)
+    sky_node = problem_node[sky_owner]
+    sky_pts = orient(lows[sky_node, child], highs[sky_node, child], is_high[sky_owner])
+    sky_counts = sky_mask.sum(axis=1)
+    if stairline:
+        stair_pts, stair_owner = _stair_points(sky_pts, sky_counts)
+    else:
+        stair_pts = np.empty((0, dims), dtype=np.float64)
+        stair_owner = np.empty(0, dtype=np.int64)
+
+    # Per-problem candidate lists, flat: the skyline (in child order),
+    # then the stairline points (in pair order).
+    counts = sky_counts + np.bincount(stair_owner, minlength=len(corner))
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(corner)), counts)
+    position = np.arange(len(owner)) - starts[owner]
+    pts = np.empty((len(owner), dims), dtype=np.float64)
+    pts[position < sky_counts[owner]] = sky_pts
+    pts[starts[stair_owner] + sky_counts[stair_owner] + _ranks_within(stair_owner)] = stair_pts
+
+    dist = corner_distances(pts, corner[owner])
+    scores = sequential_prod(dist)
+    best = segment_first_argmax(scores, starts, counts)
+    best_scores = scores[best]
+    scores -= overlap_volumes(dist, dist[best[owner]])
+    scores[best] = best_scores
+
+    passing = np.flatnonzero(scores > threshold[problem_node[owner]])
+    node = problem_node[owner[passing]]
+    # Final per-node order: descending score, ties by (mask, position) —
+    # the order the rows are in already, which the stable sort keeps —
+    # exactly the scalar stable sort over mask-major sorted candidates.
+    order = np.lexsort((-scores[passing], node))
+    order = order[_ranks_within(node[order]) < k]
+    passing = passing[order]
+    owner = owner[passing]
+    pts = pts[passing]
+    coords = orient(pts, pts, is_high[owner])  # negation undoes itself
+
+    clips: List[List[ClipPoint]] = [[] for _ in range(g)]
+    for ni, coord, mask, score in zip(
+        node[order].tolist(),
+        coords.tolist(),
+        (owner & (corners - 1)).tolist(),
+        scores[passing].tolist(),
+    ):
+        clips[ni].append(ClipPoint(tuple(coord), mask, score))
+    return clips
+
+
+def _stair_points(sky_pts: np.ndarray, sky_counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Valid, deduplicated stairline points of every problem.
+
+    ``sky_pts`` holds the problems' oriented skylines back to back,
+    ``sky_counts`` their sizes.  Problems are regrouped by skyline size so
+    each subgroup forms a dense ``(problems, s, d)`` array; the points
+    come back flat with their problem, each problem's in pair order and
+    together.
+    """
+    dims = sky_pts.shape[1]
+    sky_starts = np.cumsum(sky_counts) - sky_counts
     pts_parts: List[np.ndarray] = []
     owner_parts: List[np.ndarray] = []
-    rank_parts: List[np.ndarray] = []
-    for s in np.unique(sky_counts):
-        s = int(s)
+    for s in np.unique(sky_counts).tolist():
         if s < 2:
             continue
-        node_sel = np.nonzero(sky_counts == s)[0]
-        skylines = corners[node_sel][sky_mask[node_sel]].reshape(len(node_sel), s, dims)
-        pairs = s * (s - 1) // 2
-        step = max(1, _CHUNK_BUDGET // (pairs * s * dims))
-        for start in range(0, len(node_sel), step):
-            chunk = skylines[start : start + step]
-            cands, _, _ = splice_candidates(chunk, is_high)
-            bad = stair_invalid_mask(chunk, cands, is_high) | equals_any_point(
-                cands, chunk
-            )
-            flat = cands.reshape(-1, dims)
-            local_owner = np.repeat(np.arange(len(chunk), dtype=np.int64), pairs)
-            keep = first_occurrence_mask(flat, local_owner) & ~bad.reshape(-1)
-            kept_owner = local_owner[keep]
-            pts_parts.append(flat[keep])
-            owner_parts.append(node_sel[start : start + step][kept_owner])
-            rank_parts.append(_ranks_within(kept_owner))
+        problems = np.flatnonzero(sky_counts == s)
+        i_idx, j_idx = pair_index(s)
+        skylines = sky_pts[sky_starts[problems][:, None] + np.arange(s)]
+        local, pair = np.nonzero(valid_splices(skylines))
+        pts_parts.append(splice(skylines[local, i_idx[pair]], skylines[local, j_idx[pair]]))
+        owner_parts.append(problems[local])
     if not pts_parts:
-        return (
-            np.empty((0, dims), dtype=np.float64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-    return (
-        np.concatenate(pts_parts),
-        np.concatenate(owner_parts),
-        np.concatenate(rank_parts),
-    )
+        return np.empty((0, dims), dtype=np.float64), np.empty(0, dtype=np.int64)
+    pts = np.concatenate(pts_parts)
+    owner = np.concatenate(owner_parts)
+    first = first_occurrence_mask(pts, owner)
+    return pts[first], owner[first]
 
 
 def _ranks_within(owners: np.ndarray) -> np.ndarray:

@@ -144,8 +144,16 @@ class Rect:
         return Rect(low, high)
 
     def enlargement(self, other: "Rect") -> float:
-        """Volume increase needed for this rectangle to also cover ``other``."""
-        return self.union(other).volume() - self.volume()
+        """Volume increase needed for this rectangle to also cover ``other``.
+
+        ``self.union(other).volume() - self.volume()`` to the bit, without
+        building the union: the insertion paths call this once per
+        candidate subtree.
+        """
+        vol = 1.0
+        for lo, hi, other_lo, other_hi in zip(self.low, self.high, other.low, other.high):
+            vol *= max(hi, other_hi) - min(lo, other_lo)
+        return vol - self.volume()
 
     def min_distance_sq(self, point: Sequence[float]) -> float:
         """Squared minimum distance from ``point`` to this rectangle.

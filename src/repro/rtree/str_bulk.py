@@ -24,7 +24,8 @@ def _tile(objects: List[SpatialObject], dims: int, dim: int, capacity: int) -> L
     leaf_pages = math.ceil(len(objects) / capacity)
     slab_count = math.ceil(leaf_pages ** (1.0 / remaining_dims))
     slab_size = math.ceil(len(objects) / slab_count)
-    ordered = sorted(objects, key=lambda o: o.rect.center[dim])
+    # Rect.center[dim], without building the other d - 1 coordinates.
+    ordered = sorted(objects, key=lambda o: (o.rect.low[dim] + o.rect.high[dim]) / 2.0)
     slabs: List[List[SpatialObject]] = []
     for start in range(0, len(ordered), slab_size):
         slabs.extend(_tile(ordered[start : start + slab_size], dims, dim + 1, capacity))

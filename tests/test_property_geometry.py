@@ -54,6 +54,32 @@ class TestRectProperties:
     def test_enlargement_non_negative(self, a, b):
         assert a.enlargement(b) >= -1e-9
 
+    @given(st.data(), st.integers(min_value=1, max_value=8))
+    def test_enlargement_is_the_unions_volume_minus_its_own(self, data, dims):
+        # Exactly, not approximately: the R-tree variants break
+        # ChooseSubtree ties on this number.
+        a = data.draw(st.one_of(rects(dims=dims), points(dims=dims).map(Rect.from_point)))
+        fractions = st.floats(min_value=0, max_value=1)
+        kind = data.draw(st.sampled_from(("any", "contained", "touching", "disjoint", "point")))
+        if kind == "any":
+            b = data.draw(rects(dims=dims))
+        elif kind == "point":
+            b = Rect.from_point(data.draw(points(dims=dims)))
+        elif kind == "contained":
+            cuts = [sorted(data.draw(st.tuples(fractions, fractions))) for _ in range(dims)]
+            b = Rect(
+                [min(hi, lo + t[0] * (hi - lo)) for lo, hi, t in zip(a.low, a.high, cuts)],
+                [min(hi, lo + t[1] * (hi - lo)) for lo, hi, t in zip(a.low, a.high, cuts)],
+            )
+            assert a.contains(b)
+        else:
+            gap = 0.0 if kind == "touching" else data.draw(st.floats(min_value=1, max_value=50))
+            low = a.high[0] + gap
+            b = Rect((low,) + a.low[1:], (low + (a.high[0] - a.low[0]),) + a.high[1:])
+            assert a.intersects(b) == (kind == "touching")
+        assert a.enlargement(b) == a.union(b).volume() - a.volume()
+        assert b.enlargement(a) == b.union(a).volume() - b.volume()
+
     @given(st.lists(rects(), min_size=1, max_size=10))
     def test_mbb_contains_all(self, collection):
         mbb = mbb_of_rects(collection)
