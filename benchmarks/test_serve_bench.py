@@ -51,7 +51,7 @@ def test_serve_chaos_smoke(bench_recorder):
         method="stairline",
         engine="vectorized",
     )
-    manager = SnapshotManager(copy.deepcopy(clipped), update_engine="delta")
+    manager = SnapshotManager(copy.deepcopy(clipped))
     report, responses = run_serve_scenario(
         manager,
         n_requests=n_requests,

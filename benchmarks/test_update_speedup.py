@@ -1,13 +1,13 @@
-"""Smoke benchmark: amortized update cost, delta overlay vs refreeze.
+"""Smoke benchmark: amortized update cost, batched compaction vs a freeze per write.
 
 Builds a clipped STR-packed index over ``par02``, then pushes the same
-mixed insert/delete stream through two ``SnapshotManager`` engines:
-``refreeze`` (every write re-clips synchronously and re-freezes the
-snapshot) and ``delta`` (writes buffer in the overlay and fold in through
-periodic compactions with dirty-node-only re-clipping).  Before timing,
-both engines must serve identical query results — checked against each
-other *and* against a brute-force scan of the expected live set — and
-the delta engine's post-compaction clip store must equal a fresh
+mixed insert/delete stream through two ``SnapshotManager`` instances:
+``refreeze`` (``compact_every=1``: every write is folded in, re-clipped
+and re-frozen at once) and ``delta`` (writes buffer in the overlay and
+fold in through periodic compactions with dirty-node-only re-clipping).
+Before timing, both must serve identical query results — checked against
+each other *and* against a brute-force scan of the expected live set —
+and the ``delta`` manager's post-compaction clip store must equal a fresh
 ``clip_all`` over its own tree.  The measurements land in
 ``benchmarks/BENCH_updates.json`` and the amortized delta write must be
 at least ``MIN_SPEEDUP``× cheaper than refreeze-per-write.
@@ -95,12 +95,10 @@ def test_update_speedup_smoke(bench_recorder):
         base, target_results=20, seed=7
     ).query_list(24)
 
-    # The engines must agree — with each other and with brute force over
-    # the expected live set — before their timing is comparable.
-    refreeze = SnapshotManager(copy.deepcopy(clipped), update_engine="refreeze")
-    delta = SnapshotManager(
-        copy.deepcopy(clipped), update_engine="delta", compact_every=COMPACT_EVERY
-    )
+    # The two must agree — with each other and with brute force over the
+    # expected live set — before their timing is comparable.
+    refreeze = SnapshotManager(copy.deepcopy(clipped), compact_every=1)
+    delta = SnapshotManager(copy.deepcopy(clipped), compact_every=COMPACT_EVERY)
     _apply(refreeze, ops)
     _apply(delta, ops)
     victim_set = set(id(obj) for obj in victims)
@@ -110,17 +108,15 @@ def test_update_speedup_smoke(bench_recorder):
         assert _keys(refreeze.range_query(query)) == expected
         assert _keys(delta.range_query(query)) == expected
 
-    # After compaction the delta engine's clip store must match a fresh
+    # After compaction the delta manager's clip store must match a fresh
     # full clipping pass over its own (mutated) tree.
     source = delta._source
     reference = ClippedRTree(copy.deepcopy(source.tree), source.config)
     reference.clip_all(engine="vectorized")
     assert dict(source.store.items()) == dict(reference.store.items())
 
-    refreeze_seconds, _ = _timed_apply(clipped, ops, 2, update_engine="refreeze")
-    delta_seconds, delta_manager = _timed_apply(
-        clipped, ops, 3, update_engine="delta", compact_every=COMPACT_EVERY
-    )
+    refreeze_seconds, _ = _timed_apply(clipped, ops, 2, compact_every=1)
+    delta_seconds, delta_manager = _timed_apply(clipped, ops, 3, compact_every=COMPACT_EVERY)
     speedup = refreeze_seconds / delta_seconds
 
     record = {

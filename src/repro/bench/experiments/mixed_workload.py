@@ -3,17 +3,19 @@
 The paper's update experiment (Figure 12) counts re-clips per insertion
 in isolation; real serving interleaves queries with writes.  This
 scenario replays one shuffled stream of range queries, inserts, and
-deletes — at several write fractions — through both update engines:
+deletes — at several write fractions — through two managers on the one
+write path:
 
-* ``refreeze`` re-clips and re-freezes the snapshot on every write, so
-  reads always hit a fresh snapshot but writes are brutally expensive;
+* ``refreeze`` (``compact_every=1``) re-clips and re-freezes the snapshot
+  on every write, so reads always hit a fresh snapshot but writes are
+  brutally expensive;
 * ``delta`` buffers writes in the overlay (queries merge base + delta)
   and folds them in through periodic compactions.
 
-Both engines must answer every read in the stream identically — the
-throughput comparison is only meaningful over equal answers.  Reported
-per write fraction: end-to-end operations/second for both engines and
-the delta engine's compaction counters.
+Both must answer every read in the stream identically — the throughput
+comparison is only meaningful over equal answers.  Reported per write
+fraction: end-to-end operations/second for both and the ``delta``
+manager's compaction counters.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def run(
     compact_every: int = 32,
     target_results: int = 10,
 ) -> List[Dict]:
-    """Mixed-stream throughput of both update engines, with equal answers."""
+    """Mixed-stream throughput at both compaction periods, with equal answers."""
     if total_ops is None:
         total_ops = max(40, min(240, len(context.objects(dataset)) // 10))
     reference = context.clipped(dataset, variant, method=method)
@@ -90,15 +92,11 @@ def run(
     for write_fraction in write_fractions:
         ops = _build_stream(context, dataset, total_ops, write_fraction, target_results)
         # The cached clipped tree must never mutate; each manager owns a copy.
-        delta = SnapshotManager(
-            copy.deepcopy(reference),
-            update_engine="delta",
-            compact_every=compact_every,
-        )
-        refreeze = SnapshotManager(copy.deepcopy(reference), update_engine="refreeze")
+        delta = SnapshotManager(copy.deepcopy(reference), compact_every=compact_every)
+        refreeze = SnapshotManager(copy.deepcopy(reference), compact_every=1)
         delta_seconds, delta_answers = _replay(delta, ops)
         refreeze_seconds, refreeze_answers = _replay(refreeze, ops)
-        # Interleaved reads must agree op for op, whatever the engine.
+        # Interleaved reads must agree op for op, whatever the period.
         assert delta_answers == refreeze_answers
         reads = sum(1 for kind, _ in ops if kind == "query")
         rows.append(

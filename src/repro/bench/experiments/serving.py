@@ -42,7 +42,7 @@ def run(
         concurrency = config.serve_concurrency
     reference = context.clipped(dataset, variant, method=method)
     # The cached clipped tree must never mutate; the manager owns a copy.
-    manager = SnapshotManager(copy.deepcopy(reference), update_engine="delta")
+    manager = SnapshotManager(copy.deepcopy(reference))
     report, responses = run_serve_scenario(
         manager,
         n_requests=requests,

@@ -1,19 +1,19 @@
-"""Incremental-update experiment: delta overlay vs refreeze-per-write.
+"""Incremental-update experiment: batched compaction vs a freeze per write.
 
 The paper's §IV-D measures how many nodes an insertion re-clips; this
 experiment measures what that costs end-to-end for a *served* columnar
 snapshot.  Two :class:`~repro.engine.delta.SnapshotManager` instances
-absorb the same mixed insert/delete stream over identical clipped trees:
+absorb the same mixed insert/delete stream over identical clipped trees,
+through the one write path:
 
-* ``refreeze`` applies every write to the source synchronously (scalar
-  insert/delete plus per-update re-clipping) and re-freezes the snapshot
-  after each one — the naive baseline;
+* ``refreeze`` (``compact_every=1``) folds every write into the source
+  and re-freezes the snapshot at once — the naive baseline;
 * ``delta`` buffers writes in the overlay and folds them in through
   periodic compactions with dirty-node-only re-clipping.
 
 Both managers answer an identical query workload at the end and must
 agree exactly — the speedup column is only meaningful because the two
-engines serve the same results.
+serve the same results.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def run(
     update_fraction: float = 0.1,
     compact_every: int = 32,
 ) -> List[Dict]:
-    """Amortized per-write cost of both update engines, with a differential check."""
+    """Amortized per-write cost at both compaction periods, with a differential check."""
     config = context.config
     rows: List[Dict] = []
     for dataset in datasets:
@@ -78,18 +78,12 @@ def run(
             # The context's clipped tree is cached and must never mutate;
             # each manager owns a deep copy it is free to write to.
             reference = context.clipped(dataset, variant, method=method)
-            refreeze = SnapshotManager(
-                copy.deepcopy(reference), update_engine="refreeze"
-            )
-            delta = SnapshotManager(
-                copy.deepcopy(reference),
-                update_engine="delta",
-                compact_every=compact_every,
-            )
+            refreeze = SnapshotManager(copy.deepcopy(reference), compact_every=1)
+            delta = SnapshotManager(copy.deepcopy(reference), compact_every=compact_every)
             refreeze_seconds = _apply(refreeze, ops)
             delta_seconds = _apply(delta, ops)
 
-            # Both engines must serve identical live states.
+            # Both managers must serve identical live states.
             assert _result_keys(delta.range_query_batch(queries)) == _result_keys(
                 refreeze.range_query_batch(queries)
             )

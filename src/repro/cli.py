@@ -301,7 +301,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     index = build_rtree(args.variant, objects, max_entries=config.max_entries)
     if args.clip != "none":
         index = ClippedRTree.wrap(index, method=args.clip)
-    manager = SnapshotManager(index, update_engine="delta")
+    manager = SnapshotManager(index)
     report, responses = run_serve_scenario(
         manager,
         n_requests=args.requests,

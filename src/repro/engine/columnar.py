@@ -124,7 +124,10 @@ class ColumnarIndex:
     and none is ever persisted: :meth:`node_bounds` and
     :meth:`node_levels` (the STT join) and the two padded layouts,
     :meth:`node_major` (entries: range frontier, INLJ, kNN, STT join) and
-    :meth:`node_major_clips` (clip points: all of those but kNN).
+    :meth:`node_major_clips` (clip points: all of those but kNN).  A
+    fifth, :meth:`object_oids`, is cached the same way from ``objects``:
+    the column a delete searches for its row and the form in which a
+    save writes the objects.
 
     **Leaf rows are the objects.**  Directory slots precede leaf slots
     (BFS over a balanced tree), so the leaves' entries are the trailing
@@ -178,6 +181,7 @@ class ColumnarIndex:
         self._node_levels: Optional[np.ndarray] = None
         self._node_major: Optional[tuple] = None
         self._node_major_clips: Optional[tuple] = None
+        self._object_oids: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -346,6 +350,22 @@ class ColumnarIndex:
                 self._node_highs = np.maximum.reduceat(self.entry_highs, self.entry_start)
         return self._node_lows, self._node_highs
 
+    def object_oids(self) -> np.ndarray:
+        """The objects' ids as one int64 column, ``oids[i] == objects[i].oid`` (cached).
+
+        A loaded snapshot already holds the column (``LazyObjectList.oids``,
+        typically a memmap) and hands it over as is, so asking for it
+        builds no :class:`SpatialObject`.
+        """
+        if self._object_oids is None:
+            oids = getattr(self.objects, "oids", None)
+            if oids is None:
+                oids = np.fromiter(
+                    (obj.oid for obj in self.objects), dtype=np.int64, count=len(self.objects)
+                )
+            self._object_oids = oids
+        return self._object_oids
+
     def node_levels(self) -> np.ndarray:
         """Per-slot tree levels (0 = leaf), cached.
 
@@ -457,17 +477,17 @@ class ColumnarIndex:
     # convenience query wrappers
     # ------------------------------------------------------------------
 
-    def range_query_batch(self, rects: Sequence, stats=None, access_hook=None):
+    def range_query_batch(self, rects: Sequence, stats=None, access_hook=None, live=None):
         """See :func:`repro.engine.executor.range_query_batch`."""
         from repro.engine.executor import range_query_batch
 
-        return range_query_batch(self, rects, stats=stats, access_hook=access_hook)
+        return range_query_batch(self, rects, stats=stats, access_hook=access_hook, live=live)
 
-    def knn_batch(self, points: Sequence, k: int, stats=None):
+    def knn_batch(self, points: Sequence, k: int, stats=None, live=None):
         """See :func:`repro.engine.executor.knn_batch`."""
         from repro.engine.executor import knn_batch
 
-        return knn_batch(self, points, k, stats=stats)
+        return knn_batch(self, points, k, stats=stats, live=live)
 
     def __repr__(self) -> str:
         return (

@@ -1,32 +1,35 @@
-"""Incremental updates without refreeze: an LSM-flavored delta overlay.
+"""Incremental updates behind a frozen snapshot: an LSM-flavored delta overlay.
 
-The columnar snapshots of :mod:`repro.engine.columnar` are immutable —
-before this module, every insert or delete forced a full re-freeze (and,
-for clipped trees, ran the §IV-D per-update re-clipping synchronously).
-Here writes are absorbed by a small mutable in-memory R-tree
+The columnar snapshots of :mod:`repro.engine.columnar` are immutable.
+Writes are absorbed by a small mutable in-memory layer
 (:class:`DeltaOverlay`) sitting on top of the frozen snapshot, queries
-merge both layers, and a *compaction* folds the buffered batch into the
-source tree, re-clips only the dirty nodes
-(:func:`repro.engine.incremental_clip.reclip_nodes_for_results`), and
-atomically swaps in one fresh snapshot — the naive → amortized ladder of
-the treebuffers line of work, applied to clipped R-trees.
+merge both layers, and a *compaction* makes the next generation — one
+fresh snapshot holding the buffered batch — and atomically swaps it in:
+the naive → amortized ladder of the treebuffers line of work, applied to
+clipped R-trees.  There is one write path; what a freeze per write costs
+is measured by running it with ``compact_every=1``.
 
 Layering, from the reader's point of view:
 
 * *base*: the frozen :class:`~repro.engine.columnar.ColumnarIndex`;
 * *delta inserts*: a :class:`~repro.rtree.quadratic.QuadraticRTree`
   holding objects inserted since the freeze;
-* *delta deletes*: per-object tombstone counts against the base (an
-  object is identified by ``(oid, rect)``; duplicates are tracked by
-  count, so deleting one of two identical objects removes exactly one).
+* *delta deletes*: tombstones against the base.  **A base object's
+  identity is its row** — object ``i`` of the snapshot, whose rectangle is
+  leaf row ``i`` of the entry columns — so a tombstone is one bit of a
+  boolean column, equal duplicates are different rows and need no
+  counting, and every reader drops dead hits by indexing that column with
+  the row indices its traversal produced, before any object is built.
 
-Query merging: base hits are filtered through the tombstones, overlay
-hits are unioned in, and I/O statistics accumulate into the same
-:class:`~repro.storage.stats.IOStats` (base accesses through the batch
-executor, overlay accesses through the scalar traversal of the small
-delta tree).  While a delta is pending the *results* equal a scalar
-``ClippedRTree`` maintained with the same operations
-(``tests/test_delta_overlay.py`` pins this property); after
+Query merging: the base batch runs with the overlay's ``live`` column
+(:func:`repro.engine.executor.range_query_batch` and friends take it as
+data; with no tombstone pending none is passed and the base path is the
+unmanaged one), overlay hits are unioned in, and I/O statistics
+accumulate into the same :class:`~repro.storage.stats.IOStats` (base
+accesses through the batch executor, overlay accesses through the scalar
+traversal of the small delta tree).  While a delta is pending the
+*results* equal a scalar ``ClippedRTree`` maintained with the same
+operations (``tests/test_delta_overlay.py`` pins this property); after
 :meth:`SnapshotManager.compact` the served snapshot is bit-identical to
 a fresh freeze, so access counts match the scalar engine exactly again.
 
@@ -41,7 +44,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.engine.builder import build_columnar_str
 from repro.engine.columnar import ColumnarIndex
@@ -55,20 +60,12 @@ from repro.rtree.clipped import ClippedRTree
 from repro.rtree.quadratic import QuadraticRTree
 from repro.storage.stats import IOStats
 
-#: ``(oid, low corner, high corner)`` — how the overlay identifies one
-#: object across the base/delta boundary.  Rect corners are tuples, so
-#: keys are hashable; equal duplicates share a key and are counted.
-ObjectKey = Tuple[int, Tuple[float, ...], Tuple[float, ...]]
-
-
-def object_key(obj: SpatialObject) -> ObjectKey:
-    """The overlay's identity key for ``obj`` (id + exact rectangle)."""
-    return (obj.oid, obj.rect.low, obj.rect.high)
-
-
 #: Longest stretch of apply work :meth:`SnapshotManager.compact` does
 #: between two calls of its ``pause`` hook, in seconds.
 _SLICE_SECONDS = 0.010
+
+#: Fan-out of the overlay's insert tree.
+_OVERLAY_MAX_ENTRIES = 16
 
 
 class CompactionInProgressError(RuntimeError):
@@ -85,55 +82,76 @@ class CompactionInProgressError(RuntimeError):
 class DeltaOverlay:
     """Buffers inserts and deletes against one frozen snapshot.
 
-    Inserts go into a small mutable R-tree; deletes of *base* objects
-    become tombstone counts (and remember the object so compaction can
-    replay the delete against the source tree); deleting an object that
-    only lives in the delta tree simply removes it there.
+    Inserts go into a small mutable R-tree.  A delete of a *base* object
+    clears that object's bit in :attr:`live` (and remembers the object so
+    compaction can replay the delete against the source tree); deleting
+    an object that only lives in the delta tree simply removes it there.
+
+    A base object is identified by its row in the snapshot, nothing else.
+    :meth:`delete` is the one place a value — the caller's ``(oid,
+    rectangle)`` — is translated into a row: the snapshot's oid column
+    (:meth:`ColumnarIndex.object_oids`) narrows it to the rows with that
+    id, their leaf rows of ``entry_lows`` / ``entry_highs`` to the ones
+    with that rectangle, and the first of them still alive is the victim.
+    Arrays only: no :class:`SpatialObject` of the base is built or read,
+    which on a memory-mapped snapshot would construct every one of them.
     """
 
-    def __init__(self, base: ColumnarIndex, max_entries: int = 16):
+    def __init__(self, base: ColumnarIndex):
         self.base = base
         self.dims = base.dims
-        self.tree = QuadraticRTree(base.dims, max_entries=max_entries)
-        #: tombstones: key -> number of base copies deleted
-        self.deleted: Dict[ObjectKey, int] = {}
+        self.tree = QuadraticRTree(base.dims, max_entries=_OVERLAY_MAX_ENTRIES)
+        #: tombstones: ``live[i]`` is False once base object ``i`` is deleted.
+        #: None until the first delete: readers then pass the base no mask.
+        self.live: Optional[np.ndarray] = None
         self._deleted_objects: List[SpatialObject] = []
-        self._base_counts: Optional[Dict[ObjectKey, int]] = None
         self.ops = 0
 
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
 
-    def insert(self, obj: SpatialObject) -> None:
-        """Buffer one insertion."""
+    def _check_dims(self, obj: SpatialObject) -> None:
         if obj.dims != self.dims:
             raise ValueError(f"object has {obj.dims} dims, overlay expects {self.dims}")
+
+    def insert(self, obj: SpatialObject) -> None:
+        """Buffer one insertion."""
+        self._check_dims(obj)
         self.tree.insert(obj)
         self.ops += 1
 
     def delete(self, obj: SpatialObject) -> bool:
         """Buffer one deletion; False when no live copy of ``obj`` exists."""
+        self._check_dims(obj)
         if self.tree.delete(obj).found:
             self.ops += 1
             return True
-        key = object_key(obj)
-        if self.base_count(key) - self.deleted.get(key, 0) <= 0:
+        row = self._live_base_row(obj)
+        if row is None:
             return False
-        self.deleted[key] = self.deleted.get(key, 0) + 1
+        if self.live is None:
+            self.live = np.ones(len(self.base.objects), dtype=bool)
+        self.live[row] = False
         self._deleted_objects.append(obj)
         self.ops += 1
         return True
 
-    def base_count(self, key: ObjectKey) -> int:
-        """Number of copies of ``key`` in the base snapshot."""
-        if self._base_counts is None:
-            counts: Dict[ObjectKey, int] = {}
-            for obj in self.base.objects:
-                k = object_key(obj)
-                counts[k] = counts.get(k, 0) + 1
-            self._base_counts = counts
-        return self._base_counts.get(key, 0)
+    def _live_base_row(self, obj: SpatialObject) -> Optional[int]:
+        """The first live base row equal to ``obj`` (id and rectangle), or None."""
+        base, live = self.base, self.live
+        low, high = obj.rect.low, obj.rect.high
+        # The leaves' entries are the trailing rows of the entry columns.
+        first = len(base.entry_child) - len(base.objects)
+        # One compare over the oid column, then the few rows sharing the id.
+        for row in np.flatnonzero(base.object_oids() == obj.oid).tolist():
+            if (
+                (live is None or live[row])
+                and tuple(base.entry_lows[first + row]) == low
+                and tuple(base.entry_highs[first + row]) == high
+            ):
+                return row
+        return None
 
     # ------------------------------------------------------------------
     # state
@@ -142,16 +160,16 @@ class DeltaOverlay:
     @property
     def is_empty(self) -> bool:
         """True when no write has been buffered since the last freeze."""
-        return len(self.tree) == 0 and not self.deleted
+        return len(self.tree) == 0 and not self._deleted_objects
 
     @property
     def has_deletes(self) -> bool:
         """True when any base tombstone is pending."""
-        return bool(self.deleted)
+        return bool(self._deleted_objects)
 
     @property
     def deleted_count(self) -> int:
-        """Total pending base tombstones (counting duplicates)."""
+        """Total pending base tombstones (one per deleted row)."""
         return len(self._deleted_objects)
 
     def live_count(self) -> int:
@@ -162,41 +180,12 @@ class DeltaOverlay:
         """The buffered base deletions, in arrival order (for compaction)."""
         return list(self._deleted_objects)
 
-    # ------------------------------------------------------------------
-    # read-side merging
-    # ------------------------------------------------------------------
-
-    def filter_base_hits(self, hits: Iterable[SpatialObject]) -> List[SpatialObject]:
-        """Drop tombstoned base hits (one hit per pending tombstone count)."""
-        if not self.deleted:
-            return list(hits)
-        remaining = dict(self.deleted)
-        out: List[SpatialObject] = []
-        for obj in hits:
-            key = object_key(obj)
-            pending = remaining.get(key, 0)
-            if pending:
-                remaining[key] = pending - 1
-            else:
-                out.append(obj)
-        return out
-
-    def filter_base_knn(
-        self, hits: Iterable[Tuple[float, SpatialObject]]
-    ) -> List[Tuple[float, SpatialObject]]:
-        """Tombstone filtering for ``(distance, object)`` kNN hit lists."""
-        if not self.deleted:
-            return list(hits)
-        remaining = dict(self.deleted)
-        out: List[Tuple[float, SpatialObject]] = []
-        for dist, obj in hits:
-            key = object_key(obj)
-            pending = remaining.get(key, 0)
-            if pending:
-                remaining[key] = pending - 1
-            else:
-                out.append((dist, obj))
-        return out
+    def live_base_objects(self) -> List[SpatialObject]:
+        """The base objects no tombstone covers, in row order."""
+        objects = self.base.objects
+        if self.live is None:
+            return list(objects)
+        return [objects[i] for i in np.flatnonzero(self.live).tolist()]
 
 
 @dataclass
@@ -212,21 +201,26 @@ class CompactionStats:
 class SnapshotManager:
     """Serves a frozen snapshot while absorbing writes, LSM-style.
 
-    ``update_engine``:
-
-    * ``"refreeze"`` — the baseline: every write is applied to the source
-      synchronously (running §IV-D per-update re-clipping for clipped
-      sources) and the snapshot is re-frozen immediately;
-    * ``"delta"`` — writes buffer in a :class:`DeltaOverlay`; queries
-      merge base and delta; :meth:`compact` (or ``compact_every``) folds
-      the batch into the source with one dirty-node re-clip pass and one
-      freeze, then atomically swaps the published state.
+    Writes buffer in a :class:`DeltaOverlay`; queries merge base and
+    delta; :meth:`compact` — called by hand, by a server, or after every
+    ``compact_every`` buffered writes — makes the next generation and
+    atomically swaps the published state.  ``compact_every=1`` is a
+    freeze per write, the baseline the update experiments measure.
 
     Sources may be a :class:`~repro.rtree.clipped.ClippedRTree`, a plain
     :class:`~repro.rtree.base.RTreeBase`, or a
-    :class:`~repro.engine.columnar.ColumnarIndex` (tree-backed snapshots
-    unwrap to their source; source-free STR snapshots compact by
-    rebuilding through :func:`repro.engine.builder.build_columnar_str`).
+    :class:`~repro.engine.columnar.ColumnarIndex` (a tree-backed snapshot
+    unwraps to its source).  What the manager was given decides how a
+    generation is made; no option does:
+
+    * *a tree* — the batch is folded into it (buffered deletes, then
+      inserts, with no per-update re-clipping), the nodes that dirtied
+      are re-clipped once (§IV-D) and the tree is frozen again;
+    * *no tree* — a snapshot that was loaded from disk (a server started
+      on a snapshot directory) or STR-packed straight into arrays has
+      nothing to fold into, so the live objects are STR-packed afresh
+      (:func:`repro.engine.builder.build_columnar_str`) at the fan-out
+      the snapshot came with.
 
     Concurrency contract (what a compacting server relies on): writes
     and :meth:`compact` may race from different threads.  While a
@@ -251,40 +245,25 @@ class SnapshotManager:
     ``(snapshot, overlay)`` tuple once per batch.
     """
 
-    UPDATE_ENGINES = ("refreeze", "delta")
-
     #: duck-typing marker checked by ``execute_workload``/``execute_join``
     is_snapshot_manager = True
 
     def __init__(
         self,
         source: Union[RTreeBase, ClippedRTree, ColumnarIndex],
-        update_engine: str = "delta",
+        update_engine: str = "delta",  # only "delta": perf/workloads.py passes it (ROADMAP item 3)
         compact_every: Optional[int] = None,
-        clip_engine: str = "vectorized",
-        overlay_max_entries: int = 16,
-        rebuild_max_entries: Optional[int] = None,
     ):
-        if update_engine not in self.UPDATE_ENGINES:
-            raise ValueError(
-                f"unknown update engine {update_engine!r}; known: {self.UPDATE_ENGINES}"
-            )
+        if update_engine != "delta":
+            raise ValueError(f"unknown update engine {update_engine!r}; the only one is 'delta'")
         if compact_every is not None and compact_every < 1:
             raise ValueError("compact_every must be at least 1")
-        if isinstance(source, ColumnarIndex):
-            self._source = source.source
-            snapshot = source
-        else:
-            self._source = source
-            snapshot = ColumnarIndex.from_tree(source)
-        self.update_engine = update_engine
+        snapshot = source if isinstance(source, ColumnarIndex) else ColumnarIndex.from_tree(source)
+        #: The tree generations are folded into; None for a source-free snapshot.
+        self._source = snapshot.source
         self.compact_every = compact_every
-        self.clip_engine = clip_engine
-        self.overlay_max_entries = overlay_max_entries
-        if rebuild_max_entries is None and self._source is None:
-            counts = snapshot.entry_count
-            rebuild_max_entries = max(2, int(counts.max())) if len(counts) else 16
-        self.rebuild_max_entries = rebuild_max_entries
+        #: Fan-out of the source-free rebuild: the widest node it was given.
+        self._rebuild_fanout = max(2, int(snapshot.entry_count.max()))
         self.epoch = 0
         self.total_compactions = 0
         self.total_reclipped_nodes = 0
@@ -296,10 +275,7 @@ class SnapshotManager:
         #: has: during a fold, and for good if one failed past that point.
         self._source_ahead = False
         self._staged_inserts: List[SpatialObject] = []
-        self._view: Tuple[ColumnarIndex, DeltaOverlay] = (
-            snapshot,
-            DeltaOverlay(snapshot, max_entries=overlay_max_entries),
-        )
+        self._view: Tuple[ColumnarIndex, DeltaOverlay] = (snapshot, DeltaOverlay(snapshot))
 
     # ------------------------------------------------------------------
     # published state
@@ -322,7 +298,7 @@ class SnapshotManager:
 
     @property
     def pending_ops(self) -> int:
-        """Writes buffered since the last compaction (0 for refreeze)."""
+        """Writes buffered since the last compaction."""
         return self.overlay.ops
 
     def __len__(self) -> int:
@@ -330,14 +306,12 @@ class SnapshotManager:
 
     def live_objects(self) -> List[SpatialObject]:
         """Every object currently visible (base minus tombstones, plus delta)."""
-        snapshot, overlay = self._view
-        live = overlay.filter_base_hits(snapshot.objects)
-        live.extend(overlay.tree.objects())
-        return live
+        overlay = self.overlay
+        return overlay.live_base_objects() + list(overlay.tree.objects())
 
     def _install(self, snapshot: ColumnarIndex) -> None:
         """Atomically publish a fresh snapshot with an empty overlay."""
-        self._view = (snapshot, DeltaOverlay(snapshot, max_entries=self.overlay_max_entries))
+        self._view = (snapshot, DeltaOverlay(snapshot))
         self.epoch += 1
 
     # ------------------------------------------------------------------
@@ -345,20 +319,12 @@ class SnapshotManager:
     # ------------------------------------------------------------------
 
     def insert(self, obj: SpatialObject) -> None:
-        """Insert one object through the configured update engine.
+        """Insert one object.
 
         Safe against a concurrent :meth:`compact`: a mid-compaction
         insert is readable at once and carried over to the overlay the
         compaction publishes (see the class doc).
         """
-        if self.update_engine == "refreeze":
-            with self._write_lock:
-                if self._compacting:
-                    raise CompactionInProgressError(
-                        "refreeze write raced a compaction; retry after the swap"
-                    )
-                self._refreeze_write(obj, delete=False)
-            return
         with self._write_lock:
             self.overlay.insert(obj)
             if self._compacting:
@@ -371,17 +337,11 @@ class SnapshotManager:
     def delete(self, obj: SpatialObject) -> bool:
         """Delete one object; False when it is not (visibly) indexed.
 
-        Raises :class:`CompactionInProgressError` while a compaction is
-        running — a delete cannot be staged without knowing which base
-        snapshot it will apply to.
+        Raises ``ValueError`` for an object of the wrong dimensionality,
+        like :meth:`insert`, and :class:`CompactionInProgressError` while
+        a compaction is running — a delete cannot be staged without
+        knowing which base snapshot it will apply to.
         """
-        if self.update_engine == "refreeze":
-            with self._write_lock:
-                if self._compacting:
-                    raise CompactionInProgressError(
-                        "refreeze write raced a compaction; retry after the swap"
-                    )
-                return self._refreeze_write(obj, delete=True)
         with self._write_lock:
             if self._compacting:
                 raise CompactionInProgressError(
@@ -396,39 +356,9 @@ class SnapshotManager:
         if self.compact_every is not None and self.overlay.ops >= self.compact_every:
             self.compact()
 
-    def _refreeze_write(self, obj: SpatialObject, delete: bool) -> bool:
-        source = self._source
-        if source is None:
-            objects = list(self.snapshot.objects)
-            if delete:
-                key = object_key(obj)
-                for i, existing in enumerate(objects):
-                    if object_key(existing) == key:
-                        del objects[i]
-                        break
-                else:
-                    return False
-            else:
-                objects.append(obj)
-            self._install(self._rebuild_source_free(objects))
-            return True
-        if delete:
-            if isinstance(source, ClippedRTree):
-                before = len(source)
-                source.delete(obj)
-                found = len(source) < before
-            else:
-                found = source.delete(obj).found
-            if not found:
-                return False
-        else:
-            source.insert(obj)
-        self._install(ColumnarIndex.from_tree(source))
-        return True
-
     def _rebuild_source_free(self, objects: Sequence[SpatialObject]) -> ColumnarIndex:
         if objects:
-            return build_columnar_str(objects, max_entries=self.rebuild_max_entries)
+            return build_columnar_str(objects, max_entries=self._rebuild_fanout)
         # ``build_columnar_str`` needs at least one object; freeze an empty
         # scalar tree and strip the source so the snapshot stays read-only.
         empty = ColumnarIndex.from_tree(QuadraticRTree(self.snapshot.dims))
@@ -478,7 +408,7 @@ class SnapshotManager:
                     "compact() is already running; concurrent inserts are staged"
                 )
             self._compacting = True
-            snapshot, overlay = self._view
+            overlay = self.overlay
             # This compaction's input, copied before any insert it stages
             # can join the overlay.
             deletes = overlay.deleted_objects()
@@ -501,9 +431,7 @@ class SnapshotManager:
                     hook()
                 source = self._source
                 if source is None:
-                    live = overlay.filter_base_hits(snapshot.objects)
-                    live.extend(inserts)
-                    fresh = self._rebuild_source_free(live)
+                    fresh = self._rebuild_source_free(overlay.live_base_objects() + inserts)
                 else:
                     clipped = source if isinstance(source, ClippedRTree) else None
                     tree = clipped.tree if clipped is not None else source
@@ -520,7 +448,7 @@ class SnapshotManager:
                         pause()
                     if clipped is not None:
                         stats.reclipped_nodes = reclip_nodes_for_results(
-                            clipped, results, engine=self.clip_engine, pause=pause
+                            clipped, results, pause=pause
                         )
                     fresh = ColumnarIndex.from_tree(source)
                     self._source_ahead = False
@@ -550,9 +478,7 @@ class SnapshotManager:
         """Per-query result lists over base + delta (deletes filtered)."""
         snapshot, overlay = self._view
         rects = list(rects)
-        results = snapshot.range_query_batch(rects, stats=stats)
-        if overlay.has_deletes:
-            results = [overlay.filter_base_hits(hits) for hits in results]
+        results = snapshot.range_query_batch(rects, stats=stats, live=overlay.live)
         if len(overlay.tree):
             for i, rect in enumerate(rects):
                 results[i] = results[i] + overlay.tree.range_query(rect, stats=stats)
@@ -572,26 +498,29 @@ class SnapshotManager:
     ) -> List[List[Tuple[float, SpatialObject]]]:
         """Per-point ``(squared distance, object)`` lists over base + delta.
 
-        The base is probed for ``k`` plus the number of pending
-        tombstones (any query's k nearest live base objects are within
-        that prefix), filtered, merged with the overlay tree's own kNN,
-        and truncated to ``k``.
+        The base returns each point's ``k`` nearest live objects (it
+        searches past the tombstones, see
+        :func:`repro.engine.executor.knn_batch`); they are merged with
+        the overlay tree's own kNN and truncated to ``k``.
         """
         snapshot, overlay = self._view
         points = list(points)
-        base_k = k + overlay.deleted_count
+        # Here, not in a layer: an empty base is skipped and the overlay's
+        # scalar search does not check.
+        if any(len(point) != snapshot.dims for point in points):
+            raise ValueError(f"points must have {snapshot.dims} dims, like the index")
         base_hits = (
-            snapshot.knn_batch(points, base_k, stats=stats)
+            snapshot.knn_batch(points, k, stats=stats, live=overlay.live)
             if len(snapshot.objects)
             else [[] for _ in points]
         )
+        if not len(overlay.tree):
+            return base_hits
         merged: List[List[Tuple[float, SpatialObject]]] = []
         for point, hits in zip(points, base_hits):
-            live = overlay.filter_base_knn(hits)
-            if len(overlay.tree):
-                live = live + knn_query(overlay.tree, point, k, stats=stats)
-                live.sort(key=lambda pair: pair[0])
-            merged.append(live[:k])
+            hits = hits + knn_query(overlay.tree, point, k, stats=stats)
+            hits.sort(key=lambda pair: pair[0])
+            merged.append(hits[:k])
         return merged
 
 
@@ -600,134 +529,43 @@ class SnapshotManager:
 # ----------------------------------------------------------------------
 
 
-def _join_side(index) -> Tuple[ColumnarIndex, Optional[DeltaOverlay]]:
+def _join_side(index) -> Tuple[ColumnarIndex, Optional[np.ndarray], Optional[QuadraticRTree]]:
+    """``(base snapshot, its tombstones if any, its delta tree if managed)``."""
     if isinstance(index, SnapshotManager):
         snapshot, overlay = index.view
-        return snapshot, overlay
+        return snapshot, overlay.live, overlay.tree
     if isinstance(index, ColumnarIndex):
-        return index, None
-    return ColumnarIndex.from_tree(index), None
-
-
-def _filter_pairs_side(
-    pairs: List[Tuple[SpatialObject, SpatialObject]],
-    overlay: Optional[DeltaOverlay],
-    side: int,
-) -> List[Tuple[SpatialObject, SpatialObject]]:
-    """Drop pairs whose ``side`` member is tombstoned, duplicate-exactly.
-
-    A base object with ``b`` identical copies and ``d`` tombstones pairs
-    with each distinct partner instance ``b`` times; keeping the first
-    ``b - d`` occurrences per ``(key, partner instance)`` removes exactly
-    the deleted copies' pairs.  Only valid when the *other* side carries
-    no tombstones (see :func:`_filter_pairs_two_sided` otherwise).
-    """
-    if overlay is None or not overlay.has_deletes:
-        return pairs
-    deleted = overlay.deleted
-    out: List[Tuple[SpatialObject, SpatialObject]] = []
-    quota: Dict[Tuple[ObjectKey, int], int] = {}
-    for pair in pairs:
-        key = object_key(pair[side])
-        tombstones = deleted.get(key, 0)
-        if not tombstones:
-            out.append(pair)
-            continue
-        quota_key = (key, id(pair[1 - side]))
-        remaining = quota.get(quota_key)
-        if remaining is None:
-            remaining = overlay.base_count(key) - tombstones
-        if remaining > 0:
-            out.append(pair)
-            quota[quota_key] = remaining - 1
-        else:
-            quota[quota_key] = 0
-    return out
-
-
-def _filter_pairs_two_sided(
-    pairs: List[Tuple[SpatialObject, SpatialObject]],
-    l_overlay: Optional[DeltaOverlay],
-    r_overlay: Optional[DeltaOverlay],
-) -> List[Tuple[SpatialObject, SpatialObject]]:
-    """Tombstone-filter base×base STT pairs on both sides at once.
-
-    Pairs tombstoned on exactly one side use the per-partner-instance
-    quota of :func:`_filter_pairs_side`.  Pairs tombstoned on *both*
-    sides are all value-identical within their ``(keyL, keyR)`` group
-    (both members are exact duplicates), so the group keeps exactly
-    ``(bL - dL) * (bR - dR)`` of its ``bL * bR`` pairs — the multiset a
-    join over the live copies would produce.
-    """
-    l_deleted = l_overlay.deleted if l_overlay is not None else {}
-    r_deleted = r_overlay.deleted if r_overlay is not None else {}
-    if not l_deleted and not r_deleted:
-        return pairs
-    out: List[Tuple[SpatialObject, SpatialObject]] = []
-    side_quota: Dict[Tuple[int, ObjectKey, int], int] = {}
-    group_quota: Dict[Tuple[ObjectKey, ObjectKey], int] = {}
-    for pair in pairs:
-        key_l = object_key(pair[0])
-        key_r = object_key(pair[1])
-        tomb_l = l_deleted.get(key_l, 0)
-        tomb_r = r_deleted.get(key_r, 0)
-        if not tomb_l and not tomb_r:
-            out.append(pair)
-            continue
-        if tomb_l and tomb_r:
-            group_key = (key_l, key_r)
-            remaining = group_quota.get(group_key)
-            if remaining is None:
-                remaining = (l_overlay.base_count(key_l) - tomb_l) * (
-                    r_overlay.base_count(key_r) - tomb_r
-                )
-        else:
-            side = 0 if tomb_l else 1
-            overlay = l_overlay if tomb_l else r_overlay
-            key = key_l if tomb_l else key_r
-            group_key = None
-            quota_key = (side, key, id(pair[1 - side]))
-            remaining = side_quota.get(quota_key)
-            if remaining is None:
-                remaining = overlay.base_count(key) - (tomb_l or tomb_r)
-        if remaining > 0:
-            out.append(pair)
-            remaining -= 1
-        else:
-            remaining = 0
-        if group_key is not None:
-            group_quota[group_key] = remaining
-        else:
-            side_quota[quota_key] = remaining
-    return out
+        return index, None, None
+    return ColumnarIndex.from_tree(index), None, None
 
 
 def _probe_pairs(
     probes: Sequence[SpatialObject],
     snapshot: ColumnarIndex,
-    overlay: Optional[DeltaOverlay],
+    live: Optional[np.ndarray],
+    delta: Optional[QuadraticRTree],
     stats: IOStats,
     collect_into: List[Tuple[SpatialObject, SpatialObject]],
     swap: bool = False,
-    include_delta: bool = True,
 ) -> None:
     """INLJ ``probes`` against one managed side, appending to ``collect_into``.
 
-    Base hits are tombstone-filtered through ``overlay``; with
-    ``include_delta`` the probes also join the overlay's pending delta
-    tree (callers covering delta×delta elsewhere pass False).  ``swap``
-    flips the emitted pair orientation (probe second).
+    The base join runs with the side's tombstones ``live``; the probes
+    also join its pending ``delta`` tree (callers covering delta×delta
+    elsewhere pass None).  ``swap`` flips the emitted pair orientation
+    (probe second).
     """
+    # Looked up per call, like ``stt_batch`` below: a traced run patches
+    # the module attributes, and a name bound at import would escape it.
     from repro.engine.join_exec import inlj_batch
 
     if len(probes) and len(snapshot.objects):
-        sub = inlj_batch(probes, snapshot, collect_pairs=True)
+        sub = inlj_batch(probes, snapshot, collect_pairs=True, live=live)
         stats.merge(sub.inner_stats)
-        pairs = _filter_pairs_side(sub.pairs, overlay, side=1)
-        collect_into.extend((r, l) if swap else (l, r) for l, r in pairs)
-    if include_delta and overlay is not None and len(overlay.tree):
+        collect_into.extend((r, l) if swap else (l, r) for l, r in sub.pairs)
+    if delta is not None and len(delta):
         for probe in probes:
-            for hit in overlay.tree.range_query(probe.rect, stats=stats):
+            for hit in delta.range_query(probe.rect, stats=stats):
                 collect_into.append((hit, probe) if swap else (probe, hit))
 
 
@@ -739,15 +577,15 @@ def overlay_join(
 ) -> JoinResult:
     """Spatial join where either side may be a :class:`SnapshotManager`.
 
-    The base×base portion runs through the columnar batch joins; pairs
-    involving tombstoned objects are filtered out, and the pending delta
-    trees are joined against the opposite side's live view.  Pair sets
+    The base×base portion runs through the columnar batch joins with
+    each managed side's tombstones, and the pending delta trees are
+    joined against the opposite side's live view.  Pair sets
     equal a scalar join over both sides' live objects; ``outer_stats`` /
     ``inner_stats`` accumulate the accesses charged to the left and
     right inputs respectively (base probes through the batch executor,
     delta probes through the small overlay trees).
     """
-    from repro.engine.join_exec import inlj_batch, stt_batch
+    from repro.engine.join_exec import stt_batch
 
     check_join_algorithm(algorithm)
     if algorithm == "inlj":
@@ -755,35 +593,34 @@ def overlay_join(
             probes: Sequence[SpatialObject] = left.live_objects()
         else:
             probes = list(left)
-        r_snap, r_overlay = _join_side(right)
         result = JoinResult()
         pairs: List[Tuple[SpatialObject, SpatialObject]] = []
-        _probe_pairs(probes, r_snap, r_overlay, result.inner_stats, pairs)
+        _probe_pairs(probes, *_join_side(right), result.inner_stats, pairs)
         result.pairs = pairs if collect_pairs else []
         result.pair_count = len(pairs)
         return result
 
-    l_snap, l_overlay = _join_side(left)
-    r_snap, r_overlay = _join_side(right)
-    base = stt_batch(l_snap, r_snap, collect_pairs=True)
-    pairs = _filter_pairs_two_sided(base.pairs, l_overlay, r_overlay)
+    l_snap, l_live, l_delta = _join_side(left)
+    r_snap, r_live, r_delta = _join_side(right)
+    base = stt_batch(l_snap, r_snap, collect_pairs=True, left_live=l_live, right_live=r_live)
+    pairs = base.pairs
     result = JoinResult(outer_stats=base.outer_stats, inner_stats=base.inner_stats)
 
     # deltaL × (baseR live + deltaR): probe the full right view.
-    if l_overlay is not None and len(l_overlay.tree):
+    if l_delta is not None and len(l_delta):
         _probe_pairs(
-            list(l_overlay.tree.objects()), r_snap, r_overlay, result.inner_stats, pairs
+            list(l_delta.objects()), r_snap, r_live, r_delta, result.inner_stats, pairs
         )
     # deltaR × baseL live only — deltaL × deltaR was covered just above.
-    if r_overlay is not None and len(r_overlay.tree):
+    if r_delta is not None and len(r_delta):
         _probe_pairs(
-            list(r_overlay.tree.objects()),
+            list(r_delta.objects()),
             l_snap,
-            l_overlay,
+            l_live,
+            None,
             result.outer_stats,
             pairs,
             swap=True,
-            include_delta=False,
         )
     result.pairs = pairs if collect_pairs else []
     result.pair_count = len(pairs)

@@ -156,6 +156,7 @@ def range_query_batch(
     rects: Sequence[Rect],
     stats: Optional[IOStats] = None,
     access_hook: Optional[AccessHook] = None,
+    live: Optional[np.ndarray] = None,
 ) -> List[List[SpatialObject]]:
     """All objects intersecting each query rectangle, per query.
 
@@ -165,6 +166,11 @@ def range_query_batch(
     order).  ``access_hook``, when given, is invoked once per frontier
     round with the visiting query indices and visited node ids — the
     cold-disk experiment uses it to charge a buffer pool.
+
+    ``live``, when given, is a boolean column over the objects (the
+    tombstones of :class:`~repro.engine.delta.DeltaOverlay`): hits on a
+    ``False`` row are dropped before any object is materialised.  The
+    traversal, and so ``IOStats``, are those of the unfiltered batch.
     """
     rects = list(rects)
     if not rects:
@@ -173,6 +179,9 @@ def range_query_batch(
     all_q, all_obj = gather_range_hits(
         index, q_lows, q_highs, stats=stats, access_hook=access_hook
     )
+    if live is not None:
+        keep = live[all_obj]
+        all_q, all_obj = all_q[keep], all_obj[keep]
     return materialize_range_hits(index, len(rects), all_q, all_obj)
 
 
@@ -211,6 +220,7 @@ def knn_batch(
     points: Sequence[Sequence[float]],
     k: int,
     stats: Optional[IOStats] = None,
+    live: Optional[np.ndarray] = None,
 ) -> List[List[Tuple[float, SpatialObject]]]:
     """The ``k`` nearest objects per query point (squared distance, object).
 
@@ -229,13 +239,27 @@ def knn_batch(
     read by the scalar heap only if it was pushed before the k-th result
     was, so there the scalar count lies between the strict count
     (``MinDist² < d_k²``) and the one reported here.
+
+    ``live``, when given, is a boolean column over the objects (see
+    :func:`range_query_batch`): the search asks for ``k`` plus the number
+    of ``False`` rows — any point's ``k`` nearest live objects lie within
+    that prefix — drops the dead ones and keeps each point's first ``k``.
+    ``IOStats`` are those of the longer search.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     points = list(points)
     if not points:
         return []
-    counts, dists, objects = gather_knn_hits(index, _point_array(index, points), k, stats)
+    dead = 0 if live is None else len(live) - int(np.count_nonzero(live))
+    counts, dists, objects = gather_knn_hits(index, _point_array(index, points), k + dead, stats)
+    if live is not None:
+        keep = live[objects]
+        point = np.repeat(np.arange(len(counts)), counts)[keep]
+        dists, objects = dists[keep], objects[keep]
+        found = np.bincount(point, minlength=len(counts))
+        first_k = np.arange(len(point)) - (np.cumsum(found) - found)[point] < k
+        counts, dists, objects = np.minimum(found, k), dists[first_k], objects[first_k]
     return materialize_knn_hits(index, counts, dists, objects)
 
 

@@ -61,6 +61,7 @@ def inlj_batch(
     outer_objects: Iterable[SpatialObject],
     inner: ColumnarIndex,
     collect_pairs: bool = True,
+    live: Optional[np.ndarray] = None,
 ) -> JoinResult:
     """Index Nested Loop Join of ``outer_objects`` against a snapshot.
 
@@ -68,6 +69,11 @@ def inlj_batch(
     against the snapshot's source index: identical pairs, ``pair_count``
     and ``inner_stats`` (pairs are emitted in per-probe BFS rather than
     DFS order).
+
+    ``live``, when given, is a boolean column over the inner objects (the
+    tombstones of :class:`~repro.engine.delta.DeltaOverlay`): pairs with
+    a ``False`` row are neither counted nor materialised.  The traversal,
+    and so ``inner_stats``, are those of the unfiltered join.
     """
     outer_objects = list(outer_objects)
     result = JoinResult()
@@ -82,6 +88,9 @@ def inlj_batch(
     all_q, all_obj = gather_range_hits(
         inner, q_lows, q_highs, stats=result.inner_stats
     )
+    if live is not None:
+        keep = live[all_obj]
+        all_q, all_obj = all_q[keep], all_obj[keep]
     if collect_pairs and len(all_q):
         # Stable sort groups the hits per outer object, preserving the
         # BFS discovery order within each probe.
@@ -434,25 +443,46 @@ def materialize_stt_pairs(
 
 
 def stt_batch(
-    left: ColumnarIndex, right: ColumnarIndex, collect_pairs: bool = True
+    left: ColumnarIndex,
+    right: ColumnarIndex,
+    collect_pairs: bool = True,
+    left_live: Optional[np.ndarray] = None,
+    right_live: Optional[np.ndarray] = None,
 ) -> JoinResult:
     """Synchronised Tree Traversal join of two snapshots.
 
     Equivalent to :func:`repro.join.stt.synchronized_tree_traversal_join`
     run on the snapshots' sources: identical pairs, ``pair_count``,
     ``outer_stats`` and ``inner_stats``.
+
+    ``left_live`` / ``right_live``, when given, are boolean columns over
+    that side's objects (see :func:`inlj_batch`): pairs with a ``False``
+    row on either side are neither counted nor materialised.  The
+    traversal, and so both ``IOStats``, are those of the unfiltered join.
     """
     result = JoinResult()
     ledger = _PairLedger()
     frontier = stt_root_frontier(left, right, ledger)
     if frontier is None:
         return result
+    masked = left_live is not None or right_live is not None
     collected: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    _stt_rounds(left, right, frontier, ledger, collected, collect_pairs)
+    # Counting the live pairs takes the hits themselves, not the ledger's sums.
+    _stt_rounds(left, right, frontier, ledger, collected, collect_pairs or masked)
     emitted = ledger.settle(result)
     result.pair_count = int(emitted[0]) if len(emitted) else 0
+    hits = [(a, b) for a, b, _ in collected]
+    if masked:
+        for block, (a, b) in enumerate(hits):
+            keep = np.ones(len(a), dtype=bool)
+            if left_live is not None:
+                keep &= left_live[a]
+            if right_live is not None:
+                keep &= right_live[b]
+            hits[block] = (a[keep], b[keep])
+        result.pair_count = sum(len(a) for a, _ in hits)
     if collect_pairs:
-        materialize_stt_pairs(result, left, right, ((a, b) for a, b, _ in collected))
+        materialize_stt_pairs(result, left, right, hits)
     return result
 
 

@@ -218,13 +218,7 @@ def save_snapshot(index: ColumnarIndex, directory: Union[str, Path]) -> Path:
     already matches the committed manifest is a no-op (the bytes on disk
     are already the requested state).  Returns the directory path.
     """
-    objects = index.objects
-    if isinstance(objects, LazyObjectList):
-        object_oids = np.ascontiguousarray(objects.oids, dtype=np.int64)
-    else:
-        object_oids = np.fromiter(
-            (obj.oid for obj in objects), dtype=np.int64, count=len(objects)
-        )
+    object_oids = np.ascontiguousarray(index.object_oids(), dtype=np.int64)
     fault = _leaf_rows_fault(index, len(object_oids))
     if fault is not None:
         raise ValueError(f"cannot save {index!r}: {fault}")

@@ -269,7 +269,7 @@ class CoalescingServer:
         if getattr(source, "is_snapshot_manager", False):
             self.manager: SnapshotManager = source
         else:
-            self.manager = SnapshotManager(source, update_engine="delta")
+            self.manager = SnapshotManager(source)
         self.fault_plan = fault_plan
         self.metrics = ServerMetrics()
         self.admission = TokenBucket(

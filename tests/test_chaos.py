@@ -150,7 +150,7 @@ def test_end_to_end_chaos_every_request_accounted_for(frozen):
     counters are nonzero.
     """
     objects, snapshot = frozen
-    manager = SnapshotManager(snapshot, update_engine="delta")
+    manager = SnapshotManager(snapshot)
     plan = FaultPlan(
         [
             FaultSpec(BATCH_FAULT, at=4, times=3, message="transient burst"),

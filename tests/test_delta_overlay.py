@@ -13,16 +13,16 @@ reference and brute force.
 
 import copy
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import build_columnar_str
+from repro.engine import build_columnar_str, load_snapshot, save_snapshot
 from repro.engine.delta import (
     CompactionInProgressError,
     DeltaOverlay,
     SnapshotManager,
-    object_key,
 )
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
@@ -32,6 +32,7 @@ from repro.join.stt import synchronized_tree_traversal_join
 from repro.query.knn import knn_query
 from repro.query.range_query import brute_force_range, execute_workload
 from repro.rtree.clipped import ClippedRTree
+from repro.rtree.quadratic import QuadraticRTree
 from repro.rtree.registry import VARIANT_NAMES, build_rtree
 from repro.storage.stats import IOStats
 
@@ -42,8 +43,12 @@ def _random_object(rng, oid):
     return SpatialObject(oid, Rect(low, high))
 
 
+def object_key(obj):
+    return (obj.oid, obj.rect.low, obj.rect.high)
+
+
 def _keys(hits):
-    return sorted((o.oid, o.rect.low, o.rect.high) for o in hits)
+    return sorted(map(object_key, hits))
 
 
 def _queries(rng, count=8):
@@ -79,22 +84,19 @@ class TestInterleavedUpdates:
     @given(
         st.integers(min_value=0, max_value=10_000),
         st.sampled_from(VARIANT_NAMES),
-        st.sampled_from([None, 7, 13]),
+        # 1 is a freeze per write: the baseline of the update experiments.
+        st.sampled_from([None, 1, 7, 13]),
     )
     @settings(max_examples=10, deadline=None)
     def test_arbitrary_interleaving_matches_scalar(self, seed, variant, compact_every):
         rng = random.Random(seed)
         live = [_random_object(rng, i) for i in range(40)]
-        # Duplicates (same oid AND rect) exercise the tombstone counts.
+        # Duplicates (same oid AND rect) are different rows of the base.
         live += [SpatialObject(o.oid, o.rect) for o in live[:4]]
         reference = ClippedRTree.wrap(
             build_rtree(variant, live, max_entries=6), method="stairline"
         )
-        manager = SnapshotManager(
-            copy.deepcopy(reference),
-            update_engine="delta",
-            compact_every=compact_every,
-        )
+        manager = SnapshotManager(copy.deepcopy(reference), compact_every=compact_every)
         next_oid = 1000
         for step in range(50):
             if live and rng.random() < 0.45:
@@ -123,26 +125,6 @@ class TestInterleavedUpdates:
         assert dict(source.store.items()) == dict(recomputed.store.items())
         source.check_clip_invariants()
         source.tree.check_invariants()
-        _assert_matches_scalar(manager, reference, live, rng)
-
-    def test_refreeze_engine_matches_scalar(self):
-        rng = random.Random(5)
-        live = [_random_object(rng, i) for i in range(30)]
-        reference = ClippedRTree.wrap(
-            build_rtree("quadratic", live, max_entries=6), method="stairline"
-        )
-        manager = SnapshotManager(copy.deepcopy(reference), update_engine="refreeze")
-        for step in range(25):
-            if live and rng.random() < 0.5:
-                victim = live.pop(rng.randrange(len(live)))
-                reference.delete(victim)
-                assert manager.delete(victim)
-            else:
-                obj = _random_object(rng, 500 + step)
-                live.append(obj)
-                reference.insert(obj)
-                manager.insert(obj)
-        assert manager.pending_ops == 0
         _assert_matches_scalar(manager, reference, live, rng)
 
 
@@ -239,18 +221,41 @@ class TestEdgeCases:
     def test_rejects_unknown_engine_and_bad_compact_every(self):
         live, _ = self._manager()
         clipped = ClippedRTree.wrap(build_rtree("quadratic", live, max_entries=6))
-        with pytest.raises(ValueError):
-            SnapshotManager(clipped, update_engine="lazy")
+        # "delta" is the one value the keyword still takes (perf/ spells it).
+        for engine in ("lazy", "refreeze"):
+            with pytest.raises(ValueError):
+                SnapshotManager(clipped, update_engine=engine)
         with pytest.raises(ValueError):
             SnapshotManager(clipped, compact_every=0)
 
     def test_overlay_rejects_dimension_mismatch(self):
+        """On every write, overlay's or manager's: ``delete`` used to answer
+        False where ``insert`` raised."""
         live, manager = self._manager()
         overlay = manager.overlay
         assert isinstance(overlay, DeltaOverlay)
-        bad = SpatialObject(1, Rect((0, 0, 0), (1, 1, 1)))
+        bad = SpatialObject(live[0].oid, Rect((0, 0, 0), (1, 1, 1)))
+        for write in (overlay.insert, overlay.delete, manager.insert, manager.delete):
+            with pytest.raises(ValueError, match="dims"):
+                write(bad)
+        assert manager.pending_ops == 0
+        assert _keys(manager.live_objects()) == _keys(live)
+
+    @pytest.mark.parametrize("base_size", [0, 25])
+    def test_reads_reject_dimension_mismatch(self, base_size):
+        """An empty base is skipped, and used to take its check with it:
+        the overlay's scalar kNN answered a 3-d probe of a 2-d index."""
+        rng = random.Random(15)
+        tree = QuadraticRTree(2)
+        for i in range(base_size):
+            tree.insert(_random_object(rng, i))
+        manager = SnapshotManager(tree)
+        manager.insert(_random_object(rng, 500))
         with pytest.raises(ValueError):
-            overlay.insert(bad)
+            manager.knn_batch([[0.0, 0.0, 0.0]], 1)
+        with pytest.raises(ValueError):
+            manager.range_query_batch([Rect((0, 0, 0), (1, 1, 1))])
+        assert len(manager.knn_batch([[0.0, 0.0]], 1)[0]) == 1
 
 
 class TestWorkloadAndJoinRouting:
@@ -260,7 +265,7 @@ class TestWorkloadAndJoinRouting:
         reference = ClippedRTree.wrap(
             build_rtree("quadratic", live, max_entries=6), method="stairline"
         )
-        manager = SnapshotManager(copy.deepcopy(reference), update_engine="delta")
+        manager = SnapshotManager(copy.deepcopy(reference))
         extra = [_random_object(rng, 100 + i) for i in range(10)]
         for obj in extra:
             reference.insert(obj)
@@ -321,6 +326,95 @@ class TestWorkloadAndJoinRouting:
             build_rtree("quadratic", left_live, max_entries=6), right_tree
         )
         assert managed.pair_count == scalar.pair_count
+
+
+# ----------------------------------------------------------------------
+# a tombstone is a row of the base: duplicates, on a loaded snapshot
+# ----------------------------------------------------------------------
+
+
+class TestTombstonesAreRows:
+    """Equal duplicates are different rows, so deleting ``d`` of ``b`` copies
+    needs no counting on any read path — and finding the rows builds no
+    object of a memory-mapped base."""
+
+    COPIES = 3
+
+    def _side(self, tmp_path, name, seed, first_oid):
+        """``(duplicated objects, all objects, source-free manager on a loaded snapshot)``."""
+        rng = random.Random(seed)
+        # The two duplicated objects overlap each other and the other side's.
+        twins = [
+            SpatialObject(first_oid, Rect((40.0, 40.0), (46.0, 46.0))),
+            SpatialObject(first_oid + 1, Rect((44.0, 44.0), (50.0, 50.0))),
+        ]
+        objects = [_random_object(rng, first_oid + 10 + i) for i in range(40)]
+        objects += [SpatialObject(t.oid, t.rect) for t in twins for _ in range(self.COPIES)]
+        rng.shuffle(objects)
+        save_snapshot(build_columnar_str(objects, max_entries=6), tmp_path / name)
+        loaded = load_snapshot(tmp_path / name, mmap=True)
+        assert loaded.source is None
+        return twins, objects, SnapshotManager(loaded)
+
+    @pytest.mark.parametrize("sides", [("left",), ("right",), ("left", "right")])
+    @pytest.mark.parametrize("deleted", [1, 2, 3])
+    def test_every_read_equals_brute_force_over_the_live_multiset(self, tmp_path, deleted, sides):
+        left = self._side(tmp_path, "left", 31, 0)
+        right = self._side(tmp_path, "right", 32, 1000)
+        live = {}
+        for name, (twins, objects, manager) in (("left", left), ("right", right)):
+            live[name] = Counter(map(object_key, objects))
+            if name in sides:
+                for twin in twins:
+                    for _ in range(deleted):
+                        assert manager.delete(twin)
+                    live[name][object_key(twin)] -= deleted
+                    if deleted == self.COPIES:
+                        assert not manager.delete(twin)
+                live[name] = +live[name]
+                # Finding the rows read columns; it built no object.
+                assert len(manager.snapshot.objects._cache) == 0
+            assert len(manager) == sum(live[name].values())
+
+        def rect_of(key):
+            return Rect(key[1], key[2])
+
+        rng = random.Random(33)
+        twins, _, manager = left if "left" in sides else right
+        side_live = live["left" if "left" in sides else "right"]
+        queries = [twins[0].rect, twins[1].rect] + _queries(rng, 3)
+        answers = manager.range_query_batch(queries)
+        # What was materialised is what was returned, not the base.
+        assert len(manager.snapshot.objects._cache) <= sum(map(len, answers))
+        for query, hits in zip(queries, answers):
+            expected = Counter(
+                {key: n for key, n in side_live.items() if rect_of(key).intersects(query)}
+            )
+            assert Counter(map(object_key, hits)) == expected
+
+        # Every live copy of both twins is at distance 0 of this point, so
+        # the tie straddles k whenever 2 * (COPIES - deleted) > k.
+        points = [(45.0, 45.0), (0.0, 0.0), (47.0, 41.0)]
+        for k in (1, 2, 4, 7):
+            for point, hits in zip(points, manager.knn_batch(points, k)):
+                distances = sorted(
+                    rect_of(key).min_distance_sq(point)
+                    for key, n in side_live.items()
+                    for _ in range(n)
+                )
+                assert [dist for dist, _ in hits] == distances[:k]
+                assert all(obj.rect.min_distance_sq(point) == dist for dist, obj in hits)
+                assert not Counter(object_key(obj) for _, obj in hits) - side_live
+
+        expected_pairs = Counter()
+        for key_l, n_l in live["left"].items():
+            for key_r, n_r in live["right"].items():
+                if rect_of(key_l).intersects(rect_of(key_r)):
+                    expected_pairs[key_l, key_r] = n_l * n_r
+        for algorithm in ("inlj", "stt"):
+            joined = execute_join(left[2], right[2], algorithm=algorithm)
+            assert joined.pair_count == sum(expected_pairs.values())
+            assert Counter((object_key(l), object_key(r)) for l, r in joined.pairs) == expected_pairs
 
 
 # ----------------------------------------------------------------------
@@ -492,21 +586,3 @@ class TestCompactionConcurrency:
         manager.compaction_fault_hook = None
         assert outcome == {"raised": True}
         assert manager.pending_ops == 0  # the bad insert was never staged
-
-    def test_refreeze_write_racing_compaction_raises(self):
-        rng = random.Random(5)
-        objects = [_random_object(rng, i) for i in range(20)]
-        manager = SnapshotManager(
-            build_rtree("quadratic", objects, max_entries=6),
-            update_engine="refreeze",
-        )
-        # refreeze has no overlay to stage into: a racing write must raise
-        with manager._write_lock:
-            manager._compacting = True
-        try:
-            with pytest.raises(CompactionInProgressError):
-                manager.insert(_random_object(rng, 1000))
-            with pytest.raises(CompactionInProgressError):
-                manager.delete(objects[0])
-        finally:
-            manager._compacting = False

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import ColumnarIndex, ParallelExecutor, SnapshotManager, executor, knn_batch
-from repro.engine.delta import object_key
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.rtree.clipped import ClippedRTree
@@ -26,6 +25,10 @@ from repro.storage.stats import IOStats
 from tests.conftest import assert_knn_contract
 
 GRID = 9
+
+
+def object_key(obj):
+    return (obj.oid, obj.rect.low, obj.rect.high)
 
 
 def _grid_objects(rng, count, dims, first_oid=0):
@@ -153,9 +156,9 @@ class TestEdgeCases:
 
 
 def test_manager_is_exact_under_pending_deletes_and_inserts():
-    """``filter_base_knn``: the base is asked for ``k`` plus the tombstone
-    count, so the k nearest *live* objects survive the filter — on a grid,
-    where a deleted object and its live duplicate share every distance."""
+    """The base is asked for ``k`` plus the tombstone count, so the k nearest
+    *live* objects survive the live mask — on a grid, where a deleted object
+    and its live duplicate share every distance."""
     rng = random.Random(5)
     objects = _grid_objects(rng, 160, 2)
     objects += [SpatialObject(obj.oid, obj.rect) for obj in objects[:30]]  # exact duplicates

@@ -28,7 +28,7 @@ from tests.conftest import make_random_objects
 def _manager(count=150, dims=2, seed=3, **kwargs):
     objects = make_random_objects(count, dims=dims, seed=seed)
     tree = build_rtree("rstar", objects, max_entries=8)
-    return objects, SnapshotManager(tree, update_engine="delta", **kwargs)
+    return objects, SnapshotManager(tree, **kwargs)
 
 
 def _rects(objects, n=10, pad=1.5):

@@ -136,7 +136,7 @@ class TestServeStaleUnderBreaker:
 
         objects = make_random_objects(count, seed=seed)
         tree = build_rtree("rstar", objects, max_entries=8)
-        manager = SnapshotManager(tree, update_engine="delta")
+        manager = SnapshotManager(tree)
         return asyncio, CoalescingServer, Request, objects, manager
 
     def test_degraded_answer_with_pending_writes_is_stale_stamped(self):
