@@ -7,19 +7,17 @@ Every ``repro bench run`` lands in ``<archive-root>/<experiment>/<run-id>/``:
 * ``meta.json``  — wall/CPU time, git revision, host info, RNG seed,
   harness version and timestamps;
 * ``result.json`` — the experiment's tables (rows, exactly what the paper
-  plots) and the scalar metrics derived from them;
+  plots), the scalar metrics derived from them, and one ``claims.<name>``
+  metric (1.0 holds, 0.0 fails) per paper finding the experiment checks;
 * ``table.txt`` / ``table.md`` — the rendered tables, for humans and for
   pasting into reports.
 
-The module also owns the *comparison* rules (`compare_metrics`): metric
-deltas against a prior archive, with regression gating on deterministic
-metrics (I/O counts, dead-space shares, pair counts) and informational
-reporting for timing metrics, whose noise would make a CI gate flaky.
-
-Finally, :func:`write_legacy_bench` is the one serializer behind the
-historical ``benchmarks/BENCH_*.json`` files — byte-compatible with the
-five hand-rolled writers it replaced, so existing CI floor tooling keeps
-working unchanged.
+The archive is the one store of the paper's numbers; the time a code
+path takes is measured by ``perf/``, not here.  The module also owns the
+*comparison* rules (`compare_metrics`): metric deltas against a prior
+archive, with regression gating on deterministic metrics (I/O counts,
+dead-space shares, pair counts, claims) and informational reporting for
+timing metrics, whose noise would make a CI gate flaky.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Union
 
 from repro.bench.reporting import format_table, to_markdown
 
@@ -52,6 +50,13 @@ class ArchiveError(ValueError):
 def default_archive_root() -> Path:
     """``$REPRO_ARCHIVE_ROOT`` or ``./archive``."""
     return Path(os.environ.get(ARCHIVE_ROOT_ENV, "archive"))
+
+
+def debug_root(archive_root: Union[str, Path]) -> Path:
+    """``<parent>/__DEBUG__``: where a re-run that only exists to be
+    compared lands (pycomex's debug folder), so the compared archive and
+    its ``latest`` never change underneath a pinned baseline."""
+    return Path(archive_root).parent / "__DEBUG__"
 
 
 def new_run_id(parent: Optional[Path] = None) -> str:
@@ -234,8 +239,11 @@ def classify_metric(name: str):
     Timing metrics are never *gating*: they are reported but cannot fail
     a compare, because wall-clock noise across machines would make the
     CI gate flaky.  Deterministic metrics (I/O counts, dead-space
-    percentages, pair counts) gate.
+    percentages, pair counts) gate.  A ``claims.`` metric (a paper finding:
+    1.0 holds) always gates, whatever its name says: only 1 → 0 regresses.
     """
+    if name.startswith("claims."):
+        return "higher", True
     lname = name.lower()
     gating = not any(token in lname for token in _TIMING_TOKENS)
     if any(token in lname for token in _HIGHER_TOKENS):
@@ -353,51 +361,3 @@ def compare_metrics(
             )
         )
     return report
-
-
-# ----------------------------------------------------------------------
-# legacy BENCH_*.json records + floor checks
-# ----------------------------------------------------------------------
-
-
-def write_legacy_bench(record: Mapping, path: Union[str, Path]) -> None:
-    """Write a ``BENCH_*.json`` record exactly as the historical scripts did.
-
-    Byte-compatible with the five hand-rolled writers this replaced
-    (``json.dumps(record, indent=2) + "\\n"``, insertion order preserved),
-    so the existing CI artifact tooling and review diffs stay stable.
-    """
-    Path(path).write_text(json.dumps(dict(record), indent=2) + "\n")
-
-
-@dataclass(frozen=True)
-class Floor:
-    """A minimum acceptable value for one (possibly nested) record key."""
-
-    key: str  # dotted path into the record, e.g. "clip_uniform03_stairline.speedup"
-    minimum: float
-    enforce: bool = True
-    label: Optional[str] = None
-
-
-def check_floors(record: Mapping, floors: Sequence[Floor]) -> List[str]:
-    """Failure messages for every *enforced* floor the record misses."""
-    failures = []
-    for floor in floors:
-        if not floor.enforce:
-            continue
-        value: object = record
-        for part in floor.key.split("."):
-            if not isinstance(value, Mapping) or part not in value:
-                failures.append(f"record has no key {floor.key!r}")
-                value = None
-                break
-            value = value[part]
-        if value is None:
-            continue
-        if float(value) < floor.minimum:
-            name = floor.label or floor.key
-            failures.append(
-                f"{name} = {float(value):.2f} is below the floor {floor.minimum:g}"
-            )
-    return failures

@@ -88,12 +88,13 @@ class BenchConfig:
     @classmethod
     def tiny(cls) -> "BenchConfig":
         """A very small configuration used by the test-suite."""
+        # join_size stays at its default: below ~800 objects a side the two
+        # neurite sets no longer meet and the join emits no pair at all.
         return cls(
             dataset_sizes={name: 400 for name in _DEFAULT_SIZES},
             queries_per_profile=10,
             max_entries=16,
             scalability_size=1200,
-            join_size=400,
         )
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.bench.harness import ExperimentContext
 from repro.bench.reporting import percent
@@ -110,3 +110,44 @@ def run_k_sweep_io(
             }
         )
     return rows
+
+
+def run(
+    context: ExperimentContext,
+    taus: Optional[Sequence[float]] = None,
+    k_values: Optional[Sequence[int]] = None,
+    **kwargs,
+) -> Dict[str, List[Dict]]:
+    """The three ablation tables; ``kwargs`` (dataset, variant) go to each."""
+    tau_kwargs = dict(kwargs) if taus is None else dict(kwargs, taus=taus)
+    k_kwargs = dict(kwargs) if k_values is None else dict(kwargs, k_values=k_values)
+    return {
+        "tau_sweep": run_tau_sweep(context, **tau_kwargs),
+        "scoring": run_scoring_comparison(context, **kwargs),
+        "k_sweep": run_k_sweep_io(context, **k_kwargs),
+    }
+
+
+def claims(tables: Mapping[str, List[Dict]]) -> Dict[str, bool]:
+    """τ trades clip points for clipped space; more clip points never add I/O."""
+    taus, k_sweep, scoring = tables["tau_sweep"], tables["k_sweep"], tables["scoring"][0]
+    at_paper_tau = [r for r in taus if abs(r["tau"] - 0.025) < 1e-9]
+
+    def never_rises(rows: List[Dict], key: str, slack: float) -> bool:
+        return all(later[key] <= earlier[key] + slack for earlier, later in zip(rows, rows[1:]))
+
+    return {
+        # a stricter threshold can only drop clip points, and the space they clip
+        "stricter_tau_stores_fewer_points": never_rises(taus, "avg_clip_points", 1e-9),
+        "stricter_tau_clips_less": never_rises(taus, "clipped_dead_space_pct", 0.5),
+        "paper_tau_still_clips": bool(at_paper_tau)
+        and at_paper_tau[0]["clipped_dead_space_pct"] > 10.0,
+        # the additive score only overcounts, by the overlap of the clip regions
+        "additive_score_never_undercounts": (
+            scoring["additive_score_volume"] >= scoring["exact_clipped_volume"] * 0.999
+        ),
+        "additive_score_overcount_small": scoring["approximation_overcount_pct"] < 30.0,
+        "more_clip_points_never_add_io": never_rises(k_sweep, "relative_to_unclipped_pct", 0.5),
+        "clipping_never_adds_io": bool(k_sweep)
+        and k_sweep[-1]["relative_to_unclipped_pct"] <= 100.0,
+    }

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Mapping
 
 from repro.bench.harness import ExperimentContext
-from repro.bench.reporting import percent
+from repro.bench.reporting import mean, percent
 from repro.metrics.dead_space import average_dead_space
 from repro.metrics.io_optimality import io_optimality
 from repro.metrics.overlap import average_overlap
@@ -72,4 +72,25 @@ def run(context: ExperimentContext) -> Dict[str, List[Dict]]:
         "fig1a_overlap": run_overlap(context),
         "fig1b_dead_space": run_dead_space(context),
         "fig1c_io_optimality": run_io_optimality(context),
+    }
+
+
+def claims(panels: Mapping[str, List[Dict]]) -> Dict[str, bool]:
+    """What Figure 1 shows: overlap is small, dead space is most of a node."""
+    dead, optimality = panels["fig1b_dead_space"], panels["fig1c_io_optimality"]
+
+    def optimal(dataset: str) -> float:
+        return mean(r["optimal_leaf_access_pct"] for r in optimality if r["dataset"] == dataset)
+
+    return {
+        # the paper reports 8-30 % overlap: small relative to dead space
+        "overlap_is_a_minority": all(0 <= r["overlap_pct"] <= 60 for r in panels["fig1a_overlap"]),
+        "dead_space_is_most_of_a_node": all(50 <= r["dead_space_pct"] <= 100 for r in dead),
+        "axo03_nodes_almost_all_dead": min(
+            (r["dead_space_pct"] for r in dead if r["dataset"] == "axo03"), default=0.0
+        ) >= 85.0,
+        "optimality_is_a_share": all(0 < r["optimal_leaf_access_pct"] <= 100 for r in optimality),
+        # dead space wastes leaf accesses, at least as many on the 3d dataset
+        "axo03_wastes_accesses": optimal("axo03") < 100.0,
+        "axo03_wastes_at_least_rea02": optimal("axo03") <= optimal("rea02") + 2.0,
     }

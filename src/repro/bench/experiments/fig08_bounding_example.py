@@ -64,3 +64,19 @@ def run(leaf_one: Sequence[Rect] = LEAF_ONE, leaf_two: Sequence[Rect] = LEAF_TWO
             row[f"{leaf_label}_points"] = summary["points"]
         rows.append(row)
     return rows
+
+
+def claims(rows: List[Dict]) -> Dict[str, bool]:
+    """Leaf 1 of the running example, method by method."""
+    dead = {row["method"]: row["leaf1_dead_pct"] for row in rows}
+    points = {row["method"]: row["leaf1_points"] for row in rows}
+    return {
+        # convex shapes tighten with their corner count: MBC coarsest, CH tightest
+        "convex_shapes_tighten_with_corners": (
+            dead["MBC"] >= dead["MBB"] >= dead["4-C"] >= dead["CH"] - 1e-9
+        ),
+        # the headline: stairline clipping beats the hull with fewer points
+        "stairline_tighter_than_hull": dead["CBBSTA"] < dead["CH"],
+        "stairline_no_more_points_than_hull": points["CBBSTA"] <= points["CH"],
+        "skyline_between_stairline_and_mbb": dead["CBBSTA"] <= dead["CBBSKY"] <= dead["MBB"],
+    }

@@ -71,3 +71,27 @@ def run(context: ExperimentContext, leaves_only: bool = True) -> List[Dict]:
                 }
             )
     return rows
+
+
+def claims(rows: List[Dict]) -> Dict[str, bool]:
+    """Cost and tightness orderings that hold on every dataset of the figure."""
+    dead = {(r["dataset"], r["method"]): r["avg_dead_space_pct"] for r in rows}
+    points = {(r["dataset"], r["method"]): r["avg_points"] for r in rows}
+    datasets = {r["dataset"] for r in rows}
+
+    def everywhere(check) -> bool:
+        return bool(datasets) and all(check(d) for d in datasets)
+
+    return {
+        "mbb_costs_two_points": everywhere(lambda d: points[d, "MBB"] == 2)
+        and all(r["avg_points"] >= 2 for r in rows),
+        "hull_costs_most_points": everywhere(
+            lambda d: points[d, "CH"] >= points[d, "5-C"] >= points[d, "4-C"]
+        ),
+        # CBBSKY stays cheap (the paper: one or two clip points on average)
+        "skyline_no_more_points_than_stairline": everywhere(
+            lambda d: points[d, "CBBSKY"] <= points[d, "CBBSTA"]
+        ),
+        "hull_tighter_than_mbb": everywhere(lambda d: dead[d, "CH"] <= dead[d, "MBB"] + 1e-9),
+        "stairline_tighter_than_mbb": everywhere(lambda d: dead[d, "CBBSTA"] < dead[d, "MBB"]),
+    }

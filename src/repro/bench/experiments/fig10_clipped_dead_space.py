@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, List, Optional, Sequence
 
 from repro.bench.harness import ExperimentContext
-from repro.bench.reporting import percent
+from repro.bench.reporting import mean, percent
 from repro.metrics.dead_space import clipped_dead_space_summary
 from repro.rtree.registry import VARIANT_LABELS
 
@@ -49,3 +50,26 @@ def run(
                         }
                     )
     return rows
+
+
+def claims(rows: List[Dict]) -> Dict[str, bool]:
+    """Clipping is bounded by dead space, grows with k, and CSTA ≥ CSKY."""
+    series = defaultdict(list)
+    for row in sorted(rows, key=lambda r: r["k"]):
+        series[row["method"], row["dataset"], row["variant"]].append(row["clipped_pct"])
+    sky, sta = (
+        {(r["dataset"], r["variant"], r["k"]): r["clipped_pct"] for r in rows if r["method"] == m}
+        for m in ("skyline", "stairline")
+    )
+    common = set(sky) & set(sta)
+    return {
+        "clipping_within_dead_space": all(
+            r["clipped_pct"] <= r["dead_space_pct"] + 1e-6 for r in rows
+        ),
+        "more_clip_points_clip_more": all(
+            later >= earlier - 0.5 for s in series.values() for earlier, later in zip(s, s[1:])
+        ),
+        # averaged over the same (dataset, variant, k)
+        "stairline_clips_at_least_skyline": mean(sta[key] for key in common)
+        >= mean(sky[key] for key in common),
+    }

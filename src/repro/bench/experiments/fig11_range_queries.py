@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.bench.harness import ExperimentContext
+from repro.bench.reporting import mean
 from repro.datasets.registry import DATASET_NAMES
 from repro.query.range_query import execute_workload
 from repro.query.workload import STANDARD_PROFILES
@@ -94,3 +95,20 @@ def table1(rows: List[Dict]) -> List[Dict]:
         totals[profile] = f"{sky:.0f}/{sta:.0f}"
     table.append(totals)
     return table
+
+
+def claims(rows: List[Dict]) -> Dict[str, bool]:
+    """Clipping never adds I/O, CSTA saves more than CSKY, most on QR0."""
+    sta, sky = (mean(r[key] for r in rows) for key in ("csta_relative_pct", "csky_relative_pct"))
+    qr0, qr2 = (
+        mean(r["csta_relative_pct"] for r in rows if r["profile"] == p) for p in ("QR0", "QR2")
+    )
+    return {
+        "clipping_never_adds_io": all(
+            max(r["csta_relative_pct"], r["csky_relative_pct"]) <= 100.0 + 1e-6 for r in rows
+        ),
+        # the paper's Table I: ~26 % (stairline) vs ~14 % (skyline) saved
+        "stairline_saves_io": sta < 97.0,
+        "stairline_saves_at_least_skyline": sta <= sky + 1.0,
+        "selective_queries_gain_most": qr0 <= qr2 + 5.0,
+    }

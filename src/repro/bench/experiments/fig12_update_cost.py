@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.bench.harness import ExperimentContext
+from repro.bench.reporting import mean
 from repro.cbb.clipping import ClippingConfig
 from repro.datasets.registry import DATASET_NAMES
 from repro.rtree.clipped import ClippedRTree, ReclipCause
@@ -51,3 +52,25 @@ def run(
                 }
             )
     return rows
+
+
+def claims(rows: List[Dict]) -> Dict[str, bool]:
+    """The §IV-D strategies keep re-clips cheap; the R*-tree re-clips most."""
+    causes = ("node_splits", "mbb_changes", "cbb_changes")
+
+    def reclips(variant: str) -> float:
+        return mean(r["reclips_per_insert"] for r in rows if r["variant"] == variant)
+
+    return {
+        # well below the worst case of one extra CBB update per insert
+        "cbb_only_reclips_below_one": all(r["cbb_changes"] < 1.0 for r in rows),
+        "reclip_causes_add_up": all(
+            r["reclips_per_insert"] >= 0.0
+            and abs(sum(r[c] for c in causes) - r["reclips_per_insert"]) < 0.01
+            for r in rows
+        ),
+        # forced reinsertion; the HR-tree is left out because it is bulk-loaded
+        # at 100 % fill here, so its inserts split almost every touched node
+        "rstar_reclips_more_than_quadratic": reclips("R*-tree") > reclips("QR-tree"),
+        "rstar_reclips_more_than_rrstar": reclips("R*-tree") > reclips("RR*-tree"),
+    }

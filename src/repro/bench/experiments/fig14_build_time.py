@@ -62,3 +62,8 @@ def run(context: ExperimentContext, datasets: Sequence[str] = DATASET_NAMES) -> 
             }
         )
     return rows
+
+
+def claims(rows: List[Dict]) -> Dict[str, bool]:
+    """Only the normalisation: every other cell is a wall-clock ratio."""
+    return {"normalised_to_rrstar": bool(rows) and all(r["rrstar_pct"] == 100.0 for r in rows)}

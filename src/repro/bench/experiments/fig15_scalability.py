@@ -145,3 +145,20 @@ def run(
                     )
                 rows.append(row)
     return rows
+
+
+def claims(rows: List[Dict]) -> Dict[str, bool]:
+    """Clipping never slows a cold query; a clipped HR-tree nears the RR*-tree."""
+    rr = {
+        (r["dataset"], r["profile"]): r["unclipped_ms"] for r in rows if r["variant"] == "RR*-tree"
+    }
+    hr = [r for r in rows if r["variant"] == "HR-tree" and (r["dataset"], r["profile"]) in rr]
+    return {
+        # the tolerance absorbs LRU-eviction noise between separate walks
+        "clipping_never_slows_cold_queries": all(
+            0.0 <= max(r["CSTA_ms"], r["CSKY_ms"]) <= r["unclipped_ms"] * 1.05 + 1e-9
+            for r in rows
+        ),
+        "clipped_hr_tree_competes_with_rrstar": bool(hr)
+        and all(r["CSTA_ms"] <= rr[r["dataset"], r["profile"]] * 1.6 for r in hr),
+    }

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.bench.harness import ExperimentContext
+from repro.bench.reporting import mean
 from repro.datasets.neurites import NeuriteGenerator
 from repro.join import execute_join
 from repro.rtree.clipped import ClippedRTree
@@ -89,3 +90,22 @@ def run(
             }
         )
     return rows
+
+
+def claims(rows: List[Dict]) -> Dict[str, bool]:
+    """Clipping cuts join I/O, INLJ's more than STT's (the paper: ~46 % vs ~18 %)."""
+    inlj, stt = (mean(r[key] for r in rows) for key in ("inlj_reduction_pct", "stt_reduction_pct"))
+    return {
+        # the inputs share a volume, so the join has something to find
+        "join_emits_pairs": bool(rows) and all(r["pairs"] > 0 for r in rows),
+        "clipping_never_adds_join_io": all(
+            r["inlj_clipped_leaf_acc"] <= r["inlj_leaf_acc"]
+            and r["stt_clipped_leaf_acc"] <= r["stt_leaf_acc"]
+            for r in rows
+        ),
+        "stt_reads_fewer_leaves_than_inlj": all(
+            r["stt_leaf_acc"] < r["inlj_leaf_acc"] for r in rows
+        ),
+        "clipping_saves_inlj_io": inlj > 0.0,
+        "clipping_helps_inlj_at_least_stt": inlj >= stt - 5.0,
+    }

@@ -54,12 +54,6 @@ class DatasetCache:
             )
         return self.workloads[key]
 
-    def clear(self) -> None:
-        self.objects.clear()
-        self.workloads.clear()
-        self.hits = 0
-        self.misses = 0
-
 
 #: The default process-wide cache shared by every ExperimentContext.
 GLOBAL_DATASET_CACHE = DatasetCache()
@@ -69,8 +63,8 @@ class ExperimentContext:
     """Builds and caches datasets, trees, clipped trees, and workloads.
 
     Building an insertion-based R-tree is by far the most expensive step of
-    the benchmark suite, so every experiment shares one context (module
-    scope in the pytest-benchmark suite) and looks objects/trees up here.
+    an experiment, so each run shares one context across its tables and
+    looks objects/trees up here.
     Datasets and calibrated workloads additionally live in a process-wide
     :class:`DatasetCache` keyed by ``(dataset, size, seed)``, so even
     *separate* contexts (one per archived run) never regenerate an

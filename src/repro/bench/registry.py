@@ -1,7 +1,9 @@
 """Declarative registry of every experiment in the reproduction.
 
 Each entry wraps one module from :mod:`repro.bench.experiments` behind a
-uniform contract: ``build(context, **kwargs) -> {table name: rows}``.
+uniform contract: ``build(context, **kwargs) -> {table name: rows}``, and
+``claims(tables) -> {name: holds}``: the paper's findings those tables
+must reproduce, archived as ``claims.<name>`` metrics.
 The CLI's ``list-experiments``, ``run``, and the whole
 ``repro bench run/compare/archive`` harness dispatch through this
 registry, and the parameter schema every experiment accepts via
@@ -11,7 +13,7 @@ field schema (see :meth:`BenchConfig.param_schema`).
 ``smoke_kwargs`` are the per-experiment keyword overrides used by
 ``repro bench run --smoke`` — small enough that *every* registered
 experiment finishes in seconds on the tiny config, which is what the
-tier-1 tests and the CI smoke step execute.
+tier-1 tests and the CI smoke step execute, yet with rows for every claim.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ class Experiment:
     build: Callable[..., Tables]
     titles: Mapping[str, str] = field(default_factory=dict)
     smoke_kwargs: Mapping[str, object] = field(default_factory=dict)
+    claims: Callable[[Tables], Mapping[str, bool]] = lambda tables: {}
 
 
 REGISTRY: Dict[str, Experiment] = {}
@@ -106,27 +109,9 @@ def derive_metrics(tables: Tables) -> Dict[str, float]:
 # ----------------------------------------------------------------------
 
 
-def _build_fig01(context: ExperimentContext, **kwargs) -> Tables:
-    return fig01_motivation.run(context, **kwargs)
-
-
 def _build_fig11(context: ExperimentContext, **kwargs) -> Tables:
     rows = fig11_range_queries.run(context, **kwargs)
     return {"fig11": rows, "table1": fig11_range_queries.table1(rows)}
-
-
-def _build_ablations(context: ExperimentContext, taus=None, k_values=None, **kwargs) -> Tables:
-    tau_kwargs = dict(kwargs)
-    if taus is not None:
-        tau_kwargs["taus"] = taus
-    k_kwargs = dict(kwargs)
-    if k_values is not None:
-        k_kwargs["k_values"] = k_values
-    return {
-        "tau_sweep": ablations.run_tau_sweep(context, **tau_kwargs),
-        "scoring": ablations.run_scoring_comparison(context, **kwargs),
-        "k_sweep": ablations.run_k_sweep_io(context, **k_kwargs),
-    }
 
 
 def _single_table(name: str, run: Callable[..., List[Dict]], needs_context: bool = True):
@@ -135,10 +120,15 @@ def _single_table(name: str, run: Callable[..., List[Dict]], needs_context: bool
     return lambda context, **kwargs: {name: run(**kwargs)}
 
 
+def _claims_of(name: str, claims: Callable[[List[Dict]], Mapping[str, bool]]):
+    return lambda tables: claims(tables[name])
+
+
 register(Experiment(
     id="fig01",
     description="overlap, dead space, and I/O optimality of unclipped R-trees",
-    build=_build_fig01,
+    build=fig01_motivation.run,
+    claims=fig01_motivation.claims,
     titles={
         "fig1a_overlap": "Figure 1a — overlap (%)",
         "fig1b_dead_space": "Figure 1b — dead space (%)",
@@ -150,19 +140,22 @@ register(Experiment(
     description="bounding methods on the paper's running example",
     build=_single_table("fig08", fig08_bounding_example.run, needs_context=False),
     titles={"fig08": "Figure 8"},
+    claims=_claims_of("fig08", fig08_bounding_example.claims),
 ))
 register(Experiment(
     id="fig09",
     description="dead space vs representation cost of 8 bounding methods",
     build=_single_table("fig09", fig09_bounding_comparison.run),
     titles={"fig09": "Figure 9"},
+    claims=_claims_of("fig09", fig09_bounding_comparison.claims),
 ))
 register(Experiment(
     id="fig10",
     description="dead space clipped away as k varies (CSKY and CSTA)",
     build=_single_table("fig10", fig10_clipped_dead_space.run),
     titles={"fig10": "Figure 10"},
-    smoke_kwargs={"methods": ("stairline",), "datasets": ("par02",), "k_values": (1, 4)},
+    smoke_kwargs={"datasets": ("par02",), "k_values": (1, 4)},
+    claims=_claims_of("fig10", fig10_clipped_dead_space.claims),
 ))
 register(Experiment(
     id="fig11",
@@ -173,6 +166,7 @@ register(Experiment(
         "table1": "Table I — avg. % I/O reduction (skyline/stairline)",
     },
     smoke_kwargs={"datasets": ("par02",)},
+    claims=_claims_of("fig11", fig11_range_queries.claims),
 ))
 register(Experiment(
     id="fig12",
@@ -180,6 +174,7 @@ register(Experiment(
     build=_single_table("fig12", fig12_update_cost.run),
     titles={"fig12": "Figure 12"},
     smoke_kwargs={"datasets": ("par02",)},
+    claims=_claims_of("fig12", fig12_update_cost.claims),
 ))
 register(Experiment(
     id="fig13",
@@ -187,6 +182,7 @@ register(Experiment(
     build=_single_table("fig13", fig13_storage.run),
     titles={"fig13": "Figure 13"},
     smoke_kwargs={"datasets": ("par02", "axo03")},
+    claims=_claims_of("fig13", fig13_storage.claims),
 ))
 register(Experiment(
     id="fig14",
@@ -194,6 +190,7 @@ register(Experiment(
     build=_single_table("fig14", fig14_build_time.run),
     titles={"fig14": "Figure 14"},
     smoke_kwargs={"datasets": ("par02",)},
+    claims=_claims_of("fig14", fig14_build_time.claims),
 ))
 register(Experiment(
     id="joins",
@@ -201,6 +198,7 @@ register(Experiment(
     build=_single_table("joins", joins.run),
     titles={"joins": "Spatial joins (§V)"},
     smoke_kwargs={"variants": ("quadratic",)},
+    claims=_claims_of("joins", joins.claims),
 ))
 register(Experiment(
     id="fig15",
@@ -208,6 +206,7 @@ register(Experiment(
     build=_single_table("fig15", fig15_scalability.run),
     titles={"fig15": "Figure 15"},
     smoke_kwargs={"datasets": ("par02",), "size": 600, "queries_per_profile": 5},
+    claims=_claims_of("fig15", fig15_scalability.claims),
 ))
 register(Experiment(
     id="updates",
@@ -215,17 +214,19 @@ register(Experiment(
     build=_single_table("updates", updates.run),
     titles={"updates": "Incremental updates (delta vs refreeze)"},
     smoke_kwargs={"datasets": ("par02",)},
+    claims=_claims_of("updates", updates.claims),
 ))
 register(Experiment(
     id="ablations",
     description="τ sweep, scoring approximation error, k sweep",
-    build=_build_ablations,
+    build=ablations.run,
     titles={
         "tau_sweep": "τ sweep",
         "scoring": "scoring approximation",
         "k_sweep": "k sweep (query I/O)",
     },
-    smoke_kwargs={"taus": (0.0, 0.1), "k_values": (1, 4)},
+    smoke_kwargs={"taus": (0.0, 0.025, 0.1), "k_values": (1, 4)},
+    claims=ablations.claims,
 ))
 
 # -- scenarios the paper never ran ------------------------------------

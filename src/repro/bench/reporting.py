@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import unicodedata
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 Cell = Union[str, int, float, None]
 
@@ -94,3 +94,9 @@ def to_markdown(
 def percent(value: float) -> float:
     """Convert a fraction to a percentage rounded to one decimal."""
     return round(100.0 * value, 1)
+
+
+def mean(values: Iterable[float]) -> float:
+    """Arithmetic mean; NaN for no values, so a claim over none fails."""
+    values = list(values)
+    return sum(values) / len(values) if values else float("nan")

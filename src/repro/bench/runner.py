@@ -1,15 +1,17 @@
 """Execution layer of the archived-experiment harness.
 
 ``run_experiment`` executes one registered experiment through an
-:class:`~repro.bench.harness.ExperimentContext`, captures wall/CPU time
-and provenance, and writes a timestamped archive folder.
-``compare_experiment`` re-runs an experiment under a baseline archive's
-exact configuration (or loads a second archive) and diffs the metrics,
-returning a report whose regressions drive the CI gate's exit code.
+:class:`~repro.bench.harness.ExperimentContext`, checks the paper's
+claims on its tables, captures wall/CPU time and provenance, and writes a
+timestamped archive folder.  ``compare_experiment`` re-runs an experiment
+under a baseline archive's exact configuration (or loads a second
+archive) and diffs the metrics, returning a report whose regressions
+drive the CI gate's exit code.
 """
 
 from __future__ import annotations
 
+import shutil
 import time
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
@@ -19,6 +21,7 @@ from repro.bench.archive import (
     ComparisonReport,
     collect_meta,
     compare_metrics,
+    debug_root,
     default_archive_root,
     load_run,
     resolve_run,
@@ -93,6 +96,8 @@ def run_experiment(
     cpu_seconds = time.process_time() - cpu_start
 
     metrics = derive_metrics(tables)
+    for name, holds in experiment.claims(tables).items():
+        metrics[f"claims.{name}"] = 1.0 if holds else 0.0
     metrics["wall_seconds"] = round(wall_seconds, 4)
     metrics["cpu_seconds"] = round(cpu_seconds, 4)
     meta = collect_meta(seed=config.seed)
@@ -133,8 +138,9 @@ def compare_experiment(
     """Diff a current run against an archived baseline.
 
     Without ``current``, the experiment is *re-run* under the baseline's
-    recorded config and run kwargs (and the fresh run is archived too) —
-    one command gives CI a self-contained regression gate.  With
+    recorded config and run kwargs, into :func:`debug_root` (replacing
+    the previous re-run), never ``archive_root`` — one command gives CI a
+    self-contained regression gate.  With
     ``current`` (a run folder or an :class:`ArchivedRun`), two archives
     are diffed without executing anything.
     """
@@ -143,9 +149,11 @@ def compare_experiment(
     if current is None:
         config = BenchConfig.from_dict(baseline.config)
         run_kwargs = baseline.meta.get("run_kwargs") or {}
+        scratch = debug_root(root)
+        shutil.rmtree(scratch / experiment_id, ignore_errors=True)
         current_run = run_experiment(
             experiment_id,
-            archive_root=root,
+            archive_root=scratch,
             config=config,
             run_kwargs=run_kwargs,
             smoke=bool(baseline.meta.get("smoke")),

@@ -8,8 +8,8 @@ approximation, reproduced here, assumes per corner that
 2. every other candidate contributes its own volume minus its overlap with
    that best candidate.
 
-An exact union-volume helper is also provided; the benchmark
-``benchmarks/test_ablation_scoring.py`` quantifies the approximation error.
+An exact union-volume helper is also provided; the ``ablations``
+experiment quantifies the approximation error.
 """
 
 from __future__ import annotations

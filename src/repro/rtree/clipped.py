@@ -131,9 +131,9 @@ class ClippedRTree:
           :func:`repro.engine.bulk_clip.bulk_clip` through batched NumPy
           kernels;
         * ``"scalar"`` — one ``compute_clip_points`` call per node,
-          exactly Algorithm 1: the oracle the differential suites and
-          the build speed-up benchmark compare the kernels against
-          (identical values, ordering and scores).
+          exactly Algorithm 1: the oracle the differential suites
+          compare the kernels against (identical values, ordering and
+          scores).
         """
         self._check_clip_engine(engine)
         if engine == "vectorized":

@@ -15,7 +15,7 @@ The package has four parts, composable but separately testable:
   mode);
 * :mod:`repro.serve.loadgen` / :mod:`repro.serve.bench` — the
   closed-loop hotspot load generator and the chaos scenario behind the
-  ``serve`` experiment and ``BENCH_serve.json``.
+  ``serve`` experiment (pinned under ``archive/``) and ``repro serve``.
 """
 
 from repro.serve.faults import (

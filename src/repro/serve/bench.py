@@ -4,11 +4,9 @@
 :class:`~repro.serve.server.CoalescingServer` (logical clock, admission
 control, seeded :meth:`FaultPlan.chaos <repro.serve.faults.FaultPlan.
 chaos>`) to the closed-loop hotspot load generator, runs a fixed request
-sequence, and returns the metrics report plus every response.  Both the
+sequence, and returns the metrics report plus every response.  The
 ``serve`` registry experiment (gated by ``repro bench compare``) and the
-``benchmarks/test_serve_bench.py`` recorder call it, so the gated
-counters and the archived ``BENCH_serve.json`` always describe the same
-scenario.
+``repro serve`` command both call it, so both drive the one scenario.
 
 Determinism contract (what makes the counters gateable):
 
@@ -108,15 +106,11 @@ def run_serve_scenario(
     breaker_threshold: int = 3,
     latency_delay: float = 0.005,
     extent: float = 100.0,
-    force_degraded_probe: bool = False,
 ) -> Tuple[Dict[str, Any], List[Response]]:
     """Run the chaos-serving scenario; return ``(report, responses)``.
 
     ``source`` is a :class:`~repro.engine.delta.SnapshotManager` or
-    anything one can wrap.  ``force_degraded_probe`` appends one range
-    query served with the breaker forced open — the deterministic way
-    for the benchmark recorder to pin a nonzero ``stale_served`` floor
-    without relying on where the fault burst lands.
+    anything one can wrap.
     """
     clock = LogicalClock()
     plan = FaultPlan.chaos(
@@ -137,12 +131,6 @@ def run_serve_scenario(
             responses = await run_closed_loop(
                 server, requests, concurrency=concurrency, pace=pace, clock=clock
             )
-            if force_degraded_probe:
-                server.breaker.force_open()
-                probe = await server.range_query(
-                    Rect([0.0] * dims, [extent] * dims)
-                )
-                responses.append(probe)
             report = server.report()
         finally:
             await server.stop()

@@ -1,25 +1,27 @@
 """Tests for the archived-experiment harness.
 
 Covers the four layers the harness introduced: the registry contract,
-the runner's archive folders, the compare gate's regression semantics,
-and the shared table/record serializers — plus the dataset cache that
-keeps back-to-back runs from regenerating identical datasets.
+the runner's archive folders, the compare gate's regression semantics
+(paper claims included), and the table serializers — plus the dataset
+cache that keeps back-to-back runs from regenerating identical datasets.
+The smoke test at the end is tier-1's one run of every experiment, and
+where the paper's claims are asserted on smoke-size tables.
 """
 
+import functools
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench.archive import (
     ArchiveError,
-    Floor,
-    check_floors,
     classify_metric,
     compare_metrics,
+    debug_root,
     list_runs,
     load_run,
     resolve_run,
-    write_legacy_bench,
     write_run,
 )
 from repro.bench.config import BenchConfig, ParameterError
@@ -172,26 +174,12 @@ def test_classify_metric():
     assert classify_metric("t.rows")[0] == "neutral"
 
 
-# ----------------------------------------------------------------------
-# legacy BENCH records + floors
-# ----------------------------------------------------------------------
-
-
-def test_write_legacy_bench_is_byte_compatible(tmp_path):
-    record = {"objects": 100, "speedup": 7.5, "nested": {"a": 1}}
-    path = tmp_path / "BENCH_x.json"
-    write_legacy_bench(record, path)
-    assert path.read_bytes() == (json.dumps(record, indent=2) + "\n").encode()
-
-
-def test_check_floors_dotted_paths_and_enforcement():
-    record = {"speedup": 4.0, "clip": {"speedup": 9.0}}
-    assert check_floors(record, [Floor("clip.speedup", 5.0)]) == []
-    failures = check_floors(record, [Floor("speedup", 5.0, label="engine speedup")])
-    assert failures and "engine speedup" in failures[0]
-    # Unenforced floors never fail; missing keys report clearly.
-    assert check_floors(record, [Floor("speedup", 5.0, enforce=False)]) == []
-    assert "missing" in check_floors(record, [Floor("missing", 1.0)])[0]
+def test_classify_metric_claims_gate_higher_is_better():
+    assert classify_metric("claims.x") == ("higher", True)
+    # Words that would mark a timing or a lower-is-better metric do not.
+    assert classify_metric("claims.speedup_ms_leaf_acc") == ("higher", True)
+    assert not compare_metrics({"claims.x": 1.0}, {"claims.x": 0.0}).ok
+    assert compare_metrics({"claims.x": 0.0}, {"claims.x": 1.0}).ok
 
 
 # ----------------------------------------------------------------------
@@ -311,12 +299,26 @@ def test_run_experiment_rejects_unknown_override(tmp_path):
 
 
 def test_compare_experiment_reruns_baseline_config(tmp_path):
-    run_experiment("fig08", smoke=True, archive_root=tmp_path)
+    pin = run_experiment("fig08", smoke=True, archive_root=tmp_path)
     report, current = compare_experiment("fig08", archive_root=tmp_path)
     assert report.ok, report.render()
-    # The re-run was archived as a new run under the same experiment.
-    assert len(list_runs(tmp_path, "fig08")) == 2
-    assert current.run_id == list_runs(tmp_path, "fig08")[-1]
+    # The re-run went to the scratch archive, not beside the pin.
+    assert list_runs(tmp_path, "fig08") == [pin.run_id]
+    assert current.path.parent == debug_root(tmp_path) / "fig08"
+    assert current.config == pin.config
+    assert current.meta["run_kwargs"] == pin.meta["run_kwargs"]
+
+
+def test_compare_twice_leaves_the_pinned_root_alone(tmp_path):
+    pin = run_experiment("fig08", smoke=True, archive_root=tmp_path)
+    first, _ = compare_experiment("fig08", archive_root=tmp_path)
+    second, second_run = compare_experiment("fig08", archive_root=tmp_path)
+    assert list_runs(tmp_path, "fig08") == [pin.run_id]
+    # Both compared against the pin, never against the other's re-run.
+    assert first.baseline_run == second.baseline_run == pin.run_id
+    assert first.ok and second.ok
+    # One scratch folder, reused: the second re-run replaced the first.
+    assert list_runs(debug_root(tmp_path), "fig08") == [second_run.run_id]
 
 
 def test_compare_experiment_detects_doctored_baseline(tmp_path):
@@ -378,6 +380,25 @@ def test_cli_bench_compare_regression_exit_code(tmp_path, capsys):
     assert "REGRESSION" in capsys.readouterr().out
 
 
+def test_cli_bench_compare_fails_on_a_broken_claim(tmp_path, capsys):
+    root = tmp_path / "archive"
+    pin = run_experiment("fig08", smoke=True, archive_root=root)
+    claim = next(name for name in pin.metrics if name.startswith("claims."))
+    assert pin.metrics[claim] == 1.0
+    current = run_experiment("fig08", smoke=True, archive_root=tmp_path / "other")
+    doctored = json.loads((current.path / "result.json").read_text())
+    doctored["metrics"][claim] = 0.0
+    (current.path / "result.json").write_text(json.dumps(doctored))
+    code = main([
+        "bench", "compare", "fig08", "--archive-root", str(root),
+        "--current", str(current.path),
+    ])
+    out = capsys.readouterr().out
+    assert code == 1
+    regressed = [line for line in out.splitlines() if "REGRESSION" in line]
+    assert len(regressed) == 1 and claim in regressed[0]
+
+
 def test_cli_bench_archive_listing(tmp_path, capsys):
     root = str(tmp_path)
     run_experiment("fig08", smoke=True, archive_root=root)
@@ -392,6 +413,13 @@ def test_cli_bench_archive_listing(tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 
+#: every experiment that reproduces a finding of the paper
+PAPER_EXPERIMENTS = (
+    "fig01", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13", "fig15",
+    "joins", "ablations",
+)
+
+
 def test_registry_covers_cli_experiments():
     ids = experiment_ids()
     assert {"fig01", "fig11", "joins", "updates", "ablations"} <= set(ids)
@@ -401,12 +429,57 @@ def test_registry_covers_cli_experiments():
         assert experiment.description
 
 
+#: the pins CI's ``repro bench compare`` gates against
+PINNED_ROOT = Path(__file__).resolve().parents[1] / "archive"
+
+
+def _pinned_claims():
+    """``(experiment, claim)`` for every claim a pinned archive records."""
+    return [
+        (experiment_id, name[len("claims."):])
+        for experiment_id in PAPER_EXPERIMENTS
+        if list_runs(PINNED_ROOT, experiment_id)
+        for name in sorted(resolve_run(PINNED_ROOT, experiment_id).metrics)
+        if name.startswith("claims.")
+    ]
+
+
+@pytest.fixture(scope="module")
+def smoke_run(tmp_path_factory):
+    """Each experiment's smoke run, executed once and shared by the tests
+    below, so tier-1 runs every experiment exactly once."""
+    root = tmp_path_factory.mktemp("smoke")
+    return functools.lru_cache(maxsize=None)(
+        lambda experiment_id: run_experiment(experiment_id, smoke=True, archive_root=root)
+    )
+
+
 @pytest.mark.parametrize("experiment_id", experiment_ids())
-def test_smoke_run_completes(experiment_id, tmp_path):
-    """``repro bench run <exp> --smoke`` finishes and archives rows."""
-    run = run_experiment(experiment_id, smoke=True, archive_root=tmp_path)
+def test_smoke_run_completes(experiment_id, smoke_run):
+    """``repro bench run <exp> --smoke`` finishes, archives rows, and every
+    paper claim it records holds on the smoke-size tables."""
+    run = smoke_run(experiment_id)
     assert run.tables, f"{experiment_id} produced no tables"
     assert any(rows for rows in run.tables.values()), (
         f"{experiment_id} produced only empty tables"
     )
     assert run.metrics["wall_seconds"] >= 0.0
+    archived = load_run(run.path).metrics
+    claims = {name: value for name, value in archived.items() if name.startswith("claims.")}
+    assert all(value == 1.0 for value in claims.values()), claims
+    if experiment_id in PAPER_EXPERIMENTS:
+        assert claims, f"{experiment_id} archives no claim"
+
+
+@pytest.mark.parametrize(
+    "experiment_id, claim", _pinned_claims(), ids=lambda value: value
+)
+def test_pinned_claim_holds_at_smoke_size(experiment_id, claim, smoke_run):
+    """Every claim CI gates at default size holds in its pin, and the
+    smoke run still records it — under the same name — and holds it too.
+    A claim renamed or dropped without a re-pin would otherwise surface
+    only as a missing metric in CI's compare."""
+    name = f"claims.{claim}"
+    assert resolve_run(PINNED_ROOT, experiment_id).metrics[name] == 1.0
+    archived = load_run(smoke_run(experiment_id).path).metrics
+    assert archived.get(name) == 1.0, (name, archived.get(name))
