@@ -88,7 +88,7 @@ def _cmd_datasets(_: argparse.Namespace) -> int:
     for name in DATASET_NAMES:
         generator = dataset_info(name)
         rows.append({"dataset": name, "dims": generator.dims, "description": generator.description})
-    print(format_table(rows, title="Datasets (synthetic stand-ins, see DESIGN.md)"))
+    print(format_table(rows, title="Datasets (synthetic stand-ins for the paper's)"))
     return 0
 
 

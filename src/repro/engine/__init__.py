@@ -24,9 +24,10 @@ accounting — what ``execute_join`` runs on ``ColumnarIndex`` inputs;
 Persistence + parallelism: :func:`save_snapshot`/:func:`load_snapshot`
 persist a snapshot as memory-mappable ``.npy`` files (near-instant
 zero-copy loads shared across processes) and :class:`ParallelExecutor`
-shards batch queries and joins across a worker pool over such a shared
+shards range-query batches across a worker pool over such a shared
 snapshot — constructed by the caller, kept alive across batches, and
-handed to ``execute_workload`` / ``execute_join`` like any other backend.
+handed to ``execute_workload`` like any other backend.  kNN and both
+joins run in one process.
 
 See :mod:`repro.engine.columnar` for the snapshot layout,
 :mod:`repro.engine.kernels` / :mod:`repro.engine.clip_kernels` for the

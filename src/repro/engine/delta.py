@@ -251,7 +251,7 @@ class SnapshotManager:
     def __init__(
         self,
         source: Union[RTreeBase, ClippedRTree, ColumnarIndex],
-        update_engine: str = "delta",  # only "delta": perf/workloads.py passes it (ROADMAP item 3)
+        update_engine: str = "delta",  # only "delta": perf/workloads.py passes it (ROADMAP item 1)
         compact_every: Optional[int] = None,
     ):
         if update_engine != "delta":

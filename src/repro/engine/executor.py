@@ -260,7 +260,10 @@ def knn_batch(
         found = np.bincount(point, minlength=len(counts))
         first_k = np.arange(len(point)) - (np.cumsum(found) - found)[point] < k
         counts, dists, objects = np.minimum(found, k), dists[first_k], objects[first_k]
-    return materialize_knn_hits(index, counts, dists, objects)
+    get = index.objects.__getitem__
+    pairs = list(zip(dists.tolist(), [get(i) for i in objects.tolist()]))
+    ends = np.cumsum(counts).tolist()
+    return [pairs[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def _point_array(index: ColumnarIndex, points: Sequence[Sequence[float]]) -> np.ndarray:
@@ -282,9 +285,8 @@ def gather_knn_hits(
 
     Returns ``(counts, dists, objects)``: the number of results of each
     point (row of ``points``), then their squared distances and object
-    indices as flat arrays in point order.  The shared core of
-    :func:`knn_batch` and the multi-process executor, which ships these
-    arrays and materialises objects in the coordinator.
+    indices as flat arrays in point order, which :func:`knn_batch` filters
+    and materialises.
 
     Best-first search reads exactly the nodes no farther than the k-th
     result, so its access set needs no heap to compute, only that
@@ -411,14 +413,3 @@ def gather_knn_hits(
         stats.leaf_accesses += accessed[-1]
         stats.internal_accesses += sum(accessed[:-1])
     return counts, dist[keep], child[keep]
-
-
-def materialize_knn_hits(
-    index: ColumnarIndex, counts: np.ndarray, dists: np.ndarray, objects: np.ndarray
-) -> List[List[Tuple[float, SpatialObject]]]:
-    """Per-point ``(squared distance, object)`` lists from the flat arrays of
-    :func:`gather_knn_hits`."""
-    get = index.objects.__getitem__
-    pairs = list(zip(dists.tolist(), [get(i) for i in objects.tolist()]))
-    ends = np.cumsum(counts).tolist()
-    return [pairs[start:end] for start, end in zip([0] + ends, ends)]

@@ -135,13 +135,10 @@ class _PairLedger:
     def record_emissions(self, pair_ids: np.ndarray, counts: np.ndarray) -> None:
         self.emissions.append((pair_ids, counts))
 
-    def settle(self, result: JoinResult) -> np.ndarray:
+    def settle(self, result: JoinResult) -> int:
         """Propagate emissions up the pair tree and fill ``IOStats``.
 
-        Returns the per-pair settled emission counts; entry 0 (the root
-        pair, when pairs exist) is the total number of result pairs, and
-        the leading entries of a sharded run (:func:`stt_shard`) are the
-        per-shipped-pair subtree totals its parent folds back in.
+        Returns the root pair's settled count: the number of result pairs.
         """
         emitted = np.zeros(self.next_id, dtype=np.int64)
         for pair_ids, counts in self.emissions:
@@ -164,7 +161,7 @@ class _PairLedger:
             stats.contributing_leaf_accesses += int(
                 (leaf_flags & (emitted[pair_ids] > 0)).sum()
             )
-        return emitted
+        return int(emitted[0])
 
 
 def _stt_roots_pass(left: ColumnarIndex, right: ColumnarIndex) -> bool:
@@ -185,27 +182,6 @@ def _stt_roots_pass(left: ColumnarIndex, right: ColumnarIndex) -> bool:
     return True
 
 
-class _SttFrontier:
-    """One round's pending node pairs: slots, ledger ids, shard-root tags.
-
-    ``roots`` carries, for every pending pair, the index of the starting
-    pair it descends from — always 0 for a whole-join run, the shipped
-    pair's position for a sharded run (:func:`stt_shard`), where the
-    parent process uses it to merge per-shard hits deterministically.
-    """
-
-    __slots__ = ("a", "b", "pid", "root")
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, pid: np.ndarray, root: np.ndarray):
-        self.a = a
-        self.b = b
-        self.pid = pid
-        self.root = root
-
-    def __len__(self) -> int:
-        return len(self.a)
-
-
 def _stt_descend(
     ledger: _PairLedger,
     desc: ColumnarIndex,
@@ -213,11 +189,10 @@ def _stt_descend(
     nodes: np.ndarray,
     partners: np.ndarray,
     pids: np.ndarray,
-    roots: np.ndarray,
     other_lows_t: np.ndarray,
     other_highs_t: np.ndarray,
     outer_side: bool,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expand one side's entries against the partner nodes of the other.
 
     ``other_lows_t`` / ``other_highs_t`` are the partner side's node MBBs,
@@ -252,7 +227,7 @@ def _stt_descend(
     children = desc.entry_child[flat]
     new_pids = ledger.add_pairs(pids[rows])
     ledger.record_accesses(outer_side, new_pids, desc.is_leaf[children])
-    return children, partners[rows], new_pids, roots[rows]
+    return children, partners[rows], new_pids
 
 
 def _join_leaf_pairs(
@@ -260,8 +235,7 @@ def _join_leaf_pairs(
     right: ColumnarIndex,
     leaf_a: np.ndarray,
     leaf_b: np.ndarray,
-    roots: np.ndarray,
-    collected: Optional[List[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
+    collected: Optional[List[Tuple[np.ndarray, np.ndarray]]],
 ) -> np.ndarray:
     """Join leaf pairs entry by entry; returns the emissions per pair.
 
@@ -270,7 +244,7 @@ def _join_leaf_pairs(
     (NaN padding fails it), so its row-major cells (:func:`mask_cells`) are
     the hits in the scalar loop's left-outer / right-inner order.
     ``collected``, when given, receives them as ``(left_obj_idx,
-    right_obj_idx, root_tag)``.
+    right_obj_idx)`` arrays.
     """
     l_lows, l_highs = left.node_major()
     r_lows, r_highs = right.node_major()
@@ -292,7 +266,6 @@ def _join_leaf_pairs(
                     (
                         left.entry_child[left.entry_start[a[pair]] + i],
                         right.entry_child[right.entry_start[b[pair]] + j],
-                        roots[start + pair],
                     )
                 )
     return counts
@@ -301,20 +274,15 @@ def _join_leaf_pairs(
 def _stt_rounds(
     left: ColumnarIndex,
     right: ColumnarIndex,
-    frontier: _SttFrontier,
     ledger: _PairLedger,
-    collected: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    collect_pairs: bool,
-    stop_len: Optional[int] = None,
-) -> _SttFrontier:
-    """Run the level-synchronous pair rounds until done (or big enough).
+    collected: Optional[List[Tuple[np.ndarray, np.ndarray]]],
+) -> None:
+    """Run the level-synchronous pair rounds from the root pair to the end.
 
-    Each iteration joins the frontier's leaf×leaf pairs and descends the
-    deeper side of the rest, exactly as before the sharding refactor.
-    With ``stop_len``, the loop instead returns as soon as the frontier
-    holds at least that many pairs — the parent process ships the
-    returned frontier to the worker pool.  ``collected`` receives
-    ``(left_obj_idx, right_obj_idx, root_tag)`` triples per leaf block.
+    Records the root pair's accesses, then each round joins the
+    frontier's leaf×leaf pairs and descends the deeper side of the rest.
+    ``collected``, when given, receives ``(left_obj_idx, right_obj_idx)``
+    arrays per leaf block.
     """
     # One contiguous row per dimension, as the descent's kernels gather them.
     l_lows_t, l_highs_t = (np.ascontiguousarray(b.T) for b in left.node_bounds())
@@ -322,23 +290,15 @@ def _stt_rounds(
     l_levels = left.node_levels()
     r_levels = right.node_levels()
 
-    while len(frontier.a):
-        if stop_len is not None and len(frontier.a) >= stop_len:
-            break
-        frontier_a, frontier_b = frontier.a, frontier.b
-        frontier_pid, frontier_root = frontier.pid, frontier.root
-        a_leaf = left.is_leaf[frontier_a]
-        b_leaf = right.is_leaf[frontier_b]
-
-        both = a_leaf & b_leaf
+    frontier_a = frontier_b = np.array([ColumnarIndex.ROOT_SLOT], dtype=np.int64)
+    frontier_pid = ledger.add_pairs(np.array([-1], dtype=np.int64))
+    ledger.record_accesses(True, frontier_pid, left.is_leaf[frontier_a])
+    ledger.record_accesses(False, frontier_pid, right.is_leaf[frontier_b])
+    while True:
+        both = left.is_leaf[frontier_a] & right.is_leaf[frontier_b]
         if both.any():
             counts = _join_leaf_pairs(
-                left,
-                right,
-                frontier_a[both],
-                frontier_b[both],
-                frontier_root[both],
-                collected if collect_pairs else None,
+                left, right, frontier_a[both], frontier_b[both], collected
             )
             ledger.record_emissions(frontier_pid[both], counts)
 
@@ -346,9 +306,8 @@ def _stt_rounds(
         rest_a = frontier_a[rest]
         rest_b = frontier_b[rest]
         rest_pid = frontier_pid[rest]
-        rest_root = frontier_root[rest]
         if not len(rest_a):
-            return _SttFrontier(*(np.empty(0, dtype=np.int64) for _ in range(4)))
+            return
         go_left = ~left.is_leaf[rest_a] & (
             right.is_leaf[rest_b] | (l_levels[rest_a] >= r_levels[rest_b])
         )
@@ -356,16 +315,14 @@ def _stt_rounds(
         next_a: List[np.ndarray] = []
         next_b: List[np.ndarray] = []
         next_pid: List[np.ndarray] = []
-        next_root: List[np.ndarray] = []
         if go_left.any():
-            children, partner, pids, roots = _stt_descend(
+            children, partner, pids = _stt_descend(
                 ledger,
                 left,
                 right,
                 rest_a[go_left],
                 rest_b[go_left],
                 rest_pid[go_left],
-                rest_root[go_left],
                 r_lows_t,
                 r_highs_t,
                 outer_side=True,
@@ -373,17 +330,15 @@ def _stt_rounds(
             next_a.append(children)
             next_b.append(partner)
             next_pid.append(pids)
-            next_root.append(roots)
         go_right = ~go_left
         if go_right.any():
-            children, partner, pids, roots = _stt_descend(
+            children, partner, pids = _stt_descend(
                 ledger,
                 right,
                 left,
                 rest_b[go_right],
                 rest_a[go_right],
                 rest_pid[go_right],
-                rest_root[go_right],
                 l_lows_t,
                 l_highs_t,
                 outer_side=False,
@@ -391,55 +346,11 @@ def _stt_rounds(
             next_a.append(partner)
             next_b.append(children)
             next_pid.append(pids)
-            next_root.append(roots)
 
-        frontier = _SttFrontier(
-            np.concatenate(next_a) if next_a else np.empty(0, dtype=np.int64),
-            np.concatenate(next_b) if next_b else np.empty(0, dtype=np.int64),
-            np.concatenate(next_pid) if next_pid else np.empty(0, dtype=np.int64),
-            np.concatenate(next_root) if next_root else np.empty(0, dtype=np.int64),
-        )
-    return frontier
-
-
-def stt_root_frontier(
-    left: ColumnarIndex, right: ColumnarIndex, ledger: _PairLedger
-) -> Optional[_SttFrontier]:
-    """The root-pair frontier, with its accesses recorded — or ``None``.
-
-    ``None`` means the join is empty before it starts: one side has no
-    entries, or the root pair fails the (clipped) intersection test, in
-    which case — matching the scalar STT — nothing is accessed at all.
-    """
-    if left.dims != right.dims:
-        raise ValueError(f"snapshot dims differ: {left.dims} vs {right.dims}")
-    root = ColumnarIndex.ROOT_SLOT
-    if left.entry_count[root] == 0 or right.entry_count[root] == 0:
-        return None
-    if not _stt_roots_pass(left, right):
-        return None
-    root_arr = np.array([root], dtype=np.int64)
-    root_pair = ledger.add_pairs(np.array([-1], dtype=np.int64))
-    ledger.record_accesses(True, root_pair, left.is_leaf[root_arr])
-    ledger.record_accesses(False, root_pair, right.is_leaf[root_arr])
-    return _SttFrontier(
-        root_arr, root_arr.copy(), root_pair, np.zeros(1, dtype=np.int64)
-    )
-
-
-def materialize_stt_pairs(
-    result: JoinResult,
-    left: ColumnarIndex,
-    right: ColumnarIndex,
-    collected: Iterable[Tuple[np.ndarray, np.ndarray]],
-) -> None:
-    """Resolve collected ``(left_idx, right_idx)`` arrays into result pairs."""
-    get_l = left.objects.__getitem__
-    get_r = right.objects.__getitem__
-    for a_idx, b_idx in collected:
-        result.pairs.extend(
-            (get_l(i), get_r(j)) for i, j in zip(a_idx.tolist(), b_idx.tolist())
-        )
+        # ``rest`` is not empty, so at least one side descended.
+        frontier_a = np.concatenate(next_a)
+        frontier_b = np.concatenate(next_b)
+        frontier_pid = np.concatenate(next_pid)
 
 
 def stt_batch(
@@ -460,18 +371,24 @@ def stt_batch(
     row on either side are neither counted nor materialised.  The
     traversal, and so both ``IOStats``, are those of the unfiltered join.
     """
+    if left.dims != right.dims:
+        raise ValueError(f"snapshot dims differ: {left.dims} vs {right.dims}")
     result = JoinResult()
-    ledger = _PairLedger()
-    frontier = stt_root_frontier(left, right, ledger)
-    if frontier is None:
+    root = ColumnarIndex.ROOT_SLOT
+    # An empty side, or a root pair failing the (clipped) intersection
+    # test: as in the scalar STT, nothing is accessed at all.
+    if left.entry_count[root] == 0 or right.entry_count[root] == 0:
         return result
+    if not _stt_roots_pass(left, right):
+        return result
+    ledger = _PairLedger()
     masked = left_live is not None or right_live is not None
-    collected: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     # Counting the live pairs takes the hits themselves, not the ledger's sums.
-    _stt_rounds(left, right, frontier, ledger, collected, collect_pairs or masked)
-    emitted = ledger.settle(result)
-    result.pair_count = int(emitted[0]) if len(emitted) else 0
-    hits = [(a, b) for a, b, _ in collected]
+    hits: Optional[List[Tuple[np.ndarray, np.ndarray]]] = (
+        [] if collect_pairs or masked else None
+    )
+    _stt_rounds(left, right, ledger, hits)
+    result.pair_count = ledger.settle(result)
     if masked:
         for block, (a, b) in enumerate(hits):
             keep = np.ones(len(a), dtype=bool)
@@ -482,63 +399,10 @@ def stt_batch(
             hits[block] = (a[keep], b[keep])
         result.pair_count = sum(len(a) for a, _ in hits)
     if collect_pairs:
-        materialize_stt_pairs(result, left, right, hits)
+        get_l = left.objects.__getitem__
+        get_r = right.objects.__getitem__
+        for a_idx, b_idx in hits:
+            result.pairs.extend(
+                (get_l(i), get_r(j)) for i, j in zip(a_idx.tolist(), b_idx.tolist())
+            )
     return result
-
-
-def stt_shard(
-    left: ColumnarIndex,
-    right: ColumnarIndex,
-    nodes_a: np.ndarray,
-    nodes_b: np.ndarray,
-    collect_pairs: bool = True,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Tuple[int, int, int], Tuple[int, int, int]]:
-    """Finish the traversal for one shard of shipped frontier pairs.
-
-    ``nodes_a[i]``/``nodes_b[i]`` is one pending node pair whose creation
-    (and access accounting) already happened in the coordinating process;
-    this runs its subtree join to completion.  Returns
-
-    ``(hits_a, hits_b, hit_roots, root_emissions, outer_stats, inner_stats)``
-
-    where ``hits_a``/``hits_b`` are object-index arrays of the result
-    pairs found (empty when ``collect_pairs`` is false), ``hit_roots``
-    tags each hit with the shipped pair (position in ``nodes_a``) whose
-    subtree emitted it, ``root_emissions`` counts emissions per shipped
-    pair — the coordinator feeds them back into its own ledger so
-    contributing-leaf accounting settles exactly as in a single-process
-    run — and the stats triples are ``(leaf, internal, contributing)``
-    access counts for pairs created inside the shard.
-    """
-    n = len(nodes_a)
-    ledger = _PairLedger()
-    # The shipped pairs are this shard's roots: already accounted for by
-    # the coordinator, so registered without access events.
-    root_pids = ledger.add_pairs(np.full(n, -1, dtype=np.int64))
-    frontier = _SttFrontier(
-        np.asarray(nodes_a, dtype=np.int64),
-        np.asarray(nodes_b, dtype=np.int64),
-        root_pids,
-        np.arange(n, dtype=np.int64),
-    )
-    collected: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    _stt_rounds(left, right, frontier, ledger, collected, collect_pairs)
-    scratch = JoinResult()
-    emitted = ledger.settle(scratch)
-    root_emissions = emitted[:n] if len(emitted) else np.zeros(n, dtype=np.int64)
-    if collected:
-        hits_a = np.concatenate([a for a, _, _ in collected])
-        hits_b = np.concatenate([b for _, b, _ in collected])
-        hit_roots = np.concatenate([r for _, _, r in collected])
-    else:
-        hits_a = hits_b = hit_roots = np.empty(0, dtype=np.int64)
-    outer = scratch.outer_stats
-    inner = scratch.inner_stats
-    return (
-        hits_a,
-        hits_b,
-        hit_roots,
-        root_emissions,
-        (outer.leaf_accesses, outer.internal_accesses, outer.contributing_leaf_accesses),
-        (inner.leaf_accesses, inner.internal_accesses, inner.contributing_leaf_accesses),
-    )

@@ -12,13 +12,13 @@ indexed inputs it is handed pick the implementation:
   frozen on the fly);
 * a :class:`~repro.engine.delta.SnapshotManager` on either side —
   :func:`repro.engine.delta.overlay_join`, the batch join of the base
-  snapshots merged with the pending deltas;
-* a :class:`~repro.engine.parallel.ParallelExecutor` as the INLJ inner
-  or the STT left input — the batch join sharded across its pool.
+  snapshots merged with the pending deltas.
 
 Pairs, ``pair_count`` and both sides' ``IOStats`` are identical across
 these paths (``tests/test_join_differential.py``,
-``tests/test_backend_conformance.py``).
+``tests/test_backend_conformance.py``).  A
+:class:`~repro.engine.parallel.ParallelExecutor` answers range batches
+only; handed in as an indexed input it raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -59,41 +59,41 @@ def execute_join(
     :func:`repro.engine.columnar.resolve_stale`); pass snapshots rather
     than trees to amortise the freeze across many joins.
 
-    A :class:`~repro.engine.parallel.ParallelExecutor` shards INLJ by
-    outer-object partition and STT by pair-frontier partition.  Pair
-    counts and both sides' ``IOStats`` still match the serial joins
-    exactly; STT's collected pairs arrive in a different (deterministic)
-    order.
+    Raises ``TypeError`` for a
+    :class:`~repro.engine.parallel.ParallelExecutor` as an indexed input:
+    its pool answers range batches only.
     """
     check_join_algorithm(algorithm)
     indexed = (right,) if algorithm == "inlj" else (left, right)
+    batched = any(hasattr(side, "range_query_batch") for side in indexed)
+    if batched:
+        # Imported lazily: only the scalar path works without NumPy.
+        from repro.engine import ParallelExecutor
+
+        if any(isinstance(side, ParallelExecutor) for side in indexed):
+            raise TypeError(
+                "execute_join joins a tree, a ColumnarIndex or a SnapshotManager; "
+                "a ParallelExecutor answers range batches only"
+            )
     if getattr(left, "is_snapshot_manager", False) or getattr(
         right, "is_snapshot_manager", False
     ):
         from repro.engine.delta import overlay_join
 
         return overlay_join(left, right, algorithm=algorithm, collect_pairs=collect_pairs)
-    if not any(hasattr(side, "range_query_batch") for side in indexed):
+    if not batched:
         if algorithm == "inlj":
             return index_nested_loop_join(left, right, collect_pairs=collect_pairs)
         return synchronized_tree_traversal_join(left, right, collect_pairs=collect_pairs)
 
-    # Imported lazily: only the scalar path works without NumPy.
-    from repro.engine import ColumnarIndex, ParallelExecutor, resolve_stale
+    from repro.engine import ColumnarIndex, resolve_stale
     from repro.engine.join_exec import inlj_batch, stt_batch
 
     def snapshot_of(index) -> ColumnarIndex:
         if isinstance(index, ColumnarIndex):
             return resolve_stale(index, stale)
-        if isinstance(index, ParallelExecutor):
-            return index.snapshot
         return ColumnarIndex.from_tree(index)
 
-    if isinstance(indexed[0], ParallelExecutor):
-        pool = indexed[0]
-        if algorithm == "inlj":
-            return pool.inlj_batch(left, collect_pairs=collect_pairs)
-        return pool.stt_batch(snapshot_of(right), collect_pairs=collect_pairs)
     if algorithm == "inlj":
         return inlj_batch(left, snapshot_of(right), collect_pairs=collect_pairs)
     return stt_batch(snapshot_of(left), snapshot_of(right), collect_pairs=collect_pairs)

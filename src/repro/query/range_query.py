@@ -11,7 +11,7 @@ the index object it is handed:
 * a :class:`~repro.engine.delta.SnapshotManager` — the batch kernels on
   its base snapshot merged with the pending delta overlay;
 * a :class:`~repro.engine.parallel.ParallelExecutor` — the batch sharded
-  across the executor's worker pool.
+  across the executor's worker pool, the one kind of task the pool runs.
 
 All four report identical result counts and, on the same frozen state,
 identical :class:`~repro.storage.stats.IOStats`

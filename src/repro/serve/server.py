@@ -197,7 +197,7 @@ class ServeConfig:
     breaker_failure_threshold: int = 3
     breaker_cooldown: float = 0.05
     compact_threshold: Optional[int] = None  # pending ops before background compact
-    workers: int = 1  # only 1: perf/workloads.py still passes it (see ROADMAP item 3)
+    workers: int = 1  # only 1: perf/workloads.py still passes it (ROADMAP items 1 and 7)
 
     def __post_init__(self):
         if self.workers != 1:

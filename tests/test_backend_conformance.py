@@ -2,10 +2,11 @@
 
 ``execute_workload`` and ``execute_join`` take no engine argument; they
 run the scalar reference for a tree, the batch kernels for a
-``ColumnarIndex``, the base + delta merge for a ``SnapshotManager`` and
-the worker pool for a ``ParallelExecutor``.  Whatever runs must answer
-like a brute-force scan of the live objects, and the backends that serve
-nothing but the frozen base must also charge identical ``IOStats``.
+``ColumnarIndex``, the base + delta merge for a ``SnapshotManager`` and,
+for range workloads only, the worker pool for a ``ParallelExecutor``.
+Whatever runs must answer like a brute-force scan of the live objects,
+and the backends that serve nothing but the frozen base must also charge
+identical ``IOStats``.
 """
 
 import dataclasses
@@ -30,6 +31,8 @@ from tests.conftest import make_random_objects
 BACKENDS = ("tree", "columnar", "manager", "manager_pending", "pool")
 #: backends whose every access lands on the one frozen base
 BASE_ONLY = ("tree", "columnar", "manager", "pool")
+#: backends that answer kNN and joins: all but the pool
+SERIAL = ("tree", "columnar", "manager", "manager_pending")
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +97,7 @@ def test_workload_matches_brute_force(name, backends, world):
     assert result.total_results > 0
 
 
-@pytest.mark.parametrize("name", BACKENDS)
+@pytest.mark.parametrize("name", SERIAL)
 def test_knn_matches_brute_force(name, backends, world):
     backend, live = backends[name]
     points = [query.center for query in world[3][:8]]
@@ -115,7 +118,7 @@ def test_workload_iostats_equal_across_base_only_backends(backends, world):
         assert execute_workload(backends[name][0], queries).stats == reference, name
 
 
-@pytest.mark.parametrize("name", BACKENDS)
+@pytest.mark.parametrize("name", SERIAL)
 def test_inlj_matches_brute_force(name, backends, world):
     backend, live = backends[name]
     probes = world[1]
@@ -127,7 +130,7 @@ def test_inlj_matches_brute_force(name, backends, world):
     assert counted.pairs == []
 
 
-@pytest.mark.parametrize("name", BACKENDS)
+@pytest.mark.parametrize("name", SERIAL)
 @pytest.mark.parametrize("other_frozen", [False, True], ids=["other-tree", "other-frozen"])
 def test_stt_matches_brute_force(name, other_frozen, backends, world):
     backend, live = backends[name]
@@ -146,7 +149,7 @@ def test_join_iostats_equal_across_base_only_backends(backends, world):
     inlj = execute_join(probes, tree, algorithm="inlj")
     stt = execute_join(tree, other_tree, algorithm="stt")
     assert inlj.inner_stats.leaf_accesses > 0 and stt.total_leaf_accesses > 0
-    for name in BASE_ONLY[1:]:
+    for name in ("columnar", "manager"):
         backend = backends[name][0]
         got = execute_join(probes, backend, algorithm="inlj")
         assert (got.outer_stats, got.inner_stats) == (inlj.outer_stats, inlj.inner_stats), name
@@ -159,6 +162,19 @@ def test_executor_handed_in_equals_the_serial_snapshot(backends, world):
     assert execute_workload(backends["pool"][0], queries) == execute_workload(
         backends["columnar"][0], queries
     )
+
+
+def test_execute_join_refuses_a_pool_on_an_indexed_side(backends, world):
+    _, probes, other_tree, _ = world
+    pool, manager = backends["pool"][0], backends["manager"][0]
+    for left, right, algorithm in (
+        (probes, pool, "inlj"),
+        (pool, other_tree, "stt"),
+        (other_tree, pool, "stt"),
+        (pool, manager, "stt"),
+    ):
+        with pytest.raises(TypeError, match="a tree, a ColumnarIndex or a SnapshotManager"):
+            execute_join(left, right, algorithm=algorithm)
 
 
 def test_no_entry_point_builds_a_pool_from_a_workers_option(capsys):

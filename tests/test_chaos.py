@@ -19,12 +19,7 @@ import asyncio
 
 import pytest
 
-from repro.engine import (
-    ColumnarIndex,
-    ParallelExecutor,
-    knn_batch,
-    range_query_batch,
-)
+from repro.engine import ColumnarIndex, ParallelExecutor, range_query_batch
 from repro.engine.delta import SnapshotManager
 from repro.geometry.rect import Rect
 from repro.rtree.clipped import ClippedRTree
@@ -85,23 +80,6 @@ def test_worker_kill_recovery_bit_identical(frozen, queries):
         assert executor.serial_fallbacks == 0
     assert plan.fired(WORKER_KILL) == 1
     assert _oid_lists(results) == serial
-    assert stats == serial_stats
-
-
-def test_worker_kill_recovery_knn(frozen, queries):
-    _, snapshot = frozen
-    points = [q.low for q in queries[:8]]
-    serial_stats = IOStats()
-    serial = [
-        [(d, o.oid) for d, o in r]
-        for r in knn_batch(snapshot, points, k=4, stats=serial_stats)
-    ]
-    plan = FaultPlan([FaultSpec(WORKER_KILL, at=1)])
-    stats = IOStats()
-    with ParallelExecutor(snapshot, workers=2, fault_plan=plan) as executor:
-        results = executor.knn_batch(points, k=4, stats=stats)
-        assert executor.pool_rebuilds >= 1
-    assert [[(d, o.oid) for d, o in r] for r in results] == serial
     assert stats == serial_stats
 
 

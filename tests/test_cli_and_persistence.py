@@ -26,6 +26,8 @@ class TestCli:
         assert main(["datasets"]) == 0
         output = capsys.readouterr().out
         assert "axo03" in output and "rea02" in output
+        assert "Datasets (synthetic stand-ins for the paper's)" in output
+        assert "DESIGN.md" not in output
 
     def test_run_unknown_experiment(self, capsys):
         assert main(["run", "fig99"]) == 2

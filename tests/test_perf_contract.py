@@ -10,7 +10,13 @@ import importlib.util
 import random
 from pathlib import Path
 
-from repro.engine import SnapshotManager, overlay_join
+from repro.engine import (
+    ColumnarIndex,
+    ParallelExecutor,
+    SnapshotManager,
+    default_workers,
+    overlay_join,
+)
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.rtree.clipped import ClippedRTree
@@ -37,13 +43,24 @@ def _clipped(rng, first_oid, count=60):
     return objects, ClippedRTree.wrap(build_rtree("str", objects, max_entries=6))
 
 
-def test_constructor_spellings_of_the_workloads():
-    """``perf/workloads.py`` spells these two keywords; they have one value each."""
+def test_constructor_spellings_of_the_workloads(tmp_path):
+    """``perf/workloads.py`` spells these constructors; the first two keywords
+    have one value each, and ``pool_range`` reads the pool's recovery counters."""
     source = (PERF / "workloads.py").read_text()
     assert 'update_engine="delta"' in source and "workers=1" in source
-    _, tree = _clipped(random.Random(1), 0)
+    objects, tree = _clipped(random.Random(1), 0)
     assert SnapshotManager(tree, update_engine="delta", compact_every=250).compact_every == 250
     assert ServeConfig(workers=1).workers == 1
+    assert "workers=min(2, default_workers())" in source
+    executor = ParallelExecutor(
+        ColumnarIndex.from_tree(tree),
+        workers=min(2, default_workers()),
+        snapshot_dir=tmp_path / "pool",
+    )
+    with executor:
+        hits = executor.range_query_batch([obj.rect for obj in objects[:8]])
+        assert all(obj.oid in {o.oid for o in batch} for obj, batch in zip(objects, hits))
+        assert (executor.pool_rebuilds, executor.serial_fallbacks) == (0, 0)
 
 
 def test_every_patched_name_resolves_and_is_what_the_manager_calls():

@@ -288,9 +288,6 @@ def test_worker_derives_layout_once_per_process(tmp_path, monkeypatch):
     layouts = (cached._node_major, cached._node_major_clips)
     assert layouts[0] is not None and layouts[1] is not None
     second = parallel._range_task(str(tmp_path), q_lows, q_highs)
-    # An STT shard of the same worker probes the same cached object too.
-    root = np.zeros(1, dtype=np.int64)
-    parallel._stt_task(str(tmp_path), str(tmp_path), root, root, False)
     assert parallel._WORKER_SNAPSHOTS[str(tmp_path)] is cached
     # The later shards reused both layouts.
     assert cached._node_major is layouts[0] and cached._node_major_clips is layouts[1]
