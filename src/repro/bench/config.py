@@ -2,30 +2,21 @@
 
 The paper's datasets hold 1–12 million objects; re-running every
 experiment at that scale in pure Python would take days, and all reported
-quantities are ratios that stabilise at much smaller sizes (see
-DESIGN.md §3).  ``BenchConfig`` therefore defaults to a few thousand
-objects per dataset and can be scaled with the ``REPRO_BENCH_SCALE``
-environment variable (e.g. ``REPRO_BENCH_SCALE=4`` quadruples every
-dataset and query count).
+quantities are ratios that stabilise at much smaller sizes.
+``BenchConfig`` therefore defaults to a few thousand objects per dataset;
+``repro bench run <exp> --set size=N`` sets every dataset to ``N``
+objects and records it in the run's archived config.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple
 
 
 class ParameterError(ValueError):
     """An unknown parameter name or an unparsable parameter value."""
-
-
-def _scale() -> float:
-    try:
-        return float(os.environ.get("REPRO_BENCH_SCALE", "1"))
-    except ValueError:
-        return 1.0
 
 
 _DEFAULT_SIZES = {
@@ -49,7 +40,7 @@ _DEFAULT_SIZES = {
 class BenchConfig:
     """Parameters shared by every experiment."""
 
-    #: objects per dataset (already scaled by REPRO_BENCH_SCALE)
+    #: objects per dataset
     dataset_sizes: Dict[str, int] = field(default_factory=dict)
     #: queries evaluated per (dataset, profile)
     queries_per_profile: int = 36
@@ -76,10 +67,7 @@ class BenchConfig:
 
     def __post_init__(self):
         if not self.dataset_sizes:
-            scale = _scale()
-            self.dataset_sizes = {
-                name: max(200, int(size * scale)) for name, size in _DEFAULT_SIZES.items()
-            }
+            self.dataset_sizes = dict(_DEFAULT_SIZES)
 
     def size_of(self, dataset: str) -> int:
         """Number of objects to generate for ``dataset``."""

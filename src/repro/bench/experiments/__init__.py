@@ -14,7 +14,6 @@ Figure 13                  :mod:`repro.bench.experiments.fig13_storage`
 Figure 14                  :mod:`repro.bench.experiments.fig14_build_time`
 Spatial joins (§V)         :mod:`repro.bench.experiments.joins`
 Figure 15                  :mod:`repro.bench.experiments.fig15_scalability`
-Incremental updates        :mod:`repro.bench.experiments.updates`
 Ablations (k, τ, scoring)  :mod:`repro.bench.experiments.ablations`
 =========================  ==============================================
 """

@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices called out in DESIGN.md.
+"""Ablation studies for the clipping design's free parameters.
 
 * ``run_tau_sweep`` — effect of the τ storage threshold (the paper fixes
   τ = 2.5 % and notes "we lack space to also vary τ").

@@ -4,7 +4,7 @@ Each entry wraps one module from :mod:`repro.bench.experiments` behind a
 uniform contract: ``build(context, **kwargs) -> {table name: rows}``, and
 ``claims(tables) -> {name: holds}``: the paper's findings those tables
 must reproduce, archived as ``claims.<name>`` metrics.
-The CLI's ``list-experiments``, ``run``, and the whole
+The CLI's ``list-experiments`` and the whole
 ``repro bench run/compare/archive`` harness dispatch through this
 registry, and the parameter schema every experiment accepts via
 ``--set key=value`` is the :class:`~repro.bench.config.BenchConfig`
@@ -37,7 +37,6 @@ from repro.bench.experiments import (
     joins,
     mixed_workload,
     serving,
-    updates,
 )
 from repro.bench.harness import ExperimentContext
 
@@ -207,14 +206,6 @@ register(Experiment(
     titles={"fig15": "Figure 15"},
     smoke_kwargs={"datasets": ("par02",), "size": 600, "queries_per_profile": 5},
     claims=_claims_of("fig15", fig15_scalability.claims),
-))
-register(Experiment(
-    id="updates",
-    description="amortised write cost of delta overlay vs refreeze-per-write",
-    build=_single_table("updates", updates.run),
-    titles={"updates": "Incremental updates (delta vs refreeze)"},
-    smoke_kwargs={"datasets": ("par02",)},
-    claims=_claims_of("updates", updates.claims),
 ))
 register(Experiment(
     id="ablations",

@@ -29,8 +29,7 @@ from repro.bench.archive import (
 )
 from repro.bench.config import BenchConfig, ParameterError
 from repro.bench.harness import ExperimentContext
-from repro.bench.registry import Experiment, derive_metrics, get_experiment
-from repro.bench.reporting import format_table
+from repro.bench.registry import derive_metrics, get_experiment
 
 
 def parse_set_overrides(pairs: Sequence[str]) -> Dict[str, str]:
@@ -52,15 +51,6 @@ def _jsonable(value):
     if isinstance(value, Mapping):
         return {k: _jsonable(v) for k, v in value.items()}
     return value
-
-
-def render_tables(experiment: Experiment, tables: Mapping) -> str:
-    """The experiment's tables as aligned text, using its display titles."""
-    parts = [
-        format_table(rows, title=experiment.titles.get(name, f"{experiment.id} — {name}"))
-        for name, rows in tables.items()
-    ]
-    return "\n\n".join(parts)
 
 
 def run_experiment(

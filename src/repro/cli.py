@@ -3,10 +3,10 @@
 Gives quick access to the reproduction without writing any code:
 
 * ``list-experiments`` — show every registered experiment and its id;
-* ``run <experiment>`` — run one experiment and print its table(s);
-* ``bench run <experiment>|all`` — run experiments through the archived
-  harness (``--set key=value`` overrides, ``--smoke``, timestamped
-  archive folders with config + meta + result + rendered tables);
+* ``bench run <experiment>|all`` — run experiments, print their tables
+  and archive each run (``--set key=value`` overrides, ``--smoke``,
+  timestamped archive folders with config + meta + result + rendered
+  tables);
 * ``bench compare <experiment>`` — re-run under a baseline archive's
   config and diff the metrics; exits non-zero on a regression;
 * ``bench archive [<experiment>]`` — list archived runs / show one;
@@ -21,7 +21,7 @@ Gives quick access to the reproduction without writing any code:
 Examples::
 
     python -m repro list-experiments
-    python -m repro run fig11 --queries 20 --size 1000
+    python -m repro bench run fig11 --set size=1000 --set queries_per_profile=20
     python -m repro bench run dims --set size=1600 --set clip_tau=0.05
     python -m repro bench run all --smoke --archive-root /tmp/archive
     python -m repro bench compare hotspot --against latest
@@ -37,7 +37,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.bench import BenchConfig, ExperimentContext, ParameterError, format_table
+from repro.bench import BenchConfig, ParameterError, format_table
 from repro.bench.archive import (
     ArchiveError,
     default_archive_root,
@@ -50,12 +50,7 @@ from repro.bench.registry import (
     experiment_ids,
     get_experiment,
 )
-from repro.bench.runner import (
-    compare_experiment,
-    parse_set_overrides,
-    render_tables,
-    run_experiment,
-)
+from repro.bench.runner import compare_experiment, parse_set_overrides, run_experiment
 from repro.datasets.registry import DATASET_NAMES, dataset_info
 from repro.metrics.dead_space import average_dead_space, clipped_dead_space_summary
 from repro.metrics.node_stats import tree_stats
@@ -67,8 +62,6 @@ def _make_config(args: argparse.Namespace) -> BenchConfig:
     config = BenchConfig()
     if args.size is not None:
         config.dataset_sizes = {name: args.size for name in config.dataset_sizes}
-    if args.queries is not None:
-        config.queries_per_profile = args.queries
     if args.max_entries is not None:
         config.max_entries = args.max_entries
     return config
@@ -89,17 +82,6 @@ def _cmd_datasets(_: argparse.Namespace) -> int:
         generator = dataset_info(name)
         rows.append({"dataset": name, "dims": generator.dims, "description": generator.description})
     print(format_table(rows, title="Datasets (synthetic stand-ins for the paper's)"))
-    return 0
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        experiment = get_experiment(args.experiment)
-    except UnknownExperimentError:
-        print(f"unknown experiment {args.experiment!r}; try 'list-experiments'", file=sys.stderr)
-        return 2
-    context = ExperimentContext(_make_config(args))
-    print(render_tables(experiment, experiment.build(context)))
     return 0
 
 
@@ -341,9 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("list-experiments", help="list available experiments")
     subparsers.add_parser("datasets", help="list dataset generators")
 
-    run_parser = subparsers.add_parser("run", help="run one experiment and print its tables")
-    run_parser.add_argument("experiment", help="experiment id, e.g. fig11")
-
     bench_parser = subparsers.add_parser(
         "bench", help="archived-experiment harness: run / compare / archive"
     )
@@ -483,9 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos-seed", type=int, default=11, help="seed for the deterministic fault plan"
     )
 
-    for sub in (run_parser, info_parser, save_parser, serve_parser):
+    for sub in (info_parser, save_parser, serve_parser):
         sub.add_argument("--size", type=int, default=None, help="objects per dataset")
-        sub.add_argument("--queries", type=int, default=None, help="queries per profile")
         sub.add_argument("--max-entries", type=int, default=None, help="node capacity")
     return parser
 
@@ -496,7 +474,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {
         "list-experiments": _cmd_list_experiments,
         "datasets": _cmd_datasets,
-        "run": _cmd_run,
         "bench": _cmd_bench,
         "build-info": _cmd_build_info,
         "snapshot": lambda a: (

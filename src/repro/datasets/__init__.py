@@ -5,7 +5,7 @@ benchmark (``rea02``, ``rea03``), two synthetic ones (``par02``,
 ``par03``), and three Human-Brain-Project neuroscience datasets
 (``axo03``, ``den03``, ``neu03``).  None of those files can be shipped
 here, so each is replaced by a deterministic generator that reproduces the
-geometric character the paper's analysis relies on (see DESIGN.md §3/§4).
+geometric character the paper's analysis relies on.
 
 Use :func:`generate` with a dataset name, or the generator classes
 directly for custom parameters.

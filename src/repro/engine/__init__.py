@@ -18,8 +18,9 @@ compaction with dirty-node-only re-clipping
 
 Joins: :func:`inlj_batch` and :func:`stt_batch` run both spatial-join
 strategies over snapshots with scalar-identical pairs and I/O
-accounting — what ``execute_join`` runs on ``ColumnarIndex`` inputs;
-:func:`overlay_join` adds the pending deltas of managed inputs.
+accounting; :func:`overlay_join` runs them over any batched input —
+a ``ColumnarIndex``, or a ``SnapshotManager`` with its pending deltas —
+and is what ``execute_join`` hands every batched join to.
 
 Persistence + parallelism: :func:`save_snapshot`/:func:`load_snapshot`
 persist a snapshot as memory-mappable ``.npy`` files (near-instant
@@ -38,12 +39,7 @@ for the harnesses pinning batch ≡ scalar.
 
 from repro.engine.builder import build_columnar_str
 from repro.engine.bulk_clip import bulk_clip, clip_nodes_batch
-from repro.engine.columnar import (
-    STALE_POLICIES,
-    ColumnarIndex,
-    StaleSnapshotError,
-    resolve_stale,
-)
+from repro.engine.columnar import ColumnarIndex
 from repro.engine.delta import (
     CompactionInProgressError,
     DeltaOverlay,
@@ -64,14 +60,12 @@ from repro.engine.snapshot_io import (
 
 __all__ = [
     "FORMAT_VERSION",
-    "STALE_POLICIES",
     "ColumnarIndex",
     "CompactionInProgressError",
     "DeltaOverlay",
     "ParallelExecutor",
     "SnapshotManager",
     "SnapshotFormatError",
-    "StaleSnapshotError",
     "build_columnar_str",
     "bulk_clip",
     "clip_nodes_batch",
@@ -83,7 +77,6 @@ __all__ = [
     "range_query_batch",
     "reclip_live_nodes",
     "reclip_nodes_for_results",
-    "resolve_stale",
     "save_snapshot",
     "set_load_fault_hook",
     "stt_batch",

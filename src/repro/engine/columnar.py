@@ -45,6 +45,9 @@ tree — and, for clipped trees, any re-clipping — leaves the snapshot
 answering queries against the *old* state.  The source's
 ``version`` counter is recorded at freeze time; check :attr:`is_stale`
 (or rebuild via :meth:`refresh`) after mutating the source.
+``execute_workload`` and ``execute_join`` re-freeze a stale snapshot
+before answering from it; the server's degraded path knowingly answers
+from the frozen state and stamps the answer stale.
 """
 
 from __future__ import annotations
@@ -58,43 +61,6 @@ from repro.engine.kernels import expand_segments, masks_to_bool
 from repro.geometry.objects import SpatialObject
 from repro.rtree.base import RTreeBase
 from repro.rtree.clipped import ClippedRTree
-
-#: Stale-snapshot policies accepted by :func:`resolve_stale` (and by the
-#: ``stale=`` parameter of ``execute_workload`` / ``execute_join``).
-STALE_POLICIES = ("refresh", "raise", "serve")
-
-
-class StaleSnapshotError(RuntimeError):
-    """A columnar snapshot was queried after its source tree mutated.
-
-    Raised by :func:`resolve_stale` under the ``"raise"`` policy; the
-    default policy transparently re-freezes instead.
-    """
-
-
-def resolve_stale(snapshot: "ColumnarIndex", policy: str = "refresh") -> "ColumnarIndex":
-    """Apply a staleness policy to ``snapshot`` before serving queries.
-
-    * ``"refresh"`` (default) — re-freeze from the mutated source and
-      return the fresh snapshot (a no-op when not stale);
-    * ``"raise"`` — raise :class:`StaleSnapshotError` when stale;
-    * ``"serve"`` — knowingly serve the frozen state (the pre-guard
-      behaviour, for callers that batch-amortise refreezes themselves).
-    """
-    if policy not in STALE_POLICIES:
-        raise ValueError(f"unknown stale policy {policy!r}; known: {STALE_POLICIES}")
-    if not snapshot.is_stale:
-        return snapshot
-    if policy == "refresh":
-        return snapshot.refresh()
-    if policy == "raise":
-        raise StaleSnapshotError(
-            f"snapshot of {type(snapshot.source).__name__} is stale "
-            f"(source version {snapshot._version_of(snapshot.source)!r} != "
-            f"frozen {snapshot.source_version!r}); refresh() it or pass "
-            "stale='refresh'"
-        )
-    return snapshot
 
 
 def _pinned(array: np.ndarray, dtype: np.dtype) -> np.ndarray:

@@ -245,9 +245,6 @@ class SnapshotManager:
     ``(snapshot, overlay)`` tuple once per batch.
     """
 
-    #: duck-typing marker checked by ``execute_workload``/``execute_join``
-    is_snapshot_manager = True
-
     def __init__(
         self,
         source: Union[RTreeBase, ClippedRTree, ColumnarIndex],
@@ -530,12 +527,16 @@ class SnapshotManager:
 
 
 def _join_side(index) -> Tuple[ColumnarIndex, Optional[np.ndarray], Optional[QuadraticRTree]]:
-    """``(base snapshot, its tombstones if any, its delta tree if managed)``."""
+    """``(base snapshot, its tombstones if any, its delta tree if managed)``.
+
+    A tree is frozen here and a stale snapshot re-frozen, so every batched
+    side joins its source's current state.
+    """
     if isinstance(index, SnapshotManager):
         snapshot, overlay = index.view
         return snapshot, overlay.live, overlay.tree
     if isinstance(index, ColumnarIndex):
-        return index, None, None
+        return (index.refresh() if index.is_stale else index), None, None
     return ColumnarIndex.from_tree(index), None, None
 
 
@@ -545,28 +546,31 @@ def _probe_pairs(
     live: Optional[np.ndarray],
     delta: Optional[QuadraticRTree],
     stats: IOStats,
-    collect_into: List[Tuple[SpatialObject, SpatialObject]],
+    collect_pairs: bool,
     swap: bool = False,
-) -> None:
-    """INLJ ``probes`` against one managed side, appending to ``collect_into``.
+) -> Tuple[int, List[Tuple[SpatialObject, SpatialObject]]]:
+    """INLJ ``probes`` against one side: ``(pair count, pairs)``.
 
     The base join runs with the side's tombstones ``live``; the probes
     also join its pending ``delta`` tree (callers covering delta×delta
-    elsewhere pass None).  ``swap`` flips the emitted pair orientation
-    (probe second).
+    elsewhere pass None).  Pairs are built only when ``collect_pairs``;
+    ``swap`` flips their orientation (probe second).
     """
     # Looked up per call, like ``stt_batch`` below: a traced run patches
     # the module attributes, and a name bound at import would escape it.
     from repro.engine.join_exec import inlj_batch
 
-    if len(probes) and len(snapshot.objects):
-        sub = inlj_batch(probes, snapshot, collect_pairs=True, live=live)
-        stats.merge(sub.inner_stats)
-        collect_into.extend((r, l) if swap else (l, r) for l, r in sub.pairs)
+    base = inlj_batch(probes, snapshot, collect_pairs=collect_pairs, live=live)
+    stats.merge(base.inner_stats)
+    count = base.pair_count
+    pairs = [(r, l) for l, r in base.pairs] if swap else base.pairs
     if delta is not None and len(delta):
         for probe in probes:
-            for hit in delta.range_query(probe.rect, stats=stats):
-                collect_into.append((hit, probe) if swap else (probe, hit))
+            hits = delta.range_query(probe.rect, stats=stats)
+            count += len(hits)
+            if collect_pairs:
+                pairs.extend((hit, probe) if swap else (probe, hit) for hit in hits)
+    return count, pairs
 
 
 def overlay_join(
@@ -575,7 +579,7 @@ def overlay_join(
     algorithm: str = "stt",
     collect_pairs: bool = True,
 ) -> JoinResult:
-    """Spatial join where either side may be a :class:`SnapshotManager`.
+    """Spatial join of batched inputs: any mix of trees, snapshots and managers.
 
     The base×base portion runs through the columnar batch joins with
     each managed side's tombstones, and the pending delta trees are
@@ -583,7 +587,10 @@ def overlay_join(
     equal a scalar join over both sides' live objects; ``outer_stats`` /
     ``inner_stats`` accumulate the accesses charged to the left and
     right inputs respectively (base probes through the batch executor,
-    delta probes through the small overlay trees).
+    delta probes through the small overlay trees).  With no pending delta
+    the result is the batch join's, pair for pair and access for access.
+    ``collect_pairs=False`` reaches the batch joins, which then build no
+    pair objects.
     """
     from repro.engine.join_exec import stt_batch
 
@@ -594,34 +601,29 @@ def overlay_join(
         else:
             probes = list(left)
         result = JoinResult()
-        pairs: List[Tuple[SpatialObject, SpatialObject]] = []
-        _probe_pairs(probes, *_join_side(right), result.inner_stats, pairs)
-        result.pairs = pairs if collect_pairs else []
-        result.pair_count = len(pairs)
+        result.pair_count, result.pairs = _probe_pairs(
+            probes, *_join_side(right), result.inner_stats, collect_pairs
+        )
         return result
 
     l_snap, l_live, l_delta = _join_side(left)
     r_snap, r_live, r_delta = _join_side(right)
-    base = stt_batch(l_snap, r_snap, collect_pairs=True, left_live=l_live, right_live=r_live)
-    pairs = base.pairs
-    result = JoinResult(outer_stats=base.outer_stats, inner_stats=base.inner_stats)
-
+    result = stt_batch(
+        l_snap, r_snap, collect_pairs=collect_pairs, left_live=l_live, right_live=r_live
+    )
     # deltaL × (baseR live + deltaR): probe the full right view.
     if l_delta is not None and len(l_delta):
-        _probe_pairs(
-            list(l_delta.objects()), r_snap, r_live, r_delta, result.inner_stats, pairs
+        count, pairs = _probe_pairs(
+            list(l_delta.objects()), r_snap, r_live, r_delta, result.inner_stats, collect_pairs
         )
+        result.pair_count += count
+        result.pairs.extend(pairs)
     # deltaR × baseL live only — deltaL × deltaR was covered just above.
     if r_delta is not None and len(r_delta):
-        _probe_pairs(
-            list(r_delta.objects()),
-            l_snap,
-            l_live,
-            None,
-            result.outer_stats,
-            pairs,
+        count, pairs = _probe_pairs(
+            list(r_delta.objects()), l_snap, l_live, None, result.outer_stats, collect_pairs,
             swap=True,
         )
-    result.pairs = pairs if collect_pairs else []
-    result.pair_count = len(pairs)
+        result.pair_count += count
+        result.pairs.extend(pairs)
     return result

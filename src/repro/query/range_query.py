@@ -68,22 +68,14 @@ class WorkloadResult:
         return self.stats.contributing_leaf_accesses / self.stats.leaf_accesses
 
 
-def execute_workload(
-    index: SupportsRangeQuery,
-    queries: Iterable[Rect],
-    stale: str = "refresh",
-) -> WorkloadResult:
+def execute_workload(index: SupportsRangeQuery, queries: Iterable[Rect]) -> WorkloadResult:
     """Run every query against ``index`` and accumulate I/O statistics.
 
     The path follows from ``index`` (see the module docstring): a tree is
     traversed query by query, anything exposing ``range_query_batch`` — a
     ``ColumnarIndex``, a ``SnapshotManager``, a ``ParallelExecutor`` —
-    answers the batch in one call.
-
-    A ``ColumnarIndex`` whose source tree has mutated is handled per
-    ``stale``: ``"refresh"`` (default) re-freezes first, ``"raise"``
-    raises :class:`~repro.engine.columnar.StaleSnapshotError`,
-    ``"serve"`` knowingly answers from the frozen state.
+    answers the batch in one call.  A ``ColumnarIndex`` whose source tree
+    has mutated since the freeze is re-frozen first.
     """
     queries = list(queries)
     stats = IOStats()
@@ -92,10 +84,10 @@ def execute_workload(
         return WorkloadResult(len(queries), total_results, stats)
 
     # Imported lazily: only the scalar path works without NumPy.
-    from repro.engine import ColumnarIndex, resolve_stale
+    from repro.engine import ColumnarIndex
 
-    if isinstance(index, ColumnarIndex):
-        index = resolve_stale(index, stale)
+    if isinstance(index, ColumnarIndex) and index.is_stale:
+        index = index.refresh()
     results = index.range_query_batch(queries, stats=stats)
     return WorkloadResult(len(queries), sum(map(len, results)), stats)
 

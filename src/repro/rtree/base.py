@@ -10,7 +10,7 @@ experiment need.  Variants only customise ``_choose_subtree`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
@@ -210,11 +210,6 @@ class RTreeBase:
         self._size += 1
         self._version += 1
         return result
-
-    def bulk_insert(self, objects: Iterable[SpatialObject]) -> None:
-        """Insert many objects one by one (no special bulk loading)."""
-        for obj in objects:
-            self.insert(obj)
 
     def _begin_insert(self) -> None:
         """Reset per-insertion state (used by the R*-tree reinsertion flag)."""

@@ -7,7 +7,7 @@ keeps its *largest Hilbert value* (LHV); an insert descends into the first
 child whose LHV is at least the new object's Hilbert value and splits
 nodes in Hilbert order.  (The published 2-to-3 sibling redistribution is
 not implemented — overflowing nodes split in half — which only affects
-space utilisation, not correctness; see DESIGN.md.)
+space utilisation, not correctness.)
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ algorithm rather than a port of the authors' C code:
 * There is no forced reinsertion.
 
 These are the components the paper credits for the RR*-tree's strong query
-performance; see DESIGN.md for the fidelity discussion.
+performance.
 """
 
 from __future__ import annotations

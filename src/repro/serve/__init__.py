@@ -10,9 +10,8 @@ The package has four parts, composable but separately testable:
   loads, compaction, and the serving loop itself;
 * :mod:`repro.serve.server` — :class:`CoalescingServer`, the asyncio
   micro-batching loop over a live :class:`~repro.engine.delta.
-  SnapshotManager`, wrapped in the kernel (shed → explicit
-  ``Overloaded``-style responses, breaker-open → serve-stale degraded
-  mode);
+  SnapshotManager`, wrapped in the kernel (shed → explicit ``shed``
+  responses, breaker-open → serve-stale degraded mode);
 * :mod:`repro.serve.loadgen` / :mod:`repro.serve.bench` — the
   closed-loop hotspot load generator and the chaos scenario behind the
   ``serve`` experiment (pinned under ``archive/``) and ``repro serve``.
@@ -36,10 +35,8 @@ from repro.serve.resilience import (
     CircuitBreaker,
     Clock,
     Deadline,
-    DeadlineExceeded,
     LogicalClock,
     MonotonicClock,
-    Overloaded,
     RetryPolicy,
     TokenBucket,
 )
@@ -57,13 +54,11 @@ __all__ = [
     "Clock",
     "CoalescingServer",
     "Deadline",
-    "DeadlineExceeded",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
     "LogicalClock",
     "MonotonicClock",
-    "Overloaded",
     "Request",
     "Response",
     "RetryPolicy",

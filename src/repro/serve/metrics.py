@@ -2,12 +2,14 @@
 
 The counter set mirrors the request lifecycle (offered → admitted →
 completed | shed | deadline | error) plus the robustness machinery
-(retries, breaker trips, stale serves, degraded batches).  Counters that
-depend only on the request sequence and the seeded fault plan —
-``offered``/``admitted``/``shed``/``retries``/``breaker_opens``/
-``deadline_exceeded``/``faults_injected`` — are deterministic and gate
-in ``repro bench compare serve``; latency-derived numbers (p50/p99,
-QPS) are timing metrics and are reported but never gated.
+(retries, stale serves, degraded batches, compactions).  Counts another
+object already keeps — breaker trips, snapshot swaps, injected faults —
+are not counted here a second time; ``CoalescingServer.report()`` reads
+them from their owners.  Counters that depend only on the request
+sequence and the seeded fault plan — ``offered``/``admitted``/``shed``/
+``retries``/``deadline_exceeded`` — are deterministic and gate in
+``repro bench compare serve``; latency-derived numbers (p50/p99, QPS)
+are timing metrics and are reported but never gated.
 """
 
 from __future__ import annotations
@@ -56,15 +58,12 @@ class ServerMetrics:
         "deadline_exceeded",
         "errors",
         "retries",
-        "breaker_opens",
         "stale_served",
         "degraded_batches",
         "batches",
         "coalesced",
         "compactions",
         "compaction_failures",
-        "snapshot_swaps",
-        "faults_injected",
     )
 
     def __init__(self):
@@ -152,6 +151,6 @@ class ServerMetrics:
 
     def __repr__(self) -> str:
         snap = self.snapshot()
-        keys = ("offered", "admitted", "completed", "shed", "retries", "breaker_opens")
+        keys = ("offered", "admitted", "completed", "shed", "retries")
         inner = ", ".join(f"{k}={snap[k]}" for k in keys)
         return f"ServerMetrics({inner})"

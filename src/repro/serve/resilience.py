@@ -15,8 +15,8 @@ request sequence, never on scheduler jitter, which is what lets
   the seed, so two runs retry at identical offsets.
 * :class:`TokenBucket` — admission control: a bucket of ``burst`` tokens
   refilled at ``rate`` per second; a request that finds the bucket empty
-  is *shed* with an explicit :class:`Overloaded` signal instead of
-  joining an unbounded queue (load shedding beats queue collapse).
+  is *shed* — the server answers it ``Response(status="shed")`` — instead
+  of joining an unbounded queue (load shedding beats queue collapse).
 * :class:`CircuitBreaker` — trips open after ``failure_threshold``
   consecutive failures, serves degraded for ``cooldown`` seconds, then
   half-opens to probe; a probe success closes it, a probe failure
@@ -28,16 +28,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
-
-
-class Overloaded(RuntimeError):
-    """Admission control shed this request: the server is over capacity."""
-
-
-class DeadlineExceeded(RuntimeError):
-    """The request's deadline passed before a result could be delivered."""
-
+from typing import List, Optional
 
 # ----------------------------------------------------------------------
 # clocks
@@ -144,30 +135,6 @@ class RetryPolicy:
             out.append(delay * (1.0 - self.jitter * rng.random()))
         return out
 
-    def run(
-        self,
-        fn: Callable[[], object],
-        retryable: tuple,
-        on_retry: Optional[Callable[[BaseException, int], None]] = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        """Call ``fn`` under this policy (synchronous helper).
-
-        ``on_retry(error, attempt)`` is invoked before each backoff
-        sleep; the last error is re-raised once attempts are exhausted.
-        """
-        delays = self.delays()
-        for attempt in range(self.max_attempts):
-            try:
-                return fn()
-            except retryable as exc:
-                if attempt >= self.max_attempts - 1:
-                    raise
-                if on_retry is not None:
-                    on_retry(exc, attempt + 1)
-                sleep(delays[attempt])
-        raise AssertionError("unreachable")  # pragma: no cover
-
 
 # ----------------------------------------------------------------------
 # admission control
@@ -219,13 +186,6 @@ class TokenBucket:
             return True
         self.shed += 1
         return False
-
-    def acquire_or_raise(self, tokens: float = 1.0) -> None:
-        """:meth:`try_acquire` that raises :class:`Overloaded` when shed."""
-        if not self.try_acquire(tokens):
-            raise Overloaded(
-                f"token bucket empty (rate={self.rate}/s, burst={self.burst})"
-            )
 
     @property
     def available(self) -> float:

@@ -10,9 +10,8 @@ server's state selects:
 * normally the live :class:`~repro.engine.delta.SnapshotManager` (base
   snapshot merged with the pending overlay);
 * degraded, the frozen base :class:`~repro.engine.columnar.
-  ColumnarIndex` alone, under the ``resolve_stale(..., "serve")``
-  policy, with ``stale=True`` stamped on every answer that may miss
-  pending writes.
+  ColumnarIndex` alone, as it is, with ``stale=True`` stamped on every
+  answer that may miss pending writes.
 
 Both expose the same ``range_query_batch`` / ``knn_batch`` calls and are
 accepted by :func:`~repro.engine.delta.overlay_join`, so the answering
@@ -61,7 +60,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine import CompactionInProgressError, SnapshotManager, resolve_stale
+from repro.engine import CompactionInProgressError, SnapshotManager
 from repro.engine.delta import overlay_join
 from repro.join import check_join_algorithm
 from repro.serve.faults import BATCH_FAULT, REQUEST_LATENCY, InjectedFault, TransientFault
@@ -266,8 +265,8 @@ class CoalescingServer:
     ):
         self.config = config if config is not None else ServeConfig()
         self.clock = clock if clock is not None else MonotonicClock()
-        if getattr(source, "is_snapshot_manager", False):
-            self.manager: SnapshotManager = source
+        if isinstance(source, SnapshotManager):
+            self.manager = source
         else:
             self.manager = SnapshotManager(source)
         self.fault_plan = fault_plan
@@ -297,7 +296,8 @@ class CoalescingServer:
         self._compacting = False
         #: Set by a turn that needs that compaction over: it stops pausing.
         self._drain_compaction = False
-        self._last_epoch = self.manager.epoch
+        #: ``report()["snapshot_swaps"]`` counts the manager's swaps from here.
+        self._first_epoch = self.manager.epoch
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._running = False
 
@@ -527,10 +527,7 @@ class CoalescingServer:
             try:
                 values = await self._execute(kind, live)
             except RETRYABLE_EXCEPTIONS as exc:
-                before = self.breaker.opened_count
                 self.breaker.record_failure()
-                if self.breaker.opened_count > before:
-                    self.metrics.incr("breaker_opens")
                 attempts += 1
                 if attempts >= self.retry.max_attempts:
                     degraded_reason = f"retries exhausted: {exc!r}"
@@ -538,10 +535,7 @@ class CoalescingServer:
                 self.metrics.incr("retries")
                 await asyncio.sleep(delays[attempts - 1])
             except Exception as exc:
-                before = self.breaker.opened_count
                 self.breaker.record_failure()
-                if self.breaker.opened_count > before:
-                    self.metrics.incr("breaker_opens")
                 self.metrics.incr("errors", len(live))
                 for item in live:
                     self._resolve(
@@ -626,27 +620,19 @@ class CoalescingServer:
             # (single-flighted), so a seeded burst maps to exact retry
             # and breaker counts.
             plan.raise_if_fires(BATCH_FAULT)
-
-        def work():
-            epoch = self.manager.epoch
-            if epoch != self._last_epoch:
-                self.metrics.incr("snapshot_swaps", epoch - self._last_epoch)
-                self._last_epoch = epoch
-            return self._answer(kind, items, self.manager, stale=False)
-
-        return await asyncio.to_thread(work)
+        return await asyncio.to_thread(self._answer, kind, items, self.manager, stale=False)
 
     def _execute_degraded(self, kind: str, items: List[_Pending]):
         """Degraded service: the frozen base alone, staleness stamped.
 
         The breaker is open (or retries ran dry): bypass the overlay merge
-        and answer straight off the base snapshot under the ``"serve"``
-        stale policy; every answer that may be missing pending writes
+        and answer straight off the base snapshot as it is, never
+        re-frozen; every answer that may be missing pending writes
         carries ``stale=True``.
         """
         snapshot, overlay = self.manager.view
         stale = bool(snapshot.is_stale or not overlay.is_empty)
-        return self._answer(kind, items, resolve_stale(snapshot, "serve"), stale=stale)
+        return self._answer(kind, items, snapshot, stale=stale)
 
     def _answer(
         self, kind: str, items: List[_Pending], backend, stale: bool
@@ -751,7 +737,6 @@ class CoalescingServer:
         """
         assert self._execute_gate is not None
         async with self._execute_gate:
-            before = self.manager.epoch
             self._compacting = True
             try:
                 await asyncio.to_thread(self.manager.compact, pause=self._compaction_pause)
@@ -759,19 +744,12 @@ class CoalescingServer:
                 return  # a compaction run from outside the server beat us to it
             except Exception:
                 self.metrics.incr("compaction_failures")
-                opened = self.breaker.opened_count
                 self.breaker.record_failure()
-                if self.breaker.opened_count > opened:
-                    self.metrics.incr("breaker_opens")
                 return
             finally:
                 self._compacting = False
                 self._drain_compaction = False
             self.metrics.incr("compactions")
-            swapped = self.manager.epoch - before
-            if swapped > 0:
-                self.metrics.incr("snapshot_swaps", swapped)
-                self._last_epoch = self.manager.epoch
 
     def _compaction_pause(self) -> None:
         """``compact``'s pause hook: called on its thread, between slices."""
@@ -804,9 +782,17 @@ class CoalescingServer:
     # ------------------------------------------------------------------
 
     def report(self) -> Dict[str, Any]:
-        """Metrics snapshot, with fault-plan accounting folded in."""
+        """Metrics snapshot, plus the counts their owners keep.
+
+        ``breaker_opens`` is the breaker's own count of trips,
+        ``snapshot_swaps`` the manager's epochs since this server was
+        built (a compaction run beside the server included) and
+        ``faults_injected`` the fault plan's fired total.
+        """
         snap = self.metrics.snapshot()
         plan = self.fault_plan
+        snap["breaker_opens"] = self.breaker.opened_count
+        snap["snapshot_swaps"] = self.manager.epoch - self._first_epoch
         snap["faults_injected"] = plan.total_fired() if plan is not None else 0
         snap["breaker_state"] = self.breaker.state
         snap["epoch"] = self.manager.epoch

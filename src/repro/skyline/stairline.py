@@ -16,7 +16,7 @@ Because an object's ``b``-corner is its closest point to ``R^b`` (in the
 rectilinear sense), it suffices to check the skyline of the object
 corners.  (Algorithm 1 as printed in the paper writes this check with the
 operands of ``≺_b`` swapped; the running example of Figure 2 requires the
-orientation implemented here — see DESIGN.md.)
+orientation implemented here.)
 """
 
 from __future__ import annotations

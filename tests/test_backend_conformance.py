@@ -182,7 +182,7 @@ def test_no_entry_point_builds_a_pool_from_a_workers_option(capsys):
         assert "workers" not in inspect.signature(entry_point).parameters
     assert "workers" not in {fld.name for fld in dataclasses.fields(BenchConfig)}
     with pytest.raises(SystemExit) as usage:
-        main(["run", "fig11", "--workers", "2"])
+        main(["bench", "run", "fig11", "--workers", "2"])
     assert usage.value.code == 2
     assert "unrecognized arguments: --workers" in capsys.readouterr().err
     assert ServeConfig(workers=1).workers == 1

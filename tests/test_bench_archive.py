@@ -168,7 +168,7 @@ def test_compare_missing_gated_metric_regresses():
 def test_classify_metric():
     assert classify_metric("fig11.relative_pct")[1] is True  # gating
     assert classify_metric("wall_seconds") == ("lower", False)
-    assert classify_metric("updates.speedup")[1] is False
+    assert classify_metric("mixed.speedup")[1] is False
     assert classify_metric("t.io_reduction_pct")[0] == "higher"
     assert classify_metric("t.leaf_accesses")[0] == "lower"
     assert classify_metric("t.rows")[0] == "neutral"
@@ -422,7 +422,7 @@ PAPER_EXPERIMENTS = (
 
 def test_registry_covers_cli_experiments():
     ids = experiment_ids()
-    assert {"fig01", "fig11", "joins", "updates", "ablations"} <= set(ids)
+    assert {"fig01", "fig11", "joins", "ablations"} <= set(ids)
     assert {"dims", "mixed", "hotspot"} <= set(ids)
     for experiment_id in ids:
         experiment = get_experiment(experiment_id)

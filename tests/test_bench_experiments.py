@@ -1,5 +1,4 @@
-"""The benchmark configuration, table rendering, the harness's caches, and
-fig15's disk replay.
+"""The benchmark configuration, table rendering and the harness's caches.
 
 Running every experiment, and checking the paper's claims on its tables,
 is ``tests/test_bench_archive.py::test_smoke_run_completes``; the claims
@@ -9,12 +8,7 @@ themselves live beside the experiments in :mod:`repro.bench.experiments`.
 import pytest
 
 from repro.bench import BenchConfig, ExperimentContext, format_table
-from repro.bench.config import _scale
-from repro.bench.experiments import fig15_scalability
-from repro.engine import ColumnarIndex
-from repro.query.workload import RangeQueryWorkload
-from repro.rtree.clipped import ClippedRTree
-from repro.rtree.registry import build_rtree
+from repro.bench.runner import run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -33,11 +27,18 @@ class TestConfig:
         config = BenchConfig.tiny()
         assert all(size <= 500 for size in config.dataset_sizes.values())
 
-    def test_scale_parsing_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "not-a-number")
-        assert _scale() == 1.0
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "2.5")
-        assert _scale() == 2.5
+    def test_sizes_ignore_the_environment(self, monkeypatch):
+        """``--set size=`` is the one way to size a run; no variable scales it."""
+        default = BenchConfig().dataset_sizes
+        assert default["par02"] == 3200
+        for knob in ("SCALE", "SIZE"):
+            monkeypatch.setenv(f"REPRO_BENCH_{knob}", "4")
+        assert BenchConfig().dataset_sizes == default
+
+    def test_size_override_is_recorded_in_the_archived_config(self, tmp_path):
+        run = run_experiment("fig08", {"size": "300"}, smoke=True, archive_root=tmp_path)
+        assert set(run.config["dataset_sizes"].values()) == {300}
+        assert run.meta["overrides"] == {"size": "300"}
 
 
 class TestReporting:
@@ -51,22 +52,6 @@ class TestReporting:
 
     def test_format_table_empty(self):
         assert "(no rows)" in format_table([], title="X")
-
-
-def test_fig15_engine_equivalence(tiny_context):
-    """The columnar replay charges the disk exactly like the scalar walk."""
-    objects = tiny_context.objects("par02", size=500)
-    queries = RangeQueryWorkload.from_objects(
-        objects, target_results=10, seed=7
-    ).query_list(12)
-    for variant in fig15_scalability.VARIANTS:
-        tree = build_rtree(variant, objects, max_entries=16)
-        for index in (tree, ClippedRTree.wrap(tree, method="skyline"), ClippedRTree.wrap(tree)):
-            scalar_ms, replay_ms = (
-                fig15_scalability._simulated_query_time_ms(backend, tree, queries, 0.05)
-                for backend in (index, ColumnarIndex.from_tree(index))
-            )
-            assert replay_ms == scalar_ms > 0.0
 
 
 class TestHarnessCaching:

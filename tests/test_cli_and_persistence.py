@@ -29,19 +29,41 @@ class TestCli:
         assert "Datasets (synthetic stand-ins for the paper's)" in output
         assert "DESIGN.md" not in output
 
-    def test_run_unknown_experiment(self, capsys):
-        assert main(["run", "fig99"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig08"],
+            ["build-info", "par02", "rstar", "--queries", "5"],
+            ["snapshot", "save", "{tmp}", "--queries", "5"],
+            ["serve", "--queries", "5"],
+        ],
+        ids=["run", "build-info-queries", "snapshot-save-queries", "serve-queries"],
+    )
+    def test_removed_entry_points_are_usage_errors(self, argv, tmp_path, capsys):
+        """``bench run`` is the one way to run an experiment; ``--queries``
+        only ever sized ``run`` (``snapshot load --queries`` is its own flag)."""
+        with pytest.raises(SystemExit) as usage:
+            main([arg.format(tmp=tmp_path / "snap") for arg in argv])
+        assert usage.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
-    def test_run_fig08(self, capsys):
-        assert main(["run", "fig08"]) == 0
+    def test_bench_run_prints_the_table(self, tmp_path, capsys):
+        assert main(["bench", "run", "fig08", "--archive-root", str(tmp_path)]) == 0
         output = capsys.readouterr().out
-        assert "CBBSTA" in output
+        assert "CBBSTA" in output and "archived fig08 run" in output
 
-    def test_run_small_experiment_with_overrides(self, capsys):
-        assert main(["run", "fig13", "--size", "300", "--max-entries", "16", "--queries", "5"]) == 0
+    def test_bench_run_with_overrides(self, tmp_path, capsys):
+        assert main([
+            "bench", "run", "fig13", "--archive-root", str(tmp_path),
+            "--set", "size=300", "--set", "max_entries=16", "--set", "queries_per_profile=5",
+        ]) == 0
         output = capsys.readouterr().out
         assert "CSKY" in output and "CSTA" in output
+
+    def test_bench_run_updates_is_unknown(self, tmp_path, capsys):
+        assert main(["bench", "run", "updates", "--smoke", "--archive-root", str(tmp_path)]) == 2
+        assert "unknown experiment 'updates'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_build_info(self, capsys):
         assert main(["build-info", "par02", "rstar", "--size", "300", "--max-entries", "16"]) == 0
@@ -58,16 +80,7 @@ class TestCli:
     )
     def test_engine_flags_are_gone(self, flag):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "updates", flag, "scalar"])
-
-    def test_run_updates_experiment(self, capsys):
-        assert main([
-            "run", "updates", "--size", "150", "--queries", "4",
-            "--max-entries", "8",
-        ]) == 0
-        output = capsys.readouterr().out
-        assert "refreeze_ms_per_update" in output
-        assert "delta_ms_per_update" in output
+            build_parser().parse_args(["bench", "run", "mixed", flag, "scalar"])
 
     def test_serve_command_runs_chaos_scenario(self, capsys):
         assert main([

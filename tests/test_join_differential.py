@@ -278,6 +278,72 @@ class TestExecuteJoinDispatch:
         assert _pair_oids(reused) == _pair_oids(direct)
         assert reused.total_leaf_accesses == direct.total_leaf_accesses
 
+    @pytest.mark.parametrize("side", ["snapshot", "manager"])
+    @pytest.mark.parametrize("algorithm", ["inlj", "stt"])
+    def test_count_only_join_reaches_the_kernel_count_only(
+        self, algorithm, side, small_objects_2d, monkeypatch
+    ):
+        """With no delta pending, ``collect_pairs=False`` reaches the batch
+        kernel: a count-only join builds no pair objects on any batched side."""
+        right_tree = build_rtree("rstar", make_random_objects(50, seed=44), max_entries=8)
+        wrap = ColumnarIndex.from_tree if side == "snapshot" else SnapshotManager
+        right = wrap(right_tree)
+        left = (
+            small_objects_2d
+            if algorithm == "inlj"
+            else wrap(build_rtree("rstar", small_objects_2d, max_entries=8))
+        )
+        expected = execute_join(left, right, algorithm=algorithm)
+        kernel_name = f"{algorithm}_batch"
+        kernel = getattr(join_exec, kernel_name)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["collect_pairs"])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(join_exec, kernel_name, spy)
+        counted = execute_join(left, right, algorithm=algorithm, collect_pairs=False)
+        assert seen == [False]
+        assert counted.pairs == [] and counted.pair_count == expected.pair_count > 0
+        assert (counted.outer_stats, counted.inner_stats) == (
+            expected.outer_stats,
+            expected.inner_stats,
+        )
+
+    @pytest.mark.parametrize("algorithm", ["inlj", "stt"])
+    def test_snapshots_join_exactly_as_the_kernels_do(self, algorithm, small_objects_2d):
+        """Routed through ``overlay_join``, snapshots get the kernel's result:
+        the same pairs in the same order and the same accesses."""
+        right = ColumnarIndex.from_tree(
+            build_rtree("rstar", make_random_objects(50, seed=44), max_entries=8)
+        )
+        if algorithm == "inlj":
+            left = small_objects_2d
+            direct = inlj_batch(left, right)
+        else:
+            left = ColumnarIndex.from_tree(build_rtree("rstar", small_objects_2d, max_entries=8))
+            direct = stt_batch(left, right)
+        joined = execute_join(left, right, algorithm=algorithm)
+        assert [(a.oid, b.oid) for a, b in joined.pairs] == [
+            (a.oid, b.oid) for a, b in direct.pairs
+        ]
+        assert (joined.pair_count, joined.outer_stats, joined.inner_stats) == (
+            direct.pair_count,
+            direct.outer_stats,
+            direct.inner_stats,
+        )
+
+    def test_an_empty_managed_base_is_read_like_an_empty_tree(self, small_objects_2d):
+        """Every probe reads the (empty) root leaf, as the scalar INLJ does."""
+        empty = QuadraticRTree(dims=2, max_entries=4)
+        scalar = index_nested_loop_join(small_objects_2d, empty)
+        for inner in (ColumnarIndex.from_tree(empty), SnapshotManager(empty)):
+            joined = execute_join(small_objects_2d, inner, algorithm="inlj")
+            assert joined.pair_count == 0 and joined.pairs == []
+            assert joined.inner_stats == scalar.inner_stats
+            assert scalar.inner_stats.leaf_accesses == len(small_objects_2d)
+
     def test_unknown_engine_and_algorithm_rejected(self, small_objects_2d):
         tree = build_rtree("quadratic", small_objects_2d, max_entries=8)
         with pytest.raises(TypeError):

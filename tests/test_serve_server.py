@@ -14,12 +14,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.engine import ColumnarIndex, SnapshotManager, resolve_stale
+from repro.engine import ColumnarIndex, SnapshotManager
 from repro.engine.delta import overlay_join
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.rtree.registry import build_rtree
 from repro.serve.faults import BATCH_FAULT, COMPACTION, FaultPlan, FaultSpec
+from repro.serve.metrics import ServerMetrics
 from repro.serve.resilience import LogicalClock
 from repro.serve.server import CoalescingServer, Request, Response, ServeConfig
 from tests.conftest import make_random_objects
@@ -275,6 +276,31 @@ def test_transient_faults_are_retried_to_success():
     assert report["breaker_opens"] == 0  # 2 failures < threshold 3
 
 
+def test_retry_loop_backs_off_by_the_policys_delays(monkeypatch):
+    """The server's one retry loop sleeps ``RetryPolicy.delays()`` in order."""
+    objects, manager = _manager()
+    # Two failures: one short of the breaker's threshold of three.
+    plan = FaultPlan([FaultSpec(BATCH_FAULT, at=1, times=2)])
+    config = ServeConfig(retry_seed=5, retry_base_delay=0.001, retry_max_delay=0.004)
+    slept = []
+    real_sleep = asyncio.sleep
+
+    async def recording_sleep(seconds, *args, **kwargs):
+        slept.append(seconds)
+        await real_sleep(0)
+
+    async def main():
+        async with CoalescingServer(manager, config, fault_plan=plan) as server:
+            monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+            response = await server.range_query(_rects(objects, 1)[0])
+            monkeypatch.undo()
+            return response, server.retry.delays()
+
+    response, delays = _run(main())
+    assert response.ok and not response.degraded and response.retries == 2
+    assert slept == delays[:2] and slept[0] != slept[1]
+
+
 def test_fault_burst_trips_breaker_and_degrades():
     objects, manager = _manager()
     rects = _rects(objects, 8)
@@ -483,6 +509,52 @@ def test_report_shape():
     assert isinstance(Response(status="ok").ok, bool)
 
 
+def test_report_counts_a_compaction_run_beside_an_idle_server():
+    """``snapshot_swaps`` is the manager's epochs since the server was built."""
+    objects, manager = _manager()
+    manager.insert(SpatialObject(10**6, Rect([1.0, 1.0], [2.0, 2.0])))
+    manager.compact()  # before the server: not its swap
+
+    async def main():
+        async with CoalescingServer(manager) as server:
+            before = server.report()
+            manager.insert(SpatialObject(10**6 + 1, Rect([3.0, 3.0], [4.0, 4.0])))
+            await asyncio.to_thread(manager.compact)
+            return before, server.report()
+
+    before, after = _run(main())
+    assert before["snapshot_swaps"] == 0 and before["epoch"] == 1
+    assert after["snapshot_swaps"] == 1 and after["epoch"] == 2
+    assert after["batches"] == 0 and after["compactions"] == 0
+
+
+def test_report_counts_every_breaker_trip():
+    """``breaker_opens`` is the breaker's own count, a forced trip included."""
+    objects, manager = _manager()
+
+    async def main():
+        async with CoalescingServer(manager) as server:
+            server.breaker.force_open()
+            degraded = await server.range_query(_rects(objects, 1)[0])
+            return degraded, server.report()
+
+    degraded, report = _run(main())
+    assert degraded.ok and degraded.degraded
+    assert report["breaker_opens"] == 1 and report["degraded_batches"] == 1
+    assert report["breaker_state"] == "open"
+
+
+def test_metrics_keep_no_count_another_object_owns():
+    """Breaker trips, swaps and injected faults are read from their owners."""
+    for name in ("breaker_opens", "snapshot_swaps", "faults_injected"):
+        assert name not in ServerMetrics.COUNTERS
+    objects, manager = _manager()
+    report = CoalescingServer(manager, fault_plan=FaultPlan([])).report()
+    assert (report["breaker_opens"], report["snapshot_swaps"], report["faults_injected"]) == (
+        0, 0, 0,
+    )
+
+
 # ----------------------------------------------------------------------
 # one answering function, two backends
 # ----------------------------------------------------------------------
@@ -520,7 +592,7 @@ def test_fresh_and_frozen_backends_answer_alike_on_a_clean_overlay():
         build_rtree("rstar", make_random_objects(60, dims=2, seed=21), max_entries=8)
     )
     server = CoalescingServer(manager)
-    frozen = resolve_stale(manager.snapshot, "serve")
+    frozen = manager.snapshot
     for kind, requests in _query_batches(objects, other):
         fresh = _answer_values(server, kind, requests, manager, stale=False)
         base = _answer_values(server, kind, requests, frozen, stale=False)
@@ -544,7 +616,7 @@ def test_frozen_backend_serves_the_base_and_stamps_it_when_writes_are_pending():
     window = _rects(objects, 8)[0]
     manager.insert(SpatialObject(10**6, Rect(window.low, window.high)))
     assert manager.delete(objects[0])
-    frozen = resolve_stale(manager.snapshot, "serve")
+    frozen = manager.snapshot
     for (kind, requests), before in zip(batches, clean):
         base = _answer_values(server, kind, requests, frozen, stale=True)
         # base-only values: exactly what the clean index answered ...

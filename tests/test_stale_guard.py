@@ -2,14 +2,15 @@
 
 A ``ColumnarIndex`` freezes one structure version of its source; once
 the source mutates, serving the freeze silently returns pre-mutation
-results.  ``execute_workload`` and ``execute_join`` now resolve such
-snapshots through an explicit policy: refresh (default), raise, or
-knowingly serve the frozen state.
+results.  ``execute_workload`` and ``execute_join`` re-freeze such a
+snapshot before answering from it — on every batched side of a join, a
+``SnapshotManager``'s neighbour included.  The one place a frozen state
+is knowingly served is the server's degraded path, which says so.
 """
 
 import pytest
 
-from repro.engine import ColumnarIndex, StaleSnapshotError, resolve_stale
+from repro.engine import ColumnarIndex, SnapshotManager
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.join import execute_join
@@ -32,32 +33,12 @@ def mutated_setup():
     return tree, snapshot, objects + extra
 
 
-class TestResolveStale:
-    def test_fresh_snapshot_passes_through(self, mutated_setup):
-        tree, snapshot, _ = mutated_setup
-        fresh = ColumnarIndex.from_tree(tree)
-        assert resolve_stale(fresh, "raise") is fresh
+def _pair_oids(pairs):
+    return sorted((a.oid, b.oid) for a, b in pairs)
 
-    def test_refresh_returns_current_freeze(self, mutated_setup):
-        tree, snapshot, _ = mutated_setup
-        assert snapshot.is_stale
-        refreshed = resolve_stale(snapshot, "refresh")
-        assert not refreshed.is_stale
-        assert len(refreshed.objects) == len(tree)
 
-    def test_raise_policy(self, mutated_setup):
-        _, snapshot, _ = mutated_setup
-        with pytest.raises(StaleSnapshotError):
-            resolve_stale(snapshot, "raise")
-
-    def test_serve_policy_keeps_frozen_state(self, mutated_setup):
-        _, snapshot, _ = mutated_setup
-        assert resolve_stale(snapshot, "serve") is snapshot
-
-    def test_unknown_policy_rejected(self, mutated_setup):
-        _, snapshot, _ = mutated_setup
-        with pytest.raises(ValueError):
-            resolve_stale(snapshot, "panic")
+def _brute_force_pairs(left, right):
+    return sorted((a.oid, b.oid) for a in left for b in right if a.rect.intersects(b.rect))
 
 
 class TestWorkloadStaleGuard:
@@ -67,19 +48,10 @@ class TestWorkloadStaleGuard:
         result = execute_workload(snapshot, [query])
         assert result.total_results == len(brute_force_range(live, query))
 
-    def test_raise_policy_surfaces_staleness(self, mutated_setup):
-        _, snapshot, _ = mutated_setup
-        with pytest.raises(StaleSnapshotError):
-            execute_workload(snapshot, [Rect((0, 0), (100, 100))], stale="raise")
-
-    def test_serve_policy_answers_from_the_freeze(self, mutated_setup):
-        _, snapshot, _ = mutated_setup
-        query = Rect((0, 0), (100, 100))
-        served = execute_workload(snapshot, [query], stale="serve")
-        # The frozen state predates the 30 extra objects.
-        assert served.total_results == len(
-            brute_force_range(list(snapshot.objects), query)
-        )
+    def test_refresh_reports_the_fresh_freezes_accesses(self, mutated_setup):
+        tree, snapshot, _ = mutated_setup
+        queries = [Rect((x, x), (x + 20.0, x + 20.0)) for x in (0.0, 30.0, 60.0)]
+        assert execute_workload(snapshot, queries) == execute_workload(tree, queries)
 
 
 class TestJoinStaleGuard:
@@ -90,48 +62,46 @@ class TestJoinStaleGuard:
         scalar = synchronized_tree_traversal_join(tree, other)
         assert managed.pair_count == scalar.pair_count
 
-    def test_raise_policy(self, mutated_setup):
-        _, snapshot, _ = mutated_setup
-        other = build_rtree("quadratic", make_random_objects(40, seed=33), max_entries=8)
-        with pytest.raises(StaleSnapshotError):
-            execute_join(snapshot, other, algorithm="stt", stale="raise")
+    def test_inlj_refreshes_a_stale_inner_snapshot(self, mutated_setup):
+        tree, snapshot, live = mutated_setup
+        probes = make_random_objects(40, seed=34, max_side=12.0)
+        joined = execute_join(probes, snapshot, algorithm="inlj")
+        assert _pair_oids(joined.pairs) == _brute_force_pairs(probes, live)
+        assert joined.inner_stats == execute_join(probes, tree, algorithm="inlj").inner_stats
 
-    def test_serve_policy_joins_the_freeze(self, mutated_setup):
-        tree, snapshot, _ = mutated_setup
-        other = build_rtree("quadratic", make_random_objects(40, seed=33), max_entries=8)
-        served = execute_join(snapshot, other, algorithm="stt", stale="serve")
-        fresh = execute_join(tree, other, algorithm="stt")
-        # The frozen side misses the post-freeze inserts, so it can only
-        # produce a subset of the fresh join's pairs.
-        assert served.pair_count <= fresh.pair_count
-        served_keys = {
-            ((l.oid, l.rect.low, l.rect.high), (r.oid, r.rect.low, r.rect.high))
-            for l, r in served.pairs
-        }
-        fresh_keys = {
-            ((l.oid, l.rect.low, l.rect.high), (r.oid, r.rect.low, r.rect.high))
-            for l, r in fresh.pairs
-        }
-        assert served_keys <= fresh_keys
+    @pytest.mark.parametrize("algorithm", ["inlj", "stt"])
+    def test_a_stale_snapshot_beside_a_manager_is_refrozen(self, mutated_setup, algorithm):
+        """One rule for every batched side: a manager's neighbour is re-frozen too."""
+        _, snapshot, live = mutated_setup
+        # A copy of every live object under its own oid: each one, the 30
+        # the freeze missed included, meets at least its twin.
+        twins = [SpatialObject(5000 + i, o.rect) for i, o in enumerate(live)]
+        manager = SnapshotManager(build_rtree("quadratic", twins, max_entries=8))
+        if algorithm == "inlj":
+            joined = execute_join(manager, snapshot, algorithm="inlj")
+            expected = _brute_force_pairs(twins, live)
+        else:
+            joined = execute_join(snapshot, manager, algorithm="stt")
+            expected = _brute_force_pairs(live, twins)
+        assert any(1000 <= oid < 5000 for pair in expected for oid in pair)
+        assert _pair_oids(joined.pairs) == expected
+        assert joined.pair_count == len(expected)
 
 
 class TestServeStaleUnderBreaker:
-    """The server's breaker-degraded path is the ``"serve"`` policy online.
+    """The server's breaker-degraded path serves the frozen base as it is.
 
     When the circuit breaker opens, :class:`CoalescingServer` answers
-    queries from the frozen base snapshot via ``resolve_stale(snapshot,
-    "serve")`` — exactly the policy pinned above, but the staleness that
-    ``execute_workload(stale="serve")`` leaves implicit must surface in
-    the response metadata: ``stale=True`` whenever the answer can be
-    missing pending writes, ``stale=False`` when the frozen base happens
-    to be the complete truth.
+    queries from the manager's base snapshot directly, never re-frozen,
+    and the staleness must surface in the response metadata:
+    ``stale=True`` whenever the answer can be missing pending writes,
+    ``stale=False`` when the frozen base happens to be the complete truth.
     """
 
     @staticmethod
     def _server_setup(count=120, seed=41):
         import asyncio
 
-        from repro.engine import SnapshotManager
         from repro.serve.server import CoalescingServer, Request
 
         objects = make_random_objects(count, seed=seed)
@@ -158,10 +128,9 @@ class TestServeStaleUnderBreaker:
         assert response.stale
         served_oids = {o.oid for o in response.value}
         assert extra.oid not in served_oids
-        # and it is exactly the "serve" policy's answer over the base
-        frozen = resolve_stale(base_snapshot, "serve")
+        # and it is exactly the base snapshot's answer
         expected = {
-            o.oid for o in brute_force_range(list(frozen.objects), probe)
+            o.oid for o in brute_force_range(list(base_snapshot.objects), probe)
         }
         assert served_oids == expected
 
