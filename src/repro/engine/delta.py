@@ -529,14 +529,13 @@ class SnapshotManager:
 def _join_side(index) -> Tuple[ColumnarIndex, Optional[np.ndarray], Optional[QuadraticRTree]]:
     """``(base snapshot, its tombstones if any, its delta tree if managed)``.
 
-    A tree is frozen here and a stale snapshot re-frozen, so every batched
-    side joins its source's current state.
+    A tree is frozen here; a snapshot joins as it is, stale or not.
     """
     if isinstance(index, SnapshotManager):
         snapshot, overlay = index.view
         return snapshot, overlay.live, overlay.tree
     if isinstance(index, ColumnarIndex):
-        return (index.refresh() if index.is_stale else index), None, None
+        return index, None, None
     return ColumnarIndex.from_tree(index), None, None
 
 
@@ -590,7 +589,9 @@ def overlay_join(
     delta probes through the small overlay trees).  With no pending delta
     the result is the batch join's, pair for pair and access for access.
     ``collect_pairs=False`` reaches the batch joins, which then build no
-    pair objects.
+    pair objects.  A snapshot joins as it is, stale or not:
+    :func:`repro.join.execute_join` re-freezes a stale one before it
+    calls here, and the server's degraded path serves its base unchanged.
     """
     from repro.engine.join_exec import stt_batch
 

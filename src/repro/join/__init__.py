@@ -17,7 +17,7 @@ Pairs, ``pair_count`` and both sides' ``IOStats`` are identical across
 these paths (``tests/test_join_differential.py``,
 ``tests/test_backend_conformance.py``).  A
 :class:`~repro.engine.parallel.ParallelExecutor` answers range batches
-only; handed in as an indexed input it raises ``TypeError``.
+only; handed in on either side it raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -54,26 +54,34 @@ def execute_join(
     * ``"stt"`` — ``left`` and ``right`` are both indexed inputs.
 
     Pass snapshots rather than trees to amortise the freeze across many
-    joins.
+    joins.  A stale snapshot on either side is re-frozen first;
+    :func:`~repro.engine.delta.overlay_join` called directly joins it as
+    it is.
 
     Raises ``TypeError`` for a
-    :class:`~repro.engine.parallel.ParallelExecutor` as an indexed input:
-    its pool answers range batches only.
+    :class:`~repro.engine.parallel.ParallelExecutor` on either side: its
+    pool answers range batches only.
     """
     check_join_algorithm(algorithm)
+    # Both sides are checked, INLJ's probes too: a SnapshotManager is the
+    # one batched input that also probes (through ``overlay_join``).
     if not any(hasattr(side, "range_query_batch") for side in (left, right)):
         if algorithm == "inlj":
             return index_nested_loop_join(left, right, collect_pairs=collect_pairs)
         return synchronized_tree_traversal_join(left, right, collect_pairs=collect_pairs)
 
     # Imported lazily: only the scalar path works without NumPy.
-    from repro.engine import ParallelExecutor, overlay_join
+    from repro.engine import ColumnarIndex, ParallelExecutor, overlay_join
 
     if any(isinstance(side, ParallelExecutor) for side in (left, right)):
         raise TypeError(
-            "execute_join joins a tree, a ColumnarIndex or a SnapshotManager; "
+            "execute_join joins trees, ColumnarIndex snapshots and SnapshotManagers; "
             "a ParallelExecutor answers range batches only"
         )
+    left, right = (
+        side.refresh() if isinstance(side, ColumnarIndex) and side.is_stale else side
+        for side in (left, right)
+    )
     return overlay_join(left, right, algorithm=algorithm, collect_pairs=collect_pairs)
 
 

@@ -169,11 +169,12 @@ def test_execute_join_refuses_a_pool_on_an_indexed_side(backends, world):
     pool, manager = backends["pool"][0], backends["manager"][0]
     for left, right, algorithm in (
         (probes, pool, "inlj"),
+        (pool, other_tree, "inlj"),  # INLJ's probes are checked too
         (pool, other_tree, "stt"),
         (other_tree, pool, "stt"),
         (pool, manager, "stt"),
     ):
-        with pytest.raises(TypeError, match="a tree, a ColumnarIndex or a SnapshotManager"):
+        with pytest.raises(TypeError, match="a ParallelExecutor answers range batches only"):
             execute_join(left, right, algorithm=algorithm)
 
 

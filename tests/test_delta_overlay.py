@@ -327,6 +327,26 @@ class TestWorkloadAndJoinRouting:
         )
         assert managed.pair_count == scalar.pair_count
 
+    def test_inlj_probes_from_a_manager_against_a_plain_tree(self):
+        """A manager is a batched input even as INLJ's probes: its live
+        objects probe, the tree inner side included."""
+        rng = random.Random(29)
+        left_live = [_random_object(rng, i) for i in range(25)]
+        right_live = [_random_object(rng, 500 + i) for i in range(25)]
+        manager = SnapshotManager(build_rtree("quadratic", left_live, max_entries=6))
+        extra = SpatialObject(99, Rect((0.0, 0.0), (50.0, 50.0)))  # pending, and meets many
+        manager.insert(extra)
+        left_live.append(extra)
+        for _ in range(5):
+            assert manager.delete(left_live.pop(rng.randrange(len(left_live) - 1)))
+        right_tree = build_rtree("quadratic", right_live, max_entries=6)
+        managed = execute_join(manager, right_tree, algorithm="inlj")
+        scalar = index_nested_loop_join(left_live, right_tree)
+        assert managed.pair_count == scalar.pair_count > 0
+        assert sorted((l.oid, r.oid) for l, r in managed.pairs) == sorted(
+            (l.oid, r.oid) for l, r in scalar.pairs
+        )
+
 
 # ----------------------------------------------------------------------
 # a tombstone is a row of the base: duplicates, on a loaded snapshot

@@ -84,26 +84,6 @@ def test_retry_delays_are_seed_deterministic_and_bounded():
     assert delays != RetryPolicy(max_attempts=5, seed=4).delays()
 
 
-def test_one_retry_loop_and_one_way_to_shed():
-    """The server's retry loop and its ``shed`` response are the only ones:
-    the policy only computes delays, the bucket only answers
-    ``try_acquire``, and the kernel defines no exception to raise instead."""
-    import repro.serve.resilience as resilience
-
-    def methods(cls):
-        return {
-            name for name, value in vars(cls).items()
-            if callable(value) and not name.startswith("_")
-        }
-
-    assert methods(RetryPolicy) == {"delays"}
-    assert methods(TokenBucket) == {"try_acquire"}
-    assert not [
-        name for name, value in vars(resilience).items()
-        if isinstance(value, type) and issubclass(value, BaseException)
-    ]
-
-
 # ----------------------------------------------------------------------
 # token bucket
 # ----------------------------------------------------------------------

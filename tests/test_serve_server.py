@@ -20,7 +20,6 @@ from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.rtree.registry import build_rtree
 from repro.serve.faults import BATCH_FAULT, COMPACTION, FaultPlan, FaultSpec
-from repro.serve.metrics import ServerMetrics
 from repro.serve.resilience import LogicalClock
 from repro.serve.server import CoalescingServer, Request, Response, ServeConfig
 from tests.conftest import make_random_objects
@@ -542,17 +541,6 @@ def test_report_counts_every_breaker_trip():
     assert degraded.ok and degraded.degraded
     assert report["breaker_opens"] == 1 and report["degraded_batches"] == 1
     assert report["breaker_state"] == "open"
-
-
-def test_metrics_keep_no_count_another_object_owns():
-    """Breaker trips, swaps and injected faults are read from their owners."""
-    for name in ("breaker_opens", "snapshot_swaps", "faults_injected"):
-        assert name not in ServerMetrics.COUNTERS
-    objects, manager = _manager()
-    report = CoalescingServer(manager, fault_plan=FaultPlan([])).report()
-    assert (report["breaker_opens"], report["snapshot_swaps"], report["faults_injected"]) == (
-        0, 0, 0,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -165,6 +165,63 @@ class TestServeStaleUnderBreaker:
         assert response.ok and response.degraded and response.stale
         assert all(hit.oid != extra.oid for _d, hit in response.value)
 
+    @pytest.mark.parametrize("compaction", ["paused", "crashed"])
+    def test_degraded_join_answers_from_a_stale_base_as_it_is(self, compaction):
+        """A compaction that has written to the source tree leaves the base
+        stale, while it pauses between slices and for good once it crashes.
+        A degraded join answers from that base, never from a re-freeze of
+        the half-applied tree, and says so."""
+        import threading
+
+        asyncio, CoalescingServer, Request, objects, manager = self._server_setup()
+        base = manager.snapshot
+        others = make_random_objects(40, seed=42)
+        other = ColumnarIndex.from_tree(build_rtree("rstar", others, max_entries=8))
+        probes = make_random_objects(40, seed=43, max_side=12.0)
+        # Meets every object: a re-freeze would pair it with all of them.
+        manager.insert(SpatialObject(9_996, Rect((0.0, 0.0), (100.0, 100.0))))
+        in_pause, release = threading.Event(), threading.Event()
+
+        def hold():
+            in_pause.set()
+            assert release.wait(timeout=10)
+
+        def crash():
+            raise RuntimeError("compaction crashed after writing to the source")
+
+        if compaction == "crashed":
+            with pytest.raises(RuntimeError, match="crashed"):
+                manager.compact(pause=crash)
+
+        async def main():
+            async with CoalescingServer(manager) as server:
+                server.breaker.force_open()
+                outside = None
+                if compaction == "paused":
+                    outside = asyncio.create_task(
+                        asyncio.to_thread(manager.compact, pause=hold)
+                    )
+                    assert await asyncio.to_thread(in_pause.wait, 10)
+                try:
+                    assert manager.snapshot is base and base.is_stale
+                    return (
+                        await server.join(other=other, algorithm="stt"),
+                        await server.join(probes=probes, algorithm="inlj"),
+                    )
+                finally:
+                    release.set()
+                    if outside is not None:
+                        await outside
+
+        stt, inlj = asyncio.run(main())
+        for response, expected in (
+            (stt, _brute_force_pairs(others, objects)),
+            (inlj, _brute_force_pairs(probes, objects)),
+        ):
+            assert response.ok and response.degraded and response.stale
+            assert _pair_oids(response.value.pairs) == expected
+            assert response.value.pair_count == len(expected)
+
     def test_recovered_server_serves_fresh_unstamped(self):
         """After the cooldown's half-open probe succeeds, answers include
         the overlay again and drop the stale stamp."""
