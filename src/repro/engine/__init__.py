@@ -14,7 +14,8 @@ at once — the default path of ``ClippedRTree.clip_all`` / ``wrap``.
 Updates: :class:`SnapshotManager` + :class:`DeltaOverlay` absorb
 inserts/deletes on top of a frozen snapshot and fold them in via
 compaction with dirty-node-only re-clipping
-(:func:`reclip_nodes_for_results`).
+(:func:`reclip_nodes_for_results`) and a freeze that re-reads only the
+same dirty nodes.
 
 Joins: :func:`inlj_batch` and :func:`stt_batch` run both spatial-join
 strategies over snapshots with scalar-identical pairs and I/O

@@ -19,6 +19,19 @@ node slots can be expanded level by level with pure array operations; the
 executor in :mod:`repro.engine.executor` never touches a Python ``Rect``
 on its hot path.
 
+**Construction.**  :meth:`ColumnarIndex.from_tree` is the one freeze.
+It walks the directory breadth first to lay out the slots; the layout
+fixes ``entry_child`` outright (directory rows lead to slots ``1, 2, …``
+in order, leaf rows to objects ``0, 1, …``).  Each node's entry rows,
+leaf objects and clip run are then either read from the tree or, when
+the caller hands over the previous generation and the node ids a batch
+of updates dirtied, copied from that generation with array gathers for
+every node outside the dirty set.  A compaction
+(:meth:`SnapshotManager.compact <repro.engine.delta.SnapshotManager.compact>`)
+thereby pays for the nodes its batch touched, not for the tree; a first
+freeze has no previous generation, so every node is read and nothing
+copied, through the same loop.
+
 **Derived state.**  The flat arrays above are the canonical form: they
 are what :mod:`repro.engine.snapshot_io` persists and fingerprints, and
 what the write path reads.  Everything else is derived from them
@@ -52,8 +65,8 @@ from the frozen state and stamps the answer stale.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import List, Optional, Sequence, Union
+from itertools import chain
+from typing import AbstractSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,6 +74,34 @@ from repro.engine.kernels import expand_segments, masks_to_bool
 from repro.geometry.objects import SpatialObject
 from repro.rtree.base import RTreeBase
 from repro.rtree.clipped import ClippedRTree
+
+
+def _no_clips(node_id: int) -> list:
+    """The clip points of a plain tree's node: none."""
+    return []
+
+
+def _stack(points: List[tuple], dims: int) -> np.ndarray:
+    """``points`` (tuples of ``dims`` floats) as one ``(len(points), dims)`` float64 array."""
+    flat = np.fromiter(chain.from_iterable(points), dtype=np.float64, count=len(points) * dims)
+    return flat.reshape(-1, dims)
+
+
+def _copy_runs(
+    pairs: List[Tuple[np.ndarray, np.ndarray]],
+    dst_starts: np.ndarray,
+    src_starts: np.ndarray,
+    counts: np.ndarray,
+) -> None:
+    """Copy run ``i`` of ``counts[i]`` rows from ``src_starts[i]`` to ``dst_starts[i]``.
+
+    For every ``(target, source)`` of ``pairs``, with one index
+    computation shared by all of them.
+    """
+    dst, _ = expand_segments(dst_starts, counts)
+    src, _ = expand_segments(src_starts, counts)
+    for target, source in pairs:
+        target[dst] = source[src]
 
 
 def _pinned(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -154,91 +195,136 @@ class ColumnarIndex:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_tree(cls, index: Union[RTreeBase, ClippedRTree]) -> "ColumnarIndex":
+    def from_tree(
+        cls,
+        index: Union[RTreeBase, ClippedRTree],
+        previous: Optional["ColumnarIndex"] = None,
+        dirty: AbstractSet[int] = frozenset(),
+    ) -> "ColumnarIndex":
         """Freeze ``index`` (a plain or clipped R-tree) into arrays.
 
         Clip points are taken from the :class:`ClipStore` when ``index``
         is a :class:`ClippedRTree`; a plain tree snapshots with empty clip
         arrays and the executor skips the pruning kernel entirely.
+
+        ``previous``, when given, is an earlier freeze of the same
+        ``index`` that was current before the updates that dirtied the
+        node ids ``dirty``
+        (:func:`~repro.engine.incremental_clip.dirty_node_ids`).  A node
+        ``previous`` holds and ``dirty`` does not has the entries and clip
+        points it had then, so its entry rows, leaf objects and clip run
+        are copied from ``previous`` with array operations; every other
+        node is read from the tree.  Without ``previous`` every node is
+        read: the full freeze is the same pass with nothing to copy.
+        Either way the arrays are identical.
         """
         if isinstance(index, ClippedRTree):
             tree: RTreeBase = index.tree
-            store = index.store
+            clips_of = index.store.get
         else:
             tree = index
-            store = None
-
-        # Pass 1: assign BFS slots (parents before children).
-        order: List[int] = []
-        slot_of = {}
-        queue = deque([tree.root_id])
-        while queue:
-            node_id = queue.popleft()
-            slot_of[node_id] = len(order)
-            order.append(node_id)
-            node = tree.node(node_id)
-            if not node.is_leaf:
-                queue.extend(entry.child for entry in node.entries)
-
-        n_nodes = len(order)
+            clips_of = _no_clips
+        if previous is not None and previous.source is not index:
+            raise ValueError("previous must be a freeze of the same index")
         dims = tree.dims
-        is_leaf = np.zeros(n_nodes, dtype=bool)
-        entry_start = np.zeros(n_nodes, dtype=np.int64)
-        entry_count = np.zeros(n_nodes, dtype=np.int64)
-        node_ids = np.array(order, dtype=np.int64)
 
-        total_entries = sum(len(tree.node(nid).entries) for nid in order)
+        # Slots in BFS order, parents before children: a directory node's
+        # children take consecutive slots, so directory row r leads to
+        # slot r + 1, and the leaves' rows follow every directory row.
+        nodes = [tree.node(tree.root_id)]
+        for node in nodes:
+            if not node.is_leaf:
+                nodes.extend(tree.node(entry.child) for entry in node.entries)
+        n_nodes = len(nodes)
+
+        # Per slot: its slot in ``previous`` when it can be copied from
+        # there, else -1 and its entries are read here, in slot order.
+        kept_slot = {}
+        if previous is not None:
+            kept_slot = {
+                node_id: slot
+                for slot, node_id in enumerate(previous.node_ids.tolist())
+                if node_id not in dirty
+            }
+            previous_rows = previous.entry_start.tolist()
+            first_leaf_row = len(previous.entry_child) - len(previous.objects)
+        previous_slot = np.empty(n_nodes, dtype=np.int64)
+        entry_count = np.empty(n_nodes, dtype=np.int64)
+        objects: List[SpatialObject] = []
+        lows: List[tuple] = []
+        highs: List[tuple] = []
+        for slot, node in enumerate(nodes):
+            entries = node.entries
+            slot_before = kept_slot.get(node.node_id, -1)
+            previous_slot[slot] = slot_before
+            entry_count[slot] = len(entries)
+            if slot_before < 0:
+                rects = [entry.rect for entry in entries]
+                lows.extend([rect.low for rect in rects])
+                highs.extend([rect.high for rect in rects])
+                if node.is_leaf:
+                    objects.extend([entry.child for entry in entries])
+            elif node.is_leaf:
+                first = previous_rows[slot_before] - first_leaf_row
+                objects.extend(previous.objects[first : first + len(entries)])
+        fresh = previous_slot < 0
+        kept = ~fresh
+
+        entry_start = np.zeros(n_nodes, dtype=np.int64)
+        np.cumsum(entry_count[:-1], out=entry_start[1:])
+        total_entries = int(entry_count.sum())
         entry_lows = np.empty((total_entries, dims), dtype=np.float64)
         entry_highs = np.empty((total_entries, dims), dtype=np.float64)
-        entry_child = np.empty(total_entries, dtype=np.int64)
-        node_clip_start = np.zeros(n_nodes, dtype=np.int64)
-        node_clip_count = np.zeros(n_nodes, dtype=np.int64)
-
-        objects: List[SpatialObject] = []
-        coords: List[tuple] = []
-        masks: List[int] = []
-
-        # Pass 2: fill the flat arrays in slot order.
-        cursor = 0
-        for slot, node_id in enumerate(order):
-            node = tree.node(node_id)
-            is_leaf[slot] = node.is_leaf
-            entry_start[slot] = cursor
-            entry_count[slot] = len(node.entries)
-            for entry in node.entries:
-                entry_lows[cursor] = entry.rect.low
-                entry_highs[cursor] = entry.rect.high
-                if node.is_leaf:
-                    entry_child[cursor] = len(objects)
-                    objects.append(entry.child)
-                else:
-                    entry_child[cursor] = slot_of[entry.child]
-                cursor += 1
+        rows, _ = expand_segments(entry_start[fresh], entry_count[fresh])
+        entry_lows[rows] = _stack(lows, dims)
+        entry_highs[rows] = _stack(highs, dims)
+        if kept.any():
+            _copy_runs(
+                [(entry_lows, previous.entry_lows), (entry_highs, previous.entry_highs)],
+                entry_start[kept],
+                previous.entry_start[previous_slot[kept]],
+                entry_count[kept],
+            )
+        entry_child = np.concatenate(
+            [np.arange(1, n_nodes, dtype=np.int64), np.arange(len(objects), dtype=np.int64)]
+        )
 
         # Clip runs, one per node: the slots below the root in slot order
         # (the order the directory entries lead to them in), the root's
         # last — no entry leads to it, but the STT join probes it like
         # any other node (the scalar STT consults the ClipStore for any
-        # node pair).
-        if store is not None:
-            for slot in [*range(1, n_nodes), cls.ROOT_SLOT]:
-                clips = store.get(order[slot])
-                if clips:
-                    node_clip_start[slot] = len(coords)
-                    node_clip_count[slot] = len(clips)
-                    coords.extend(clip.coord for clip in clips)
-                    masks.extend(clip.mask for clip in clips)
-
-        clip_coords = (
-            np.array(coords, dtype=np.float64)
-            if coords
-            else np.empty((0, dims), dtype=np.float64)
-        )
-        clip_is_high = (
-            masks_to_bool(np.array(masks, dtype=np.int64), dims)
-            if masks
-            else np.empty((0, dims), dtype=bool)
-        )
+        # node pair).  A node without clip points has start 0.
+        run = np.roll(np.arange(n_nodes, dtype=np.int64), -1)
+        node_clip_count = np.zeros(n_nodes, dtype=np.int64)
+        if kept.any():
+            node_clip_count[kept] = previous.node_clip_count[previous_slot[kept]]
+        fresh_run = run[fresh[run]]
+        coords: List[tuple] = []
+        masks: List[int] = []
+        for slot in fresh_run.tolist():
+            clips = clips_of(nodes[slot].node_id)
+            node_clip_count[slot] = len(clips)
+            coords.extend([clip.coord for clip in clips])
+            masks.extend([clip.mask for clip in clips])
+        run_count = node_clip_count[run]
+        run_start = np.cumsum(run_count) - run_count
+        node_clip_start = np.zeros(n_nodes, dtype=np.int64)
+        node_clip_start[run] = np.where(run_count > 0, run_start, 0)
+        total_clips = int(run_count.sum())
+        clip_coords = np.empty((total_clips, dims), dtype=np.float64)
+        clip_is_high = np.empty((total_clips, dims), dtype=bool)
+        rows, _ = expand_segments(node_clip_start[fresh_run], node_clip_count[fresh_run])
+        clip_coords[rows] = _stack(coords, dims)
+        clip_is_high[rows] = masks_to_bool(np.array(masks, dtype=np.int64), dims)
+        if kept.any():
+            _copy_runs(
+                [(clip_coords, previous.clip_coords), (clip_is_high, previous.clip_is_high)],
+                node_clip_start[kept],
+                previous.node_clip_start[previous_slot[kept]],
+                node_clip_count[kept],
+            )
+        is_leaf = np.array([node.is_leaf for node in nodes], dtype=bool)
+        node_ids = np.array([node.node_id for node in nodes], dtype=np.int64)
         return cls(
             source=index,
             dims=dims,

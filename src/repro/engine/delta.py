@@ -4,7 +4,10 @@ The columnar snapshots of :mod:`repro.engine.columnar` are immutable.
 Writes are absorbed by a small mutable in-memory layer
 (:class:`DeltaOverlay`) sitting on top of the frozen snapshot, queries
 merge both layers, and a *compaction* makes the next generation — one
-fresh snapshot holding the buffered batch — and atomically swaps it in:
+fresh snapshot holding the buffered batch, in which only the nodes the
+batch dirtied are read from the source tree and every other node is
+copied from the generation it replaces (:meth:`SnapshotManager.compact`
+lists the steps) — and atomically swaps it in:
 the naive → amortized ladder of the treebuffers line of work, applied to
 clipped R-trees.  There is one write path; what a freeze per write costs
 is measured by running it with ``compact_every=1``.
@@ -50,7 +53,7 @@ import numpy as np
 
 from repro.engine.builder import build_columnar_str
 from repro.engine.columnar import ColumnarIndex
-from repro.engine.incremental_clip import reclip_nodes_for_results
+from repro.engine.incremental_clip import dirty_node_ids, reclip_nodes_for_results
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.join import JoinResult, check_join_algorithm
@@ -215,7 +218,8 @@ class SnapshotManager:
 
     * *a tree* — the batch is folded into it (buffered deletes, then
       inserts, with no per-update re-clipping), the nodes that dirtied
-      are re-clipped once (§IV-D) and the tree is frozen again;
+      are re-clipped once (§IV-D) and read into the next freeze, which
+      copies every other node from the generation it replaces;
     * *no tree* — a snapshot that was loaded from disk (a server started
       on a snapshot directory) or STR-packed straight into arrays has
       nothing to fold into, so the live objects are STR-packed afresh
@@ -370,12 +374,24 @@ class SnapshotManager:
     def compact(self, pause: Optional[Callable[[], None]] = None) -> CompactionStats:
         """Fold the pending delta into the source and swap in a new freeze.
 
-        Tree-backed sources apply the buffered deletes then inserts
-        *without* per-update re-clipping, re-clip the dirtied nodes once
-        (:func:`~repro.engine.incremental_clip.reclip_nodes_for_results`),
-        and freeze.  Source-free snapshots STR-rebuild from the live
-        object set.  A no-op (returning zeroed stats) when nothing is
-        pending.
+        Tree-backed sources take four steps:
+
+        1. apply the buffered deletes, then inserts, to the source tree,
+           *without* per-update re-clipping;
+        2. collect what the applies changed into one dirty set
+           (:func:`~repro.engine.incremental_clip.dirty_node_ids`);
+        3. re-clip the dirty nodes once
+           (:func:`~repro.engine.incremental_clip.reclip_nodes_for_results`);
+        4. freeze: :meth:`ColumnarIndex.from_tree` reads the dirty nodes
+           from the tree and copies every other node from the generation
+           being replaced — when that generation was current as the fold
+           started; otherwise (its source was mutated from outside) it
+           reads every node.
+
+        Source-free snapshots STR-rebuild from the live object set.  When
+        nothing is left to fold — nothing buffered, or writes that
+        cancelled out in the overlay — it returns zeroed stats, publishes
+        nothing and clears the pending count.
 
         ``pause``, when given, is called between *slices* of the fold: the
         apply loop stops for it every ``_SLICE_SECONDS`` of work, the
@@ -404,54 +420,61 @@ class SnapshotManager:
                 raise CompactionInProgressError(
                     "compact() is already running; concurrent inserts are staged"
                 )
-            self._compacting = True
             overlay = self.overlay
             # This compaction's input, copied before any insert it stages
             # can join the overlay.
             deletes = overlay.deleted_objects()
             inserts = list(overlay.tree.objects())
+            if not deletes and not inserts:
+                # The buffered writes cancelled out (an insert deleted
+                # again): nothing to fold, and nothing is pending either.
+                overlay.ops = 0
+                return CompactionStats()
+            self._compacting = True
+            # The generation the fold starts from; a stale one (its source
+            # mutated behind the manager's back) cannot vouch for any node.
+            base = overlay.base
+            previous = None if base.is_stale else base
         stats = CompactionStats()
         fresh: Optional[ColumnarIndex] = None
         try:
-            if deletes or inserts:
-                if self._source_ahead:
-                    raise RuntimeError(
-                        "a failed compaction left the source tree ahead of the "
-                        "published view; folding the delta again would apply it twice"
-                    )
-                start = time.perf_counter()
-                hook = self.compaction_fault_hook
-                if hook is not None:
-                    # Pre-mutation crash point: failing here leaves the
-                    # source tree untouched, so a retry re-applies the
-                    # full (still-buffered) delta exactly once.
-                    hook()
-                source = self._source
-                if source is None:
-                    fresh = self._rebuild_source_free(overlay.live_base_objects() + inserts)
-                else:
-                    clipped = source if isinstance(source, ClippedRTree) else None
-                    tree = clipped.tree if clipped is not None else source
-                    results = []
-                    self._source_ahead = True
-                    slice_end = start + _SLICE_SECONDS
-                    for apply, batch in ((tree.delete, deletes), (tree.insert, inserts)):
-                        for obj in batch:
-                            results.append(apply(obj))
-                            if pause is not None and time.perf_counter() >= slice_end:
-                                pause()
-                                slice_end = time.perf_counter() + _SLICE_SECONDS
-                    if pause is not None:
-                        pause()
-                    if clipped is not None:
-                        stats.reclipped_nodes = reclip_nodes_for_results(
-                            clipped, results, pause=pause
-                        )
-                    fresh = ColumnarIndex.from_tree(source)
-                    self._source_ahead = False
-                stats.applied_inserts = len(inserts)
-                stats.applied_deletes = len(deletes)
-                stats.seconds = time.perf_counter() - start
+            if self._source_ahead:
+                raise RuntimeError(
+                    "a failed compaction left the source tree ahead of the "
+                    "published view; folding the delta again would apply it twice"
+                )
+            start = time.perf_counter()
+            hook = self.compaction_fault_hook
+            if hook is not None:
+                # Pre-mutation crash point: failing here leaves the
+                # source tree untouched, so a retry re-applies the
+                # full (still-buffered) delta exactly once.
+                hook()
+            source = self._source
+            if source is None:
+                fresh = self._rebuild_source_free(overlay.live_base_objects() + inserts)
+            else:
+                clipped = source if isinstance(source, ClippedRTree) else None
+                tree = clipped.tree if clipped is not None else source
+                results = []
+                self._source_ahead = True
+                slice_end = start + _SLICE_SECONDS
+                for apply, batch in ((tree.delete, deletes), (tree.insert, inserts)):
+                    for obj in batch:
+                        results.append(apply(obj))
+                        if pause is not None and time.perf_counter() >= slice_end:
+                            pause()
+                            slice_end = time.perf_counter() + _SLICE_SECONDS
+                if pause is not None:
+                    pause()
+                dirty = dirty_node_ids(results, tree)
+                if clipped is not None:
+                    stats.reclipped_nodes = reclip_nodes_for_results(clipped, dirty, pause=pause)
+                fresh = ColumnarIndex.from_tree(source, previous=previous, dirty=dirty)
+                self._source_ahead = False
+            stats.applied_inserts = len(inserts)
+            stats.applied_deletes = len(deletes)
+            stats.seconds = time.perf_counter() - start
         finally:
             with self._write_lock:
                 staged, self._staged_inserts = self._staged_inserts, []

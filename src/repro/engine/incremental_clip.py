@@ -5,12 +5,21 @@ The write path of the delta engine (:mod:`repro.engine.delta`) applies a
 buffered batch of inserts/deletes to the source tree *without* the
 per-update re-clipping of :meth:`repro.rtree.clipped.ClippedRTree.insert`
 — change tracking (:class:`~repro.rtree.base.InsertResult` /
-:class:`~repro.rtree.base.DeleteResult`) accumulates the set of nodes
-whose entry lists changed, and :func:`reclip_nodes_for_results` has
+:class:`~repro.rtree.base.DeleteResult`) accumulates what changed, and
+:func:`dirty_node_ids` turns it into one set: every node whose entry
+list changed, the current parent of every node whose MBB moved, and
+every node the batch removed.
+
+That one set has two consumers in a compaction.
+:func:`reclip_nodes_for_results` has
 :meth:`~repro.rtree.clipped.ClippedRTree.reclip_nodes` recompute exactly
-those nodes' clip points — by default in one batched pass through
+its live nodes' clip points — by default in one batched pass through
 :func:`repro.engine.bulk_clip.clip_nodes_batch`
-(:func:`reclip_live_nodes`).
+(:func:`reclip_live_nodes`) — and drops the removed ones from the store.
+:meth:`ColumnarIndex.from_tree <repro.engine.columnar.ColumnarIndex.from_tree>`
+then reads those nodes from the tree and copies every other node's
+entries and clip run from the previous generation.  Both rely on the
+same fact: a node outside the set has the entries it had.
 
 Because a node's clip points are a pure function of its own entry
 rectangles, re-clipping the dirty set leaves the store identical to a
@@ -24,7 +33,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Sequence, Set, Union
 
 from repro.engine.bulk_clip import clip_nodes_batch
-from repro.rtree.base import DeleteResult, InsertResult
+from repro.rtree.base import DeleteResult, InsertResult, RTreeBase
 from repro.rtree.clipped import ClippedRTree
 
 #: Dirty nodes re-clipped between two calls of the ``pause`` hook of
@@ -34,67 +43,64 @@ _RECLIP_CHUNK_NODES = 24
 
 def dirty_node_ids(
     results: Iterable[Union[InsertResult, DeleteResult]],
+    tree: RTreeBase,
 ) -> Set[int]:
-    """Every node id whose entry list one of ``results`` may have changed.
+    """Every node id whose entries ``results`` may have changed, in ``tree`` after them.
 
     Union of: the target leaf, split nodes and their new siblings, nodes
     that received entries (``added_rects``), nodes that lost entries in
-    place, and nodes whose MBB moved.  A moved MBB also means the node's
-    *parent* entry rect was rewritten, so callers re-clipping against the
-    current tree must add each changed node's present parent — see
-    :func:`reclip_nodes_for_results`.
+    place, nodes whose MBB moved — and the *current* parent in ``tree``
+    of each of the latter, whose entry rect for that child was
+    rewritten — plus every node the batch removed.  Ids no longer in
+    ``tree`` are kept: the re-clip drops their clip points, the freeze
+    never meets them.  Node ids are never reused, so a node of ``tree``
+    outside the set holds exactly the entries it held before the batch.
     """
     dirty: Set[int] = set()
+    mbb_changed: Set[int] = set()
     for result in results:
         if result.leaf_id is not None:
             dirty.add(result.leaf_id)
         dirty |= result.split_node_ids
         dirty |= result.new_node_ids
-        dirty |= result.mbb_changed_node_ids
         dirty |= result.entry_removed_node_ids
         dirty.update(result.added_rects)
+        mbb_changed |= result.mbb_changed_node_ids
+        dirty |= getattr(result, "removed_node_ids", set())
+    dirty |= mbb_changed
+    if mbb_changed:
+        for node in tree.internal_nodes():
+            if any(entry.child in mbb_changed for entry in node.entries):
+                dirty.add(node.node_id)
     return dirty
 
 
 def reclip_nodes_for_results(
     clipped: ClippedRTree,
-    results: Iterable[Union[InsertResult, DeleteResult]],
+    dirty: Set[int],
     engine: str = "vectorized",
     pause: Optional[Callable[[], None]] = None,
 ) -> int:
-    """Re-clip everything a batch of tracked updates dirtied.
+    """Re-clip the nodes a batch of tracked updates dirtied.
 
-    Adds the current parent of every MBB-changed node (its entry rect
-    for that child was refreshed), drops clip entries of removed nodes,
-    then delegates to :meth:`ClippedRTree.reclip_nodes` — in one call,
+    ``dirty`` is :func:`dirty_node_ids` of the batch's results.  Its ids
+    no longer in the tree lose their clip points; the live ones are
+    re-clipped through :meth:`ClippedRTree.reclip_nodes` — in one call,
     or, with a ``pause`` hook (see :meth:`SnapshotManager.compact
     <repro.engine.delta.SnapshotManager.compact>`), in chunks of
     ``_RECLIP_CHUNK_NODES`` with the hook called after each.  A node's
     clip points depend on its own entries only, so the store ends up the
     same either way.  Returns the number of live nodes re-clipped.
     """
-    results = list(results)
-    dirty = dirty_node_ids(results)
-    mbb_changed: Set[int] = set()
-    for result in results:
-        mbb_changed |= result.mbb_changed_node_ids
-        removed = getattr(result, "removed_node_ids", None)
-        if removed:
-            for node_id in removed:
-                clipped.store.remove(node_id)
-            dirty -= removed
-    if mbb_changed:
-        parents = clipped._parent_index()
-        for node_id in mbb_changed:
-            parent_id = parents.get(node_id)
-            if parent_id is not None:
-                dirty.add(parent_id)
+    tree = clipped.tree
+    live = sorted(node_id for node_id in dirty if tree.has_node(node_id))
+    for node_id in set(dirty).difference(live):
+        clipped.store.remove(node_id)
     if pause is None:
-        return clipped.reclip_nodes(dirty, engine=engine)
-    ordered = sorted(dirty)
+        return clipped.reclip_nodes(live, engine=engine)
     count = 0
-    for start in range(0, len(ordered), _RECLIP_CHUNK_NODES):
-        count += clipped.reclip_nodes(ordered[start : start + _RECLIP_CHUNK_NODES], engine=engine)
+    for start in range(0, len(live), _RECLIP_CHUNK_NODES):
+        count += clipped.reclip_nodes(live[start : start + _RECLIP_CHUNK_NODES], engine=engine)
         pause()
     return count
 

@@ -26,7 +26,7 @@ import pytest
 from repro.cbb.clipping import ClippingConfig
 from repro.datasets import generate
 from repro.engine import ColumnarIndex, build_columnar_str, bulk_clip, clip_nodes_batch
-from repro.engine.incremental_clip import reclip_nodes_for_results
+from repro.engine.incremental_clip import dirty_node_ids, reclip_nodes_for_results
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.query.range_query import brute_force_range
@@ -212,7 +212,8 @@ class TestBulkClipBeyondThreeDimensions:
             fresh = SpatialObject(10_000 + extra.oid, extra.rect)
             live.append(fresh)
             results.append(tree.insert(fresh))
-        assert reclip_nodes_for_results(vector, results, engine="vectorized") > 0
+        dirty = dirty_node_ids(results, tree)
+        assert reclip_nodes_for_results(vector, dirty, engine="vectorized") > 0
         recomputed = ClippedRTree(copy.deepcopy(tree), config)
         recomputed.clip_all(engine="scalar")
         assert dict(vector.store.items()) == dict(recomputed.store.items())

@@ -166,6 +166,21 @@ class TestEdgeCases:
         stats = manager.compact()
         assert (stats.applied_inserts, stats.applied_deletes) == (0, 0)
 
+    def test_compaction_with_nothing_to_fold_clears_the_pending_count(self):
+        """Regression: an insert deleted again left two ops pending in an
+        empty overlay, and the no-op compaction kept them, so the next
+        single write compacted again."""
+        rng = random.Random(15)
+        _, manager = self._manager(compact_every=2)
+        obj = _random_object(rng, 778)
+        manager.insert(obj)
+        assert manager.delete(obj)  # the second write: a compaction with nothing to fold
+        assert manager.pending_ops == 0
+        epoch = manager.epoch
+        manager.insert(_random_object(rng, 779))
+        assert manager.pending_ops == 1
+        assert manager.epoch == epoch
+
     def test_delete_everything(self):
         live, manager = self._manager()
         for obj in live:

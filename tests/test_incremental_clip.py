@@ -68,7 +68,9 @@ class TestReclipForResults:
                 obj = _random_object(rng, 1000 + step)
                 live.append(obj)
                 results.append(clipped.tree.insert(obj))
-        count = reclip_nodes_for_results(clipped, results, engine=engine)
+        count = reclip_nodes_for_results(
+            clipped, dirty_node_ids(results, clipped.tree), engine=engine
+        )
         assert count >= 0
         assert _store_state(clipped) == _full_recompute(clipped)
         clipped.check_clip_invariants()
@@ -80,11 +82,11 @@ class TestReclipForResults:
             build_rtree("quadratic", live, max_entries=4), method="stairline"
         )
         results = [clipped.tree.delete(obj) for obj in live[:30]]
-        dirty = dirty_node_ids(results)
+        dirty = dirty_node_ids(results, clipped.tree)
         removed = set().union(*(r.removed_node_ids for r in results))
         # Heavy deletion must eliminate nodes; their clips must disappear.
-        assert removed
-        reclip_nodes_for_results(clipped, results)
+        assert removed and removed <= dirty
+        reclip_nodes_for_results(clipped, dirty)
         for node_id in removed - {n.node_id for n in clipped.tree.nodes()}:
             assert clipped.store.get(node_id) == []
         assert dirty

@@ -1,5 +1,6 @@
 """Variant-specific split / choose-subtree behaviour."""
 
+import numpy as np
 import pytest
 
 from repro.geometry.objects import SpatialObject
@@ -21,8 +22,9 @@ def _leaf_node(rects, node_id=0):
 class TestQuadraticSplit:
     def test_pick_seeds_maximises_waste(self):
         rects = [Rect((0, 0), (1, 1)), Rect((10, 10), (11, 11)), Rect((0.5, 0.5), (1.5, 1.5))]
-        entries = [Entry(r, i) for i, r in enumerate(rects)]
-        seeds = QuadraticRTree._pick_seeds(entries)
+        lows = np.array([r.low for r in rects])
+        highs = np.array([r.high for r in rects])
+        seeds = QuadraticRTree._pick_seeds(lows, highs)
         assert set(seeds) == {0, 1} or set(seeds) == {1, 2}
         assert 1 in seeds  # the far-away rectangle is always a seed
 

@@ -472,6 +472,32 @@ def test_background_compaction_trigger():
     assert manager.pending_ops < 4
 
 
+def test_writes_that_cancel_out_schedule_one_background_compaction():
+    """Regression: an insert deleted again left two ops pending with nothing
+    buffered; the background compaction kept them, so every later write
+    scheduled, and counted, another compaction."""
+    _, manager = _manager()
+    ghost = SpatialObject(10**6, Rect([0.0, 0.0], [1.0, 1.0]))
+    other = SpatialObject(10**6 + 1, Rect([2.0, 0.0], [3.0, 1.0]))
+
+    async def settle(server):
+        while server._compaction_task is not None and not server._compaction_task.done():
+            await asyncio.sleep(0.01)
+
+    async def main():
+        async with CoalescingServer(manager, ServeConfig(compact_threshold=2)) as server:
+            assert (await server.insert(ghost)).ok
+            assert (await server.delete(ghost)).value is True
+            await settle(server)
+            assert (await server.insert(other)).ok
+            await settle(server)
+            return server.report()
+
+    report = _run(main())
+    assert report["compactions"] == 1
+    assert manager.pending_ops == 1
+
+
 def test_stop_resolves_queued_requests_and_rejects_new_ones():
     objects, manager = _manager()
     rect = _rects(objects, 1)[0]
