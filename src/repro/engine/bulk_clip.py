@@ -2,8 +2,8 @@
 whole tree levels at once).
 
 :func:`bulk_clip` computes clip points for *every* node of a tree with a
-handful of NumPy calls per (level, fan-out) group instead of one Python
-loop nest per node per corner.  The result is a
+handful of NumPy calls per tree level instead of one Python loop nest
+per node per corner.  The result is a
 :class:`~repro.cbb.store.ClipStore` whose entries are *identical* to
 running the scalar :func:`~repro.cbb.clipping.compute_clip_points` over
 each node — same coordinate values, same scores, same per-node ordering,
@@ -11,10 +11,14 @@ same byte accounting (``tests/test_build_differential.py`` pins this
 across tree variants, datasets, dimensionalities and both clipping
 methods).
 
-One pass over one problem axis.  Nodes of one level are grouped by
-fan-out so their children form dense ``(nodes, fanout, dims)`` arrays.
-Every corner is oriented once (:func:`~repro.engine.clip_kernels.orient`
-negates the max-extent dimensions), which turns "node x corner mask" into
+One pass over one problem axis.  The nodes of one level form one group:
+their children fill a ``(nodes, widest fan-out, dims)`` array, padded
+with NaN past each node's own fan-out (the layout of
+:meth:`ColumnarIndex.node_major <repro.engine.columnar.ColumnarIndex.node_major>`),
+so a dirty set of a few hundred nodes costs one group per level, not
+one per distinct fan-out.  Every corner is oriented once
+(:func:`~repro.engine.clip_kernels.orient` negates the max-extent
+dimensions), which turns "node x corner mask" into
 the batch axis of a single min-corner problem; nothing below loops over
 corners.  Per group:
 
@@ -43,6 +47,14 @@ their own chunks, so working memory does not grow with the tree
 Exactness notes (why the store matches the scalar path bit for bit; the
 kernel-level ones are in :mod:`repro.engine.clip_kernels`):
 
+* padding never reaches a result: a node's MBB is the NaN-skipping
+  ``fmin`` / ``fmax`` of its rows, the skyline masks are ANDed with the
+  per-node validity mask (a NaN row would otherwise count as an
+  undominated skyline point in the pairwise filter), and everything
+  after the skyline reads skyline points only;
+* a node of zero, infinite or NaN (``inf * 0``) volume is dropped before
+  any kernel runs: the scalar path returns no clip points for it either,
+  since no score exceeds ``tau`` times an infinite volume;
 * all dominance / validity / dedup decisions are exact float64
   comparisons on the same coordinate values the scalar path reads —
   orientation negates both sides of a comparison, which is exact;
@@ -61,6 +73,7 @@ kernel-level ones are in :mod:`repro.engine.clip_kernels`):
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -119,7 +132,7 @@ def bulk_clip(
 def clip_nodes_batch(
     nodes: List[Node], dims: int, config: ClippingConfig = ClippingConfig()
 ) -> Dict[int, List[ClipPoint]]:
-    """Clip points for an arbitrary set of nodes, batched by (level, fan-out).
+    """Clip points for an arbitrary set of nodes, batched by level.
 
     The shared core of :func:`bulk_clip` (every node of a tree) and the
     incremental dirty-node re-clipper
@@ -133,48 +146,75 @@ def clip_nodes_batch(
     results: Dict[int, List[ClipPoint]] = {}
     if k == 0:
         return results
-    groups: Dict[Tuple[int, int], List[Node]] = defaultdict(list)
+    levels: Dict[int, List[Node]] = defaultdict(list)
     for node in nodes:
         if node.entries:
-            groups[(node.level, len(node.entries))].append(node)
-    for (_, count), group_nodes in sorted(groups.items()):
-        _clip_group(group_nodes, count, dims, k, config, results)
+            levels[node.level].append(node)
+    for _, level_nodes in sorted(levels.items()):
+        _clip_group(level_nodes, dims, k, config, results)
     return results
 
 
 def _clip_group(
     nodes: List[Node],
-    count: int,
     dims: int,
     k: int,
     config: ClippingConfig,
     results: Dict[int, List[ClipPoint]],
 ) -> None:
-    """Clip one (level, fan-out) group of nodes in a few array passes."""
-    lows = np.empty((len(nodes), count, dims), dtype=np.float64)
-    highs = np.empty((len(nodes), count, dims), dtype=np.float64)
-    for gi, node in enumerate(nodes):
-        lows[gi] = [entry.rect.low for entry in node.entries]
-        highs[gi] = [entry.rect.high for entry in node.entries]
+    """Clip one level's nodes in a few array passes, padded to the widest."""
+    counts = np.array([len(node.entries) for node in nodes])
+    valid = np.arange(counts.max()) < counts[:, None]  # (g, c): a real entry
+    rects = [entry.rect for node in nodes for entry in node.entries]
+    lows = np.full(valid.shape + (dims,), np.nan)
+    highs = np.full(valid.shape + (dims,), np.nan)
+    lows[valid] = _rows([rect.low for rect in rects], dims)
+    highs[valid] = _rows([rect.high for rect in rects], dims)
 
-    volume = sequential_prod(highs.max(axis=1) - lows.min(axis=1))
+    node_low = np.fmin.reduce(lows, axis=1)  # fmin / fmax skip the NaN padding
+    node_high = np.fmax.reduce(highs, axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 0 * inf
+        volume = sequential_prod(node_high - node_low)
 
-    # Zero-volume nodes cannot be clipped meaningfully (scalar: empty list).
-    active = volume > 0.0
+    # Zero-volume nodes cannot be clipped meaningfully, and no score exceeds
+    # tau times an infinite (or NaN) volume: the scalar path returns an
+    # empty list for both.
+    active = np.isfinite(volume) & (volume > 0.0)
     if not active.any():
         return
     if not active.all():
         nodes = [node for node, keep in zip(nodes, active) if keep]
-        lows, highs, volume = lows[active], highs[active], volume[active]
+        lows, highs, valid = lows[active], highs[active], valid[active]
+        node_low, node_high, volume = node_low[active], node_high[active], volume[active]
     threshold = config.tau * volume
     stairline = config.method == "stairline"
 
     sky_mask = _chunked_skyline(lows, highs)
+    sky_mask &= valid[:, None, :]
     for part in _candidate_slices(sky_mask.sum(axis=2), dims, stairline):
-        clips = _clip_slice(lows[part], highs[part], sky_mask[part], threshold[part], stairline, k)
+        clips = _clip_slice(
+            lows[part],
+            highs[part],
+            node_low[part],
+            node_high[part],
+            sky_mask[part],
+            threshold[part],
+            stairline,
+            k,
+        )
         for node, points in zip(nodes[part], clips):
             if points:
                 results[node.node_id] = points
+
+
+def _rows(points: List[Tuple[float, ...]], dims: int) -> np.ndarray:
+    """``(n, d)`` float64 array of ``n`` coordinate tuples.
+
+    ``np.fromiter`` over the chained coordinates takes about half the time
+    ``np.array`` needs for the same list.
+    """
+    flat = np.fromiter(chain.from_iterable(points), np.float64, len(points) * dims)
+    return flat.reshape(len(points), dims)
 
 
 def _chunked_skyline(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
@@ -211,6 +251,8 @@ def _candidate_slices(sky_counts: np.ndarray, dims: int, stairline: bool) -> Ite
 def _clip_slice(
     lows: np.ndarray,
     highs: np.ndarray,
+    node_low: np.ndarray,
+    node_high: np.ndarray,
     sky_mask: np.ndarray,
     threshold: np.ndarray,
     stairline: bool,
@@ -218,10 +260,12 @@ def _clip_slice(
 ) -> List[List[ClipPoint]]:
     """Clip points of a run of nodes, given their children's skylines.
 
-    ``lows`` / ``highs`` are the ``(g, c, d)`` child rectangles,
-    ``sky_mask`` the ``(g, 2**d, c)`` output of
-    :func:`~repro.engine.clip_kernels.skyline_masks` for them and
-    ``threshold`` the score a node's clip points must exceed.
+    ``lows`` / ``highs`` are the ``(g, c, d)`` child rectangles (NaN past a
+    node's fan-out), ``node_low`` / ``node_high`` the ``(g, d)`` node
+    MBBs, ``sky_mask`` the ``(g, 2**d, c)`` output of
+    :func:`~repro.engine.clip_kernels.skyline_masks` for them, padding
+    masked out, and ``threshold`` the score a node's clip points must
+    exceed.
     """
     g, count, dims = lows.shape
     # One min-corner problem per (node, corner), node-major: problem p is
@@ -230,7 +274,7 @@ def _clip_slice(
     corners = 1 << dims
     problem_node = np.repeat(np.arange(g), corners)
     is_high = np.tile(masks_to_bool(np.arange(corners), dims), (g, 1))
-    corner = orient(lows.min(axis=1)[problem_node], highs.max(axis=1)[problem_node], is_high)
+    corner = orient(node_low[problem_node], node_high[problem_node], is_high)
 
     sky_mask = sky_mask.reshape(-1, count)
     sky_owner, child = np.nonzero(sky_mask)

@@ -11,11 +11,11 @@ list changed, the current parent of every node whose MBB moved, and
 every node the batch removed.
 
 That one set has two consumers in a compaction.
-:func:`reclip_nodes_for_results` has
-:meth:`~repro.rtree.clipped.ClippedRTree.reclip_nodes` recompute exactly
-its live nodes' clip points — by default in one batched pass through
-:func:`repro.engine.bulk_clip.clip_nodes_batch`
-(:func:`reclip_live_nodes`) — and drops the removed ones from the store.
+:func:`reclip_nodes_for_results` hands it to
+:meth:`~repro.rtree.clipped.ClippedRTree.reclip_nodes`, which drops the
+removed ones from the store and recomputes exactly the live nodes' clip
+points — by default in one batched pass through
+:func:`repro.engine.bulk_clip.clip_nodes_batch` (:func:`reclip_live_nodes`).
 :meth:`ColumnarIndex.from_tree <repro.engine.columnar.ColumnarIndex.from_tree>`
 then reads those nodes from the tree and copies every other node's
 entries and clip run from the previous generation.  Both rely on the
@@ -83,23 +83,25 @@ def reclip_nodes_for_results(
 ) -> int:
     """Re-clip the nodes a batch of tracked updates dirtied.
 
-    ``dirty`` is :func:`dirty_node_ids` of the batch's results.  Its ids
-    no longer in the tree lose their clip points; the live ones are
-    re-clipped through :meth:`ClippedRTree.reclip_nodes` — in one call,
-    or, with a ``pause`` hook (see :meth:`SnapshotManager.compact
+    ``dirty`` is :func:`dirty_node_ids` of the batch's results, handed to
+    :meth:`ClippedRTree.reclip_nodes`, which drops the ids no longer in
+    the tree from the store and re-clips the live ones — in one call, or,
+    with a ``pause`` hook (see :meth:`SnapshotManager.compact
     <repro.engine.delta.SnapshotManager.compact>`), in chunks of
-    ``_RECLIP_CHUNK_NODES`` with the hook called after each.  A node's
-    clip points depend on its own entries only, so the store ends up the
-    same either way.  Returns the number of live nodes re-clipped.
+    ``_RECLIP_CHUNK_NODES`` live nodes with the hook called after each
+    (the dead ids go with the first chunk).  A node's clip points depend
+    on its own entries only, so the store ends up the same either way.
+    Returns the number of live nodes re-clipped.
     """
+    if pause is None:
+        return clipped.reclip_nodes(dirty, engine=engine)
     tree = clipped.tree
     live = sorted(node_id for node_id in dirty if tree.has_node(node_id))
-    for node_id in set(dirty).difference(live):
-        clipped.store.remove(node_id)
-    if pause is None:
-        return clipped.reclip_nodes(live, engine=engine)
-    count = 0
-    for start in range(0, len(live), _RECLIP_CHUNK_NODES):
+    first = set(dirty).difference(live[_RECLIP_CHUNK_NODES:])
+    count = clipped.reclip_nodes(first, engine=engine)
+    if live:
+        pause()
+    for start in range(_RECLIP_CHUNK_NODES, len(live), _RECLIP_CHUNK_NODES):
         count += clipped.reclip_nodes(live[start : start + _RECLIP_CHUNK_NODES], engine=engine)
         pause()
     return count

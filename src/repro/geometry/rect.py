@@ -225,17 +225,20 @@ def mbb_of_points(points: Iterable[Sequence[float]]) -> Rect:
 
 
 def mbb_of_rects(rects: Iterable[Rect]) -> Rect:
-    """Minimum bounding box of a non-empty collection of rectangles."""
+    """Minimum bounding box of a non-empty collection of rectangles.
+
+    Per dimension the first of equal extreme values wins (``min`` / ``max``
+    keep their first argument on a tie), so a ``-0.0`` / ``0.0`` tie keeps
+    the sign bit of the earliest rectangle.  The rectangles' bounds are
+    already validated floats, and a box around them is valid too, so the
+    result skips the constructor's checks.
+    """
     rects = list(rects)
     if not rects:
         raise ValueError("cannot bound an empty rectangle set")
-    dims = rects[0].dims
-    low = [math.inf] * dims
-    high = [-math.inf] * dims
-    for rect in rects:
-        for i in range(dims):
-            if rect.low[i] < low[i]:
-                low[i] = rect.low[i]
-            if rect.high[i] > high[i]:
-                high[i] = rect.high[i]
-    return Rect(low, high)
+    low = tuple(map(min, zip(*[rect.low for rect in rects])))
+    high = tuple(map(max, zip(*[rect.high for rect in rects])))
+    bounds = object.__new__(Rect)
+    object.__setattr__(bounds, "low", low)
+    object.__setattr__(bounds, "high", high)
+    return bounds

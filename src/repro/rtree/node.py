@@ -42,7 +42,7 @@ class Node:
     def find_child_entry(self, child_id: int) -> Optional[Entry]:
         """The directory entry pointing at ``child_id``, if present."""
         for entry in self.entries:
-            if entry.is_node_pointer and entry.child == child_id:
+            if entry.child == child_id and entry.is_node_pointer:
                 return entry
         return None
 

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.cbb.clipping import ClippingConfig
+from repro.cbb.clipping import compute_clip_points
 from repro.datasets import generate
 from repro.engine import ColumnarIndex, build_columnar_str, bulk_clip, clip_nodes_batch
 from repro.engine.incremental_clip import dirty_node_ids, reclip_nodes_for_results
@@ -33,6 +34,8 @@ from repro.query.range_query import brute_force_range
 from repro.query.workload import RangeQueryWorkload
 from repro.rtree import str_bulk
 from repro.rtree.clipped import ClippedRTree
+from repro.rtree.entry import Entry
+from repro.rtree.node import Node
 from repro.rtree.registry import build_rtree
 from repro.rtree.str_bulk import str_bulk_load
 
@@ -231,6 +234,69 @@ class TestBulkClipBeyondThreeDimensions:
         assert {bool(np.signbit(x)) for x in zeros} == {False, True}
 
 
+def _leaf(node_id, rects):
+    return Node(node_id, 0, [Entry(rect, SpatialObject(i, rect)) for i, rect in enumerate(rects)])
+
+
+class TestPaddedLevels:
+    """``clip_nodes_batch`` clips a level as one group, padded with NaN to
+    its widest node: the nodes that share a padded block — and those it
+    drops before any kernel runs — get what the scalar path gives them."""
+
+    @pytest.mark.parametrize("dims", (2, 3, 4, 8))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_mixed_level_matches_scalar(self, dims, method):
+        boxes = [obj.rect for obj in _random_boxes(dims, 14, seed=dims)]
+        first = boxes[0]
+        flat = [Rect((5.0,) + b.low[1:], (5.0,) + b.high[1:]) for b in boxes[1:4]]
+        infinite = Rect((-math.inf,) + first.low[1:], first.high)
+        nodes = [
+            _leaf(0, [first]),  # one entry
+            _leaf(1, flat),  # zero volume
+            _leaf(2, boxes[4:7] + [infinite]),  # infinite volume
+            _leaf(3, boxes[6:14]),  # the widest
+            _leaf(4, boxes[8:11]),
+        ]
+        config = ClippingConfig(method=method)
+        got = clip_nodes_batch(nodes, dims, config)
+        assert got.get(3), "the full node earns clip points"
+        for node in nodes:
+            expected = compute_clip_points(node.mbb(), node.child_rects(), config)
+            points = got.get(node.node_id, [])
+            assert [(cp.coord, cp.mask, cp.score) for cp in points] == [
+                (cp.coord, cp.mask, cp.score) for cp in expected
+            ], f"node {node.node_id}"
+            assert _coord_bytes(points) == _coord_bytes(expected)
+
+
+#: One object with an infinite bound, added to a finite data set.
+INFINITE_BOXES = {
+    "half-infinite": Rect((-math.inf, 0.2), (0.3, 0.4)),
+    "all-space": Rect((-math.inf, -math.inf), (math.inf, math.inf)),
+    "infinite-times-zero": Rect((-math.inf, 0.5), (math.inf, 0.5)),
+    "3-d": Rect((0.1, -math.inf, 0.2), (0.3, 0.4, math.inf)),
+}
+
+
+class TestInfiniteBounds:
+    """``Rect`` accepts ±inf.  A node of infinite (or ``inf * 0 = NaN``)
+    volume gets no clip points from the scalar path — no score exceeds
+    ``tau`` times it — and none from the kernels, which must not crash
+    on the NaN scores such a node produces."""
+
+    @pytest.mark.parametrize("kind", INFINITE_BOXES)
+    @pytest.mark.parametrize("variant", ("str", "quadratic", "rstar"))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_wrap_matches_scalar(self, kind, variant, method):
+        box = INFINITE_BOXES[kind]
+        objects = generate(f"uniform0{box.dims}", 300, seed=2)
+        tree = build_rtree(variant, objects + [SpatialObject(10**6, box)], max_entries=8)
+        scalar = ClippedRTree.wrap(tree, method=method, engine="scalar")
+        vector = ClippedRTree.wrap(tree, method=method)
+        _assert_stores_identical(scalar.store, vector.store)
+        assert len(vector.store) > 0
+
+
 class TestClipChunksBoundMemory:
     """clip_nodes_batch walks the (node, corner) axis in chunks, so its
     working memory is set by ``_CHUNK_BUDGET`` and not by the tree."""
@@ -254,6 +320,17 @@ class TestClipChunksBoundMemory:
         tree = str_bulk_load(generate("axo03", 20_000, seed=7), max_entries=48)
         peak, working = self._peaks(tree, ClippingConfig(method="stairline"))
         # Measured 5.6 MiB; one flat pass over every corner at once is ~30.
+        assert peak <= self.BOUND
+        assert working <= self.BOUND
+
+    def test_level_of_mixed_fanouts(self):
+        # One level is one group, padded to its widest node: leaves cut to
+        # 1..48 entries beside full ones must not widen the working set.
+        tree = str_bulk_load(generate("axo03", 20_000, seed=7), max_entries=48)
+        rng = random.Random(7)
+        for leaf in list(tree.leaves())[1:]:
+            leaf.entries = leaf.entries[: rng.randint(1, 48)]
+        peak, working = self._peaks(tree, ClippingConfig(method="stairline"))
         assert peak <= self.BOUND
         assert working <= self.BOUND
 

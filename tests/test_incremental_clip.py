@@ -10,6 +10,7 @@ incremental pass, and compare against the full recompute.
 """
 
 import copy
+import math
 import random
 
 import numpy as np
@@ -201,3 +202,47 @@ class TestSlicedCompaction:
         assert _store_state(sliced_tree) == _store_state(plain_tree)
         assert _store_state(sliced_tree) == _full_recompute(sliced_tree, engine="vectorized")
         sliced_tree.check_clip_invariants()
+
+
+class TestInfiniteBoundsInAManager:
+    """Objects with infinite bounds, zero-extent points and exact duplicates
+    through a manager's compactions: each re-clips the nodes holding them
+    (a node of infinite volume gets no clip points) and every range batch
+    in between answers what a scan of the live objects answers."""
+
+    SPECIALS = (
+        Rect((-math.inf, 10.0), (20.0, 30.0)),
+        Rect((-math.inf, -math.inf), (math.inf, math.inf)),
+        Rect((-math.inf, 40.0), (math.inf, 40.0)),
+        Rect((50.0, 50.0), (50.0, 50.0)),
+        Rect((60.0, 0.0), (60.0, 100.0)),
+    )
+
+    def test_range_batches_equal_brute_force_across_compactions(self):
+        rng = random.Random(29)
+        live = [_random_object(rng, i) for i in range(150)]
+        clipped = ClippedRTree.wrap(
+            build_rtree("quadratic", live, max_entries=6), method="stairline"
+        )
+        manager = SnapshotManager(clipped, compact_every=20)
+        queries = [_random_object(rng, -1).rect for _ in range(24)]
+        queries += [Rect((-math.inf, 45.0), (math.inf, 55.0)), self.SPECIALS[1]]
+        oid = 1_000
+        while manager.total_compactions < 6:
+            for _ in range(10):
+                if rng.random() < 0.5:
+                    rect = rng.choice(self.SPECIALS)
+                else:  # an exact duplicate of a live rectangle
+                    rect = rng.choice(live).rect
+                obj = SpatialObject(oid, rect)
+                oid += 1
+                live.append(obj)
+                manager.insert(obj)
+                victim = live.pop(rng.randrange(len(live)))
+                assert manager.delete(victim)
+            answers = manager.range_query_batch(queries)
+            for query, answer in zip(queries, answers):
+                expected = sorted(obj.oid for obj in live if obj.rect.intersects(query))
+                assert sorted(obj.oid for obj in answer) == expected
+        assert _store_state(clipped) == _full_recompute(clipped)
+        clipped.tree.check_invariants()
