@@ -25,11 +25,13 @@ it is a pure read-only index.  Updates require a real tree.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.engine.columnar import ColumnarIndex
+from repro.engine.kernels import object_column, stack_bounds
 from repro.geometry.objects import SpatialObject
 from repro.rtree.base import resolve_min_entries
 
@@ -56,8 +58,7 @@ def build_columnar_str(
     min_entries = resolve_min_entries(max_entries, min_entries)
     capacity = max(min_entries, int(max_entries * leaf_fill))
 
-    lows = np.array([obj.rect.low for obj in objects], dtype=np.float64)
-    highs = np.array([obj.rect.high for obj in objects], dtype=np.float64)
+    lows, highs = stack_bounds(list(map(attrgetter("rect"), objects)), dims, "objects")
     centers = (lows + highs) / 2.0
 
     def tile(idx: np.ndarray, dim: int) -> List[np.ndarray]:
@@ -171,7 +172,7 @@ def build_columnar_str(
         clip_is_high=np.empty((0, dims), dtype=bool),
         node_clip_start=np.zeros(total_nodes, dtype=np.int64),
         node_clip_count=np.zeros(total_nodes, dtype=np.int64),
-        objects=[objects[i] for i in perm.tolist()],
+        objects=object_column(objects)[perm].tolist(),
         source_version=None,
     )
 

@@ -73,7 +73,6 @@ kernel-level ones are in :mod:`repro.engine.clip_kernels`):
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -93,7 +92,7 @@ from repro.engine.clip_kernels import (
     splice,
     valid_splices,
 )
-from repro.engine.kernels import masks_to_bool
+from repro.engine.kernels import masks_to_bool, stack_rows
 from repro.rtree.base import RTreeBase
 from repro.rtree.node import Node
 
@@ -168,8 +167,8 @@ def _clip_group(
     rects = [entry.rect for node in nodes for entry in node.entries]
     lows = np.full(valid.shape + (dims,), np.nan)
     highs = np.full(valid.shape + (dims,), np.nan)
-    lows[valid] = _rows([rect.low for rect in rects], dims)
-    highs[valid] = _rows([rect.high for rect in rects], dims)
+    lows[valid] = stack_rows([rect.low for rect in rects], dims, "entries", "tree")
+    highs[valid] = stack_rows([rect.high for rect in rects], dims, "entries", "tree")
 
     node_low = np.fmin.reduce(lows, axis=1)  # fmin / fmax skip the NaN padding
     node_high = np.fmax.reduce(highs, axis=1)
@@ -205,16 +204,6 @@ def _clip_group(
         for node, points in zip(nodes[part], clips):
             if points:
                 results[node.node_id] = points
-
-
-def _rows(points: List[Tuple[float, ...]], dims: int) -> np.ndarray:
-    """``(n, d)`` float64 array of ``n`` coordinate tuples.
-
-    ``np.fromiter`` over the chained coordinates takes about half the time
-    ``np.array`` needs for the same list.
-    """
-    flat = np.fromiter(chain.from_iterable(points), np.float64, len(points) * dims)
-    return flat.reshape(len(points), dims)
 
 
 def _chunked_skyline(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:

@@ -49,7 +49,9 @@ is one broadcast compare of two rows.
 padded to the widest clip count, one ``(n_nodes, max_clips)`` array per
 dimension and side of the corner mask, so the dominance probe of a whole
 candidate list is the same row gather and one strict compare per
-dimension and side.
+dimension and side.  Results go the other way through
+:meth:`ColumnarIndex.take_objects`, which gathers a whole batch's hit
+objects with one fancy index of a cached object column.
 
 **Snapshot semantics / invalidation.**  A snapshot is an immutable copy:
 it shares the indexed :class:`SpatialObject` instances with the source
@@ -65,12 +67,11 @@ from the frozen state and stamps the answer stale.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import AbstractSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.engine.kernels import expand_segments, masks_to_bool
+from repro.engine.kernels import expand_segments, masks_to_bool, object_column, stack_rows
 from repro.geometry.objects import SpatialObject
 from repro.rtree.base import RTreeBase
 from repro.rtree.clipped import ClippedRTree
@@ -79,12 +80,6 @@ from repro.rtree.clipped import ClippedRTree
 def _no_clips(node_id: int) -> list:
     """The clip points of a plain tree's node: none."""
     return []
-
-
-def _stack(points: List[tuple], dims: int) -> np.ndarray:
-    """``points`` (tuples of ``dims`` floats) as one ``(len(points), dims)`` float64 array."""
-    flat = np.fromiter(chain.from_iterable(points), dtype=np.float64, count=len(points) * dims)
-    return flat.reshape(-1, dims)
 
 
 def _copy_runs(
@@ -189,6 +184,7 @@ class ColumnarIndex:
         self._node_major: Optional[tuple] = None
         self._node_major_clips: Optional[tuple] = None
         self._object_oids: Optional[np.ndarray] = None
+        self._object_column: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -276,8 +272,8 @@ class ColumnarIndex:
         entry_lows = np.empty((total_entries, dims), dtype=np.float64)
         entry_highs = np.empty((total_entries, dims), dtype=np.float64)
         rows, _ = expand_segments(entry_start[fresh], entry_count[fresh])
-        entry_lows[rows] = _stack(lows, dims)
-        entry_highs[rows] = _stack(highs, dims)
+        entry_lows[rows] = stack_rows(lows, dims, "entries")
+        entry_highs[rows] = stack_rows(highs, dims, "entries")
         if kept.any():
             _copy_runs(
                 [(entry_lows, previous.entry_lows), (entry_highs, previous.entry_highs)],
@@ -314,7 +310,7 @@ class ColumnarIndex:
         clip_coords = np.empty((total_clips, dims), dtype=np.float64)
         clip_is_high = np.empty((total_clips, dims), dtype=bool)
         rows, _ = expand_segments(node_clip_start[fresh_run], node_clip_count[fresh_run])
-        clip_coords[rows] = _stack(coords, dims)
+        clip_coords[rows] = stack_rows(coords, dims, "clip points")
         clip_is_high[rows] = masks_to_bool(np.array(masks, dtype=np.int64), dims)
         if kept.any():
             _copy_runs(
@@ -417,6 +413,23 @@ class ColumnarIndex:
                 )
             self._object_oids = oids
         return self._object_oids
+
+    def take_objects(self, rows: np.ndarray) -> List[SpatialObject]:
+        """``[objects[i] for i in rows]``, the same instances, as one plain list.
+
+        Every result the engine returns is gathered here, once per batch.
+        A list-backed snapshot derives an object array from ``objects`` on
+        first use (cached; one fancy index per call gathers it); a loaded
+        snapshot's :class:`~repro.engine.snapshot_io.LazyObjectList`
+        builds the rows not built yet in one pass
+        (:meth:`~repro.engine.snapshot_io.LazyObjectList.take`).
+        """
+        take = getattr(self.objects, "take", None)
+        if take is not None:
+            return take(rows)
+        if self._object_column is None:
+            self._object_column = object_column(self.objects)
+        return self._object_column[rows].tolist()
 
     def node_levels(self) -> np.ndarray:
         """Per-slot tree levels (0 = leaf), cached.

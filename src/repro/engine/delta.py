@@ -54,6 +54,7 @@ import numpy as np
 from repro.engine.builder import build_columnar_str
 from repro.engine.columnar import ColumnarIndex
 from repro.engine.incremental_clip import dirty_node_ids, reclip_nodes_for_results
+from repro.engine.kernels import stack_rows
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.join import JoinResult, check_join_algorithm
@@ -185,10 +186,9 @@ class DeltaOverlay:
 
     def live_base_objects(self) -> List[SpatialObject]:
         """The base objects no tombstone covers, in row order."""
-        objects = self.base.objects
         if self.live is None:
-            return list(objects)
-        return [objects[i] for i in np.flatnonzero(self.live).tolist()]
+            return list(self.base.objects)
+        return self.base.take_objects(np.flatnonzero(self.live))
 
 
 @dataclass
@@ -527,8 +527,7 @@ class SnapshotManager:
         points = list(points)
         # Here, not in a layer: an empty base is skipped and the overlay's
         # scalar search does not check.
-        if any(len(point) != snapshot.dims for point in points):
-            raise ValueError(f"points must have {snapshot.dims} dims, like the index")
+        stack_rows(points, snapshot.dims, "points")
         base_hits = (
             snapshot.knn_batch(points, k, stats=stats, live=overlay.live)
             if len(snapshot.objects)

@@ -52,6 +52,8 @@ from repro.engine.kernels import (
     padded_clip_veto,
     padded_intersect_mask,
     padded_min_dist_sq,
+    stack_bounds,
+    stack_rows,
 )
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
@@ -60,16 +62,6 @@ from repro.storage.stats import IOStats
 #: ``access_hook(query_indices, node_ids)`` — one call per frontier round
 #: with the queries and the original tree node ids they are visiting.
 AccessHook = Callable[[np.ndarray, np.ndarray], None]
-
-
-def _query_arrays(index: ColumnarIndex, rects: Sequence[Rect]) -> Tuple[np.ndarray, np.ndarray]:
-    lows = np.array([r.low for r in rects], dtype=np.float64)
-    highs = np.array([r.high for r in rects], dtype=np.float64)
-    if lows.shape[1] != index.dims:
-        raise ValueError(
-            f"queries have {lows.shape[1]} dims, snapshot expects {index.dims}"
-        )
-    return lows, highs
 
 
 def gather_range_hits(
@@ -175,7 +167,7 @@ def range_query_batch(
     rects = list(rects)
     if not rects:
         return []
-    q_lows, q_highs = _query_arrays(index, rects)
+    q_lows, q_highs = stack_bounds(rects, index.dims)
     all_q, all_obj = gather_range_hits(
         index, q_lows, q_highs, stats=stats, access_hook=access_hook
     )
@@ -190,24 +182,18 @@ def materialize_range_hits(
 ) -> List[List[SpatialObject]]:
     """Group flat ``(query, object)`` hit arrays into per-query result lists.
 
-    One grouped pass: a stable sort by query keeps the discovery order
-    within each query, and objects are resolved per contiguous slice
-    rather than per hit.  Shared by :func:`range_query_batch` and the
-    multi-process executor (:mod:`repro.engine.parallel`), whose merged
-    shard hits materialise identically.
+    A stable sort by query keeps the discovery order within each query;
+    one :meth:`~repro.engine.columnar.ColumnarIndex.take_objects` call
+    resolves every hit, and each query's list is one slice of it, so
+    Python runs once per query, never per hit.  Shared by
+    :func:`range_query_batch` and the multi-process executor
+    (:mod:`repro.engine.parallel`), whose merged shard hits materialise
+    identically.
     """
-    results: List[List[SpatialObject]] = [[] for _ in range(n_queries)]
-    if len(all_q):
-        order = np.argsort(all_q, kind="stable")
-        sorted_q = all_q[order]
-        sorted_obj = all_obj[order]
-        boundaries = np.nonzero(np.diff(sorted_q))[0] + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [len(sorted_q)]))
-        get = index.objects.__getitem__
-        for q, start, end in zip(sorted_q[starts].tolist(), starts.tolist(), ends.tolist()):
-            results[q] = [get(i) for i in sorted_obj[start:end].tolist()]
-    return results
+    order = np.argsort(all_q, kind="stable")
+    hits = index.take_objects(all_obj[order])
+    bounds = np.searchsorted(all_q[order], np.arange(n_queries + 1)).tolist()
+    return [hits[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 #: Leaves per point the exact stage of :func:`gather_knn_hits` reads before the
@@ -252,7 +238,9 @@ def knn_batch(
     if not points:
         return []
     dead = 0 if live is None else len(live) - int(np.count_nonzero(live))
-    counts, dists, objects = gather_knn_hits(index, _point_array(index, points), k + dead, stats)
+    counts, dists, objects = gather_knn_hits(
+        index, stack_rows(points, index.dims, "points"), k + dead, stats
+    )
     if live is not None:
         keep = live[objects]
         point = np.repeat(np.arange(len(counts)), counts)[keep]
@@ -260,19 +248,9 @@ def knn_batch(
         found = np.bincount(point, minlength=len(counts))
         first_k = np.arange(len(point)) - (np.cumsum(found) - found)[point] < k
         counts, dists, objects = np.minimum(found, k), dists[first_k], objects[first_k]
-    get = index.objects.__getitem__
-    pairs = list(zip(dists.tolist(), [get(i) for i in objects.tolist()]))
+    pairs = list(zip(dists.tolist(), index.take_objects(objects)))
     ends = np.cumsum(counts).tolist()
     return [pairs[start:end] for start, end in zip([0] + ends, ends)]
-
-
-def _point_array(index: ColumnarIndex, points: Sequence[Sequence[float]]) -> np.ndarray:
-    array = np.asarray(points, dtype=np.float64)
-    if array.ndim != 2 or array.shape[1] != index.dims:
-        raise ValueError(
-            f"points have shape {array.shape}, snapshot expects (n, {index.dims})"
-        )
-    return array
 
 
 def gather_knn_hits(

@@ -37,6 +37,7 @@ dataset × clipped/plain.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -46,8 +47,10 @@ from repro.engine.executor import gather_range_hits
 from repro.engine.kernels import (
     intersect_mask,
     mask_cells,
+    object_column,
     padded_clip_veto,
     padded_intersect_mask,
+    stack_bounds,
 )
 from repro.geometry.objects import SpatialObject
 from repro.join.result import JoinResult
@@ -79,12 +82,9 @@ def inlj_batch(
     result = JoinResult()
     if not outer_objects:
         return result
-    q_lows = np.array([o.rect.low for o in outer_objects], dtype=np.float64)
-    q_highs = np.array([o.rect.high for o in outer_objects], dtype=np.float64)
-    if q_lows.shape[1] != inner.dims:
-        raise ValueError(
-            f"outer objects have {q_lows.shape[1]} dims, snapshot expects {inner.dims}"
-        )
+    q_lows, q_highs = stack_bounds(
+        list(map(attrgetter("rect"), outer_objects)), inner.dims, "outer objects"
+    )
     all_q, all_obj = gather_range_hits(
         inner, q_lows, q_highs, stats=result.inner_stats
     )
@@ -95,11 +95,8 @@ def inlj_batch(
         # Stable sort groups the hits per outer object, preserving the
         # BFS discovery order within each probe.
         order = np.argsort(all_q, kind="stable")
-        get = inner.objects.__getitem__
-        result.pairs.extend(
-            (outer_objects[q], get(o))
-            for q, o in zip(all_q[order].tolist(), all_obj[order].tolist())
-        )
+        outer = object_column(outer_objects)[all_q[order]].tolist()
+        result.pairs.extend(zip(outer, inner.take_objects(all_obj[order])))
     result.pair_count = int(len(all_q))
     return result
 
@@ -398,11 +395,7 @@ def stt_batch(
                 keep &= right_live[b]
             hits[block] = (a[keep], b[keep])
         result.pair_count = sum(len(a) for a, _ in hits)
-    if collect_pairs:
-        get_l = left.objects.__getitem__
-        get_r = right.objects.__getitem__
-        for a_idx, b_idx in hits:
-            result.pairs.extend(
-                (get_l(i), get_r(j)) for i, j in zip(a_idx.tolist(), b_idx.tolist())
-            )
+    if collect_pairs and hits:
+        a_idx, b_idx = (np.concatenate(side) for side in zip(*hits))
+        result.pairs.extend(zip(left.take_objects(a_idx), right.take_objects(b_idx)))
     return result

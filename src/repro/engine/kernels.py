@@ -28,13 +28,59 @@ share the intersection and clip kernels; batched kNN runs on the MinDist
 one.  :func:`expand_segments`, which turns ``(start, count)`` slices of a
 flat array into a gather index plus an owner map, is what the two
 derivations are built with.
+
+Three helpers cross the boundary between Python objects and arrays once
+per batch rather than once per item: :func:`stack_rows` turns coordinate
+tuples (points, entry and clip coordinates) into one float64 matrix,
+:func:`stack_bounds` does so for the two bounds of rectangles, and
+:func:`object_column` turns a sequence of objects into an object array
+that one fancy index gathers hits from.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import Sequence, Tuple
 
 import numpy as np
+
+
+def stack_rows(
+    rows: Sequence[Sequence[float]], dims: int, what: str = "rows", owner: str = "snapshot"
+) -> np.ndarray:
+    """``rows`` (``n`` sequences of ``dims`` numbers) as one ``(n, dims)`` float64 array.
+
+    One ``np.fromiter`` over the chained values takes about half the time
+    ``np.array`` needs for the same list.  ``fromiter`` stops at its
+    ``count`` and cannot tell where a row ends, so a row of another width
+    would shift every row after it; every row's length is checked first,
+    and a mismatch raises ``ValueError`` ("<what> have 3 dims, <owner>
+    expects 2"), as does a row that is not a sequence.
+    """
+    try:
+        widths = set(map(len, rows))
+    except TypeError:
+        raise ValueError(f"{what} must be sequences of {dims} numbers") from None
+    widths.discard(dims)
+    if widths:
+        raise ValueError(f"{what} have {min(widths)} dims, {owner} expects {dims}")
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.float64, count=len(rows) * dims)
+    return flat.reshape(len(rows), dims)
+
+
+def stack_bounds(
+    rects: Sequence, dims: int, what: str = "queries"
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The bounds of ``rects`` as ``(lows, highs)``, two :func:`stack_rows` arrays."""
+    lows = stack_rows(list(map(attrgetter("low"), rects)), dims, what)
+    highs = stack_rows(list(map(attrgetter("high"), rects)), dims, what)
+    return lows, highs
+
+
+def object_column(objects: Sequence[object]) -> np.ndarray:
+    """``objects`` as a one-dimensional object array holding the same instances."""
+    return np.fromiter(objects, dtype=object, count=len(objects))
 
 
 def expand_segments(starts: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

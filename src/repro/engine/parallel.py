@@ -38,7 +38,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.engine.columnar import ColumnarIndex
-from repro.engine.executor import _query_arrays, gather_range_hits, materialize_range_hits
+from repro.engine.executor import gather_range_hits, materialize_range_hits
+from repro.engine.kernels import stack_bounds
 from repro.engine.snapshot_io import load_snapshot, save_snapshot
 from repro.geometry.objects import SpatialObject
 from repro.storage.stats import IOStats
@@ -254,7 +255,7 @@ class ParallelExecutor:
         rects = list(rects)
         if not rects:
             return []
-        q_lows, q_highs = _query_arrays(self.snapshot, rects)
+        q_lows, q_highs = stack_bounds(rects, self.snapshot.dims)
         bounds = self._chunk_bounds(len(rects))
         path = str(self.path)
         shards = self._run_shards(

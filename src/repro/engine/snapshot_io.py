@@ -63,7 +63,7 @@ import os
 import re
 import shutil
 from pathlib import Path
-from typing import Callable, Dict, Iterator, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -109,9 +109,12 @@ class LazyObjectList:
 
     Backed by the ``object_oids`` column and the leaf rows of
     ``entry_lows`` / ``entry_highs`` (typically mmap views); an object is
-    built — and cached — only when indexed, so result-materialising code
-    pays for exactly the objects it returns.  Payloads are not persisted
-    and come back as ``None``.
+    built — and cached — only when asked for, so result-materialising
+    code pays for exactly the objects it returns.  :meth:`take` builds
+    every row a batch needs in one pass; an integer index, a slice and
+    iteration all go through the same cache, so each row is built once
+    and handed out as one instance.  Payloads are not persisted and come
+    back as ``None``.
     """
 
     __slots__ = ("oids", "lows", "highs", "_cache")
@@ -125,24 +128,42 @@ class LazyObjectList:
     def __len__(self) -> int:
         return len(self.oids)
 
-    def __getitem__(self, index: int) -> SpatialObject:
+    def take(self, rows: np.ndarray) -> List[SpatialObject]:
+        """``[self[i] for i in rows]`` for non-negative ``rows``, built in one pass.
+
+        The rows not built yet are read with one gather per column and
+        become objects in one loop (``Rect`` checks every one of them);
+        the rest come from the cache.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) and not (0 <= rows.min() and rows.max() < len(self.oids)):
+            raise IndexError(f"rows outside 0..{len(self.oids) - 1}")
+        keys = rows.tolist()
+        cache = self._cache
+        missing = sorted(set(keys).difference(cache))
+        if missing:
+            at = np.array(missing, dtype=np.int64)
+            built = [
+                SpatialObject(oid, Rect(low, high))
+                for oid, low, high in zip(
+                    self.oids[at].tolist(), self.lows[at].tolist(), self.highs[at].tolist()
+                )
+            ]
+            cache.update(zip(missing, built))
+        return list(map(cache.__getitem__, keys))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(np.arange(len(self.oids))[index])
         index = int(index)
         if index < 0:
             index += len(self.oids)
         if not 0 <= index < len(self.oids):
             raise IndexError(index)
-        obj = self._cache.get(index)
-        if obj is None:
-            obj = SpatialObject(
-                int(self.oids[index]),
-                Rect(self.lows[index].tolist(), self.highs[index].tolist()),
-            )
-            self._cache[index] = obj
-        return obj
+        return self.take(np.array([index]))[0]
 
     def __iter__(self) -> Iterator[SpatialObject]:
-        for i in range(len(self.oids)):
-            yield self[i]
+        return iter(self.take(np.arange(len(self.oids))))
 
     def __repr__(self) -> str:
         return f"LazyObjectList(n={len(self.oids)})"

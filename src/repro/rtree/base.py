@@ -89,6 +89,17 @@ def resolve_min_entries(max_entries: int, min_entries: Optional[int] = None) -> 
     return min_entries
 
 
+def check_dims(objects: Sequence[SpatialObject], dims: int) -> None:
+    """Raise ``ValueError`` for the first of ``objects`` without ``dims`` dimensions.
+
+    The one check behind :meth:`RTreeBase.insert` and both bulk loaders,
+    which take ``dims`` from their first object.
+    """
+    for obj in objects:
+        if obj.dims != dims:
+            raise ValueError(f"object has {obj.dims} dims, tree expects {dims}")
+
+
 class RTreeBase:
     """Abstract R-tree; concrete variants provide subtree choice and split."""
 
@@ -203,8 +214,7 @@ class RTreeBase:
 
     def insert(self, obj: SpatialObject) -> InsertResult:
         """Insert one object; returns the set of structural changes."""
-        if obj.dims != self.dims:
-            raise ValueError(f"object has {obj.dims} dims, tree expects {self.dims}")
+        check_dims((obj,), self.dims)
         result = InsertResult()
         self._begin_insert()
         self._insert_entry(Entry(obj.rect, obj), level=0, result=result)

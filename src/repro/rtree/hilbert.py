@@ -16,7 +16,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect, mbb_of_rects
-from repro.rtree.base import RTreeBase
+from repro.rtree.base import RTreeBase, check_dims
 from repro.rtree.entry import Entry
 from repro.rtree.hilbert_curve import HilbertMapper
 from repro.rtree.node import Node
@@ -60,6 +60,7 @@ class HilbertRTree(RTreeBase):
         if not objects:
             raise ValueError("cannot bulk load an empty object collection")
         dims = objects[0].dims
+        check_dims(objects, dims)
         space = mbb_of_rects([obj.rect for obj in objects])
         tree = cls(
             dims,

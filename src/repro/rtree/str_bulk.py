@@ -11,6 +11,7 @@ import math
 from typing import List, Optional, Sequence
 
 from repro.geometry.objects import SpatialObject
+from repro.rtree.base import check_dims
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.quadratic import QuadraticRTree
@@ -48,6 +49,7 @@ def str_bulk_load(
     if not 0.0 < leaf_fill <= 1.0:
         raise ValueError("leaf_fill must be in (0, 1]")
     dims = objects[0].dims
+    check_dims(objects, dims)
     tree = QuadraticRTree(dims, max_entries=max_entries, min_entries=min_entries)
     capacity = max(tree.min_entries, int(max_entries * leaf_fill))
 
