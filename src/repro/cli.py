@@ -249,6 +249,7 @@ def _cmd_snapshot_load(args: argparse.Namespace) -> int:
         f"{len(snapshot.objects)} objects, {len(snapshot.is_leaf)} nodes, "
         f"d={snapshot.dims}, format v{FORMAT_VERSION}"
     )
+    print(f"tree: {snapshot.tree_record}")
     if args.queries:
         from repro.query.range_query import execute_workload
         from repro.query.workload import RangeQueryWorkload

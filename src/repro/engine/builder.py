@@ -18,8 +18,10 @@ including the synthesized node ids.  ``tests/test_build_differential.py``
 pins that equality.
 
 The one observable difference: a snapshot built here has no source tree
-(``source`` is ``None``), so it is never stale and cannot be refreshed —
-it is a pure read-only index.  Updates require a real tree.
+(``source`` is ``None``), so it is never stale and cannot be refreshed.
+Its tree record is the quadratic tree's that ``str_bulk_load`` builds, so
+:meth:`ColumnarIndex.to_tree` thaws that tree when a
+:class:`~repro.engine.delta.SnapshotManager` first compacts it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.columnar import ColumnarIndex
+from repro.engine.columnar import ColumnarIndex, TreeRecord
 from repro.engine.kernels import object_column, stack_bounds
 from repro.geometry.objects import SpatialObject
 from repro.rtree.base import resolve_min_entries
@@ -174,6 +176,7 @@ def build_columnar_str(
         node_clip_count=np.zeros(total_nodes, dtype=np.int64),
         objects=object_column(objects)[perm].tolist(),
         source_version=None,
+        tree_record=TreeRecord("quadratic", max_entries, min_entries, next_id),
     )
 
 

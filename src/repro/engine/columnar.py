@@ -32,6 +32,16 @@ thereby pays for the nodes its batch touched, not for the tree; a first
 freeze has no previous generation, so every node is read and nothing
 copied, through the same loop.
 
+**The tree record, and the thaw.**  Every construction also records what
+the arrays cannot say about the tree: a :class:`TreeRecord` of its
+variant, node capacity and minimum fill, next node id and clipping
+parameters.  :meth:`ColumnarIndex.to_tree` is the freeze run backwards:
+it rebuilds that tree — node ids, levels, entry order and clip runs as
+the snapshot holds them, nothing re-clipped — from a snapshot with no
+tree behind it (a loaded one, or the array-native STR packer's), so a
+:class:`~repro.engine.delta.SnapshotManager` over such a snapshot
+compacts the one way every manager does.
+
 **Derived state.**  The flat arrays above are the canonical form: they
 are what :mod:`repro.engine.snapshot_io` persists and fingerprints, and
 what the write path reads.  Everything else is derived from them
@@ -67,14 +77,67 @@ from the frozen state and stamps the answer stale.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import AbstractSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.cbb.clip_point import ClipPoint
+from repro.cbb.clipping import ClippingConfig
 from repro.engine.kernels import expand_segments, masks_to_bool, object_column, stack_rows
 from repro.geometry.objects import SpatialObject
+from repro.geometry.rect import Rect
 from repro.rtree.base import RTreeBase
 from repro.rtree.clipped import ClippedRTree
+from repro.rtree.entry import Entry
+from repro.rtree.hilbert import HilbertRTree
+from repro.rtree.node import Node
+from repro.rtree.registry import rtree_class
+
+
+@dataclass(frozen=True)
+class TreeRecord:
+    """What a snapshot's tree was: everything :meth:`ColumnarIndex.to_tree` needs.
+
+    The variant (``variant_name`` of the tree class), the node capacity
+    and minimum fill, the id the tree would give its next node (node ids
+    are never reused, so the arrays cannot tell it), the
+    :class:`ClippingConfig` of a clipped tree (None for a plain one) and,
+    for a Hilbert R-tree only, its mapper's ``bits`` and reference
+    ``space`` (None until the tree has derived one).  A fact of the
+    snapshot, written into its manifest; not a setting.
+    """
+
+    variant: str
+    max_entries: int
+    min_entries: int
+    next_id: int
+    clipping: Optional[ClippingConfig] = None
+    hilbert_bits: Optional[int] = None
+    hilbert_space: Optional[Rect] = None
+
+    @classmethod
+    def of(cls, index: Union[RTreeBase, ClippedRTree]) -> "TreeRecord":
+        """The record of ``index`` as it is now."""
+        clipped = isinstance(index, ClippedRTree)
+        tree = index.tree if clipped else index
+        bits = space = None
+        if isinstance(tree, HilbertRTree):
+            bits = tree._bits
+            space = tree._mapper.space if tree._mapper is not None else None
+        return cls(
+            variant=tree.variant_name,
+            max_entries=tree.max_entries,
+            min_entries=tree.min_entries,
+            next_id=tree._next_id,
+            clipping=index.config if clipped else None,
+            hilbert_bits=bits,
+            hilbert_space=space,
+        )
+
+    def __str__(self) -> str:
+        clip = "no clip" if self.clipping is None else f"{self.clipping.method} clip"
+        return f"{self.variant}, fan-out {self.max_entries}, {clip}"
 
 
 def _no_clips(node_id: int) -> list:
@@ -119,7 +182,9 @@ class ColumnarIndex:
     :func:`repro.engine.executor.range_query_batch` /
     :func:`repro.engine.executor.knn_batch` or the convenience methods
     here.  The snapshot keeps a reference to its source only to implement
-    :attr:`is_stale` and :meth:`refresh`.
+    :attr:`is_stale` and :meth:`refresh`; its :attr:`tree_record` (None
+    only for a snapshot assembled by hand) is what :meth:`to_tree` and
+    :func:`~repro.engine.snapshot_io.save_snapshot` read.
 
     The constructor arguments are the canonical state.  Four members are
     derived from them lazily and cached, the snapshot being immutable,
@@ -161,6 +226,7 @@ class ColumnarIndex:
         node_clip_count: np.ndarray,
         objects: List[SpatialObject],
         source_version: object,
+        tree_record: Optional[TreeRecord] = None,
     ):
         self.source = source
         self.dims = dims
@@ -177,6 +243,7 @@ class ColumnarIndex:
         self.node_clip_count = _pinned(node_clip_count, np.int64)
         self.objects = objects
         self.source_version = source_version
+        self.tree_record = tree_record
         # Lazily derived per-slot geometry (cached; the snapshot is immutable).
         self._node_lows: Optional[np.ndarray] = None
         self._node_highs: Optional[np.ndarray] = None
@@ -337,7 +404,71 @@ class ColumnarIndex:
             node_clip_count=node_clip_count,
             objects=objects,
             source_version=cls._version_of(index),
+            tree_record=TreeRecord.of(index),
         )
+
+    def to_tree(self) -> Union[RTreeBase, ClippedRTree]:
+        """Thaw the tree this snapshot was frozen from, without re-clipping.
+
+        The tree of :attr:`tree_record`'s class and parameters gets every
+        node back under its own id, level and entry order, and the
+        recorded next node id; a clipped record wraps it in a
+        :class:`ClippedRTree` whose store holds each node's clip run in
+        snapshot order (scores are not kept, the order is).  Directory
+        rectangles are rebuilt from the entry rows; leaf entries are the
+        snapshot's own objects, gathered in one :meth:`take_objects`
+        call.  A Hilbert tree's LHVs are recomputed exactly, where the
+        tree that was frozen may have kept looser upper bounds.
+        ``ColumnarIndex.from_tree(s.to_tree())`` equals ``s`` array for
+        array.
+        """
+        record = self.tree_record
+        if record is None:
+            raise ValueError(f"{self!r} has no tree record to thaw a tree from")
+        kwargs = {"max_entries": record.max_entries, "min_entries": record.min_entries}
+        if record.variant == "hilbert":
+            kwargs.update(space=record.hilbert_space, bits=record.hilbert_bits)
+        tree = rtree_class(record.variant)(self.dims, **kwargs)
+        objects = self.take_objects(np.arange(len(self.objects)))
+        first_leaf_row = len(self.entry_child) - len(objects)
+        node_ids = self.node_ids.tolist()
+        child_ids = [node_ids[slot] for slot in self.entry_child[:first_leaf_row].tolist()]
+        lows = self.entry_lows[:first_leaf_row].tolist()
+        highs = self.entry_highs[:first_leaf_row].tolist()
+        nodes = {}
+        for node_id, level, start, count in zip(
+            node_ids,
+            self.node_levels().tolist(),
+            self.entry_start.tolist(),
+            self.entry_count.tolist(),
+        ):
+            if level == 0:
+                first = start - first_leaf_row
+                entries = [Entry(obj.rect, obj) for obj in objects[first : first + count]]
+            else:
+                entries = [
+                    Entry(Rect(lows[row], highs[row]), child_ids[row])
+                    for row in range(start, start + count)
+                ]
+            nodes[node_id] = Node(node_id, level, entries)
+        tree._nodes = nodes
+        tree._adopt_structure(node_ids[self.ROOT_SLOT], len(objects))
+        tree._next_id = record.next_id
+        if isinstance(tree, HilbertRTree) and tree._mapper is not None and objects:
+            tree._refresh_lhv_subtree(tree.root)
+        if record.clipping is None:
+            return tree
+        clipped = ClippedRTree(tree, record.clipping)
+        coords = self.clip_coords.tolist()
+        masks = (self.clip_is_high << np.arange(self.dims)).sum(axis=1).tolist()
+        for node_id, start, count in zip(
+            node_ids, self.node_clip_start.tolist(), self.node_clip_count.tolist()
+        ):
+            if count:
+                clipped.store.put(
+                    node_id, [ClipPoint(coords[i], masks[i]) for i in range(start, start + count)]
+                )
+        return clipped
 
     @staticmethod
     def _version_of(index: Union[RTreeBase, ClippedRTree, None]) -> object:

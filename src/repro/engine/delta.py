@@ -10,7 +10,9 @@ copied from the generation it replaces (:meth:`SnapshotManager.compact`
 lists the steps) — and atomically swaps it in:
 the naive → amortized ladder of the treebuffers line of work, applied to
 clipped R-trees.  There is one write path; what a freeze per write costs
-is measured by running it with ``compact_every=1``.
+is measured by running it with ``compact_every=1``.  There is one
+compaction path too: a manager with no tree to fold into thaws one
+(:meth:`~repro.engine.columnar.ColumnarIndex.to_tree`).
 
 Layering, from the reader's point of view:
 
@@ -51,7 +53,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.engine.builder import build_columnar_str
 from repro.engine.columnar import ColumnarIndex
 from repro.engine.incremental_clip import dirty_node_ids, reclip_nodes_for_results
 from repro.engine.kernels import stack_rows
@@ -213,18 +214,16 @@ class SnapshotManager:
     Sources may be a :class:`~repro.rtree.clipped.ClippedRTree`, a plain
     :class:`~repro.rtree.base.RTreeBase`, or a
     :class:`~repro.engine.columnar.ColumnarIndex` (a tree-backed snapshot
-    unwraps to its source).  What the manager was given decides how a
-    generation is made; no option does:
-
-    * *a tree* — the batch is folded into it (buffered deletes, then
-      inserts, with no per-update re-clipping), the nodes that dirtied
-      are re-clipped once (§IV-D) and read into the next freeze, which
-      copies every other node from the generation it replaces;
-    * *no tree* — a snapshot that was loaded from disk (a server started
-      on a snapshot directory) or STR-packed straight into arrays has
-      nothing to fold into, so the live objects are STR-packed afresh
-      (:func:`repro.engine.builder.build_columnar_str`) at the fan-out
-      the snapshot came with.
+    unwraps to its source).  Every generation is made one way: the batch
+    is folded into the tree (buffered deletes, then inserts, with no
+    per-update re-clipping), the nodes that dirtied are re-clipped once
+    (§IV-D) and read into the next freeze, which copies every other node
+    from the generation it replaces.  A manager with no tree — given a
+    snapshot loaded from disk (a server started on a snapshot directory)
+    or STR-packed straight into arrays — thaws one from the published
+    snapshot (:meth:`ColumnarIndex.to_tree
+    <repro.engine.columnar.ColumnarIndex.to_tree>`) at its first
+    compaction, clip points included, and folds into it from then on.
 
     Concurrency contract (what a compacting server relies on): writes
     and :meth:`compact` may race from different threads.  While a
@@ -260,11 +259,10 @@ class SnapshotManager:
         if compact_every is not None and compact_every < 1:
             raise ValueError("compact_every must be at least 1")
         snapshot = source if isinstance(source, ColumnarIndex) else ColumnarIndex.from_tree(source)
-        #: The tree generations are folded into; None for a source-free snapshot.
+        #: The tree generations are folded into; None until a compaction
+        #: thaws one from the published snapshot.
         self._source = snapshot.source
         self.compact_every = compact_every
-        #: Fan-out of the source-free rebuild: the widest node it was given.
-        self._rebuild_fanout = max(2, int(snapshot.entry_count.max()))
         self.epoch = 0
         self.total_compactions = 0
         self.total_reclipped_nodes = 0
@@ -272,9 +270,6 @@ class SnapshotManager:
         self.compaction_fault_hook = None
         self._write_lock = threading.Lock()
         self._compacting = False
-        #: True while the source tree holds writes no published snapshot
-        #: has: during a fold, and for good if one failed past that point.
-        self._source_ahead = False
         self._staged_inserts: List[SpatialObject] = []
         self._view: Tuple[ColumnarIndex, DeltaOverlay] = (snapshot, DeltaOverlay(snapshot))
 
@@ -357,16 +352,6 @@ class SnapshotManager:
         if self.compact_every is not None and self.overlay.ops >= self.compact_every:
             self.compact()
 
-    def _rebuild_source_free(self, objects: Sequence[SpatialObject]) -> ColumnarIndex:
-        if objects:
-            return build_columnar_str(objects, max_entries=self._rebuild_fanout)
-        # ``build_columnar_str`` needs at least one object; freeze an empty
-        # scalar tree and strip the source so the snapshot stays read-only.
-        empty = ColumnarIndex.from_tree(QuadraticRTree(self.snapshot.dims))
-        empty.source = None
-        empty.source_version = None
-        return empty
-
     # ------------------------------------------------------------------
     # compaction
     # ------------------------------------------------------------------
@@ -374,7 +359,10 @@ class SnapshotManager:
     def compact(self, pause: Optional[Callable[[], None]] = None) -> CompactionStats:
         """Fold the pending delta into the source and swap in a new freeze.
 
-        Tree-backed sources take four steps:
+        Four steps, after a thaw when the manager holds no tree
+        (:meth:`ColumnarIndex.to_tree
+        <repro.engine.columnar.ColumnarIndex.to_tree>` of the published
+        snapshot, which the buffered writes were made against):
 
         1. apply the buffered deletes, then inserts, to the source tree,
            *without* per-update re-clipping;
@@ -384,19 +372,18 @@ class SnapshotManager:
            (:func:`~repro.engine.incremental_clip.reclip_nodes_for_results`);
         4. freeze: :meth:`ColumnarIndex.from_tree` reads the dirty nodes
            from the tree and copies every other node from the generation
-           being replaced — when that generation was current as the fold
-           started; otherwise (its source was mutated from outside) it
-           reads every node.
+           being replaced — when that generation is a freeze of this
+           tree and was current as the fold started; otherwise (a thawed
+           tree, a source mutated from outside) it reads every node.
 
-        Source-free snapshots STR-rebuild from the live object set.  When
-        nothing is left to fold — nothing buffered, or writes that
+        When nothing is left to fold — nothing buffered, or writes that
         cancelled out in the overlay — it returns zeroed stats, publishes
         nothing and clears the pending count.
 
         ``pause``, when given, is called between *slices* of the fold: the
-        apply loop stops for it every ``_SLICE_SECONDS`` of work, the
-        re-clip after every chunk of dirty nodes, and the freeze plus the
-        swap are the last slice.  The hook decides what a pause is — a
+        thaw is one, the apply loop stops for it every ``_SLICE_SECONDS``
+        of work, the re-clip after every chunk of dirty nodes, and the
+        freeze plus the swap are the last slice.  The hook decides what a pause is — a
         server hands the execution lane to the waiting batches and blocks
         until its turn comes round — and the work done and its order do
         not depend on it: what is published is what ``compact()`` would
@@ -411,9 +398,10 @@ class SnapshotManager:
         If the rebuild crashes (e.g. ``compaction_fault_hook``), the
         published view is unchanged and still holds them.  A crash after
         the first write reached the source tree leaves that tree ahead of
-        the view; reads stay exact (they never touch it), but folding the
-        same delta into it again would apply writes twice, so every later
-        ``compact()`` raises ``RuntimeError`` instead.
+        the view, so the manager drops it: reads stay exact (they never
+        touch it), and the next ``compact()`` thaws a tree from the
+        published snapshot — the state before the failed fold — and folds
+        the same delta into it exactly once.
         """
         with self._write_lock:
             if self._compacting:
@@ -431,18 +419,11 @@ class SnapshotManager:
                 overlay.ops = 0
                 return CompactionStats()
             self._compacting = True
-            # The generation the fold starts from; a stale one (its source
-            # mutated behind the manager's back) cannot vouch for any node.
             base = overlay.base
-            previous = None if base.is_stale else base
         stats = CompactionStats()
         fresh: Optional[ColumnarIndex] = None
+        folding = False
         try:
-            if self._source_ahead:
-                raise RuntimeError(
-                    "a failed compaction left the source tree ahead of the "
-                    "published view; folding the delta again would apply it twice"
-                )
             start = time.perf_counter()
             hook = self.compaction_fault_hook
             if hook is not None:
@@ -452,26 +433,30 @@ class SnapshotManager:
                 hook()
             source = self._source
             if source is None:
-                fresh = self._rebuild_source_free(overlay.live_base_objects() + inserts)
-            else:
-                clipped = source if isinstance(source, ClippedRTree) else None
-                tree = clipped.tree if clipped is not None else source
-                results = []
-                self._source_ahead = True
-                slice_end = start + _SLICE_SECONDS
-                for apply, batch in ((tree.delete, deletes), (tree.insert, inserts)):
-                    for obj in batch:
-                        results.append(apply(obj))
-                        if pause is not None and time.perf_counter() >= slice_end:
-                            pause()
-                            slice_end = time.perf_counter() + _SLICE_SECONDS
+                source = self._source = base.to_tree()
                 if pause is not None:
                     pause()
-                dirty = dirty_node_ids(results, tree)
-                if clipped is not None:
-                    stats.reclipped_nodes = reclip_nodes_for_results(clipped, dirty, pause=pause)
-                fresh = ColumnarIndex.from_tree(source, previous=previous, dirty=dirty)
-                self._source_ahead = False
+            # The generation the fold starts from vouches for the nodes the
+            # fold leaves alone only if it is a freeze of this very tree,
+            # not mutated behind the manager's back since.
+            previous = base if base.source is source and not base.is_stale else None
+            clipped = source if isinstance(source, ClippedRTree) else None
+            tree = clipped.tree if clipped is not None else source
+            results = []
+            folding = True
+            slice_end = time.perf_counter() + _SLICE_SECONDS
+            for apply, batch in ((tree.delete, deletes), (tree.insert, inserts)):
+                for obj in batch:
+                    results.append(apply(obj))
+                    if pause is not None and time.perf_counter() >= slice_end:
+                        pause()
+                        slice_end = time.perf_counter() + _SLICE_SECONDS
+            if pause is not None:
+                pause()
+            dirty = dirty_node_ids(results, tree)
+            if clipped is not None:
+                stats.reclipped_nodes = reclip_nodes_for_results(clipped, dirty, pause=pause)
+            fresh = ColumnarIndex.from_tree(source, previous=previous, dirty=dirty)
             stats.applied_inserts = len(inserts)
             stats.applied_deletes = len(deletes)
             stats.seconds = time.perf_counter() - start
@@ -485,6 +470,10 @@ class SnapshotManager:
                     # The folded overlay held them; its replacement must.
                     for obj in staged:
                         self._view[1].insert(obj)
+                elif folding:
+                    # The tree holds part of a fold no snapshot was published
+                    # from; the next compaction thaws the published one.
+                    self._source = None
                 self._compacting = False
         return stats
 

@@ -2,7 +2,8 @@
 
 :func:`save_snapshot` writes the canonical snapshot arrays as individual
 ``.npy`` files next to a JSON manifest recording the format version,
-dimensionality, per-array dtypes/shapes, and a content fingerprint.
+dimensionality, per-array dtypes/shapes, the tree record and a content
+fingerprint.
 :func:`load_snapshot` reads the directory back; with ``mmap=True`` (the
 default) every array is an ``mmap_mode="r"`` view of its file, so loading
 a multi-hundred-megabyte index costs milliseconds, touches no heap, and
@@ -10,7 +11,7 @@ any number of processes opening the same directory share one page-cache
 copy of the data — the transport underneath
 :class:`~repro.engine.parallel.ParallelExecutor`'s worker pool.
 
-**What is stored (format version 3): every fact once.**  Twelve arrays —
+**What is stored (format version 4): every fact once.**  Twelve arrays —
 the eleven canonical ``ColumnarIndex`` arrays (node flags and entry
 slices, entry rectangles and children, clip points and the per-node clip
 slices) plus ``object_oids``.  Not stored, because the directory already
@@ -28,6 +29,17 @@ says it:
   costs about what deriving the bounds and levels of 30 000 objects does,
   and only the STT join reads them.
 
+The manifest also records what the arrays cannot say about the tree they
+were frozen from — its :class:`~repro.engine.columnar.TreeRecord`:
+variant, node capacity and minimum fill, next node id, clipping
+parameters and, for a Hilbert R-tree, the curve's bits and reference
+space.  :meth:`ColumnarIndex.to_tree
+<repro.engine.columnar.ColumnarIndex.to_tree>` thaws that tree from a
+loaded snapshot, which is how a
+:class:`~repro.engine.delta.SnapshotManager` over one compacts.
+:func:`read_manifest` checks every field of the record; the next node id
+is checked against the node ids at load.
+
 A loaded snapshot is *differentially identical* to the in-RAM original:
 ``range_query_batch``/``knn_batch``/``inlj_batch``/``stt_batch`` return
 the same results with the same ``IOStats`` (``tests/test_snapshot_io.py``
@@ -35,13 +47,14 @@ pins this per variant × dims).  Two deliberate deviations from a
 round-tripped Python object:
 
 * ``source`` is ``None`` — a loaded snapshot has no tree to re-freeze,
-  so it is never stale (like ``build_columnar_str`` output);
+  so it is never stale (like ``build_columnar_str`` output); its tree
+  record says how to thaw one;
 * object payloads are dropped — only ``(oid, rect)`` is persisted, and
   :class:`SpatialObject` equality is defined on exactly that pair.
   Objects are materialised lazily on first access, so a worker that
   only counts hits never builds a single Python object.
 
-Durability (format version 3): a save is *crash-atomic at every byte*.
+Durability: a save is *crash-atomic at every byte*.
 Array files land in a content-addressed generation directory
 (``g<fingerprint[:12]>/``) so an in-flight save never touches the bytes
 a committed manifest points at; every array file, the manifest, and the
@@ -51,12 +64,13 @@ the write sequence leaves the directory loading either the old snapshot
 or the new one, never garbage (``tests/test_snapshot_durability.py``
 kills a simulated save at every byte offset to prove it).  Superseded
 generations are garbage-collected strictly *after* the commit.  Older
-formats are refused with :class:`SnapshotFormatError`; there is no
-second reader.
+formats — format 3 too, which had the same arrays but no tree record —
+are refused with :class:`SnapshotFormatError`; there is no second reader.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -67,12 +81,14 @@ from typing import Callable, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
-from repro.engine.columnar import ColumnarIndex
+from repro.cbb.clipping import VALID_METHODS, ClippingConfig
+from repro.engine.columnar import ColumnarIndex, TreeRecord
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
+from repro.rtree.registry import VARIANT_NAMES
 
 #: On-disk format version; bump on any incompatible layout change.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Manifest file name inside a snapshot directory.
 MANIFEST_NAME = "manifest.json"
@@ -221,10 +237,10 @@ def save_snapshot(index: ColumnarIndex, directory: Union[str, Path]) -> Path:
 
     Every array lands in its own ``.npy`` file inside a content-addressed
     generation subdirectory; ``manifest.json`` records the format
-    version, dims, per-array dtype/shape, the generation (``data_dir``),
-    and a content fingerprint.  Object rectangles are not written a
-    second time: they are the leaf rows of ``entry_lows`` /
-    ``entry_highs``, and an index laid out otherwise
+    version, dims, per-array dtype/shape, the tree record, the
+    generation (``data_dir``), and a content fingerprint.  Object
+    rectangles are not written a second time: they are the leaf rows of
+    ``entry_lows`` / ``entry_highs``, and an index laid out otherwise
     (:func:`_leaf_rows_fault`) raises ``ValueError`` here rather than
     :class:`SnapshotFormatError` at every later load.
 
@@ -235,12 +251,16 @@ def save_snapshot(index: ColumnarIndex, directory: Union[str, Path]) -> Path:
     fsynced so the rename itself is durable.  A kill at any byte offset
     of this sequence leaves the directory loading the previous snapshot;
     after the rename it loads the new one.  Old generations are removed
-    only after the commit.  Re-saving a snapshot whose fingerprint
-    already matches the committed manifest is a no-op (the bytes on disk
-    are already the requested state).  Returns the directory path.
+    only after the commit.  Re-saving a snapshot whose fingerprint and
+    tree record already match the committed manifest is a no-op (the
+    bytes on disk are already the requested state).  A snapshot without
+    a tree record (one assembled by hand) raises ``ValueError``.
+    Returns the directory path.
     """
     object_oids = np.ascontiguousarray(index.object_oids(), dtype=np.int64)
     fault = _leaf_rows_fault(index, len(object_oids))
+    if fault is None and index.tree_record is None:
+        fault = "it has no tree record"
     if fault is not None:
         raise ValueError(f"cannot save {index!r}: {fault}")
 
@@ -263,6 +283,7 @@ def save_snapshot(index: ColumnarIndex, directory: Union[str, Path]) -> Path:
     if (
         committed.get("fingerprint") == fingerprint
         and committed.get("data_dir") == generation
+        and committed.get("tree") == index.tree_record
         and all((directory / generation / f"{name}.npy").is_file() for name in arrays)
     ):
         return directory
@@ -282,10 +303,7 @@ def save_snapshot(index: ColumnarIndex, directory: Union[str, Path]) -> Path:
             name: {"dtype": str(array.dtype), "shape": list(array.shape)}
             for name, array in arrays.items()
         },
-        "source": {
-            "type": type(index.source).__name__ if index.source is not None else None,
-            "version": index.source_version,
-        },
+        "tree": _tree_json(index.tree_record),
         "data_dir": generation,
         "fingerprint": fingerprint,
     }
@@ -304,13 +322,100 @@ def save_snapshot(index: ColumnarIndex, directory: Union[str, Path]) -> Path:
     return directory
 
 
+def _tree_json(record: TreeRecord) -> dict:
+    """``record`` as the manifest's ``tree`` object: its fields by name."""
+    fields = dataclasses.asdict(record)
+    space = record.hilbert_space
+    fields["hilbert_space"] = None if space is None else [list(space.low), list(space.high)]
+    return fields
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _parse_tree(
+    spec, dims: int, malformed: Callable[[str], SnapshotFormatError]
+) -> TreeRecord:
+    """The manifest's ``tree`` object as a :class:`TreeRecord`, every field checked."""
+
+    def field(block, where: str, name: str, ok: Callable[[object], bool], what: str):
+        if not isinstance(block, dict):
+            raise malformed(f"records {where} as {block!r}, not an object")
+        value = block.get(name)
+        if not ok(value):
+            raise malformed(f"records {where}.{name} {value!r}, not {what}")
+        return value
+
+    def at_least(least: int) -> Callable[[object], bool]:
+        return lambda value: _is_int(value) and value >= least
+
+    def bounds(value) -> bool:
+        return (
+            isinstance(value, list)
+            and len(value) == 2
+            and all(
+                isinstance(bound, list) and len(bound) == dims and all(map(_is_number, bound))
+                for bound in value
+            )
+        )
+
+    variant = field(spec, "tree", "variant", VARIANT_NAMES.__contains__, f"one of {VARIANT_NAMES}")
+    max_entries = field(spec, "tree", "max_entries", at_least(2), "an integer of at least 2")
+    half = max_entries // 2
+    min_entries = field(
+        spec, "tree", "min_entries",
+        lambda value: at_least(1)(value) and value <= half, f"an integer in [1, {half}]",
+    )
+    next_id = field(spec, "tree", "next_id", at_least(1), "a positive integer")
+    clipping = spec.get("clipping")
+    if clipping is not None:
+        clipping = ClippingConfig(
+            method=field(
+                clipping, "tree.clipping", "method",
+                VALID_METHODS.__contains__, f"one of {VALID_METHODS}",
+            ),
+            k=field(
+                clipping, "tree.clipping", "k",
+                lambda value: value is None or at_least(0)(value),
+                "null or an integer of at least 0",
+            ),
+            tau=float(field(
+                clipping, "tree.clipping", "tau",
+                lambda value: _is_number(value) and 0.0 <= value < 1.0, "a number in [0, 1)",
+            )),
+        )
+    is_hilbert = variant == "hilbert"
+    bits = field(
+        spec, "tree", "hilbert_bits",
+        lambda value: at_least(1)(value) if is_hilbert else value is None,
+        "a positive integer" if is_hilbert else f"null for a {variant} tree",
+    )
+    space = field(
+        spec, "tree", "hilbert_space",
+        lambda value: value is None or (is_hilbert and bounds(value)),
+        f"null or two lists of {dims} numbers" if is_hilbert else f"null for a {variant} tree",
+    )
+    if space is not None:
+        try:
+            space = Rect(*space)
+        except ValueError as exc:
+            raise malformed(f"records tree.hilbert_space {space!r}: {exc}")
+    return TreeRecord(variant, max_entries, min_entries, next_id, clipping, bits, space)
+
+
 def read_manifest(directory: Union[str, Path]) -> dict:
     """Parse and check a snapshot directory's manifest.
 
     The one place manifest content is trusted from: everything
     :func:`load_snapshot` later indexes, converts or joins onto a path is
     type- and range-checked here, and every failure is a
-    :class:`SnapshotFormatError`.
+    :class:`SnapshotFormatError`.  The ``tree`` object comes back as the
+    :class:`~repro.engine.columnar.TreeRecord` it describes.
     """
     path = Path(directory) / MANIFEST_NAME
 
@@ -331,7 +436,7 @@ def read_manifest(directory: Union[str, Path]) -> dict:
             f"snapshot format version {version!r} at {directory} is not supported "
             f"(this build reads version {FORMAT_VERSION})"
         )
-    for key in ("dims", "arrays", "data_dir"):
+    for key in ("dims", "arrays", "data_dir", "tree"):
         if key not in manifest:
             raise malformed(f"lacks {key!r}")
     specs = manifest["arrays"]
@@ -354,6 +459,7 @@ def read_manifest(directory: Union[str, Path]) -> dict:
     data_dir = manifest["data_dir"]
     if not isinstance(data_dir, str) or not _GENERATION_RE.match(data_dir):
         raise malformed(f"names data_dir {data_dir!r}, not a generation of this directory")
+    manifest["tree"] = _parse_tree(manifest["tree"], dims, malformed)
     return manifest
 
 
@@ -404,8 +510,10 @@ def load_snapshot(directory: Union[str, Path], mmap: bool = True) -> ColumnarInd
 
     Raises :class:`SnapshotFormatError` on a missing/corrupt manifest, a
     format-version mismatch, any array whose dtype/shape disagrees with
-    the manifest, or arrays whose leaf rows are not the objects'
-    (:func:`_leaf_rows_fault`).
+    the manifest, arrays whose leaf rows are not the objects'
+    (:func:`_leaf_rows_fault`), or a tree record the arrays contradict: a
+    next node id not above every node id, clip points without a clip
+    method.
     """
     directory = Path(directory)
     hook = _LOAD_FAULT_HOOK
@@ -420,6 +528,7 @@ def load_snapshot(directory: Union[str, Path], mmap: bool = True) -> ColumnarInd
     oids = arrays.pop("object_oids")
     # The objects' rectangles are the trailing rows of the entry columns.
     first = len(arrays["entry_lows"]) - len(oids)
+    record = manifest["tree"]
     snapshot = ColumnarIndex(
         source=None,
         dims=manifest["dims"],
@@ -427,9 +536,15 @@ def load_snapshot(directory: Union[str, Path], mmap: bool = True) -> ColumnarInd
             oids, arrays["entry_lows"][first:], arrays["entry_highs"][first:]
         ),
         source_version=None,
+        tree_record=record,
         **arrays,
     )
     fault = _leaf_rows_fault(snapshot, len(oids))
+    largest_id = int(snapshot.node_ids.max(initial=-1))
+    if fault is None and record.next_id <= largest_id:
+        fault = f"its next node id {record.next_id} is not above node id {largest_id}"
+    if fault is None and record.clipping is None and snapshot.has_clips:
+        fault = "it holds clip points but records no clip method"
     if fault is not None:
         raise SnapshotFormatError(f"snapshot at {directory} is inconsistent: {fault}")
     return snapshot

@@ -116,10 +116,11 @@ class TestSnapshotCli:
 
     def test_round_trip(self, saved, capsys):
         directory, printed = saved
-        assert "2000 objects" in printed and "12 arrays (format v3)" in printed
+        assert "2000 objects" in printed and "12 arrays (format v4)" in printed
         assert main(["snapshot", "load", str(directory), "--queries", "20"]) == 0
         output = capsys.readouterr().out
-        assert "2000 objects" in output and "format v3" in output
+        assert "2000 objects" in output and "format v4" in output
+        assert "tree: rstar, fan-out 24, stairline clip" in output
         assert "20 sanity queries" in output
 
     @pytest.mark.parametrize("damage", ["list manifest", "deleted array"])

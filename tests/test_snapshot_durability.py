@@ -234,6 +234,18 @@ def test_format_version_2_directory_is_rejected(tmp_path):
             reader(tmp_path)
 
 
+def test_format_version_3_directory_is_rejected(tmp_path):
+    """Format 3 had today's twelve arrays but no tree record to thaw from."""
+    save_snapshot(_tiny_snapshot(seed=1), tmp_path)
+    manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+    del manifest["tree"]
+    manifest.update(format_version=3, source={"type": "RStarTree", "version": 60})
+    (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+    for reader in (read_manifest, load_snapshot):
+        with pytest.raises(SnapshotFormatError, match="format version 3"):
+            reader(tmp_path)
+
+
 def test_save_over_a_format_2_directory_commits_format_3(tmp_path, monkeypatch):
     old_generation = _write_format_2(_tiny_snapshot(seed=1), tmp_path)
     new = _tiny_snapshot(seed=2, count=12)

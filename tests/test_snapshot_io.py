@@ -156,22 +156,23 @@ def test_loaded_snapshot_has_derived_caches(tmp_path):
     assert _directory_bytes(tmp_path / "snap") == before
 
 
-#: Format 3, spelled out here on purpose: a thirteenth file fails this list.
-FORMAT_3_FILES = {
+#: Format 4's files (format 3's, with the tree record in the manifest),
+#: spelled out here on purpose: a thirteenth file fails this list.
+FORMAT_4_FILES = {
     "is_leaf", "entry_start", "entry_count", "node_ids", "entry_lows",
     "entry_highs", "entry_child", "clip_coords", "clip_is_high",
     "node_clip_start", "node_clip_count", "object_oids",
 }
 
 
-def _assert_directory_is_format_3(directory):
+def _assert_directory_is_format_4(directory):
     manifest = read_manifest(directory)
-    assert manifest["format_version"] == FORMAT_VERSION == 3
-    assert set(manifest["arrays"]) == FORMAT_3_FILES
+    assert manifest["format_version"] == FORMAT_VERSION == 4
+    assert set(manifest["arrays"]) == FORMAT_4_FILES
     assert {path.name for path in directory.iterdir()} == {MANIFEST_NAME, manifest["data_dir"]}
     generation = directory / manifest["data_dir"]
     assert {path.name for path in generation.iterdir()} == {
-        f"{name}.npy" for name in FORMAT_3_FILES
+        f"{name}.npy" for name in FORMAT_4_FILES
     }
 
 
@@ -194,7 +195,7 @@ def _assert_objects_are_the_leaf_rows(reference, loaded):
 def test_directory_holds_each_fact_once(tmp_path, variant, dims, clip):
     _, reference = _frozen(dims=dims, clip=clip, variant=variant)
     save_snapshot(reference, tmp_path)
-    _assert_directory_is_format_3(tmp_path)
+    _assert_directory_is_format_4(tmp_path)
     for mmap in (True, False):
         _assert_objects_are_the_leaf_rows(reference, load_snapshot(tmp_path, mmap=mmap))
 
@@ -214,7 +215,7 @@ def test_compacted_snapshot_saves_the_same_file_set(tmp_path, variant):
         published = manager.snapshot
         target = tmp_path / f"round{round_}"
         save_snapshot(published, target)
-        _assert_directory_is_format_3(target)
+        _assert_directory_is_format_4(target)
         _assert_objects_are_the_leaf_rows(published, load_snapshot(target))
     # ...and down to the empty tree.
     for obj in manager.live_objects():
@@ -222,7 +223,7 @@ def test_compacted_snapshot_saves_the_same_file_set(tmp_path, variant):
     manager.compact()
     assert len(manager.snapshot.objects) == 0
     save_snapshot(manager.snapshot, tmp_path / "empty")
-    _assert_directory_is_format_3(tmp_path / "empty")
+    _assert_directory_is_format_4(tmp_path / "empty")
     _assert_objects_are_the_leaf_rows(manager.snapshot, load_snapshot(tmp_path / "empty"))
 
 
@@ -373,10 +374,23 @@ def _elsewhere(manifest):
     return {**manifest, "data_dir": f"../other/{manifest['data_dir']}"}
 
 
-#: Hostile manifests: (what the file says, the edit).  Every row but the
-#: last raised an untyped error, or loaded, before the checks were gathered
-#: into ``read_manifest``; ``load_snapshot`` already refused the last one,
-#: which is the control.
+def _tree(**fields):
+    return lambda manifest: {**manifest, "tree": {**manifest["tree"], **fields}}
+
+
+def _clip(**fields):
+    return _tree(clipping={"method": "stairline", "k": None, "tau": 0.025, **fields})
+
+
+def _hilbert(**fields):
+    return _tree(**{"variant": "hilbert", "hilbert_bits": 16, "hilbert_space": None, **fields})
+
+
+#: Hostile manifests: (what the file says, the edit).  Every row of the
+#: first block raised an untyped error, or loaded, before the checks were
+#: gathered into ``read_manifest``; ``load_snapshot`` already refused the
+#: last row of that block, which is the control.  The second block has one
+#: row per field of the tree record (format 4).
 HOSTILE_MANIFESTS = [
     ("a list", lambda manifest: []),
     ("null", lambda manifest: None),
@@ -386,6 +400,20 @@ HOSTILE_MANIFESTS = [
     ("a data_dir outside the directory", _elsewhere),
     ("dims 3 over 2-d arrays", _set("dims", 3)),
     ("arrays as a list", _set("arrays", [])),
+    ("no tree", lambda m: {k: v for k, v in m.items() if k != "tree"}),
+    ("tree as a list", _set("tree", [])),
+    ("tree variant 'btree'", _tree(variant="btree")),
+    ("tree max_entries 1", _tree(max_entries=1)),
+    ("tree min_entries over half of max_entries", _tree(min_entries=5)),
+    ("tree next_id 0", _tree(next_id=0)),
+    ("tree clipping method 'hull'", _clip(method="hull")),
+    ("tree clipping k -1", _clip(k=-1)),
+    ("tree clipping tau 1.0", _clip(tau=1.0)),
+    ("tree hilbert_bits 0", _hilbert(hilbert_bits=0)),
+    ("tree hilbert_space with a NaN bound",
+     _hilbert(hilbert_space=[[0.0, float("nan")], [1.0, 1.0]])),
+    ("tree hilbert_space of 3 dims", _hilbert(hilbert_space=[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])),
+    ("hilbert_bits on an rstar tree", _tree(hilbert_bits=16)),
 ]
 
 
@@ -401,6 +429,41 @@ def test_hostile_manifest_raises_the_typed_error(tmp_path, edit):
     for mmap in (True, False):
         with pytest.raises(SnapshotFormatError):
             load_snapshot(tmp_path / "snap", mmap=mmap)
+
+
+def test_hilbert_space_may_be_unbounded(tmp_path):
+    objects, reference = _frozen(dims=2, count=60, variant="hilbert")
+    save_snapshot(reference, tmp_path)
+    inf = float("inf")
+    _rewrite_manifest(tmp_path, _hilbert(hilbert_space=[[-inf, 0.0], [inf, 1.0]]))
+    record = load_snapshot(tmp_path).tree_record
+    assert record.hilbert_space == Rect((-inf, 0.0), (inf, 1.0))
+
+
+def test_a_tree_record_the_arrays_contradict_is_refused_at_load(tmp_path):
+    _, reference = _frozen(dims=2, count=60, clip="stairline")
+    assert reference.has_clips
+    largest = int(reference.node_ids.max())
+    save_snapshot(reference, tmp_path)
+    _rewrite_manifest(tmp_path, _tree(next_id=largest))
+    read_manifest(tmp_path)  # a well-formed record: only the arrays refute it
+    with pytest.raises(SnapshotFormatError, match=f"next node id {largest} is not above"):
+        load_snapshot(tmp_path)
+    _rewrite_manifest(tmp_path, _tree(next_id=largest + 1, clipping=None))
+    with pytest.raises(SnapshotFormatError, match="clip points but records no clip method"):
+        load_snapshot(tmp_path)
+
+
+def test_resaving_the_same_arrays_under_another_record_rewrites_the_manifest(tmp_path):
+    objects = make_random_objects(60, dims=2, seed=0)
+    tree = build_rtree("rstar", objects, max_entries=8)
+    plain = ColumnarIndex.from_tree(tree)
+    unclipped = ColumnarIndex.from_tree(ClippedRTree(tree))  # a config, no clip point yet
+    assert plain.tree_record != unclipped.tree_record
+    save_snapshot(plain, tmp_path)
+    save_snapshot(unclipped, tmp_path)
+    assert read_manifest(tmp_path)["tree"] == unclipped.tree_record
+    assert load_snapshot(tmp_path).tree_record == unclipped.tree_record
 
 
 def _overwrite_array(directory, name, array):
@@ -432,7 +495,7 @@ def test_arrays_whose_leaf_rows_are_not_the_objects_are_refused(tmp_path):
     # The writer refuses the same two shapes, and leaves nothing behind.
     columns = {
         name: getattr(reference, name)
-        for name in FORMAT_3_FILES - {"object_oids"}
+        for name in FORMAT_4_FILES - {"object_oids"}
     }
     columns.update(source=None, dims=2, source_version=None)
     short = ColumnarIndex(**columns, objects=reference.objects[:-1])
