@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.engine.columnar import ColumnarIndex
 from repro.engine.incremental_clip import dirty_node_ids, reclip_nodes_for_results
-from repro.engine.kernels import stack_rows
+from repro.engine.kernels import stack_points
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.join import JoinResult, check_join_algorithm
@@ -516,7 +516,7 @@ class SnapshotManager:
         points = list(points)
         # Here, not in a layer: an empty base is skipped and the overlay's
         # scalar search does not check.
-        stack_rows(points, snapshot.dims, "points")
+        stack_points(points, snapshot.dims)
         base_hits = (
             snapshot.knn_batch(points, k, stats=stats, live=overlay.live)
             if len(snapshot.objects)

@@ -53,7 +53,7 @@ from repro.engine.kernels import (
     padded_intersect_mask,
     padded_min_dist_sq,
     stack_bounds,
-    stack_rows,
+    stack_points,
 )
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
@@ -239,7 +239,7 @@ def knn_batch(
         return []
     dead = 0 if live is None else len(live) - int(np.count_nonzero(live))
     counts, dists, objects = gather_knn_hits(
-        index, stack_rows(points, index.dims, "points"), k + dead, stats
+        index, stack_points(points, index.dims), k + dead, stats
     )
     if live is not None:
         keep = live[objects]

@@ -69,6 +69,21 @@ def stack_rows(
     return flat.reshape(len(rows), dims)
 
 
+def stack_points(points: Sequence[Sequence[float]], dims: int) -> np.ndarray:
+    """kNN query ``points`` as a :func:`stack_rows` array, or ``ValueError``.
+
+    A NaN coordinate has no distance order (every compare is False), so
+    it would fail the whole batch far from its cause; it is named here.
+    ±inf is a point at infinity and stays legal.
+    """
+    stacked = stack_rows(points, dims, "points")
+    bad = np.flatnonzero(np.isnan(stacked).any(axis=1))
+    if len(bad):
+        row = int(bad[0])
+        raise ValueError(f"NaN coordinate in kNN point {row}: {tuple(stacked[row].tolist())}")
+    return stacked
+
+
 def stack_bounds(
     rects: Sequence, dims: int, what: str = "queries"
 ) -> Tuple[np.ndarray, np.ndarray]:

@@ -56,8 +56,6 @@ def scenario_config(
     and breaker cooldown all run on the scenario's logical clock.
     """
     return ServeConfig(
-        batch_window=0.001,
-        degraded_batch_window=0.0002,
         max_batch=32,
         default_deadline=60.0,  # logical seconds — generous, never expires
         admission_rate=admission_rate,

@@ -70,6 +70,7 @@ class ServerMetrics:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {name: 0 for name in self.COUNTERS}
         self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
+        self._queue_waits: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._latency_total = 0
         self._elapsed: float = 0.0
 
@@ -91,10 +92,14 @@ class ServerMetrics:
                 return counters[name]
         raise AttributeError(name)
 
-    def observe_latency(self, seconds: float) -> None:
+    def observe_latency(self, seconds: float, queue_seconds: Optional[float] = None) -> None:
+        """One answered request: its latency and, if known, the part of it
+        spent before its batch took the execution lane."""
         with self._lock:
             self._latencies.append(float(seconds))
             self._latency_total += 1
+            if queue_seconds is not None:
+                self._queue_waits.append(float(queue_seconds))
 
     def set_elapsed(self, seconds: float) -> None:
         """Record the wall-clock span of the measured run (for QPS)."""
@@ -133,16 +138,21 @@ class ServerMetrics:
         """A plain-dict view: every counter plus the derived numbers.
 
         ``p50_ms``/``p99_ms`` describe the most recent
-        :data:`LATENCY_WINDOW` latency samples, the counters the whole run.
+        :data:`LATENCY_WINDOW` latency samples and ``queue_p50_ms`` their
+        wait for the execution lane, the counters the whole run.
         """
         with self._lock:
             out: Dict[str, object] = dict(self._counters)
             latencies = list(self._latencies)
+            queue_waits = list(self._queue_waits)
             elapsed = self._elapsed
-        p50 = percentile(latencies, 50.0)
-        p99 = percentile(latencies, 99.0)
-        out["p50_ms"] = None if p50 is None else p50 * 1000.0
-        out["p99_ms"] = None if p99 is None else p99 * 1000.0
+        for key, sample, q in (
+            ("p50_ms", latencies, 50.0),
+            ("p99_ms", latencies, 99.0),
+            ("queue_p50_ms", queue_waits, 50.0),
+        ):
+            p = percentile(sample, q)
+            out[key] = None if p is None else p * 1000.0
         out["qps"] = (
             None if elapsed <= 0.0 else out["completed"] / elapsed  # type: ignore[operator]
         )

@@ -3,7 +3,7 @@
 Concurrent range/kNN/join/write requests are admitted synchronously
 (token bucket — over-capacity requests get an explicit ``shed`` response
 instead of joining an unbounded queue), coalesced per kind into
-micro-batches inside a small time window, and answered by one function,
+micro-batches behind the execution lane, and answered by one function,
 :meth:`CoalescingServer._answer`, through whichever *backend* the
 server's state selects:
 
@@ -21,26 +21,32 @@ The robustness kernel wraps every batch execution:
 
 * **deadlines** — each request carries a :class:`~repro.serve.resilience.
   Deadline`; expired requests are answered ``deadline`` (never silently
-  served late), checked both before execution and before delivery;
+  served late), checked both once the batch holds the lane and before
+  delivery;
 * **retries** — transient faults (injected chaos, an I/O error, a raced
   compaction) are absorbed by :class:`~repro.serve.resilience.
   RetryPolicy` with exponential backoff and deterministic seeded jitter;
 * **circuit breaker** — consecutive failures trip it open, and open
-  batches are served degraded instead of failing hard: batch windows
-  shrink (``degraded_batch_window``), queries go to the frozen base,
-  writes keep landing in the overlay, compaction is refused.
+  batches are served degraded instead of failing hard: queries go to the
+  frozen base, writes keep landing in the overlay, compaction is refused.
 
 One execution lane: every batch execution — normal or degraded — and
 every slice of the background compaction takes the same ``asyncio.Lock``
 (``_execute_gate``), so at any moment one thread at most is doing engine
-work.  The compaction is cut into slices by the manager's ``pause`` hook
-and gives the lane up between them (:meth:`CoalescingServer.
-_run_compaction`); the lock wakes its waiters first-in first-out, so no
-request waits on more than one slice plus one round of the other queues'
-batches.  A compaction thread running *beside* the batches would hold the
-interpreter for a whole switch interval each time a batch's NumPy call
-gave it up.  A ``delete`` or ``compact`` request that meets the
-compaction lets it finish within its own turn, then applies.
+work.  The lane is also the only clock batches form by: a queue's
+batcher takes its first request and queues for the lane; once it holds
+the lane it takes whatever else of its kind is already waiting, up to
+``max_batch``.  A request that finds the lane idle runs at once, and
+every request that arrived while the lane was busy shares the next turn
+— none waits out an idle window.  The compaction is cut into slices by
+the manager's ``pause`` hook and gives the lane up between them
+(:meth:`CoalescingServer._run_compaction`); the lock wakes its waiters
+first-in first-out, so no request waits on more than one slice plus one
+round of the other queues' batches.  A compaction thread running
+*beside* the batches would hold the interpreter for a whole switch
+interval each time a batch's NumPy call gave it up.  A ``delete`` or
+``compact`` request that meets the compaction lets it finish within its
+own turn, then applies.
 
 Determinism: admission is decided *synchronously at submit time* in
 issue order, so with a :class:`~repro.serve.resilience.LogicalClock`
@@ -84,6 +90,22 @@ KINDS = ("range", "knn", "join", "insert", "delete", "compact")
 QUERY_KINDS = ("range", "knn", "join")
 
 
+def _knn_payload(payload) -> Tuple[Tuple[float, ...], int]:
+    """A kNN request's ``(point, k)`` with the point as a tuple, or ``ValueError``."""
+    try:
+        point, k = payload
+        point = tuple(point)
+    except (TypeError, ValueError):
+        raise ValueError(f"a kNN request's payload is a (point, k) pair, got {payload!r}") from None
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"a kNN request needs an integer k >= 1, got {k!r}")
+    if not all(isinstance(c, numbers.Real) for c in point):
+        raise ValueError(f"a kNN point is a sequence of real numbers, got {point!r}")
+    if any(c != c for c in point):
+        raise ValueError(f"NaN coordinate in kNN point {point}")
+    return point, k
+
+
 @dataclass
 class Request:
     """One client request.
@@ -92,11 +114,14 @@ class Request:
     ``knn`` → ``(point, k)``; ``join`` → a dict with ``algorithm`` plus
     ``probes`` (INLJ) or ``other`` (STT); ``insert``/``delete`` → a
     :class:`~repro.geometry.objects.SpatialObject`; ``compact`` → None.
-    An unknown kind, a kNN ``k`` that is not an integer ≥ 1, an unknown
-    join algorithm, or a join missing the input its algorithm needs is a
-    ``ValueError`` here, at construction, never a queued request.
-    ``deadline_s`` overrides the server's default deadline (None → use
-    the default; ``float("inf")`` effectively disables it).
+    An unknown kind, a kNN payload that is not a ``(point, k)`` pair, a
+    kNN point that is not a sequence of real numbers or has a NaN
+    coordinate (±inf is fine), a ``k`` that is not an integer ≥ 1, an
+    unknown join algorithm, a join missing the input its algorithm needs,
+    or a NaN ``deadline_s`` is a ``ValueError`` here, at construction,
+    never a queued request.  ``deadline_s`` overrides the server's default
+    deadline (None → use the default; ``float("inf")`` effectively
+    disables it).
     """
 
     kind: str
@@ -106,10 +131,11 @@ class Request:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown request kind {self.kind!r}; known: {KINDS}")
+        deadline = self.deadline_s
+        if deadline is not None and not (isinstance(deadline, numbers.Real) and deadline == deadline):
+            raise ValueError(f"deadline_s is a number of seconds or None, got {deadline!r}")
         if self.kind == "knn":
-            _, k = self.payload
-            if not isinstance(k, numbers.Integral) or k < 1:
-                raise ValueError(f"a kNN request needs an integer k >= 1, got {k!r}")
+            self.payload = _knn_payload(self.payload)
         if self.kind == "join":
             if not isinstance(self.payload, dict):
                 raise ValueError("a join request's payload is a dict; see Request.join")
@@ -126,7 +152,7 @@ class Request:
 
     @classmethod
     def knn(cls, point, k: int, deadline_s: Optional[float] = None) -> "Request":
-        return cls("knn", (tuple(point), k), deadline_s)
+        return cls("knn", (point, k), deadline_s)
 
     @classmethod
     def join(
@@ -162,6 +188,9 @@ class Response:
     ``stale=True`` marks an answer served from the frozen base under the
     breaker's serve-stale policy when pending writes may be missing from
     it; ``degraded`` marks any answer produced on the degraded path.
+    ``queue_s`` is the wall time from submission until the request's
+    batch took the execution lane (None if it never did), so
+    ``latency_s - queue_s`` is the time its turn took.
     """
 
     status: str  # "ok" | "shed" | "deadline" | "error"
@@ -172,6 +201,7 @@ class Response:
     error: Optional[str] = None
     latency_s: Optional[float] = None
     epoch: Optional[int] = None
+    queue_s: Optional[float] = None
 
     @property
     def ok(self) -> bool:
@@ -180,10 +210,16 @@ class Response:
 
 @dataclass
 class ServeConfig:
-    """Tunables for :class:`CoalescingServer` (defaults favour tests)."""
+    """Tunables for :class:`CoalescingServer` (defaults favour tests).
 
-    batch_window: float = 0.002  # seconds to linger collecting a batch
-    degraded_batch_window: float = 0.0005  # shrunk window while the breaker is open
+    No batching window: a batch is whatever of its kind waits when it
+    takes the execution lane, at most ``max_batch``.  A value that would
+    silently misbehave (see ``_CONFIG_RULES``) is a ``ValueError``.
+    """
+
+    # No effect: batches form behind the lane.  perf/workloads.py still
+    # passes it; it goes once ROADMAP item 1 drops it there.
+    batch_window: float = 0.0
     max_batch: int = 64
     default_deadline: float = 5.0
     admission_rate: Optional[float] = None  # requests/second; None = admit all
@@ -204,18 +240,37 @@ class ServeConfig:
                 "the server builds no worker pool; for batches large enough to "
                 "win, construct a repro.engine.ParallelExecutor and query it directly"
             )
+        for name, rule, holds in _CONFIG_RULES:  # NaN fails every rule
+            value = getattr(self, name)
+            if not holds(value):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+#: ``(field, rule, check)`` per checked :class:`ServeConfig` field.
+_CONFIG_RULES = (
+    ("max_batch", "an integer >= 1", lambda v: isinstance(v, numbers.Integral) and v >= 1),
+    ("default_deadline", "> 0 seconds (inf allowed)", lambda v: v > 0),
+    ("retry_base_delay", ">= 0 seconds", lambda v: v >= 0),
+    ("retry_max_delay", ">= 0 seconds", lambda v: v >= 0),
+    ("retry_jitter", "within [0, 1]", lambda v: 0 <= v <= 1),
+    ("breaker_cooldown", ">= 0 seconds", lambda v: v >= 0),
+    ("compact_threshold", ">= 1 or None", lambda v: v is None or v >= 1),
+    ("batch_window", "finite and >= 0", lambda v: 0 <= v < float("inf")),
+)
 
 
 class _Pending:
     """An admitted request waiting for (or undergoing) execution."""
 
-    __slots__ = ("request", "future", "deadline", "issued_wall", "outcome")
+    __slots__ = ("request", "future", "deadline", "issued_wall", "lane_wall", "outcome")
 
     def __init__(self, request: Request, future, deadline: Deadline, issued_wall: float):
         self.request = request
         self.future = future
         self.deadline = deadline
         self.issued_wall = issued_wall
+        #: When its batch took the execution lane (``time.perf_counter``).
+        self.lane_wall: Optional[float] = None
         #: ``(status, value, stale)`` once a join or write has been answered:
         #: a retried turn runs the items still without one, no write twice.
         self.outcome: Optional[Tuple[str, Any, bool]] = None
@@ -223,8 +278,8 @@ class _Pending:
 
 _STOP = object()
 
-#: queue routing: range and kNN coalesce inside a window; joins and writes
-#: share one queue that takes whatever is already waiting into one turn.
+#: queue routing: range and kNN batch per kind; joins and writes share one
+#: queue whose turns answer item by item.
 _QUEUE_FOR_KIND = {
     "range": "range",
     "knn": "knn",
@@ -338,10 +393,8 @@ class CoalescingServer:
             self.manager.compaction_fault_hook = None
         # Anything still queued gets an explicit error, never silence.
         for queue in self._queues.values():
-            while not queue.empty():
-                item = queue.get_nowait()
-                if item is not _STOP:
-                    self._resolve(item, Response(status="error", error="server stopped"))
+            left = [queue.get_nowait() for _ in range(queue.qsize())]
+            self._fail([item for item in left if item is not _STOP], "server stopped")
 
     async def __aenter__(self) -> "CoalescingServer":
         return await self.start()
@@ -381,17 +434,8 @@ class CoalescingServer:
             self.metrics.incr("errors")
             future.set_result(Response(status="error", error=mismatch))
             return future
-        seconds = (
-            request.deadline_s
-            if request.deadline_s is not None
-            else self.config.default_deadline
-        )
-        item = _Pending(
-            request,
-            future,
-            Deadline(seconds, self.clock),
-            issued_wall=time.perf_counter(),
-        )
+        seconds = self.config.default_deadline if request.deadline_s is None else request.deadline_s
+        item = _Pending(request, future, Deadline(seconds, self.clock), time.perf_counter())
         self._queues[_QUEUE_FOR_KIND[request.kind]].put_nowait(item)
         return future
 
@@ -437,85 +481,56 @@ class CoalescingServer:
     # ------------------------------------------------------------------
 
     async def _batcher(self, name: str) -> None:
+        """Take a request, queue for the lane, then batch what waits behind it.
+
+        Whatever of this kind arrived while the lane was busy — up to
+        ``max_batch`` — shares the turn; nothing waits for more to come.
+        A request cancelled or expired while it queued is never executed.
+        """
         queue = self._queues[name]
-        coalesce = name in ("range", "knn")
-        stopping = False
-        while not stopping:
+        while True:
             item = await queue.get()
             if item is _STOP:
                 return
-            batch = [item]
-            if coalesce:
-                window = (
-                    self.config.batch_window
-                    if self.breaker.allow()
-                    else self.config.degraded_batch_window
-                )
-                while len(batch) < self.config.max_batch:
-                    try:
-                        nxt = await asyncio.wait_for(queue.get(), timeout=window)
-                    except asyncio.TimeoutError:
-                        break
-                    if nxt is _STOP:
-                        stopping = True
-                        break
-                    batch.append(nxt)
-            else:
-                # Whatever is waiting already shares this turn: served one
-                # item a turn, a write queues behind a compaction slice and
-                # a round of read batches per item ahead of it.
-                while len(batch) < self.config.max_batch and not queue.empty():
-                    nxt = queue.get_nowait()
-                    if nxt is _STOP:
-                        stopping = True
-                        break
-                    batch.append(nxt)
-            try:
-                await self._dispatch(name, batch)
-            except Exception as exc:  # pragma: no cover - defensive backstop
-                for pending in batch:
-                    self._resolve(
-                        pending, Response(status="error", error=f"dispatch failed: {exc!r}")
-                    )
-
-    async def _dispatch(self, kind: str, batch: List[_Pending]) -> None:
-        self.metrics.incr("batches")
-        if len(batch) > 1:
-            self.metrics.incr("coalesced", len(batch) - 1)
-
-        # Injected latency spike: stall the whole batch (slow-request chaos).
-        plan = self.fault_plan
-        if plan is not None:
-            spec = plan.fires(REQUEST_LATENCY)
+            # Injected latency spike: the batch stalls before it queues.
+            plan = self.fault_plan
+            spec = plan.fires(REQUEST_LATENCY) if plan is not None else None
             if spec is not None and spec.delay > 0:
                 await asyncio.sleep(spec.delay)
+            assert self._execute_gate is not None
+            async with self._execute_gate:
+                batch = [item]
+                while len(batch) < self.config.max_batch and not queue.empty():
+                    batch.append(queue.get_nowait())
+                # Nothing is queued after _STOP: it can only come last.
+                stopping = batch[-1] is _STOP
+                if stopping:
+                    batch.pop()
+                self.metrics.incr("batches")
+                self.metrics.incr("coalesced", len(batch) - 1)
+                now = time.perf_counter()
+                live: List[_Pending] = []
+                for item in batch:
+                    item.lane_wall = now
+                    if item.future.cancelled():
+                        continue
+                    if item.deadline.expired():
+                        self.metrics.incr("deadline_exceeded")
+                        self._fail([item], "deadline exceeded before execution", "deadline")
+                    else:
+                        live.append(item)
+                if live:
+                    try:
+                        await self._dispatch(name, live)
+                    except Exception as exc:  # pragma: no cover - defensive backstop
+                        self._fail(live, f"dispatch failed: {exc!r}")
+            if stopping:
+                return
 
-        live: List[_Pending] = []
-        for item in batch:
-            if item.future.cancelled():
-                continue
-            if item.deadline.expired():
-                self.metrics.incr("deadline_exceeded")
-                self._resolve(
-                    item,
-                    Response(
-                        status="deadline", error="deadline exceeded before execution"
-                    ),
-                )
-            else:
-                live.append(item)
-        if not live:
-            return
-
-        assert self._execute_gate is not None
-        async with self._execute_gate:
-            if kind == "other" and any(
-                item.request.kind in ("delete", "compact") for item in live
-            ):
-                await self._finish_compaction()
-            await self._dispatch_locked(kind, live)
-
-    async def _dispatch_locked(self, kind: str, live: List[_Pending]) -> None:
+    async def _dispatch(self, kind: str, live: List[_Pending]) -> None:
+        """One turn: retries, the breaker, the degraded path; holds the lane."""
+        if kind == "other" and any(item.request.kind in ("delete", "compact") for item in live):
+            await self._finish_compaction()
         attempts = 0
         delays = self.retry.delays()
         degraded_reason: Optional[str] = None
@@ -537,11 +552,7 @@ class CoalescingServer:
             except Exception as exc:
                 self.breaker.record_failure()
                 self.metrics.incr("errors", len(live))
-                for item in live:
-                    self._resolve(
-                        item,
-                        Response(status="error", error=repr(exc), retries=attempts),
-                    )
+                self._fail(live, repr(exc), retries=attempts)
                 return
             else:
                 self.breaker.record_success()
@@ -554,16 +565,7 @@ class CoalescingServer:
                 values = await asyncio.to_thread(self._execute_degraded, kind, live)
             except Exception as exc:
                 self.metrics.incr("errors", len(live))
-                for item in live:
-                    self._resolve(
-                        item,
-                        Response(
-                            status="error",
-                            error=f"degraded path failed: {exc!r}",
-                            retries=attempts,
-                            degraded=True,
-                        ),
-                    )
+                self._fail(live, f"degraded path failed: {exc!r}", retries=attempts, degraded=True)
                 return
 
         if kind == "other" and not degraded:
@@ -578,18 +580,12 @@ class CoalescingServer:
                 self.metrics.incr("errors")
                 error = value if isinstance(value, str) else degraded_reason
                 value = None
-            self._resolve(
-                item,
-                Response(
-                    status=status,
-                    value=value,
-                    stale=stale,
-                    degraded=degraded,
-                    retries=attempts,
-                    error=error,
-                    epoch=epoch,
-                ),
-            )
+            fields = dict(stale=stale, degraded=degraded, retries=attempts, error=error, epoch=epoch)
+            self._resolve(item, Response(status=status, value=value, **fields))
+
+    def _fail(self, items: List[_Pending], error: str, status: str = "error", **fields) -> None:
+        for item in items:
+            self._resolve(item, Response(status=status, error=error, **fields))
 
     def _resolve(self, item: _Pending, response: Response) -> None:
         if item.future.done():
@@ -603,9 +599,11 @@ class CoalescingServer:
                 degraded=response.degraded,
             )
         response.latency_s = time.perf_counter() - item.issued_wall
+        if item.lane_wall is not None:
+            response.queue_s = item.lane_wall - item.issued_wall
         if response.status == "ok":
             self.metrics.incr("completed")
-            self.metrics.observe_latency(response.latency_s)
+            self.metrics.observe_latency(response.latency_s, response.queue_s)
         item.future.set_result(response)
 
     # ------------------------------------------------------------------
@@ -652,9 +650,7 @@ class CoalescingServer:
             return [("ok", hits, stale) for hits in results]
         if kind == "knn":
             ks = [item.request.payload[1] for item in items]
-            results = backend.knn_batch(
-                [item.request.payload[0] for item in items], max(ks)
-            )
+            results = backend.knn_batch([item.request.payload[0] for item in items], max(ks))
             return [("ok", hits[:k], stale) for hits, k in zip(results, ks)]
         live = backend is self.manager
         for item in items:

@@ -110,7 +110,7 @@ def test_nothing_ever_runs_beside_anything_else(thin_slices):
             requests.append(Request.range(_window(rng.choice(objects))))
         else:
             requests.append(Request.knn(rng.choice(objects).rect.center, 3))
-    config = ServeConfig(compact_threshold=15, batch_window=0.0005)
+    config = ServeConfig(compact_threshold=15)
 
     async def main():
         async with CoalescingServer(manager, config) as server:

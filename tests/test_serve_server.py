@@ -139,7 +139,7 @@ def test_wrong_dimensionality_fails_alone_and_spares_the_breaker():
     ]
 
     async def main():
-        async with CoalescingServer(manager, ServeConfig(batch_window=0.01)) as server:
+        async with CoalescingServer(manager) as server:
             futures = [server.submit_nowait(Request.range(r)) for r in rects]
             futures.insert(5, server.submit_nowait(Request.range(box)))
             mixed = await asyncio.gather(*futures)
@@ -176,7 +176,7 @@ def test_nan_rectangle_fails_where_it_is_built():
     bad_bounds = [((nan, 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, nan)), ((nan, nan), (nan, nan))]
 
     async def main():
-        async with CoalescingServer(manager, ServeConfig(batch_window=0.01)) as server:
+        async with CoalescingServer(manager) as server:
             futures = [server.submit_nowait(Request.range(r)) for r in rects[:3]]
             for low, high in bad_bounds:
                 with pytest.raises(ValueError, match="NaN bound"):
@@ -198,6 +198,181 @@ def test_nan_rectangle_fails_where_it_is_built():
     assert _oids(everything.value) == sorted(o.oid for o in objects)
     assert report["admitted"] == report["completed"] == len(rects) + 1
     assert report["errors"] == 0
+
+
+def test_nan_knn_point_fails_where_it_is_built():
+    """A NaN kNN point never becomes a request or a batch-mate.
+
+    Regression: ``Request.knn((nan, 0), 3)`` used to construct, and the
+    engine raised ``IndexError`` on the batch it rode in, so every valid
+    kNN request coalesced with it came back ``error``; three in a row
+    opened the breaker and the next valid request was served degraded.
+    A string point failed its batch the same way.  Both now fail in the
+    caller's own frame; ±inf coordinates still answer.
+    """
+    nan, inf = float("nan"), float("inf")
+    objects, manager = _manager()
+    points = [o.rect.low for o in objects[:10]]
+    expected = [[(d, o.oid) for d, o in hits] for hits in manager.knn_batch(points, 3)]
+    for index in (manager.snapshot, manager):
+        with pytest.raises(ValueError, match="NaN coordinate"):
+            index.knn_batch([(0.5, 0.5), (nan, 0.0)], 3)
+    for bad in (lambda: Request.knn((nan, 0.0), 3), lambda: Request.knn(("a", "b"), 3),
+                lambda: Request("knn", None), lambda: Request("knn", ((0.0, 0.0),))):
+        with pytest.raises(ValueError, match="NaN coordinate|real numbers|pair"):
+            bad()
+
+    async def main():
+        async with CoalescingServer(manager) as server:
+            futures = [server.submit_nowait(Request.knn(p, 3)) for p in points[:5]]
+            for _ in range(3):
+                with pytest.raises(ValueError, match="NaN coordinate"):
+                    futures.append(server.submit_nowait(Request.knn((nan, 0.0), 3)))
+            # Wrong dims still reaches submit: the one bad request admitted.
+            wrong = server.submit_nowait(Request.knn((0.0, 0.0, 0.0), 3))
+            futures += [server.submit_nowait(Request.knn(p, 3)) for p in points[5:]]
+            far = server.submit_nowait(Request.knn((inf, 0.0), 3))
+            answers = await asyncio.gather(*futures)
+            return answers, await wrong, await far, server.breaker.state, server.report()
+
+    answers, wrong, far, state, report = _run(main())
+    assert all(r.ok and not r.degraded for r in answers)
+    assert [[(d, o.oid) for d, o in r.value] for r in answers] == expected
+    assert wrong.status == "error" and "dims" in wrong.error
+    assert far.ok and len(far.value) == 3
+    assert state == "closed" and report["breaker_opens"] == 0
+    assert report["errors"] == 1
+
+
+#: ``(field, bad value)``: one row per checked ServeConfig field.
+BAD_CONFIG_VALUES = [
+    ("max_batch", 0),
+    ("max_batch", -3),
+    ("max_batch", 2.5),
+    ("default_deadline", float("nan")),
+    ("default_deadline", 0.0),
+    ("default_deadline", -1.0),
+    ("retry_base_delay", -0.001),
+    ("retry_base_delay", float("nan")),
+    ("retry_max_delay", -1.0),
+    ("retry_max_delay", float("nan")),
+    ("retry_jitter", -0.1),
+    ("retry_jitter", float("nan")),
+    ("retry_jitter", 1.5),
+    ("breaker_cooldown", float("nan")),
+    ("compact_threshold", 0),
+    ("batch_window", float("nan")),
+    ("batch_window", -0.001),
+    ("batch_window", float("inf")),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_CONFIG_VALUES)
+def test_config_rejects_values_that_would_silently_misbehave(field, value):
+    with pytest.raises(ValueError, match=field):
+        ServeConfig(**{field: value})
+
+
+def test_config_and_request_boundaries_that_stay_legal():
+    inf = float("inf")
+    assert ServeConfig(default_deadline=inf).default_deadline == inf
+    assert ServeConfig(max_batch=1, compact_threshold=1, batch_window=0.0).max_batch == 1
+    assert Request.range(Rect([0, 0], [1, 1]), deadline_s=inf).deadline_s == inf
+    assert Request.knn((-inf, inf), 1).payload == ((-inf, inf), 1)
+    with pytest.raises(ValueError, match="deadline_s"):
+        Request.range(Rect([0, 0], [1, 1]), deadline_s=float("nan"))
+
+
+def _recording(manager):
+    """Record the payload lists the manager's range batches receive."""
+    calls = []
+    batch = manager.range_query_batch
+
+    def recorded(rects, *args, **kwargs):
+        calls.append(list(rects))
+        return batch(rects, *args, **kwargs)
+
+    manager.range_query_batch = recorded
+    return calls
+
+
+async def _held_lane(server, requests, while_held=None):
+    """Submit ``requests`` while the lane is held, then release it."""
+    async with server._execute_gate:
+        futures = [server.submit_nowait(request) for request in requests]
+        await asyncio.sleep(0.01)  # the batcher has its first item and queues
+        if while_held is not None:
+            while_held()
+    return await asyncio.gather(*futures)
+
+
+def test_requests_queued_behind_the_lane_share_one_batch():
+    objects, manager = _manager()
+    rects = _rects(objects, 10)
+    calls = _recording(manager)
+
+    async def main():
+        async with CoalescingServer(manager, ServeConfig(max_batch=16)) as server:
+            responses = await _held_lane(server, [Request.range(r) for r in rects])
+            return responses, server.report()
+
+    responses, report = _run(main())
+    assert all(r.ok for r in responses)
+    assert [_oids(r.value) for r in responses] == [_oids(manager.range_query(r)) for r in rects]
+    assert calls[0] == rects and report["batches"] == 1 and report["coalesced"] == 9
+    # Every one of them waited for the lane, and that wait is part of its latency.
+    assert all(0 < r.queue_s <= r.latency_s for r in responses)
+    assert report["queue_p50_ms"] > 0
+
+
+def test_a_long_queue_is_cut_into_max_batch_turns_in_fifo_order():
+    objects, manager = _manager()
+    rects = _rects(objects, 9)
+    calls = _recording(manager)
+
+    async def main():
+        async with CoalescingServer(manager, ServeConfig(max_batch=4)) as server:
+            responses = await _held_lane(server, [Request.range(r) for r in rects])
+            return responses, server.report()
+
+    responses, report = _run(main())
+    assert all(r.ok for r in responses)
+    assert [len(call) for call in calls[:3]] == [4, 4, 1]
+    assert [rect for call in calls[:3] for rect in call] == rects
+    assert report["batches"] == 3
+
+
+def test_a_deadline_that_passes_while_queued_for_the_lane_is_never_executed():
+    objects, manager = _manager()
+    short, long = _rects(objects, 2)
+    calls = _recording(manager)
+    clock = LogicalClock()
+
+    async def main():
+        async with CoalescingServer(manager, clock=clock) as server:
+            requests = [Request.range(short, deadline_s=1.0), Request.range(long, deadline_s=5.0)]
+            responses = await _held_lane(server, requests, lambda: clock.advance(2.0))
+            return responses, server.report()
+
+    (expired, served), report = _run(main())
+    assert expired.status == "deadline" and "before execution" in expired.error
+    assert served.ok and _oids(served.value) == _oids(manager.range_query(long))
+    assert calls[0] == [long] and all(short not in call for call in calls)
+    assert report["deadline_exceeded"] == 1 and report["batches"] == 1
+
+
+def test_a_lone_request_on_an_idle_server_waits_for_no_window():
+    """Regression: the batcher lingered ``batch_window`` seconds for a
+    second request; the window is gone, a set value changes nothing."""
+    objects, manager = _manager()
+    rect = _rects(objects, 1)[0]
+
+    async def main():
+        async with CoalescingServer(manager, ServeConfig(batch_window=10.0)) as server:
+            return await asyncio.wait_for(server.range_query(rect), 1.0)
+
+    response = _run(main())
+    assert response.ok and _oids(response.value) == _oids(manager.range_query(rect))
 
 
 def test_admission_shed_is_deterministic_on_logical_clock():
