@@ -11,12 +11,15 @@ objects and records it in the run's archived config.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple
 
+from repro.rtree.registry import canonical_variant
+
 
 class ParameterError(ValueError):
-    """An unknown parameter name or an unparsable parameter value."""
+    """An unknown parameter name, or a value that cannot be parsed or breaks a rule."""
 
 
 _DEFAULT_SIZES = {
@@ -36,9 +39,46 @@ _DEFAULT_SIZES = {
 }
 
 
+def _count(value) -> bool:
+    return isinstance(value, numbers.Integral) and value >= 1
+
+
+def _known_variants(names) -> bool:
+    try:
+        for name in names:
+            canonical_variant(name)
+    except (AttributeError, TypeError, ValueError):
+        return False
+    return bool(names)
+
+
+#: ``(field, rule, check)`` per checked :class:`BenchConfig` field: a value
+#: that would fail an experiment midway, or record a run no build can
+#: replay.  NaN fails every rule.
+_CONFIG_RULES = (
+    ("max_entries", "an integer >= 2", lambda v: isinstance(v, numbers.Integral) and v >= 2),
+    ("clip_k", "None or an integer >= 0",
+     lambda v: v is None or (isinstance(v, numbers.Integral) and v >= 0)),
+    ("clip_tau", "within [0, 1)", lambda v: 0 <= v < 1),
+    ("dataset_sizes", "an integer >= 1 per dataset (--set size)",
+     lambda v: all(map(_count, v.values()))),
+    ("queries_per_profile", "an integer >= 1", _count),
+    ("serve_requests", "an integer >= 1", _count),
+    ("serve_concurrency", "an integer >= 1", _count),
+    ("scalability_size", "an integer >= 1", _count),
+    ("join_size", "an integer >= 1", _count),
+    ("variants", "one or more R-tree variant names", _known_variants),
+)
+
+
 @dataclass
 class BenchConfig:
-    """Parameters shared by every experiment."""
+    """Parameters shared by every experiment.
+
+    A value breaking one of ``_CONFIG_RULES`` is a :class:`ParameterError`
+    naming the field and its rule, at construction and after
+    :meth:`apply_overrides`: before an experiment runs or is archived.
+    """
 
     #: objects per dataset
     dataset_sizes: Dict[str, int] = field(default_factory=dict)
@@ -68,6 +108,14 @@ class BenchConfig:
     def __post_init__(self):
         if not self.dataset_sizes:
             self.dataset_sizes = dict(_DEFAULT_SIZES)
+        self.check()
+
+    def check(self) -> None:
+        """Raise :class:`ParameterError` for the first field breaking its rule."""
+        for name, rule, holds in _CONFIG_RULES:
+            value = getattr(self, name)
+            if not holds(value):
+                raise ParameterError(f"{name} must be {rule}, got {value!r}")
 
     def size_of(self, dataset: str) -> int:
         """Number of objects to generate for ``dataset``."""
@@ -141,9 +189,10 @@ class BenchConfig:
     def apply_overrides(self, overrides: Mapping[str, str]) -> "BenchConfig":
         """Apply ``key=value`` overrides in place and return ``self``.
 
-        Every key must appear in :meth:`param_schema`; unknown keys and
-        unparsable values raise :class:`ParameterError` naming the
-        offending key and the valid alternatives.
+        Every key must appear in :meth:`param_schema`; unknown keys,
+        unparsable values and values breaking a rule (:meth:`check`) raise
+        :class:`ParameterError` naming the offending key and the valid
+        alternatives or the rule.
         """
         schema = self.param_schema()
         for key, raw in overrides.items():
@@ -179,4 +228,5 @@ class BenchConfig:
                 raise ParameterError(
                     f"cannot parse {key}={raw!r} as {schema[key]}: {exc}"
                 ) from None
+        self.check()
         return self

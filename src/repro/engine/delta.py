@@ -17,8 +17,11 @@ compaction path too: a manager with no tree to fold into thaws one
 Layering, from the reader's point of view:
 
 * *base*: the frozen :class:`~repro.engine.columnar.ColumnarIndex`;
-* *delta inserts*: a :class:`~repro.rtree.quadratic.QuadraticRTree`
-  holding objects inserted since the freeze;
+* *delta inserts*: a buffer of the objects inserted since the freeze, in
+  arrival order — no index: a read batch answers all of its requests
+  against all of them in one dense pass (:class:`PendingInserts`), which
+  at the few hundred a compaction threshold lets pile up costs less than
+  walking any tree once per request;
 * *delta deletes*: tombstones against the base.  **A base object's
   identity is its row** — object ``i`` of the snapshot, whose rectangle is
   leaf row ``i`` of the entry columns — so a tombstone is one bit of a
@@ -29,14 +32,15 @@ Layering, from the reader's point of view:
 Query merging: the base batch runs with the overlay's ``live`` column
 (:func:`repro.engine.executor.range_query_batch` and friends take it as
 data; with no tombstone pending none is passed and the base path is the
-unmanaged one), overlay hits are unioned in, and I/O statistics
-accumulate into the same :class:`~repro.storage.stats.IOStats` (base
-accesses through the batch executor, overlay accesses through the scalar
-traversal of the small delta tree).  While a delta is pending the
-*results* equal a scalar ``ClippedRTree`` maintained with the same
-operations (``tests/test_delta_overlay.py`` pins this property); after
-:meth:`SnapshotManager.compact` the served snapshot is bit-identical to
-a fresh freeze, so access counts match the scalar engine exactly again.
+unmanaged one), and each request's pending hits follow its base hits in
+arrival order.  :class:`~repro.storage.stats.IOStats` count the base's
+node accesses only, exactly those of the batch executor: the pending
+inserts sit in no node, so reading them charges none.  While a delta is
+pending the *results* equal a scalar ``ClippedRTree`` maintained with
+the same operations (``tests/test_delta_overlay.py`` pins this
+property); after :meth:`SnapshotManager.compact` the served snapshot is
+bit-identical to a fresh freeze, so access counts match the scalar
+engine exactly again.
 
 Consistency: :class:`SnapshotManager` publishes ``(snapshot, overlay)``
 as one tuple replaced by a single attribute assignment — readers grab
@@ -49,28 +53,36 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.engine.columnar import ColumnarIndex
 from repro.engine.incremental_clip import dirty_node_ids, reclip_nodes_for_results
-from repro.engine.kernels import stack_points
+from repro.engine.kernels import (
+    mask_cells,
+    object_column,
+    padded_intersect_mask,
+    padded_min_dist_sq,
+    stack_bounds,
+    stack_points,
+)
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.join import JoinResult, check_join_algorithm
-from repro.query.knn import knn_query
 from repro.rtree.base import RTreeBase
 from repro.rtree.clipped import ClippedRTree
-from repro.rtree.quadratic import QuadraticRTree
 from repro.storage.stats import IOStats
 
 #: Longest stretch of apply work :meth:`SnapshotManager.compact` does
 #: between two calls of its ``pause`` hook, in seconds.
 _SLICE_SECONDS = 0.010
 
-#: Fan-out of the overlay's insert tree.
-_OVERLAY_MAX_ENTRIES = 16
+#: Cells (requests × pending inserts) per block of a dense pass over the
+#: pending inserts: what bounds its working memory, however large the
+#: batch and the buffer.
+_PENDING_BLOCK_CELLS = 1 << 16
 
 
 class CompactionInProgressError(RuntimeError):
@@ -84,13 +96,102 @@ class CompactionInProgressError(RuntimeError):
     """
 
 
+class PendingInserts:
+    """One read view of the pending inserts: objects and bounds, in arrival order.
+
+    Never changed once built — a write makes the overlay build a new one
+    on the next read — so a reader holding it pairs row ``i`` of
+    ``lows``/``highs`` with ``objects[i]`` whatever writes land meanwhile.
+    The passes below lay the buffer out as one node of a node-major layout
+    holding every pending insert, so they run the kernels a frontier
+    level runs, densely over every pending insert, in blocks of at most
+    ``_PENDING_BLOCK_CELLS`` (request, insert) cells; they count no node
+    access, as the buffer has no nodes.  They cost O(requests × pending),
+    still less than a scalar tree walk per request at 20 000 pending
+    inserts on a 32-query batch; a compaction threshold keeps the buffer
+    at a few hundred.
+    """
+
+    __slots__ = ("objects", "column", "lows", "highs", "_node", "version")
+
+    def __init__(self, objects: Tuple[SpatialObject, ...], dims: int, version: int):
+        self.objects = objects
+        #: the same instances as an object array: one gather per batch
+        self.column = object_column(objects)
+        self.lows, self.highs = stack_bounds(
+            list(map(attrgetter("rect"), objects)), dims, "pending inserts"
+        )
+        #: ``(lows, highs)`` as one node of ``ColumnarIndex.node_major()``'s layout
+        self._node = tuple(np.ascontiguousarray(b.T)[:, None, :] for b in (self.lows, self.highs))
+        #: the overlay write count this view reflects
+        self.version = version
+
+    def __len__(self) -> int:
+        return len(self.objects)
+
+    def _blocks(self, requests: int):
+        """``(first request, node per request, request indices)`` per block."""
+        step = max(1, _PENDING_BLOCK_CELLS // len(self.objects))
+        for start in range(0, requests, step):
+            stop = min(start + step, requests)
+            yield start, np.zeros(stop - start, dtype=np.intp), np.arange(start, stop)
+
+    def intersecting(
+        self, q_lows: np.ndarray, q_highs: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(box, row)`` of every pending insert meeting one of the boxes.
+
+        Box-major, rows in arrival order within a box: the row-major cells
+        of one :func:`~repro.engine.kernels.padded_intersect_mask` block
+        (boxes × pending inserts) per slice of boxes.
+        """
+        q_lows_t, q_highs_t = np.ascontiguousarray(q_lows.T), np.ascontiguousarray(q_highs.T)
+        boxes, rows = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        for start, node, queries in self._blocks(len(q_lows)):
+            box, row = mask_cells(
+                padded_intersect_mask(*self._node, node, q_lows_t, q_highs_t, queries)
+            )
+            boxes.append(box + start)
+            rows.append(row)
+        return np.concatenate(boxes), np.concatenate(rows)
+
+    def nearest(self, points: np.ndarray, k: int) -> List[List[Tuple[float, SpatialObject]]]:
+        """Each point's ``k`` nearest pending inserts as ``(squared distance, object)``.
+
+        Nearest first, equal distances in arrival order.  The distances are
+        :func:`~repro.engine.kernels.padded_min_dist_sq`'s, bit for bit
+        ``Rect.min_distance_sq``.  A partition finds each point's ``k``-th
+        distance, and one stable sort orders the cells within it.
+        """
+        n = len(self.objects)
+        points_t = np.ascontiguousarray(points.T)
+        out: List[List[Tuple[float, SpatialObject]]] = []
+        for _, node, queries in self._blocks(len(points)):
+            block = padded_min_dist_sq(*self._node, node, points_t, queries)
+            kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k] if k < n else np.inf
+            cells = np.flatnonzero(block <= kth)
+            point, dist = cells // n, block.ravel().take(cells)
+            order = np.lexsort((dist, point))  # stable: ties keep arrival order
+            point, dist, row = point.take(order), dist.take(order), cells.take(order) % n
+            found = np.bincount(point, minlength=len(queries))
+            keep = np.arange(len(point)) - (np.cumsum(found) - found).take(point) < k
+            pairs = list(zip(dist[keep].tolist(), self.column[row[keep]].tolist()))
+            ends = np.cumsum(np.minimum(found, k)).tolist()
+            out.extend(pairs[first:end] for first, end in zip([0] + ends, ends))
+        return out
+
+
 class DeltaOverlay:
     """Buffers inserts and deletes against one frozen snapshot.
 
-    Inserts go into a small mutable R-tree.  A delete of a *base* object
-    clears that object's bit in :attr:`live` (and remembers the object so
+    Inserts are appended to a list, in arrival order; readers see them
+    through :meth:`pending`, an immutable :class:`PendingInserts` view
+    built at most once per write.  A delete of a *base* object clears
+    that object's bit in :attr:`live` (and remembers the object so
     compaction can replay the delete against the source tree); deleting
-    an object that only lives in the delta tree simply removes it there.
+    a pending insert removes its first equal copy (same id and rectangle)
+    in arrival order from the buffer.  Compaction folds the buffered
+    inserts in arrival order.
 
     A base object is identified by its row in the snapshot, nothing else.
     :meth:`delete` is the one place a value — the caller's ``(oid,
@@ -105,7 +206,11 @@ class DeltaOverlay:
     def __init__(self, base: ColumnarIndex):
         self.base = base
         self.dims = base.dims
-        self.tree = QuadraticRTree(base.dims, max_entries=_OVERLAY_MAX_ENTRIES)
+        #: pending inserts, in arrival order
+        self._inserts: List[SpatialObject] = []
+        #: bumped after every change to ``_inserts``; names the view it matches
+        self._version = 0
+        self._view: Optional[PendingInserts] = None
         #: tombstones: ``live[i]`` is False once base object ``i`` is deleted.
         #: None until the first delete: readers then pass the base no mask.
         self.live: Optional[np.ndarray] = None
@@ -123,15 +228,20 @@ class DeltaOverlay:
     def insert(self, obj: SpatialObject) -> None:
         """Buffer one insertion."""
         self._check_dims(obj)
-        self.tree.insert(obj)
+        self._inserts.append(obj)
+        self._version += 1
         self.ops += 1
 
     def delete(self, obj: SpatialObject) -> bool:
         """Buffer one deletion; False when no live copy of ``obj`` exists."""
         self._check_dims(obj)
-        if self.tree.delete(obj).found:
-            self.ops += 1
-            return True
+        oid, rect = obj.oid, obj.rect
+        for index, pending in enumerate(self._inserts):
+            if pending.oid == oid and pending.rect == rect:
+                del self._inserts[index]
+                self._version += 1
+                self.ops += 1
+                return True
         row = self._live_base_row(obj)
         if row is None:
             return False
@@ -162,10 +272,24 @@ class DeltaOverlay:
     # state
     # ------------------------------------------------------------------
 
+    def pending(self) -> PendingInserts:
+        """The read view of the pending inserts (cached until the next write).
+
+        Lock-free against a writer: the count is read before the list is
+        copied, and a writer bumps it only after changing the list, so the
+        copy holds at least every write the count names; one holding more
+        is rebuilt by the next read after the bump.
+        """
+        version = self._version
+        view = self._view
+        if view is None or view.version != version:
+            view = self._view = PendingInserts(tuple(self._inserts), self.dims, version)
+        return view
+
     @property
     def is_empty(self) -> bool:
         """True when no write has been buffered since the last freeze."""
-        return len(self.tree) == 0 and not self._deleted_objects
+        return not self._inserts and not self._deleted_objects
 
     @property
     def has_deletes(self) -> bool:
@@ -179,11 +303,15 @@ class DeltaOverlay:
 
     def live_count(self) -> int:
         """Objects visible through base + delta."""
-        return len(self.base.objects) - self.deleted_count + len(self.tree)
+        return len(self.base.objects) - self.deleted_count + len(self._inserts)
 
     def deleted_objects(self) -> List[SpatialObject]:
         """The buffered base deletions, in arrival order (for compaction)."""
         return list(self._deleted_objects)
+
+    def inserted_objects(self) -> List[SpatialObject]:
+        """The pending inserts, in arrival order (for compaction)."""
+        return list(self._inserts)
 
     def live_base_objects(self) -> List[SpatialObject]:
         """The base objects no tombstone covers, in row order."""
@@ -303,7 +431,7 @@ class SnapshotManager:
     def live_objects(self) -> List[SpatialObject]:
         """Every object currently visible (base minus tombstones, plus delta)."""
         overlay = self.overlay
-        return overlay.live_base_objects() + list(overlay.tree.objects())
+        return overlay.live_base_objects() + overlay.inserted_objects()
 
     def _install(self, snapshot: ColumnarIndex) -> None:
         """Atomically publish a fresh snapshot with an empty overlay."""
@@ -364,8 +492,8 @@ class SnapshotManager:
         <repro.engine.columnar.ColumnarIndex.to_tree>` of the published
         snapshot, which the buffered writes were made against):
 
-        1. apply the buffered deletes, then inserts, to the source tree,
-           *without* per-update re-clipping;
+        1. apply the buffered deletes, then inserts, each in arrival
+           order, to the source tree, *without* per-update re-clipping;
         2. collect what the applies changed into one dirty set
            (:func:`~repro.engine.incremental_clip.dirty_node_ids`);
         3. re-clip the dirty nodes once
@@ -412,7 +540,7 @@ class SnapshotManager:
             # This compaction's input, copied before any insert it stages
             # can join the overlay.
             deletes = overlay.deleted_objects()
-            inserts = list(overlay.tree.objects())
+            inserts = overlay.inserted_objects()
             if not deletes and not inserts:
                 # The buffered writes cancelled out (an insert deleted
                 # again): nothing to fold, and nothing is pending either.
@@ -484,13 +612,23 @@ class SnapshotManager:
     def range_query_batch(
         self, rects: Sequence[Rect], stats: Optional[IOStats] = None
     ) -> List[List[SpatialObject]]:
-        """Per-query result lists over base + delta (deletes filtered)."""
+        """Per-query result lists over base + delta (deletes filtered).
+
+        Each list holds the base's hits, then the pending inserts the query
+        meets in arrival order, all of them from one dense pass over the
+        buffer (:meth:`PendingInserts.intersecting`).
+        """
         snapshot, overlay = self._view
         rects = list(rects)
         results = snapshot.range_query_batch(rects, stats=stats, live=overlay.live)
-        if len(overlay.tree):
-            for i, rect in enumerate(rects):
-                results[i] = results[i] + overlay.tree.range_query(rect, stats=stats)
+        pending = overlay.pending()
+        if len(pending) and rects:
+            query, row = pending.intersecting(*stack_bounds(rects, snapshot.dims))
+            hits = pending.column[row].tolist()
+            counts = np.bincount(query, minlength=len(rects))
+            ends = np.cumsum(counts)
+            for i in np.flatnonzero(counts).tolist():
+                results[i] = results[i] + hits[ends[i] - counts[i] : ends[i]]
         return results
 
     def range_query(
@@ -509,25 +647,29 @@ class SnapshotManager:
 
         The base returns each point's ``k`` nearest live objects (it
         searches past the tombstones, see
-        :func:`repro.engine.executor.knn_batch`); they are merged with
-        the overlay tree's own kNN and truncated to ``k``.
+        :func:`repro.engine.executor.knn_batch`), one dense pass over the
+        buffer each point's ``k`` nearest pending inserts
+        (:meth:`PendingInserts.nearest`); a stable sort merges the two,
+        base first on equal distance, and keeps ``k``.
         """
+        if k < 1:
+            raise ValueError("k must be at least 1")
         snapshot, overlay = self._view
         points = list(points)
-        # Here, not in a layer: an empty base is skipped and the overlay's
-        # scalar search does not check.
-        stack_points(points, snapshot.dims)
+        # Here, not in a layer: an empty base is skipped.
+        stacked = stack_points(points, snapshot.dims)
         base_hits = (
             snapshot.knn_batch(points, k, stats=stats, live=overlay.live)
             if len(snapshot.objects)
             else [[] for _ in points]
         )
-        if not len(overlay.tree):
+        pending = overlay.pending()
+        if not len(pending) or not points:
             return base_hits
         merged: List[List[Tuple[float, SpatialObject]]] = []
-        for point, hits in zip(points, base_hits):
-            hits = hits + knn_query(overlay.tree, point, k, stats=stats)
-            hits.sort(key=lambda pair: pair[0])
+        for hits, near in zip(base_hits, pending.nearest(stacked, k)):
+            hits = hits + near
+            hits.sort(key=itemgetter(0))
             merged.append(hits[:k])
         return merged
 
@@ -537,14 +679,14 @@ class SnapshotManager:
 # ----------------------------------------------------------------------
 
 
-def _join_side(index) -> Tuple[ColumnarIndex, Optional[np.ndarray], Optional[QuadraticRTree]]:
-    """``(base snapshot, its tombstones if any, its delta tree if managed)``.
+def _join_side(index) -> Tuple[ColumnarIndex, Optional[np.ndarray], Optional[PendingInserts]]:
+    """``(base snapshot, its tombstones if any, its pending inserts if managed)``.
 
     A tree is frozen here; a snapshot joins as it is, stale or not.
     """
     if isinstance(index, SnapshotManager):
         snapshot, overlay = index.view
-        return snapshot, overlay.live, overlay.tree
+        return snapshot, overlay.live, overlay.pending()
     if isinstance(index, ColumnarIndex):
         return index, None, None
     return ColumnarIndex.from_tree(index), None, None
@@ -554,7 +696,7 @@ def _probe_pairs(
     probes: Sequence[SpatialObject],
     snapshot: ColumnarIndex,
     live: Optional[np.ndarray],
-    delta: Optional[QuadraticRTree],
+    pending: Optional[PendingInserts],
     stats: IOStats,
     collect_pairs: bool,
     swap: bool = False,
@@ -562,24 +704,29 @@ def _probe_pairs(
     """INLJ ``probes`` against one side: ``(pair count, pairs)``.
 
     The base join runs with the side's tombstones ``live``; the probes
-    also join its pending ``delta`` tree (callers covering delta×delta
-    elsewhere pass None).  Pairs are built only when ``collect_pairs``;
-    ``swap`` flips their orientation (probe second).
+    also join its ``pending`` inserts (callers covering delta×delta
+    elsewhere pass None), in one dense pass that charges ``stats``
+    nothing.  Pairs are built only when ``collect_pairs``; ``swap`` flips
+    their orientation (probe second).
     """
     # Looked up per call, like ``stt_batch`` below: a traced run patches
     # the module attributes, and a name bound at import would escape it.
     from repro.engine.join_exec import inlj_batch
 
+    probes = list(probes)
     base = inlj_batch(probes, snapshot, collect_pairs=collect_pairs, live=live)
     stats.merge(base.inner_stats)
     count = base.pair_count
     pairs = [(r, l) for l, r in base.pairs] if swap else base.pairs
-    if delta is not None and len(delta):
-        for probe in probes:
-            hits = delta.range_query(probe.rect, stats=stats)
-            count += len(hits)
-            if collect_pairs:
-                pairs.extend((hit, probe) if swap else (probe, hit) for hit in hits)
+    if pending is not None and len(pending) and probes:
+        probe, row = pending.intersecting(
+            *stack_bounds(list(map(attrgetter("rect"), probes)), snapshot.dims, "probes")
+        )
+        count += len(probe)
+        if collect_pairs and len(probe):
+            outer = object_column(probes)[probe].tolist()
+            inner = pending.column[row].tolist()
+            pairs.extend(zip(inner, outer) if swap else zip(outer, inner))
     return count, pairs
 
 
@@ -592,13 +739,14 @@ def overlay_join(
     """Spatial join of batched inputs: any mix of trees, snapshots and managers.
 
     The base×base portion runs through the columnar batch joins with
-    each managed side's tombstones, and the pending delta trees are
-    joined against the opposite side's live view.  Pair sets
+    each managed side's tombstones, and each side's pending inserts probe
+    the opposite side's live view: its base through the INLJ, its
+    pending inserts through one dense pass over the buffer.  Pair sets
     equal a scalar join over both sides' live objects; ``outer_stats`` /
-    ``inner_stats`` accumulate the accesses charged to the left and
-    right inputs respectively (base probes through the batch executor,
-    delta probes through the small overlay trees).  With no pending delta
-    the result is the batch join's, pair for pair and access for access.
+    ``inner_stats`` accumulate the node accesses charged to the left and
+    right bases respectively — the pending inserts sit in no node and
+    charge none.  With no pending delta the result is the batch join's,
+    pair for pair and access for access.
     ``collect_pairs=False`` reaches the batch joins, which then build no
     pair objects.  A snapshot joins as it is, stale or not:
     :func:`repro.join.execute_join` re-freezes a stale one before it
@@ -618,22 +766,22 @@ def overlay_join(
         )
         return result
 
-    l_snap, l_live, l_delta = _join_side(left)
-    r_snap, r_live, r_delta = _join_side(right)
+    l_snap, l_live, l_pending = _join_side(left)
+    r_snap, r_live, r_pending = _join_side(right)
     result = stt_batch(
         l_snap, r_snap, collect_pairs=collect_pairs, left_live=l_live, right_live=r_live
     )
     # deltaL × (baseR live + deltaR): probe the full right view.
-    if l_delta is not None and len(l_delta):
+    if l_pending is not None and len(l_pending):
         count, pairs = _probe_pairs(
-            list(l_delta.objects()), r_snap, r_live, r_delta, result.inner_stats, collect_pairs
+            l_pending.objects, r_snap, r_live, r_pending, result.inner_stats, collect_pairs
         )
         result.pair_count += count
         result.pairs.extend(pairs)
     # deltaR × baseL live only — deltaL × deltaR was covered just above.
-    if r_delta is not None and len(r_delta):
+    if r_pending is not None and len(r_pending):
         count, pairs = _probe_pairs(
-            list(r_delta.objects()), l_snap, l_live, None, result.outer_stats, collect_pairs,
+            r_pending.objects, l_snap, l_live, None, result.outer_stats, collect_pairs,
             swap=True,
         )
         result.pair_count += count

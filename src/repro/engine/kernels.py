@@ -39,6 +39,7 @@ that one fancy index gathers hits from.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from itertools import chain
 from operator import attrgetter
 from typing import Sequence, Tuple
@@ -193,19 +194,33 @@ def padded_min_dist_sq(
     ``Rect.min_distance_sq`` bit for bit.  Padded cells are NaN and stay
     NaN through every step, so no ``<=`` against a bound selects them and
     a sort or partition places them last.
+
+    A point at ±inf meets a bound at the same infinity in one case only:
+    it lies on that bound, where the scalar adds nothing.  The difference
+    there is ``inf - inf``, NaN, so when the batch holds an infinite
+    coordinate the cells whose bound equals the point's coordinate are set
+    to 0; padding equals nothing and stays NaN.  Finite points skip that
+    step, so their arithmetic is the one above.
     """
+    at_infinity = np.isinf(points_t).any()
     total = None
-    for dim in range(len(lows)):
-        point = points_t[dim].take(queries)[:, None]
-        gap = lows[dim].take(nodes, axis=0)
-        gap -= point
-        np.maximum(gap, point - highs[dim].take(nodes, axis=0), out=gap)
-        np.maximum(gap, 0.0, out=gap)
-        gap *= gap
-        if total is None:
-            total = gap
-        else:
-            total += gap
+    # inf - inf is set right below; finite points never meet it.
+    with np.errstate(invalid="ignore") if at_infinity else nullcontext():
+        for dim in range(len(lows)):
+            point = points_t[dim].take(queries)[:, None]
+            gap = lows[dim].take(nodes, axis=0)
+            gap -= point
+            np.maximum(gap, point - highs[dim].take(nodes, axis=0), out=gap)
+            np.maximum(gap, 0.0, out=gap)
+            if at_infinity:
+                on_bound = lows[dim].take(nodes, axis=0) == point
+                on_bound |= highs[dim].take(nodes, axis=0) == point
+                gap[on_bound] = 0.0
+            gap *= gap
+            if total is None:
+                total = gap
+            else:
+                total += gap
     return total
 
 

@@ -232,6 +232,53 @@ def test_config_dict_round_trip():
             BenchConfig.tiny().apply_overrides({retired: "scalar"})
 
 
+#: ``(--set key, bad value, field it breaks, words of the rule)``: one row
+#: per field of ``BenchConfig``'s rules table.
+_BAD_SETTINGS = [
+    ("max_entries", "1", "max_entries", ">= 2"),
+    ("clip_k", "-1", "clip_k", ">= 0"),
+    ("clip_tau", "nan", "clip_tau", "[0, 1)"),
+    ("clip_tau", "1", "clip_tau", "[0, 1)"),
+    ("size", "0", "dataset_sizes", ">= 1"),
+    ("queries_per_profile", "0", "queries_per_profile", ">= 1"),
+    ("serve_requests", "0", "serve_requests", ">= 1"),
+    ("serve_concurrency", "-2", "serve_concurrency", ">= 1"),
+    ("scalability_size", "0", "scalability_size", ">= 1"),
+    ("join_size", "0", "join_size", ">= 1"),
+    ("variants", "bogus", "variants", "variant names"),
+    ("variants", ",", "variants", "variant names"),
+]
+
+
+@pytest.mark.parametrize("key, raw, field_name, rule", _BAD_SETTINGS)
+def test_bad_setting_exits_2_before_anything_runs(tmp_path, capsys, key, raw, field_name, rule):
+    root = tmp_path / "archive"
+    code = main(["bench", "run", "fig13", "--smoke", "--set", f"{key}={raw}",
+                 "--archive-root", str(root)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert field_name in err and rule in err
+    assert not root.exists()
+    with pytest.raises(ParameterError, match=field_name):
+        BenchConfig.tiny().apply_overrides({key: raw})
+    # The constructor holds the same rules.
+    if field_name == "dataset_sizes":
+        bad = {"par02": int(raw)}
+    elif field_name == "variants":
+        bad = tuple(part for part in raw.split(",") if part)
+    else:
+        bad = type(getattr(BenchConfig(), field_name) or 0)(float(raw))
+    with pytest.raises(ParameterError, match=field_name):
+        BenchConfig(**{field_name: bad})
+
+
+def test_every_pinned_config_still_loads():
+    pins = sorted(Path(__file__).resolve().parents[1].glob("archive/*/*/config.json"))
+    assert len(pins) >= 14
+    for pin in pins:
+        BenchConfig.from_dict(json.loads(pin.read_text()))
+
+
 def test_parse_set_overrides():
     assert parse_set_overrides(["a=1", "b=x=y"]) == {"a": "1", "b": "x=y"}
     with pytest.raises(ParameterError):

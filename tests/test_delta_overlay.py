@@ -13,17 +13,22 @@ reference and brute force.
 
 import copy
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import build_columnar_str, load_snapshot, save_snapshot
+from repro.engine import ColumnarIndex, build_columnar_str, load_snapshot, save_snapshot
+from repro.engine import delta
 from repro.engine.delta import (
     CompactionInProgressError,
     DeltaOverlay,
     SnapshotManager,
+    overlay_join,
 )
+from repro.engine.kernels import stack_bounds
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.join import execute_join
@@ -35,6 +40,7 @@ from repro.rtree.clipped import ClippedRTree
 from repro.rtree.quadratic import QuadraticRTree
 from repro.rtree.registry import VARIANT_NAMES, build_rtree
 from repro.storage.stats import IOStats
+from tests.conftest import assert_knn_contract
 
 
 def _random_object(rng, oid):
@@ -302,7 +308,7 @@ class TestWorkloadAndJoinRouting:
         right_mgr = SnapshotManager(
             ClippedRTree.wrap(build_rtree("quadratic", right_live, max_entries=6))
         )
-        # Mutate both sides so base, tombstones, and delta trees all engage.
+        # Mutate both sides so base, tombstones, and pending inserts all engage.
         for mgr, live, base_oid in ((left_mgr, left_live, 50), (right_mgr, right_live, 2000)):
             for i in range(6):
                 obj = _random_object(rng, base_oid + i)
@@ -621,3 +627,316 @@ class TestCompactionConcurrency:
         manager.compaction_fault_hook = None
         assert outcome == {"raised": True}
         assert manager.pending_ops == 0  # the bad insert was never staged
+
+
+# ----------------------------------------------------------------------
+# pending inserts are a buffer: one dense pass per read batch
+# ----------------------------------------------------------------------
+
+
+INF = float("inf")
+
+
+class TestPendingBuffer:
+    """Reads answer the pending inserts from one dense pass over the buffer:
+    base hits first, then pending hits in arrival order, and kNN ties among
+    pending inserts in arrival order behind the base's."""
+
+    @staticmethod
+    def _pending_objects(rng):
+        """Random, duplicate, zero-extent and ±inf-bounded inserts."""
+        objects = [_random_object(rng, 500 + i) for i in range(30)]
+        twin = objects[3]
+        objects += [SpatialObject(twin.oid, twin.rect) for _ in range(2)]
+        objects += [
+            SpatialObject(600, Rect((20.0, 20.0), (20.0, 20.0))),
+            SpatialObject(601, Rect((20.0, 20.0), (20.0, 20.0))),
+            SpatialObject(602, Rect((-INF, 10.0), (5.0, 12.0))),
+            SpatialObject(603, Rect((50.0, 50.0), (INF, INF))),
+            SpatialObject(604, Rect((INF, 0.0), (INF, 100.0))),
+            SpatialObject(605, Rect((-INF, -INF), (INF, INF))),
+        ]
+        rng.shuffle(objects)
+        return objects
+
+    def _scenario(self, base_size, seed=41):
+        """``(manager, live base objects, pending inserts in arrival order)``."""
+        rng = random.Random(seed)
+        base = [_random_object(rng, i) for i in range(base_size)]
+        tree = build_rtree("quadratic", base, max_entries=6) if base else QuadraticRTree(2)
+        manager = SnapshotManager(ClippedRTree.wrap(tree, method="stairline"))
+        pending = self._pending_objects(rng)
+        for obj in pending:
+            manager.insert(obj)
+        # A pending insert deleted again: the first equal copy goes.
+        twin = next(obj for obj in pending if pending.count(obj) > 1)
+        assert manager.delete(SpatialObject(twin.oid, twin.rect))
+        pending.remove(twin)
+        # Deleting a pending one that is not there falls through to the base.
+        assert not manager.delete(SpatialObject(9_999, twin.rect))
+        live = list(base)
+        for victim in base[:5]:
+            assert manager.delete(victim)
+            live.remove(victim)
+        assert [id(obj) for obj in manager.overlay.inserted_objects()] == [
+            id(obj) for obj in pending
+        ]
+        return manager, live, pending, rng
+
+    @staticmethod
+    def _boxes(rng):
+        return _queries(rng, 12) + [
+            Rect((-INF, -INF), (INF, INF)),
+            Rect((20.0, 20.0), (20.0, 20.0)),
+            Rect((90.0, -5.0), (INF, 5.0)),
+        ]
+
+    @staticmethod
+    def _points(rng):
+        return [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(6)] + [
+            (20.0, 20.0),
+            (INF, 50.0),
+            (-INF, 11.0),
+            (INF, INF),
+            (-INF, -INF),
+        ]
+
+    def _assert_reads(self, manager, live, pending, rng):
+        snapshot, overlay = manager.view
+        queries = self._boxes(rng)
+        base_only = (
+            snapshot.range_query_batch(queries, live=overlay.live)
+            if len(snapshot.objects)
+            else [[] for _ in queries]
+        )
+        for query, got, base in zip(queries, manager.range_query_batch(queries), base_only):
+            want = base + [obj for obj in pending if obj.rect.intersects(query)]
+            assert [id(obj) for obj in got] == [id(obj) for obj in want]
+            assert Counter(map(object_key, got)) == Counter(
+                map(object_key, brute_force_range(live + pending, query))
+            )
+        points = self._points(rng)
+        for k in (1, 3, 8, len(pending) + 4):
+            base_near = (
+                snapshot.knn_batch(points, k, live=overlay.live)
+                if len(snapshot.objects)
+                else [[] for _ in points]
+            )
+            got_all = manager.knn_batch(points, k)
+            for point, got, base in zip(points, got_all, base_near):
+                # Stable sorts: pending ties in arrival order, base first.
+                near = sorted(
+                    ((obj.rect.min_distance_sq(point), obj) for obj in pending),
+                    key=lambda pair: pair[0],
+                )
+                want = sorted(base + near[:k], key=lambda pair: pair[0])[:k]
+                assert [(d, id(o)) for d, o in got] == [(d, id(o)) for d, o in want]
+                every = sorted(obj.rect.min_distance_sq(point) for obj in live + pending)
+                assert [d for d, _ in got] == every[:k]
+
+    @pytest.mark.parametrize("base_size", [0, 40])
+    def test_reads_equal_brute_force(self, base_size):
+        manager, live, pending, rng = self._scenario(base_size)
+        self._assert_reads(manager, live, pending, rng)
+
+    @pytest.mark.parametrize("base_size", [0, 40])
+    def test_batches_larger_than_a_block_answer_alike(self, base_size, monkeypatch):
+        manager, live, pending, rng = self._scenario(base_size)
+        state = rng.getstate()
+        queries, points = self._boxes(rng), self._points(rng)
+        ranges, nearest = manager.range_query_batch(queries), manager.knn_batch(points, 4)
+        # One request per block, and a few requests per block.
+        for cells in (1, 3 * len(pending)):
+            monkeypatch.setattr(delta, "_PENDING_BLOCK_CELLS", cells)
+            assert manager.range_query_batch(queries) == ranges
+            assert manager.knn_batch(points, 4) == nearest
+            rng.setstate(state)
+            self._assert_reads(manager, live, pending, rng)
+
+    @pytest.mark.parametrize("algorithm", ["inlj", "stt"])
+    @pytest.mark.parametrize("left_size", [0, 40])
+    def test_join_pairs_equal_brute_force(self, algorithm, left_size):
+        left, left_live, left_pending, _ = self._scenario(left_size, seed=42)
+        right, right_live, right_pending, _ = self._scenario(35, seed=43)
+        outer = left_live + left_pending
+        inner = right_live + right_pending
+        want = Counter(
+            (object_key(l), object_key(r))
+            for l in outer
+            for r in inner
+            if l.rect.intersects(r.rect)
+        )
+        for collect in (True, False):
+            joined = overlay_join(left, right, algorithm=algorithm, collect_pairs=collect)
+            assert joined.pair_count == sum(want.values())
+            if collect:
+                assert Counter((object_key(l), object_key(r)) for l, r in joined.pairs) == want
+
+    def test_pending_inserts_charge_no_node_access(self):
+        manager, _, _, rng = self._scenario(40)
+        snapshot, overlay = manager.view
+        queries, points = self._boxes(rng), self._points(rng)
+        for read, base in (
+            (lambda s: manager.range_query_batch(queries, stats=s),
+             lambda s: snapshot.range_query_batch(queries, stats=s, live=overlay.live)),
+            (lambda s: manager.knn_batch(points, 5, stats=s),
+             lambda s: snapshot.knn_batch(points, 5, stats=s, live=overlay.live)),
+        ):
+            managed, alone = IOStats(), IOStats()
+            read(managed)
+            base(alone)
+            assert managed == alone
+
+    def test_a_view_taken_before_a_delete_keeps_its_rows(self):
+        manager, _, pending, _ = self._scenario(40)
+        view = manager.overlay.pending()
+        assert manager.overlay.pending() is view  # no write, no rebuild
+        for victim in (pending[0], pending[len(pending) // 2]):
+            assert manager.delete(victim)
+        fresh = manager.overlay.pending()
+        assert len(fresh) == len(view) - 2
+        assert view.objects == tuple(pending)
+        for i, obj in enumerate(view.objects):
+            assert view.column[i] is obj
+            assert tuple(view.lows[i]) == obj.rect.low
+            assert tuple(view.highs[i]) == obj.rect.high
+        # The old view still answers for the objects it holds.
+        box = Rect((-INF, -INF), (INF, INF))
+        _, rows = view.intersecting(*stack_bounds([box], 2))
+        assert [view.column[row] for row in rows.tolist()] == list(view.objects)
+
+    def test_the_fold_applies_inserts_in_arrival_order(self):
+        """With only inserts pending, the folded tree is the pre-fold tree
+        with the same inserts made one by one in arrival order."""
+        rng = random.Random(44)
+        base = [_random_object(rng, i) for i in range(60)]
+        clipped = ClippedRTree.wrap(build_rtree("rstar", base, max_entries=6), method="stairline")
+        reference = copy.deepcopy(clipped.tree)
+        manager = SnapshotManager(clipped)
+        for obj in self._pending_objects(rng):
+            manager.insert(obj)
+            reference.insert(obj)
+        manager.compact()
+        assert _tree_shape(manager._source.tree) == _tree_shape(reference)
+
+
+def test_lock_free_readers_see_every_acknowledged_write():
+    """Readers rebuild the pending view without a lock while writers insert
+    and delete: a read started after a write was acknowledged reflects it."""
+    rng = random.Random(45)
+    manager = SnapshotManager(build_rtree("quadratic", [_random_object(rng, i) for i in range(30)]))
+    everything = Rect((-INF, -INF), (INF, INF))
+    # Every third insert is deleted again; the others stay.
+    kept, deleted, failures = [], [], []
+    done = threading.Event()
+
+    def writer(first_oid):
+        local = random.Random(first_oid)
+        for i in range(300):
+            obj = _random_object(local, first_oid + i)
+            manager.insert(obj)
+            if i % 3:
+                kept.append(obj)
+            else:
+                assert manager.delete(obj)
+                deleted.append(obj)
+
+    def reader():
+        while not done.is_set():
+            stay, gone = list(kept), {id(obj) for obj in deleted}
+            hits = {id(obj) for obj in manager.range_query_batch([everything])[0]}
+            if any(id(obj) not in hits for obj in stay):
+                failures.append("an acknowledged insert was missing")
+            if hits & gone:
+                failures.append("an acknowledged delete was visible")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        writers = [threading.Thread(target=writer, args=(1_000 * (n + 1),)) for n in range(3)]
+        readers = [threading.Thread(target=reader) for _ in range(2)]
+        for thread in writers + readers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=60)
+        done.set()
+        for thread in readers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in writers + readers)
+    assert failures == []
+    assert len(manager) == 30 + 3 * 200
+
+
+def _tree_shape(tree):
+    """Every node with its level and entries (rectangle, child or object)."""
+    return tree.root_id, [
+        (
+            node.node_id,
+            node.level,
+            [(e.rect, e.child if node.level else object_key(e.child)) for e in node.entries],
+        )
+        for node in sorted(tree.nodes(), key=lambda n: n.node_id)
+    ]
+
+
+# ----------------------------------------------------------------------
+# kNN points at ±inf
+# ----------------------------------------------------------------------
+
+
+_INF_POINTS = [(INF, 0.5), (-INF, 0.5), (INF, INF), (-INF, -INF), (5.0, INF), (INF, -INF)]
+
+
+def _inf_objects():
+    """30 unit boxes in a row, plus objects reaching to (or lying at) ±inf."""
+    objects = [SpatialObject(i, Rect((i, 0), (i + 1, 1))) for i in range(30)]
+    objects += [
+        SpatialObject(99, Rect((0, 0), (INF, 1))),
+        SpatialObject(98, Rect((INF, 0), (INF, 1))),
+        SpatialObject(97, Rect((-INF, -INF), (-INF, 5))),
+        SpatialObject(96, Rect((3, 2), (4, INF))),
+    ]
+    return objects
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("where", ["memory", "mmap"])
+def test_knn_at_infinity_equals_the_scalar_search(tmp_path, where):
+    """A point at ±inf meets a bound at the same infinity: the batch MinDist
+    read ``inf - inf`` as NaN there and never selected the object."""
+    tree = build_rtree("rstar", _inf_objects(), max_entries=6)
+    index = ColumnarIndex.from_tree(tree)
+    if where == "mmap":
+        save_snapshot(index, tmp_path / "snap")
+        index = load_snapshot(tmp_path / "snap", mmap=True)
+    for k in (1, 3, 5, 40):
+        stats = IOStats()
+        results = index.knn_batch(_INF_POINTS, k, stats=stats)
+        assert_knn_contract(tree, _INF_POINTS, k, results, stats)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_knn_at_infinity_with_the_objects_pending():
+    objects = _inf_objects()
+    base, extra = objects[:30], objects[30:]
+    tree = build_rtree("rstar", base, max_entries=6)
+    manager = SnapshotManager(tree)
+    for obj in extra:
+        manager.insert(obj)
+    for k in (1, 3, 5, 40):
+        stats = IOStats()
+        got = manager.knn_batch(_INF_POINTS, k, stats=stats)
+        # The base part is the scalar search on the base tree, IOStats included.
+        base_stats = IOStats()
+        base_hits = ColumnarIndex.from_tree(tree).knn_batch(_INF_POINTS, k, stats=base_stats)
+        assert_knn_contract(tree, _INF_POINTS, k, base_hits, base_stats)
+        assert stats == base_stats
+        for point, hits, base_near in zip(_INF_POINTS, got, base_hits):
+            near = sorted(
+                ((obj.rect.min_distance_sq(point), obj) for obj in extra),
+                key=lambda pair: pair[0],
+            )
+            want = sorted(base_near + near, key=lambda pair: pair[0])[:k]
+            assert [(d, o.oid) for d, o in hits] == [(d, o.oid) for d, o in want]
