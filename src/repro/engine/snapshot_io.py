@@ -5,11 +5,11 @@
 dimensionality, per-array dtypes/shapes, the tree record and a content
 fingerprint.
 :func:`load_snapshot` reads the directory back; with ``mmap=True`` (the
-default) every array is an ``mmap_mode="r"`` view of its file, so loading
-a multi-hundred-megabyte index costs milliseconds, touches no heap, and
-any number of processes opening the same directory share one page-cache
-copy of the data — the transport underneath
-:class:`~repro.engine.parallel.ParallelExecutor`'s worker pool.
+default) every array is an ``mmap_mode="r"`` view of its file, so the
+loaded arrays stay in the page cache, and any number of processes opening
+the same directory share one copy of the data — the transport underneath
+:class:`~repro.engine.parallel.ParallelExecutor`'s worker pool.  Loading
+reads every entry row once, to check it.
 
 **What is stored (format version 4): every fact once.**  Twelve arrays —
 the eleven canonical ``ColumnarIndex`` arrays (node flags and entry
@@ -83,6 +83,7 @@ import numpy as np
 
 from repro.cbb.clipping import VALID_METHODS, ClippingConfig
 from repro.engine.columnar import ColumnarIndex, TreeRecord
+from repro.engine.kernels import expand_segments
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.rtree.registry import VARIANT_NAMES
@@ -229,6 +230,44 @@ def _leaf_rows_fault(index: ColumnarIndex, n_objects: int) -> Optional[str]:
     leaf_entries = int(index.entry_count[index.is_leaf].sum())
     if leaf_entries != n_objects:
         return f"the leaves hold {leaf_entries} entries for {n_objects} objects"
+    return None
+
+
+def _entry_rows_fault(index: ColumnarIndex) -> Optional[str]:
+    """Why ``index``'s entry rectangles cannot be a tree's, or None.
+
+    Two vectorised checks over every entry row, as ``Rect`` and the tree
+    guarantee them for a frozen index: each row has ``low <= high`` in
+    every dimension (NaN fails it, ±inf is legal), and each directory row
+    points at a node slot and contains that slot's bounds — the min/max
+    of its own entries, as
+    :meth:`~repro.engine.columnar.ColumnarIndex.node_bounds` derives them
+    (computed here without filling its cache).
+    """
+    lows, highs = index.entry_lows, index.entry_highs
+    bad = np.flatnonzero(~(lows <= highs).all(axis=1))
+    if len(bad):
+        row = bad[0]
+        return f"entry row {row} is not low <= high: {lows[row].tolist()} / {highs[row].tolist()}"
+    directory = np.flatnonzero(~index.is_leaf)
+    rows, _ = expand_segments(index.entry_start[directory], index.entry_count[directory])
+    if not len(rows):
+        return None
+    children = index.entry_child[rows]
+    stray = np.flatnonzero((children < 0) | (children >= len(index.is_leaf)))
+    if len(stray):
+        return f"directory row {rows[stray[0]]} points at node slot {children[stray[0]]}"
+    child_lows = np.minimum.reduceat(lows, index.entry_start)[children]
+    child_highs = np.maximum.reduceat(highs, index.entry_start)[children]
+    outside = np.flatnonzero(
+        ~((lows[rows] <= child_lows) & (child_highs <= highs[rows])).all(axis=1)
+    )
+    if len(outside):
+        row = rows[outside[0]]
+        return (
+            f"directory row {row} does not contain the bounds of node slot "
+            f"{index.entry_child[row]}"
+        )
     return None
 
 
@@ -502,16 +541,20 @@ def _load_array(
 def load_snapshot(directory: Union[str, Path], mmap: bool = True) -> ColumnarIndex:
     """Open the snapshot saved in ``directory``.
 
-    ``mmap=True`` maps every array read-only straight off disk — loading
-    is O(metadata), the OS pages data in on first touch, and concurrent
-    processes share one physical copy.  ``mmap=False`` reads the arrays
+    ``mmap=True`` maps every array read-only straight off disk — the OS
+    pages data in on first touch, and concurrent processes share one
+    physical copy.  Loading itself reads every entry row once, to check
+    it (:func:`_entry_rows_fault`): linear in the entries, not in the
+    metadata.  ``mmap=False`` reads the arrays
     into RAM (useful when the snapshot directory is about to disappear,
     e.g. tests using temp dirs that outlive the view).
 
     Raises :class:`SnapshotFormatError` on a missing/corrupt manifest, a
     format-version mismatch, any array whose dtype/shape disagrees with
     the manifest, arrays whose leaf rows are not the objects'
-    (:func:`_leaf_rows_fault`), or a tree record the arrays contradict: a
+    (:func:`_leaf_rows_fault`), an entry row that is not ``low <= high``
+    or a directory row that does not contain its child's bounds
+    (:func:`_entry_rows_fault`), or a tree record the arrays contradict: a
     next node id not above every node id, clip points without a clip
     method.
     """
@@ -539,7 +582,7 @@ def load_snapshot(directory: Union[str, Path], mmap: bool = True) -> ColumnarInd
         tree_record=record,
         **arrays,
     )
-    fault = _leaf_rows_fault(snapshot, len(oids))
+    fault = _leaf_rows_fault(snapshot, len(oids)) or _entry_rows_fault(snapshot)
     largest_id = int(snapshot.node_ids.max(initial=-1))
     if fault is None and record.next_id <= largest_id:
         fault = f"its next node id {record.next_id} is not above node id {largest_id}"

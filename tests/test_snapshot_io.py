@@ -507,6 +507,50 @@ def test_arrays_whose_leaf_rows_are_not_the_objects_are_refused(tmp_path):
     assert not (tmp_path / "refused").exists()
 
 
+def _swap_row(row):
+    def edit(lows, highs, first_leaf_row):
+        at = first_leaf_row if row == "leaf" else row
+        lows[at], highs[at] = highs[at].copy(), lows[at].copy()
+    return edit
+
+
+def _nan_in_row_0(lows, highs, first_leaf_row):
+    lows[0, 1] = np.nan
+
+
+def _shrink_row_1(lows, highs, first_leaf_row):
+    # Still low <= high, but no longer around the child's entries.
+    highs[1] = (lows[1] + highs[1]) / 2
+
+
+#: Hostile entry rows: (what the files say, the edit, what the error names).
+#: Same shapes and dtypes as the writer's; each of these loaded before the
+#: entry rows were checked, and answered wrong or raised at the first query.
+HOSTILE_ENTRY_ROWS = [
+    ("the root's first directory row inverted", _swap_row(0), "entry row 0 is not low <= high"),
+    ("a NaN in the root's first directory row", _nan_in_row_0, "entry row 0 is not low <= high"),
+    ("a directory row shrunk inside its child", _shrink_row_1,
+     "directory row 1 does not contain the bounds of node slot"),
+    ("a leaf row inverted", _swap_row("leaf"), "is not low <= high"),
+]
+
+
+@pytest.mark.parametrize("edit,message", [row[1:] for row in HOSTILE_ENTRY_ROWS],
+                         ids=[row[0] for row in HOSTILE_ENTRY_ROWS])
+def test_hostile_entry_rows_are_refused_at_load(tmp_path, edit, message):
+    objects, reference = _frozen(dims=2, count=300, clip="stairline", variant="str")
+    assert not reference.is_leaf[reference.entry_child[1]]
+    save_snapshot(reference, tmp_path)
+    lows, highs = reference.entry_lows.copy(), reference.entry_highs.copy()
+    edit(lows, highs, len(lows) - len(objects))
+    assert lows.shape == reference.entry_lows.shape and lows.dtype == reference.entry_lows.dtype
+    _overwrite_array(tmp_path, "entry_lows", lows)
+    _overwrite_array(tmp_path, "entry_highs", highs)
+    for mmap in (True, False):
+        with pytest.raises(SnapshotFormatError, match=message):
+            load_snapshot(tmp_path, mmap=mmap)
+
+
 def test_lazy_object_list(tmp_path):
     objects, reference = _frozen(count=40)
     save_snapshot(reference, tmp_path)
