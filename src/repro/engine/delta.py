@@ -12,7 +12,9 @@ the naive → amortized ladder of the treebuffers line of work, applied to
 clipped R-trees.  There is one write path; what a freeze per write costs
 is measured by running it with ``compact_every=1``.  There is one
 compaction path too: a manager with no tree to fold into thaws one
-(:meth:`~repro.engine.columnar.ColumnarIndex.to_tree`).
+(:meth:`~repro.engine.columnar.ColumnarIndex.to_tree`).  A server runs a
+compaction as bounded steps (:meth:`SnapshotManager.compact_step`) between
+its batches; the swap is :meth:`SnapshotManager.compact`'s alone.
 
 Layering, from the reader's point of view:
 
@@ -45,19 +47,20 @@ engine exactly again.
 Consistency: :class:`SnapshotManager` publishes ``(snapshot, overlay)``
 as one tuple replaced by a single attribute assignment — readers grab
 the pair once per query batch and never observe a half-applied
-compaction.
+compaction, whether it runs in one call or step by step.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro.engine import incremental_clip
 from repro.engine.columnar import ColumnarIndex
 from repro.engine.incremental_clip import dirty_node_ids, reclip_nodes_for_results
 from repro.engine.kernels import (
@@ -75,8 +78,8 @@ from repro.rtree.base import RTreeBase
 from repro.rtree.clipped import ClippedRTree
 from repro.storage.stats import IOStats
 
-#: Longest stretch of apply work :meth:`SnapshotManager.compact` does
-#: between two calls of its ``pause`` hook, in seconds.
+#: Longest stretch of apply work in one :meth:`SnapshotManager.compact_step`,
+#: in seconds.
 _SLICE_SECONDS = 0.010
 
 #: Cells (requests × pending inserts) per block of a dense pass over the
@@ -86,10 +89,10 @@ _PENDING_BLOCK_CELLS = 1 << 16
 
 
 class CompactionInProgressError(RuntimeError):
-    """A write raced a running :meth:`SnapshotManager.compact`.
+    """A write raced a compaction in flight.
 
-    Raised for operations that cannot be staged safely (``delete``, a
-    reentrant ``compact``) — the caller should retry after the swap.
+    Raised for what cannot be staged safely — a ``delete`` during a fold,
+    a ``compact`` or ``compact_step`` during a step; retry after the swap.
     Concurrent *inserts* are never refused: they join the overlay being
     folded and are staged for the fresh one, so a write accepted by the
     manager is readable at once and never silently dropped.
@@ -330,6 +333,22 @@ class CompactionStats:
     seconds: float = 0.0
 
 
+@dataclass
+class _Fold:
+    """One compaction in flight: its input, and what its steps have made so far."""
+
+    base: ColumnarIndex
+    deletes: List[SpatialObject]
+    inserts: List[SpatialObject]
+    start: float = field(default_factory=time.perf_counter)
+    previous: Optional[ColumnarIndex] = None  # the generation the freeze may copy from
+    dirty: Set[int] = field(default_factory=set)  # what the apply dirtied, once it is done
+    reclipped_nodes: int = 0
+    written: bool = False  # a write reached the source tree
+    whole: bool = False  # set by compact(): the re-clip left runs in one call
+    steps: Iterator[bool] = iter(())
+
+
 class SnapshotManager:
     """Serves a frozen snapshot while absorbing writes, LSM-style.
 
@@ -353,25 +372,20 @@ class SnapshotManager:
     <repro.engine.columnar.ColumnarIndex.to_tree>`) at its first
     compaction, clip points included, and folds into it from then on.
 
-    Concurrency contract (what a compacting server relies on): writes
-    and :meth:`compact` may race from different threads.  While a
-    compaction is running, an ``insert`` goes into the overlay being
-    folded — every read sees it from the moment it is acknowledged —
-    and is *staged* as well: on success the fresh overlay receives the
-    staged inserts atomically with the snapshot swap, on failure the
-    old overlay stays published and already holds them, so an insert is
-    never dropped, never invisible and never applied twice.  A
-    concurrent ``delete`` or a reentrant ``compact`` raises
-    :class:`CompactionInProgressError` instead (a delete staged against
-    a base being rebuilt could target either the old or new snapshot,
-    so the manager refuses rather than guess).  ``compact(pause=…)``
-    calls the hook between slices of bounded work (see
-    :meth:`compact`): how a server lets one compaction take turns with
-    its query batches instead of running beside them.
-    ``compaction_fault_hook`` (chaos testing) is an optional callable
-    invoked once after a compaction has started but *before* the source
-    is mutated; raising from it models a background-rebuild crash —
-    the published view is untouched and keeps the staged inserts.
+    Concurrency contract (what a compacting server relies on): a *fold*
+    is in flight from its first :meth:`compact_step` to the swap of
+    :meth:`compact`, and writes may come between two steps or race one
+    from another thread.  An ``insert`` then goes into the overlay being
+    folded — every read sees it from the moment it is acknowledged — and
+    is *staged* as well: the fresh overlay receives it atomically with the
+    swap, and after a failure the old overlay stays published and already
+    holds it, so an insert is never dropped, never invisible and never
+    applied twice.  A ``delete`` raises :class:`CompactionInProgressError`
+    instead (staged against a base being rebuilt, it could target either
+    snapshot), and so does a ``compact`` or ``compact_step`` while a step
+    is executing.  ``compaction_fault_hook`` (chaos testing) is an
+    optional callable invoked once per fold, in its first step, *before*
+    the source is mutated; raising from it models a rebuild crash.
     Readers are lock-free throughout: they grab the published
     ``(snapshot, overlay)`` tuple once per batch.
     """
@@ -397,8 +411,8 @@ class SnapshotManager:
         #: chaos hook: called once per compaction, pre-mutation (see class doc).
         self.compaction_fault_hook = None
         self._write_lock = threading.Lock()
-        self._compacting = False
-        self._staged_inserts: List[SpatialObject] = []
+        self._fold: Optional[_Fold] = None  # from its first step to its swap or failure
+        self._stepping = False  # one of its steps is executing
         self._view: Tuple[ColumnarIndex, DeltaOverlay] = (snapshot, DeltaOverlay(snapshot))
 
     # ------------------------------------------------------------------
@@ -445,17 +459,14 @@ class SnapshotManager:
     def insert(self, obj: SpatialObject) -> None:
         """Insert one object.
 
-        Safe against a concurrent :meth:`compact`: a mid-compaction
-        insert is readable at once and carried over to the overlay the
-        compaction publishes (see the class doc).
+        Safe against a compaction in flight: a mid-fold insert is
+        readable at once and carried over to the overlay the fold
+        publishes (see the class doc).
         """
         with self._write_lock:
             self.overlay.insert(obj)
-            if self._compacting:
-                # Readable at once through the overlay being folded; kept
-                # for the one that replaces it.
-                self._staged_inserts.append(obj)
-                return
+            if self._fold is not None:
+                return  # staged: the swap carries it over to the fresh overlay
         self._maybe_compact()
 
     def delete(self, obj: SpatialObject) -> bool:
@@ -463,14 +474,12 @@ class SnapshotManager:
 
         Raises ``ValueError`` for an object of the wrong dimensionality,
         like :meth:`insert`, and :class:`CompactionInProgressError` while
-        a compaction is running — a delete cannot be staged without
-        knowing which base snapshot it will apply to.
+        a fold is in flight — a delete cannot be staged without knowing
+        which base snapshot it will apply to.
         """
         with self._write_lock:
-            if self._compacting:
-                raise CompactionInProgressError(
-                    "delete during compaction; retry after the swap"
-                )
+            if self._fold is not None:
+                raise CompactionInProgressError("delete during compaction; retry after the swap")
             found = self.overlay.delete(obj)
         if found:
             self._maybe_compact()
@@ -484,7 +493,31 @@ class SnapshotManager:
     # compaction
     # ------------------------------------------------------------------
 
-    def compact(self, pause: Optional[Callable[[], None]] = None) -> CompactionStats:
+    @property
+    def compacting(self) -> bool:
+        """True from a fold's first step until its swap or its failure."""
+        return self._fold is not None
+
+    def compact_step(self) -> bool:
+        """Do the next bounded step of the fold in flight; True while steps remain.
+
+        Starts a fold when none is running.  A step is the thaw, one
+        ``_SLICE_SECONDS`` slice of the apply or one ``_RECLIP_CHUNK_NODES``
+        chunk of the re-clip; after the last, only :meth:`compact`'s freeze
+        and swap are left.  Readers see nothing of a step, and one that
+        fails ends the fold like a failed :meth:`compact`.
+        """
+        fold = self._claim()
+        if fold is None:
+            return False
+        more = None
+        try:
+            more = next(fold.steps, False)
+        finally:
+            self._release(fold, ended=more is None)  # a failed step ends the fold
+        return more
+
+    def compact(self) -> CompactionStats:
         """Fold the pending delta into the source and swap in a new freeze.
 
         Four steps, after a thaw when the manager holds no tree
@@ -504,106 +537,107 @@ class SnapshotManager:
            tree and was current as the fold started; otherwise (a thawed
            tree, a source mutated from outside) it reads every node.
 
-        When nothing is left to fold — nothing buffered, or writes that
-        cancelled out in the overlay — it returns zeroed stats, publishes
-        nothing and clears the pending count.
-
-        ``pause``, when given, is called between *slices* of the fold: the
-        thaw is one, the apply loop stops for it every ``_SLICE_SECONDS``
-        of work, the re-clip after every chunk of dirty nodes, and the
-        freeze plus the swap are the last slice.  The hook decides what a pause is — a
-        server hands the execution lane to the waiting batches and blocks
-        until its turn comes round — and the work done and its order do
-        not depend on it: what is published is what ``compact()`` would
-        have published.  An exception it raises fails the compaction like
-        one from any other step.
-
-        Thread-safe against concurrent writes: inserts accepted while
-        this runs go into the overlay being folded, so reads see them at
-        once, and are staged for the fresh overlay, which receives them
-        under the write lock, atomically with the swap; a raced ``delete``
-        or reentrant ``compact`` raises :class:`CompactionInProgressError`.
-        If the rebuild crashes (e.g. ``compaction_fault_hook``), the
-        published view is unchanged and still holds them.  A crash after
-        the first write reached the source tree leaves that tree ahead of
-        the view, so the manager drops it: reads stay exact (they never
-        touch it), and the next ``compact()`` thaws a tree from the
-        published snapshot — the state before the failed fold — and folds
-        the same delta into it exactly once.
+        This call runs what :meth:`compact_step` has left of steps 1–3 (the
+        re-clip left in one call), then freezes and swaps: it alone
+        publishes, the same snapshot however the fold was stepped.  With
+        nothing left to fold — nothing buffered, or writes that cancelled
+        out — it publishes nothing and clears the pending count.  A failed
+        fold leaves the view as it was; a source tree it wrote to is ahead
+        of the view and dropped, so the next fold thaws the published
+        snapshot and folds the same delta into it exactly once.
         """
-        with self._write_lock:
-            if self._compacting:
-                raise CompactionInProgressError(
-                    "compact() is already running; concurrent inserts are staged"
-                )
-            overlay = self.overlay
-            # This compaction's input, copied before any insert it stages
-            # can join the overlay.
-            deletes = overlay.deleted_objects()
-            inserts = overlay.inserted_objects()
-            if not deletes and not inserts:
-                # The buffered writes cancelled out (an insert deleted
-                # again): nothing to fold, and nothing is pending either.
-                overlay.ops = 0
-                return CompactionStats()
-            self._compacting = True
-            base = overlay.base
-        stats = CompactionStats()
+        fold = self._claim()
+        if fold is None:
+            return CompactionStats()
         fresh: Optional[ColumnarIndex] = None
-        folding = False
         try:
-            start = time.perf_counter()
-            hook = self.compaction_fault_hook
-            if hook is not None:
-                # Pre-mutation crash point: failing here leaves the
-                # source tree untouched, so a retry re-applies the
-                # full (still-buffered) delta exactly once.
-                hook()
-            source = self._source
-            if source is None:
-                source = self._source = base.to_tree()
-                if pause is not None:
-                    pause()
-            # The generation the fold starts from vouches for the nodes the
-            # fold leaves alone only if it is a freeze of this very tree,
-            # not mutated behind the manager's back since.
-            previous = base if base.source is source and not base.is_stale else None
-            clipped = source if isinstance(source, ClippedRTree) else None
-            tree = clipped.tree if clipped is not None else source
-            results = []
-            folding = True
-            slice_end = time.perf_counter() + _SLICE_SECONDS
-            for apply, batch in ((tree.delete, deletes), (tree.insert, inserts)):
-                for obj in batch:
-                    results.append(apply(obj))
-                    if pause is not None and time.perf_counter() >= slice_end:
-                        pause()
-                        slice_end = time.perf_counter() + _SLICE_SECONDS
-            if pause is not None:
-                pause()
-            dirty = dirty_node_ids(results, tree)
-            if clipped is not None:
-                stats.reclipped_nodes = reclip_nodes_for_results(clipped, dirty, pause=pause)
-            fresh = ColumnarIndex.from_tree(source, previous=previous, dirty=dirty)
-            stats.applied_inserts = len(inserts)
-            stats.applied_deletes = len(deletes)
-            stats.seconds = time.perf_counter() - start
+            fold.whole = True
+            for _ in fold.steps:
+                pass
+            fresh = ColumnarIndex.from_tree(self._source, previous=fold.previous, dirty=fold.dirty)
         finally:
-            with self._write_lock:
-                staged, self._staged_inserts = self._staged_inserts, []
-                if fresh is not None:
-                    self.total_compactions += 1
-                    self.total_reclipped_nodes += stats.reclipped_nodes
-                    self._install(fresh)
-                    # The folded overlay held them; its replacement must.
-                    for obj in staged:
-                        self._view[1].insert(obj)
-                elif folding:
-                    # The tree holds part of a fold no snapshot was published
-                    # from; the next compaction thaws the published one.
-                    self._source = None
-                self._compacting = False
-        return stats
+            self._release(fold, True, fresh)
+        seconds = time.perf_counter() - fold.start
+        return CompactionStats(len(fold.inserts), len(fold.deletes), fold.reclipped_nodes, seconds)
+
+    def _claim(self) -> Optional[_Fold]:
+        """The fold in flight or a new one, marked as stepping; None if nothing is left."""
+        with self._write_lock:
+            if self._stepping:
+                raise CompactionInProgressError("a compaction step is already running")
+            if self._fold is None:
+                overlay = self.overlay
+                # The input, copied before any insert the fold stages can join.
+                fold = _Fold(overlay.base, overlay.deleted_objects(), overlay.inserted_objects())
+                if not fold.deletes and not fold.inserts:
+                    # The buffered writes cancelled out (an insert deleted
+                    # again): nothing to fold, and nothing is pending either.
+                    overlay.ops = 0
+                    return None
+                fold.steps = self._fold_steps(fold)
+                self._fold = fold
+            self._stepping = True
+            return self._fold
+
+    def _release(self, fold: _Fold, ended: bool, fresh: Optional[ColumnarIndex] = None) -> None:
+        """End a step, and the fold if ``ended``: publish ``fresh``, or drop it."""
+        with self._write_lock:
+            self._stepping = False
+            if not ended:
+                return
+            self._fold = None
+            if fresh is not None:
+                self.total_compactions += 1
+                self.total_reclipped_nodes += fold.reclipped_nodes
+                # Staged behind the fold's input (no delete ran meanwhile).
+                staged = self.overlay.inserted_objects()[len(fold.inserts) :]
+                self._install(fresh)
+                for obj in staged:
+                    self._view[1].insert(obj)
+            elif fold.written:
+                self._source = None  # ahead of the view: the next fold thaws the view
+
+    def _fold_steps(self, fold: _Fold) -> Iterator[bool]:
+        """Steps 1–3 of ``fold`` (see :meth:`compact`), suspended between two."""
+        hook = self.compaction_fault_hook
+        if hook is not None:
+            # Pre-mutation crash point: failing here leaves the source tree
+            # untouched, so a retry re-applies the full delta exactly once.
+            hook()
+        base, source = fold.base, self._source
+        if source is None:
+            source = self._source = base.to_tree()
+            yield True
+        # The generation the fold starts from vouches for the nodes the fold
+        # leaves alone only if it is a freeze of this very tree, not mutated
+        # behind the manager's back since.
+        fold.previous = base if base.source is source and not base.is_stale else None
+        clipped = source if isinstance(source, ClippedRTree) else None
+        tree = clipped.tree if clipped is not None else source
+        results = []
+        fold.written = True
+        slice_end = time.perf_counter() + _SLICE_SECONDS
+        for apply, batch in ((tree.delete, fold.deletes), (tree.insert, fold.inserts)):
+            for obj in batch:
+                if results and time.perf_counter() >= slice_end:
+                    yield True
+                    slice_end = time.perf_counter() + _SLICE_SECONDS
+                results.append(apply(obj))
+        yield True
+        dirty = fold.dirty = dirty_node_ids(results, tree)
+        if clipped is None:
+            return
+        live = sorted(node_id for node_id in dirty if tree.has_node(node_id))
+        chunk = dirty.difference(live)  # the dead ids go with the first chunk
+        while True:
+            take = len(live) if fold.whole else incremental_clip._RECLIP_CHUNK_NODES
+            chunk.update(live[:take])
+            live = live[take:]
+            fold.reclipped_nodes += reclip_nodes_for_results(clipped, chunk)
+            if not live:
+                return
+            yield True
+            chunk = set()
 
     # ------------------------------------------------------------------
     # queries (base ∪ delta, tombstones filtered)

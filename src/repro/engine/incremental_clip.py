@@ -30,14 +30,15 @@ and update interleavings.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Set, Union
+from typing import Iterable, Sequence, Set, Union
 
 from repro.engine.bulk_clip import clip_nodes_batch
 from repro.rtree.base import DeleteResult, InsertResult, RTreeBase
 from repro.rtree.clipped import ClippedRTree
 
-#: Dirty nodes re-clipped between two calls of the ``pause`` hook of
-#: :func:`reclip_nodes_for_results`.
+#: Live dirty nodes re-clipped in one step of a stepped compaction
+#: (:meth:`SnapshotManager.compact_step
+#: <repro.engine.delta.SnapshotManager.compact_step>`).
 _RECLIP_CHUNK_NODES = 24
 
 
@@ -77,34 +78,19 @@ def dirty_node_ids(
 
 def reclip_nodes_for_results(
     clipped: ClippedRTree,
-    dirty: Set[int],
+    dirty: Iterable[int],
     engine: str = "vectorized",
-    pause: Optional[Callable[[], None]] = None,
 ) -> int:
-    """Re-clip the nodes a batch of tracked updates dirtied.
+    """Re-clip the nodes a batch of tracked updates dirtied; how many were live.
 
-    ``dirty`` is :func:`dirty_node_ids` of the batch's results, handed to
-    :meth:`ClippedRTree.reclip_nodes`, which drops the ids no longer in
-    the tree from the store and re-clips the live ones — in one call, or,
-    with a ``pause`` hook (see :meth:`SnapshotManager.compact
-    <repro.engine.delta.SnapshotManager.compact>`), in chunks of
-    ``_RECLIP_CHUNK_NODES`` live nodes with the hook called after each
-    (the dead ids go with the first chunk).  A node's clip points depend
-    on its own entries only, so the store ends up the same either way.
-    Returns the number of live nodes re-clipped.
+    ``dirty`` is :func:`dirty_node_ids` of the batch's results, or a chunk
+    of it (a stepped compaction hands over ``_RECLIP_CHUNK_NODES`` live
+    nodes a step, the dead ids with the first).  :meth:`ClippedRTree.reclip_nodes`
+    drops the dead ids from the store and re-clips the live nodes, whose
+    clip points depend on their own entries only: however the set is cut,
+    the store ends up the same.
     """
-    if pause is None:
-        return clipped.reclip_nodes(dirty, engine=engine)
-    tree = clipped.tree
-    live = sorted(node_id for node_id in dirty if tree.has_node(node_id))
-    first = set(dirty).difference(live[_RECLIP_CHUNK_NODES:])
-    count = clipped.reclip_nodes(first, engine=engine)
-    if live:
-        pause()
-    for start in range(_RECLIP_CHUNK_NODES, len(live), _RECLIP_CHUNK_NODES):
-        count += clipped.reclip_nodes(live[start : start + _RECLIP_CHUNK_NODES], engine=engine)
-        pause()
-    return count
+    return clipped.reclip_nodes(dirty, engine=engine)
 
 
 def reclip_live_nodes(clipped: ClippedRTree, node_ids: Sequence[int]) -> None:

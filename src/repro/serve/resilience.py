@@ -156,7 +156,7 @@ class TokenBucket:
         burst: int = 1,
         clock: Optional[Clock] = None,
     ):
-        if rate is not None and rate <= 0:
+        if rate is not None and not rate > 0:  # NaN too: it would never refill
             raise ValueError("rate must be positive (or None for unlimited)")
         if burst < 1:
             raise ValueError("burst must be >= 1")

@@ -31,22 +31,22 @@ The robustness kernel wraps every batch execution:
   frozen base, writes keep landing in the overlay, compaction is refused.
 
 One execution lane: every batch execution — normal or degraded — and
-every slice of the background compaction takes the same ``asyncio.Lock``
+every step of the background compaction takes the same ``asyncio.Lock``
 (``_execute_gate``), so at any moment one thread at most is doing engine
 work.  The lane is also the only clock batches form by: a queue's
 batcher takes its first request and queues for the lane; once it holds
 the lane it takes whatever else of its kind is already waiting, up to
 ``max_batch``.  A request that finds the lane idle runs at once, and
 every request that arrived while the lane was busy shares the next turn
-— none waits out an idle window.  The compaction is cut into slices by
-the manager's ``pause`` hook and gives the lane up between them
-(:meth:`CoalescingServer._run_compaction`); the lock wakes its waiters
-first-in first-out, so no request waits on more than one slice plus one
-round of the other queues' batches.  A compaction thread running
-*beside* the batches would hold the interpreter for a whole switch
-interval each time a batch's NumPy call gave it up.  A ``delete`` or
-``compact`` request that meets the compaction lets it finish within its
-own turn, then applies.
+— none waits out an idle window.  The compaction takes the lane one
+:meth:`~repro.engine.delta.SnapshotManager.compact_step` per turn and
+one last turn for the swap (:meth:`CoalescingServer._run_compaction`);
+the lock wakes its waiters first-in first-out, so no request waits on
+more than one step plus one round of the other queues' batches.  A
+compaction thread running *beside* the batches would hold the
+interpreter for a whole switch interval each time a batch's NumPy call
+gave it up.  A ``delete`` or ``compact`` request that meets the fold in
+flight runs it to its swap within its own turn, then applies.
 
 Determinism: admission is decided *synchronously at submit time* in
 issue order, so with a :class:`~repro.serve.resilience.LogicalClock`
@@ -246,10 +246,18 @@ class ServeConfig:
                 raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and value >= 1
+
+
 #: ``(field, rule, check)`` per checked :class:`ServeConfig` field.
 _CONFIG_RULES = (
-    ("max_batch", "an integer >= 1", lambda v: isinstance(v, numbers.Integral) and v >= 1),
+    ("max_batch", "an integer >= 1", _is_count),
     ("default_deadline", "> 0 seconds (inf allowed)", lambda v: v > 0),
+    ("admission_rate", "> 0 requests/s or None", lambda v: v is None or v > 0),
+    ("admission_burst", "an integer >= 1", _is_count),
+    ("retry_max_attempts", "an integer >= 1", _is_count),
+    ("breaker_failure_threshold", "an integer >= 1", _is_count),
     ("retry_base_delay", ">= 0 seconds", lambda v: v >= 0),
     ("retry_max_delay", ">= 0 seconds", lambda v: v >= 0),
     ("retry_jitter", "within [0, 1]", lambda v: 0 <= v <= 1),
@@ -344,13 +352,9 @@ class CoalescingServer:
         self._queues: Dict[str, asyncio.Queue] = {}
         self._batchers: List[asyncio.Task] = []
         self._compaction_task: Optional[asyncio.Task] = None
-        #: The one execution lane: whoever holds it — a batch, or one slice
+        #: The one execution lane: whoever holds it — a batch, or one step
         #: of the background compaction — is the only engine work running.
         self._execute_gate: Optional[asyncio.Lock] = None
-        #: True from the background compaction's first slice to its last.
-        self._compacting = False
-        #: Set by a turn that needs that compaction over: it stops pausing.
-        self._drain_compaction = False
         #: ``report()["snapshot_swaps"]`` counts the manager's swaps from here.
         self._first_epoch = self.manager.epoch
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -529,8 +533,8 @@ class CoalescingServer:
 
     async def _dispatch(self, kind: str, live: List[_Pending]) -> None:
         """One turn: retries, the breaker, the degraded path; holds the lane."""
-        if kind == "other" and any(item.request.kind in ("delete", "compact") for item in live):
-            await self._finish_compaction()
+        if self.manager.compacting and {item.request.kind for item in live} & {"delete", "compact"}:
+            await self._swap()  # a delete is refused beside it; a compact folds what follows it
         attempts = 0
         delays = self.retry.delays()
         degraded_reason: Optional[str] = None
@@ -712,66 +716,41 @@ class CoalescingServer:
         self._compaction_task = asyncio.ensure_future(self._run_compaction())
 
     async def _run_compaction(self) -> None:
-        """Background compaction, one slice a turn on the execution lane.
+        """Background compaction: one ``compact_step`` a turn, then ``compact()``.
 
-        Holds the gate while ``compact`` works in its thread; between
-        slices the thread's ``pause`` hook (:meth:`_compaction_pause`)
-        releases the gate and queues for it again, behind every batch
-        already waiting — ``asyncio.Lock`` wakes waiters first-in
-        first-out.  So an idle server compacts at full speed, a busy one
-        runs one slice per round of batches, no request waits on more than
-        one slice plus one round, and the fold never shares the
-        interpreter with a batch: a thread blocked in ``pause`` does not
-        contend for the GIL.  Batches between slices read the old view;
-        the swap is the last slice's.  It is one ``compact()`` call in one
-        thread, so whatever follows that call through ``contextvars``
-        sees one compaction.
-
-        A crash — injected or real — counts as a breaker failure and a
-        ``compaction_failures`` tick; the delta stays buffered, so the
-        next trigger retries the whole fold.
+        Each turn queues for the gate behind the batches already waiting,
+        so a busy server runs one step per round of batches, which read
+        the old view meanwhile.  A ``delete`` or ``compact`` turn that runs
+        the swap first ends the task.  A crash counts as a breaker failure
+        and a ``compaction_failures`` tick; the delta stays buffered, so
+        the next trigger retries the whole fold.
         """
         assert self._execute_gate is not None
-        async with self._execute_gate:
-            self._compacting = True
-            try:
-                await asyncio.to_thread(self.manager.compact, pause=self._compaction_pause)
-            except CompactionInProgressError:
-                return  # a compaction run from outside the server beat us to it
-            except Exception:
-                self.metrics.incr("compaction_failures")
-                self.breaker.record_failure()
-                return
-            finally:
-                self._compacting = False
-                self._drain_compaction = False
+        manager, started, more = self.manager, False, True
+        while more is not None:
+            async with self._execute_gate:
+                if started and not manager.compacting:
+                    return  # a delete or compact turn ran the swap
+                if not more:
+                    return await self._swap()
+                more = await self._compaction_call(manager.compact_step)
+                started = manager.compacting
+
+    async def _swap(self) -> None:
+        """Run the fold in flight, or a new one, to its swap; called holding the gate."""
+        if await self._compaction_call(self.manager.compact) is not None:
             self.metrics.incr("compactions")
 
-    def _compaction_pause(self) -> None:
-        """``compact``'s pause hook: called on its thread, between slices."""
-        assert self._loop is not None
-        asyncio.run_coroutine_threadsafe(self._yield_lane(), self._loop).result()
-
-    async def _yield_lane(self) -> None:
-        if not self._drain_compaction:
-            self._execute_gate.release()
-            await self._execute_gate.acquire()
-
-    async def _finish_compaction(self) -> None:
-        """Let the background compaction run to its end; called holding the gate.
-
-        For a turn that cannot run beside it (a ``delete`` or ``compact``
-        the manager would refuse): the compaction, paused between two
-        slices, gets the gate back, stops pausing and swaps; the turn
-        then takes the gate again and applies.
-        """
-        while self._compacting:
-            self._drain_compaction = True
-            self._execute_gate.release()
-            try:
-                await asyncio.wait([self._compaction_task])
-            finally:
-                await self._execute_gate.acquire()
+    async def _compaction_call(self, call) -> Any:
+        """``call()`` in a thread; None when it failed (counted) or met another compaction."""
+        try:
+            return await asyncio.to_thread(call)
+        except CompactionInProgressError:
+            return None  # a compaction run from outside the server holds the manager
+        except Exception:
+            self.metrics.incr("compaction_failures")
+            self.breaker.record_failure()
+            return None
 
     # ------------------------------------------------------------------
     # reporting

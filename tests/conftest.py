@@ -3,9 +3,17 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
+
+#: Examples of tests/test_compaction_machine.py per tier-1 run, and the
+#: profile that runs 100 times as many (``--hypothesis-profile``, CI chaos
+#: job).  Registered here: pytest loads the profile before any test module.
+MACHINE_EXAMPLES = 100
+MACHINE_PROFILE = "compaction-machine-100x"
+settings.register_profile(MACHINE_PROFILE, max_examples=100 * MACHINE_EXAMPLES)
 
 
 def make_random_objects(count, dims=2, seed=0, extent=100.0, max_side=3.0):
@@ -17,6 +25,27 @@ def make_random_objects(count, dims=2, seed=0, extent=100.0, max_side=3.0):
         high = [lo + rng.uniform(0.01, max_side) for lo in low]
         objects.append(SpatialObject(i, Rect(low, high)))
     return objects
+
+
+def fail_after_write(manager, n, error):
+    """Make the n-th write to ``manager``'s source tree from now on raise ``error``.
+
+    Inserts and deletes count together, across folds; the failing write
+    lands first, so the fault is post-mutation: the tree is ahead of the
+    published view.  The manager drops that tree when the fold fails, and
+    the patch with it.
+    """
+    source = manager._source
+    tree = getattr(source, "tree", source)
+    writes = iter(range(1, n + 1))
+    for name in ("insert", "delete"):
+        def failing(obj, write=getattr(tree, name)):
+            result = write(obj)
+            if next(writes, None) == n:
+                raise error
+            return result
+
+        setattr(tree, name, failing)
 
 
 @pytest.fixture

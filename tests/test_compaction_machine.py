@@ -1,0 +1,214 @@
+"""A state machine over one ``SnapshotManager``: writes, stepped folds, faults.
+
+Hypothesis drives a manager over a small clipped tree through any
+interleaving of inserts, deletes, ``compact_step``, ``compact``, range and
+kNN reads, a pre-mutation fault (``compaction_fault_hook``) and a
+post-mutation fault (the source tree's n-th write lands, then raises,
+inside a step), against a brute-force list of the live objects.  No
+threads: a fold in flight is just steps not taken yet, so every
+interleaving is reproducible and shrinks.  Checked after every rule:
+
+* every answer equals the model's (range as a multiset, kNN distances);
+* no acknowledged write is lost or applied twice — across steps, the
+  swap and a failed fold, the manager's live objects are the model's;
+* whenever the base alone misses a model write, the degraded path's stamp
+  (``snapshot.is_stale or not overlay.is_empty``) says so;
+* after every successful ``compact()`` the snapshot is a fresh
+  ``ColumnarIndex.from_tree`` of the source, and its clip store a fresh
+  ``clip_all``.
+
+While a fold is in flight, a delete raises ``CompactionInProgressError``.
+Pending writes live only in memory: nothing here claims they survive a
+process crash.
+"""
+
+import copy
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+
+from repro.engine import ColumnarIndex, CompactionInProgressError, SnapshotManager
+from repro.engine import delta, incremental_clip
+from repro.engine.snapshot_io import _INDEX_ARRAYS
+from repro.geometry.objects import SpatialObject
+from repro.geometry.rect import Rect
+from repro.rtree.clipped import ClippedRTree
+from repro.rtree.registry import build_rtree
+from tests.conftest import (
+    MACHINE_EXAMPLES,
+    MACHINE_PROFILE,
+    fail_after_write,
+    make_random_objects,
+)
+
+
+class MachineFault(Exception):
+    """A fault the machine injected."""
+
+
+def _key(obj):
+    return obj.oid, obj.rect.low, obj.rect.high
+
+
+coordinate = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
+boxes = st.builds(
+    lambda x, y, w, h: Rect((x, y), (x + w, y + h)),
+    coordinate,
+    coordinate,
+    st.sampled_from([0.0, 0.5, 2.0, 7.0]),
+    st.sampled_from([0.0, 1.0, 3.0, 9.0]),
+)
+
+
+class CompactionMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        # One write per apply step and two nodes per re-clip chunk: every
+        # step boundary the fold has is one the machine can stop at.
+        self._budgets = delta._SLICE_SECONDS, incremental_clip._RECLIP_CHUNK_NODES
+        delta._SLICE_SECONDS, incremental_clip._RECLIP_CHUNK_NODES = 0.0, 2
+
+    def teardown(self):
+        delta._SLICE_SECONDS, incremental_clip._RECLIP_CHUNK_NODES = self._budgets
+
+    @initialize(
+        variant=st.sampled_from(["quadratic", "rstar", "hilbert"]),
+        fanout=st.sampled_from([4, 6]),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    def build(self, variant, fanout, seed):
+        self.model = make_random_objects(30, seed=seed)
+        tree = build_rtree(variant, self.model, max_entries=fanout)
+        self.manager = SnapshotManager(ClippedRTree.wrap(tree, method="stairline"))
+        self.next_oid = 10_000
+
+    # -- writes ---------------------------------------------------------
+
+    @rule(rect=boxes)
+    def insert(self, rect):
+        obj = SpatialObject(self.next_oid, rect)
+        self.next_oid += 1
+        self.manager.insert(obj)
+        self.model.append(obj)
+
+    @precondition(lambda self: self.model)
+    @rule(pick=st.integers(min_value=0))
+    def insert_duplicate(self, pick):
+        """An equal copy of a live object: a different row, not a count."""
+        twin = self.model[pick % len(self.model)]
+        obj = SpatialObject(twin.oid, twin.rect)
+        self.manager.insert(obj)
+        self.model.append(obj)
+
+    @precondition(lambda self: self.model)
+    @rule(pick=st.integers(min_value=0))
+    def delete(self, pick):
+        victim = self.model[pick % len(self.model)]
+        if self.manager.compacting:
+            with pytest.raises(CompactionInProgressError):
+                self.manager.delete(victim)
+            return
+        assert self.manager.delete(victim)
+        self.model.remove(next(obj for obj in self.model if _key(obj) == _key(victim)))
+
+    @rule(rect=boxes)
+    def delete_missing(self, rect):
+        if not self.manager.compacting:
+            assert not self.manager.delete(SpatialObject(-1, rect))
+
+    # -- compaction ---------------------------------------------------------
+
+    @rule(steps=st.integers(min_value=1, max_value=8))
+    def step(self, steps):
+        epoch = self.manager.epoch
+        for _ in range(steps):
+            try:
+                more = self.manager.compact_step()
+            except MachineFault:
+                assert not self.manager.compacting
+                break
+            assert not more or self.manager.compacting
+        assert self.manager.epoch == epoch  # a step never publishes
+
+    @rule()
+    def compact(self):
+        epoch = self.manager.epoch
+        try:
+            stats = self.manager.compact()
+        except MachineFault:
+            assert self.manager.epoch == epoch and not self.manager.compacting
+            return
+        assert not self.manager.compacting
+        if self.manager.epoch == epoch:  # nothing was left to fold
+            assert stats.applied_inserts == stats.applied_deletes == 0
+            return
+        source = self.manager._source
+        fresh = ColumnarIndex.from_tree(source)
+        snapshot = self.manager.snapshot
+        for name in _INDEX_ARRAYS:
+            assert np.array_equal(getattr(snapshot, name), getattr(fresh, name)), name
+        assert np.array_equal(snapshot.object_oids(), fresh.object_oids())
+        recomputed = ClippedRTree(copy.deepcopy(source.tree), source.config)
+        recomputed.clip_all()
+        assert dict(source.store.items()) == dict(recomputed.store.items())
+
+    @precondition(lambda self: not self.manager.compacting)
+    @rule()
+    def fault_before_mutation(self):
+        manager = self.manager
+
+        def hook():
+            manager.compaction_fault_hook = None  # one shot
+            raise MachineFault("before the first write")
+
+        manager.compaction_fault_hook = hook
+
+    @precondition(lambda self: not self.manager.compacting and self.manager._source is not None)
+    @rule(n=st.integers(min_value=1, max_value=12))
+    def fault_after_mutation(self, n):
+        fail_after_write(self.manager, n, MachineFault(f"after write {n}"))
+
+    # -- reads ----------------------------------------------------------------
+
+    @rule(rects=st.lists(boxes, min_size=1, max_size=4))
+    def range(self, rects):
+        answers = self.manager.range_query_batch(rects)
+        for rect, hits in zip(rects, answers):
+            expected = Counter(_key(obj) for obj in self.model if obj.rect.intersects(rect))
+            assert Counter(map(_key, hits)) == expected
+
+    @rule(x=coordinate, y=coordinate, k=st.integers(min_value=1, max_value=5))
+    def knn(self, x, y, k):
+        (hits,) = self.manager.knn_batch([(x, y)], k)
+        expected = sorted(obj.rect.min_distance_sq((x, y)) for obj in self.model)[:k]
+        assert [distance for distance, _ in hits] == expected
+        for distance, obj in hits:
+            assert obj.rect.min_distance_sq((x, y)) == distance and _key(obj) in self._keys()
+
+    # -- invariants -----------------------------------------------------------
+
+    def _keys(self):
+        return Counter(map(_key, self.model))
+
+    @invariant()
+    def every_acknowledged_write_once(self):
+        assert Counter(map(_key, self.manager.live_objects())) == self._keys()
+        assert len(self.manager) == len(self.model)
+
+    @invariant()
+    def a_base_that_misses_a_write_is_stamped(self):
+        snapshot, overlay = self.manager.view
+        if Counter(map(_key, snapshot.objects)) != self._keys():
+            assert snapshot.is_stale or not overlay.is_empty
+
+
+_scaled = settings.get_current_profile_name() == MACHINE_PROFILE
+TestCompactionMachine = CompactionMachine.TestCase
+TestCompactionMachine.settings = settings(
+    settings.default if _scaled else settings(max_examples=MACHINE_EXAMPLES),
+    stateful_step_count=30,
+    deadline=None,
+)

@@ -141,7 +141,8 @@ class TestReclipNodes:
 
 
 class TestSlicedCompaction:
-    """``compact(pause=…)`` is ``compact()`` with pauses: same work, same order."""
+    """``compact_step()`` until none remains, then ``compact()``, is ``compact()``:
+    same work, same order, same snapshot."""
 
     ARRAYS = (
         "is_leaf", "entry_start", "entry_count", "node_ids", "entry_lows", "entry_highs",
@@ -174,23 +175,25 @@ class TestSlicedCompaction:
         return managers
 
     @pytest.mark.parametrize("variant", VARIANT_NAMES)
-    def test_paused_compaction_publishes_what_compact_publishes(
+    def test_stepped_compaction_publishes_what_compact_publishes(
         self, variant, monkeypatch, tmp_path
     ):
-        # A budget of zero and two-node chunks: a pause after every op and chunk.
+        # A budget of zero and two-node chunks: a step per op and per chunk.
         monkeypatch.setattr(delta, "_SLICE_SECONDS", 0.0)
         monkeypatch.setattr(incremental_clip, "_RECLIP_CHUNK_NODES", 2)
         (plain, plain_tree), (sliced, sliced_tree) = self._managers(variant, seed=17)
-        pauses = []
         whole = plain.compact()
-        parts = sliced.compact(pause=lambda: pauses.append(sliced.epoch))
+        epochs = [sliced.epoch]
+        while sliced.compact_step():
+            epochs.append(sliced.epoch)
+        assert sliced.compacting and not sliced.compact_step()
+        parts = sliced.compact()
         assert (parts.applied_inserts, parts.applied_deletes, parts.reclipped_nodes) == (
             whole.applied_inserts, whole.applied_deletes, whole.reclipped_nodes,
         )
-        # One per op, one to end the apply slice, one per re-clip chunk; all
-        # before the swap.
-        assert len(pauses) == 140 + 1 + -(-whole.reclipped_nodes // 2)
-        assert set(pauses) == {0} and sliced.epoch == 1
+        # One step per op, then one per re-clip chunk; all before the swap.
+        assert len(epochs) == 140 + -(-whole.reclipped_nodes // 2)
+        assert set(epochs) == {0} and sliced.epoch == 1 and not sliced.compacting
         for name in self.ARRAYS:
             ours, theirs = getattr(sliced.snapshot, name), getattr(plain.snapshot, name)
             assert np.array_equal(ours, theirs), name

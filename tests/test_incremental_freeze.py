@@ -200,16 +200,14 @@ def test_inserts_staged_mid_compaction(tmp_path):
     with recorded_freezes() as freezes:
         for _ in range(GENERATIONS):
             chain.write(12)
-            staged = [chain.new_object() for _ in range(3)]
-
-            def pause():
-                if staged:
-                    obj = staged.pop()
-                    chain.live.append(obj)
-                    manager.insert(obj)
-
             before = len(freezes)
-            manager.compact(pause=pause)
+            # Three inserts between the fold's first steps, then the swap.
+            for _ in range(3):
+                manager.compact_step()
+                obj = chain.new_object()
+                chain.live.append(obj)
+                manager.insert(obj)
+            manager.compact()
             assert freezes[before:] == [True]
             assert manager.pending_ops >= 1  # the staged inserts wait for the next fold
             assert_is_fresh_freeze(manager, tmp_path)

@@ -1,11 +1,12 @@
 """The server's one execution lane, and the compaction that takes turns on it.
 
-Every batch execution and every *slice* of the background compaction
-holds ``CoalescingServer._execute_gate``; ``SnapshotManager.compact(pause=…)``
-gives the lane up between slices.  Pinned here: nothing ever runs beside
-anything else, batches do get their turns while a compaction is under way
-and read the old view until the swap, a failed or interrupted compaction
-leaves an exact view behind, and the write queue's turns are per item.
+Every batch execution and every *step* of the background compaction
+(``SnapshotManager.compact_step``, then ``compact`` for the swap) holds
+``CoalescingServer._execute_gate`` for one turn.  Pinned here: nothing
+ever runs beside anything else, batches do get their turns while a
+compaction is under way and read the old view until the swap, a failed or
+interrupted compaction leaves an exact view behind, and the write queue's
+turns are per item.
 """
 
 import asyncio
@@ -20,7 +21,7 @@ from repro.geometry.rect import Rect
 from repro.rtree.clipped import ClippedRTree
 from repro.rtree.registry import build_rtree
 from repro.serve.server import CoalescingServer, Request, ServeConfig
-from tests.conftest import make_random_objects
+from tests.conftest import fail_after_write, make_random_objects
 
 
 def _manager(count=300, seed=3):
@@ -44,34 +45,32 @@ def _window(obj, pad=1.5):
 
 @pytest.fixture
 def thin_slices(monkeypatch):
-    """A zero budget: the fold pauses after every applied write."""
+    """A zero budget: one applied write per step."""
     monkeypatch.setattr(delta, "_SLICE_SECONDS", 0.0)
 
 
 class _InFlight:
-    """Counts the threads inside the manager's entry points, pauses excluded."""
+    """Counts the threads inside the manager's entry points, and the fold's steps.
 
-    ENTRY_POINTS = ("range_query_batch", "knn_batch", "insert", "delete")
+    A step is counted wherever it runs: in a ``compact_step`` turn, or
+    inside the ``compact()`` of a turn that runs the fold to its swap.
+    """
+
+    ENTRY_POINTS = ("range_query_batch", "knn_batch", "insert", "delete", "compact_step", "compact")
 
     def __init__(self, manager):
         self.lock = threading.Lock()
-        self.now = self.peak = self.calls = self.pauses = 0
+        self.now = self.peak = self.calls = self.steps = 0
         for name in self.ENTRY_POINTS:
             setattr(manager, name, self._counted(getattr(manager, name)))
-        compact = manager.compact
+        fold_steps = manager._fold_steps
 
-        def counted_compact(pause=None):
-            def counted_pause():
-                self.pauses += 1
-                self._move(-1)
-                try:
-                    pause()
-                finally:
-                    self._move(+1)
+        def counted_steps(fold):
+            for more in fold_steps(fold):
+                self.steps += 1
+                yield more
 
-            return self._counted(compact)(pause=counted_pause if pause else None)
-
-        manager.compact = counted_compact
+        manager._fold_steps = counted_steps
 
     def _move(self, step):
         with self.lock:
@@ -125,7 +124,7 @@ def test_nothing_ever_runs_beside_anything_else(thin_slices):
     responses, report = asyncio.run(main())
     assert all(r.ok and r.retries == 0 for r in responses)
     assert report["compactions"] >= 3 and report["compaction_failures"] == 0
-    assert inflight.pauses > 50 and inflight.calls > 100
+    assert inflight.steps > 50 and inflight.calls > 100
     assert inflight.peak == 1
 
 
@@ -141,32 +140,32 @@ def test_batches_take_turns_with_the_compaction_and_read_the_old_view(monkeypatc
     async def main():
         async with CoalescingServer(manager, config) as server:
             reads = []
-            reads_at_pause = []
-            pause = server._compaction_pause
+            reads_at_step = []
+            step = manager.compact_step
 
-            def counted_pause():
-                reads_at_pause.append(len(reads))
-                pause()
+            def counted_step():
+                reads_at_step.append(len(reads))
+                return step()
 
-            server._compaction_pause = counted_pause
+            manager.compact_step = counted_step
             await asyncio.gather(*(server.insert(obj) for obj in inserts))
             assert server._compaction_task is not None
             while not server._compaction_task.done():
                 reads.append(await server.range_query(probe))
             after = await server.range_query(probe)
-            return reads, reads_at_pause, after
+            return reads, reads_at_step, after
 
-    reads, reads_at_pause, after = asyncio.run(main())
-    assert len(reads_at_pause) >= 3
-    # Reads were answered between its pauses: the old snapshot, every insert.
-    during = reads[: reads_at_pause[-1]]
-    assert len(during) >= 3 and reads_at_pause[-1] > reads_at_pause[0]
+    reads, reads_at_step, after = asyncio.run(main())
+    assert len(reads_at_step) >= 3
+    # Reads were answered between its steps: the old snapshot, every insert.
+    during = reads[: reads_at_step[-1]]
+    assert len(during) >= 3 and reads_at_step[-1] > reads_at_step[0]
     assert all(r.ok and r.epoch == 0 and _oids(r.value) == expected for r in during)
     assert after.epoch == 1 and _oids(after.value) == expected
     assert manager.pending_ops == 0
 
 
-def test_a_failure_in_a_late_slice_leaves_an_exact_view(thin_slices):
+def test_a_failure_in_a_late_step_leaves_an_exact_view(thin_slices):
     objects, manager = _manager()
     rng = random.Random(11)
     inserts = [_fresh(i, rng) for i in range(20)]
@@ -175,19 +174,11 @@ def test_a_failure_in_a_late_slice_leaves_an_exact_view(thin_slices):
 
     async def main():
         async with CoalescingServer(manager, config) as server:
-            pause = server._compaction_pause
-            calls = []
-
-            def failing_pause():
-                calls.append(None)
-                if len(calls) == 12:  # well past the first write to the source tree
-                    raise OSError("lane lost")
-                pause()
-
-            server._compaction_pause = failing_pause
+            # Well past the first write to the source tree.
+            fail_after_write(manager, 12, OSError("lane lost"))
             before = manager.view[0]
             await asyncio.gather(*(server.insert(obj) for obj in inserts))
-            # Lands between two slices: staged by the manager.
+            # Lands between two steps: staged by the manager.
             staged = await server.insert(late)
             await asyncio.wait([server._compaction_task])
             seen = await asyncio.gather(
@@ -254,7 +245,7 @@ def test_a_delete_that_meets_the_compaction_finishes_it_and_applies(thin_slices)
             manager.compaction_fault_hook = stall
             await asyncio.gather(*(server.insert(obj) for obj in inserts))
             assert await asyncio.to_thread(started.wait, 10)
-            # The compaction is under way; both requests queue behind its slice.
+            # The compaction is under way; both requests queue behind its step.
             deleted = server.submit_nowait(Request.delete(victim))
             compacted = server.submit_nowait(Request.compact())
             release.set()

@@ -252,6 +252,15 @@ BAD_CONFIG_VALUES = [
     ("default_deadline", float("nan")),
     ("default_deadline", 0.0),
     ("default_deadline", -1.0),
+    ("admission_rate", float("nan")),
+    ("admission_rate", 0.0),
+    ("admission_rate", -5.0),
+    ("admission_burst", 0),
+    ("admission_burst", 1.5),
+    ("retry_max_attempts", 0),
+    ("retry_max_attempts", 2.5),
+    ("breaker_failure_threshold", 0),
+    ("breaker_failure_threshold", 1.5),
     ("retry_base_delay", -0.001),
     ("retry_base_delay", float("nan")),
     ("retry_max_delay", -1.0),

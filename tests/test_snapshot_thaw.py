@@ -26,7 +26,6 @@ from repro.engine import (
     ColumnarIndex,
     SnapshotManager,
     build_columnar_str,
-    delta,
     load_snapshot,
     save_snapshot,
 )
@@ -37,7 +36,7 @@ from repro.query.range_query import brute_force_range
 from repro.rtree.clipped import ClippedRTree
 from repro.rtree.registry import build_rtree
 from repro.rtree.str_bulk import str_bulk_load
-from tests.conftest import make_random_objects
+from tests.conftest import fail_after_write, make_random_objects
 
 VARIANTS = ("quadratic", "rstar", "rrstar", "hilbert", "str")
 
@@ -237,10 +236,10 @@ def test_the_thaw_is_a_slice_of_its_own(tmp_path):
         manager.delete(obj)
     for obj in inserts:
         manager.insert(obj)
-    sizes = []
-    manager.compact(pause=lambda: sizes.append(len(manager._source)))
-    # The first pause comes after the thaw and before the first write.
-    assert sizes[0] == len(objects)
+    # The first step thaws, and writes nothing.
+    assert manager._source is None and manager.compact_step()
+    assert len(manager._source) == len(objects) and not manager.snapshot.is_stale
+    manager.compact()
     assert manager.epoch == 1 and len(manager) == len(objects)
 
 
@@ -250,9 +249,7 @@ def test_the_thaw_is_a_slice_of_its_own(tmp_path):
 
 
 @pytest.mark.parametrize("fail_at", [1, 5, 30])
-def test_a_fold_that_fails_midway_is_folded_again_once(monkeypatch, fail_at):
-    # A zero budget: the fold pauses after every applied write.
-    monkeypatch.setattr(delta, "_SLICE_SECONDS", 0.0)
+def test_a_fold_that_fails_midway_is_folded_again_once(fail_at):
     objects, index = _index("rstar", 2, "stairline", count=400)
     failing = SnapshotManager(copy.deepcopy(index))
     reference = SnapshotManager(copy.deepcopy(index))
@@ -262,15 +259,10 @@ def test_a_fold_that_fails_midway_is_folded_again_once(monkeypatch, fail_at):
             manager.delete(obj)
         for obj in inserts:
             manager.insert(obj)
-    calls = []
-
-    def pause():
-        calls.append(None)
-        if len(calls) == fail_at:
-            raise OSError("lost the lane")
-
+    fail_after_write(failing, fail_at, OSError("lost the lane"))
     with pytest.raises(OSError):
-        failing.compact(pause=pause)
+        failing.compact()
+    assert failing._source is None and not failing.compacting
     assert failing.epoch == 0 and failing.pending_ops == len(deletes) + len(inserts)
     reference.compact()
     failing.compact()

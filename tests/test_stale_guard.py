@@ -17,7 +17,7 @@ from repro.join import execute_join
 from repro.join.stt import synchronized_tree_traversal_join
 from repro.query.range_query import brute_force_range, execute_workload
 from repro.rtree.registry import build_rtree
-from tests.conftest import make_random_objects
+from tests.conftest import fail_after_write, make_random_objects
 
 
 @pytest.fixture
@@ -168,11 +168,9 @@ class TestServeStaleUnderBreaker:
     @pytest.mark.parametrize("compaction", ["paused", "crashed"])
     def test_degraded_join_answers_from_a_stale_base_as_it_is(self, compaction):
         """A compaction that has written to the source tree leaves the base
-        stale, while it pauses between slices and for good once it crashes.
+        stale, between two of its steps and for good once it crashes.
         A degraded join answers from that base, never from a re-freeze of
         the half-applied tree, and says so."""
-        import threading
-
         asyncio, CoalescingServer, Request, objects, manager = self._server_setup()
         base = manager.snapshot
         others = make_random_objects(40, seed=42)
@@ -180,40 +178,28 @@ class TestServeStaleUnderBreaker:
         probes = make_random_objects(40, seed=43, max_side=12.0)
         # Meets every object: a re-freeze would pair it with all of them.
         manager.insert(SpatialObject(9_996, Rect((0.0, 0.0), (100.0, 100.0))))
-        in_pause, release = threading.Event(), threading.Event()
-
-        def hold():
-            in_pause.set()
-            assert release.wait(timeout=10)
-
-        def crash():
-            raise RuntimeError("compaction crashed after writing to the source")
-
-        if compaction == "crashed":
+        if compaction == "paused":
+            # The first step applies the one pending write; the swap waits.
+            assert manager.compact_step() and manager.compacting
+        else:
+            crash = RuntimeError("compaction crashed after writing to the source")
+            fail_after_write(manager, 1, crash)
             with pytest.raises(RuntimeError, match="crashed"):
-                manager.compact(pause=crash)
+                manager.compact()
 
         async def main():
             async with CoalescingServer(manager) as server:
                 server.breaker.force_open()
-                outside = None
-                if compaction == "paused":
-                    outside = asyncio.create_task(
-                        asyncio.to_thread(manager.compact, pause=hold)
-                    )
-                    assert await asyncio.to_thread(in_pause.wait, 10)
-                try:
-                    assert manager.snapshot is base and base.is_stale
-                    return (
-                        await server.join(other=other, algorithm="stt"),
-                        await server.join(probes=probes, algorithm="inlj"),
-                    )
-                finally:
-                    release.set()
-                    if outside is not None:
-                        await outside
+                assert manager.snapshot is base and base.is_stale
+                return (
+                    await server.join(other=other, algorithm="stt"),
+                    await server.join(probes=probes, algorithm="inlj"),
+                )
 
         stt, inlj = asyncio.run(main())
+        if compaction == "paused":
+            manager.compact()
+            assert manager.epoch == 1 and not manager.snapshot.is_stale
         for response, expected in (
             (stt, _brute_force_pairs(others, objects)),
             (inlj, _brute_force_pairs(probes, objects)),
