@@ -56,7 +56,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from operator import attrgetter, itemgetter
-from typing import Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -89,13 +89,11 @@ _PENDING_BLOCK_CELLS = 1 << 16
 
 
 class CompactionInProgressError(RuntimeError):
-    """A write raced a compaction in flight.
+    """A ``compact`` or ``compact_step`` met one of the fold's steps executing.
 
-    Raised for what cannot be staged safely — a ``delete`` during a fold,
-    a ``compact`` or ``compact_step`` during a step; retry after the swap.
-    Concurrent *inserts* are never refused: they join the overlay being
-    folded and are staged for the fresh one, so a write accepted by the
-    manager is readable at once and never silently dropped.
+    Retry once that step returns.  Writes are never refused: one made
+    during a fold lands in the published overlay and is replayed onto the
+    fresh one at the swap (see :class:`SnapshotManager`).
     """
 
 
@@ -347,6 +345,9 @@ class _Fold:
     written: bool = False  # a write reached the source tree
     whole: bool = False  # set by compact(): the re-clip left runs in one call
     steps: Iterator[bool] = iter(())
+    #: the writes made since its input was copied, in order, as
+    #: ``(DeltaOverlay.insert or DeltaOverlay.delete, object)``
+    log: List[Tuple[Callable, SpatialObject]] = field(default_factory=list)
 
 
 class SnapshotManager:
@@ -375,17 +376,20 @@ class SnapshotManager:
     Concurrency contract (what a compacting server relies on): a *fold*
     is in flight from its first :meth:`compact_step` to the swap of
     :meth:`compact`, and writes may come between two steps or race one
-    from another thread.  An ``insert`` then goes into the overlay being
-    folded — every read sees it from the moment it is acknowledged — and
-    is *staged* as well: the fresh overlay receives it atomically with the
-    swap, and after a failure the old overlay stays published and already
-    holds it, so an insert is never dropped, never invisible and never
-    applied twice.  A ``delete`` raises :class:`CompactionInProgressError`
-    instead (staged against a base being rebuilt, it could target either
-    snapshot), and so does a ``compact`` or ``compact_step`` while a step
-    is executing.  ``compaction_fault_hook`` (chaos testing) is an
-    optional callable invoked once per fold, in its first step, *before*
-    the source is mutated; raising from it models a rebuild crash.
+    from another thread.  Every write, insert or delete, then goes to the
+    published overlay exactly as it would outside a fold — every read
+    sees it from the moment it is acknowledged, and a delete returns the
+    same bool — and is appended to the fold's log as well.  The swap
+    replays the log in order onto the fresh overlay before publishing it
+    (a delete matches by value, so it finds its object whether the fold
+    moved it into the base or not); after a failure the old overlay stays
+    published and already holds every write.  So a write is never dropped,
+    never invisible and never applied twice.  Only a ``compact`` or
+    ``compact_step`` while a step is executing raises
+    :class:`CompactionInProgressError`.  ``compaction_fault_hook`` (chaos
+    testing) is an optional callable invoked once per fold, in its first
+    step, *before* the source is mutated; raising from it models a
+    rebuild crash.
     Readers are lock-free throughout: they grab the published
     ``(snapshot, overlay)`` tuple once per batch.
     """
@@ -447,47 +451,37 @@ class SnapshotManager:
         overlay = self.overlay
         return overlay.live_base_objects() + overlay.inserted_objects()
 
-    def _install(self, snapshot: ColumnarIndex) -> None:
-        """Atomically publish a fresh snapshot with an empty overlay."""
-        self._view = (snapshot, DeltaOverlay(snapshot))
-        self.epoch += 1
-
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
 
     def insert(self, obj: SpatialObject) -> None:
-        """Insert one object.
-
-        Safe against a compaction in flight: a mid-fold insert is
-        readable at once and carried over to the overlay the fold
-        publishes (see the class doc).
-        """
-        with self._write_lock:
-            self.overlay.insert(obj)
-            if self._fold is not None:
-                return  # staged: the swap carries it over to the fresh overlay
-        self._maybe_compact()
+        """Insert one object; during a fold too (see the class doc)."""
+        self._write(DeltaOverlay.insert, obj)
 
     def delete(self, obj: SpatialObject) -> bool:
         """Delete one object; False when it is not (visibly) indexed.
 
         Raises ``ValueError`` for an object of the wrong dimensionality,
-        like :meth:`insert`, and :class:`CompactionInProgressError` while
-        a fold is in flight — a delete cannot be staged without knowing
-        which base snapshot it will apply to.
+        like :meth:`insert`.  During a fold it answers as it would outside
+        one, and the swap keeps what it did (see the class doc).
         """
-        with self._write_lock:
-            if self._fold is not None:
-                raise CompactionInProgressError("delete during compaction; retry after the swap")
-            found = self.overlay.delete(obj)
-        if found:
-            self._maybe_compact()
-        return found
+        return self._write(DeltaOverlay.delete, obj)
 
-    def _maybe_compact(self) -> None:
-        if self.compact_every is not None and self.overlay.ops >= self.compact_every:
+    def _write(self, op: Callable, obj: SpatialObject) -> bool:
+        """``op`` on the published overlay; logged for the fold in flight, if any."""
+        with self._write_lock:
+            overlay = self._view[1]
+            done = op(overlay, obj) is not False  # an insert returns None
+            fold = self._fold
+            if fold is not None:
+                if done:
+                    fold.log.append((op, obj))
+                return done
+        every = self.compact_every
+        if done and every is not None and overlay.ops >= every:
             self.compact()
+        return done
 
     # ------------------------------------------------------------------
     # compaction
@@ -567,7 +561,7 @@ class SnapshotManager:
                 raise CompactionInProgressError("a compaction step is already running")
             if self._fold is None:
                 overlay = self.overlay
-                # The input, copied before any insert the fold stages can join.
+                # The input: what the fold's log starts after.
                 fold = _Fold(overlay.base, overlay.deleted_objects(), overlay.inserted_objects())
                 if not fold.deletes and not fold.inserts:
                     # The buffered writes cancelled out (an insert deleted
@@ -580,7 +574,7 @@ class SnapshotManager:
             return self._fold
 
     def _release(self, fold: _Fold, ended: bool, fresh: Optional[ColumnarIndex] = None) -> None:
-        """End a step, and the fold if ``ended``: publish ``fresh``, or drop it."""
+        """End a step, and the fold if ``ended``: publish ``fresh`` plus its log, or drop both."""
         with self._write_lock:
             self._stepping = False
             if not ended:
@@ -589,11 +583,11 @@ class SnapshotManager:
             if fresh is not None:
                 self.total_compactions += 1
                 self.total_reclipped_nodes += fold.reclipped_nodes
-                # Staged behind the fold's input (no delete ran meanwhile).
-                staged = self.overlay.inserted_objects()[len(fold.inserts) :]
-                self._install(fresh)
-                for obj in staged:
-                    self._view[1].insert(obj)
+                overlay = DeltaOverlay(fresh)
+                for op, obj in fold.log:
+                    op(overlay, obj)
+                self._view = (fresh, overlay)  # one assignment: readers see both or neither
+                self.epoch += 1
             elif fold.written:
                 self._source = None  # ahead of the view: the next fold thaws the view
 

@@ -130,8 +130,12 @@ class RetryPolicy:
         """The deterministic backoff delays between consecutive attempts."""
         rng = random.Random(self.seed)
         out: List[float] = []
+        delay = 0.0
         for attempt in range(self.max_attempts - 1):
-            delay = min(self.max_delay, self.base_delay * self.multiplier**attempt)
+            # Once at the cap (or with no base) the delay stays put: the
+            # power would overflow a float after about a thousand attempts.
+            if self.base_delay > 0 and delay < self.max_delay:
+                delay = min(self.max_delay, self.base_delay * self.multiplier**attempt)
             out.append(delay * (1.0 - self.jitter * rng.random()))
         return out
 

@@ -45,8 +45,9 @@ the lock wakes its waiters first-in first-out, so no request waits on
 more than one step plus one round of the other queues' batches.  A
 compaction thread running *beside* the batches would hold the
 interpreter for a whole switch interval each time a batch's NumPy call
-gave it up.  A ``delete`` or ``compact`` request that meets the fold in
-flight runs it to its swap within its own turn, then applies.
+gave it up.  A write that meets the fold in flight applies at once and
+the manager keeps it across the swap; a ``compact`` request runs the
+fold to its swap within its own turn, then folds what came after.
 
 Determinism: admission is decided *synchronously at submit time* in
 issue order, so with a :class:`~repro.serve.resilience.LogicalClock`
@@ -259,7 +260,7 @@ _CONFIG_RULES = (
     ("retry_max_attempts", "an integer >= 1", _is_count),
     ("breaker_failure_threshold", "an integer >= 1", _is_count),
     ("retry_base_delay", ">= 0 seconds", lambda v: v >= 0),
-    ("retry_max_delay", ">= 0 seconds", lambda v: v >= 0),
+    ("retry_max_delay", "finite and >= 0 seconds", lambda v: 0 <= v < float("inf")),
     ("retry_jitter", "within [0, 1]", lambda v: 0 <= v <= 1),
     ("breaker_cooldown", ">= 0 seconds", lambda v: v >= 0),
     ("compact_threshold", ">= 1 or None", lambda v: v is None or v >= 1),
@@ -533,8 +534,8 @@ class CoalescingServer:
 
     async def _dispatch(self, kind: str, live: List[_Pending]) -> None:
         """One turn: retries, the breaker, the degraded path; holds the lane."""
-        if self.manager.compacting and {item.request.kind for item in live} & {"delete", "compact"}:
-            await self._swap()  # a delete is refused beside it; a compact folds what follows it
+        if self.manager.compacting and any(item.request.kind == "compact" for item in live):
+            await self._swap()  # a compact folds what follows the fold in flight
         attempts = 0
         delays = self.retry.delays()
         degraded_reason: Optional[str] = None
@@ -671,13 +672,11 @@ class CoalescingServer:
         """One join or write.
 
         Writes always go to the live manager's overlay (it is cheap and
-        never the failing component) and are never stale.  Only the live
-        manager compacts: behind the frozen base a ``compact`` is refused
-        and a delete that races a compaction run from outside the server
-        is answered with an error instead of a retry.
+        never the failing component), during a fold too, and are never
+        stale.  Only the live manager compacts: behind the frozen base a
+        ``compact`` is refused.
         """
         manager = self.manager
-        live = backend is manager
         if request.kind == "join":
             spec = request.payload
             algorithm = spec["algorithm"]
@@ -687,13 +686,8 @@ class CoalescingServer:
             manager.insert(request.payload)
             return ("ok", True, False)
         if request.kind == "delete":
-            try:
-                return ("ok", manager.delete(request.payload), False)
-            except CompactionInProgressError:
-                if live:
-                    raise  # the retry loop waits out the swap
-                return ("error", "delete raced a compaction; retry", False)
-        if not live:
+            return ("ok", manager.delete(request.payload), False)
+        if backend is not manager:
             return ("error", "compaction refused while degraded", False)
         try:
             stats = manager.compact()
@@ -720,8 +714,8 @@ class CoalescingServer:
 
         Each turn queues for the gate behind the batches already waiting,
         so a busy server runs one step per round of batches, which read
-        the old view meanwhile.  A ``delete`` or ``compact`` turn that runs
-        the swap first ends the task.  A crash counts as a breaker failure
+        the old view meanwhile.  A ``compact`` turn that runs the swap first
+        ends the task.  A crash counts as a breaker failure
         and a ``compaction_failures`` tick; the delta stays buffered, so
         the next trigger retries the whole fold.
         """
@@ -730,7 +724,7 @@ class CoalescingServer:
         while more is not None:
             async with self._execute_gate:
                 if started and not manager.compacting:
-                    return  # a delete or compact turn ran the swap
+                    return  # a compact turn ran the swap
                 if not more:
                     return await self._swap()
                 more = await self._compaction_call(manager.compact_step)

@@ -2,37 +2,52 @@
 
 Hypothesis drives a manager over a small clipped tree through any
 interleaving of inserts, deletes, ``compact_step``, ``compact``, range and
-kNN reads, a pre-mutation fault (``compaction_fault_hook``) and a
+kNN reads, INLJ and STT joins, a reload (``save_snapshot``, then
+``load_snapshot(mmap=True)`` under a new manager holding the same
+pending writes), a pre-mutation fault (``compaction_fault_hook``) and a
 post-mutation fault (the source tree's n-th write lands, then raises,
 inside a step), against a brute-force list of the live objects.  No
 threads: a fold in flight is just steps not taken yet, so every
 interleaving is reproducible and shrinks.  Checked after every rule:
 
-* every answer equals the model's (range as a multiset, kNN distances);
+* every answer equals the model's (range as a multiset, kNN distances,
+  join pairs as a multiset);
 * no acknowledged write is lost or applied twice — across steps, the
   swap and a failed fold, the manager's live objects are the model's;
 * whenever the base alone misses a model write, the degraded path's stamp
   (``snapshot.is_stale or not overlay.is_empty``) says so;
 * after every successful ``compact()`` the snapshot is a fresh
   ``ColumnarIndex.from_tree`` of the source, and its clip store a fresh
-  ``clip_all``.
+  ``clip_all``;
+* every published generation holds its leaf and entry rows as a loaded
+  snapshot must, and no node's clip region meets one of its entries with
+  positive volume (the paper's soundness claim, on what readers are served).
 
-While a fold is in flight, a delete raises ``CompactionInProgressError``.
-Pending writes live only in memory: nothing here claims they survive a
-process crash.
+A write during a fold follows the rule it follows outside one: no write
+rule has a fold branch.  Pending writes live only in memory: nothing here
+claims they survive a process crash.
 """
 
 import copy
+import shutil
+import tempfile
 from collections import Counter
 
 import numpy as np
-import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from repro.engine import ColumnarIndex, CompactionInProgressError, SnapshotManager
+from repro.cbb.scoring import clip_region
+from repro.engine import ColumnarIndex, SnapshotManager
 from repro.engine import delta, incremental_clip
-from repro.engine.snapshot_io import _INDEX_ARRAYS
+from repro.engine.delta import overlay_join
+from repro.engine.snapshot_io import (
+    _INDEX_ARRAYS,
+    _entry_rows_fault,
+    _leaf_rows_fault,
+    load_snapshot,
+    save_snapshot,
+)
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.rtree.clipped import ClippedRTree
@@ -70,9 +85,13 @@ class CompactionMachine(RuleBasedStateMachine):
         # step boundary the fold has is one the machine can stop at.
         self._budgets = delta._SLICE_SECONDS, incremental_clip._RECLIP_CHUNK_NODES
         delta._SLICE_SECONDS, incremental_clip._RECLIP_CHUNK_NODES = 0.0, 2
+        self._directories = []
+        self._checked = None  # the (manager, epoch) last checked by generation_is_sound
 
     def teardown(self):
         delta._SLICE_SECONDS, incremental_clip._RECLIP_CHUNK_NODES = self._budgets
+        for directory in self._directories:
+            shutil.rmtree(directory, ignore_errors=True)
 
     @initialize(
         variant=st.sampled_from(["quadratic", "rstar", "hilbert"]),
@@ -84,6 +103,10 @@ class CompactionMachine(RuleBasedStateMachine):
         tree = build_rtree(variant, self.model, max_entries=fanout)
         self.manager = SnapshotManager(ClippedRTree.wrap(tree, method="stairline"))
         self.next_oid = 10_000
+        # The other side of the STT joins: never written to.
+        self.other = make_random_objects(12, seed=seed + 1)
+        other = build_rtree(variant, self.other, max_entries=fanout)
+        self.other_index = ColumnarIndex.from_tree(ClippedRTree.wrap(other, method="stairline"))
 
     # -- writes ---------------------------------------------------------
 
@@ -107,17 +130,12 @@ class CompactionMachine(RuleBasedStateMachine):
     @rule(pick=st.integers(min_value=0))
     def delete(self, pick):
         victim = self.model[pick % len(self.model)]
-        if self.manager.compacting:
-            with pytest.raises(CompactionInProgressError):
-                self.manager.delete(victim)
-            return
         assert self.manager.delete(victim)
         self.model.remove(next(obj for obj in self.model if _key(obj) == _key(victim)))
 
     @rule(rect=boxes)
     def delete_missing(self, rect):
-        if not self.manager.compacting:
-            assert not self.manager.delete(SpatialObject(-1, rect))
+        assert not self.manager.delete(SpatialObject(-1, rect))
 
     # -- compaction ---------------------------------------------------------
 
@@ -158,18 +176,37 @@ class CompactionMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.manager.compacting)
     @rule()
     def fault_before_mutation(self):
-        manager = self.manager
-
         def hook():
-            manager.compaction_fault_hook = None  # one shot
+            self.manager.compaction_fault_hook = None  # one shot, across a reload too
             raise MachineFault("before the first write")
 
-        manager.compaction_fault_hook = hook
+        self.manager.compaction_fault_hook = hook
 
     @precondition(lambda self: not self.manager.compacting and self.manager._source is not None)
     @rule(n=st.integers(min_value=1, max_value=12))
     def fault_after_mutation(self, n):
         fail_after_write(self.manager, n, MachineFault(f"after write {n}"))
+
+    @precondition(lambda self: not self.manager.compacting)
+    @rule()
+    def reload(self):
+        """Serve the published base from disk under a new manager.
+
+        The old overlay's pending deletes, then its inserts, are applied
+        to the new one: the model does not change, and the next fold
+        thaws the loaded snapshot.
+        """
+        old = self.manager
+        directory = tempfile.mkdtemp(prefix="compaction-machine-")
+        self._directories.append(directory)
+        save_snapshot(old.snapshot, directory)
+        manager = SnapshotManager(load_snapshot(directory, mmap=True))
+        for obj in old.overlay.deleted_objects():
+            assert manager.delete(obj)
+        for obj in old.overlay.inserted_objects():
+            manager.insert(obj)
+        manager.compaction_fault_hook = old.compaction_fault_hook
+        self.manager = manager
 
     # -- reads ----------------------------------------------------------------
 
@@ -188,6 +225,34 @@ class CompactionMachine(RuleBasedStateMachine):
         for distance, obj in hits:
             assert obj.rect.min_distance_sq((x, y)) == distance and _key(obj) in self._keys()
 
+    @rule(rects=st.lists(boxes, min_size=1, max_size=4))
+    def inlj(self, rects):
+        probes = [SpatialObject(-2 - i, rect) for i, rect in enumerate(rects)]
+        joined = overlay_join(probes, self.manager, algorithm="inlj")
+        expected = Counter(
+            (_key(probe), _key(obj))
+            for probe in probes
+            for obj in self.model
+            if probe.rect.intersects(obj.rect)
+        )
+        assert joined.pair_count == sum(expected.values())
+        assert Counter((_key(l), _key(r)) for l, r in joined.pairs) == expected
+
+    @rule(manager_left=st.booleans())
+    def stt(self, manager_left):
+        sides = (self.manager, self.other_index)
+        joined = overlay_join(*(sides if manager_left else sides[::-1]), algorithm="stt")
+        pairs = Counter(
+            (_key(obj), _key(other))
+            for obj in self.model
+            for other in self.other
+            if obj.rect.intersects(other.rect)
+        )
+        if not manager_left:
+            pairs = Counter({(r, l): n for (l, r), n in pairs.items()})
+        assert joined.pair_count == sum(pairs.values())
+        assert Counter((_key(l), _key(r)) for l, r in joined.pairs) == pairs
+
     # -- invariants -----------------------------------------------------------
 
     def _keys(self):
@@ -203,6 +268,33 @@ class CompactionMachine(RuleBasedStateMachine):
         snapshot, overlay = self.manager.view
         if Counter(map(_key, snapshot.objects)) != self._keys():
             assert snapshot.is_stale or not overlay.is_empty
+
+    @invariant()
+    def generation_is_sound(self):
+        """Once per published generation: its rows, and its clip points."""
+        manager = self.manager
+        if self._checked == (manager, manager.epoch):
+            return
+        self._checked = (manager, manager.epoch)
+        snapshot = manager.snapshot
+        assert _leaf_rows_fault(snapshot, len(snapshot.objects)) is None
+        assert _entry_rows_fault(snapshot) is None
+        node_lows, node_highs = snapshot.node_bounds()
+        masks = (snapshot.clip_is_high << np.arange(snapshot.dims)).sum(axis=1).tolist()
+        for slot, (first, count) in enumerate(
+            zip(snapshot.node_clip_start.tolist(), snapshot.node_clip_count.tolist())
+        ):
+            mbb = Rect(node_lows[slot], node_highs[slot])
+            start = int(snapshot.entry_start[slot])
+            entries = [
+                Rect(snapshot.entry_lows[row], snapshot.entry_highs[row])
+                for row in range(start, start + int(snapshot.entry_count[slot]))
+            ]
+            for clip in range(first, first + count):
+                region = clip_region(tuple(snapshot.clip_coords[clip]), masks[clip], mbb)
+                assert all(region.intersection_volume(entry) == 0.0 for entry in entries), (
+                    f"clip {clip} of node slot {slot} meets one of its entries"
+                )
 
 
 _scaled = settings.get_current_profile_name() == MACHINE_PROFILE

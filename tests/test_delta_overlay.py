@@ -459,7 +459,7 @@ class TestTombstonesAreRows:
 
 
 # ----------------------------------------------------------------------
-# writes racing a compaction (the CompactionInProgressError contract)
+# writes racing a compaction: applied at once, replayed at the swap
 # ----------------------------------------------------------------------
 
 
@@ -539,26 +539,61 @@ class TestCompactionConcurrency:
             manager.compact()
         assert manager.pending_ops == 0
 
-    def test_delete_during_compaction_raises_cleanly(self):
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_delete_acknowledged_mid_compaction_is_applied_at_once(self, crash):
+        """A mid-fold delete answers as outside a fold, is read at once,
+        survives the swap (or the crash) and is folded exactly once."""
         rng, objects, manager = self._manager()
         manager.insert(_random_object(rng, 1000))
         victim = objects[0]
-        outcome = {}
+        centre = victim.rect.center
+
+        def count():
+            in_range = sum(1 for obj in manager.range_query(victim.rect) if obj.oid == victim.oid)
+            nearest = manager.knn_batch([centre], 3)[0]
+            return in_range, sum(1 for _, obj in nearest if obj.oid == victim.oid)
 
         def racer():
-            with pytest.raises(CompactionInProgressError, match="retry after the swap"):
-                manager.delete(victim)
-            outcome["raised"] = True
+            assert manager.delete(victim) is True
+            assert count() == (0, 0)
+            if crash:
+                raise RuntimeError("compaction crashed mid-fold")
 
         manager.compaction_fault_hook = racer
-        manager.compact()
+        if crash:
+            with pytest.raises(RuntimeError, match="crashed mid-fold"):
+                manager.compact()
+        else:
+            stats = manager.compact()
+            assert (stats.applied_inserts, stats.applied_deletes) == (1, 0)  # its input only
         manager.compaction_fault_hook = None
-        assert outcome == {"raised": True}
-        # the rejected delete was not half-applied: the victim is intact,
-        # and retrying after the swap works
-        assert victim.oid in {o.oid for o in manager.range_query(victim.rect)}
-        assert manager.delete(victim)
-        assert victim.oid not in {o.oid for o in manager.range_query(victim.rect)}
+        assert manager.epoch == (0 if crash else 1)
+        assert manager.pending_ops == (2 if crash else 1)
+        assert count() == (0, 0)
+        assert manager.compact().applied_deletes == 1
+        assert manager.pending_ops == 0 and count() == (0, 0)
+        assert not manager.delete(victim)
+
+    def test_a_mid_fold_delete_of_the_folds_own_insert_survives_the_swap(self):
+        """The fold's input holds A; the delete removes A from the overlay
+        it reads, so only a replay of the delete removes A after the swap."""
+        rng, objects, manager = self._manager()
+        a, b = _random_object(rng, 1000), _random_object(rng, 1001)
+        manager.insert(a)
+        manager.insert(b)
+        assert manager.compact_step() and manager.compacting
+        assert manager.delete(a)
+        stats = manager.compact()
+        assert (stats.applied_inserts, stats.applied_deletes) == (2, 0)
+
+        def present(obj):
+            return sum(1 for hit in manager.range_query(obj.rect) if hit.oid == obj.oid)
+
+        assert (present(a), present(b)) == (0, 1)
+        assert manager.pending_ops == 1 and len(manager) == len(objects) + 1
+        assert manager.compact().applied_deletes == 1
+        assert (present(a), present(b)) == (0, 1) and manager.pending_ops == 0
+        assert not manager.delete(a)
 
     def test_reentrant_compact_raises(self):
         rng, objects, manager = self._manager()
@@ -822,17 +857,21 @@ class TestPendingBuffer:
 
 def test_lock_free_readers_see_every_acknowledged_write():
     """Readers rebuild the pending view without a lock while writers insert
-    and delete: a read started after a write was acknowledged reflects it."""
+    and delete and a compactor folds step by step: a read started after a
+    write was acknowledged reflects it, across every swap, and the writes a
+    fold's log replays are kept exactly once."""
     rng = random.Random(45)
     manager = SnapshotManager(build_rtree("quadratic", [_random_object(rng, i) for i in range(30)]))
     everything = Rect((-INF, -INF), (INF, INF))
     # Every third insert is deleted again; the others stay.
     kept, deleted, failures = [], [], []
-    done = threading.Event()
+    done, swapped = threading.Event(), threading.Event()
 
     def writer(first_oid):
         local = random.Random(first_oid)
         for i in range(300):
+            if i == 150 and not swapped.wait(timeout=30):  # the rest races later folds
+                failures.append("no fold was published")
             obj = _random_object(local, first_oid + i)
             manager.insert(obj)
             if i % 3:
@@ -850,23 +889,37 @@ def test_lock_free_readers_see_every_acknowledged_write():
             if hits & gone:
                 failures.append("an acknowledged delete was visible")
 
+    def compactor():
+        while not done.is_set():
+            if not manager.compact_step():
+                manager.compact()
+                if manager.epoch:
+                    swapped.set()
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         writers = [threading.Thread(target=writer, args=(1_000 * (n + 1),)) for n in range(3)]
-        readers = [threading.Thread(target=reader) for _ in range(2)]
-        for thread in writers + readers:
+        others = [threading.Thread(target=reader) for _ in range(2)]
+        others.append(threading.Thread(target=compactor))
+        for thread in others + writers:
             thread.start()
         for thread in writers:
             thread.join(timeout=60)
         done.set()
-        for thread in readers:
+        for thread in others:
             thread.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in writers + readers)
+    assert not any(thread.is_alive() for thread in writers + others)
     assert failures == []
-    assert len(manager) == 30 + 3 * 200
+    manager.compact()  # the fold the compactor left in flight, if any
+    manager.compact()  # what its log replayed
+    assert manager.pending_ops == 0
+    live = Counter(map(object_key, manager.live_objects()))
+    assert live == Counter(map(object_key, manager.snapshot.objects))
+    assert not live & Counter(map(object_key, deleted))
+    assert Counter(map(object_key, kept)) <= live and len(manager) == 30 + 3 * 200
 
 
 def _tree_shape(tree):

@@ -6,6 +6,8 @@ tests pin both properties, because the chaos suite and the gated
 ``serve`` benchmark counters rest on them.
 """
 
+import random
+
 import pytest
 
 from repro.serve.faults import (
@@ -82,6 +84,20 @@ def test_retry_delays_are_seed_deterministic_and_bounded():
     for delay, cap in zip(delays, undithered):
         assert 0.0 < delay <= cap
     assert delays != RetryPolicy(max_attempts=5, seed=4).delays()
+
+
+def test_retry_delays_stop_growing_at_the_cap():
+    """Bit for bit ``min(max, base * 2**n)`` dithered; past the cap, no
+    further power, so thousands of attempts do not overflow."""
+    for base, cap in ((0.002, 0.05), (0.01, 0.04), (0.0, 0.05), (0.001, 0.0)):
+        policy = RetryPolicy(max_attempts=40, base_delay=base, max_delay=cap, jitter=0.5, seed=9)
+        rng = random.Random(9)
+        expected = [
+            min(cap, base * 2.0**n) * (1.0 - 0.5 * rng.random()) for n in range(39)
+        ]
+        assert policy.delays() == expected
+        many = RetryPolicy(max_attempts=3000, base_delay=base, max_delay=cap, jitter=0.0)
+        assert many.delays()[39:] == [cap if base else 0.0] * (2999 - 39)
 
 
 # ----------------------------------------------------------------------

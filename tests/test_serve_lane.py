@@ -5,8 +5,9 @@ Every batch execution and every *step* of the background compaction
 ``CoalescingServer._execute_gate`` for one turn.  Pinned here: nothing
 ever runs beside anything else, batches do get their turns while a
 compaction is under way and read the old view until the swap, a failed or
-interrupted compaction leaves an exact view behind, and the write queue's
-turns are per item.
+interrupted compaction leaves an exact view behind, a write that meets the
+compaction is answered beside it while a ``compact`` finishes it, and the
+write queue's turns are per item.
 """
 
 import asyncio
@@ -226,40 +227,86 @@ def test_stop_during_a_compaction_returns_with_it_complete(thin_slices):
         assert obj.oid in _oids(manager.range_query(obj.rect))
 
 
-def test_a_delete_that_meets_the_compaction_finishes_it_and_applies(thin_slices):
-    """Regression: it used to sleep through its retry back-off holding the
-    gate — with the compaction itself waiting on that gate, until the
-    retries ran out."""
-    objects, manager = _manager()
-    rng = random.Random(17)
-    inserts = [_fresh(i, rng) for i in range(30)]
-    victim = objects[5]
+def _stalled_compaction(manager):
+    """A fault hook that holds the fold's first step until released."""
     started, release = threading.Event(), threading.Event()
 
     def stall():
         started.set()
         assert release.wait(timeout=10)
 
+    manager.compaction_fault_hook = stall
+    return started, release
+
+
+def test_a_delete_that_meets_the_compaction_is_answered_beside_it(thin_slices):
+    """It applies in its own turn, with no retry and no swap: the fold is
+    still in flight when it is answered, and the swap keeps the delete."""
+    objects, manager = _manager()
+    rng = random.Random(17)
+    inserts = [_fresh(i, rng) for i in range(30)]
+    victim = objects[5]
+
     async def main():
         async with CoalescingServer(manager, ServeConfig(compact_threshold=30)) as server:
-            manager.compaction_fault_hook = stall
+            started, release = _stalled_compaction(manager)
             await asyncio.gather(*(server.insert(obj) for obj in inserts))
             assert await asyncio.to_thread(started.wait, 10)
-            # The compaction is under way; both requests queue behind its step.
+            # The compaction's first step holds the lane; the delete queues behind it.
             deleted = server.submit_nowait(Request.delete(victim))
-            compacted = server.submit_nowait(Request.compact())
             release.set()
-            deleted, compacted = await asyncio.gather(deleted, compacted)
+            deleted = await deleted
+            in_flight = manager.compacting
             manager.compaction_fault_hook = None
-            return deleted, compacted, await server.range_query(_window(victim)), server.report()
+            await server._compaction_task
+            return deleted, in_flight, await server.range_query(_window(victim)), server.report()
 
-    deleted, compacted, probe, report = asyncio.run(main())
+    deleted, in_flight, probe, report = asyncio.run(main())
     assert deleted.ok and deleted.value is True and deleted.retries == 0
-    assert compacted.ok and compacted.retries == 0
-    assert deleted.epoch >= 1  # applied after the background compaction's swap
+    assert in_flight and deleted.epoch == 0
+    assert probe.ok and probe.epoch == 1 and victim.oid not in _oids(probe.value)
+    assert report["retries"] == 0 and report["errors"] == 0 and report["compactions"] == 1
+    assert manager.pending_ops == 1  # the delete, replayed onto the fresh overlay
+
+
+def test_a_compact_that_meets_the_compaction_finishes_it_and_folds_what_came_before(
+    thin_slices,
+):
+    """Regression: it used to sleep through its retry back-off holding the
+    gate — with the compaction itself waiting on that gate, until the
+    retries ran out."""
+    objects, manager = _manager()
+    rng = random.Random(17)
+    inserts = [_fresh(i, rng) for i in range(30)]
+    victim, late = objects[5], _fresh(99, rng)
+
+    async def main():
+        async with CoalescingServer(manager, ServeConfig(compact_threshold=30)) as server:
+            started, release = _stalled_compaction(manager)
+            await asyncio.gather(*(server.insert(obj) for obj in inserts))
+            assert await asyncio.to_thread(started.wait, 10)
+            # The compaction is under way; all three queue behind its step.
+            queued = [
+                server.submit_nowait(Request.delete(victim)),
+                server.submit_nowait(Request.insert(late)),
+                server.submit_nowait(Request.compact()),
+            ]
+            release.set()
+            answers = await asyncio.gather(*queued)
+            manager.compaction_fault_hook = None
+            return answers, await server.range_query(_window(victim)), server.report()
+
+    (deleted, inserted, compacted), probe, report = asyncio.run(main())
+    assert all(r.ok and r.retries == 0 for r in (deleted, inserted, compacted))
+    assert deleted.value is True
+    # The background fold swapped first; the compact folded the two writes.
+    stats = compacted.value
+    assert (stats.applied_inserts, stats.applied_deletes) == (1, 1)
+    assert compacted.epoch == 2 and manager.epoch == 2 and not manager.compacting
+    assert manager.pending_ops == 0 and report["compactions"] == 2
     assert victim.oid not in _oids(probe.value)
     assert report["retries"] == 0 and report["errors"] == 0
-    assert victim.oid not in _oids(manager.range_query(victim.rect))
+    assert _oids(manager.range_query(late.rect)).count(late.oid) == 1
 
 
 def test_a_bad_insert_in_a_coalesced_write_turn_errors_alone():
