@@ -34,7 +34,7 @@ joins run in one process.
 See :mod:`repro.engine.columnar` for the snapshot layout,
 :mod:`repro.engine.kernels` / :mod:`repro.engine.clip_kernels` for the
 scalar↔array predicate correspondences, and
-``tests/test_engine_differential.py`` / ``tests/test_build_differential.py``
+``tests/test_backend_conformance.py`` / ``tests/test_build_differential.py``
 for the harnesses pinning batch ≡ scalar.
 """
 

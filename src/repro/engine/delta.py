@@ -293,11 +293,6 @@ class DeltaOverlay:
         return not self._inserts and not self._deleted_objects
 
     @property
-    def has_deletes(self) -> bool:
-        """True when any base tombstone is pending."""
-        return bool(self._deleted_objects)
-
-    @property
     def deleted_count(self) -> int:
         """Total pending base tombstones (one per deleted row)."""
         return len(self._deleted_objects)

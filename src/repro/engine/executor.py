@@ -36,7 +36,7 @@ batch visits the same nodes in a different order, so ``leaf_accesses``,
 count.  A kNN batch counts the nodes within the k-th distance, which is
 the scalar access set except for nodes at exactly that distance, where the
 heap's tie order decides (:func:`knn_batch` states the bracket).
-``tests/test_engine_differential.py`` and ``tests/test_knn_ties.py`` assert
+``tests/test_backend_conformance.py`` and ``tests/test_knn_ties.py`` assert
 both for every variant.
 """
 

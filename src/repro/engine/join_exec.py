@@ -36,8 +36,8 @@ when its recursion returns; the frontier cannot wait, so every access is
 tagged with the pair it created and emissions are propagated up the pair
 tree (child pairs always have larger ids than their parents, so one
 reverse sweep over the creation rounds settles every count).
-``tests/test_join_differential.py`` pins the equivalence per variant ×
-dataset × clipped/plain.
+``tests/test_backend_conformance.py`` pins the equivalence per backend ×
+variant × dataset × clipped/plain.
 """
 
 from __future__ import annotations

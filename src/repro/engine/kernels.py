@@ -14,8 +14,8 @@ Each kernel is the array analogue of one scalar geometric predicate:
 
 All comparisons run in float64 on the exact coordinate values held by the
 scalar :class:`~repro.geometry.rect.Rect` objects, so every kernel decides
-each predicate *identically* to its scalar counterpart — the differential
-test-suite (``tests/test_engine_differential.py``) pins this down.
+each predicate *identically* to its scalar counterpart — the conformance
+matrix (``tests/test_backend_conformance.py``) pins this down.
 
 The ``padded_*`` kernels read the node-major layouts a
 :class:`~repro.engine.columnar.ColumnarIndex` derives from its flat arrays

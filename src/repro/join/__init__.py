@@ -14,8 +14,7 @@ indexed inputs it is handed pick the implementation:
   frozen on the fly, a stale snapshot re-frozen).
 
 Pairs, ``pair_count`` and both sides' ``IOStats`` are identical across
-these paths (``tests/test_join_differential.py``,
-``tests/test_backend_conformance.py``).  A
+these paths (``tests/test_backend_conformance.py``).  A
 :class:`~repro.engine.parallel.ParallelExecutor` answers range batches
 only; handed in on either side it raises ``TypeError``.
 """
@@ -25,6 +24,7 @@ from __future__ import annotations
 from repro.join.inlj import index_nested_loop_join
 from repro.join.result import JoinResult
 from repro.join.stt import synchronized_tree_traversal_join
+from repro.query.range_query import BatchedBackend
 
 JOIN_ALGORITHMS = ("inlj", "stt")
 
@@ -65,7 +65,7 @@ def execute_join(
     check_join_algorithm(algorithm)
     # Both sides are checked, INLJ's probes too: a SnapshotManager is the
     # one batched input that also probes (through ``overlay_join``).
-    if not any(hasattr(side, "range_query_batch") for side in (left, right)):
+    if not any(isinstance(side, BatchedBackend) for side in (left, right)):
         if algorithm == "inlj":
             return index_nested_loop_join(left, right, collect_pairs=collect_pairs)
         return synchronized_tree_traversal_join(left, right, collect_pairs=collect_pairs)

@@ -13,37 +13,44 @@ the index object it is handed:
 * a :class:`~repro.engine.parallel.ParallelExecutor` — the batch sharded
   across the executor's worker pool, the one kind of task the pool runs.
 
-All four report identical result counts and, on the same frozen state,
-identical :class:`~repro.storage.stats.IOStats`
-(``tests/test_backend_conformance.py``).
+Each of the last three is a :class:`BatchedBackend`.  All four report identical
+result counts and, on the same frozen state, identical
+:class:`~repro.storage.stats.IOStats` (``tests/test_backend_conformance.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Protocol, Sequence
+from typing import Iterable, List, Optional, Protocol, Sequence, Union, runtime_checkable
 
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
+from repro.rtree.base import RTreeBase
+from repro.rtree.clipped import ClippedRTree
 from repro.storage.stats import IOStats
 
 
-class SupportsRangeQuery(Protocol):
-    """Anything with a ``range_query(rect, stats=...)`` method."""
+@runtime_checkable
+class BatchedBackend(Protocol):
+    """An index answering a range batch in one call: the batched paths take these."""
 
-    def range_query(self, rect: Rect, stats: IOStats = ...) -> List[SpatialObject]:
+    def range_query_batch(
+        self, rects: Sequence[Rect], stats: Optional[IOStats] = None
+    ) -> List[List[SpatialObject]]:
         ...  # pragma: no cover - protocol
+
+
+#: What :func:`execute_workload` runs: a tree's scalar walk or a batched backend.
+Index = Union[RTreeBase, ClippedRTree, BatchedBackend]
 
 
 @dataclass
 class WorkloadResult:
     """Aggregate result of running a batch of range queries.
 
-    Every backend produces identical instances on identical workloads:
-    all visit the same node set per query, so ``stats.leaf_accesses`` and
-    ``stats.contributing_leaf_accesses`` — and therefore
-    :attr:`io_optimality` — agree exactly (pinned by
-    ``tests/test_engine_differential.py``).
+    Every backend produces identical instances on identical workloads: all
+    visit the same node set per query, so every ``IOStats`` counter, and
+    :attr:`io_optimality` with them, agree exactly.
     """
 
     queries: int
@@ -68,18 +75,18 @@ class WorkloadResult:
         return self.stats.contributing_leaf_accesses / self.stats.leaf_accesses
 
 
-def execute_workload(index: SupportsRangeQuery, queries: Iterable[Rect]) -> WorkloadResult:
+def execute_workload(index: Index, queries: Iterable[Rect]) -> WorkloadResult:
     """Run every query against ``index`` and accumulate I/O statistics.
 
     The path follows from ``index`` (see the module docstring): a tree is
-    traversed query by query, anything exposing ``range_query_batch`` — a
+    traversed query by query, a :class:`BatchedBackend` — a
     ``ColumnarIndex``, a ``SnapshotManager``, a ``ParallelExecutor`` —
     answers the batch in one call.  A ``ColumnarIndex`` whose source tree
     has mutated since the freeze is re-frozen first.
     """
     queries = list(queries)
     stats = IOStats()
-    if not hasattr(index, "range_query_batch"):
+    if not isinstance(index, BatchedBackend):
         total_results = sum(len(index.range_query(q, stats=stats)) for q in queries)
         return WorkloadResult(len(queries), total_results, stats)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterator, Optional
 
 # ----------------------------------------------------------------------
 # clocks
@@ -126,18 +126,16 @@ class RetryPolicy:
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be within [0, 1]")
 
-    def delays(self) -> List[float]:
-        """The deterministic backoff delays between consecutive attempts."""
+    def delays(self) -> Iterator[float]:
+        """The deterministic backoff delays between attempts, drawn lazily."""
         rng = random.Random(self.seed)
-        out: List[float] = []
         delay = 0.0
         for attempt in range(self.max_attempts - 1):
             # Once at the cap (or with no base) the delay stays put: the
             # power would overflow a float after about a thousand attempts.
             if self.base_delay > 0 and delay < self.max_delay:
                 delay = min(self.max_delay, self.base_delay * self.multiplier**attempt)
-            out.append(delay * (1.0 - self.jitter * rng.random()))
-        return out
+            yield delay * (1.0 - self.jitter * rng.random())
 
 
 # ----------------------------------------------------------------------

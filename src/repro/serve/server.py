@@ -553,7 +553,7 @@ class CoalescingServer:
                     degraded_reason = f"retries exhausted: {exc!r}"
                     break
                 self.metrics.incr("retries")
-                await asyncio.sleep(delays[attempts - 1])
+                await asyncio.sleep(next(delays))
             except Exception as exc:
                 self.breaker.record_failure()
                 self.metrics.incr("errors", len(live))

@@ -1,12 +1,19 @@
 """Shared fixtures and helpers for the test-suite."""
 
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
+from repro.query.range_query import brute_force_range
+from repro.query.workload import RangeQueryWorkload
+from repro.rtree.registry import VARIANT_NAMES
+from repro.serve.server import CoalescingServer
+from repro.storage.stats import IOStats
 
 #: Examples of tests/test_compaction_machine.py per tier-1 run, and the
 #: profile that runs 100 times as many (``--hypothesis-profile``, CI chaos
@@ -14,6 +21,9 @@ from repro.geometry.rect import Rect
 MACHINE_EXAMPLES = 100
 MACHINE_PROFILE = "compaction-machine-100x"
 settings.register_profile(MACHINE_PROFILE, max_examples=100 * MACHINE_EXAMPLES)
+
+#: Every tree ``build_rtree`` builds: the insertion variants and STR packing.
+ALL_VARIANTS = VARIANT_NAMES + ("str",)
 
 
 def make_random_objects(count, dims=2, seed=0, extent=100.0, max_side=3.0):
@@ -115,19 +125,21 @@ def knn_reference(tree, point, k):
     return results, stats, tuple(strict), tuple(closed)
 
 
-def assert_knn_contract(tree, points, k, batch_results, batch_stats):
+def assert_knn_contract(tree, points, k, batch_results, batch_stats, references=None):
     """``knn_batch``'s documented contract against the scalar search on ``tree``.
 
     Result lists identical, ties included.  ``batch_stats`` is the closed
     count summed over the points; the scalar heap's own count equals it
     for every point with no node at exactly ``d_k > 0`` and lies between
     the strict and the closed count otherwise.  Returns how many points
-    fell into that tie class.
+    fell into that tie class.  ``references``, when given, are the points'
+    ``knn_reference`` tuples, computed once for many batches.
     """
     assert len(batch_results) == len(points)
+    if references is None:
+        references = [knn_reference(tree, point, k) for point in points]
     leaf = internal = tied = 0
-    for point, got in zip(points, batch_results):
-        want, stats, strict, closed = knn_reference(tree, point, k)
+    for got, (want, stats, strict, closed) in zip(batch_results, references):
         assert [(d, o.oid) for d, o in got] == [(d, o.oid) for d, o in want]
         scalar = (stats.leaf_accesses, stats.internal_accesses)
         if strict == closed or not want or want[-1][0] == 0.0:
@@ -141,3 +153,123 @@ def assert_knn_contract(tree, points, k, batch_results, batch_stats):
     assert (batch_stats.leaf_accesses, batch_stats.internal_accesses) == (leaf, internal)
     assert batch_stats.contributing_leaf_accesses == 0
     return tied
+
+
+# ----------------------------------------------------------------------
+# the one oracle every backend is held to (tests/test_backend_conformance.py)
+# ----------------------------------------------------------------------
+
+
+def object_key(obj):
+    """An object's identity: equal copies are different rows, counted apart."""
+    return obj.oid, obj.rect.low, obj.rect.high
+
+
+def workload_queries(objects, seed, count=18):
+    """Calibrated boxes, point rectangles on corners and centres, two empty queries."""
+    rng = random.Random(seed)
+    workload = RangeQueryWorkload.from_objects(objects, target_results=8, seed=seed)
+    queries = workload.query_list(count, seed=seed)
+    for _ in range(6):
+        obj = rng.choice(objects)
+        queries.append(Rect(obj.rect.low, obj.rect.low))
+        queries.append(Rect.from_point(obj.rect.center))
+    space = workload.space
+    far = [hi + (hi - lo) + 10.0 for lo, hi in zip(space.low, space.high)]
+    queries.append(Rect(far, [f + 1.0 for f in far]))
+    queries.append(Rect.from_point(far))
+    return queries
+
+
+def scalar_range_stats(tree, queries):
+    """The scalar walk's ``IOStats`` over ``queries``: what every base-only backend charges."""
+    stats = IOStats()
+    for query in queries:
+        tree.range_query(query, stats=stats)
+    return stats
+
+
+def brute_force_answers(live, queries):
+    """Each query's brute-force scan of ``live``, as a multiset of keys."""
+    return [Counter(map(object_key, brute_force_range(live, query))) for query in queries]
+
+
+def assert_range_contract(expected, results):
+    """Each query's answer is its ``brute_force_answers`` multiset."""
+    assert [Counter(map(object_key, hits)) for hits in results] == expected
+
+
+def assert_knn_distances(live, points, answers):
+    """``answers[k]`` lists each point's ``k`` nearest: live objects at the
+    ``k`` smallest brute-force distances."""
+    keys = Counter(map(object_key, live))
+    assert all(len(results) == len(points) for results in answers.values())
+    for i, point in enumerate(points):
+        distances = sorted(obj.rect.min_distance_sq(point) for obj in live)
+        for k, results in answers.items():
+            assert [d for d, _ in results[i]] == distances[:k]
+            assert all(obj.rect.min_distance_sq(point) == d for d, obj in results[i])
+            assert not Counter(object_key(obj) for _, obj in results[i]) - keys
+
+
+def brute_force_pairs(left, right):
+    """The join of two object lists, every pair tested, as a multiset of key pairs."""
+    if not left or not right:
+        return Counter()
+    # (objects, low/high, dims); a pair meets where it overlaps in every dimension.
+    a, b = (np.array([(obj.rect.low, obj.rect.high) for obj in side]) for side in (left, right))
+    meet = ((a[:, None, 0] <= b[None, :, 1]) & (b[None, :, 0] <= a[:, None, 1])).all(axis=2)
+    rows, cols = np.nonzero(meet)
+    return Counter((object_key(left[i]), object_key(right[j])) for i, j in zip(rows, cols))
+
+
+def pair_keys(pairs):
+    """A join's pairs as a multiset of key pairs."""
+    return Counter((object_key(a), object_key(b)) for a, b in pairs)
+
+
+def assert_join_contract(join, expected, reference=None):
+    """``join(collect_pairs)`` yields the pair multiset ``expected`` both ways;
+    given the scalar join's ``reference`` result, both sides' ``IOStats`` too."""
+    for collect in (True, False):
+        result = join(collect)
+        assert result.pair_count == sum(expected.values())
+        if collect:
+            assert pair_keys(result.pairs) == expected
+        else:
+            assert result.pairs == [] and result.inner_stats.extra == {}
+        if reference is not None:
+            assert result.outer_stats == reference.outer_stats
+            assert result.inner_stats == reference.inner_stats
+
+
+# ----------------------------------------------------------------------
+# request accounting at quiescence
+# ----------------------------------------------------------------------
+
+
+def assert_requests_accounted(server):
+    """Every request ``server`` admitted ended one way: completed, past its deadline or an error."""
+    report = server.report()
+    ended = report["completed"] + report["deadline_exceeded"] + report["errors"]
+    assert report["admitted"] == ended, report
+
+
+@pytest.fixture
+def requests_accounted():
+    """Check :func:`assert_requests_accounted` on every server the test started, once it ends.
+
+    For tests whose servers stop quiescent, with no future cancelled.
+    """
+    servers = []
+    start = CoalescingServer.start
+
+    async def recording_start(server):
+        servers.append(server)
+        return await start(server)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CoalescingServer, "start", recording_start)
+        yield
+    for server in servers:
+        assert_requests_accounted(server)

@@ -30,8 +30,6 @@ from repro.engine import ColumnarIndex, build_columnar_str, bulk_clip, clip_node
 from repro.engine.incremental_clip import dirty_node_ids, reclip_nodes_for_results
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
-from repro.query.range_query import brute_force_range
-from repro.query.workload import RangeQueryWorkload
 from repro.rtree import str_bulk
 from repro.rtree.clipped import ClippedRTree
 from repro.rtree.entry import Entry
@@ -135,18 +133,6 @@ class TestBulkClipDifferential:
         clipped = ClippedRTree(build_rtree("str", objects, max_entries=8))
         with pytest.raises(ValueError, match="unknown clip engine"):
             clipped.clip_all(engine="gpu")
-
-    def test_clipped_queries_agree_after_vectorized_clipping(self):
-        objects = generate("rea02", 400, seed=6)
-        tree = build_rtree("rrstar", objects, max_entries=8)
-        clipped = ClippedRTree.wrap(tree, method="stairline", engine="vectorized")
-        clipped.check_clip_invariants()
-        queries = RangeQueryWorkload.from_objects(
-            objects, target_results=8, seed=3
-        ).query_list(25)
-        for query in queries:
-            expected = {o.oid for o in brute_force_range(objects, query)}
-            assert {o.oid for o in clipped.range_query(query)} == expected
 
 
 def _random_boxes(dims, count, seed):
@@ -435,16 +421,6 @@ class TestBuilderDifferential:
         assert snapshot.refresh() is snapshot
         assert not snapshot.has_clips
         assert len(snapshot) == len(objects)
-
-    def test_batch_queries_match_brute_force(self):
-        objects = generate("uniform03", 400, seed=12)
-        snapshot = build_columnar_str(objects, max_entries=10)
-        queries = RangeQueryWorkload.from_objects(
-            objects, target_results=6, seed=4
-        ).query_list(20)
-        for query, result in zip(queries, snapshot.range_query_batch(queries)):
-            expected = {o.oid for o in brute_force_range(objects, query)}
-            assert {o.oid for o in result} == expected
 
     def test_validation_errors(self):
         objects = generate("uniform02", 20, seed=1)

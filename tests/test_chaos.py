@@ -37,6 +37,9 @@ from repro.serve.server import CoalescingServer, ServeConfig
 from repro.storage.stats import IOStats
 from tests.conftest import make_random_objects
 
+#: Every server a test starts ends it with each admitted request accounted for.
+pytestmark = pytest.mark.usefixtures("requests_accounted")
+
 
 @pytest.fixture(scope="module")
 def frozen():

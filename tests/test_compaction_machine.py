@@ -16,6 +16,8 @@ interleaving is reproducible and shrinks.  Checked after every rule:
   swap and a failed fold, the manager's live objects are the model's;
 * whenever the base alone misses a model write, the degraded path's stamp
   (``snapshot.is_stale or not overlay.is_empty``) says so;
+* the base rows the overlay's ``live`` column marks dead are exactly the
+  base rows the model no longer holds, and no row dead means no column;
 * after every successful ``compact()`` the snapshot is a fresh
   ``ColumnarIndex.from_tree`` of the source, and its clip store a fresh
   ``clip_all``;
@@ -55,17 +57,16 @@ from repro.rtree.registry import build_rtree
 from tests.conftest import (
     MACHINE_EXAMPLES,
     MACHINE_PROFILE,
+    assert_join_contract,
+    brute_force_pairs,
     fail_after_write,
     make_random_objects,
+    object_key,
 )
 
 
 class MachineFault(Exception):
     """A fault the machine injected."""
-
-
-def _key(obj):
-    return obj.oid, obj.rect.low, obj.rect.high
 
 
 coordinate = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -131,7 +132,7 @@ class CompactionMachine(RuleBasedStateMachine):
     def delete(self, pick):
         victim = self.model[pick % len(self.model)]
         assert self.manager.delete(victim)
-        self.model.remove(next(obj for obj in self.model if _key(obj) == _key(victim)))
+        self.model.remove(next(obj for obj in self.model if object_key(obj) == object_key(victim)))
 
     @rule(rect=boxes)
     def delete_missing(self, rect):
@@ -214,8 +215,8 @@ class CompactionMachine(RuleBasedStateMachine):
     def range(self, rects):
         answers = self.manager.range_query_batch(rects)
         for rect, hits in zip(rects, answers):
-            expected = Counter(_key(obj) for obj in self.model if obj.rect.intersects(rect))
-            assert Counter(map(_key, hits)) == expected
+            expected = Counter(object_key(obj) for obj in self.model if obj.rect.intersects(rect))
+            assert Counter(map(object_key, hits)) == expected
 
     @rule(x=coordinate, y=coordinate, k=st.integers(min_value=1, max_value=5))
     def knn(self, x, y, k):
@@ -223,51 +224,56 @@ class CompactionMachine(RuleBasedStateMachine):
         expected = sorted(obj.rect.min_distance_sq((x, y)) for obj in self.model)[:k]
         assert [distance for distance, _ in hits] == expected
         for distance, obj in hits:
-            assert obj.rect.min_distance_sq((x, y)) == distance and _key(obj) in self._keys()
+            assert obj.rect.min_distance_sq((x, y)) == distance and object_key(obj) in self._keys()
 
     @rule(rects=st.lists(boxes, min_size=1, max_size=4))
     def inlj(self, rects):
         probes = [SpatialObject(-2 - i, rect) for i, rect in enumerate(rects)]
-        joined = overlay_join(probes, self.manager, algorithm="inlj")
-        expected = Counter(
-            (_key(probe), _key(obj))
-            for probe in probes
-            for obj in self.model
-            if probe.rect.intersects(obj.rect)
+        assert_join_contract(
+            lambda collect: overlay_join(
+                probes, self.manager, algorithm="inlj", collect_pairs=collect
+            ),
+            brute_force_pairs(probes, self.model),
         )
-        assert joined.pair_count == sum(expected.values())
-        assert Counter((_key(l), _key(r)) for l, r in joined.pairs) == expected
 
     @rule(manager_left=st.booleans())
     def stt(self, manager_left):
-        sides = (self.manager, self.other_index)
-        joined = overlay_join(*(sides if manager_left else sides[::-1]), algorithm="stt")
-        pairs = Counter(
-            (_key(obj), _key(other))
-            for obj in self.model
-            for other in self.other
-            if obj.rect.intersects(other.rect)
+        sides = [(self.manager, self.model), (self.other_index, self.other)]
+        (left, left_live), (right, right_live) = sides if manager_left else sides[::-1]
+        assert_join_contract(
+            lambda collect: overlay_join(left, right, algorithm="stt", collect_pairs=collect),
+            brute_force_pairs(left_live, right_live),
         )
-        if not manager_left:
-            pairs = Counter({(r, l): n for (l, r), n in pairs.items()})
-        assert joined.pair_count == sum(pairs.values())
-        assert Counter((_key(l), _key(r)) for l, r in joined.pairs) == pairs
 
     # -- invariants -----------------------------------------------------------
 
     def _keys(self):
-        return Counter(map(_key, self.model))
+        return Counter(map(object_key, self.model))
 
     @invariant()
     def every_acknowledged_write_once(self):
-        assert Counter(map(_key, self.manager.live_objects())) == self._keys()
+        assert Counter(map(object_key, self.manager.live_objects())) == self._keys()
         assert len(self.manager) == len(self.model)
 
     @invariant()
     def a_base_that_misses_a_write_is_stamped(self):
         snapshot, overlay = self.manager.view
-        if Counter(map(_key, snapshot.objects)) != self._keys():
+        if Counter(map(object_key, snapshot.objects)) != self._keys():
             assert snapshot.is_stale or not overlay.is_empty
+
+    @invariant()
+    def the_live_column_is_the_model(self):
+        """The base rows whose ``live`` bit is False are, key for key, the
+        base rows the model no longer holds; with none, there is no column."""
+        snapshot, overlay = self.manager.view
+        base = list(map(object_key, snapshot.objects))
+        dead = Counter(base) - (self._keys() - Counter(map(object_key, overlay.inserted_objects())))
+        if overlay.live is None:
+            assert not dead
+        else:
+            assert len(overlay.live) == len(base)
+            assert Counter(key for key, live in zip(base, overlay.live) if not live) == dead
+            assert dead
 
     @invariant()
     def generation_is_sound(self):

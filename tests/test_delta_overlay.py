@@ -8,7 +8,11 @@ queries, and compactions, a manager answers exactly like a scalar
 buffered batch in one pass, the scalar reference one write at a time),
 so clip-store equality is pinned against a fresh ``clip_all`` over the
 manager's own tree, while query results are pinned against the scalar
-reference and brute force.
+reference and brute force.  Reads and joins over a manager with pending
+inserts and tombstones, on a tree or a loaded snapshot and mid-fold, are
+rows of the conformance matrix (``tests/test_backend_conformance.py``);
+this suite keeps the write rules, compaction races, an empty base, block
+sizes and the fold.
 """
 
 import copy
@@ -31,26 +35,19 @@ from repro.engine.delta import (
 from repro.engine.kernels import stack_bounds
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
-from repro.join import execute_join
-from repro.join.inlj import index_nested_loop_join
-from repro.join.stt import synchronized_tree_traversal_join
 from repro.query.knn import knn_query
-from repro.query.range_query import brute_force_range, execute_workload
+from repro.query.range_query import brute_force_range
 from repro.rtree.clipped import ClippedRTree
 from repro.rtree.quadratic import QuadraticRTree
 from repro.rtree.registry import VARIANT_NAMES, build_rtree
 from repro.storage.stats import IOStats
-from tests.conftest import assert_knn_contract
+from tests.conftest import assert_knn_contract, object_key
 
 
 def _random_object(rng, oid):
     low = (rng.uniform(0, 100), rng.uniform(0, 100))
     high = (low[0] + rng.uniform(0, 6), low[1] + rng.uniform(0, 6))
     return SpatialObject(oid, Rect(low, high))
-
-
-def object_key(obj):
-    return (obj.oid, obj.rect.low, obj.rect.high)
 
 
 def _keys(hits):
@@ -167,7 +164,7 @@ class TestEdgeCases:
         obj = _random_object(rng, 777)
         manager.insert(obj)
         assert manager.delete(obj)
-        assert not manager.overlay.has_deletes
+        assert manager.overlay.deleted_count == 0
         assert _keys(manager.live_objects()) == _keys(live)
         stats = manager.compact()
         assert (stats.applied_inserts, stats.applied_deletes) == (0, 0)
@@ -277,185 +274,6 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             manager.range_query_batch([Rect((0, 0, 0), (1, 1, 1))])
         assert len(manager.knn_batch([[0.0, 0.0]], 1)[0]) == 1
-
-
-class TestWorkloadAndJoinRouting:
-    def test_execute_workload_routes_managers(self):
-        rng = random.Random(21)
-        live = [_random_object(rng, i) for i in range(40)]
-        reference = ClippedRTree.wrap(
-            build_rtree("quadratic", live, max_entries=6), method="stairline"
-        )
-        manager = SnapshotManager(copy.deepcopy(reference))
-        extra = [_random_object(rng, 100 + i) for i in range(10)]
-        for obj in extra:
-            reference.insert(obj)
-            manager.insert(obj)
-        queries = _queries(rng, 6)
-        managed = execute_workload(manager, queries)
-        scalar = execute_workload(reference, queries)
-        assert managed.queries == scalar.queries
-        assert managed.total_results == scalar.total_results
-
-    @pytest.mark.parametrize("algorithm", ["inlj", "stt"])
-    def test_joins_with_pending_deltas_match_scalar(self, algorithm):
-        rng = random.Random(22)
-        left_live = [_random_object(rng, i) for i in range(30)]
-        right_live = [_random_object(rng, 1000 + i) for i in range(30)]
-        left_mgr = SnapshotManager(
-            ClippedRTree.wrap(build_rtree("quadratic", left_live, max_entries=6))
-        )
-        right_mgr = SnapshotManager(
-            ClippedRTree.wrap(build_rtree("quadratic", right_live, max_entries=6))
-        )
-        # Mutate both sides so base, tombstones, and pending inserts all engage.
-        for mgr, live, base_oid in ((left_mgr, left_live, 50), (right_mgr, right_live, 2000)):
-            for i in range(6):
-                obj = _random_object(rng, base_oid + i)
-                mgr.insert(obj)
-                live.append(obj)
-            for _ in range(6):
-                victim = live.pop(rng.randrange(len(live)))
-                assert mgr.delete(victim)
-
-        left_tree = ClippedRTree.wrap(build_rtree("quadratic", left_live, max_entries=6))
-        right_tree = ClippedRTree.wrap(build_rtree("quadratic", right_live, max_entries=6))
-        if algorithm == "inlj":
-            managed = execute_join(left_mgr, right_mgr, algorithm="inlj")
-            scalar = index_nested_loop_join(left_live, right_tree)
-        else:
-            managed = execute_join(left_mgr, right_mgr, algorithm="stt")
-            scalar = synchronized_tree_traversal_join(left_tree, right_tree)
-
-        def pair_keys(pairs):
-            return sorted((object_key(l), object_key(r)) for l, r in pairs)
-
-        assert managed.pair_count == scalar.pair_count
-        assert pair_keys(managed.pairs) == pair_keys(scalar.pairs)
-
-    def test_join_manager_against_plain_tree(self):
-        rng = random.Random(23)
-        left_live = [_random_object(rng, i) for i in range(25)]
-        right_live = [_random_object(rng, 500 + i) for i in range(25)]
-        manager = SnapshotManager(build_rtree("quadratic", left_live, max_entries=6))
-        for _ in range(5):
-            victim = left_live.pop(rng.randrange(len(left_live)))
-            assert manager.delete(victim)
-        right_tree = build_rtree("quadratic", right_live, max_entries=6)
-        managed = execute_join(manager, right_tree, algorithm="stt")
-        scalar = synchronized_tree_traversal_join(
-            build_rtree("quadratic", left_live, max_entries=6), right_tree
-        )
-        assert managed.pair_count == scalar.pair_count
-
-    def test_inlj_probes_from_a_manager_against_a_plain_tree(self):
-        """A manager is a batched input even as INLJ's probes: its live
-        objects probe, the tree inner side included."""
-        rng = random.Random(29)
-        left_live = [_random_object(rng, i) for i in range(25)]
-        right_live = [_random_object(rng, 500 + i) for i in range(25)]
-        manager = SnapshotManager(build_rtree("quadratic", left_live, max_entries=6))
-        extra = SpatialObject(99, Rect((0.0, 0.0), (50.0, 50.0)))  # pending, and meets many
-        manager.insert(extra)
-        left_live.append(extra)
-        for _ in range(5):
-            assert manager.delete(left_live.pop(rng.randrange(len(left_live) - 1)))
-        right_tree = build_rtree("quadratic", right_live, max_entries=6)
-        managed = execute_join(manager, right_tree, algorithm="inlj")
-        scalar = index_nested_loop_join(left_live, right_tree)
-        assert managed.pair_count == scalar.pair_count > 0
-        assert sorted((l.oid, r.oid) for l, r in managed.pairs) == sorted(
-            (l.oid, r.oid) for l, r in scalar.pairs
-        )
-
-
-# ----------------------------------------------------------------------
-# a tombstone is a row of the base: duplicates, on a loaded snapshot
-# ----------------------------------------------------------------------
-
-
-class TestTombstonesAreRows:
-    """Equal duplicates are different rows, so deleting ``d`` of ``b`` copies
-    needs no counting on any read path — and finding the rows builds no
-    object of a memory-mapped base."""
-
-    COPIES = 3
-
-    def _side(self, tmp_path, name, seed, first_oid):
-        """``(duplicated objects, all objects, source-free manager on a loaded snapshot)``."""
-        rng = random.Random(seed)
-        # The two duplicated objects overlap each other and the other side's.
-        twins = [
-            SpatialObject(first_oid, Rect((40.0, 40.0), (46.0, 46.0))),
-            SpatialObject(first_oid + 1, Rect((44.0, 44.0), (50.0, 50.0))),
-        ]
-        objects = [_random_object(rng, first_oid + 10 + i) for i in range(40)]
-        objects += [SpatialObject(t.oid, t.rect) for t in twins for _ in range(self.COPIES)]
-        rng.shuffle(objects)
-        save_snapshot(build_columnar_str(objects, max_entries=6), tmp_path / name)
-        loaded = load_snapshot(tmp_path / name, mmap=True)
-        assert loaded.source is None
-        return twins, objects, SnapshotManager(loaded)
-
-    @pytest.mark.parametrize("sides", [("left",), ("right",), ("left", "right")])
-    @pytest.mark.parametrize("deleted", [1, 2, 3])
-    def test_every_read_equals_brute_force_over_the_live_multiset(self, tmp_path, deleted, sides):
-        left = self._side(tmp_path, "left", 31, 0)
-        right = self._side(tmp_path, "right", 32, 1000)
-        live = {}
-        for name, (twins, objects, manager) in (("left", left), ("right", right)):
-            live[name] = Counter(map(object_key, objects))
-            if name in sides:
-                for twin in twins:
-                    for _ in range(deleted):
-                        assert manager.delete(twin)
-                    live[name][object_key(twin)] -= deleted
-                    if deleted == self.COPIES:
-                        assert not manager.delete(twin)
-                live[name] = +live[name]
-                # Finding the rows read columns; it built no object.
-                assert len(manager.snapshot.objects._cache) == 0
-            assert len(manager) == sum(live[name].values())
-
-        def rect_of(key):
-            return Rect(key[1], key[2])
-
-        rng = random.Random(33)
-        twins, _, manager = left if "left" in sides else right
-        side_live = live["left" if "left" in sides else "right"]
-        queries = [twins[0].rect, twins[1].rect] + _queries(rng, 3)
-        answers = manager.range_query_batch(queries)
-        # What was materialised is what was returned, not the base.
-        assert len(manager.snapshot.objects._cache) <= sum(map(len, answers))
-        for query, hits in zip(queries, answers):
-            expected = Counter(
-                {key: n for key, n in side_live.items() if rect_of(key).intersects(query)}
-            )
-            assert Counter(map(object_key, hits)) == expected
-
-        # Every live copy of both twins is at distance 0 of this point, so
-        # the tie straddles k whenever 2 * (COPIES - deleted) > k.
-        points = [(45.0, 45.0), (0.0, 0.0), (47.0, 41.0)]
-        for k in (1, 2, 4, 7):
-            for point, hits in zip(points, manager.knn_batch(points, k)):
-                distances = sorted(
-                    rect_of(key).min_distance_sq(point)
-                    for key, n in side_live.items()
-                    for _ in range(n)
-                )
-                assert [dist for dist, _ in hits] == distances[:k]
-                assert all(obj.rect.min_distance_sq(point) == dist for dist, obj in hits)
-                assert not Counter(object_key(obj) for _, obj in hits) - side_live
-
-        expected_pairs = Counter()
-        for key_l, n_l in live["left"].items():
-            for key_r, n_r in live["right"].items():
-                if rect_of(key_l).intersects(rect_of(key_r)):
-                    expected_pairs[key_l, key_r] = n_l * n_r
-        for algorithm in ("inlj", "stt"):
-            joined = execute_join(left[2], right[2], algorithm=algorithm)
-            assert joined.pair_count == sum(expected_pairs.values())
-            assert Counter((object_key(l), object_key(r)) for l, r in joined.pairs) == expected_pairs
 
 
 # ----------------------------------------------------------------------
@@ -769,9 +587,8 @@ class TestPendingBuffer:
                 every = sorted(obj.rect.min_distance_sq(point) for obj in live + pending)
                 assert [d for d, _ in got] == every[:k]
 
-    @pytest.mark.parametrize("base_size", [0, 40])
-    def test_reads_equal_brute_force(self, base_size):
-        manager, live, pending, rng = self._scenario(base_size)
+    def test_reads_over_an_empty_base_equal_brute_force(self):
+        manager, live, pending, rng = self._scenario(0)
         self._assert_reads(manager, live, pending, rng)
 
     @pytest.mark.parametrize("base_size", [0, 40])
@@ -789,9 +606,8 @@ class TestPendingBuffer:
             self._assert_reads(manager, live, pending, rng)
 
     @pytest.mark.parametrize("algorithm", ["inlj", "stt"])
-    @pytest.mark.parametrize("left_size", [0, 40])
-    def test_join_pairs_equal_brute_force(self, algorithm, left_size):
-        left, left_live, left_pending, _ = self._scenario(left_size, seed=42)
+    def test_join_pairs_over_an_empty_base_equal_brute_force(self, algorithm):
+        left, left_live, left_pending, _ = self._scenario(0, seed=42)
         right, right_live, right_pending, _ = self._scenario(35, seed=43)
         outer = left_live + left_pending
         inner = right_live + right_pending
@@ -806,21 +622,6 @@ class TestPendingBuffer:
             assert joined.pair_count == sum(want.values())
             if collect:
                 assert Counter((object_key(l), object_key(r)) for l, r in joined.pairs) == want
-
-    def test_pending_inserts_charge_no_node_access(self):
-        manager, _, _, rng = self._scenario(40)
-        snapshot, overlay = manager.view
-        queries, points = self._boxes(rng), self._points(rng)
-        for read, base in (
-            (lambda s: manager.range_query_batch(queries, stats=s),
-             lambda s: snapshot.range_query_batch(queries, stats=s, live=overlay.live)),
-            (lambda s: manager.knn_batch(points, 5, stats=s),
-             lambda s: snapshot.knn_batch(points, 5, stats=s, live=overlay.live)),
-        ):
-            managed, alone = IOStats(), IOStats()
-            read(managed)
-            base(alone)
-            assert managed == alone
 
     def test_a_view_taken_before_a_delete_keeps_its_rows(self):
         manager, _, pending, _ = self._scenario(40)
@@ -968,28 +769,3 @@ def test_knn_at_infinity_equals_the_scalar_search(tmp_path, where):
         stats = IOStats()
         results = index.knn_batch(_INF_POINTS, k, stats=stats)
         assert_knn_contract(tree, _INF_POINTS, k, results, stats)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_knn_at_infinity_with_the_objects_pending():
-    objects = _inf_objects()
-    base, extra = objects[:30], objects[30:]
-    tree = build_rtree("rstar", base, max_entries=6)
-    manager = SnapshotManager(tree)
-    for obj in extra:
-        manager.insert(obj)
-    for k in (1, 3, 5, 40):
-        stats = IOStats()
-        got = manager.knn_batch(_INF_POINTS, k, stats=stats)
-        # The base part is the scalar search on the base tree, IOStats included.
-        base_stats = IOStats()
-        base_hits = ColumnarIndex.from_tree(tree).knn_batch(_INF_POINTS, k, stats=base_stats)
-        assert_knn_contract(tree, _INF_POINTS, k, base_hits, base_stats)
-        assert stats == base_stats
-        for point, hits, base_near in zip(_INF_POINTS, got, base_hits):
-            near = sorted(
-                ((obj.rect.min_distance_sq(point), obj) for obj in extra),
-                key=lambda pair: pair[0],
-            )
-            want = sorted(base_near + near, key=lambda pair: pair[0])[:k]
-            assert [(d, o.oid) for d, o in hits] == [(d, o.oid) for d, o in want]

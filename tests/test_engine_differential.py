@@ -1,27 +1,21 @@
-"""Differential-testing harness for the columnar batch engine.
+"""Edge cases of the columnar batch engine's kernels, against the scalar walk.
 
-Three implementations must agree on every workload:
-
-1. ``brute_force_range`` — the linear-scan ground truth;
-2. the scalar ``range_query`` traversal (plain and clipped trees);
-3. ``range_query_batch`` over a :class:`ColumnarIndex` snapshot.
-
-The harness sweeps every registered R-tree variant × every dataset
-generator with seeded randomized workloads that include degenerate point
-rectangles and guaranteed-empty queries, asserting identical result sets
-*and* identical ``IOStats`` counters (leaf, contributing-leaf, and
-internal accesses) between the scalar and batch paths.
+The conformance matrix (``tests/test_backend_conformance.py``) holds every
+backend to brute force and the scalar ``IOStats`` on ordinary trees.  This
+suite pushes the frontier's node-major layout where padding could show:
+under-full nodes, 2 to 8 dimensions, a root leaf, all-space queries, the
+level-by-level visits, the per-node clip view, node levels and the clip
+probe's memory blocks — plus regression pins of exact counters.
 """
 
 import math
-import random
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.datasets.registry import DATASET_NAMES, generate
+from repro.datasets.registry import generate
 from repro.engine import (
     ColumnarIndex,
     executor,
@@ -34,37 +28,20 @@ from repro.engine import (
 )
 from repro.geometry.rect import Rect
 from repro.join.inlj import index_nested_loop_join
-from repro.query.knn import knn_query
-from repro.query.range_query import brute_force_range, execute_workload
+from repro.query.range_query import execute_workload
 from repro.query.workload import RangeQueryWorkload
 from repro.rtree.clipped import ClippedRTree
 from repro.rtree.quadratic import QuadraticRTree
 from repro.rtree.registry import VARIANT_NAMES, build_rtree
 from repro.storage.stats import IOStats
-from tests.conftest import assert_knn_contract, make_random_objects
-
-ALL_VARIANTS = VARIANT_NAMES + ("str",)
-DATASET_SIZE = 220
-QUERIES_PER_CASE = 18
-
-
-def _workload_queries(objects, seed):
-    """A mixed query batch: calibrated boxes, point rects, empty queries."""
-    rng = random.Random(seed)
-    workload = RangeQueryWorkload.from_objects(objects, target_results=8, seed=seed)
-    queries = workload.query_list(QUERIES_PER_CASE, seed=seed)
-    # Degenerate point queries: object corners (boundary contact) and
-    # dithered interior points.
-    for _ in range(6):
-        obj = rng.choice(objects)
-        queries.append(Rect(obj.rect.low, obj.rect.low))
-        queries.append(Rect.from_point(obj.rect.center))
-    # Guaranteed-empty queries far outside the data space.
-    space = workload.space
-    far = [hi + (hi - lo) + 10.0 for lo, hi in zip(space.low, space.high)]
-    queries.append(Rect(far, [f + 1.0 for f in far]))
-    queries.append(Rect.from_point(far))
-    return queries
+from tests.conftest import (
+    ALL_VARIANTS,
+    assert_range_contract,
+    brute_force_answers,
+    make_random_objects,
+    scalar_range_stats,
+    workload_queries,
+)
 
 
 def _scalar_rounds(index, queries):
@@ -85,69 +62,25 @@ def _scalar_rounds(index, queries):
     return rounds
 
 
-def _assert_engines_agree(index, objects, queries, check_rounds=False):
-    """Scalar ≡ batch ≡ brute force on results; scalar ≡ batch on stats.
+def _assert_batch_conforms(index, objects, queries, check_rounds=False):
+    """Scalar ≡ batch ≡ brute force on results; scalar ≡ batch on ``IOStats``.
 
     With ``check_rounds`` the batch's ``access_hook`` calls must also be,
     round for round, the scalar traversal's visits at that depth.
     """
-    scalar_stats = IOStats()
-    scalar_results = [index.range_query(q, stats=scalar_stats) for q in queries]
-
-    snapshot = ColumnarIndex.from_tree(index)
-    batch_stats = IOStats()
-    rounds = []
-    batch_results = range_query_batch(
-        snapshot,
+    expected = brute_force_answers(objects, queries)
+    assert_range_contract(expected, [index.range_query(q) for q in queries])
+    stats, rounds = IOStats(), []
+    results = range_query_batch(
+        ColumnarIndex.from_tree(index),
         queries,
-        stats=batch_stats,
+        stats=stats,
         access_hook=lambda qs, nodes: rounds.append(Counter(zip(qs.tolist(), nodes.tolist()))),
     )
+    assert_range_contract(expected, results)
+    assert stats == scalar_range_stats(index, queries)
     if check_rounds:
         assert rounds == _scalar_rounds(index, queries)
-
-    for query, scalar_res, batch_res in zip(queries, scalar_results, batch_results):
-        expected = {obj.oid for obj in brute_force_range(objects, query)}
-        assert {obj.oid for obj in scalar_res} == expected
-        assert {obj.oid for obj in batch_res} == expected
-        assert len(batch_res) == len(scalar_res)
-
-    assert batch_stats.leaf_accesses == scalar_stats.leaf_accesses
-    assert batch_stats.contributing_leaf_accesses == scalar_stats.contributing_leaf_accesses
-    assert batch_stats.internal_accesses == scalar_stats.internal_accesses
-
-
-class TestDifferentialAcrossVariantsAndDatasets:
-    @pytest.mark.parametrize("dataset", DATASET_NAMES)
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_batch_equals_scalar_equals_brute_force(self, dataset, variant):
-        objects = generate(dataset, DATASET_SIZE, seed=11)
-        queries = _workload_queries(objects, seed=13)
-        tree = build_rtree(variant, objects, max_entries=12)
-        _assert_engines_agree(tree, objects, queries)
-
-    @pytest.mark.parametrize("dataset", DATASET_NAMES)
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_batch_equals_scalar_on_clipped_trees(self, dataset, variant):
-        objects = generate(dataset, DATASET_SIZE, seed=17)
-        queries = _workload_queries(objects, seed=19)
-        tree = build_rtree(variant, objects, max_entries=12)
-        clipped = ClippedRTree.wrap(tree, method="stairline")
-        _assert_engines_agree(clipped, objects, queries)
-
-    @pytest.mark.parametrize("method", ["skyline", "stairline"])
-    def test_both_clipping_methods(self, method):
-        objects = make_random_objects(300, dims=2, seed=23)
-        queries = _workload_queries(objects, seed=29)
-        tree = build_rtree("rstar", objects, max_entries=10)
-        clipped = ClippedRTree.wrap(tree, method=method)
-        _assert_engines_agree(clipped, objects, queries)
-
-    def test_three_dimensional_clipped(self):
-        objects = make_random_objects(250, dims=3, seed=31)
-        queries = _workload_queries(objects, seed=37)
-        tree = build_rtree("rrstar", objects, max_entries=10)
-        _assert_engines_agree(ClippedRTree.wrap(tree), objects, queries)
 
 
 def _all_space(dims):
@@ -166,27 +99,36 @@ class TestNodeMajorLayoutEdgeCases:
     @pytest.mark.parametrize("variant", VARIANT_NAMES)
     def test_under_full_nodes_plain_and_clipped(self, variant, max_entries):
         objects = make_random_objects(260, dims=2, seed=41)
-        queries = _workload_queries(objects, seed=43)
+        queries = workload_queries(objects, seed=43)
         tree = build_rtree(variant, objects, max_entries=max_entries)
         counts = ColumnarIndex.from_tree(tree).entry_count
         assert counts.min() < counts.max()  # the layout really is padded
         # The same tree frozen without and with its clip points.
-        _assert_engines_agree(tree, objects, queries)
-        _assert_engines_agree(ClippedRTree.wrap(tree), objects, queries, check_rounds=True)
+        _assert_batch_conforms(tree, objects, queries)
+        _assert_batch_conforms(ClippedRTree.wrap(tree), objects, queries, check_rounds=True)
 
     @pytest.mark.parametrize("dims", [2, 4, 6, 8])
     def test_dimensions(self, dims):
         objects = make_random_objects(150, dims=dims, seed=47 + dims)
-        queries = _workload_queries(objects, seed=53)
+        queries = workload_queries(objects, seed=53)
         tree = build_rtree("rstar", objects, max_entries=10)
-        _assert_engines_agree(tree, objects, queries)
-        _assert_engines_agree(ClippedRTree.wrap(tree), objects, queries, check_rounds=True)
+        _assert_batch_conforms(tree, objects, queries)
+        _assert_batch_conforms(ClippedRTree.wrap(tree), objects, queries, check_rounds=True)
+
+    @pytest.mark.parametrize("variant", ["rstar", "str"])
+    def test_skyline_clipped_tree(self, variant):
+        # The matrix clips with stairline; skyline clip points are vetoed alike.
+        objects = make_random_objects(300, dims=2, seed=23)
+        tree = build_rtree(variant, objects, max_entries=10)
+        clipped = ClippedRTree.wrap(tree, method="skyline")
+        queries = workload_queries(objects, seed=29)
+        _assert_batch_conforms(clipped, objects, queries, check_rounds=True)
 
     def test_root_is_leaf(self):
         objects = make_random_objects(5, dims=2, seed=59)
         tree = build_rtree("quadratic", objects, max_entries=10)
         assert tree.node(tree.root_id).is_leaf
-        _assert_engines_agree(tree, objects, _workload_queries(objects, seed=61))
+        _assert_batch_conforms(tree, objects, workload_queries(objects, seed=61))
 
     @pytest.mark.parametrize("n_objects", [0, 5, 260])
     @pytest.mark.parametrize("dims", [2, 3])
@@ -201,13 +143,13 @@ class TestNodeMajorLayoutEdgeCases:
         # Brute force returns every object; batch must match it and the
         # scalar result lengths, so a phantom hit cannot hide.  Nor may the
         # clip layout's NaN padding veto (or a ±inf probe select) anything.
-        _assert_engines_agree(tree, objects, queries)
-        _assert_engines_agree(ClippedRTree.wrap(tree), objects, queries, check_rounds=True)
+        _assert_batch_conforms(tree, objects, queries)
+        _assert_batch_conforms(ClippedRTree.wrap(tree), objects, queries, check_rounds=True)
 
     @pytest.mark.parametrize("clipped", [False, True])
     def test_access_hook_sees_the_scalar_visits_level_by_level(self, clipped):
         objects = make_random_objects(400, dims=2, seed=71)
-        queries = _workload_queries(objects, seed=73)
+        queries = workload_queries(objects, seed=73)
         tree = build_rtree("rrstar", objects, max_entries=6)
         index = ClippedRTree.wrap(tree) if clipped else tree
 
@@ -394,51 +336,6 @@ class TestClipBlocksBoundMemory:
         assert _hits_in_order(snapshot, queries[:40]) == few
 
 
-class TestWorkloadEngineParity:
-    """``execute_workload`` reports identical results for a tree and its freeze."""
-
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_workload_results_identical(self, variant, medium_objects_2d):
-        tree = build_rtree(variant, medium_objects_2d, max_entries=10)
-        queries = _workload_queries(medium_objects_2d, seed=41)
-        for index in (tree, ClippedRTree.wrap(tree)):
-            scalar = execute_workload(index, queries)
-            batch = execute_workload(ColumnarIndex.from_tree(index), queries)
-            assert batch.queries == scalar.queries
-            assert batch.total_results == scalar.total_results
-            assert batch.stats.leaf_accesses == scalar.stats.leaf_accesses
-            assert (
-                batch.stats.contributing_leaf_accesses
-                == scalar.stats.contributing_leaf_accesses
-            )
-            assert batch.stats.internal_accesses == scalar.stats.internal_accesses
-            assert batch.io_optimality == scalar.io_optimality
-            assert batch.avg_leaf_accesses == scalar.avg_leaf_accesses
-
-    def test_precomputed_snapshot_is_accepted(self, small_objects_2d):
-        tree = build_rtree("quadratic", small_objects_2d, max_entries=8)
-        snapshot = ColumnarIndex.from_tree(tree)
-        queries = _workload_queries(small_objects_2d, seed=43)
-        direct = execute_workload(tree, queries)
-        for _ in range(2):
-            reused = execute_workload(snapshot, queries)
-            assert reused.total_results == direct.total_results
-            assert reused.stats.leaf_accesses == direct.stats.leaf_accesses
-
-    def test_engine_keyword_is_gone(self, small_objects_2d):
-        tree = build_rtree("quadratic", small_objects_2d, max_entries=8)
-        with pytest.raises(TypeError):
-            execute_workload(tree, [], engine="columnar")
-
-    def test_empty_query_batch(self, small_objects_2d):
-        tree = build_rtree("quadratic", small_objects_2d, max_entries=8)
-        for index in (tree, ColumnarIndex.from_tree(tree)):
-            result = execute_workload(index, [])
-            assert result.queries == 0
-            assert result.total_results == 0
-            assert result.io_optimality == 1.0
-
-
 class TestStatsPinned:
     """Regression pin: exact counters on a small fixed tree, both engines.
 
@@ -484,57 +381,6 @@ class TestStatsPinned:
         assert execute_workload(ColumnarIndex.from_tree(clipped), self.QUERIES).io_optimality == 1.0
 
 
-class TestKnnDifferential:
-    """``knn_batch``'s two-part contract on scattered data (``tests/test_knn_ties.py``
-    forces ties): result lists are the scalar search's, and ``IOStats``
-    count the nodes within the k-th distance — the scalar count exactly,
-    since no node of a float-coordinate tree sits at exactly ``d_k``."""
-
-    POINTS = [(0.0, 0.0), (50.0, 50.0), (99.0, 1.0), (25.0, 75.0)]
-
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_knn_results_match_scalar(self, variant, medium_objects_2d):
-        tree = build_rtree(variant, medium_objects_2d, max_entries=10)
-        snapshot = ColumnarIndex.from_tree(tree)
-        for point, batch_res in zip(self.POINTS, knn_batch(snapshot, self.POINTS, k=9)):
-            assert [(d, o.oid) for d, o in batch_res] == [
-                (d, o.oid) for d, o in knn_query(tree, point, k=9)
-            ]
-
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_knn_io_matches_scalar(self, variant, medium_objects_2d):
-        tree = build_rtree(variant, medium_objects_2d, max_entries=10)
-        snapshot = ColumnarIndex.from_tree(tree)
-        scalar_stats = IOStats()
-        batch_stats = IOStats()
-        batch = knn_batch(snapshot, self.POINTS, k=9, stats=batch_stats)
-        for point in self.POINTS:
-            knn_query(tree, point, k=9, stats=scalar_stats)
-        assert assert_knn_contract(tree, self.POINTS, 9, batch, batch_stats) == 0
-        assert batch_stats == scalar_stats
-
-    def test_knn_batch_on_clipped_snapshot(self, medium_objects_2d):
-        tree = build_rtree("rstar", medium_objects_2d, max_entries=10)
-        clipped = ClippedRTree.wrap(tree)
-        snapshot = ColumnarIndex.from_tree(clipped)
-        point = (42.0, 17.0)
-        batch = knn_batch(snapshot, [point], k=5)[0]
-        scalar = knn_query(tree, point, k=5)
-        assert [(d, o.oid) for d, o in batch] == [(d, o.oid) for d, o in scalar]
-
-    def test_knn_batch_k_larger_than_dataset(self, small_objects_2d):
-        tree = build_rtree("quadratic", small_objects_2d, max_entries=8)
-        snapshot = ColumnarIndex.from_tree(tree)
-        results = knn_batch(snapshot, [(1.0, 1.0)], k=1000)[0]
-        assert len(results) == len(small_objects_2d)
-
-    def test_knn_batch_invalid_k(self, small_objects_2d):
-        tree = build_rtree("quadratic", small_objects_2d, max_entries=8)
-        snapshot = ColumnarIndex.from_tree(tree)
-        with pytest.raises(ValueError):
-            knn_batch(snapshot, [(0.0, 0.0)], k=0)
-
-
 class TestSnapshotLifecycle:
     def test_empty_tree_snapshot(self):
         tree = QuadraticRTree(dims=2, max_entries=4)
@@ -572,6 +418,11 @@ class TestSnapshotLifecycle:
         snapshot = ColumnarIndex.from_tree(tree)
         tree.delete(small_objects_2d[0])
         assert snapshot.is_stale
+
+    def test_knn_batch_invalid_k(self, small_objects_2d):
+        tree = build_rtree("quadratic", small_objects_2d, max_entries=8)
+        with pytest.raises(ValueError):
+            knn_batch(ColumnarIndex.from_tree(tree), [(0.0, 0.0)], k=0)
 
     def test_dimension_mismatch_rejected(self, small_objects_2d):
         tree = build_rtree("quadratic", small_objects_2d, max_entries=8)

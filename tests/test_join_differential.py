@@ -1,29 +1,18 @@
-"""Differential-testing harness for the spatial joins.
+"""The spatial joins' kernel edge cases and accounting, against the scalar joins.
 
-Four implementations must enumerate the same join:
-
-1. the brute-force nested loop over the raw objects (ground truth);
-2. the scalar INLJ (``index_nested_loop_join``);
-3. the scalar STT (``synchronized_tree_traversal_join``);
-4. the columnar batch joins (``inlj_batch`` / ``stt_batch``) over
-   :class:`ColumnarIndex` snapshots.
-
-On top of the pair sets, the columnar joins must report **identical**
-``pair_count`` and ``IOStats`` (leaf, contributing-leaf, and internal
-accesses on both sides, and nothing in ``extra``) to their scalar
-counterparts — across every registered R-tree variant ×
-dataset × clipped/plain, including disjoint inputs, trees of unequal
-height, single-leaf trees, and empty trees.  The STT kernels' own edge
+The conformance matrix (``tests/test_backend_conformance.py``) runs INLJ
+and STT on every backend, variant and clip setting against brute force
+and the scalar ``IOStats``.  This suite keeps what the matrix's ordinary
+trees do not reach: empty and single-leaf trees, the two fixed accounting
+bugs (non-emitting leaf pairings are *not* contributing accesses, and a
+root pair that fails the (clipped) intersection test accesses nothing),
+random inputs, ``execute_join``'s dispatch, and the STT kernels' own edge
 cases (unequal padded widths, an under-full root leaf, ±inf and
-degenerate rectangles beside NaN padding, pair blocks) are pinned pair
-for pair *in order* against the scalar STT, with a bound on its memory.
-The leaf×leaf pass, which compares only the entries inside the partner
-leaf's MBB, is pinned per pair and in order against the dense
-``(pairs, left fan-out, right fan-out)`` block it replaced.
-
-The suite also pins the fixed accounting semantics: non-emitting
-leaf-leaf pairings are *not* contributing accesses, and a root pair that
-fails the (clipped) intersection test accesses nothing at all.
+degenerate rectangles beside NaN padding, pair blocks), pinned pair for
+pair *in order* against the scalar STT, with a bound on its memory.  The
+leaf×leaf pass, which compares only the entries inside the partner leaf's
+MBB, is pinned per pair and in order against the dense ``(pairs, left
+fan-out, right fan-out)`` block it replaced.
 """
 
 import tracemalloc
@@ -33,7 +22,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets.neurites import NeuriteGenerator
-from repro.datasets.registry import DATASET_NAMES, generate
 from repro.engine import (
     ColumnarIndex,
     SnapshotManager,
@@ -50,120 +38,36 @@ from repro.join.inlj import index_nested_loop_join
 from repro.join.stt import synchronized_tree_traversal_join
 from repro.rtree.clipped import ClippedRTree
 from repro.rtree.quadratic import QuadraticRTree
-from repro.rtree.registry import VARIANT_NAMES, build_rtree
-from tests.conftest import make_random_objects
-
-ALL_VARIANTS = VARIANT_NAMES + ("str",)
+from repro.rtree.registry import build_rtree
+from tests.conftest import assert_join_contract, brute_force_pairs, make_random_objects, pair_keys
 
 
-def _brute_force_pairs(left, right):
-    return {(a.oid, b.oid) for a in left for b in right if a.rect.intersects(b.rect)}
-
-
-def _pair_oids(result):
-    return {(a.oid, b.oid) for a, b in result.pairs}
-
-
-def _stats_tuple(stats):
-    return (
-        stats.leaf_accesses,
-        stats.contributing_leaf_accesses,
-        stats.internal_accesses,
-        dict(stats.extra),
-    )
-
-
-def _assert_join_engines_agree(left_objects, right_objects, left_index, right_index):
-    """Scalar ≡ columnar on pairs, counts, and both sides' IOStats."""
-    expected = _brute_force_pairs(left_objects, right_objects)
+def _assert_joins_conform(left_objects, right_objects, left_index, right_index):
+    """Scalar and columnar INLJ and STT ≡ brute force; columnar ≡ scalar on ``IOStats``."""
+    expected = brute_force_pairs(left_objects, right_objects)
     left_snap = ColumnarIndex.from_tree(left_index)
     right_snap = ColumnarIndex.from_tree(right_index)
-
-    for collect in (True, False):
-        scalar_inlj = index_nested_loop_join(
-            left_objects, right_index, collect_pairs=collect
-        )
-        batch_inlj = inlj_batch(left_objects, right_snap, collect_pairs=collect)
-        scalar_stt = synchronized_tree_traversal_join(
-            left_index, right_index, collect_pairs=collect
-        )
-        batch_stt = stt_batch(left_snap, right_snap, collect_pairs=collect)
-
-        for result in (scalar_inlj, batch_inlj, scalar_stt, batch_stt):
-            assert result.pair_count == len(expected)
-            if collect:
-                assert _pair_oids(result) == expected
-            else:
-                assert result.pairs == []
-                assert result.inner_stats.extra == {}
-
-        assert _stats_tuple(batch_inlj.inner_stats) == _stats_tuple(
-            scalar_inlj.inner_stats
-        )
-        assert _stats_tuple(batch_inlj.outer_stats) == _stats_tuple(
-            scalar_inlj.outer_stats
-        )
-        assert _stats_tuple(batch_stt.inner_stats) == _stats_tuple(
-            scalar_stt.inner_stats
-        )
-        assert _stats_tuple(batch_stt.outer_stats) == _stats_tuple(
-            scalar_stt.outer_stats
-        )
+    inlj = index_nested_loop_join(left_objects, right_index)
+    stt = synchronized_tree_traversal_join(left_index, right_index)
+    stt_scalar = synchronized_tree_traversal_join
+    for join, reference in (
+        (lambda c: index_nested_loop_join(left_objects, right_index, collect_pairs=c), None),
+        (lambda c: inlj_batch(left_objects, right_snap, collect_pairs=c), inlj),
+        (lambda c: stt_scalar(left_index, right_index, collect_pairs=c), None),
+        (lambda c: stt_batch(left_snap, right_snap, collect_pairs=c), stt),
+    ):
+        assert_join_contract(join, expected, reference)
 
 
-class TestAcrossVariants:
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_plain_trees(self, variant):
-        left = make_random_objects(170, seed=61, extent=50.0, max_side=4.0)
-        right = make_random_objects(140, seed=62, extent=50.0, max_side=4.0)
-        left_tree = build_rtree(variant, left, max_entries=8)
-        right_tree = build_rtree(variant, right, max_entries=8)
-        _assert_join_engines_agree(left, right, left_tree, right_tree)
-
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
-    def test_clipped_trees(self, variant):
-        left = make_random_objects(170, seed=63, extent=50.0, max_side=4.0)
-        right = make_random_objects(140, seed=64, extent=50.0, max_side=4.0)
-        left_index = ClippedRTree.wrap(
-            build_rtree(variant, left, max_entries=8), method="stairline"
-        )
-        right_index = ClippedRTree.wrap(
-            build_rtree(variant, right, max_entries=8), method="stairline"
-        )
-        _assert_join_engines_agree(left, right, left_index, right_index)
-
-    @pytest.mark.parametrize("method", ["skyline", "stairline"])
-    def test_clipping_methods_and_mixed_inputs(self, method):
+class TestShapeEdgeCases:
+    def test_skyline_clipped_beside_plain(self):
+        # The matrix clips with stairline; skyline clip points prune alike.
         left = make_random_objects(200, seed=65, extent=40.0, max_side=5.0)
         right = make_random_objects(160, seed=66, extent=40.0, max_side=5.0)
         left_tree = build_rtree("rstar", left, max_entries=10)
         right_tree = build_rtree("rstar", right, max_entries=10)
-        clipped_left = ClippedRTree.wrap(left_tree, method=method)
-        # Clipped ⋈ plain exercises one-sided pruning in both executors.
-        _assert_join_engines_agree(left, right, clipped_left, right_tree)
-
-
-class TestAcrossDatasets:
-    @pytest.mark.parametrize("dataset", DATASET_NAMES)
-    def test_dataset_self_join(self, dataset):
-        left = generate(dataset, 150, seed=21)
-        right = generate(dataset, 130, seed=22)
-        left_index = ClippedRTree.wrap(
-            build_rtree("str", left, max_entries=10), method="stairline"
-        )
-        right_index = build_rtree("str", right, max_entries=10)
-        _assert_join_engines_agree(left, right, left_index, right_index)
-
-
-class TestShapeEdgeCases:
-    def test_trees_of_unequal_height_both_directions(self):
-        big = make_random_objects(500, seed=65, extent=50.0)
-        small = make_random_objects(30, seed=66, extent=50.0)
-        big_tree = build_rtree("rstar", big, max_entries=8)
-        small_tree = build_rtree("rstar", small, max_entries=8)
-        assert big_tree.height > small_tree.height
-        _assert_join_engines_agree(big, small, big_tree, small_tree)
-        _assert_join_engines_agree(small, big, small_tree, big_tree)
+        clipped_left = ClippedRTree.wrap(left_tree, method="skyline")
+        _assert_joins_conform(left, right, clipped_left, right_tree)
 
     def test_single_leaf_trees(self):
         left = make_random_objects(5, seed=7)
@@ -171,7 +75,7 @@ class TestShapeEdgeCases:
         left_tree = build_rtree("quadratic", left, max_entries=8)
         right_tree = build_rtree("quadratic", right, max_entries=8)
         assert left_tree.height == right_tree.height == 1
-        _assert_join_engines_agree(left, right, left_tree, right_tree)
+        _assert_joins_conform(left, right, left_tree, right_tree)
 
     def test_empty_trees(self):
         objects = make_random_objects(40, seed=5)
@@ -182,7 +86,7 @@ class TestShapeEdgeCases:
             (objects, [], tree, empty),
             ([], [], empty, QuadraticRTree(dims=2, max_entries=4)),
         ):
-            _assert_join_engines_agree(left_objs, right_objs, left_tree, right_tree)
+            _assert_joins_conform(left_objs, right_objs, left_tree, right_tree)
 
 
 class TestFixedAccounting:
@@ -211,7 +115,7 @@ class TestFixedAccounting:
         ]
         left_tree = build_rtree("quadratic", left, max_entries=8)
         right_tree = build_rtree("quadratic", right, max_entries=8)
-        _assert_join_engines_agree(left, right, left_tree, right_tree)
+        _assert_joins_conform(left, right, left_tree, right_tree)
         result = synchronized_tree_traversal_join(left_tree, right_tree)
         assert result.pair_count == 0
         assert result.total_leaf_accesses == 0
@@ -225,7 +129,7 @@ class TestFixedAccounting:
         right = self._lattice(0.5)
         left_tree = build_rtree("quadratic", left, max_entries=4)
         right_tree = build_rtree("quadratic", right, max_entries=4)
-        _assert_join_engines_agree(left, right, left_tree, right_tree)
+        _assert_joins_conform(left, right, left_tree, right_tree)
         result = synchronized_tree_traversal_join(left_tree, right_tree)
         assert result.pair_count == 0
         assert result.total_leaf_accesses > 0
@@ -245,42 +149,6 @@ class TestFixedAccounting:
 
 
 class TestExecuteJoinDispatch:
-    def test_engines_and_algorithms(self, small_objects_2d):
-        left = small_objects_2d
-        right = make_random_objects(50, seed=44)
-        left_tree = build_rtree("rstar", left, max_entries=8)
-        right_tree = build_rtree("rstar", right, max_entries=8)
-        expected = _brute_force_pairs(left, right)
-        for freeze in (lambda tree: tree, ColumnarIndex.from_tree):
-            stt = execute_join(freeze(left_tree), freeze(right_tree), algorithm="stt")
-            inlj = execute_join(left, freeze(right_tree), algorithm="inlj")
-            assert _pair_oids(stt) == _pair_oids(inlj) == expected
-
-    def test_a_tree_beside_a_snapshot_is_frozen_on_the_fly(self, small_objects_2d):
-        right = make_random_objects(50, seed=44)
-        left_tree = build_rtree("rstar", small_objects_2d, max_entries=8)
-        right_tree = build_rtree("rstar", right, max_entries=8)
-        scalar = execute_join(left_tree, right_tree)
-        for left, right_index in (
-            (ColumnarIndex.from_tree(left_tree), right_tree),
-            (left_tree, ColumnarIndex.from_tree(right_tree)),
-        ):
-            mixed = execute_join(left, right_index)
-            assert _pair_oids(mixed) == _pair_oids(scalar)
-            assert mixed.outer_stats == scalar.outer_stats
-            assert mixed.inner_stats == scalar.inner_stats
-
-    def test_precomputed_snapshots_are_accepted(self, small_objects_2d):
-        right = make_random_objects(50, seed=44)
-        left_tree = build_rtree("rstar", small_objects_2d, max_entries=8)
-        right_tree = build_rtree("rstar", right, max_entries=8)
-        direct = execute_join(left_tree, right_tree)
-        reused = execute_join(
-            ColumnarIndex.from_tree(left_tree), ColumnarIndex.from_tree(right_tree)
-        )
-        assert _pair_oids(reused) == _pair_oids(direct)
-        assert reused.total_leaf_accesses == direct.total_leaf_accesses
-
     @pytest.mark.parametrize("side", ["snapshot", "manager"])
     @pytest.mark.parametrize("algorithm", ["inlj", "stt"])
     def test_count_only_join_reaches_the_kernel_count_only(
@@ -398,7 +266,7 @@ class TestJoinProperties:
             build_rtree("quadratic", left, max_entries=4), method="stairline"
         )
         right_index = build_rtree("quadratic", right, max_entries=4)
-        _assert_join_engines_agree(left, right, left_index, right_index)
+        _assert_joins_conform(left, right, left_index, right_index)
 
 
 # ----------------------------------------------------------------------
@@ -422,8 +290,8 @@ def _assert_dense_stt_is_the_scalar_stt(left_index, right_index):
     assert counted.pairs == []
     for result in (batch, counted):
         assert result.pair_count == scalar.pair_count == len(scalar.pairs)
-        assert _stats_tuple(result.outer_stats) == _stats_tuple(scalar.outer_stats)
-        assert _stats_tuple(result.inner_stats) == _stats_tuple(scalar.inner_stats)
+        assert result.outer_stats == scalar.outer_stats
+        assert result.inner_stats == scalar.inner_stats
     return scalar
 
 
@@ -522,7 +390,7 @@ class TestDenseLeafKernel:
         left_tree = build_rtree("str", left, max_entries=5)
         right_tree = build_rtree("str", right, max_entries=48)
         scalar = _assert_dense_stt_is_the_scalar_stt(left_tree, right_tree)
-        assert _pair_oids(scalar) == _brute_force_pairs(left, right)
+        assert pair_keys(scalar.pairs) == brute_force_pairs(left, right)
         _assert_dense_stt_is_the_scalar_stt(right_tree, left_tree)
         _assert_dense_stt_is_the_scalar_stt(left_tree, left_tree)
 

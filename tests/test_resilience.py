@@ -6,6 +6,7 @@ tests pin both properties, because the chaos suite and the gated
 ``serve`` benchmark counters rest on them.
 """
 
+import itertools
 import random
 
 import pytest
@@ -74,16 +75,16 @@ def test_monotonic_clock_is_monotonic():
 
 def test_retry_delays_are_seed_deterministic_and_bounded():
     policy = RetryPolicy(max_attempts=5, base_delay=0.01, max_delay=0.04, seed=3)
-    delays = policy.delays()
-    assert delays == RetryPolicy(
+    delays = list(policy.delays())
+    assert delays == list(RetryPolicy(
         max_attempts=5, base_delay=0.01, max_delay=0.04, seed=3
-    ).delays()
+    ).delays())
     assert len(delays) == 4  # max_attempts counts the first try
     # exponential growth capped at max_delay, shrunk by jitter
     undithered = [0.01, 0.02, 0.04, 0.04]
     for delay, cap in zip(delays, undithered):
         assert 0.0 < delay <= cap
-    assert delays != RetryPolicy(max_attempts=5, seed=4).delays()
+    assert delays != list(RetryPolicy(max_attempts=5, seed=4).delays())
 
 
 def test_retry_delays_stop_growing_at_the_cap():
@@ -95,9 +96,26 @@ def test_retry_delays_stop_growing_at_the_cap():
         expected = [
             min(cap, base * 2.0**n) * (1.0 - 0.5 * rng.random()) for n in range(39)
         ]
-        assert policy.delays() == expected
+        assert list(policy.delays()) == expected
         many = RetryPolicy(max_attempts=3000, base_delay=base, max_delay=cap, jitter=0.0)
-        assert many.delays()[39:] == [cap if base else 0.0] * (2999 - 39)
+        assert list(many.delays())[39:] == [cap if base else 0.0] * (2999 - 39)
+
+
+def test_retry_delays_are_drawn_only_as_they_are_taken(monkeypatch):
+    """Regression: ``delays()`` drew every one of ``max_attempts - 1`` delays,
+    an RNG draw each, on every server turn, whether the turn retried or not."""
+    draws = []
+
+    class CountingRandom(random.Random):
+        def random(self):
+            draws.append(1)
+            return super().random()
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    huge = RetryPolicy(max_attempts=10**12, seed=7)
+    first = list(itertools.islice(huge.delays(), 3))
+    assert first == list(RetryPolicy(max_attempts=4, seed=7).delays())
+    assert len(draws) == 6  # three for each policy
 
 
 # ----------------------------------------------------------------------

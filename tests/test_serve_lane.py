@@ -24,6 +24,9 @@ from repro.rtree.registry import build_rtree
 from repro.serve.server import CoalescingServer, Request, ServeConfig
 from tests.conftest import fail_after_write, make_random_objects
 
+#: Every server a test starts ends it with each admitted request accounted for.
+pytestmark = pytest.mark.usefixtures("requests_accounted")
+
 
 def _manager(count=300, seed=3):
     objects = make_random_objects(count, dims=2, seed=seed)

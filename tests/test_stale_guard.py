@@ -17,7 +17,7 @@ from repro.join import execute_join
 from repro.join.stt import synchronized_tree_traversal_join
 from repro.query.range_query import brute_force_range, execute_workload
 from repro.rtree.registry import build_rtree
-from tests.conftest import fail_after_write, make_random_objects
+from tests.conftest import brute_force_pairs, fail_after_write, make_random_objects, pair_keys
 
 
 @pytest.fixture
@@ -31,14 +31,6 @@ def mutated_setup():
     for obj in extra:
         tree.insert(obj)
     return tree, snapshot, objects + extra
-
-
-def _pair_oids(pairs):
-    return sorted((a.oid, b.oid) for a, b in pairs)
-
-
-def _brute_force_pairs(left, right):
-    return sorted((a.oid, b.oid) for a in left for b in right if a.rect.intersects(b.rect))
 
 
 class TestWorkloadStaleGuard:
@@ -66,7 +58,7 @@ class TestJoinStaleGuard:
         tree, snapshot, live = mutated_setup
         probes = make_random_objects(40, seed=34, max_side=12.0)
         joined = execute_join(probes, snapshot, algorithm="inlj")
-        assert _pair_oids(joined.pairs) == _brute_force_pairs(probes, live)
+        assert pair_keys(joined.pairs) == brute_force_pairs(probes, live)
         assert joined.inner_stats == execute_join(probes, tree, algorithm="inlj").inner_stats
 
     @pytest.mark.parametrize("algorithm", ["inlj", "stt"])
@@ -79,13 +71,13 @@ class TestJoinStaleGuard:
         manager = SnapshotManager(build_rtree("quadratic", twins, max_entries=8))
         if algorithm == "inlj":
             joined = execute_join(manager, snapshot, algorithm="inlj")
-            expected = _brute_force_pairs(twins, live)
+            expected = brute_force_pairs(twins, live)
         else:
             joined = execute_join(snapshot, manager, algorithm="stt")
-            expected = _brute_force_pairs(live, twins)
-        assert any(1000 <= oid < 5000 for pair in expected for oid in pair)
-        assert _pair_oids(joined.pairs) == expected
-        assert joined.pair_count == len(expected)
+            expected = brute_force_pairs(live, twins)
+        assert any(1000 <= key[0] < 5000 for pair in expected for key in pair)
+        assert pair_keys(joined.pairs) == expected
+        assert joined.pair_count == sum(expected.values())
 
 
 class TestServeStaleUnderBreaker:
@@ -201,12 +193,12 @@ class TestServeStaleUnderBreaker:
             manager.compact()
             assert manager.epoch == 1 and not manager.snapshot.is_stale
         for response, expected in (
-            (stt, _brute_force_pairs(others, objects)),
-            (inlj, _brute_force_pairs(probes, objects)),
+            (stt, brute_force_pairs(others, objects)),
+            (inlj, brute_force_pairs(probes, objects)),
         ):
             assert response.ok and response.degraded and response.stale
-            assert _pair_oids(response.value.pairs) == expected
-            assert response.value.pair_count == len(expected)
+            assert pair_keys(response.value.pairs) == expected
+            assert response.value.pair_count == sum(expected.values())
 
     def test_recovered_server_serves_fresh_unstamped(self):
         """After the cooldown's half-open probe succeeds, answers include
