@@ -8,8 +8,9 @@ handed a ``ColumnarIndex``, and what every experiment runs after
 
 Construction: :func:`build_columnar_str` STR-packs objects straight into
 a :class:`ColumnarIndex` with no intermediate Python nodes, and
-:func:`bulk_clip` computes the paper's Algorithm 1 for whole tree levels
-at once — the default path of ``ClippedRTree.clip_all`` / ``wrap``.
+:func:`clip_nodes_batch` computes the paper's Algorithm 1 for whole tree
+levels at once — the one path by which ``ClippedRTree.wrap`` /
+``clip_all`` / ``reclip_nodes`` build clip points.
 
 Updates: :class:`SnapshotManager` + :class:`DeltaOverlay` absorb
 inserts/deletes on top of a frozen snapshot and fold them in via
@@ -39,7 +40,7 @@ for the harnesses pinning batch ≡ scalar.
 """
 
 from repro.engine.builder import build_columnar_str
-from repro.engine.bulk_clip import bulk_clip, clip_nodes_batch
+from repro.engine.bulk_clip import clip_nodes_batch
 from repro.engine.columnar import ColumnarIndex
 from repro.engine.delta import (
     CompactionInProgressError,
@@ -48,7 +49,7 @@ from repro.engine.delta import (
     overlay_join,
 )
 from repro.engine.executor import knn_batch, range_query_batch
-from repro.engine.incremental_clip import reclip_live_nodes, reclip_nodes_for_results
+from repro.engine.incremental_clip import reclip_nodes_for_results
 from repro.engine.join_exec import inlj_batch, stt_batch
 from repro.engine.parallel import ParallelExecutor, default_workers
 from repro.engine.snapshot_io import (
@@ -56,7 +57,6 @@ from repro.engine.snapshot_io import (
     SnapshotFormatError,
     load_snapshot,
     save_snapshot,
-    set_load_fault_hook,
 )
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
     "SnapshotManager",
     "SnapshotFormatError",
     "build_columnar_str",
-    "bulk_clip",
     "clip_nodes_batch",
     "default_workers",
     "inlj_batch",
@@ -76,9 +75,7 @@ __all__ = [
     "load_snapshot",
     "overlay_join",
     "range_query_batch",
-    "reclip_live_nodes",
     "reclip_nodes_for_results",
     "save_snapshot",
-    "set_load_fault_hook",
     "stt_batch",
 ]

@@ -1,15 +1,17 @@
 """Level-synchronous, batched clip-point construction (Algorithm 1 for
 whole tree levels at once).
 
-:func:`bulk_clip` computes clip points for *every* node of a tree with a
-handful of NumPy calls per tree level instead of one Python loop nest
-per node per corner.  The result is a
-:class:`~repro.cbb.store.ClipStore` whose entries are *identical* to
-running the scalar :func:`~repro.cbb.clipping.compute_clip_points` over
-each node — same coordinate values, same scores, same per-node ordering,
-same byte accounting (``tests/test_build_differential.py`` pins this
-across tree variants, datasets, dimensionalities and both clipping
-methods).
+:func:`clip_nodes_batch` computes clip points for a set of nodes — every
+node of a tree (:meth:`ClippedRTree.clip_all
+<repro.rtree.clipped.ClippedRTree.clip_all>`) or the dirty nodes of a
+compaction (:meth:`~repro.rtree.clipped.ClippedRTree.reclip_nodes`) —
+with a handful of NumPy calls per tree level instead of one Python loop
+nest per node per corner.  Each node's clip points are *identical* to
+what the scalar :func:`~repro.cbb.clipping.compute_clip_points`
+(Algorithm 1) returns for it — same coordinate values, same scores, same
+ordering (``tests/test_build_differential.py`` pins this against the
+per-node oracle across tree variants, datasets, dimensionalities and
+both clipping methods).
 
 One pass over one problem axis.  The nodes of one level form one group:
 their children fill a ``(nodes, widest fan-out, dims)`` array, padded
@@ -73,13 +75,12 @@ kernel-level ones are in :mod:`repro.engine.clip_kernels`):
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from repro.cbb.clip_point import ClipPoint
 from repro.cbb.clipping import ClippingConfig
-from repro.cbb.store import ClipStore
 from repro.engine.clip_kernels import (
     corner_distances,
     first_occurrence_mask,
@@ -93,7 +94,6 @@ from repro.engine.clip_kernels import (
     valid_splices,
 )
 from repro.engine.kernels import masks_to_bool, stack_rows
-from repro.rtree.base import RTreeBase
 from repro.rtree.node import Node
 
 #: Ceiling on the element count of any broadcast intermediate, in units of
@@ -101,45 +101,15 @@ from repro.rtree.node import Node
 _CHUNK_BUDGET = 4_000_000
 
 
-def bulk_clip(
-    tree: RTreeBase,
-    config: ClippingConfig = ClippingConfig(),
-    store: Optional[ClipStore] = None,
-) -> ClipStore:
-    """Compute clip points for every node of ``tree``, level-synchronously.
-
-    Returns a :class:`ClipStore` holding, for each node that earned at
-    least one clip point, the same score-ordered :class:`ClipPoint` list
-    the scalar ``compute_clip_points`` would produce.  When ``store`` is
-    given it is cleared and refilled in place (the wrapper's own store,
-    for :meth:`repro.rtree.clipped.ClippedRTree.clip_all`).
-    """
-    if store is None:
-        store = ClipStore()
-    else:
-        store.clear()
-    results = clip_nodes_batch(list(tree.nodes()), tree.dims, config)
-    # Fill the store in tree.nodes() order — the scalar clip_all insertion
-    # order — so store iteration (and thus persisted bytes) is identical.
-    for node in tree.nodes():
-        clips = results.get(node.node_id)
-        if clips:
-            store.put(node.node_id, clips)
-    return store
-
-
 def clip_nodes_batch(
     nodes: List[Node], dims: int, config: ClippingConfig = ClippingConfig()
 ) -> Dict[int, List[ClipPoint]]:
     """Clip points for an arbitrary set of nodes, batched by level.
 
-    The shared core of :func:`bulk_clip` (every node of a tree) and the
-    incremental dirty-node re-clipper
-    (:func:`repro.engine.incremental_clip.reclip_live_nodes`, a handful of
-    nodes after a compaction).  Returns ``{node_id: [ClipPoint, ...]}``
-    containing only nodes that earned at least one clip point; each list
-    is value-for-value what the scalar ``compute_clip_points`` produces
-    for that node.
+    Returns ``{node_id: [ClipPoint, ...]}`` containing only nodes that
+    earned at least one clip point; each list is value-for-value what the
+    scalar ``compute_clip_points`` produces for that node, whatever other
+    nodes share the call.
     """
     k = config.max_clip_points(dims)
     results: Dict[int, List[ClipPoint]] = {}

@@ -222,20 +222,23 @@ class DeltaOverlay:
     # writes
     # ------------------------------------------------------------------
 
-    def _check_dims(self, obj: SpatialObject) -> None:
+    def _check_object(self, obj: SpatialObject) -> None:
+        # A Rect has ``dims`` too; buffered, it would fail every later read.
+        if not isinstance(obj, SpatialObject):
+            raise TypeError(f"the overlay buffers SpatialObjects, got {type(obj).__name__}")
         if obj.dims != self.dims:
             raise ValueError(f"object has {obj.dims} dims, overlay expects {self.dims}")
 
     def insert(self, obj: SpatialObject) -> None:
         """Buffer one insertion."""
-        self._check_dims(obj)
+        self._check_object(obj)
         self._inserts.append(obj)
         self._version += 1
         self.ops += 1
 
     def delete(self, obj: SpatialObject) -> bool:
         """Buffer one deletion; False when no live copy of ``obj`` exists."""
-        self._check_dims(obj)
+        self._check_object(obj)
         oid, rect = obj.oid, obj.rect
         for index, pending in enumerate(self._inserts):
             if pending.oid == oid and pending.rect == rect:
@@ -451,15 +454,20 @@ class SnapshotManager:
     # ------------------------------------------------------------------
 
     def insert(self, obj: SpatialObject) -> None:
-        """Insert one object; during a fold too (see the class doc)."""
+        """Insert one object; during a fold too (see the class doc).
+
+        Raises ``TypeError`` for anything but a :class:`SpatialObject` and
+        ``ValueError`` for one of the wrong dimensionality.
+        """
         self._write(DeltaOverlay.insert, obj)
 
     def delete(self, obj: SpatialObject) -> bool:
         """Delete one object; False when it is not (visibly) indexed.
 
-        Raises ``ValueError`` for an object of the wrong dimensionality,
-        like :meth:`insert`.  During a fold it answers as it would outside
-        one, and the swap keeps what it did (see the class doc).
+        Raises ``TypeError`` for anything but a :class:`SpatialObject` and
+        ``ValueError`` for one of the wrong dimensionality, like
+        :meth:`insert`.  During a fold it answers as it would outside one,
+        and the swap keeps what it did (see the class doc).
         """
         return self._write(DeltaOverlay.delete, obj)
 

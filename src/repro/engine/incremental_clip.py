@@ -11,11 +11,10 @@ list changed, the current parent of every node whose MBB moved, and
 every node the batch removed.
 
 That one set has two consumers in a compaction.
-:func:`reclip_nodes_for_results` hands it to
-:meth:`~repro.rtree.clipped.ClippedRTree.reclip_nodes`, which drops the
-removed ones from the store and recomputes exactly the live nodes' clip
-points — by default in one batched pass through
-:func:`repro.engine.bulk_clip.clip_nodes_batch` (:func:`reclip_live_nodes`).
+:meth:`~repro.rtree.clipped.ClippedRTree.reclip_nodes` drops the removed
+ones from the store and recomputes exactly the live nodes' clip points
+in one batched pass through
+:func:`repro.engine.bulk_clip.clip_nodes_batch`.
 :meth:`ColumnarIndex.from_tree <repro.engine.columnar.ColumnarIndex.from_tree>`
 then reads those nodes from the tree and copies every other node's
 entries and clip run from the previous generation.  Both rely on the
@@ -30,9 +29,8 @@ and update interleavings.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Set, Union
+from typing import Iterable, Set, Union
 
-from repro.engine.bulk_clip import clip_nodes_batch
 from repro.rtree.base import DeleteResult, InsertResult, RTreeBase
 from repro.rtree.clipped import ClippedRTree
 
@@ -76,11 +74,7 @@ def dirty_node_ids(
     return dirty
 
 
-def reclip_nodes_for_results(
-    clipped: ClippedRTree,
-    dirty: Iterable[int],
-    engine: str = "vectorized",
-) -> int:
+def reclip_nodes_for_results(clipped: ClippedRTree, dirty: Iterable[int]) -> int:
     """Re-clip the nodes a batch of tracked updates dirtied; how many were live.
 
     ``dirty`` is :func:`dirty_node_ids` of the batch's results, or a chunk
@@ -89,22 +83,9 @@ def reclip_nodes_for_results(
     drops the dead ids from the store and re-clips the live nodes, whose
     clip points depend on their own entries only: however the set is cut,
     the store ends up the same.
+
+    This adds nothing to ``reclip_nodes``: it is the seam a tracer patches
+    at its import site in :mod:`repro.engine.delta` to time the re-clip of
+    a compaction (``perf/tracing.py``'s ``incremental_clip.reclip`` span).
     """
-    return clipped.reclip_nodes(dirty, engine=engine)
-
-
-def reclip_live_nodes(clipped: ClippedRTree, node_ids: Sequence[int]) -> None:
-    """The vectorised half of :meth:`ClippedRTree.reclip_nodes`.
-
-    ``node_ids`` must all exist in ``clipped.tree``; each gets the clip
-    points a full ``clip_all`` would assign it, computed in one batched
-    pass (nodes left without clip points are dropped from the store).
-    """
-    tree = clipped.tree
-    results = clip_nodes_batch([tree.node(nid) for nid in node_ids], tree.dims, clipped.config)
-    for node_id in node_ids:
-        clips = results.get(node_id)
-        if clips:
-            clipped.store.put(node_id, clips)
-        else:
-            clipped.store.remove(node_id)
+    return clipped.reclip_nodes(dirty)

@@ -502,24 +502,6 @@ def read_manifest(directory: Union[str, Path]) -> dict:
     return manifest
 
 
-#: Test/chaos hook consulted at the top of :func:`load_snapshot` — a
-#: callable receiving the directory path; raising simulates a load-time
-#: I/O failure.  Installed via :func:`set_load_fault_hook` (e.g. by
-#: ``repro.serve.faults.FaultPlan.install``); this module never imports
-#: the serving layer.
-_LOAD_FAULT_HOOK: Optional[Callable[[str], None]] = None
-
-
-def set_load_fault_hook(
-    hook: Optional[Callable[[str], None]],
-) -> Optional[Callable[[str], None]]:
-    """Install (or clear, with None) the load fault hook; returns the old one."""
-    global _LOAD_FAULT_HOOK
-    previous = _LOAD_FAULT_HOOK
-    _LOAD_FAULT_HOOK = hook
-    return previous
-
-
 def _load_array(
     directory: Path, name: str, spec: dict, mmap: bool
 ) -> np.ndarray:
@@ -559,9 +541,6 @@ def load_snapshot(directory: Union[str, Path], mmap: bool = True) -> ColumnarInd
     method.
     """
     directory = Path(directory)
-    hook = _LOAD_FAULT_HOOK
-    if hook is not None:
-        hook(str(directory))
     manifest = read_manifest(directory)
     data_path = directory / manifest["data_dir"]
     arrays = {

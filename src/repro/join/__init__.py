@@ -70,7 +70,8 @@ def execute_join(
             return index_nested_loop_join(left, right, collect_pairs=collect_pairs)
         return synchronized_tree_traversal_join(left, right, collect_pairs=collect_pairs)
 
-    # Imported lazily: only the scalar path works without NumPy.
+    # Imported lazily: repro.engine imports this package (and through it
+    # repro.query); a module-level import would close the cycle.
     from repro.engine import ColumnarIndex, ParallelExecutor, overlay_join
 
     if any(isinstance(side, ParallelExecutor) for side in (left, right)):

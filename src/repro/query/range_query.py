@@ -90,7 +90,8 @@ def execute_workload(index: Index, queries: Iterable[Rect]) -> WorkloadResult:
         total_results = sum(len(index.range_query(q, stats=stats)) for q in queries)
         return WorkloadResult(len(queries), total_results, stats)
 
-    # Imported lazily: only the scalar path works without NumPy.
+    # Imported lazily: repro.engine imports repro.join, which imports this
+    # module; a module-level import would close the cycle.
     from repro.engine import ColumnarIndex
 
     if isinstance(index, ColumnarIndex) and index.is_stale:

@@ -101,9 +101,6 @@ class ClippedRTree:
     # construction
     # ------------------------------------------------------------------
 
-    #: Engines understood by :meth:`clip_all`.
-    CLIP_ENGINES = ("scalar", "vectorized")
-
     @classmethod
     def wrap(
         cls,
@@ -111,47 +108,40 @@ class ClippedRTree:
         method: str = "stairline",
         k: Optional[int] = None,
         tau: float = 0.025,
-        engine: str = "vectorized",
+        engine: str = "vectorized",  # only value: perf/workloads.py passes it (ROADMAP item 1)
     ) -> "ClippedRTree":
         """Clip every node of an already-built tree and return the wrapper."""
+        if engine != "vectorized":
+            raise ValueError(f"unknown clip engine {engine!r}; the only one is 'vectorized'")
         clipped = cls(tree, ClippingConfig(method=method, k=k, tau=tau))
-        clipped.clip_all(engine=engine)
+        clipped.clip_all()
         return clipped
 
-    def clip_all(self, engine: str = "vectorized") -> int:
-        """(Re)compute clip points for every node.
+    def clip_all(self) -> int:
+        """(Re)compute clip points for every node; returns the store length.
 
-        Returns the number of nodes that ended up holding clip points —
-        i.e. the resulting store length — identically for both engines
-        (``tests/test_build_differential.py`` pins the agreement).
-
-        ``engine`` selects the construction path:
-
-        * ``"vectorized"`` (default) — the level-synchronous
-          :func:`repro.engine.bulk_clip.bulk_clip` through batched NumPy
-          kernels;
-        * ``"scalar"`` — one ``compute_clip_points`` call per node,
-          exactly Algorithm 1: the oracle the differential suites
-          compare the kernels against (identical values, ordering and
-          scores).
+        One level-synchronous pass of the batched kernels
+        (:func:`repro.engine.bulk_clip.clip_nodes_batch`), value for value
+        what Algorithm 1 (``compute_clip_points``) gives each node — the
+        tests' oracle (``tests/test_build_differential.py``).
         """
-        self._check_clip_engine(engine)
-        if engine == "vectorized":
-            # Imported lazily: the scalar path must not require NumPy.
-            from repro.engine.bulk_clip import bulk_clip
-
-            bulk_clip(self.tree, self.config, store=self.store)
-        else:
-            self.store.clear()
-            for node in self.tree.nodes():
-                self._clip_node(node)
+        self.store.clear()
+        self._clip_batch(list(self.tree.nodes()))
         return len(self.store)
 
-    def _check_clip_engine(self, engine: str) -> None:
-        if engine not in self.CLIP_ENGINES:
-            raise ValueError(
-                f"unknown clip engine {engine!r}; known: {self.CLIP_ENGINES}"
-            )
+    def _clip_batch(self, nodes: List[Node]) -> None:
+        """Store the batched kernels' clip points for ``nodes``, in their order."""
+        # Imported lazily: repro.engine imports this module (through
+        # incremental_clip), so a module-level import would be a cycle.
+        from repro.engine.bulk_clip import clip_nodes_batch
+
+        results = clip_nodes_batch(nodes, self.tree.dims, self.config)
+        for node in nodes:
+            clips = results.get(node.node_id)
+            if clips:
+                self.store.put(node.node_id, clips)
+            else:
+                self.store.remove(node.node_id)
 
     def _clip_node(self, node: Node) -> bool:
         """Clip one node; returns True when any clip point was stored."""
@@ -270,31 +260,20 @@ class ClippedRTree:
                 reclip(node_id, ReclipCause.CBB_ONLY)
         return report
 
-    def reclip_nodes(self, node_ids: Iterable[int], engine: str = "vectorized") -> int:
+    def reclip_nodes(self, node_ids: Iterable[int]) -> int:
         """Recompute clip points for exactly ``node_ids`` (§IV-D, batched).
 
         Ids of nodes that no longer exist are dropped from the store; the
-        surviving nodes get freshly computed clip points — identical to
-        what a full :meth:`clip_all` would assign them, whichever
-        ``engine`` computes them: the batched kernels of
-        :func:`repro.engine.incremental_clip.reclip_live_nodes` (the
-        compaction path of :class:`repro.engine.delta.SnapshotManager`)
-        or scalar per-node Algorithm 1.  Returns the number of live
-        nodes re-clipped.
+        surviving nodes get, in one batched pass, the clip points a full
+        :meth:`clip_all` would assign them (the compaction path of
+        :class:`repro.engine.delta.SnapshotManager`).  Returns the number
+        of live nodes re-clipped.
         """
-        self._check_clip_engine(engine)
         ids = set(node_ids)
         live = sorted(nid for nid in ids if self.tree.has_node(nid))
         for node_id in ids.difference(live):
             self.store.remove(node_id)
-        if engine == "vectorized":
-            # Imported lazily: the scalar path must not require NumPy.
-            from repro.engine.incremental_clip import reclip_live_nodes
-
-            reclip_live_nodes(self, live)
-        else:
-            for node_id in live:
-                self._clip_node(self.tree.node(node_id))
+        self._clip_batch([self.tree.node(nid) for nid in live])
         return len(live)
 
     def _parent_index(self) -> Dict[int, int]:

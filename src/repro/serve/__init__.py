@@ -6,8 +6,8 @@ The package has four parts, composable but separately testable:
   clocks, deadlines, retry-with-backoff-and-jitter, token-bucket
   admission control, and a circuit breaker;
 * :mod:`repro.serve.faults` — deterministic seeded fault injection
-  (:class:`FaultPlan`) threading through the worker pool, snapshot
-  loads, compaction, and the serving loop itself;
+  (:class:`FaultPlan`) threading through the worker pool, compaction,
+  and the serving loop itself;
 * :mod:`repro.serve.server` — :class:`CoalescingServer`, the asyncio
   micro-batching loop over a live :class:`~repro.engine.delta.
   SnapshotManager`, wrapped in the kernel (shed → explicit ``shed``
@@ -22,7 +22,6 @@ from repro.serve.faults import (
     COMPACTION,
     KNOWN_SITES,
     REQUEST_LATENCY,
-    SNAPSHOT_LOAD,
     WORKER_KILL,
     FaultPlan,
     FaultSpec,
@@ -48,7 +47,6 @@ __all__ = [
     "COMPACTION",
     "KNOWN_SITES",
     "REQUEST_LATENCY",
-    "SNAPSHOT_LOAD",
     "WORKER_KILL",
     "CircuitBreaker",
     "Clock",

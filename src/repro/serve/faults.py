@@ -16,11 +16,6 @@ Instrumented sites:
   :class:`~repro.engine.parallel.ParallelExecutor` once per shard
   submission; a firing spec replaces that shard's task with one that
   ``os._exit``\\ s the worker, breaking the process pool mid-batch;
-* :data:`SNAPSHOT_LOAD` — consulted by
-  :func:`repro.engine.snapshot_io.load_snapshot` through the module's
-  fault hook (see :meth:`FaultPlan.install`); a firing spec raises an
-  :class:`InjectedFault` in place of the load, simulating a truncated or
-  unreadable snapshot file;
 * :data:`COMPACTION` — consulted by
   :meth:`repro.engine.delta.SnapshotManager.compact` through its
   ``compaction_fault_hook`` *after* the compaction has started, crashing
@@ -53,12 +48,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 #: Site names (kept in sync with the literals used at the injection
 #: points — the engine cannot import them from here).
 WORKER_KILL = "parallel.worker_kill"
-SNAPSHOT_LOAD = "snapshot_io.load"
 COMPACTION = "delta.compaction"
 BATCH_FAULT = "serve.batch"
 REQUEST_LATENCY = "serve.latency"
 
-KNOWN_SITES = (WORKER_KILL, SNAPSHOT_LOAD, COMPACTION, BATCH_FAULT, REQUEST_LATENCY)
+KNOWN_SITES = (WORKER_KILL, COMPACTION, BATCH_FAULT, REQUEST_LATENCY)
 
 
 class TransientFault(RuntimeError):
@@ -96,7 +90,7 @@ class FaultPlan:
     Counters are per-site and advance on every :meth:`fires` call, so the
     N-th consultation of a site always sees the same verdict.  The plan
     only fires in the process that created it (checked by pid): a forked
-    pool worker inheriting an installed plan never double-fires faults
+    pool worker inheriting a copy of the plan never double-fires faults
     that the coordinator's schedule owns.
     """
 
@@ -110,8 +104,6 @@ class FaultPlan:
         self._fired: Dict[str, int] = {}
         self._lock = threading.Lock()
         self._pid = os.getpid()
-        self._installed_previous = None
-        self._installed = False
 
     # ------------------------------------------------------------------
     # firing protocol (what the instrumented sites call)
@@ -177,36 +169,6 @@ class FaultPlan:
         with self._lock:
             self._calls.clear()
             self._fired.clear()
-
-    # ------------------------------------------------------------------
-    # global hook installation (snapshot_io.load_snapshot)
-    # ------------------------------------------------------------------
-
-    def install(self) -> "FaultPlan":
-        """Route :func:`repro.engine.snapshot_io.load_snapshot` through this plan."""
-        from repro.engine import snapshot_io
-
-        if not self._installed:
-            self._installed_previous = snapshot_io.set_load_fault_hook(
-                self.hook(SNAPSHOT_LOAD)
-            )
-            self._installed = True
-        return self
-
-    def uninstall(self) -> None:
-        """Restore the previous :mod:`snapshot_io` fault hook."""
-        from repro.engine import snapshot_io
-
-        if self._installed:
-            snapshot_io.set_load_fault_hook(self._installed_previous)
-            self._installed_previous = None
-            self._installed = False
-
-    def __enter__(self) -> "FaultPlan":
-        return self.install()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.uninstall()
 
     # ------------------------------------------------------------------
     # canned schedules

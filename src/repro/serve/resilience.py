@@ -167,8 +167,6 @@ class TokenBucket:
         self.clock = clock if clock is not None else MonotonicClock()
         self._tokens = float(burst)
         self._last = self.clock.now()
-        self.admitted = 0
-        self.shed = 0
 
     def _refill(self) -> None:
         now = self.clock.now()
@@ -179,14 +177,11 @@ class TokenBucket:
     def try_acquire(self, tokens: float = 1.0) -> bool:
         """Take ``tokens`` if available; False (= shed) otherwise."""
         if self.rate is None:
-            self.admitted += 1
             return True
         self._refill()
         if self._tokens >= tokens:
             self._tokens -= tokens
-            self.admitted += 1
             return True
-        self.shed += 1
         return False
 
     @property

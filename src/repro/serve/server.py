@@ -69,8 +69,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import CompactionInProgressError, SnapshotManager
 from repro.engine.delta import overlay_join
+from repro.geometry.objects import SpatialObject
+from repro.geometry.rect import Rect
 from repro.join import check_join_algorithm
-from repro.serve.faults import BATCH_FAULT, REQUEST_LATENCY, InjectedFault, TransientFault
+from repro.serve.faults import BATCH_FAULT, COMPACTION, REQUEST_LATENCY, TransientFault
 from repro.serve.metrics import ServerMetrics
 from repro.serve.resilience import (
     CircuitBreaker,
@@ -89,6 +91,9 @@ KINDS = ("range", "knn", "join", "insert", "delete", "compact")
 
 #: Kinds that answer from the index (eligible for stale/degraded serving).
 QUERY_KINDS = ("range", "knn", "join")
+
+#: The payload type of each kind that takes one object.
+_PAYLOAD_TYPES = {"range": Rect, "insert": SpatialObject, "delete": SpatialObject}
 
 
 def _knn_payload(payload) -> Tuple[Tuple[float, ...], int]:
@@ -115,14 +120,14 @@ class Request:
     ``knn`` → ``(point, k)``; ``join`` → a dict with ``algorithm`` plus
     ``probes`` (INLJ) or ``other`` (STT); ``insert``/``delete`` → a
     :class:`~repro.geometry.objects.SpatialObject`; ``compact`` → None.
-    An unknown kind, a kNN payload that is not a ``(point, k)`` pair, a
-    kNN point that is not a sequence of real numbers or has a NaN
-    coordinate (±inf is fine), a ``k`` that is not an integer ≥ 1, an
-    unknown join algorithm, a join missing the input its algorithm needs,
-    or a NaN ``deadline_s`` is a ``ValueError`` here, at construction,
-    never a queued request.  ``deadline_s`` overrides the server's default
-    deadline (None → use the default; ``float("inf")`` effectively
-    disables it).
+    An unknown kind, a range or write payload of another type, a kNN
+    payload that is not a ``(point, k)`` pair, a kNN point that is not a
+    sequence of real numbers or has a NaN coordinate (±inf is fine), a
+    ``k`` that is not an integer ≥ 1, an unknown join algorithm, a join
+    missing the input its algorithm needs, or a NaN ``deadline_s`` is a
+    ``ValueError`` here, at construction, never a queued request.
+    ``deadline_s`` overrides the server's default deadline (None → use
+    the default; ``float("inf")`` effectively disables it).
     """
 
     kind: str
@@ -135,6 +140,12 @@ class Request:
         deadline = self.deadline_s
         if deadline is not None and not (isinstance(deadline, numbers.Real) and deadline == deadline):
             raise ValueError(f"deadline_s is a number of seconds or None, got {deadline!r}")
+        expected = _PAYLOAD_TYPES.get(self.kind)
+        if expected is not None and not isinstance(self.payload, expected):
+            raise ValueError(
+                f"{self.kind} request payload must be a {expected.__name__}, "
+                f"got {type(self.payload).__name__}"
+            )
         if self.kind == "knn":
             self.payload = _knn_payload(self.payload)
         if self.kind == "join":
@@ -287,6 +298,10 @@ class _Pending:
 
 _STOP = object()
 
+#: The counter of each status an admitted request can end with (a shed
+#: request is counted at admission and never admitted).
+_OUTCOME_COUNTERS = {"ok": "completed", "deadline": "deadline_exceeded", "error": "errors"}
+
 #: queue routing: range and kNN batch per kind; joins and writes share one
 #: queue whose turns answer item by item.
 _QUEUE_FOR_KIND = {
@@ -307,9 +322,9 @@ class CoalescingServer:
     any index/tree a manager can wrap.  ``clock`` drives admission,
     deadlines, and the breaker (inject a
     :class:`~repro.serve.resilience.LogicalClock` for determinism);
-    latencies are always measured on the wall clock.  ``fault_plan`` is
-    installed on :meth:`start` (snapshot-load hook, compaction hook,
-    batch faults, latency spikes) and uninstalled on :meth:`stop`.
+    latencies are always measured on the wall clock.  ``fault_plan``
+    drives batch faults and latency spikes, and is the manager's
+    compaction hook from :meth:`start` to :meth:`stop`.
 
     Lifecycle::
 
@@ -371,10 +386,8 @@ class CoalescingServer:
         self._loop = asyncio.get_running_loop()
         self._execute_gate = asyncio.Lock()
         self._queues = {name: asyncio.Queue() for name in ("range", "knn", "other")}
-        plan = self.fault_plan
-        if plan is not None:
-            plan.install()
-            self.manager.compaction_fault_hook = plan.hook("delta.compaction")
+        if self.fault_plan is not None:
+            self.manager.compaction_fault_hook = self.fault_plan.hook(COMPACTION)
         self._running = True
         self._batchers = [
             asyncio.ensure_future(self._batcher(name)) for name in self._queues
@@ -392,9 +405,7 @@ class CoalescingServer:
         if self._compaction_task is not None:
             await asyncio.gather(self._compaction_task, return_exceptions=True)
             self._compaction_task = None
-        plan = self.fault_plan
-        if plan is not None:
-            plan.uninstall()
+        if self.fault_plan is not None:
             self.manager.compaction_fault_hook = None
         # Anything still queued gets an explicit error, never silence.
         for queue in self._queues.values():
@@ -432,16 +443,15 @@ class CoalescingServer:
             )
             return future
         self.metrics.incr("admitted")
+        seconds = self.config.default_deadline if request.deadline_s is None else request.deadline_s
+        item = _Pending(request, future, Deadline(seconds, self.clock), time.perf_counter())
         # Bad input is the caller's error, not a backend failure: answer it
         # here, so it can neither fail its batch-mates nor trip the breaker.
         mismatch = self._dims_mismatch(request)
         if mismatch is not None:
-            self.metrics.incr("errors")
-            future.set_result(Response(status="error", error=mismatch))
-            return future
-        seconds = self.config.default_deadline if request.deadline_s is None else request.deadline_s
-        item = _Pending(request, future, Deadline(seconds, self.clock), time.perf_counter())
-        self._queues[_QUEUE_FOR_KIND[request.kind]].put_nowait(item)
+            self._fail([item], mismatch)
+        else:
+            self._queues[_QUEUE_FOR_KIND[request.kind]].put_nowait(item)
         return future
 
     def _dims_mismatch(self, request: Request) -> Optional[str]:
@@ -449,8 +459,8 @@ class CoalescingServer:
         kind, payload = request.kind, request.payload
         if kind == "knn":
             got = len(payload[0])
-        elif kind in ("range", "insert", "delete"):
-            got = getattr(payload, "dims", None)
+        elif kind in _PAYLOAD_TYPES:
+            got = payload.dims
         else:
             return None
         expected = self.manager.snapshot.dims
@@ -520,7 +530,6 @@ class CoalescingServer:
                     if item.future.cancelled():
                         continue
                     if item.deadline.expired():
-                        self.metrics.incr("deadline_exceeded")
                         self._fail([item], "deadline exceeded before execution", "deadline")
                     else:
                         live.append(item)
@@ -556,7 +565,6 @@ class CoalescingServer:
                 await asyncio.sleep(next(delays))
             except Exception as exc:
                 self.breaker.record_failure()
-                self.metrics.incr("errors", len(live))
                 self._fail(live, repr(exc), retries=attempts)
                 return
             else:
@@ -569,7 +577,6 @@ class CoalescingServer:
             try:
                 values = await asyncio.to_thread(self._execute_degraded, kind, live)
             except Exception as exc:
-                self.metrics.incr("errors", len(live))
                 self._fail(live, f"degraded path failed: {exc!r}", retries=attempts, degraded=True)
                 return
 
@@ -582,7 +589,6 @@ class CoalescingServer:
                 self.metrics.incr("stale_served")
             error = None
             if status == "error":
-                self.metrics.incr("errors")
                 error = value if isinstance(value, str) else degraded_reason
                 value = None
             fields = dict(stale=stale, degraded=degraded, retries=attempts, error=error, epoch=epoch)
@@ -593,10 +599,10 @@ class CoalescingServer:
             self._resolve(item, Response(status=status, error=error, **fields))
 
     def _resolve(self, item: _Pending, response: Response) -> None:
+        """Deliver an admitted request's response: the one place its outcome is counted."""
         if item.future.done():
             return
         if response.status == "ok" and item.deadline.expired():
-            self.metrics.incr("deadline_exceeded")
             response = Response(
                 status="deadline",
                 error="deadline exceeded before delivery",
@@ -606,8 +612,8 @@ class CoalescingServer:
         response.latency_s = time.perf_counter() - item.issued_wall
         if item.lane_wall is not None:
             response.queue_s = item.lane_wall - item.issued_wall
+        self.metrics.incr(_OUTCOME_COUNTERS[response.status])
         if response.status == "ok":
-            self.metrics.incr("completed")
             self.metrics.observe_latency(response.latency_s, response.queue_s)
         item.future.set_result(response)
 

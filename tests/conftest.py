@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.cbb.clipping import compute_clip_points
+from repro.cbb.store import ClipStore
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.query.range_query import brute_force_range
@@ -35,6 +37,20 @@ def make_random_objects(count, dims=2, seed=0, extent=100.0, max_side=3.0):
         high = [lo + rng.uniform(0.01, max_side) for lo in low]
         objects.append(SpatialObject(i, Rect(low, high)))
     return objects
+
+
+def scalar_clip_store(tree, config):
+    """The paper's Algorithm 1 node by node: the oracle for batched clipping.
+
+    One ``compute_clip_points`` call per node of ``tree``, in
+    ``tree.nodes()`` order, into a fresh :class:`ClipStore` — what
+    ``ClippedRTree(tree, config).clip_all()`` must fill, value for value.
+    """
+    store = ClipStore()
+    for node in tree.nodes():
+        if node.entries:
+            store.put(node.node_id, compute_clip_points(node.mbb(), node.child_rects(), config))
+    return store
 
 
 def fail_after_write(manager, n, error):

@@ -43,6 +43,7 @@ from repro.engine import (
     SnapshotManager,
     build_columnar_str,
     load_snapshot,
+    reclip_nodes_for_results,
     save_snapshot,
 )
 from repro.geometry.objects import SpatialObject
@@ -420,6 +421,12 @@ def test_no_entry_point_takes_an_engine_or_builds_a_pool_from_a_workers_option(c
     for entry_point in (execute_workload, execute_join, run_experiment):
         assert "workers" not in inspect.signature(entry_point).parameters
         assert "engine" not in inspect.signature(entry_point).parameters
+    # Clip points have one construction path; wrap's keyword takes only its name.
+    for entry_point in (ClippedRTree.clip_all, ClippedRTree.reclip_nodes, reclip_nodes_for_results):
+        assert "engine" not in inspect.signature(entry_point).parameters
+    tree = build_rtree("str", generate("uniform02", 40, seed=1), max_entries=8)
+    with pytest.raises(ValueError, match="unknown clip engine"):
+        ClippedRTree.wrap(tree, engine="scalar")
     assert "workers" not in {fld.name for fld in dataclasses.fields(BenchConfig)}
     with pytest.raises(SystemExit) as usage:
         main(["bench", "run", "fig11", "--workers", "2"])

@@ -2,11 +2,13 @@
 
 Two contracts, each pinned exactly (no tolerances):
 
-1. ``bulk_clip`` / ``clip_all(engine="vectorized")`` must fill a
-   :class:`ClipStore` *identical* to the scalar ``compute_clip_points``
-   path — same node set, same clip-point coordinates and corner masks,
-   same scores, same (score-descending) per-node ordering, same byte
-   accounting — across every tree variant × dataset × clipping method.
+1. ``ClippedRTree.clip_all`` / ``reclip_nodes`` (the batched kernels of
+   ``clip_nodes_batch``) must fill a :class:`ClipStore` *identical* to
+   the paper's Algorithm 1 run node by node (``compute_clip_points``,
+   conftest's ``scalar_clip_store``) — same node set, same clip-point
+   coordinates and corner masks, same scores, same (score-descending)
+   per-node ordering, same byte accounting — across every tree variant ×
+   dataset × clipping method and from 2 to 9 dimensions.
 
 2. ``build_columnar_str`` must produce a :class:`ColumnarIndex`
    array-for-array identical to freezing the scalar STR builder's tree
@@ -14,7 +16,6 @@ Two contracts, each pinned exactly (no tolerances):
    synthesized node ids and the permuted object order.
 """
 
-import copy
 import importlib
 import math
 import random
@@ -26,7 +27,7 @@ import pytest
 from repro.cbb.clipping import ClippingConfig
 from repro.cbb.clipping import compute_clip_points
 from repro.datasets import generate
-from repro.engine import ColumnarIndex, build_columnar_str, bulk_clip, clip_nodes_batch
+from repro.engine import ColumnarIndex, build_columnar_str, clip_nodes_batch
 from repro.engine.incremental_clip import dirty_node_ids, reclip_nodes_for_results
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
@@ -36,6 +37,7 @@ from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.registry import build_rtree
 from repro.rtree.str_bulk import str_bulk_load
+from tests.conftest import scalar_clip_store
 
 DATASETS = (("uniform02", 420), ("rea02", 380), ("axo03", 320), ("par03", 300))
 VARIANTS = ("quadratic", "hilbert", "rstar", "rrstar", "str")
@@ -69,6 +71,7 @@ def _coord_bytes(points):
 
 
 def _assert_stores_identical(scalar_store, vector_store):
+    """``vector_store`` is the oracle's ``scalar_store``, bytes and order included."""
     scalar_table = _store_table(scalar_store)
     vector_table = _store_table(vector_store)
     # Same entries *and* the same insertion (iteration) order.
@@ -82,57 +85,53 @@ def _assert_stores_identical(scalar_store, vector_store):
     assert vector_store.average_clip_points() == scalar_store.average_clip_points()
 
 
-class TestBulkClipDifferential:
+class TestClipAllDifferential:
     @pytest.mark.parametrize("dataset,size", DATASETS)
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("method", METHODS)
-    def test_bulk_clip_matches_scalar(self, dataset, size, variant, method):
+    def test_clip_all_matches_the_oracle(self, dataset, size, variant, method):
         objects = generate(dataset, size, seed=11)
         tree = build_rtree(variant, objects, max_entries=8)
-        scalar = ClippedRTree(tree, ClippingConfig(method=method))
-        scalar_count = scalar.clip_all(engine="scalar")
-        vector = ClippedRTree(tree, ClippingConfig(method=method))
-        vector_count = vector.clip_all(engine="vectorized")
-        assert vector_count == scalar_count
-        # Both engines report the same thing: the resulting store length
-        # (the number of nodes holding clip points).
-        assert scalar_count == len(scalar.store)
-        assert vector_count == len(vector.store)
-        _assert_stores_identical(scalar.store, vector.store)
+        config = ClippingConfig(method=method)
+        oracle = scalar_clip_store(tree, config)
+        clipped = ClippedRTree(tree, config)
+        # clip_all reports the resulting store length: the nodes holding clip points.
+        assert clipped.clip_all() == len(clipped.store) == len(oracle)
+        _assert_stores_identical(oracle, clipped.store)
 
     @pytest.mark.parametrize("k,tau", [(0, 0.025), (1, 0.0), (3, 0.1), (None, 0.0)])
-    def test_bulk_clip_matches_scalar_across_k_tau(self, k, tau):
+    def test_clip_all_matches_the_oracle_across_k_tau(self, k, tau):
         objects = generate("axo03", 300, seed=4)
         tree = build_rtree("rstar", objects, max_entries=10)
         config = ClippingConfig(method="stairline", k=k, tau=tau)
-        scalar = ClippedRTree(tree, config)
-        scalar.clip_all(engine="scalar")
-        _assert_stores_identical(scalar.store, bulk_clip(tree, config))
+        clipped = ClippedRTree(tree, config)
+        clipped.clip_all()
+        _assert_stores_identical(scalar_clip_store(tree, config), clipped.store)
 
-    def test_bulk_clip_refills_wrapper_store_in_place(self):
+    def test_clip_all_refills_wrapper_store_in_place(self):
         objects = generate("uniform02", 300, seed=9)
         tree = build_rtree("str", objects, max_entries=8)
         clipped = ClippedRTree(tree, ClippingConfig(method="stairline"))
-        clipped.clip_all(engine="vectorized")
+        clipped.clip_all()
         store = clipped.store
         before = _store_table(store)
         assert before
-        clipped.clip_all(engine="vectorized")
+        clipped.clip_all()
         assert clipped.store is store
         assert _store_table(store) == before
 
-    def test_bulk_clip_empty_tree(self):
+    def test_clip_all_empty_tree(self):
         tree = build_rtree("quadratic", generate("uniform02", 5, seed=1), max_entries=4)
         for obj in list(tree.objects()):
             tree.delete(obj)
         assert len(tree) == 0
-        assert len(bulk_clip(tree, ClippingConfig())) == 0
+        assert ClippedRTree(tree).clip_all() == 0
 
     def test_unknown_engine_rejected(self):
-        objects = generate("uniform02", 50, seed=2)
-        clipped = ClippedRTree(build_rtree("str", objects, max_entries=8))
-        with pytest.raises(ValueError, match="unknown clip engine"):
-            clipped.clip_all(engine="gpu")
+        tree = build_rtree("str", generate("uniform02", 50, seed=2), max_entries=8)
+        for engine in ("scalar", "gpu"):
+            with pytest.raises(ValueError, match="unknown clip engine"):
+                ClippedRTree.wrap(tree, engine=engine)
 
 
 def _random_boxes(dims, count, seed):
@@ -164,7 +163,7 @@ def _grid_boxes(dims, count, seed):
     return objects
 
 
-class TestBulkClipBeyondThreeDimensions:
+class TestClipAllBeyondThreeDimensions:
     """Dimensionalities the dataset matrix does not reach — 9 needs a
     dominance word wider than uint8 — and data made of ties."""
 
@@ -179,17 +178,16 @@ class TestBulkClipBeyondThreeDimensions:
 
     @pytest.mark.parametrize("kind,dims,count", CASES)
     @pytest.mark.parametrize("method", METHODS)
-    def test_bulk_clip_and_reclip_match_scalar(self, kind, dims, count, method):
+    def test_clip_all_and_reclip_match_the_oracle(self, kind, dims, count, method):
         make = _grid_boxes if kind == "grid" else _random_boxes
         objects = make(dims, count, seed=dims)
         tree = build_rtree("rstar", objects, max_entries=5)
         config = ClippingConfig(method=method)
-        scalar = ClippedRTree(tree, config)
-        scalar.clip_all(engine="scalar")
-        assert scalar.store.total_clip_points() > 0
+        oracle = scalar_clip_store(tree, config)
+        assert oracle.total_clip_points() > 0
         vector = ClippedRTree(tree, config)
-        vector.clip_all(engine="vectorized")
-        _assert_stores_identical(scalar.store, vector.store)
+        vector.clip_all()
+        _assert_stores_identical(oracle, vector.store)
 
         # Update the bare tree, as a compaction does, and re-clip what it
         # dirtied through the batched kernels.
@@ -202,21 +200,18 @@ class TestBulkClipBeyondThreeDimensions:
             live.append(fresh)
             results.append(tree.insert(fresh))
         dirty = dirty_node_ids(results, tree)
-        assert reclip_nodes_for_results(vector, dirty, engine="vectorized") > 0
-        recomputed = ClippedRTree(copy.deepcopy(tree), config)
-        recomputed.clip_all(engine="scalar")
-        assert dict(vector.store.items()) == dict(recomputed.store.items())
-        for node_id, points in recomputed.store.items():
+        assert reclip_nodes_for_results(vector, dirty) > 0
+        recomputed = scalar_clip_store(tree, config)
+        assert dict(vector.store.items()) == dict(recomputed.items())
+        for node_id, points in recomputed.items():
             assert _coord_bytes(vector.store.get(node_id)) == _coord_bytes(points)
 
     def test_signed_zeros_reach_the_store_as_the_scalar_path_leaves_them(self):
         # The grid cases above compare coordinate bytes; this keeps them
         # from passing for want of a -0.0 to disagree about.
-        clipped = ClippedRTree(build_rtree("rstar", _grid_boxes(3, 120, seed=3), max_entries=5))
-        clipped.clip_all(engine="scalar")
-        zeros = [
-            x for _, points in clipped.store.items() for cp in points for x in cp.coord if x == 0.0
-        ]
+        tree = build_rtree("rstar", _grid_boxes(3, 120, seed=3), max_entries=5)
+        oracle = scalar_clip_store(tree, ClippingConfig())
+        zeros = [x for _, points in oracle.items() for cp in points for x in cp.coord if x == 0.0]
         assert {bool(np.signbit(x)) for x in zeros} == {False, True}
 
 
@@ -277,9 +272,9 @@ class TestInfiniteBounds:
         box = INFINITE_BOXES[kind]
         objects = generate(f"uniform0{box.dims}", 300, seed=2)
         tree = build_rtree(variant, objects + [SpatialObject(10**6, box)], max_entries=8)
-        scalar = ClippedRTree.wrap(tree, method=method, engine="scalar")
+        oracle = scalar_clip_store(tree, ClippingConfig(method=method))
         vector = ClippedRTree.wrap(tree, method=method)
-        _assert_stores_identical(scalar.store, vector.store)
+        _assert_stores_identical(oracle, vector.store)
         assert len(vector.store) > 0
 
 

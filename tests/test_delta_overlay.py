@@ -259,6 +259,21 @@ class TestEdgeCases:
         assert manager.pending_ops == 0
         assert _keys(manager.live_objects()) == _keys(live)
 
+    def test_writes_refuse_anything_but_a_spatial_object(self):
+        """Regression: a ``Rect`` has ``dims`` too, so ``manager.insert(rect)``
+        passed the dimension check, was acknowledged, and then failed every
+        read of the manager with an ``AttributeError``."""
+        live, manager = self._manager()
+        overlay = manager.overlay
+        for payload in (live[0].rect, (live[0].oid, live[0].rect), None):
+            for write in (overlay.insert, overlay.delete, manager.insert, manager.delete):
+                with pytest.raises(TypeError, match="SpatialObject"):
+                    write(payload)
+        assert manager.pending_ops == 0
+        assert _keys(manager.live_objects()) == _keys(live)
+        everything = Rect((-INF, -INF), (INF, INF))
+        assert _keys(manager.range_query_batch([everything])[0]) == _keys(live)
+
     @pytest.mark.parametrize("base_size", [0, 25])
     def test_reads_reject_dimension_mismatch(self, base_size):
         """An empty base is skipped, and used to take its check with it:

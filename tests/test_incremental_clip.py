@@ -3,13 +3,13 @@
 A node's clip points are a pure function of its own entry rectangles, so
 re-clipping exactly the nodes whose entries changed
 (:func:`repro.engine.incremental_clip.reclip_nodes_for_results`) must
-leave the store identical to throwing everything away and running
-``clip_all`` from scratch.  These tests apply random insert/delete
-batches to the *bare* tree (no per-update clip maintenance), run one
-incremental pass, and compare against the full recompute.
+leave the store identical to throwing everything away and clipping every
+node from scratch.  These tests apply random insert/delete batches to the
+*bare* tree (no per-update clip maintenance), run one incremental pass,
+and compare against the paper's Algorithm 1 run over every node
+(conftest's ``scalar_clip_store``).
 """
 
-import copy
 import math
 import random
 
@@ -17,17 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import SnapshotManager, delta, incremental_clip, save_snapshot
-from repro.engine.incremental_clip import (
-    dirty_node_ids,
-    reclip_live_nodes,
-    reclip_nodes_for_results,
-)
+from repro.engine import SnapshotManager, bulk_clip, delta, incremental_clip, save_snapshot
+from repro.engine.incremental_clip import dirty_node_ids, reclip_nodes_for_results
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.rtree.clipped import ClippedRTree
 from repro.engine.snapshot_io import read_manifest
 from repro.rtree.registry import VARIANT_NAMES, build_rtree
+from tests.conftest import scalar_clip_store
 
 
 def _random_object(rng, oid):
@@ -40,20 +37,17 @@ def _store_state(clipped):
     return dict(clipped.store.items())
 
 
-def _full_recompute(clipped, engine="scalar"):
-    fresh = ClippedRTree(copy.deepcopy(clipped.tree), clipped.config)
-    fresh.clip_all(engine=engine)
-    return _store_state(fresh)
+def _full_recompute(clipped):
+    return dict(scalar_clip_store(clipped.tree, clipped.config).items())
 
 
 class TestReclipForResults:
     @given(
         st.integers(min_value=0, max_value=10_000),
         st.sampled_from(VARIANT_NAMES),
-        st.sampled_from(["scalar", "vectorized"]),
     )
     @settings(max_examples=10, deadline=None)
-    def test_batch_reclip_equals_full_recompute(self, seed, variant, engine):
+    def test_batch_reclip_equals_full_recompute(self, seed, variant):
         rng = random.Random(seed)
         live = [_random_object(rng, i) for i in range(45)]
         clipped = ClippedRTree.wrap(
@@ -69,9 +63,7 @@ class TestReclipForResults:
                 obj = _random_object(rng, 1000 + step)
                 live.append(obj)
                 results.append(clipped.tree.insert(obj))
-        count = reclip_nodes_for_results(
-            clipped, dirty_node_ids(results, clipped.tree), engine=engine
-        )
+        count = reclip_nodes_for_results(clipped, dirty_node_ids(results, clipped.tree))
         assert count >= 0
         assert _store_state(clipped) == _full_recompute(clipped)
         clipped.check_clip_invariants()
@@ -102,42 +94,46 @@ class TestReclipNodes:
             build_rtree("quadratic", live, max_entries=6), method="stairline"
         )
 
-    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
-    def test_engines_agree(self, engine):
+    @pytest.mark.parametrize("subset", ["all", "leaves", "directory"])
+    def test_reclip_nodes_restores_the_oracle(self, subset):
         clipped = self._clipped()
-        node_ids = [node.node_id for node in clipped.tree.nodes()]
-        before = _store_state(clipped)
-        count = clipped.reclip_nodes(node_ids, engine=engine)
-        assert count == len(node_ids)
-        assert _store_state(clipped) == before
+        nodes = [
+            node
+            for node in clipped.tree.nodes()
+            if subset == "all" or (node.is_leaf == (subset == "leaves"))
+        ]
+        assert nodes
+        # Give the subset wrong clip points (the root's) or none at all.
+        wrong = clipped.store.get(clipped.tree.root_id)
+        for node in nodes:
+            clipped.store.put(node.node_id, wrong if node.node_id % 2 else [])
+        assert clipped.reclip_nodes(node.node_id for node in nodes) == len(nodes)
+        assert _store_state(clipped) == _full_recompute(clipped)
 
     def test_dead_node_ids_are_dropped_from_store(self):
         clipped = self._clipped()
         ghost_id = 10_000
         clipped.store.put(ghost_id, clipped.store.get(clipped.tree.root_id))
-        for engine in ("scalar", "vectorized"):
-            clipped.store.put(ghost_id, clipped.store.get(clipped.tree.root_id))
-            assert clipped.reclip_nodes([ghost_id], engine=engine) == 0
-            assert clipped.store.get(ghost_id) == []
+        assert clipped.reclip_nodes([ghost_id]) == 0
+        assert clipped.store.get(ghost_id) == []
 
-    def test_clipped_rtree_wrapper_delegates(self):
-        """The default engine is the batched kernel pass, and nothing else is."""
+    def test_reclip_nodes_is_one_batched_pass(self, monkeypatch):
+        """However many nodes, one call of the batched kernels clips them."""
         clipped = self._clipped()
         node_ids = sorted(node.node_id for node in clipped.tree.nodes())
+        calls = []
+        batch = bulk_clip.clip_nodes_batch
+
+        def counted(nodes, dims, config):
+            calls.append(len(nodes))
+            return batch(nodes, dims, config)
+
+        monkeypatch.setattr(bulk_clip, "clip_nodes_batch", counted)
         before = _store_state(clipped)
         clipped.store.clear()
         assert clipped.reclip_nodes(node_ids) == len(node_ids)
+        assert calls == [len(node_ids)]
         assert _store_state(clipped) == before
-        clipped.store.clear()
-        reclip_live_nodes(clipped, node_ids)
-        assert _store_state(clipped) == before
-
-    def test_rejects_unknown_engine(self):
-        clipped = self._clipped()
-        with pytest.raises(ValueError):
-            clipped.reclip_nodes([clipped.tree.root_id], engine="gpu")
-        with pytest.raises(ValueError):
-            reclip_nodes_for_results(clipped, [], engine="gpu")
 
 
 class TestSlicedCompaction:
@@ -203,7 +199,7 @@ class TestSlicedCompaction:
         ]
         assert fingerprints[0] == fingerprints[1]
         assert _store_state(sliced_tree) == _store_state(plain_tree)
-        assert _store_state(sliced_tree) == _full_recompute(sliced_tree, engine="vectorized")
+        assert _store_state(sliced_tree) == _full_recompute(sliced_tree)
         sliced_tree.check_clip_invariants()
 
 

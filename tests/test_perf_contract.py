@@ -44,11 +44,13 @@ def _clipped(rng, first_oid, count=60):
 
 
 def test_constructor_spellings_of_the_workloads(tmp_path):
-    """``perf/workloads.py`` spells these constructors; the first two keywords
+    """``perf/workloads.py`` spells these constructors; the first three keywords
     have one value each, and ``pool_range`` reads the pool's recovery counters."""
     source = (PERF / "workloads.py").read_text()
     assert 'update_engine="delta"' in source and "workers=1" in source
+    assert 'engine="vectorized"' in source
     objects, tree = _clipped(random.Random(1), 0)
+    assert ClippedRTree.wrap(tree.tree, method="stairline", engine="vectorized").store
     assert SnapshotManager(tree, update_engine="delta", compact_every=250).compact_every == 250
     assert ServeConfig(workers=1).workers == 1
     assert "workers=min(2, default_workers())" in source

@@ -13,8 +13,8 @@ import pytest
 
 from repro.serve.faults import (
     BATCH_FAULT,
+    COMPACTION,
     KNOWN_SITES,
-    SNAPSHOT_LOAD,
     FaultPlan,
     FaultSpec,
     InjectedFault,
@@ -127,7 +127,6 @@ def test_token_bucket_sheds_and_refills_on_logical_clock():
     clock = LogicalClock()
     bucket = TokenBucket(rate=2.0, burst=3, clock=clock)
     assert [bucket.try_acquire() for _ in range(4)] == [True, True, True, False]
-    assert (bucket.admitted, bucket.shed) == (3, 1)
     clock.advance(1.0)  # +2 tokens
     assert bucket.try_acquire()
     assert bucket.try_acquire()
@@ -139,7 +138,6 @@ def test_token_bucket_sheds_and_refills_on_logical_clock():
 def test_token_bucket_disabled_admits_everything():
     bucket = TokenBucket(rate=None, clock=LogicalClock())
     assert all(bucket.try_acquire() for _ in range(1000))
-    assert bucket.shed == 0
     assert bucket.available == float("inf")
 
 
@@ -287,35 +285,16 @@ def test_fault_plan_fires_on_exact_ordinals():
 
 def test_fault_plan_sites_are_independent():
     plan = FaultPlan([FaultSpec(BATCH_FAULT, at=1)])
-    assert plan.fires(SNAPSHOT_LOAD) is None  # separate counter
+    assert plan.fires(COMPACTION) is None  # separate counter
     assert plan.fires(BATCH_FAULT) is not None
 
 
 def test_fault_plan_hook_adapter():
-    plan = FaultPlan([FaultSpec(SNAPSHOT_LOAD, at=1)])
-    hook = plan.hook(SNAPSHOT_LOAD)
+    plan = FaultPlan([FaultSpec(COMPACTION, at=1)])
+    hook = plan.hook(COMPACTION)
     with pytest.raises(InjectedFault):
         hook("/some/path", anything=True)
     hook("/some/path")  # second call is past the window
-
-
-def test_fault_plan_install_routes_snapshot_loads(tmp_path):
-    from repro.engine import ColumnarIndex, load_snapshot, save_snapshot
-    from repro.rtree.registry import build_rtree
-    from tests.conftest import make_random_objects
-
-    objects = make_random_objects(60, dims=2, seed=1)
-    snapshot = ColumnarIndex.from_tree(build_rtree("rstar", objects, max_entries=8))
-    save_snapshot(snapshot, tmp_path)
-    plan = FaultPlan([FaultSpec(SNAPSHOT_LOAD, at=1, message="torn file")])
-    with plan:
-        with pytest.raises(InjectedFault, match="torn file"):
-            load_snapshot(tmp_path)
-        loaded = load_snapshot(tmp_path)  # past the window: loads fine
-        assert loaded.dims == snapshot.dims
-    # uninstalled: loads never consult the plan again
-    load_snapshot(tmp_path)
-    assert plan.calls(SNAPSHOT_LOAD) == 2
 
 
 def test_chaos_plan_is_seed_deterministic():

@@ -138,7 +138,6 @@ def test_wrong_dimensionality_fails_alone_and_spares_the_breaker():
         Request.knn((0.0, 0.0, 0.0), 2),
         Request.insert(stray),
         Request.delete(stray),
-        Request.range(None),
     ]
 
     async def main():
@@ -196,6 +195,49 @@ def test_nan_rectangle_fails_where_it_is_built():
     # Nothing was written, and the all-space query still returns every object.
     assert manager.pending_ops == 0
     assert _oids(everything.value) == sorted(o.oid for o in objects)
+    assert report["admitted"] == report["completed"] == len(rects) + 1
+    assert report["errors"] == 0
+
+
+def test_a_payload_of_the_wrong_type_fails_where_it_is_built():
+    """A range payload that is not a ``Rect``, or a write payload that is
+    not a ``SpatialObject``, never becomes a request.
+
+    Regression: ``Request.range(obj)`` with a ``SpatialObject`` of the
+    index's dims failed every range request batched with it with an
+    ``AttributeError`` and counted a breaker failure; ``Request.insert(rect)``
+    was acknowledged ``ok``, after which every managed read failed and the
+    breaker opened.  Both now fail in the caller's own frame.
+    """
+    objects, manager = _manager()
+    rects = _rects(objects, 6)
+    stray = SpatialObject(10**6, rects[0])
+    wrong_type = [
+        lambda: Request.range(stray),
+        lambda: Request.range(None),
+        lambda: Request.insert(rects[0]),
+        lambda: Request.delete(rects[0]),
+        lambda: Request("insert", None),
+    ]
+
+    async def main():
+        async with CoalescingServer(manager) as server:
+            futures = [server.submit_nowait(Request.range(r)) for r in rects[:3]]
+            for build in wrong_type:
+                with pytest.raises(ValueError, match="payload must be a (Rect|SpatialObject)"):
+                    futures.append(server.submit_nowait(build()))
+            futures += [server.submit_nowait(Request.range(r)) for r in rects[3:]]
+            answers = await asyncio.gather(*futures)
+            after = await server.range_query(rects[0])
+            return answers, after, server.breaker.state, server.report()
+
+    answers, after, state, report = _run(main())
+    assert [r.status for r in answers] == ["ok"] * len(rects)
+    for rect, response in zip(rects, answers):
+        assert _oids(response.value) == _oids(manager.range_query(rect))
+    assert after.ok and not after.degraded
+    assert state == "closed" and report["breaker_opens"] == 0
+    assert manager.pending_ops == 0
     assert report["admitted"] == report["completed"] == len(rects) + 1
     assert report["errors"] == 0
 
@@ -712,6 +754,27 @@ def test_stop_resolves_queued_requests_and_rejects_new_ones():
     ok, rejected = _run(main())
     assert ok.ok
     assert rejected.status == "error" and "not running" in rejected.error
+
+
+def test_a_request_failed_by_stop_is_counted():
+    """Regression: stop() answers what is left in a queue with no batcher
+    to take it ``server stopped``, and counted those errors nowhere, so
+    ``admitted`` outran completed + deadline_exceeded + errors."""
+    objects, manager = _manager()
+    rect = _rects(objects, 1)[0]
+
+    async def main():
+        server = CoalescingServer(manager)
+        await server.start()
+        server._batchers[0].cancel()  # the range queue's
+        await asyncio.sleep(0)
+        pending = server.submit_nowait(Request.range(rect))
+        await server.stop()
+        return await pending, server.report()
+
+    response, report = _run(main())
+    assert response.status == "error" and "server stopped" in response.error
+    assert report["admitted"] == report["errors"] == 1
 
 
 def test_report_shape():

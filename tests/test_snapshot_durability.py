@@ -18,8 +18,7 @@ resumable, re-saving identical content is a no-op, format-version-1
 layouts (arrays at top level, no ``data_dir``) and format-version-2
 directories (nineteen arrays, caches and object columns included) are
 refused with the typed error — and a save over a committed format-2
-directory replaces it under the same commit rule — and the load fault
-hook used by the chaos suite installs and restores correctly.
+directory replaces it under the same commit rule.
 """
 
 import json
@@ -36,7 +35,6 @@ from repro.engine import (
     load_snapshot,
     range_query_batch,
     save_snapshot,
-    set_load_fault_hook,
 )
 from repro.engine import snapshot_io
 from repro.engine.snapshot_io import MANIFEST_NAME, read_manifest
@@ -271,27 +269,6 @@ def test_save_over_a_format_2_directory_commits_format_3(tmp_path, monkeypatch):
         [MANIFEST_NAME, manifest["data_dir"]]
     )
     assert len(load_snapshot(tmp_path).objects) == len(new.objects)
-
-
-def test_load_fault_hook_install_and_restore(tmp_path):
-    snapshot = _tiny_snapshot(seed=1)
-    save_snapshot(snapshot, tmp_path)
-    seen = []
-
-    def hook(path):
-        seen.append(path)
-        raise OSError("injected torn read")
-
-    previous = set_load_fault_hook(hook)
-    try:
-        with pytest.raises(OSError, match="torn read"):
-            load_snapshot(tmp_path)
-        assert seen == [str(tmp_path)]
-    finally:
-        restored = set_load_fault_hook(previous)
-        assert restored is hook
-    load_snapshot(tmp_path)  # hook gone: loads normally
-    assert seen == [str(tmp_path)]
 
 
 def test_unknown_generation_dirs_are_preserved(tmp_path):

@@ -338,6 +338,18 @@ def test_missing_array_file(tmp_path):
         load_snapshot(tmp_path)
 
 
+@pytest.mark.parametrize("mmap", [True, False])
+def test_torn_array_file_is_refused(tmp_path, mmap):
+    """A committed array file cut short fails the load with the typed error
+    naming it, mapped or read."""
+    _, reference = _frozen(count=60)
+    save_snapshot(reference, tmp_path)
+    path = tmp_path / read_manifest(tmp_path)["data_dir"] / "entry_lows.npy"
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(SnapshotFormatError, match="unreadable snapshot array .*entry_lows"):
+        load_snapshot(tmp_path, mmap=mmap)
+
+
 def test_manifest_array_entry_missing(tmp_path):
     _, reference = _frozen(count=60)
     save_snapshot(reference, tmp_path)
