@@ -284,16 +284,20 @@ def save_snapshot(index: ColumnarIndex, directory: Union[str, Path]) -> Path:
     :class:`SnapshotFormatError` at every later load.
 
     The save is crash-atomic: array files are written into a fresh
-    generation directory (never the one a committed manifest points at)
-    and fsynced, the manifest is fsynced and ``os.replace``\\ d into
-    place as the single commit point, and the parent directory is
-    fsynced so the rename itself is durable.  A kill at any byte offset
-    of this sequence leaves the directory loading the previous snapshot;
-    after the rename it loads the new one.  Old generations are removed
-    only after the commit.  Re-saving a snapshot whose fingerprint and
-    tree record already match the committed manifest is a no-op (the
-    bytes on disk are already the requested state).  A snapshot without
-    a tree record (one assembled by hand) raises ``ValueError``.
+    generation directory (never the one a loadable committed manifest
+    points at) and fsynced, the manifest is fsynced and
+    ``os.replace``\\ d into place as the single commit point, and the
+    parent directory is fsynced so the rename itself is durable.  A kill
+    at any byte offset of this sequence leaves the directory loading the
+    previous snapshot; after the rename it loads the new one.  Old
+    generations are removed only after the commit.  Re-saving a snapshot
+    whose fingerprint and tree record already match the committed
+    manifest is a no-op when every array file of that generation opens
+    as the manifest describes it (the bytes on disk are already the
+    requested state); a torn or missing one is written again, into the
+    generation the manifest names, which did not load before.  A
+    snapshot without a tree record (one assembled by hand) raises
+    ``ValueError``.
     Returns the directory path.
     """
     object_oids = np.ascontiguousarray(index.object_oids(), dtype=np.int64)
@@ -313,8 +317,8 @@ def save_snapshot(index: ColumnarIndex, directory: Union[str, Path]) -> Path:
     generation = f"g{fingerprint[:12]}"
 
     # Idempotent re-save: when the committed manifest already records this
-    # exact content (and its generation files exist), writing again would
-    # overwrite the very bytes a committed manifest points at — skip.
+    # exact content (and its generation's files open as it says), writing
+    # again would overwrite the very bytes a committed manifest points at — skip.
     try:
         committed = read_manifest(directory)
     except SnapshotFormatError:
@@ -323,7 +327,7 @@ def save_snapshot(index: ColumnarIndex, directory: Union[str, Path]) -> Path:
         committed.get("fingerprint") == fingerprint
         and committed.get("data_dir") == generation
         and committed.get("tree") == index.tree_record
-        and all((directory / generation / f"{name}.npy").is_file() for name in arrays)
+        and _generation_opens(directory / generation, committed["arrays"])
     ):
         return directory
 
@@ -518,6 +522,16 @@ def _load_array(
             f"says {spec.get('dtype')}{spec.get('shape')}"
         )
     return array
+
+
+def _generation_opens(data_path: Path, specs: Dict[str, dict]) -> bool:
+    """True when every array file in ``data_path`` opens with its manifest dtype and shape."""
+    try:
+        for name in _ARRAYS:
+            _load_array(data_path, name, specs[name], mmap=True)
+    except SnapshotFormatError:
+        return False
+    return True
 
 
 def load_snapshot(directory: Union[str, Path], mmap: bool = True) -> ColumnarIndex:

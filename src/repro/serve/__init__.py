@@ -1,4 +1,4 @@
-"""Fault-tolerant online serving layer (ROADMAP item 1).
+"""Fault-tolerant online serving layer.
 
 The package has four parts, composable but separately testable:
 
@@ -15,57 +15,24 @@ The package has four parts, composable but separately testable:
 * :mod:`repro.serve.loadgen` / :mod:`repro.serve.bench` — the
   closed-loop hotspot load generator and the chaos scenario behind the
   ``serve`` experiment (pinned under ``archive/``) and ``repro serve``.
+
+The package exports what a caller needs to run a server: the server,
+its request and response types, its config, the two things it can be
+handed (a :class:`FaultPlan`, a :class:`LogicalClock`) and the scenario.
+The kernel's parts are reached through their modules.
 """
 
-from repro.serve.faults import (
-    BATCH_FAULT,
-    COMPACTION,
-    KNOWN_SITES,
-    REQUEST_LATENCY,
-    WORKER_KILL,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    TransientFault,
-)
-from repro.serve.loadgen import generate_requests, run_closed_loop
-from repro.serve.metrics import ServerMetrics, percentile
-from repro.serve.resilience import (
-    CircuitBreaker,
-    Clock,
-    Deadline,
-    LogicalClock,
-    MonotonicClock,
-    RetryPolicy,
-    TokenBucket,
-)
+from repro.serve.faults import FaultPlan
+from repro.serve.resilience import LogicalClock
 from repro.serve.server import CoalescingServer, Request, Response, ServeConfig
 from repro.serve.bench import run_serve_scenario
 
 __all__ = [
-    "BATCH_FAULT",
-    "COMPACTION",
-    "KNOWN_SITES",
-    "REQUEST_LATENCY",
-    "WORKER_KILL",
-    "CircuitBreaker",
-    "Clock",
     "CoalescingServer",
-    "Deadline",
     "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
     "LogicalClock",
-    "MonotonicClock",
     "Request",
     "Response",
-    "RetryPolicy",
     "ServeConfig",
-    "ServerMetrics",
-    "TokenBucket",
-    "TransientFault",
-    "generate_requests",
-    "percentile",
-    "run_closed_loop",
     "run_serve_scenario",
 ]

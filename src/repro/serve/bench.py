@@ -30,7 +30,7 @@ but are classified as timing metrics and never gated.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
@@ -42,6 +42,13 @@ from repro.serve.server import CoalescingServer, Request, Response, ServeConfig
 #: oid for the sentinel insert that precedes the generated stream (keeps
 #: the overlay non-empty, so degraded answers are visibly stale-stamped).
 SENTINEL_OID = 10**6 - 1
+#: The requests' space is ``[0, EXTENT]`` on every axis; the mix is 20 %
+#: kNN and 5 % inserts, the rest range queries.
+EXTENT = 100.0
+KNN_FRACTION = 0.2
+WRITE_FRACTION = 0.05
+#: How long the chaos plan's latency spike stalls its batch.
+LATENCY_DELAY = 0.005
 
 
 def scenario_config(
@@ -68,15 +75,7 @@ def scenario_config(
     )
 
 
-def scenario_requests(
-    n: int,
-    *,
-    seed: int,
-    dims: int,
-    extent: float = 100.0,
-    knn_fraction: float = 0.2,
-    write_fraction: float = 0.05,
-) -> List[Request]:
+def scenario_requests(n: int, *, seed: int, dims: int) -> List[Request]:
     """The sentinel insert plus ``n`` generated hotspot-skewed requests."""
     side = [1.0] * dims
     sentinel = Request.insert(
@@ -86,9 +85,9 @@ def scenario_requests(
         n,
         seed=seed,
         dims=dims,
-        extent=extent,
-        knn_fraction=knn_fraction,
-        write_fraction=write_fraction,
+        extent=EXTENT,
+        knn_fraction=KNN_FRACTION,
+        write_fraction=WRITE_FRACTION,
     )
 
 
@@ -102,8 +101,6 @@ def run_serve_scenario(
     admission_rate: float = 80.0,
     admission_burst: int = 24,
     breaker_threshold: int = 3,
-    latency_delay: float = 0.005,
-    extent: float = 100.0,
 ) -> Tuple[Dict[str, Any], List[Response]]:
     """Run the chaos-serving scenario; return ``(report, responses)``.
 
@@ -112,7 +109,7 @@ def run_serve_scenario(
     """
     clock = LogicalClock()
     plan = FaultPlan.chaos(
-        seed, breaker_threshold=breaker_threshold, latency_delay=latency_delay
+        seed, breaker_threshold=breaker_threshold, latency_delay=LATENCY_DELAY
     )
     config = scenario_config(
         admission_rate=admission_rate,
@@ -123,7 +120,7 @@ def run_serve_scenario(
     async def main() -> Tuple[Dict[str, Any], List[Response]]:
         server = CoalescingServer(source, config, fault_plan=plan, clock=clock)
         dims = server.manager.snapshot.dims
-        requests = scenario_requests(n_requests, seed=seed, dims=dims, extent=extent)
+        requests = scenario_requests(n_requests, seed=seed, dims=dims)
         await server.start()
         try:
             responses = await run_closed_loop(

@@ -1,8 +1,8 @@
 """Deterministic fault injection for the serving stack.
 
 Chaos testing only proves something when the chaos is *reproducible*: a
-:class:`FaultPlan` is a seeded, fully deterministic schedule of faults
-keyed by *site* — a short string naming one instrumented code location.
+:class:`FaultPlan` is a fully deterministic schedule of faults keyed by
+*site* — a short string naming one instrumented code location.
 Each site keeps an invocation counter; a :class:`FaultSpec` fires on a
 contiguous ordinal window ``[at, at + times)`` of that counter, so the
 same plan driven by the same workload injects exactly the same faults,
@@ -14,12 +14,14 @@ Instrumented sites:
 
 * :data:`WORKER_KILL` — consulted by
   :class:`~repro.engine.parallel.ParallelExecutor` once per shard
-  submission; a firing spec replaces that shard's task with one that
-  ``os._exit``\\ s the worker, breaking the process pool mid-batch;
-* :data:`COMPACTION` — consulted by
-  :meth:`repro.engine.delta.SnapshotManager.compact` through its
-  ``compaction_fault_hook`` *after* the compaction has started, crashing
-  the background rebuild mid-fold;
+  submission, in the coordinating process; a firing spec replaces that
+  shard's task with one that ``os._exit``\\ s the worker, breaking the
+  process pool mid-batch;
+* :data:`COMPACTION` — consulted through the manager's
+  ``compaction_fault_hook`` at the start of a fold's first step
+  (:meth:`repro.engine.delta.SnapshotManager.compact_step`, which
+  ``compact`` runs too), before the source tree is touched: a firing
+  spec crashes the fold with the delta still buffered;
 * :data:`BATCH_FAULT` — consulted by the server once per batch execution
   attempt; fires a transient error into the request path (what the
   retry policy and circuit breaker exist for);
@@ -27,7 +29,6 @@ Instrumented sites:
   firing spec stalls the batch by ``spec.delay`` seconds (a slow-request
   latency spike).
 
-The plan's ``seed`` makes randomized schedules reproducible:
 :meth:`FaultPlan.chaos` derives a pseudo-random — but seed-deterministic
 — set of specs for load-generator runs.
 
@@ -39,11 +40,10 @@ callable hook), so ``repro.serve`` stays strictly above
 
 from __future__ import annotations
 
-import os
 import random
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 #: Site names (kept in sync with the literals used at the injection
 #: points — the engine cannot import them from here).
@@ -74,6 +74,8 @@ class FaultSpec:
     message: str = "injected fault"
 
     def __post_init__(self):
+        if self.site not in KNOWN_SITES:
+            raise ValueError(f"unknown fault site {self.site!r}; known: {KNOWN_SITES}")
         if self.at < 1:
             raise ValueError("FaultSpec.at is 1-based and must be >= 1")
         if self.times < 1:
@@ -88,22 +90,18 @@ class FaultPlan:
     """A deterministic, thread-safe schedule of :class:`FaultSpec` firings.
 
     Counters are per-site and advance on every :meth:`fires` call, so the
-    N-th consultation of a site always sees the same verdict.  The plan
-    only fires in the process that created it (checked by pid): a forked
-    pool worker inheriting a copy of the plan never double-fires faults
-    that the coordinator's schedule owns.
+    N-th consultation of a site always sees the same verdict.  Every site
+    is consulted in the process that holds the plan, pool workers never.
     """
 
-    def __init__(self, specs: Sequence[FaultSpec] = (), seed: int = 0):
-        self.seed = seed
+    def __init__(self, specs: Sequence[FaultSpec] = ()):
         self.specs: List[FaultSpec] = list(specs)
         self._by_site: Dict[str, List[FaultSpec]] = {}
         for spec in self.specs:
             self._by_site.setdefault(spec.site, []).append(spec)
         self._calls: Dict[str, int] = {}
-        self._fired: Dict[str, int] = {}
+        self._fired = 0
         self._lock = threading.Lock()
-        self._pid = os.getpid()
 
     # ------------------------------------------------------------------
     # firing protocol (what the instrumented sites call)
@@ -111,14 +109,12 @@ class FaultPlan:
 
     def fires(self, site: str) -> Optional[FaultSpec]:
         """Advance ``site``'s counter; the spec covering this call, if any."""
-        if os.getpid() != self._pid:
-            return None
         with self._lock:
             ordinal = self._calls.get(site, 0) + 1
             self._calls[site] = ordinal
             for spec in self._by_site.get(site, ()):
                 if spec.covers(ordinal):
-                    self._fired[site] = self._fired.get(site, 0) + 1
+                    self._fired += 1
                     return spec
         return None
 
@@ -140,35 +136,10 @@ class FaultPlan:
 
         return _hook
 
-    # ------------------------------------------------------------------
-    # accounting
-    # ------------------------------------------------------------------
-
-    def calls(self, site: str) -> int:
-        """How many times ``site`` has been consulted."""
-        with self._lock:
-            return self._calls.get(site, 0)
-
-    def fired(self, site: str) -> int:
-        """How many faults have fired at ``site``."""
-        with self._lock:
-            return self._fired.get(site, 0)
-
     def total_fired(self) -> int:
         """Faults fired across every site."""
         with self._lock:
-            return sum(self._fired.values())
-
-    def fired_by_site(self) -> Dict[str, int]:
-        """``{site: faults fired}`` snapshot."""
-        with self._lock:
-            return dict(self._fired)
-
-    def reset(self) -> None:
-        """Zero every counter (the schedule itself is immutable)."""
-        with self._lock:
-            self._calls.clear()
-            self._fired.clear()
+            return self._fired
 
     # ------------------------------------------------------------------
     # canned schedules
@@ -180,16 +151,15 @@ class FaultPlan:
         seed: int = 0,
         *,
         breaker_threshold: int = 3,
-        latency_spikes: int = 1,
         latency_delay: float = 0.02,
     ) -> "FaultPlan":
         """A seed-deterministic chaos schedule for load-generator runs.
 
         One burst of ``breaker_threshold`` consecutive transient batch
-        faults (enough to trip a breaker with that threshold) and
-        ``latency_spikes`` slow-request stalls.  All ordinals are drawn
-        from ``seed``, so two plans built with the same arguments fire
-        identically.
+        faults (enough to trip a breaker with that threshold) and one
+        slow-request stall of ``latency_delay`` seconds.  All ordinals are
+        drawn from ``seed``, so two plans built with the same arguments
+        fire identically.
         """
         rng = random.Random(seed)
         specs = [
@@ -198,22 +168,17 @@ class FaultPlan:
                 at=rng.randint(2, 4),
                 times=breaker_threshold,
                 message="transient batch failure burst",
-            )
+            ),
+            FaultSpec(
+                REQUEST_LATENCY,
+                at=rng.randint(1, 3),
+                delay=latency_delay,
+                message="latency spike",
+            ),
         ]
-        for _ in range(latency_spikes):
-            specs.append(
-                FaultSpec(
-                    REQUEST_LATENCY,
-                    at=rng.randint(1, 3),
-                    delay=latency_delay,
-                    message="latency spike",
-                )
-            )
-        return cls(specs, seed=seed)
+        return cls(specs)
 
     def __repr__(self) -> str:
         sites = {spec.site for spec in self.specs}
-        return (
-            f"FaultPlan(seed={self.seed}, specs={len(self.specs)}, "
-            f"sites={sorted(sites)}, fired={self.total_fired()})"
-        )
+        fired = self.total_fired()
+        return f"FaultPlan(specs={len(self.specs)}, sites={sorted(sites)}, fired={fired})"

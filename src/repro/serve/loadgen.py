@@ -22,6 +22,15 @@ from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.serve.server import Request, Response
 
+#: Share of query centres in the hotspot, the ``[0, HOTSPOT_EXTENT]`` corner.
+HOTSPOT_SHARE = 0.9
+HOTSPOT_EXTENT = 8.0
+#: ``k`` of every kNN probe, and the side of every range query.
+KNN_K = 5
+QUERY_SIDE = 2.0
+#: First oid of the generated inserts: above every dataset's oids.
+OID_BASE = 10**6
+
 
 def generate_requests(
     n: int,
@@ -29,29 +38,24 @@ def generate_requests(
     seed: int = 0,
     dims: int = 2,
     extent: float = 100.0,
-    hotspot_share: float = 0.9,
-    hotspot_extent: float = 8.0,
     knn_fraction: float = 0.2,
     write_fraction: float = 0.05,
-    k: int = 5,
-    query_side: float = 2.0,
-    deadline_s: Optional[float] = None,
-    oid_base: int = 10**6,
 ) -> List[Request]:
     """A deterministic skewed request mix.
 
-    ``hotspot_share`` of query centres land in the ``[0, hotspot_extent]``
-    corner of the ``[0, extent]`` space (the classic skew that makes
-    coalescing pay off); the rest are uniform.  ``write_fraction`` of
-    requests are inserts of fresh objects (oids from ``oid_base`` up, so
-    they never collide with a dataset built by ``make_random_objects``),
-    ``knn_fraction`` are kNN probes, and the remainder are range queries.
+    :data:`HOTSPOT_SHARE` of query centres land in the
+    ``[0, HOTSPOT_EXTENT]`` corner of the ``[0, extent]`` space (the
+    classic skew that makes coalescing pay off); the rest are uniform.
+    ``write_fraction`` of requests are inserts of fresh objects (oids from
+    :data:`OID_BASE` up, so they never collide with a dataset built by
+    ``make_random_objects``), ``knn_fraction`` are kNN probes, and the
+    remainder are range queries.
     """
     rng = random.Random(seed)
 
     def center() -> List[float]:
-        if rng.random() < hotspot_share:
-            return [rng.uniform(0.0, hotspot_extent) for _ in range(dims)]
+        if rng.random() < HOTSPOT_SHARE:
+            return [rng.uniform(0.0, HOTSPOT_EXTENT) for _ in range(dims)]
         return [rng.uniform(0.0, extent) for _ in range(dims)]
 
     requests: List[Request] = []
@@ -61,15 +65,13 @@ def generate_requests(
             c = center()
             side = rng.uniform(0.1, 1.0)
             rect = Rect([x for x in c], [x + side for x in c])
-            requests.append(
-                Request.insert(SpatialObject(oid_base + i, rect), deadline_s=deadline_s)
-            )
+            requests.append(Request.insert(SpatialObject(OID_BASE + i, rect)))
         elif u < write_fraction + knn_fraction:
-            requests.append(Request.knn(center(), k, deadline_s=deadline_s))
+            requests.append(Request.knn(center(), KNN_K))
         else:
             c = center()
-            rect = Rect(c, [x + query_side for x in c])
-            requests.append(Request.range(rect, deadline_s=deadline_s))
+            rect = Rect(c, [x + QUERY_SIDE for x in c])
+            requests.append(Request.range(rect))
     return requests
 
 

@@ -1,7 +1,8 @@
 """Per-request serving metrics: counters, latency percentiles, QPS.
 
-The counter set mirrors the request lifecycle (offered → admitted →
-completed | shed | deadline | error) plus the robustness machinery
+The counter set mirrors the request lifecycle (offered → shed |
+admitted, and each admitted request ends completed | deadline_exceeded |
+errors | cancelled) plus the robustness machinery
 (retries, stale serves, degraded batches, compactions).  Counts another
 object already keeps — breaker trips, snapshot swaps, injected faults —
 are not counted here a second time; ``CoalescingServer.report()`` reads
@@ -46,8 +47,9 @@ class ServerMetrics:
     """Thread-safe counters + latency sample for one server instance.
 
     The latency sample is a sliding window of the most recent
-    :data:`LATENCY_WINDOW` observations; :meth:`latency_count` still
-    counts every observation ever made.
+    :data:`LATENCY_WINDOW` observations; one observation is made per
+    ``completed`` request, so that counter is the all-time count.
+    :meth:`snapshot` is the one read view.
     """
 
     COUNTERS = (
@@ -57,6 +59,7 @@ class ServerMetrics:
         "completed",
         "deadline_exceeded",
         "errors",
+        "cancelled",
         "retries",
         "stale_served",
         "degraded_batches",
@@ -71,7 +74,6 @@ class ServerMetrics:
         self._counters: Dict[str, int] = {name: 0 for name in self.COUNTERS}
         self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._queue_waits: Deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self._latency_total = 0
         self._elapsed: float = 0.0
 
     # ------------------------------------------------------------------
@@ -84,20 +86,11 @@ class ServerMetrics:
                 raise KeyError(f"unknown counter {name!r}")
             self._counters[name] += amount
 
-    def __getattr__(self, name: str) -> int:
-        # Counter reads look like plain attributes: metrics.shed etc.
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            with self.__dict__["_lock"]:
-                return counters[name]
-        raise AttributeError(name)
-
     def observe_latency(self, seconds: float, queue_seconds: Optional[float] = None) -> None:
         """One answered request: its latency and, if known, the part of it
         spent before its batch took the execution lane."""
         with self._lock:
             self._latencies.append(float(seconds))
-            self._latency_total += 1
             if queue_seconds is not None:
                 self._queue_waits.append(float(queue_seconds))
 
@@ -109,30 +102,6 @@ class ServerMetrics:
     # ------------------------------------------------------------------
     # derived
     # ------------------------------------------------------------------
-
-    def latency_count(self) -> int:
-        """Latencies observed in total, including those the window dropped."""
-        with self._lock:
-            return self._latency_total
-
-    def p50_ms(self) -> Optional[float]:
-        """Median latency over the most recent :data:`LATENCY_WINDOW` samples."""
-        with self._lock:
-            p = percentile(self._latencies, 50.0)
-        return None if p is None else p * 1000.0
-
-    def p99_ms(self) -> Optional[float]:
-        """99th-percentile latency over the most recent :data:`LATENCY_WINDOW` samples."""
-        with self._lock:
-            p = percentile(self._latencies, 99.0)
-        return None if p is None else p * 1000.0
-
-    def qps(self) -> Optional[float]:
-        """Completed requests per wall-clock second of the measured run."""
-        with self._lock:
-            if self._elapsed <= 0.0:
-                return None
-            return self._counters["completed"] / self._elapsed
 
     def snapshot(self) -> Dict[str, object]:
         """A plain-dict view: every counter plus the derived numbers.

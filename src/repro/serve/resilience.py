@@ -11,8 +11,8 @@ request sequence, never on scheduler jitter, which is what lets
   admission to delivery and are cancelled (never silently served late)
   once it passes.
 * :class:`RetryPolicy` — bounded attempts with exponential backoff and
-  deterministic seeded jitter; the jitter sequence is a pure function of
-  the seed, so two runs retry at identical offsets.
+  deterministic seeded jitter; the jitter sequence is fixed, so two runs
+  retry at identical offsets.
 * :class:`TokenBucket` — admission control: a bucket of ``burst`` tokens
   refilled at ``rate`` per second; a request that finds the bucket empty
   is *shed* — the server answers it ``Response(status="shed")`` — instead
@@ -72,28 +72,19 @@ class LogicalClock(Clock):
 
 
 class Deadline:
-    """An absolute expiry measured on an injectable clock.
-
-    ``seconds=None`` builds a deadline that never expires.
-    """
+    """An absolute expiry ``seconds`` from now on an injectable clock."""
 
     __slots__ = ("clock", "expires_at")
 
-    def __init__(self, seconds: Optional[float], clock: Optional[Clock] = None):
+    def __init__(self, seconds: float, clock: Optional[Clock] = None):
         self.clock = clock if clock is not None else MonotonicClock()
-        self.expires_at = None if seconds is None else self.clock.now() + float(seconds)
+        self.expires_at = self.clock.now() + float(seconds)
 
     def expired(self) -> bool:
-        return self.expires_at is not None and self.clock.now() >= self.expires_at
-
-    def remaining(self) -> Optional[float]:
-        """Seconds left (clamped at 0), or ``None`` for no deadline."""
-        if self.expires_at is None:
-            return None
-        return max(0.0, self.expires_at - self.clock.now())
+        return self.clock.now() >= self.expires_at
 
     def __repr__(self) -> str:
-        return f"Deadline(remaining={self.remaining()})"
+        return f"Deadline(expires_at={self.expires_at})"
 
 
 # ----------------------------------------------------------------------
@@ -101,41 +92,44 @@ class Deadline:
 # ----------------------------------------------------------------------
 
 
+#: Growth of the backoff delay per attempt.
+BACKOFF_MULTIPLIER = 2.0
+#: The largest share of a delay the jitter takes off it.
+JITTER = 0.5
+#: Seed of the jitter's RNG: every policy draws the same sequence.
+JITTER_SEED = 0
+
+
 @dataclass
 class RetryPolicy:
-    """Exponential backoff with seeded jitter: ``base * multiplier**n``.
+    """Exponential backoff with seeded jitter: ``base * BACKOFF_MULTIPLIER**n``.
 
     ``max_attempts`` counts the first try too — a policy with
     ``max_attempts=4`` retries at most 3 times.  Each delay is capped at
-    ``max_delay`` and then shrunk by up to ``jitter`` (a fraction of the
-    delay) using a RNG seeded per policy instance: :meth:`delays` yields
-    the identical sequence for identical seeds, making retry timing —
-    and therefore every downstream counter — reproducible.
+    ``max_delay`` and then shrunk by up to :data:`JITTER` of itself using
+    an RNG seeded with :data:`JITTER_SEED`: :meth:`delays` yields the
+    identical sequence every time, making retry timing — and therefore
+    every downstream counter — reproducible.
     """
 
     max_attempts: int = 4
     base_delay: float = 0.005
-    multiplier: float = 2.0
     max_delay: float = 0.25
-    jitter: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be within [0, 1]")
 
     def delays(self) -> Iterator[float]:
         """The deterministic backoff delays between attempts, drawn lazily."""
-        rng = random.Random(self.seed)
+        rng = random.Random(JITTER_SEED)
         delay = 0.0
         for attempt in range(self.max_attempts - 1):
             # Once at the cap (or with no base) the delay stays put: the
             # power would overflow a float after about a thousand attempts.
             if self.base_delay > 0 and delay < self.max_delay:
-                delay = min(self.max_delay, self.base_delay * self.multiplier**attempt)
-            yield delay * (1.0 - self.jitter * rng.random())
+                delay = min(self.max_delay, self.base_delay * BACKOFF_MULTIPLIER**attempt)
+            yield delay * (1.0 - JITTER * rng.random())
 
 
 # ----------------------------------------------------------------------
@@ -168,29 +162,18 @@ class TokenBucket:
         self._tokens = float(burst)
         self._last = self.clock.now()
 
-    def _refill(self) -> None:
+    def try_acquire(self) -> bool:
+        """Take one token if available; False (= shed) otherwise."""
+        if self.rate is None:
+            return True
         now = self.clock.now()
-        if self.rate is not None and now > self._last:
+        if now > self._last:
             self._tokens = min(float(self.burst), self._tokens + (now - self._last) * self.rate)
         self._last = now
-
-    def try_acquire(self, tokens: float = 1.0) -> bool:
-        """Take ``tokens`` if available; False (= shed) otherwise."""
-        if self.rate is None:
-            return True
-        self._refill()
-        if self._tokens >= tokens:
-            self._tokens -= tokens
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
             return True
         return False
-
-    @property
-    def available(self) -> float:
-        """Tokens currently in the bucket (after a lazy refill)."""
-        if self.rate is None:
-            return float("inf")
-        self._refill()
-        return self._tokens
 
 
 # ----------------------------------------------------------------------
@@ -237,10 +220,6 @@ class CircuitBreaker:
         ):
             self._state = self.HALF_OPEN
         return self._state
-
-    @property
-    def closed(self) -> bool:
-        return self.state == self.CLOSED
 
     def allow(self) -> bool:
         """True when callers should take the normal (non-degraded) path."""

@@ -64,8 +64,8 @@ from __future__ import annotations
 import asyncio
 import numbers
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine import CompactionInProgressError, SnapshotManager
 from repro.engine.delta import overlay_join
@@ -88,9 +88,6 @@ RETRYABLE_EXCEPTIONS = (TransientFault, CompactionInProgressError, TimeoutError,
 
 #: Request kinds the server understands.
 KINDS = ("range", "knn", "join", "insert", "delete", "compact")
-
-#: Kinds that answer from the index (eligible for stale/degraded serving).
-QUERY_KINDS = ("range", "knn", "join")
 
 #: The payload type of each kind that takes one object.
 _PAYLOAD_TYPES = {"range": Rect, "insert": SpatialObject, "delete": SpatialObject}
@@ -239,8 +236,6 @@ class ServeConfig:
     retry_max_attempts: int = 5
     retry_base_delay: float = 0.002
     retry_max_delay: float = 0.05
-    retry_jitter: float = 0.5
-    retry_seed: int = 0
     breaker_failure_threshold: int = 3
     breaker_cooldown: float = 0.05
     compact_threshold: Optional[int] = None  # pending ops before background compact
@@ -272,7 +267,6 @@ _CONFIG_RULES = (
     ("breaker_failure_threshold", "an integer >= 1", _is_count),
     ("retry_base_delay", ">= 0 seconds", lambda v: v >= 0),
     ("retry_max_delay", "finite and >= 0 seconds", lambda v: 0 <= v < float("inf")),
-    ("retry_jitter", "within [0, 1]", lambda v: 0 <= v <= 1),
     ("breaker_cooldown", ">= 0 seconds", lambda v: v >= 0),
     ("compact_threshold", ">= 1 or None", lambda v: v is None or v >= 1),
     ("batch_window", "finite and >= 0", lambda v: 0 <= v < float("inf")),
@@ -286,6 +280,7 @@ class _Pending:
 
     def __init__(self, request: Request, future, deadline: Deadline, issued_wall: float):
         self.request = request
+        #: The caller's future; None once :meth:`CoalescingServer._resolve` counted it.
         self.future = future
         self.deadline = deadline
         self.issued_wall = issued_wall
@@ -362,8 +357,6 @@ class CoalescingServer:
             max_attempts=self.config.retry_max_attempts,
             base_delay=self.config.retry_base_delay,
             max_delay=self.config.retry_max_delay,
-            jitter=self.config.retry_jitter,
-            seed=self.config.retry_seed,
         )
         self._queues: Dict[str, asyncio.Queue] = {}
         self._batchers: List[asyncio.Task] = []
@@ -472,25 +465,6 @@ class CoalescingServer:
         """Submit and await the response."""
         return await self.submit_nowait(request)
 
-    # async conveniences ------------------------------------------------
-    async def range_query(self, rect, **kwargs) -> Response:
-        return await self.submit(Request.range(rect, **kwargs))
-
-    async def knn(self, point, k: int, **kwargs) -> Response:
-        return await self.submit(Request.knn(point, k, **kwargs))
-
-    async def join(self, **kwargs) -> Response:
-        return await self.submit(Request.join(**kwargs))
-
-    async def insert(self, obj, **kwargs) -> Response:
-        return await self.submit(Request.insert(obj, **kwargs))
-
-    async def delete(self, obj, **kwargs) -> Response:
-        return await self.submit(Request.delete(obj, **kwargs))
-
-    async def compact(self, **kwargs) -> Response:
-        return await self.submit(Request.compact(**kwargs))
-
     # ------------------------------------------------------------------
     # batching
     # ------------------------------------------------------------------
@@ -528,8 +502,8 @@ class CoalescingServer:
                 for item in batch:
                     item.lane_wall = now
                     if item.future.cancelled():
-                        continue
-                    if item.deadline.expired():
+                        self._fail([item], "cancelled before execution")
+                    elif item.deadline.expired():
                         self._fail([item], "deadline exceeded before execution", "deadline")
                     else:
                         live.append(item)
@@ -599,8 +573,16 @@ class CoalescingServer:
             self._resolve(item, Response(status=status, error=error, **fields))
 
     def _resolve(self, item: _Pending, response: Response) -> None:
-        """Deliver an admitted request's response: the one place its outcome is counted."""
-        if item.future.done():
+        """Deliver an admitted request's response: the one place its outcome is counted.
+
+        Each request is counted once; one its caller cancelled counts
+        ``cancelled`` and gets no response.
+        """
+        future, item.future = item.future, None
+        if future is None:
+            return  # counted already
+        if future.cancelled():
+            self.metrics.incr("cancelled")
             return
         if response.status == "ok" and item.deadline.expired():
             response = Response(
@@ -615,7 +597,7 @@ class CoalescingServer:
         self.metrics.incr(_OUTCOME_COUNTERS[response.status])
         if response.status == "ok":
             self.metrics.observe_latency(response.latency_s, response.queue_s)
-        item.future.set_result(response)
+        future.set_result(response)
 
     # ------------------------------------------------------------------
     # execution: pick a backend, answer through it

@@ -2,26 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 
 @dataclass
 class IOStats:
     """Counts node accesses by category.
 
-    ``leaf_accesses`` is the paper's primary I/O metric; the remaining
-    counters support the buffer-pool and storage experiments.
+    ``leaf_accesses`` is the paper's primary I/O metric; the buffer
+    counters support the buffer-pool experiments.
     """
 
     leaf_accesses: int = 0
     internal_accesses: int = 0
-    node_writes: int = 0
     buffer_hits: int = 0
     buffer_misses: int = 0
     #: leaf accesses that produced at least one query result
     contributing_leaf_accesses: int = 0
-    extra: Dict[str, int] = field(default_factory=dict)
 
     @property
     def total_accesses(self) -> int:
@@ -38,32 +35,19 @@ class IOStats:
         """Record one directory-node access."""
         self.internal_accesses += 1
 
-    def record_write(self) -> None:
-        """Record one node write."""
-        self.node_writes += 1
-
-    def bump(self, key: str, amount: int = 1) -> None:
-        """Increment a free-form counter under ``extra``."""
-        self.extra[key] = self.extra.get(key, 0) + amount
-
     def merge(self, other: "IOStats") -> "IOStats":
         """Add ``other``'s counters into this instance and return ``self``."""
         self.leaf_accesses += other.leaf_accesses
         self.internal_accesses += other.internal_accesses
-        self.node_writes += other.node_writes
         self.buffer_hits += other.buffer_hits
         self.buffer_misses += other.buffer_misses
         self.contributing_leaf_accesses += other.contributing_leaf_accesses
-        for key, value in other.extra.items():
-            self.bump(key, value)
         return self
 
     def reset(self) -> None:
         """Zero every counter."""
         self.leaf_accesses = 0
         self.internal_accesses = 0
-        self.node_writes = 0
         self.buffer_hits = 0
         self.buffer_misses = 0
         self.contributing_leaf_accesses = 0
-        self.extra.clear()

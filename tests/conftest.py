@@ -253,7 +253,7 @@ def assert_join_contract(join, expected, reference=None):
         if collect:
             assert pair_keys(result.pairs) == expected
         else:
-            assert result.pairs == [] and result.inner_stats.extra == {}
+            assert result.pairs == []
         if reference is not None:
             assert result.outer_stats == reference.outer_stats
             assert result.inner_stats == reference.inner_stats
@@ -265,9 +265,12 @@ def assert_join_contract(join, expected, reference=None):
 
 
 def assert_requests_accounted(server):
-    """Every request ``server`` admitted ended one way: completed, past its deadline or an error."""
+    """Every request ``server`` admitted ended one way: completed, past its
+    deadline, an error or cancelled by its caller."""
     report = server.report()
-    ended = report["completed"] + report["deadline_exceeded"] + report["errors"]
+    ended = (
+        report["completed"] + report["deadline_exceeded"] + report["errors"] + report["cancelled"]
+    )
     assert report["admitted"] == ended, report
 
 
@@ -275,7 +278,7 @@ def assert_requests_accounted(server):
 def requests_accounted():
     """Check :func:`assert_requests_accounted` on every server the test started, once it ends.
 
-    For tests whose servers stop quiescent, with no future cancelled.
+    For tests whose servers stop quiescent.
     """
     servers = []
     start = CoalescingServer.start

@@ -6,6 +6,8 @@ passes, passes tier-1 and dies in the benchmark run.  This reads ``perf/``
 and changes nothing in it.
 """
 
+import ast
+import asyncio
 import importlib.util
 import random
 from pathlib import Path
@@ -21,7 +23,7 @@ from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.rtree.clipped import ClippedRTree
 from repro.rtree.registry import build_rtree
-from repro.serve import ServeConfig
+from repro.serve import CoalescingServer, Request, ServeConfig
 
 PERF = Path(__file__).resolve().parent.parent / "perf"
 
@@ -63,6 +65,35 @@ def test_constructor_spellings_of_the_workloads(tmp_path):
         hits = executor.range_query_batch([obj.rect for obj in objects[:8]])
         assert all(obj.oid in {o.oid for o in batch} for obj, batch in zip(objects, hits))
         assert (executor.pool_rebuilds, executor.serial_fallbacks) == (0, 0)
+
+
+def _server_counters():
+    """``SERVER_COUNTERS`` as ``perf/workloads.py`` spells it (read, not imported)."""
+    tree = ast.parse((PERF / "workloads.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "SERVER_COUNTERS"
+            for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perf/workloads.py defines no SERVER_COUNTERS")
+
+
+def test_every_server_counter_the_workloads_read_is_in_the_report():
+    """The serve workloads read ``report()[name]`` for each ``SERVER_COUNTERS``
+    name; a renamed or deleted counter would fail there with a ``KeyError``."""
+    counters = _server_counters()
+    assert "admitted" in counters and "batches" in counters  # perf/layers.py divides them
+    objects, tree = _clipped(random.Random(3), 0)
+
+    async def main():
+        async with CoalescingServer(SnapshotManager(tree)) as server:
+            assert (await server.submit(Request.range(objects[0].rect))).ok
+            return server.report()
+
+    report = asyncio.run(main())
+    assert [name for name in counters if name not in report] == []
+    assert report["admitted"] == report["batches"] == 1
 
 
 def test_every_patched_name_resolves_and_is_what_the_manager_calls():

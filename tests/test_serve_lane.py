@@ -152,11 +152,11 @@ def test_batches_take_turns_with_the_compaction_and_read_the_old_view(monkeypatc
                 return step()
 
             manager.compact_step = counted_step
-            await asyncio.gather(*(server.insert(obj) for obj in inserts))
+            await asyncio.gather(*(server.submit(Request.insert(obj)) for obj in inserts))
             assert server._compaction_task is not None
             while not server._compaction_task.done():
-                reads.append(await server.range_query(probe))
-            after = await server.range_query(probe)
+                reads.append(await server.submit(Request.range(probe)))
+            after = await server.submit(Request.range(probe))
             return reads, reads_at_step, after
 
     reads, reads_at_step, after = asyncio.run(main())
@@ -181,12 +181,12 @@ def test_a_failure_in_a_late_step_leaves_an_exact_view(thin_slices):
             # Well past the first write to the source tree.
             fail_after_write(manager, 12, OSError("lane lost"))
             before = manager.view[0]
-            await asyncio.gather(*(server.insert(obj) for obj in inserts))
+            await asyncio.gather(*(server.submit(Request.insert(obj)) for obj in inserts))
             # Lands between two steps: staged by the manager.
-            staged = await server.insert(late)
+            staged = await server.submit(Request.insert(late))
             await asyncio.wait([server._compaction_task])
             seen = await asyncio.gather(
-                *(server.range_query(_window(obj)) for obj in inserts + [late])
+                *(server.submit(Request.range(_window(obj))) for obj in inserts + [late])
             )
             return before, staged, seen, server.report()
 
@@ -217,7 +217,7 @@ def test_stop_during_a_compaction_returns_with_it_complete(thin_slices):
     async def main():
         server = CoalescingServer(manager, ServeConfig(compact_threshold=40))
         await server.start()
-        await asyncio.gather(*(server.insert(obj) for obj in inserts))
+        await asyncio.gather(*(server.submit(Request.insert(obj)) for obj in inserts))
         task = server._compaction_task
         assert task is not None and not task.done()
         await server.stop()
@@ -253,7 +253,7 @@ def test_a_delete_that_meets_the_compaction_is_answered_beside_it(thin_slices):
     async def main():
         async with CoalescingServer(manager, ServeConfig(compact_threshold=30)) as server:
             started, release = _stalled_compaction(manager)
-            await asyncio.gather(*(server.insert(obj) for obj in inserts))
+            await asyncio.gather(*(server.submit(Request.insert(obj)) for obj in inserts))
             assert await asyncio.to_thread(started.wait, 10)
             # The compaction's first step holds the lane; the delete queues behind it.
             deleted = server.submit_nowait(Request.delete(victim))
@@ -262,7 +262,8 @@ def test_a_delete_that_meets_the_compaction_is_answered_beside_it(thin_slices):
             in_flight = manager.compacting
             manager.compaction_fault_hook = None
             await server._compaction_task
-            return deleted, in_flight, await server.range_query(_window(victim)), server.report()
+            after = await server.submit(Request.range(_window(victim)))
+            return deleted, in_flight, after, server.report()
 
     deleted, in_flight, probe, report = asyncio.run(main())
     assert deleted.ok and deleted.value is True and deleted.retries == 0
@@ -286,7 +287,7 @@ def test_a_compact_that_meets_the_compaction_finishes_it_and_folds_what_came_bef
     async def main():
         async with CoalescingServer(manager, ServeConfig(compact_threshold=30)) as server:
             started, release = _stalled_compaction(manager)
-            await asyncio.gather(*(server.insert(obj) for obj in inserts))
+            await asyncio.gather(*(server.submit(Request.insert(obj)) for obj in inserts))
             assert await asyncio.to_thread(started.wait, 10)
             # The compaction is under way; all three queue behind its step.
             queued = [
@@ -297,7 +298,7 @@ def test_a_compact_that_meets_the_compaction_finishes_it_and_folds_what_came_bef
             release.set()
             answers = await asyncio.gather(*queued)
             manager.compaction_fault_hook = None
-            return answers, await server.range_query(_window(victim)), server.report()
+            return answers, await server.submit(Request.range(_window(victim))), server.report()
 
     (deleted, inserted, compacted), probe, report = asyncio.run(main())
     assert all(r.ok and r.retries == 0 for r in (deleted, inserted, compacted))
@@ -322,7 +323,9 @@ def test_a_bad_insert_in_a_coalesced_write_turn_errors_alone():
     async def main():
         async with CoalescingServer(manager) as server:
             server._dims_mismatch = lambda request: None  # let it reach the batch
-            responses = await asyncio.gather(*(server.insert(obj) for obj in batch))
+            responses = await asyncio.gather(
+                *(server.submit(Request.insert(obj)) for obj in batch)
+            )
             return responses, server.report(), server.breaker.state
 
     responses, report, state = asyncio.run(main())

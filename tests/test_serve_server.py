@@ -115,7 +115,8 @@ def test_coalescing_batches_concurrent_requests():
         async with CoalescingServer(manager) as server:
             futures = [server.submit_nowait(Request.range(r)) for r in rects]
             await asyncio.gather(*futures)
-            return server.metrics.batches, server.metrics.coalesced
+            report = server.report()
+            return report["batches"], report["coalesced"]
 
     batches, coalesced = _run(main())
     assert batches < len(rects)
@@ -147,7 +148,7 @@ def test_wrong_dimensionality_fails_alone_and_spares_the_breaker():
             mixed = await asyncio.gather(*futures)
             alone = await asyncio.gather(*map(server.submit_nowait, malformed))
             state = server.breaker.state
-            after = await server.range_query(rects[0])
+            after = await server.submit(Request.range(rects[0]))
             return mixed, alone, state, after, server.report()
 
     mixed, alone, state, after, report = _run(main())
@@ -185,7 +186,7 @@ def test_nan_rectangle_fails_where_it_is_built():
                         server.submit_nowait(Request.insert(SpatialObject(10**6, Rect(low, high))))
                     )
             futures += [server.submit_nowait(Request.range(r)) for r in rects[3:]]
-            everything = await server.range_query(Rect((-inf, -inf), (inf, inf)))
+            everything = await server.submit(Request.range(Rect((-inf, -inf), (inf, inf))))
             return await asyncio.gather(*futures), everything, server.report()
 
     answers, everything, report = _run(main())
@@ -228,7 +229,7 @@ def test_a_payload_of_the_wrong_type_fails_where_it_is_built():
                     futures.append(server.submit_nowait(build()))
             futures += [server.submit_nowait(Request.range(r)) for r in rects[3:]]
             answers = await asyncio.gather(*futures)
-            after = await server.range_query(rects[0])
+            after = await server.submit(Request.range(rects[0]))
             return answers, after, server.breaker.state, server.report()
 
     answers, after, state, report = _run(main())
@@ -308,9 +309,6 @@ BAD_CONFIG_VALUES = [
     ("retry_max_delay", -1.0),
     ("retry_max_delay", float("nan")),
     ("retry_max_delay", float("inf")),
-    ("retry_jitter", -0.1),
-    ("retry_jitter", float("nan")),
-    ("retry_jitter", 1.5),
     ("breaker_cooldown", float("nan")),
     ("compact_threshold", 0),
     ("batch_window", float("nan")),
@@ -332,7 +330,8 @@ def test_a_server_allowed_thousands_of_attempts_still_answers():
 
     async def main():
         async with CoalescingServer(manager, ServeConfig(retry_max_attempts=2000)) as server:
-            return await server.range_query(_rects(objects, 1)[0]), list(server.retry.delays())
+            response = await server.submit(Request.range(_rects(objects, 1)[0]))
+            return response, list(server.retry.delays())
 
     response, delays = _run(main())
     assert response.ok and response.retries == 0
@@ -435,7 +434,7 @@ def test_a_lone_request_on_an_idle_server_waits_for_no_window():
 
     async def main():
         async with CoalescingServer(manager, ServeConfig(batch_window=10.0)) as server:
-            return await asyncio.wait_for(server.range_query(rect), 1.0)
+            return await asyncio.wait_for(server.submit(Request.range(rect)), 1.0)
 
     response = _run(main())
     assert response.ok and _oids(response.value) == _oids(manager.range_query(rect))
@@ -455,7 +454,7 @@ def test_admission_shed_is_deterministic_on_logical_clock():
             clock.advance(0.2)  # 2 tokens at 10/s
             for _ in range(3):
                 statuses.append((await server.submit_nowait(Request.range(rect))).status)
-            return statuses, server.metrics.shed
+            return statuses, server.report()["shed"]
 
     statuses, shed = _run(main())
     assert statuses == ["ok"] * 4 + ["shed"] * 4 + ["ok", "ok", "shed"]
@@ -521,7 +520,7 @@ def test_retry_loop_backs_off_by_the_policys_delays(monkeypatch):
     objects, manager = _manager()
     # Two failures: one short of the breaker's threshold of three.
     plan = FaultPlan([FaultSpec(BATCH_FAULT, at=1, times=2)])
-    config = ServeConfig(retry_seed=5, retry_base_delay=0.001, retry_max_delay=0.004)
+    config = ServeConfig(retry_base_delay=0.001, retry_max_delay=0.004)
     slept = []
     real_sleep = asyncio.sleep
 
@@ -532,7 +531,7 @@ def test_retry_loop_backs_off_by_the_policys_delays(monkeypatch):
     async def main():
         async with CoalescingServer(manager, config, fault_plan=plan) as server:
             monkeypatch.setattr(asyncio, "sleep", recording_sleep)
-            response = await server.range_query(_rects(objects, 1)[0])
+            response = await server.submit(Request.range(_rects(objects, 1)[0]))
             monkeypatch.undo()
             return response, list(server.retry.delays())
 
@@ -559,7 +558,7 @@ def test_fault_burst_trips_breaker_and_degrades():
     async def main():
         clock = LogicalClock()
         async with CoalescingServer(manager, config, fault_plan=plan, clock=clock) as server:
-            assert (await server.insert(fresh)).ok  # overlay now non-empty
+            assert (await server.submit(Request.insert(fresh))).ok  # overlay now non-empty
             responses = await asyncio.gather(
                 *[server.submit_nowait(Request.range(r)) for r in rects]
             )
@@ -620,11 +619,11 @@ def test_writes_and_reads_interleave():
 
     async def main():
         async with CoalescingServer(manager) as server:
-            before = await server.range_query(probe)
-            assert (await server.insert(fresh)).ok
-            after = await server.range_query(probe)
-            deleted = await server.delete(fresh)
-            gone = await server.range_query(probe)
+            before = await server.submit(Request.range(probe))
+            assert (await server.submit(Request.insert(fresh))).ok
+            after = await server.submit(Request.range(probe))
+            deleted = await server.submit(Request.delete(fresh))
+            gone = await server.submit(Request.range(probe))
             return before, after, deleted, gone
 
     before, after, deleted, gone = _run(main())
@@ -641,7 +640,7 @@ def test_join_requests_match_overlay_join():
 
     async def main():
         async with CoalescingServer(manager) as server:
-            return await server.join(probes=probes, algorithm="inlj")
+            return await server.submit(Request.join(probes=probes, algorithm="inlj"))
 
     response = _run(main())
     assert response.ok
@@ -657,9 +656,9 @@ def test_compaction_request_and_epoch_tracking():
 
     async def main():
         async with CoalescingServer(manager) as server:
-            assert (await server.insert(fresh)).ok
-            compacted = await server.compact()
-            probe = await server.range_query(Rect([0.0, 0.0], [3.0, 3.0]))
+            assert (await server.submit(Request.insert(fresh))).ok
+            compacted = await server.submit(Request.compact())
+            probe = await server.submit(Request.range(Rect([0.0, 0.0], [3.0, 3.0])))
             return compacted, probe, server.report()
 
     compacted, probe, report = _run(main())
@@ -678,9 +677,9 @@ def test_injected_compaction_crash_is_retried():
 
     async def main():
         async with CoalescingServer(manager, config, fault_plan=plan) as server:
-            assert (await server.insert(fresh)).ok
-            compacted = await server.compact()
-            probe = await server.range_query(Rect([0.0, 0.0], [3.0, 3.0]))
+            assert (await server.submit(Request.insert(fresh))).ok
+            compacted = await server.submit(Request.compact())
+            probe = await server.submit(Request.range(Rect([0.0, 0.0], [3.0, 3.0])))
             return compacted, probe, server.report()
 
     compacted, probe, report = _run(main())
@@ -700,9 +699,9 @@ def test_background_compaction_trigger():
             for i in range(4):
                 oid = 10**6 + i
                 rect = Rect([float(i), 0.0], [float(i) + 1.0, 1.0])
-                assert (await server.insert(SpatialObject(oid, rect))).ok
+                assert (await server.submit(Request.insert(SpatialObject(oid, rect)))).ok
             for _ in range(200):
-                if server.metrics.compactions:
+                if server.report()["compactions"]:
                     break
                 await asyncio.sleep(0.01)
             return server.report()
@@ -727,10 +726,10 @@ def test_writes_that_cancel_out_schedule_one_background_compaction():
 
     async def main():
         async with CoalescingServer(manager, ServeConfig(compact_threshold=2)) as server:
-            assert (await server.insert(ghost)).ok
-            assert (await server.delete(ghost)).value is True
+            assert (await server.submit(Request.insert(ghost))).ok
+            assert (await server.submit(Request.delete(ghost))).value is True
             await settle(server)
-            assert (await server.insert(other)).ok
+            assert (await server.submit(Request.insert(other))).ok
             await settle(server)
             return server.report()
 
@@ -777,13 +776,49 @@ def test_a_request_failed_by_stop_is_counted():
     assert report["admitted"] == report["errors"] == 1
 
 
+def test_a_request_its_caller_cancelled_is_counted():
+    """Regression: the batcher skipped a cancelled request and ``_resolve``
+    returned early on its done future, so it was ``admitted`` and reached no
+    outcome.  Cancelled in the queue or while its batch runs, it now counts
+    ``cancelled``."""
+    objects, manager = _manager()
+    first, second, third = _rects(objects, 3)
+    batch = manager.range_query_batch
+    in_batch = []
+
+    def cancelling(rects, *args, **kwargs):
+        # Runs on a worker thread: cancel from the loop, before the answer lands.
+        for future in in_batch:
+            future.get_loop().call_soon_threadsafe(future.cancel)
+        in_batch.clear()
+        return batch(rects, *args, **kwargs)
+
+    async def main():
+        async with CoalescingServer(manager) as server:
+            queued = server.submit_nowait(Request.range(first))
+            queued.cancel()
+            answered = await server.submit(Request.range(second))
+            manager.range_query_batch = cancelling
+            in_batch.append(server.submit_nowait(Request.range(third)))
+            running = in_batch[0]
+            await asyncio.gather(running, return_exceptions=True)
+        # stop() let the running batch finish: its answer met the cancelled future.
+        return answered, running.cancelled(), server.report()
+
+    answered, running_cancelled, report = _run(main())
+    assert answered.ok and _oids(answered.value) == _oids(manager.range_query(second))
+    assert running_cancelled
+    assert report["admitted"] == 3 and report["completed"] == 1
+    assert report["cancelled"] == 2 and report["errors"] == 0
+
+
 def test_report_shape():
     objects, manager = _manager()
     rect = _rects(objects, 1)[0]
 
     async def main():
         async with CoalescingServer(manager) as server:
-            await server.range_query(rect)
+            await server.submit(Request.range(rect))
             return server.report()
 
     report = _run(main())
@@ -822,7 +857,7 @@ def test_report_counts_every_breaker_trip():
     async def main():
         async with CoalescingServer(manager) as server:
             server.breaker.force_open()
-            degraded = await server.range_query(_rects(objects, 1)[0])
+            degraded = await server.submit(Request.range(_rects(objects, 1)[0]))
             return degraded, server.report()
 
     degraded, report = _run(main())
@@ -922,20 +957,20 @@ def test_degraded_mode_keeps_its_write_rules():
         async with CoalescingServer(manager, config) as server:
             server.breaker.force_open()
             inserts = [
-                await server.insert(
+                await server.submit(Request.insert(
                     SpatialObject(10**6 + i, Rect([float(i), 0.0], [i + 1.0, 1.0]))
-                )
+                ))
                 for i in range(3)
             ]
             background = server._compaction_task
-            refused = await server.compact()
+            refused = await server.submit(Request.compact())
             # An outside compaction is mid-flight while a degraded delete arrives:
             # it applies at once, and the outside fold's swap keeps it.
             manager.compaction_fault_hook = stall_compaction
             outside = asyncio.create_task(asyncio.to_thread(manager.compact))
             assert await asyncio.to_thread(in_hook.wait, 10)
             raced, neighbour = await asyncio.gather(
-                server.delete(objects[0]), server.insert(late)
+                server.submit(Request.delete(objects[0])), server.submit(Request.insert(late))
             )
             release.set()
             await outside
@@ -962,7 +997,7 @@ def test_degraded_join_with_an_empty_probe_list():
     async def main():
         async with CoalescingServer(manager) as server:
             server.breaker.force_open()
-            return await server.join(probes=[], algorithm="inlj")
+            return await server.submit(Request.join(probes=[], algorithm="inlj"))
 
     response = _run(main())
     assert response.ok and response.degraded

@@ -350,6 +350,21 @@ def test_torn_array_file_is_refused(tmp_path, mmap):
         load_snapshot(tmp_path, mmap=mmap)
 
 
+def test_resaving_repairs_a_torn_array_file(tmp_path):
+    """Regression: a re-save of the same index skipped the write because the
+    committed generation's files merely existed, so a torn one stayed torn.
+    It is written again, into the generation the manifest names."""
+    objects, reference = _frozen(count=60)
+    save_snapshot(reference, tmp_path)
+    generation = read_manifest(tmp_path)["data_dir"]
+    path = tmp_path / generation / "entry_lows.npy"
+    path.write_bytes(path.read_bytes()[:-8])
+    save_snapshot(reference, tmp_path)
+    assert read_manifest(tmp_path)["data_dir"] == generation
+    loaded = load_snapshot(tmp_path, mmap=False)
+    _assert_differentially_identical(reference, loaded, _queries(objects))
+
+
 def test_manifest_array_entry_missing(tmp_path):
     _, reference = _frozen(count=60)
     save_snapshot(reference, tmp_path)

@@ -80,6 +80,7 @@ class TestJoinStaleGuard:
         assert joined.pair_count == sum(expected.values())
 
 
+@pytest.mark.usefixtures("requests_accounted")
 class TestServeStaleUnderBreaker:
     """The server's breaker-degraded path serves the frozen base as it is.
 
@@ -109,9 +110,9 @@ class TestServeStaleUnderBreaker:
 
         async def main():
             async with CoalescingServer(manager) as server:
-                await server.insert(extra)  # lands in the overlay
+                await server.submit(Request.insert(extra))  # lands in the overlay
                 server.breaker.force_open()
-                return await server.range_query(probe)
+                return await server.submit(Request.range(probe))
 
         response = asyncio.run(main())
         assert response.ok and response.degraded
@@ -133,7 +134,7 @@ class TestServeStaleUnderBreaker:
         async def main():
             async with CoalescingServer(manager) as server:
                 server.breaker.force_open()
-                return await server.range_query(probe)
+                return await server.submit(Request.range(probe))
 
         response = asyncio.run(main())
         assert response.ok and response.degraded
@@ -149,9 +150,9 @@ class TestServeStaleUnderBreaker:
 
         async def main():
             async with CoalescingServer(manager) as server:
-                await server.insert(extra)
+                await server.submit(Request.insert(extra))
                 server.breaker.force_open()
-                return await server.knn((50.0, 50.0), 4)
+                return await server.submit(Request.knn((50.0, 50.0), 4))
 
         response = asyncio.run(main())
         assert response.ok and response.degraded and response.stale
@@ -184,8 +185,8 @@ class TestServeStaleUnderBreaker:
                 server.breaker.force_open()
                 assert manager.snapshot is base and base.is_stale
                 return (
-                    await server.join(other=other, algorithm="stt"),
-                    await server.join(probes=probes, algorithm="inlj"),
+                    await server.submit(Request.join(other=other, algorithm="stt")),
+                    await server.submit(Request.join(probes=probes, algorithm="inlj")),
                 )
 
         stt, inlj = asyncio.run(main())
@@ -212,11 +213,11 @@ class TestServeStaleUnderBreaker:
 
         async def main():
             async with CoalescingServer(manager, config) as server:
-                await server.insert(extra)
+                await server.submit(Request.insert(extra))
                 server.breaker.force_open()
-                degraded = await server.range_query(probe)
+                degraded = await server.submit(Request.range(probe))
                 await asyncio.sleep(0.03)  # past the cooldown: half-open
-                fresh = await server.range_query(probe)
+                fresh = await server.submit(Request.range(probe))
                 return degraded, fresh
 
         degraded, fresh = asyncio.run(main())

@@ -14,29 +14,31 @@ class TestIOStats:
         stats.record_leaf(contributed=True)
         stats.record_leaf(contributed=False)
         stats.record_internal()
-        stats.record_write()
         assert stats.leaf_accesses == 2
         assert stats.contributing_leaf_accesses == 1
         assert stats.internal_accesses == 1
-        assert stats.node_writes == 1
         assert stats.total_accesses == 3
 
-    def test_bump_and_merge(self):
-        a, b = IOStats(), IOStats()
-        a.bump("probe", 2)
-        b.bump("probe", 3)
-        b.record_leaf()
-        a.merge(b)
-        assert a.extra["probe"] == 5
-        assert a.leaf_accesses == 1
+    def test_merge(self):
+        a, b = IOStats(), IOStats(buffer_hits=2, buffer_misses=3)
+        a.record_internal()
+        b.record_leaf(contributed=True)
+        b.record_internal()
+        assert a.merge(b) is a
+        assert a == IOStats(
+            leaf_accesses=1,
+            internal_accesses=2,
+            buffer_hits=2,
+            buffer_misses=3,
+            contributing_leaf_accesses=1,
+        )
 
     def test_reset(self):
-        stats = IOStats()
-        stats.record_leaf()
-        stats.bump("x")
+        stats = IOStats(buffer_hits=4, buffer_misses=5)
+        stats.record_leaf(contributed=True)
+        stats.record_internal()
         stats.reset()
-        assert stats.leaf_accesses == 0
-        assert stats.extra == {}
+        assert stats == IOStats()
 
 
 class TestPageLayout:
