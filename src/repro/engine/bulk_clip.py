@@ -29,22 +29,22 @@ stage                                   scalar counterpart
 ======================================  ======================================
 ``skyline_masks``: all ``2**d``         ``oriented_skyline``, once per corner
 corners of a node from ``2 * d``
-packed compare tables
-:func:`_stair_points`: problems         ``stairline_points``: splice, ``seen``
-regrouped by skyline size, pair         set, validity probe
+per-face bitsets, ``d`` ANDs a corner
+:func:`_stair_points`: problems         ``stairline_points``: splice and
+regrouped by skyline size, pair         validity probe
 validity on a packed table,
-coordinates and dedup for the
-surviving pairs only
+coordinates for the valid pairs only
 flat scoring over (problem, candidate)  ``score_clip_candidates`` and the
-rows, threshold, one stable sort per    ``tau`` / top-``k`` selection of
-node                                    ``compute_clip_points``
+rows, threshold, dedup of the rows      ``tau`` / top-``k`` selection of
+that pass, one stable sort per node     ``compute_clip_points``; the
+                                        ``seen`` set of ``stairline_points``
 ======================================  ======================================
 
 The surviving clip points are un-oriented at the very end.  The problem
 axis is walked in runs of nodes whose candidate count fits
 ``_CHUNK_BUDGET`` (:func:`_candidate_slices`), and the skyline tables in
-their own chunks, so working memory does not grow with the tree
-(``TestClipChunksBoundMemory``).
+their own, cache-sized chunks (:func:`_chunked_skyline`), so working
+memory does not grow with the tree (``TestClipChunksBoundMemory``).
 
 Exactness notes (why the store matches the scalar path bit for bit; the
 kernel-level ones are in :mod:`repro.engine.clip_kernels`):
@@ -60,6 +60,10 @@ kernel-level ones are in :mod:`repro.engine.clip_kernels`):
 * all dominance / validity / dedup decisions are exact float64
   comparisons on the same coordinate values the scalar path reads —
   orientation negates both sides of a comparison, which is exact;
+* the dedup runs on the rows that pass the threshold, not on every
+  valid splice, and drops exactly the rows the scalar ``seen`` set drops
+  (the "Dedup after the τ filter" note of
+  :mod:`~repro.engine.clip_kernels`);
 * volumes and overlaps multiply dimension by dimension in dimension
   order (:func:`~repro.engine.clip_kernels.sequential_prod`), matching
   the scalar accumulation, and ``abs(corner - point)`` is the same float
@@ -99,6 +103,12 @@ from repro.rtree.node import Node
 #: Ceiling on the element count of any broadcast intermediate, in units of
 #: about two bytes; groups are walked in chunks of nodes that stay below it.
 _CHUNK_BUDGET = 4_000_000
+
+#: The skyline kernel re-reads its bitset tables once per dimension, and
+#: runs fastest on chunks that stay in a core's cache: on build_load's
+#: leaf level (20 000 axo03 objects, M = 48), chunks of 32 nodes took
+#: 14 ms where chunks of 192 took 19.
+_SKYLINE_CHUNK_BYTES = 1 << 20
 
 
 def clip_nodes_batch(
@@ -177,9 +187,19 @@ def _clip_group(
 
 
 def _chunked_skyline(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """Skyline masks ``(g, 2**d, c)``, chunked to bound the (g,2**d,c,c) blow-up."""
+    """Skyline masks ``(g, 2**d, c)``, in chunks of nodes.
+
+    Per node, :func:`~repro.engine.clip_kernels.skyline_masks` holds
+    ``c`` bitsets of ``w = ⌈c/64⌉`` words for each of the ``2**d``
+    corners (three such tables at once) and for each of the ``2 * d``
+    faces (about six), beside about eight int64 or float64 keys per face
+    and child: some ``c * (w * 24 * 2**d + 224 * d)`` bytes, measured at
+    75–100 % of that.  A chunk stays within the budget and within
+    :data:`_SKYLINE_CHUNK_BYTES`.
+    """
     _, count, dims = lows.shape
-    step = max(1, _CHUNK_BUDGET // ((count * count * dims) << dims))
+    node_bytes = count * (-(-count // 64) * (24 << dims) + 224 * dims)
+    step = max(1, min(2 * _CHUNK_BUDGET, _SKYLINE_CHUNK_BYTES) // node_bytes)
     parts = [
         skyline_masks(lows[start : start + step], highs[start : start + step])
         for start in range(0, len(lows), step)
@@ -264,6 +284,10 @@ def _clip_slice(
     scores[best] = best_scores
 
     passing = np.flatnonzero(scores > threshold[problem_node[owner]])
+    # The stairline points came with their duplicates; among the rows that
+    # pass, the dedup drops exactly those the scalar ``seen`` set drops
+    # (module notes), and before the top-k cut.
+    passing = passing[first_occurrence_mask(pts[passing], owner[passing])]
     node = problem_node[owner[passing]]
     # Final per-node order: descending score, ties by (mask, position) —
     # the order the rows are in already, which the stable sort keeps —
@@ -287,7 +311,7 @@ def _clip_slice(
 
 
 def _stair_points(sky_pts: np.ndarray, sky_counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Valid, deduplicated stairline points of every problem.
+    """Valid stairline points of every problem, duplicates included.
 
     ``sky_pts`` holds the problems' oriented skylines back to back,
     ``sky_counts`` their sizes.  Problems are regrouped by skyline size so
@@ -310,10 +334,7 @@ def _stair_points(sky_pts: np.ndarray, sky_counts: np.ndarray) -> Tuple[np.ndarr
         owner_parts.append(problems[local])
     if not pts_parts:
         return np.empty((0, dims), dtype=np.float64), np.empty(0, dtype=np.int64)
-    pts = np.concatenate(pts_parts)
-    owner = np.concatenate(owner_parts)
-    first = first_occurrence_mask(pts, owner)
-    return pts[first], owner[first]
+    return np.concatenate(pts_parts), np.concatenate(owner_parts)
 
 
 def _ranks_within(owners: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ paper's Algorithm 1, batched over a leading problem axis:
                                 (``strictly_inside_corner_region``) over all
                                 skyline pairs
 :func:`splice`                  :func:`repro.skyline.stairline.splice_point`
-:func:`first_occurrence_mask`   the ``seen`` set of ``stairline_points``
+:func:`first_occurrence_mask`   the ``seen`` set of ``stairline_points``,
+                                run after the ``tau`` filter
 :func:`corner_distances`        the factors of :func:`repro.cbb.scoring.clip_volume`
                                 (their :func:`sequential_prod` is the volume)
 :func:`overlap_volumes`         ``repro.cbb.scoring._same_corner_overlap``
@@ -30,21 +31,36 @@ Exactness notes (``tests/test_clip_kernels.py`` pins each correspondence,
   scalar comparison decides, ``abs(corner - point)`` is the same float on
   either side, and un-orienting a coordinate returns its original bits.
 * **Packed tables.**  Dominance and validity are conjunctions over
-  dimensions of float comparisons between two *points*.
+  dimensions of float comparisons between two *points*.  For validity,
   :func:`packed_compare` makes each comparison once per (point, point,
   dimension) and stores the ``d`` outcomes of a point pair as the bits of
   one word; the per-candidate tests are then bitwise operations on those
   words.  No float is compared that the scalar path does not compare.
+* **Skyline bitsets.**  For dominance (d >= 3) the outcomes are stored
+  the other way round: per dimension and face, one bitset over the other
+  point, so a corner's test is ``d`` ANDs of words.  The sets come from
+  one sort per face and dimension, not from ``c * c`` comparisons: on
+  floats other than NaN, ``<=`` is a total preorder and the sort follows
+  it, so the keys ``<=`` a key are exactly those up to the end of its run
+  of ``==`` keys — whatever order the sort leaves equal keys in
+  (:func:`_closeness_sets`).
 * **Splices never equal skyline points.**  ``stairline_points`` seeds its
   ``seen`` set with the skyline.  On a skyline (distinct, mutually
   non-dominated points) that seed never fires: a splice ``max(p, q)``
   equal to a skyline point ``r`` has ``p <= r`` everywhere, so ``p``
   dominates ``r`` unless ``p == r``; likewise ``q == r``, and ``p == q``
   contradicts distinctness.  The kernels therefore carry no such test.
-* **Dedup after validity.**  Validity is a function of a candidate's
-  coordinates, so equal candidates are equally valid and "first among
-  all, then valid" keeps the same candidates in the same order as "first
-  among the valid" — the dedup sorts only the survivors.
+* **Dedup after the τ filter.**  Validity and score are functions of a
+  candidate's coordinates, so equal candidates are equally valid and
+  score alike, and "first among all, then valid" keeps the candidates
+  "first among the valid" keeps.  Keeping the duplicates through scoring
+  moves nothing either: a duplicate comes after its original, so the
+  first maximum is never one; a duplicate of the best scores
+  ``V - overlap(best, best)``, exactly ``0.0``, which never exceeds
+  ``tau * V >= 0``; any other duplicate passes only with its original.
+  So :mod:`~repro.engine.bulk_clip` runs :func:`first_occurrence_mask`
+  on the rows that pass the threshold, before the top-``k`` cut — a few
+  thousand rows where the valid splices are tens of thousands.
 * Volume products accumulate dimension by dimension in dimension order
   (:func:`sequential_prod`), matching the scalar accumulation.
 """
@@ -111,7 +127,7 @@ def skyline_masks(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
     child and not duplicating an earlier one.
 
     Mirrors the scalar dispatch: 2-d runs a batched sort-based sweep,
-    higher dimensions the batched pairwise filter.
+    higher dimensions the batched pairwise filter on per-face bitsets.
     """
     if lows.shape[-1] == 2:
         return _skyline_masks_2d(lows, highs)
@@ -145,41 +161,102 @@ def _skyline_masks_2d(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
 
 
 def _skyline_masks_pairwise(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """Batched pairwise dominance filter (any dimensionality).
+    """Batched pairwise dominance filter (any dimensionality), on bitsets.
 
-    The ``2 * d`` per-dimension comparisons are made once per node —
-    ``low_side[j, i]`` holds, per dimension, whether child ``j`` is at
-    least as close to the node's low face as child ``i``, ``high_side``
-    the same for the high face — and every corner picks its ``d`` bits
-    from the two words.  ``closer[j, i]`` is then "all bits set": ``j`` is
-    at least as close to the corner as ``i`` in every dimension, and ``j``
-    eliminates ``i`` when it is closer and not coordinate-equal
-    (dominance) or equal but earlier (the first-occurrence dedup).
+    Per dimension and face, row ``i`` of a node holds the set of children
+    ``j`` at least as close to that face as child ``i``, and the set of
+    children ``i`` is at least as close as, each as ``⌈c/64⌉`` uint64
+    words (:func:`_closeness_sets`).  A corner takes, dimension by
+    dimension, the low face's set or the high face's, so ``closer`` (``j``
+    at least as close to the corner as ``i`` in every dimension) is ``d``
+    ANDs of bitsets; the ``2**d`` corners are built by doubling, one
+    dimension at a time.  ``j`` eliminates ``i`` when it is closer and not
+    coordinate-equal (dominance) or equal but earlier (the
+    first-occurrence dedup): ``closer & ~spared``, where ``j`` spares
+    ``i`` when ``i`` is as close as ``j`` in every dimension (so the two
+    are equal) and ``j`` comes no earlier.  A NaN padding row is in no
+    set, so it eliminates nothing.
     """
     _, c, dims = lows.shape
-    low_side = packed_compare(np.less_equal, lows[:, :, None, :], lows[:, None, :, :])
-    high_side = packed_compare(np.greater_equal, highs[:, :, None, :], highs[:, None, :, :])
-    closer = _all_bits_per_corner(low_side, high_side, dims)  # (g, 2**d, j, i)
-    # j spares i when i is as close as j (so the two are equal) and comes
-    # no later: the transposed tables, blanked where j < i.
-    not_before = np.tril(np.ones((c, c), dtype=bool))  # not_before[j, i]: j >= i
-    spared = _all_bits_per_corner(
-        low_side.swapaxes(1, 2) * not_before, high_side.swapaxes(1, 2) * not_before, dims
-    )
-    return ~(closer > spared).any(axis=-2)
+    # "Closer to the face" is "smaller key": the low faces, then the high
+    # faces negated (exact, and order-reversing).
+    keys = np.concatenate([lows, -highs], axis=2).transpose(2, 0, 1)
+    at_most, at_least = _closeness_sets(keys)
+    # Axis 0 is a corner's bit for the dimension: low face, high face.
+    at_most = at_most.reshape((2, dims) + at_most.shape[1:])
+    at_least = at_least.reshape((2, dims) + at_least.shape[1:])
+    closer, spared = at_most[:, 0], at_least[:, 0]
+    for dim in range(1, dims):
+        # Corner ``bit * 2**dim + mask``: bit ``dim`` above the ones so far.
+        closer = (at_most[:, dim, None] & closer).reshape((-1,) + closer.shape[1:])
+        spared = (at_least[:, dim, None] & spared).reshape((-1,) + spared.shape[1:])
+    spared &= _later_children(c)
+    closer &= ~spared
+    return np.ascontiguousarray(~closer.any(axis=-1).swapaxes(0, 1))
 
 
-def _all_bits_per_corner(low_side: np.ndarray, high_side: np.ndarray, dims: int) -> np.ndarray:
-    """Where each corner's ``d`` bits are all set.
+def _closeness_sets(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Bitsets of ``<=`` and ``>=`` between the keys of each row.
 
-    ``low_side`` / ``high_side`` are ``(g, c, c)`` packed tables; corner
-    ``mask`` reads bit ``t`` from ``high_side`` where its own bit ``t`` is
-    set and from ``low_side`` otherwise.  Returns ``(g, 2**d, c, c)``.
+    ``keys`` is ``(f, g, c)``.  Returns ``(at_most, at_least)``, each
+    ``(f, g, c, ⌈c/64⌉)`` uint64: bit ``j % 64`` of word ``j // 64`` of
+    ``at_most[., ., i]`` is ``keys[j] <= keys[i]``, of ``at_least`` it is
+    ``keys[i] <= keys[j]``; a NaN key is in no set and has none.
+
+    One sort per row replaces the ``c * c`` comparisons: in ascending
+    order, the keys ``<=`` a key are every key up to the end of its run
+    of equal keys (a prefix OR of one-bit words), the keys ``>=`` it every
+    key from the start of that run on (a suffix OR).  ``<=`` on floats
+    other than NaN is a total preorder and the runs are cut with ``==``,
+    so each set is exactly what the comparisons give, whatever order the
+    sort leaves equal keys (``0.0`` / ``-0.0`` included) in.  NaN sorts
+    last and carries no bit.
     """
-    masks = np.arange(1 << dims, dtype=low_side.dtype)[:, None, None]
-    words = (low_side ^ high_side)[:, None] & masks
-    words ^= low_side[:, None]
-    return words == masks.max()
+    f, g, c = keys.shape
+    words = -(-c // 64)
+    rows = f * g
+    flat = keys.reshape(rows, c)
+    order = np.argsort(flat, axis=1)
+    row_base = np.arange(rows)[:, None] * c
+    ranked = flat.reshape(-1)[order + row_base]
+    bit = np.left_shift(np.uint64(1), (order & 63).astype(np.uint64))
+    bit[np.isnan(ranked)] = 0
+    one_hot = np.zeros((rows, c, words), dtype=np.uint64)
+    one_hot.reshape(-1, words)[np.arange(rows * c), (order >> 6).reshape(-1)] = bit.reshape(-1)
+
+    tie = ranked[:, 1:] == ranked[:, :-1]
+    position = np.arange(c)
+    run_end = np.full((rows, c), c - 1)
+    run_end[:, :-1] = np.where(tie, c, position[:-1])
+    run_end = np.minimum.accumulate(run_end[:, ::-1], axis=1)[:, ::-1]
+    run_start = np.zeros((rows, c), dtype=np.int64)
+    run_start[:, 1:] = np.where(tie, 0, position[1:])
+    run_start = np.maximum.accumulate(run_start, axis=1)
+    rank = np.empty_like(order)
+    rank[np.arange(rows)[:, None], order] = position
+
+    prefix = np.bitwise_or.accumulate(one_hot, axis=1).reshape(-1, words)
+    suffix = np.bitwise_or.accumulate(one_hot[:, ::-1], axis=1)[:, ::-1].reshape(-1, words)
+    at_most = prefix[np.take_along_axis(run_end, rank, axis=1) + row_base]
+    at_least = suffix[np.take_along_axis(run_start, rank, axis=1) + row_base]
+    nan = np.isnan(flat)
+    at_most[nan] = 0
+    at_least[nan] = 0
+    return at_most.reshape(f, g, c, words), at_least.reshape(f, g, c, words)
+
+
+@lru_cache(maxsize=64)
+def _later_children(c: int) -> np.ndarray:
+    """Row ``i`` is the bitset of the children ``j >= i``: ``(c, ⌈c/64⌉)`` uint64.
+
+    Shared between callers and read-only.
+    """
+    packed = np.packbits(np.triu(np.ones((c, c), dtype=bool)), axis=1, bitorder="little")
+    words = np.zeros((c, -(-c // 64) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    words = words.view(np.uint64)
+    words.setflags(write=False)
+    return words
 
 
 @lru_cache(maxsize=256)

@@ -84,7 +84,13 @@ import numpy as np
 
 from repro.cbb.clip_point import ClipPoint
 from repro.cbb.clipping import ClippingConfig
-from repro.engine.kernels import expand_segments, masks_to_bool, object_column, stack_rows
+from repro.engine.kernels import (
+    expand_segments,
+    masks_to_bool,
+    object_column,
+    rects_of_rows,
+    stack_rows,
+)
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.rtree.base import RTreeBase
@@ -433,8 +439,7 @@ class ColumnarIndex:
         first_leaf_row = len(self.entry_child) - len(objects)
         node_ids = self.node_ids.tolist()
         child_ids = [node_ids[slot] for slot in self.entry_child[:first_leaf_row].tolist()]
-        lows = self.entry_lows[:first_leaf_row].tolist()
-        highs = self.entry_highs[:first_leaf_row].tolist()
+        rects = rects_of_rows(self.entry_lows[:first_leaf_row], self.entry_highs[:first_leaf_row])
         nodes = {}
         for node_id, level, start, count in zip(
             node_ids,
@@ -447,8 +452,7 @@ class ColumnarIndex:
                 entries = [Entry(obj.rect, obj) for obj in objects[first : first + count]]
             else:
                 entries = [
-                    Entry(Rect(lows[row], highs[row]), child_ids[row])
-                    for row in range(start, start + count)
+                    Entry(rects[row], child_ids[row]) for row in range(start, start + count)
                 ]
             nodes[node_id] = Node(node_id, level, entries)
         tree._nodes = nodes

@@ -42,9 +42,11 @@ from __future__ import annotations
 from contextlib import nullcontext
 from itertools import chain
 from operator import attrgetter
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
+
+from repro.geometry.rect import Rect, _unchecked_rect
 
 
 def stack_rows(
@@ -92,6 +94,25 @@ def stack_bounds(
     lows = stack_rows(list(map(attrgetter("low"), rects)), dims, what)
     highs = stack_rows(list(map(attrgetter("high"), rects)), dims, what)
     return lows, highs
+
+
+def rects_of_rows(lows: np.ndarray, highs: np.ndarray) -> List[Rect]:
+    """``[Rect(low, high) for low, high in zip(lows, highs)]``, checked as arrays.
+
+    ``lows`` / ``highs`` are ``(n, d)``.  The check ``Rect`` makes bound
+    by bound is one array compare here, ``low <= high`` in every
+    dimension (NaN fails it, ±inf passes); a failing row raises
+    ``Rect``'s own ``ValueError`` for the first of them, and the rest are
+    built without checking again.
+    """
+    lows = np.asarray(lows, dtype=np.float64)  # Rect keeps float(bound)
+    highs = np.asarray(highs, dtype=np.float64)
+    fine = (lows <= highs).all(axis=1)
+    if len(lows) and (lows.shape[1] == 0 or not fine.all()):
+        bad = int(np.argmin(fine))
+        Rect(lows[bad].tolist(), highs[bad].tolist())  # raises its ValueError
+    # Zipping the columns yields each row as a tuple of floats directly.
+    return list(map(_unchecked_rect, zip(*lows.T.tolist()), zip(*highs.T.tolist())))
 
 
 def object_column(objects: Sequence[object]) -> np.ndarray:

@@ -83,7 +83,7 @@ import numpy as np
 
 from repro.cbb.clipping import VALID_METHODS, ClippingConfig
 from repro.engine.columnar import ColumnarIndex, TreeRecord
-from repro.engine.kernels import expand_segments
+from repro.engine.kernels import expand_segments, rects_of_rows
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.rtree.registry import VARIANT_NAMES
@@ -149,8 +149,9 @@ class LazyObjectList:
         """``[self[i] for i in rows]`` for non-negative ``rows``, built in one pass.
 
         The rows not built yet are read with one gather per column and
-        become objects in one loop (``Rect`` checks every one of them);
-        the rest come from the cache.
+        checked with one array compare (:func:`~repro.engine.kernels.rects_of_rows`:
+        a failing row raises ``Rect``'s own ``ValueError`` and nothing is
+        cached); the rest come from the cache.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if len(rows) and not (0 <= rows.min() and rows.max() < len(self.oids)):
@@ -160,13 +161,8 @@ class LazyObjectList:
         missing = sorted(set(keys).difference(cache))
         if missing:
             at = np.array(missing, dtype=np.int64)
-            built = [
-                SpatialObject(oid, Rect(low, high))
-                for oid, low, high in zip(
-                    self.oids[at].tolist(), self.lows[at].tolist(), self.highs[at].tolist()
-                )
-            ]
-            cache.update(zip(missing, built))
+            rects = rects_of_rows(self.lows[at], self.highs[at])
+            cache.update(zip(missing, map(SpatialObject, self.oids[at].tolist(), rects)))
         return list(map(cache.__getitem__, keys))
 
     def __getitem__(self, index):

@@ -238,7 +238,24 @@ def mbb_of_rects(rects: Iterable[Rect]) -> Rect:
         raise ValueError("cannot bound an empty rectangle set")
     low = tuple(map(min, zip(*[rect.low for rect in rects])))
     high = tuple(map(max, zip(*[rect.high for rect in rects])))
-    bounds = object.__new__(Rect)
-    object.__setattr__(bounds, "low", low)
-    object.__setattr__(bounds, "high", high)
-    return bounds
+    return _unchecked_rect(low, high)
+
+
+def _unchecked_rect(low: Tuple[float, ...], high: Tuple[float, ...]) -> Rect:
+    """A :class:`Rect` of bounds its caller has already checked.
+
+    ``low`` / ``high`` must be equally long, non-empty tuples of floats
+    with ``low[i] <= high[i]`` everywhere (no NaN) — what the constructor
+    would verify one bound at a time.  For callers that check a whole
+    batch of rows at once, or derive bounds from valid rectangles.
+    """
+    rect = _new_rect(Rect)
+    _set_low(rect, low)
+    _set_high(rect, high)
+    return rect
+
+
+# The slot descriptors set a field past ``Rect.__setattr__``'s guard.
+_new_rect = object.__new__
+_set_low = Rect.low.__set__
+_set_high = Rect.high.__set__

@@ -24,7 +24,7 @@ from repro.bench.archive import (
     resolve_run,
     write_run,
 )
-from repro.bench.config import BenchConfig, ParameterError
+from repro.bench.config import _CONFIG_RULES, BenchConfig, ParameterError
 from repro.bench.harness import DatasetCache, ExperimentContext
 from repro.bench.registry import derive_metrics, experiment_ids, get_experiment
 from repro.bench.reporting import display_width, format_table, to_markdown
@@ -270,6 +270,34 @@ def test_bad_setting_exits_2_before_anything_runs(tmp_path, capsys, key, raw, fi
         bad = type(getattr(BenchConfig(), field_name) or 0)(float(raw))
     with pytest.raises(ParameterError, match=field_name):
         BenchConfig(**{field_name: bad})
+
+
+#: ``(field, accepted value)``: the edge of each rule of ``BenchConfig``'s
+#: rules table, the value a rule one step stricter would refuse.
+_BOUNDARY_SETTINGS = [
+    ("max_entries", 2),
+    ("clip_k", 0),
+    ("clip_k", None),
+    ("clip_tau", 0.0),
+    ("dataset_sizes", {"par02": 1}),
+    ("queries_per_profile", 1),
+    ("serve_requests", 1),
+    ("serve_concurrency", 1),
+    ("scalability_size", 1),
+    ("join_size", 1),
+    ("variants", ("str",)),
+]
+
+
+@pytest.mark.parametrize("field_name, value", _BOUNDARY_SETTINGS)
+def test_config_accepts_the_edge_of_each_rule(field_name, value):
+    assert getattr(BenchConfig(**{field_name: value}), field_name) == value
+
+
+def test_every_config_rule_has_a_refused_and_an_accepted_row():
+    rules = {name for name, _, _ in _CONFIG_RULES}
+    assert {field_name for _, _, field_name, _ in _BAD_SETTINGS} == rules
+    assert {field_name for field_name, _ in _BOUNDARY_SETTINGS} == rules
 
 
 def test_every_pinned_config_still_loads():

@@ -28,6 +28,7 @@ from repro.cbb.clipping import ClippingConfig
 from repro.cbb.clipping import compute_clip_points
 from repro.datasets import generate
 from repro.engine import ColumnarIndex, build_columnar_str, clip_nodes_batch
+from repro.engine.clip_kernels import first_occurrence_mask
 from repro.engine.incremental_clip import dirty_node_ids, reclip_nodes_for_results
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
@@ -206,6 +207,42 @@ class TestClipAllBeyondThreeDimensions:
         for node_id, points in recomputed.items():
             assert _coord_bytes(vector.store.get(node_id)) == _coord_bytes(points)
 
+    @pytest.mark.parametrize("kind,dims,count", [case for case in CASES if case[0] == "grid"])
+    def test_dedup_before_scoring_gives_the_same_store(self, kind, dims, count, monkeypatch):
+        # The order bulk_clip ran before the dedup moved past the tau
+        # filter, kept as an oracle: dedup every problem's valid splices
+        # first, so nothing is left for the moved dedup to drop.  A small
+        # k makes a duplicate that reached the top-k cut cost a clip point.
+        bulk_clip_module = importlib.import_module("repro.engine.bulk_clip")
+        tree = build_rtree("rstar", _grid_boxes(dims, count, seed=dims), max_entries=5)
+        nodes = list(tree.nodes())
+        dropped = []
+        configs = [ClippingConfig(k=k, tau=tau) for k in (None, 2) for tau in (0.025, 0.0, 0.2)]
+        for config in configs:
+            moved = clip_nodes_batch(nodes, dims, config)
+            produce = bulk_clip_module._stair_points
+
+            def deduplicated(sky_pts, sky_counts):
+                pts, owner = produce(sky_pts, sky_counts)
+                first = first_occurrence_mask(pts, owner)
+                dropped.append(int((~first).sum()))
+                return pts[first], owner[first]
+
+            monkeypatch.setattr(bulk_clip_module, "_stair_points", deduplicated)
+            oracle = clip_nodes_batch(nodes, dims, config)
+            monkeypatch.undo()
+            assert list(moved) == list(oracle)
+            for node_id, points in oracle.items():
+                assert [(cp.coord, cp.mask, cp.score) for cp in moved[node_id]] == [
+                    (cp.coord, cp.mask, cp.score) for cp in points
+                ]
+                assert _coord_bytes(moved[node_id]) == _coord_bytes(points)
+        # The grid data must make repeated splices for the move to be
+        # exercised.  In 2-d it cannot: a skyline sorted by x has y
+        # falling, and the pair (i, j) splices to (x_j, y_i), one point
+        # per pair.
+        assert (sum(dropped) > 0) == (dims > 2)
+
     def test_signed_zeros_reach_the_store_as_the_scalar_path_leaves_them(self):
         # The grid cases above compare coordinate bytes; this keeps them
         # from passing for want of a -0.0 to disagree about.
@@ -248,6 +285,35 @@ class TestPaddedLevels:
                 (cp.coord, cp.mask, cp.score) for cp in expected
             ], f"node {node.node_id}"
             assert _coord_bytes(points) == _coord_bytes(expected)
+
+
+class TestDuplicatedBestSplice:
+    """A node whose best candidate is a splice that three skyline pairs
+    make.  Kept through scoring, the copies of the best score exactly
+    0.0, which no threshold passes, not even ``tau = 0``."""
+
+    # Min-corner points of four children: no one dominates another, and
+    # the pairs (p, q), (p, s) and (q, r) all splice to (8, 8, 2), which
+    # clips 128 of the node's 1000 and leaves no corner point inside.
+    CORNERS = [(8.0, 0.0, 2.0), (0.0, 8.0, 2.0), (8.0, 2.0, 0.0), (2.0, 8.0, 0.0)]
+
+    @pytest.mark.parametrize("tau", (0.0, 0.025))
+    def test_matches_scalar(self, tau):
+        node = _leaf(0, [Rect(low, (10.0, 10.0, 10.0)) for low in self.CORNERS])
+        config = ClippingConfig(method="stairline", tau=tau)
+        expected = compute_clip_points(node.mbb(), node.child_rects(), config)
+        best = max((cp for cp in expected if cp.mask == 0), key=lambda cp: cp.score)
+        assert (best.coord, best.score) == ((8.0, 8.0, 2.0), 128.0)
+        # The kernels see the splice three times before the dedup.
+        stair_points = importlib.import_module("repro.engine.bulk_clip")._stair_points
+        pts, _ = stair_points(np.array(self.CORNERS), np.array([4]))
+        assert sum(row == [8.0, 8.0, 2.0] for row in pts.tolist()) == 3
+
+        got = clip_nodes_batch([node], 3, config)[0]
+        assert [(cp.coord, cp.mask, cp.score) for cp in got] == [
+            (cp.coord, cp.mask, cp.score) for cp in expected
+        ]
+        assert _coord_bytes(got) == _coord_bytes(expected)
 
 
 #: One object with an infinite bound, added to a finite data set.

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cbb.scoring import _same_corner_overlap, clip_volume, score_clip_candidates
 from repro.engine.clip_kernels import (
+    _closeness_sets,
     _skyline_masks_2d,
     _skyline_masks_pairwise,
     corner_distances,
@@ -28,7 +29,9 @@ from repro.engine.clip_kernels import (
     valid_splices,
 )
 from repro.engine.kernels import masks_to_bool
-from repro.geometry.rect import mbb_of_points
+from repro.geometry.objects import SpatialObject
+from repro.geometry.rect import Rect, mbb_of_points
+from repro.rtree.str_bulk import str_bulk_load
 from repro.skyline.skyline import _skyline_pairwise_indices, oriented_skyline
 from repro.skyline.stairline import stairline_points
 
@@ -124,16 +127,159 @@ class TestSkylineKernel:
         )
 
 
-def _kernel_stairline(skyline, mask, dims):
-    """orient ∘ validity ∘ splice ∘ dedup ∘ un-orient, as bulk_clip composes them."""
+def _dense_skyline_masks_pairwise(lows, highs):
+    """The dense pairwise filter the bitset kernel replaced, kept as its
+    oracle: ``2 * d`` packed compare words per child pair, spread into a
+    ``(g, 2**d, c, c)`` table per corner."""
+    _, c, dims = lows.shape
+    low_side = packed_compare(np.less_equal, lows[:, :, None, :], lows[:, None, :, :])
+    high_side = packed_compare(np.greater_equal, highs[:, :, None, :], highs[:, None, :, :])
+    closer = _all_bits_per_corner(low_side, high_side, dims)  # (g, 2**d, j, i)
+    not_before = np.tril(np.ones((c, c), dtype=bool))  # not_before[j, i]: j >= i
+    spared = _all_bits_per_corner(
+        low_side.swapaxes(1, 2) * not_before, high_side.swapaxes(1, 2) * not_before, dims
+    )
+    return ~(closer > spared).any(axis=-2)
+
+
+def _all_bits_per_corner(low_side, high_side, dims):
+    masks = np.arange(1 << dims, dtype=low_side.dtype)[:, None, None]
+    words = (low_side ^ high_side)[:, None] & masks
+    words ^= low_side[:, None]
+    return words == masks.max()
+
+
+def _box_objects(kind, dims, count, seed):
+    """Random boxes; ``"grid"`` ones hold ties, zero extents, duplicates
+    and zeros of both signs."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        lows = rng.integers(-3, 3, size=(count, dims)).astype(np.float64)
+        lows[(lows == 0) & (rng.random((count, dims)) < 0.5)] = -0.0
+        highs = lows + rng.choice([0.0, 0.0, 1.0, 2.0], size=(count, dims))
+    else:
+        lows = rng.uniform(0, 100, size=(count, dims))
+        highs = lows + rng.uniform(0, 12, size=(count, dims))
+    return [
+        SpatialObject(oid, Rect(low, high))
+        for oid, (low, high) in enumerate(zip(lows.tolist(), highs.tolist()))
+    ]
+
+
+def _level_groups(tree):
+    """Each level's children as bulk_clip pads them: ``(g, widest, d)``, NaN past a fan-out."""
+    levels = {}
+    for node in tree.nodes():
+        levels.setdefault(node.level, []).append(node)
+    for nodes in levels.values():
+        counts = np.array([len(node.entries) for node in nodes])
+        valid = np.arange(counts.max()) < counts[:, None]
+        lows = np.full(valid.shape + (tree.dims,), np.nan)
+        highs = np.full(valid.shape + (tree.dims,), np.nan)
+        lows[valid] = [entry.rect.low for node in nodes for entry in node.entries]
+        highs[valid] = [entry.rect.high for node in nodes for entry in node.entries]
+        yield lows, highs
+
+
+class TestSkylineBitsets:
+    """The bitset kernel decides every corner as the dense tables did."""
+
+    @pytest.mark.parametrize("dims", (3, 4, 5, 8))
+    @given(st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_random_groups_match_the_dense_kernel(self, dims, data):
+        lows, highs = _pad_groups(data.draw(_rect_groups(dims=dims, max_group=4, max_rects=12)))
+        assert np.array_equal(
+            _skyline_masks_pairwise(lows, highs), _dense_skyline_masks_pairwise(lows, highs)
+        )
+
+    @pytest.mark.parametrize("dims", (3, 4, 5, 8))
+    @pytest.mark.parametrize("kind", ("grid", "uniform"))
+    def test_tree_levels_of_two_words_match_the_dense_kernel(self, dims, kind):
+        tree = str_bulk_load(_box_objects(kind, dims, 260, seed=dims), max_entries=100)
+        widest = 0
+        for lows, highs in _level_groups(tree):
+            widest = max(widest, lows.shape[1])
+            got = _skyline_masks_pairwise(lows, highs)
+            for n in range(len(lows)):  # the dense tables one node at a time
+                dense = _dense_skyline_masks_pairwise(lows[n : n + 1], highs[n : n + 1])
+                assert np.array_equal(got[n : n + 1], dense)
+        assert widest > 64  # nodes whose bitsets span two words
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_closeness_sets_are_the_comparisons(self, data):
+        count = data.draw(st.integers(min_value=1, max_value=140))
+        values = st.sampled_from([0.0, -0.0, 1.0, 2.5, np.inf, -np.inf, np.nan])
+        keys = np.array(data.draw(st.lists(values, min_size=count, max_size=count)))
+        at_most, at_least = _closeness_sets(keys[None, None, :])
+        words = -(-count // 64)
+        bit = np.arange(64 * words)
+        for sets, expected in (
+            (at_most, keys[None, :] <= keys[:, None]),  # [i, j]: keys[j] <= keys[i]
+            (at_least, keys[:, None] <= keys[None, :]),
+        ):
+            assert sets.shape == (1, 1, count, words)
+            bits = (sets[0, 0][:, bit // 64] >> (bit % 64).astype(np.uint64)) & np.uint64(1)
+            assert np.array_equal(bits[:, :count].astype(bool), expected)
+            assert not bits[:, count:].any()  # no bit past the last key
+
+
+def _first_rows(rows):
+    return first_occurrence_mask(rows, np.zeros(len(rows), dtype=np.int64))
+
+
+def _oriented_splices(skyline, mask, dims):
+    """orient ∘ validity ∘ splice: the oriented skyline, its valid splices
+    (duplicates included) and the corner's ``is_high`` row."""
     is_high = masks_to_bool(np.array([mask]), dims)[0]
     points = np.array(skyline, dtype=np.float64)
     oriented = orient(points, points, is_high)
     i_idx, j_idx = pair_index(len(skyline))
     _, pair = np.nonzero(valid_splices(oriented[None]))
-    stair = splice(oriented[i_idx[pair]], oriented[j_idx[pair]])
-    stair = stair[first_occurrence_mask(stair, np.zeros(len(stair), dtype=np.int64))]
+    return oriented, splice(oriented[i_idx[pair]], oriented[j_idx[pair]]), is_high
+
+
+def _kernel_stairline(skyline, mask, dims):
+    """orient ∘ validity ∘ splice ∘ dedup ∘ un-orient: the candidates of the
+    order bulk_clip ran before it moved the dedup past the τ filter."""
+    _, stair, is_high = _oriented_splices(skyline, mask, dims)
+    stair = stair[_first_rows(stair)]
     return [tuple(row) for row in orient(stair, stair, is_high).tolist()]
+
+
+def _kernel_corner_clips(skyline, mask, dims, mbb, tau, dedup_first=False):
+    """One (node, corner) problem as bulk_clip composes it: orient ∘ validity
+    ∘ splice ∘ scoring ∘ τ filter ∘ dedup ∘ un-orient, best score first.
+
+    ``dedup_first`` dedups the splices before scoring instead, the old
+    order, kept as the oracle the moved dedup must agree with.
+    """
+    oriented, stair, is_high = _oriented_splices(skyline, mask, dims)
+    if dedup_first:
+        stair = stair[_first_rows(stair)]
+    candidates = np.concatenate([oriented, stair])
+    corner = np.array(mbb.corner(mask))
+    dist = corner_distances(candidates, orient(corner, corner, is_high))
+    scores = sequential_prod(dist)
+    best = segment_first_argmax(scores, np.array([0]), np.array([len(scores)]))[0]
+    best_score = scores[best]
+    scores -= overlap_volumes(dist, dist[best])
+    scores[best] = best_score
+    passing = np.flatnonzero(scores > tau * mbb.volume())
+    passing = passing[_first_rows(candidates[passing])]
+    passing = passing[np.argsort(-scores[passing], kind="stable")]
+    coords = orient(candidates[passing], candidates[passing], is_high)
+    return [(tuple(row), score) for row, score in zip(coords.tolist(), scores[passing].tolist())]
+
+
+def _scalar_corner_clips(skyline, mask, dims, mbb, tau):
+    candidates = list(skyline) + stairline_points(skyline, mask, dims)
+    return [
+        (cp.coord, cp.score)
+        for cp in score_clip_candidates(candidates, mask, mbb)
+        if cp.score > tau * mbb.volume()
+    ]
 
 
 def _check_stairline_matches_scalar(groups, mask, dims):
@@ -145,6 +291,11 @@ def _check_stairline_matches_scalar(groups, mask, dims):
         # kernels carry no such test (no splice of a skyline can equal one
         # of its points), so agreement here pins that argument too.
         assert _kernel_stairline(skyline, mask, dims) == stairline_points(skyline, mask, dims)
+        mbb = mbb_of_points(group)
+        for tau in (0.0, 0.025, 0.2):
+            expected = _scalar_corner_clips(skyline, mask, dims, mbb, tau)
+            assert _kernel_corner_clips(skyline, mask, dims, mbb, tau) == expected
+            assert _kernel_corner_clips(skyline, mask, dims, mbb, tau, dedup_first=True) == expected
 
 
 class TestStairlineKernels:

@@ -21,7 +21,7 @@ from repro.geometry.rect import Rect
 from repro.rtree.registry import build_rtree
 from repro.serve.faults import BATCH_FAULT, COMPACTION, FaultPlan, FaultSpec
 from repro.serve.resilience import LogicalClock
-from repro.serve.server import CoalescingServer, Request, Response, ServeConfig
+from repro.serve.server import _CONFIG_RULES, CoalescingServer, Request, Response, ServeConfig
 from tests.conftest import make_random_objects
 
 #: Every server a test starts ends it with each admitted request accounted for.
@@ -310,6 +310,7 @@ BAD_CONFIG_VALUES = [
     ("retry_max_delay", float("nan")),
     ("retry_max_delay", float("inf")),
     ("breaker_cooldown", float("nan")),
+    ("breaker_cooldown", -1.0),
     ("compact_threshold", 0),
     ("batch_window", float("nan")),
     ("batch_window", -0.001),
@@ -321,6 +322,37 @@ BAD_CONFIG_VALUES = [
 def test_config_rejects_values_that_would_silently_misbehave(field, value):
     with pytest.raises(ValueError, match=field):
         ServeConfig(**{field: value})
+
+
+#: ``(field, accepted value)``: the edge of each checked field's rule, the
+#: value a rule one step stricter (``> 0`` for ``>= 0``) would refuse.
+BOUNDARY_CONFIG_VALUES = [
+    ("max_batch", 1),
+    ("default_deadline", float("inf")),
+    ("default_deadline", 1e-9),
+    ("admission_rate", None),
+    ("admission_rate", 1e-9),
+    ("admission_burst", 1),
+    ("retry_max_attempts", 1),
+    ("breaker_failure_threshold", 1),
+    ("retry_base_delay", 0.0),
+    ("retry_max_delay", 0.0),
+    ("breaker_cooldown", 0.0),
+    ("compact_threshold", 1),
+    ("compact_threshold", None),
+    ("batch_window", 0.0),
+]
+
+
+@pytest.mark.parametrize("field, value", BOUNDARY_CONFIG_VALUES)
+def test_config_accepts_the_edge_of_each_rule(field, value):
+    assert getattr(ServeConfig(**{field: value}), field) == value
+
+
+def test_every_config_rule_has_a_refused_and_an_accepted_row():
+    rules = {name for name, _, _ in _CONFIG_RULES}
+    assert {name for name, _ in BAD_CONFIG_VALUES} == rules
+    assert {name for name, _ in BOUNDARY_CONFIG_VALUES} == rules
 
 
 def test_a_server_allowed_thousands_of_attempts_still_answers():

@@ -598,6 +598,48 @@ def test_lazy_object_list(tmp_path):
         lazy[len(objects)]
 
 
+def _rect_error(low, high):
+    with pytest.raises(ValueError) as excinfo:
+        Rect(low, high)
+    return str(excinfo.value)
+
+
+def test_lazy_take_refuses_a_bad_row_with_rects_own_error():
+    lows = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    highs = lows + 1.0
+    highs[1] = [0.5, 2.0]  # inverted in dimension 0
+    lows[2, 1] = np.nan
+    lazy = LazyObjectList(np.arange(4), lows, highs)
+    # The error names the first bad row of those not built yet, in row order.
+    for rows, bad in (([1], 1), ([2], 2), ([3, 2, 1, 0], 1), ([0, 2, 3], 2)):
+        with pytest.raises(ValueError) as excinfo:
+            lazy.take(np.array(rows))
+        assert str(excinfo.value) == _rect_error(lows[bad].tolist(), highs[bad].tolist())
+        assert lazy._cache == {}, "a refused batch caches nothing"
+    with pytest.raises(ValueError, match="NaN bound"):
+        lazy[2]
+    assert lazy._cache == {}
+    good = lazy.take(np.array([3, 0]))
+    assert [obj.rect for obj in good] == [Rect(lows[3], highs[3]), Rect(lows[0], highs[0])]
+    assert sorted(lazy._cache) == [0, 3]
+
+
+def test_lazy_take_builds_what_rect_builds():
+    inf = float("inf")
+    lows = np.array([[-0.0, 0.0], [-inf, 1.0], [2.0, -inf], [5.0, 5.0], [-inf, inf]])
+    highs = np.array([[0.0, -0.0], [inf, 1.0], [2.0, inf], [5.0, 5.0], [inf, inf]])
+    got = LazyObjectList(np.arange(5), lows, highs).take(np.arange(5))
+    for obj, low, high in zip(got, lows.tolist(), highs.tolist()):
+        expected = Rect(low, high)
+        assert obj.rect == expected and hash(obj.rect) == hash(expected)
+        for mine, theirs in ((obj.rect.low, expected.low), (obj.rect.high, expected.high)):
+            assert type(mine) is tuple and all(type(x) is float for x in mine)
+            assert np.signbit(mine).tolist() == np.signbit(theirs).tolist()
+    # Integer columns come back as the floats Rect would make of them.
+    (obj,) = LazyObjectList(np.arange(1), np.array([[1, 2]]), np.array([[3, 4]])).take([0])
+    assert obj.rect.low == (1.0, 2.0) and all(type(x) is float for x in obj.rect.low)
+
+
 _EXPECTED_DTYPES = {
     "is_leaf": np.bool_,
     "clip_is_high": np.bool_,

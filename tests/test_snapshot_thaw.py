@@ -100,6 +100,48 @@ def test_thawed_leaves_hold_the_snapshots_own_objects(tmp_path):
     assert len(loaded.objects._cache) == len(loaded)
 
 
+def _signed_grid_objects(count, dims, seed):
+    """Integer-grid boxes with zeros of both signs and zero extents."""
+    rng = random.Random(seed)
+
+    def signed(value):
+        return -0.0 if value == 0 and rng.random() < 0.5 else float(value)
+
+    objects = []
+    for oid in range(count):
+        low = [signed(rng.randint(-3, 3)) for _ in range(dims)]
+        high = [signed(lo + rng.choice((0, 0, 1, 2))) for lo in low]
+        objects.append(SpatialObject(oid, Rect(low, high)))
+    return objects
+
+
+def _node_table(tree):
+    """Every node as ``(id, level, entries)``, each entry as its bounds'
+    values and sign bits and its child id or object oid."""
+    def entry(e):
+        bounds = e.rect.low + e.rect.high
+        child = e.child.oid if isinstance(e.child, SpatialObject) else e.child
+        return bounds, np.signbit(bounds).tolist(), child
+
+    return sorted(
+        (node.node_id, node.level, [entry(e) for e in node.entries]) for node in tree.nodes()
+    )
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+@pytest.mark.parametrize("variant", ["rstar", "str"])
+def test_a_loaded_thaw_is_the_frozen_tree_node_for_node(tmp_path, variant, dims):
+    # Directory rectangles and objects are built from rows checked as
+    # arrays, not by Rect bound by bound; they must still be the frozen
+    # tree's rectangles, zeros' sign bits included.
+    tree = build_rtree(variant, _signed_grid_objects(300, dims, seed=dims), max_entries=8)
+    snapshot = ColumnarIndex.from_tree(ClippedRTree.wrap(tree))
+    save_snapshot(snapshot, tmp_path)
+    for source in (snapshot, load_snapshot(tmp_path, mmap=True)):
+        thawed = source.to_tree()
+        assert _node_table(thawed.tree) == _node_table(tree)
+
+
 @pytest.mark.parametrize("dims", [2, 3, 5])
 def test_thaw_of_the_array_packer_is_str_bulk_load(dims):
     objects = make_random_objects(200, dims=dims, seed=4)
