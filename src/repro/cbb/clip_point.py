@@ -56,3 +56,24 @@ class ClipPoint:
 
     def __repr__(self) -> str:
         return f"ClipPoint(coord={self.coord}, mask={self.mask:b}, score={self.score:.4g})"
+
+
+def _unchecked_clip_point(coord: Tuple[float, ...], mask: int, score: float = 0.0) -> ClipPoint:
+    """A :class:`ClipPoint` of values its caller has already converted.
+
+    ``coord`` must be a tuple of Python floats, ``mask`` a Python int and
+    ``score`` a Python float — what the constructor would make of them.
+    For callers whose values come out of ``ndarray.tolist()``, which
+    converts them already.
+    """
+    point = _new_clip_point(ClipPoint)
+    _set_coord(point, coord)
+    _set_mask(point, mask)
+    _set_score(point, score)
+    return point
+
+
+_new_clip_point = object.__new__
+_set_coord = ClipPoint.coord.__set__
+_set_mask = ClipPoint.mask.__set__
+_set_score = ClipPoint.score.__set__

@@ -40,7 +40,10 @@ that pass, one stable sort per node     ``compute_clip_points``; the
                                         ``seen`` set of ``stairline_points``
 ======================================  ======================================
 
-The surviving clip points are un-oriented at the very end.  The problem
+The surviving clip points are un-oriented at the very end and leave as
+``ClipPoint`` objects built straight from ``tolist()`` values, which are
+Python floats and ints already (``cbb.clip_point._unchecked_clip_point``;
+the public constructor would convert each value again).  The problem
 axis is walked in runs of nodes whose candidate count fits
 ``_CHUNK_BUDGET`` (:func:`_candidate_slices`), and the skyline tables in
 their own, cache-sized chunks (:func:`_chunked_skyline`), so working
@@ -83,7 +86,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.cbb.clip_point import ClipPoint
+from repro.cbb.clip_point import ClipPoint, _unchecked_clip_point
 from repro.cbb.clipping import ClippingConfig
 from repro.engine.clip_kernels import (
     corner_distances,
@@ -299,15 +302,17 @@ def _clip_slice(
     pts = pts[passing]
     coords = orient(pts, pts, is_high[owner])  # negation undoes itself
 
-    clips: List[List[ClipPoint]] = [[] for _ in range(g)]
-    for ni, coord, mask, score in zip(
-        node[order].tolist(),
-        coords.tolist(),
-        (owner & (corners - 1)).tolist(),
-        scores[passing].tolist(),
-    ):
-        clips[ni].append(ClipPoint(tuple(coord), mask, score))
-    return clips
+    # Zipping the ``tolist()`` columns yields each row as a tuple of floats.
+    points = list(
+        map(
+            _unchecked_clip_point,
+            zip(*coords.T.tolist()),
+            (owner & (corners - 1)).tolist(),
+            scores[passing].tolist(),
+        )
+    )
+    ends = np.cumsum(np.bincount(node[order], minlength=g)).tolist()
+    return [points[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def _stair_points(sky_pts: np.ndarray, sky_counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

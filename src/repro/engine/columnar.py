@@ -82,7 +82,7 @@ from typing import AbstractSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cbb.clip_point import ClipPoint
+from repro.cbb.clip_point import _unchecked_clip_point
 from repro.cbb.clipping import ClippingConfig
 from repro.engine.kernels import (
     expand_segments,
@@ -463,15 +463,13 @@ class ColumnarIndex:
         if record.clipping is None:
             return tree
         clipped = ClippedRTree(tree, record.clipping)
-        coords = self.clip_coords.tolist()
         masks = (self.clip_is_high << np.arange(self.dims)).sum(axis=1).tolist()
+        points = list(map(_unchecked_clip_point, zip(*self.clip_coords.T.tolist()), masks))
         for node_id, start, count in zip(
             node_ids, self.node_clip_start.tolist(), self.node_clip_count.tolist()
         ):
             if count:
-                clipped.store.put(
-                    node_id, [ClipPoint(coords[i], masks[i]) for i in range(start, start + count)]
-                )
+                clipped.store.put(node_id, points[start : start + count])
         return clipped
 
     @staticmethod

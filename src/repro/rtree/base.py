@@ -79,8 +79,8 @@ def resolve_min_entries(max_entries: int, min_entries: Optional[int] = None) -> 
 
     Defaults to the usual 40 % of capacity and clamps into
     ``[1, max_entries // 2]``.  Shared by every tree constructor *and* the
-    array-native STR builder (:mod:`repro.engine.builder`), whose packing
-    must stay decision-for-decision identical to the scalar trees'.
+    STR tiling both STR builders run (:func:`repro.rtree.str_bulk.str_tiling`),
+    which must size nodes as the quadratic tree it fills does.
     """
     if min_entries is None:
         min_entries = max(2, int(round(0.4 * max_entries)))

@@ -10,8 +10,11 @@ Two contracts, each pinned exactly (no tolerances):
    per-node ordering, same byte accounting — across every tree variant ×
    dataset × clipping method and from 2 to 9 dimensions.
 
-2. ``build_columnar_str`` must produce a :class:`ColumnarIndex`
-   array-for-array identical to freezing the scalar STR builder's tree
+2. ``str_bulk_load``, which builds from the shared array tiling, must be
+   node for node the centre-keyed, object-by-object STR packer kept here
+   (``_center_keyed_str``), rectangle bytes included; and
+   ``build_columnar_str`` must produce a :class:`ColumnarIndex`
+   array-for-array identical to freezing that tree
    (``ColumnarIndex.from_tree(str_bulk_load(...))``), including the
    synthesized node ids and the permuted object order.
 """
@@ -20,6 +23,7 @@ import importlib
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,18 +31,24 @@ import pytest
 from repro.cbb.clipping import ClippingConfig
 from repro.cbb.clipping import compute_clip_points
 from repro.datasets import generate
-from repro.engine import ColumnarIndex, build_columnar_str, clip_nodes_batch
+from repro.engine import ColumnarIndex, build_columnar_str, clip_nodes_batch, range_query_batch
 from repro.engine.clip_kernels import first_occurrence_mask
 from repro.engine.incremental_clip import dirty_node_ids, reclip_nodes_for_results
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
-from repro.rtree import str_bulk
 from repro.rtree.clipped import ClippedRTree
 from repro.rtree.entry import Entry
 from repro.rtree.node import Node
+from repro.rtree.quadratic import QuadraticRTree
 from repro.rtree.registry import build_rtree
 from repro.rtree.str_bulk import str_bulk_load
-from tests.conftest import scalar_clip_store
+from tests.conftest import (
+    assert_range_contract,
+    brute_force_answers,
+    make_random_objects,
+    scalar_clip_store,
+    workload_queries,
+)
 
 DATASETS = (("uniform02", 420), ("rea02", 380), ("axo03", 320), ("par03", 300))
 VARIANTS = ("quadratic", "hilbert", "rstar", "rrstar", "str")
@@ -409,8 +419,8 @@ class TestClipChunksBoundMemory:
 
 
 def _tile_by_center(objects, dims, dim, capacity):
-    """``str_bulk._tile`` with the sort key it had before: a whole centre
-    tuple per object per pass, of which one coordinate is read."""
+    """STR's slab recursion as a Python stable sort keyed on one centre
+    coordinate per object per pass."""
     if dim >= dims or len(objects) <= capacity:
         return [objects]
     leaf_pages = math.ceil(len(objects) / capacity)
@@ -423,25 +433,87 @@ def _tile_by_center(objects, dims, dim, capacity):
     return slabs
 
 
+def _center_keyed_str(objects, max_entries, min_entries=None, leaf_fill=1.0):
+    """``str_bulk_load`` as objects all the way: the centre-keyed tiling,
+    leaves cut from its slabs, and ``_pack_level`` bounding each directory
+    node with ``Node.mbb``.  The oracle for the array tiling."""
+    tree = QuadraticRTree(objects[0].dims, max_entries=max_entries, min_entries=min_entries)
+    capacity = max(tree.min_entries, int(max_entries * leaf_fill))
+    del tree._nodes[tree.root_id]
+    leaves = []
+    for slab in _tile_by_center(list(objects), tree.dims, 0, capacity):
+        for start in range(0, len(slab), capacity):
+            leaf = tree._new_node(level=0)
+            leaf.entries = [Entry(obj.rect, obj) for obj in slab[start : start + capacity]]
+            leaves.append(leaf)
+    if len(leaves) > 1 and len(leaves[-1].entries) < tree.min_entries:
+        deficit = tree.min_entries - len(leaves[-1].entries)
+        moved = leaves[-2].entries[-deficit:]
+        leaves[-2].entries = leaves[-2].entries[:-deficit]
+        leaves[-1].entries = moved + leaves[-1].entries
+    root = tree._pack_level(leaves, level=0)
+    tree._adopt_structure(root.node_id, len(objects))
+    return tree
+
+
+def _assert_same_tree(tree, oracle):
+    """Node for node: ids, levels, entry order, children and rectangle bytes."""
+
+    def table(t):
+        return [
+            (node.node_id, node.level, [(e.rect, e.child) for e in node.entries])
+            for node in t.nodes()
+        ]
+
+    def rect_bytes(t):  # == cannot tell 0.0 from -0.0
+        return np.array([(e.rect.low, e.rect.high) for n in t.nodes() for e in n.entries]).tobytes()
+
+    assert table(tree) == table(oracle)
+    assert rect_bytes(tree) == rect_bytes(oracle)
+    assert (tree.root_id, tree._next_id, len(tree)) == (oracle.root_id, oracle._next_id, len(oracle))
+
+
+#: ``test_arrays_identical_on_edge_shapes``' shapes: (size, keyword arguments).
+EDGE_SHAPES = [
+    (10, {}),  # single leaf
+    (60, {"leaf_fill": 0.7}),
+    (300, {"min_entries": 3}),
+    (300, {"leaf_fill": 0.5, "min_entries": 2}),
+]
+
+
 class TestStrTileOrder:
+    """``str_bulk_load`` (the shared array tiling, ``reduceat`` directory
+    MBBs) is the centre-keyed object-by-object packer, node for node."""
+
     @pytest.mark.parametrize("dataset", ("rea02", "axo03", "uniform08"))
     @pytest.mark.parametrize("leaf_fill", (1.0, 0.7))
-    def test_packed_tree_is_entry_for_entry_the_center_keyed_one(
-        self, dataset, leaf_fill, monkeypatch
-    ):
+    def test_packed_tree_is_entry_for_entry_the_center_keyed_one(self, dataset, leaf_fill):
         # rea02 is grid-patterned: equal centres, so the stable order shows.
         objects = generate(dataset, 900, seed=13)
+        _assert_same_tree(
+            str_bulk_load(objects, max_entries=8, leaf_fill=leaf_fill),
+            _center_keyed_str(objects, max_entries=8, leaf_fill=leaf_fill),
+        )
 
-        def entry_lists():
-            tree = str_bulk_load(objects, max_entries=8, leaf_fill=leaf_fill)
-            return [
-                (node.node_id, node.level, [(e.rect, e.child) for e in node.entries])
-                for node in tree.nodes()
-            ]
+    @pytest.mark.parametrize("size,kwargs", EDGE_SHAPES)
+    def test_edge_shapes(self, size, kwargs):
+        objects = generate("uniform02", size, seed=5)
+        _assert_same_tree(
+            str_bulk_load(objects, max_entries=8, **kwargs),
+            _center_keyed_str(objects, max_entries=8, **kwargs),
+        )
 
-        packed = entry_lists()
-        monkeypatch.setattr(str_bulk, "_tile", _tile_by_center)
-        assert packed == entry_lists()
+    @pytest.mark.parametrize("dims", (2, 3))
+    def test_signed_zero_ties_keep_the_first(self, dims):
+        # NumPy's min/max may return either of -0.0 and 0.0; mbb_of_rects
+        # keeps the first, and so must the directory MBBs.
+        objects = _grid_boxes(dims, 400, seed=dims)
+        tree = str_bulk_load(objects, max_entries=5)
+        _assert_same_tree(tree, _center_keyed_str(objects, max_entries=5))
+        directory = [e.rect for node in tree.nodes() if not node.is_leaf for e in node.entries]
+        zeros = [x for rect in directory for x in rect.low + rect.high if x == 0.0]
+        assert {bool(np.signbit(x)) for x in zeros} == {False, True}
 
 
 class TestBuilderDifferential:
@@ -458,21 +530,43 @@ class TestBuilderDifferential:
         assert len(scalar.objects) == len(vector.objects)
         assert all(a is b for a, b in zip(scalar.objects, vector.objects))
 
-    @pytest.mark.parametrize(
-        "size,kwargs",
-        [
-            (10, {}),  # single leaf
-            (60, {"leaf_fill": 0.7}),
-            (300, {"min_entries": 3}),
-            (300, {"leaf_fill": 0.5, "min_entries": 2}),
-        ],
-    )
+    @pytest.mark.parametrize("size,kwargs", EDGE_SHAPES)
     def test_arrays_identical_on_edge_shapes(self, size, kwargs):
         objects = generate("uniform02", size, seed=5)
         scalar = ColumnarIndex.from_tree(str_bulk_load(objects, max_entries=8, **kwargs))
         vector = build_columnar_str(objects, max_entries=8, **kwargs)
         for name in SNAPSHOT_ARRAYS:
             assert np.array_equal(getattr(scalar, name), getattr(vector, name)), name
+
+    def test_signed_zeros_identical_to_the_byte(self):
+        objects = _grid_boxes(3, 400, seed=3)
+        scalar = ColumnarIndex.from_tree(str_bulk_load(objects, max_entries=5))
+        vector = build_columnar_str(objects, max_entries=5)
+        for name in SNAPSHOT_ARRAYS:
+            assert getattr(scalar, name).tobytes() == getattr(vector, name).tobytes(), name
+
+    def test_infinite_extents_sort_last_in_both_builders(self):
+        # An object spanning (-inf, inf) in x has a NaN x centre, which the
+        # x pass of both builders sorts after every finite one.
+        objects = make_random_objects(60, dims=2, seed=21)
+        for i in range(0, 60, 7):
+            rect = objects[i].rect
+            objects[i] = SpatialObject(i, Rect((-math.inf, rect.low[1]), (math.inf, rect.high[1])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = str_bulk_load(objects, max_entries=4)
+            vector = build_columnar_str(objects, max_entries=4)
+        scalar = ColumnarIndex.from_tree(tree)
+        for name in SNAPSHOT_ARRAYS:
+            assert getattr(scalar, name).tobytes() == getattr(vector, name).tobytes(), name
+        assert all(a is b for a, b in zip(scalar.objects, vector.objects))
+        # 60 objects in leaves of 4 make four x slabs of 15: the nine
+        # infinite ones sort into the last.
+        assert {obj.oid for obj in vector.objects[-15:]} >= set(range(0, 60, 7))
+        queries = workload_queries([obj for obj in objects if obj.oid % 7], seed=21)
+        expected = brute_force_answers(objects, queries)
+        assert_range_contract(expected, [tree.range_query(q) for q in queries])
+        assert_range_contract(expected, range_query_batch(vector, queries))
 
     def test_source_free_snapshot_semantics(self):
         objects = generate("uniform02", 200, seed=8)

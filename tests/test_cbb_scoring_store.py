@@ -1,8 +1,9 @@
 """Unit tests for clip points, scoring, and the auxiliary clip store."""
 
+import numpy as np
 import pytest
 
-from repro.cbb.clip_point import ClipPoint
+from repro.cbb.clip_point import ClipPoint, _unchecked_clip_point
 from repro.cbb.scoring import (
     clip_region,
     clip_volume,
@@ -36,6 +37,25 @@ class TestClipPoint:
     def test_dims(self):
         assert ClipPoint((1.0, 2.0), 0).dims == 2
         assert ClipPoint((1.0, 2.0, 3.0), 0).dims == 3
+
+    def test_unchecked_constructor_matches_the_checked_one(self):
+        # What the clip kernels and a snapshot's thaw hand it: rows zipped
+        # from ``tolist()`` columns, ``tolist()`` masks and scores.
+        coords = np.array([[1.5, -0.0, 3.0], [-np.inf, 2.0, 0.0], [4.0, 5.0, np.inf]])
+        masks = np.array([0b101, 0, 0b111], dtype=np.int64)
+        scores = np.array([2.25, 0.0, 7.0])
+        fast = list(
+            map(_unchecked_clip_point, zip(*coords.T.tolist()), masks.tolist(), scores.tolist())
+        )
+        checked = [ClipPoint(row, mask, score) for row, mask, score in zip(coords, masks, scores)]
+        for a, b in zip(fast, checked):
+            assert type(a.coord) is tuple and {type(x) for x in a.coord} == {float}
+            assert type(a.mask) is int and type(a.score) is float
+            assert (a.coord, a.mask, a.score) == (b.coord, b.mask, b.score)
+            assert np.signbit(a.coord).tolist() == np.signbit(b.coord).tolist()
+            assert a == b and hash(a) == hash(b)
+        default = _unchecked_clip_point((1.0, 2.0), 3)
+        assert (default.score, default) == (0.0, ClipPoint((1.0, 2.0), 3))
 
 
 class TestScoring:

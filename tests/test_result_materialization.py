@@ -378,7 +378,7 @@ def test_bulk_loads_refuse_mixed_dims(variant, position):
 def test_build_columnar_str_refuses_mixed_dims(position):
     objects, bad = _mixed_objects()
     mixed = objects + [bad] if position == "last" else [bad] + objects
-    with pytest.raises(ValueError, match="objects have [23] dims, snapshot expects [23]"):
+    with pytest.raises(ValueError, match="object has [23] dims, tree expects [23]"):
         build_columnar_str(mixed, max_entries=8)
 
 
