@@ -181,6 +181,29 @@ def _pinned(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=dtype)
 
 
+def slot_levels(
+    is_leaf: np.ndarray, entry_start: np.ndarray, entry_child: np.ndarray
+) -> np.ndarray:
+    """Per-slot tree levels (0 = leaf) of a snapshot's node arrays.
+
+    A directory slot sits one level above its first child.  Starting
+    from all zeros, every pass applies that rule to all directory slots
+    at once and settles one more level from the leaves up, so it reaches
+    the fixpoint in ``height`` passes (and a tree has fewer levels than
+    directory slots, which bounds the loop).  Every directory slot must
+    hold an entry.
+    """
+    levels = np.zeros(len(is_leaf), dtype=np.int64)
+    directory = np.flatnonzero(~is_leaf)
+    first_child = entry_child[entry_start[directory]]
+    for _ in range(len(directory)):
+        above = levels[first_child] + 1
+        if np.array_equal(above, levels[directory]):
+            break
+        levels[directory] = above
+    return levels
+
+
 class ColumnarIndex:
     """An immutable, array-backed snapshot of one R-tree (+ clip points).
 
@@ -565,26 +588,13 @@ class ColumnarIndex:
         return self._object_column[rows].tolist()
 
     def node_levels(self) -> np.ndarray:
-        """Per-slot tree levels (0 = leaf), cached.
+        """Per-slot tree levels (0 = leaf), cached: :func:`slot_levels`.
 
-        A directory slot sits one level above its first child.  Starting
-        from all zeros, every pass applies that rule to all directory
-        slots at once and settles one more level from the leaves up, so
-        it reaches the fixpoint in ``height`` passes (and a tree has
-        fewer levels than directory slots, which bounds the loop).  The
-        join executor uses levels to replicate the scalar STT's
+        The join executor uses levels to replicate the scalar STT's
         descend-the-deeper-tree rule.
         """
         if self._node_levels is None:
-            levels = np.zeros(len(self.is_leaf), dtype=np.int64)
-            directory = np.flatnonzero(~self.is_leaf)
-            first_child = self.entry_child[self.entry_start[directory]]
-            for _ in range(len(directory)):
-                above = levels[first_child] + 1
-                if np.array_equal(above, levels[directory]):
-                    break
-                levels[directory] = above
-            self._node_levels = levels
+            self._node_levels = slot_levels(self.is_leaf, self.entry_start, self.entry_child)
         return self._node_levels
 
     def node_major(self) -> tuple:
@@ -601,11 +611,11 @@ class ColumnarIndex:
         False — no query can select a padded cell, and neither can the
         other side of a join, whose own padding is NaN too.
 
-        Readers: the range frontier and the INLJ built on it
-        (:func:`~repro.engine.executor.gather_range_hits`), both stages of
-        batched kNN (:func:`~repro.engine.executor.gather_knn_hits`, whose
-        MinDist² of a NaN cell is NaN and fails every bound) and both
-        stages of the STT join (:mod:`repro.engine.join_exec`).
+        Readers: the per-level step :func:`~repro.engine.executor.expand`
+        (the range frontier, the INLJ and both passes of the STT join),
+        the STT leaf pass's coordinate gather, and both stages of batched
+        kNN (:func:`~repro.engine.executor.gather_knn_hits`, whose MinDist²
+        of a NaN cell is NaN and fails every bound).
 
         Derivation only reads the flat arrays (they may be read-only
         memmaps) and costs a few milliseconds per 20k objects; the result
@@ -641,11 +651,12 @@ class ColumnarIndex:
         ``<=``, whatever ±inf the probe carries — and ``Rect`` rejects NaN
         bounds, so no real coordinate is mistaken for padding.
 
-        The rows come from the per-node view, root included; the range
-        frontier reaches them through ``entry_child``, the STT join
-        directly.  Readers: the range frontier and the INLJ built on it,
-        both veto passes of the STT descent and its root test.  Only call
-        it when :attr:`has_clips`.
+        The rows come from the per-node view, root included; a descent
+        reaches them through ``entry_child``, the STT join's partner veto
+        directly.  Readers: :func:`~repro.engine.executor.expand` (the
+        child veto of the range frontier, the INLJ and the STT descent),
+        the STT descent's partner veto and its root test.  Only call it
+        when :attr:`has_clips`.
 
         Derivation only reads the flat arrays (they may be read-only
         memmaps) and costs a couple of milliseconds per 30k objects; the
@@ -675,11 +686,11 @@ class ColumnarIndex:
     # convenience query wrappers
     # ------------------------------------------------------------------
 
-    def range_query_batch(self, rects: Sequence, stats=None, access_hook=None, live=None):
+    def range_query_batch(self, rects: Sequence, stats=None, live=None):
         """See :func:`repro.engine.executor.range_query_batch`."""
         from repro.engine.executor import range_query_batch
 
-        return range_query_batch(self, rects, stats=stats, access_hook=access_hook, live=live)
+        return range_query_batch(self, rects, stats=stats, live=live)
 
     def knn_batch(self, points: Sequence, k: int, stats=None, live=None):
         """See :func:`repro.engine.executor.knn_batch`."""

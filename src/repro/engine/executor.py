@@ -1,21 +1,19 @@
 """Batch query execution over a :class:`~repro.engine.columnar.ColumnarIndex`.
 
 :func:`range_query_batch` runs *all* queries simultaneously with a
-level-synchronous frontier: each iteration expands every pending
-``(query, node)`` pair of one tree level.  The entry test reads the
-snapshot's node-major padded layout
+level-synchronous frontier: each round is one tree level, one
+:func:`expand` of every pending ``(query, node)`` pair.  :func:`expand` is
+the engine's one per-level step — range, INLJ and both passes of the STT
+join (:mod:`repro.engine.join_exec`) descend through it.  Its entry test
+reads the node-major padded layout
 (:meth:`~repro.engine.columnar.ColumnarIndex.node_major`): per dimension
-one row gather of the frontier's nodes and one dense ``<=`` against the
-frontier's query bounds, and-ed in place into a single ``(frontier,
-max_fanout)`` mask whose row-major cell order is the ``(frontier row,
-entry)`` discovery order.  Matched directory entries then take the clip
-pruning pass, the same shape one step later: the children's rows of the
-node-major clip layout
-(:meth:`~repro.engine.columnar.ColumnarIndex.node_major_clips`) against
-their queries' bounds, one strict compare per dimension and mask side
+one row gather of the nodes and one dense ``<=`` against their probe
+boxes, and-ed into a single ``(nodes, max_fanout)`` mask whose row-major
+cell order is the ``(row, entry)`` discovery order.  Below a directory
+node the matched entries' children then take the clip pruning pass,
+the same shape on the node-major clip layout
 (:func:`~repro.engine.kernels.padded_clip_veto`), over the candidates
-only — a few thousand rows, not the whole mask — before they become the
-next frontier.  The per-level Python overhead is a handful of NumPy calls
+only.  The per-level Python overhead is a handful of NumPy calls
 regardless of how many queries or nodes are in flight.
 
 :func:`knn_batch` runs the same way.  Best-first search reads exactly the
@@ -59,9 +57,45 @@ from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.storage.stats import IOStats
 
-#: ``access_hook(query_indices, node_ids)`` — one call per frontier round
-#: with the queries and the original tree node ids they are visiting.
+#: ``access_hook(query_indices, node_ids)`` — one call per tree level with
+#: the queries and the original tree node ids they are visiting.
 AccessHook = Callable[[np.ndarray, np.ndarray], None]
+
+
+def expand(
+    index: ColumnarIndex,
+    nodes: np.ndarray,
+    probe_lows_t: np.ndarray,
+    probe_highs_t: np.ndarray,
+    probes: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One level of a descent: the entries of ``nodes`` each probe box may reach.
+
+    Row ``r`` tests the entries of ``nodes[r]`` against the box
+    ``probes[r]`` of ``probe_lows_t`` / ``probe_highs_t`` (one row per
+    dimension): their MBBs, then — below a directory node — the clip
+    points of the children the survivors lead to.  Returns ``(rows,
+    flat)``, the row and flat entry index of every entry that passes, in
+    ``(row, entry)`` order.  ``nodes`` are all leaves or all directory
+    nodes, one level of a balanced tree: what every frontier holds, and
+    the only shape :func:`~repro.engine.snapshot_io.load_snapshot` loads.
+    """
+    lows, highs = index.node_major()
+    match = padded_intersect_mask(lows, highs, nodes, probe_lows_t, probe_highs_t, probes)
+    # Row-major order is (row, entry) order — discovery order.
+    rows, cols = mask_cells(match)
+    # Cell [row, j] is flat entry ``entry_start[node] + j``.
+    flat = index.entry_start[nodes[rows]] + cols
+    if index.has_clips and len(flat) and not index.is_leaf[nodes[0]]:
+        keep = ~padded_clip_veto(
+            *index.node_major_clips(),
+            index.entry_child[flat],
+            probe_lows_t,
+            probe_highs_t,
+            probes[rows],
+        )
+        rows, flat = rows[keep], flat[keep]
+    return rows, flat
 
 
 def gather_range_hits(
@@ -80,65 +114,34 @@ def gather_range_hits(
     (:func:`repro.engine.join_exec.inlj_batch`), which only differ in how
     they materialise the hits; ``IOStats`` accounting is identical to the
     scalar traversal either way.
+
+    Each round is one tree level, one :func:`expand` of every pending
+    ``(query, node)`` pair: a directory round's entries become the next
+    frontier, and the leaf round's are the hits.
     """
-    lows, highs = index.node_major()
-    clips = index.node_major_clips() if index.has_clips else None
     # One contiguous row per dimension: the frontier gathers query bounds a
     # dimension at a time.
     q_low_t = np.ascontiguousarray(q_lows.T)
     q_high_t = np.ascontiguousarray(q_highs.T)
-    n_queries = len(q_lows)
-    frontier_q = np.arange(n_queries, dtype=np.int64)
-    frontier_n = np.full(n_queries, ColumnarIndex.ROOT_SLOT, dtype=np.int64)
-    hit_queries_rounds: List[np.ndarray] = []
-    hit_objects_rounds: List[np.ndarray] = []
-
+    frontier_q = np.arange(len(q_lows), dtype=np.int64)
+    frontier_n = np.full(len(q_lows), ColumnarIndex.ROOT_SLOT, dtype=np.int64)
     while len(frontier_n):
         if access_hook is not None:
             access_hook(frontier_q, index.node_ids[frontier_n])
-
-        # --- every entry of every frontier node against its query -------
-        match = padded_intersect_mask(
-            lows, highs, frontier_n, q_low_t, q_high_t, frontier_q
-        )
-        # Row-major order is (frontier row, entry) order — discovery order.
-        rows, cols = mask_cells(match)
-        # Cell [row, j] is flat entry ``entry_start[node] + j``.
-        matched_child = index.entry_child[index.entry_start[frontier_n[rows]] + cols]
-        matched_q = frontier_q[rows]
-        leaf_sel = index.is_leaf[frontier_n]
-        at_leaf = leaf_sel[rows]
-
-        # --- leaf visits: record hits -----------------------------------
-        n_leaves = int(np.count_nonzero(leaf_sel))
-        hit_rows = rows[at_leaf]
+        rows, flat = expand(index, frontier_n, q_low_t, q_high_t, frontier_q)
+        if index.is_leaf[frontier_n[0]]:
+            if stats is not None:
+                stats.leaf_accesses += len(frontier_n)
+                if len(rows):
+                    # ``rows`` ascends: contributing leaves = distinct rows.
+                    stats.contributing_leaf_accesses += 1 + int(
+                        np.count_nonzero(rows[1:] != rows[:-1])
+                    )
+            return frontier_q[rows], index.entry_child[flat]
         if stats is not None:
-            stats.leaf_accesses += n_leaves
-            if len(hit_rows):
-                # ``hit_rows`` ascends: contributing leaves = distinct rows.
-                stats.contributing_leaf_accesses += 1 + int(
-                    np.count_nonzero(hit_rows[1:] != hit_rows[:-1])
-                )
-        if len(hit_rows):
-            hit_queries_rounds.append(matched_q[at_leaf])
-            hit_objects_rounds.append(matched_child[at_leaf])
-
-        # --- internal visits: filter children into the next frontier ----
-        n_internal = len(frontier_n) - n_leaves
-        if stats is not None:
-            stats.internal_accesses += n_internal
-        if not n_internal:
-            break
-        below = ~at_leaf
-        frontier_n = matched_child[below]
-        frontier_q = matched_q[below]
-        if clips is not None:
-            keep = ~padded_clip_veto(*clips, frontier_n, q_low_t, q_high_t, frontier_q)
-            frontier_n = frontier_n[keep]
-            frontier_q = frontier_q[keep]
-
-    if hit_queries_rounds:
-        return np.concatenate(hit_queries_rounds), np.concatenate(hit_objects_rounds)
+            stats.internal_accesses += len(frontier_n)
+        frontier_n = index.entry_child[flat]
+        frontier_q = frontier_q[rows]
     empty = np.empty(0, dtype=np.int64)
     return empty, empty
 
@@ -155,9 +158,11 @@ def range_query_batch(
     The vectorized equivalent of calling ``range_query(rect, stats=...)``
     once per rectangle: result *sets* and every ``IOStats`` counter are
     identical to the scalar path (results arrive in BFS rather than DFS
-    order).  ``access_hook``, when given, is invoked once per frontier
-    round with the visiting query indices and visited node ids — the
-    cold-disk experiment uses it to charge a buffer pool.
+    order).  ``access_hook``, when given, is invoked once per tree level
+    with the visiting query indices and visited node ids, which is how the
+    tests compare the frontier's visits with the scalar walk's level by
+    level (the cold-disk experiments charge their buffer pools through the
+    scalar walk's own hook).
 
     ``live``, when given, is a boolean column over the objects (the
     tombstones of :class:`~repro.engine.delta.DeltaOverlay`): hits on a

@@ -8,24 +8,19 @@ The two §V join strategies, vectorized:
   kernel sweep per tree level instead of one Python traversal per probe.
 * :func:`stt_batch` — Synchronised Tree Traversal: the frontier holds
   *pairs* of node slots, one from each snapshot.  Each round splits the
-  frontier into leaf×leaf pairs and descending pairs.  Both read the
-  node-major padded layout (:meth:`ColumnarIndex.node_major`).  A
-  descending pair tests the deeper side's entry row against the partner's
-  MBB as the range frontier tests it against a query.  The surviving
-  child pairs then take the paper's clipped dominance pruning — the
-  candidate child's clip points probed with the partner's MBB and the
-  partner's clip points probed with the candidate's rectangle, exactly
-  the two ``node_intersects`` tests of the scalar ``_pair_passes`` — as
-  two calls of the range frontier's probe
-  (:func:`~repro.engine.kernels.padded_clip_veto` on
-  :meth:`ColumnarIndex.node_major_clips`), which the root pair takes too.
-  A block of leaf pairs takes the descent's MBB test on both sides first
-  — the search-space restriction of Brinkhoff, Kriegel & Seeger (SIGMOD
-  1993, §4.1) — and compares only the entries that meet the partner
-  leaf's MBB with each other, one dimension at a time: about 7 % of the
-  dense ``(pairs, left fan-out, right fan-out)`` product on the neurite
-  join.  One constant, :data:`_LEAF_BLOCK_CELLS` dense cells per block,
-  bounds its working memory.
+  frontier into leaf×leaf pairs and descending pairs, and both take the
+  range frontier's per-level step (:func:`~repro.engine.executor.expand`)
+  with the partner node's MBB as the probe box.  A descending pair's
+  children thereby pass the MBB test and their own clip points probed
+  with the partner's MBB; the one veto added here probes the partner's
+  clip points with the child's rectangle — together exactly the scalar
+  ``_pair_passes``, which the root pair takes too.  A block of leaf pairs
+  keeps each side's entries that meet the partner leaf's MBB — the
+  search-space restriction of Brinkhoff, Kriegel & Seeger (SIGMOD 1993,
+  §4.1) — and compares only those with each other, one dimension at a
+  time: about 7 % of the dense ``(pairs, left fan-out, right fan-out)``
+  product on the neurite join.  One constant, :data:`_LEAF_BLOCK_CELLS`
+  dense cells per block, bounds its working memory.
 
 Both reproduce the scalar joins (:mod:`repro.join`) exactly: the same
 result pairs, the same ``pair_count``, and the same ``IOStats`` — one
@@ -48,14 +43,12 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.engine.columnar import ColumnarIndex
-from repro.engine.executor import gather_range_hits
+from repro.engine.executor import expand, gather_range_hits
 from repro.engine.kernels import (
     expand_segments,
     intersect_mask,
-    mask_cells,
     object_column,
     padded_clip_veto,
-    padded_intersect_mask,
     stack_bounds,
 )
 from repro.geometry.objects import SpatialObject
@@ -199,25 +192,11 @@ def _stt_descend(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expand one side's entries against the partner nodes of the other.
 
-    ``other_lows_t`` / ``other_highs_t`` are the partner side's node MBBs,
-    one row per dimension.
+    :func:`~repro.engine.executor.expand` with the partner side's node
+    MBBs (``other_lows_t`` / ``other_highs_t``, one row per dimension) as
+    the probes, then the partner's clip points against each child.
     """
-    lows, highs = desc.node_major()
-    match = padded_intersect_mask(
-        lows, highs, nodes, other_lows_t, other_highs_t, partners
-    )
-    rows, cols = mask_cells(match)
-    flat = desc.entry_start[nodes[rows]] + cols
-    if desc.has_clips:
-        # Candidate child's own clip points vs the partner's MBB.
-        keep = ~padded_clip_veto(
-            *desc.node_major_clips(),
-            desc.entry_child[flat],
-            other_lows_t,
-            other_highs_t,
-            partners[rows],
-        )
-        rows, flat = rows[keep], flat[keep]
+    rows, flat = expand(desc, nodes, other_lows_t, other_highs_t, partners)
     if other.has_clips:
         # Partner node's clip points vs the candidate child's rectangle.
         keep = ~padded_clip_veto(
@@ -248,9 +227,8 @@ def _join_leaf_pairs(
     ``leaf_b[p]`` meets none of its entries, and vice versa.  Per block of
     pairs:
 
-    1. *Filter* — each leaf's padded entry row is tested against the
-       partner's MBB (:func:`padded_intersect_mask`, the descent's test;
-       NaN padding fails it), two ``(pairs, fan-out)`` masks.
+    1. *Filter* — each leaf's entries are tested against the partner's
+       MBB by the descent's step (:func:`~repro.engine.executor.expand`).
     2. *Expand* — only the survivor × survivor cells of each pair are
        formed, in (pair, left entry, right entry) row-major order: the
        scalar loop's left-outer / right-inner order.
@@ -283,18 +261,18 @@ def _join_leaf_pairs(
     for start in range(0, len(leaf_a), step):
         a = leaf_a[start : start + step]
         b = leaf_b[start : start + step]
-        pair_a, col_a = mask_cells(
-            padded_intersect_mask(l_lows, l_highs, a, r_box_lows_t, r_box_highs_t, b)
-        )
-        pair_b, col_b = mask_cells(
-            padded_intersect_mask(r_lows, r_highs, b, l_box_lows_t, l_box_highs_t, a)
-        )
+        pair_a, flat_a = expand(left, a, r_box_lows_t, r_box_highs_t, b)
+        pair_b, flat_b = expand(right, b, l_box_lows_t, l_box_highs_t, a)
         # Left survivor s meets the right survivors of its own pair, which
         # are contiguous in ``pair_b`` order.
         n_b = np.bincount(pair_b, minlength=len(b))
         cell_b, cell_a = expand_segments((np.cumsum(n_b) - n_b)[pair_a], n_b[pair_a])
-        a_lows, a_highs = (side.take(a[pair_a] * l_fanout + col_a, axis=1) for side in l_flat)
-        b_lows, b_highs = (side.take(b[pair_b] * r_fanout + col_b, axis=1) for side in r_flat)
+        # Flat entry e of node n is padded cell n·fan-out + e − entry_start[n].
+        node_a, node_b = a[pair_a], b[pair_b]
+        at_a = node_a * l_fanout + flat_a - left.entry_start[node_a]
+        at_b = node_b * r_fanout + flat_b - right.entry_start[node_b]
+        a_lows, a_highs = (side.take(at_a, axis=1) for side in l_flat)
+        b_lows, b_highs = (side.take(at_b, axis=1) for side in r_flat)
         for dim in range(left.dims):
             hit = a_lows[dim].take(cell_a) <= b_highs[dim].take(cell_b)
             hit &= b_lows[dim].take(cell_b) <= a_highs[dim].take(cell_a)
@@ -303,10 +281,7 @@ def _join_leaf_pairs(
         counts[start : start + step] = np.bincount(pair_a.take(cell_a), minlength=len(a))
         if collected is not None and len(cell_a):
             collected.append(
-                (
-                    left.entry_child[left.entry_start[a[pair_a[cell_a]]] + col_a[cell_a]],
-                    right.entry_child[right.entry_start[b[pair_b[cell_b]]] + col_b[cell_b]],
-                )
+                (left.entry_child[flat_a[cell_a]], right.entry_child[flat_b[cell_b]])
             )
     return counts
 

@@ -23,9 +23,11 @@ The ``padded_*`` kernels read the node-major layouts a
 :meth:`~repro.engine.columnar.ColumnarIndex.node_major_clips` for clip
 points): one row per node, NaN past its own count, so a whole frontier is
 a row gather and one dense compare per dimension and bound, with no gather
-index and no owner map.  The range frontier, the INLJ and the STT join
-share the intersection and clip kernels; batched kNN runs on the MinDist
-one.  :func:`expand_segments`, which turns ``(start, count)`` slices of a
+index and no owner map.  The intersection and clip kernels are called
+from one per-level step, :func:`repro.engine.executor.expand`, which the
+range frontier, the INLJ and both passes of the STT join descend through
+(the STT descent adds one clip probe of its own, as does its root test);
+batched kNN runs on the MinDist kernel.  :func:`expand_segments`, which turns ``(start, count)`` slices of a
 flat array into a gather index plus an owner map, is what the two
 derivations are built with.
 

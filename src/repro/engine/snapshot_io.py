@@ -9,7 +9,8 @@ default) every array is an ``mmap_mode="r"`` view of its file, so the
 loaded arrays stay in the page cache, and any number of processes opening
 the same directory share one copy of the data — the transport underneath
 :class:`~repro.engine.parallel.ParallelExecutor`'s worker pool.  Loading
-reads every entry row once, to check it.
+reads every entry row once, to check it, and refuses node slots that are
+not one balanced tree.
 
 **What is stored (format version 4): every fact once.**  Twelve arrays —
 the eleven canonical ``ColumnarIndex`` arrays (node flags and entry
@@ -82,7 +83,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Union
 import numpy as np
 
 from repro.cbb.clipping import VALID_METHODS, ClippingConfig
-from repro.engine.columnar import ColumnarIndex, TreeRecord
+from repro.engine.columnar import ColumnarIndex, TreeRecord, slot_levels
 from repro.engine.kernels import expand_segments, rects_of_rows
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
@@ -263,6 +264,45 @@ def _entry_rows_fault(index: ColumnarIndex) -> Optional[str]:
         return (
             f"directory row {row} does not contain the bounds of node slot "
             f"{index.entry_child[row]}"
+        )
+    return None
+
+
+def _tree_shape_fault(index: ColumnarIndex) -> Optional[str]:
+    """Why ``index``'s node slots are not one balanced tree, or None.
+
+    The frontiers expand one tree level at a time
+    (:func:`~repro.engine.executor.expand`), so a loaded snapshot must have
+    the shape every freeze lays out: each directory row leads to a later
+    slot, every slot but the root is the child of exactly one directory
+    row, no directory slot is empty, and every child sits one level below
+    its parent (:func:`~repro.engine.columnar.slot_levels`, computed here
+    without filling the index's cache).  Vectorised over the directory
+    rows; runs after :func:`_entry_rows_fault`, which has checked that
+    each of them points at a slot.
+    """
+    directory = np.flatnonzero(~index.is_leaf)
+    rows, owners = expand_segments(index.entry_start[directory], index.entry_count[directory])
+    parents, children = directory[owners], index.entry_child[rows]
+    back = np.flatnonzero(children <= parents)
+    if len(back):
+        at = back[0]
+        return f"directory row {rows[at]} points back at node slot {children[at]}"
+    parent_rows = np.bincount(children, minlength=len(index.is_leaf))
+    stray = np.flatnonzero(parent_rows[1:] != 1) + 1
+    if len(stray):
+        at = stray[0]
+        return f"node slot {at} is the child of {parent_rows[at]} directory rows, not one"
+    empty = directory[index.entry_count[directory] == 0]
+    if len(empty):
+        return f"directory slot {empty[0]} is empty"
+    levels = slot_levels(index.is_leaf, index.entry_start, index.entry_child)
+    uneven = np.flatnonzero(levels[children] != levels[parents] - 1)
+    if len(uneven):
+        at = uneven[0]
+        return (
+            f"node slot {children[at]} (level {levels[children[at]]}) is not one level "
+            f"below its parent, node slot {parents[at]} (level {levels[parents[at]]})"
         )
     return None
 
@@ -536,8 +576,9 @@ def load_snapshot(directory: Union[str, Path], mmap: bool = True) -> ColumnarInd
     ``mmap=True`` maps every array read-only straight off disk — the OS
     pages data in on first touch, and concurrent processes share one
     physical copy.  Loading itself reads every entry row once, to check
-    it (:func:`_entry_rows_fault`): linear in the entries, not in the
-    metadata.  ``mmap=False`` reads the arrays
+    it (:func:`_entry_rows_fault`), and every directory row once more for
+    the tree's shape (:func:`_tree_shape_fault`): linear in the entries,
+    not in the metadata.  ``mmap=False`` reads the arrays
     into RAM (useful when the snapshot directory is about to disappear,
     e.g. tests using temp dirs that outlive the view).
 
@@ -546,8 +587,9 @@ def load_snapshot(directory: Union[str, Path], mmap: bool = True) -> ColumnarInd
     the manifest, arrays whose leaf rows are not the objects'
     (:func:`_leaf_rows_fault`), an entry row that is not ``low <= high``
     or a directory row that does not contain its child's bounds
-    (:func:`_entry_rows_fault`), or a tree record the arrays contradict: a
-    next node id not above every node id, clip points without a clip
+    (:func:`_entry_rows_fault`), node slots that are not one balanced tree
+    (:func:`_tree_shape_fault`), or a tree record the arrays contradict:
+    a next node id not above every node id, clip points without a clip
     method.
     """
     directory = Path(directory)
@@ -571,7 +613,11 @@ def load_snapshot(directory: Union[str, Path], mmap: bool = True) -> ColumnarInd
         tree_record=record,
         **arrays,
     )
-    fault = _leaf_rows_fault(snapshot, len(oids)) or _entry_rows_fault(snapshot)
+    fault = (
+        _leaf_rows_fault(snapshot, len(oids))
+        or _entry_rows_fault(snapshot)
+        or _tree_shape_fault(snapshot)
+    )
     largest_id = int(snapshot.node_ids.max(initial=-1))
     if fault is None and record.next_id <= largest_id:
         fault = f"its next node id {record.next_id} is not above node id {largest_id}"

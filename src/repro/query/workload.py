@@ -9,6 +9,7 @@ target number of objects.  The three standard profiles, ``QR0``/``QR1``/
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
@@ -35,6 +36,25 @@ STANDARD_PROFILES = (
 )
 
 
+def _centred(objects: List[SpatialObject], space: Rect) -> List[SpatialObject]:
+    """The objects whose centre is finite, the only ones a query can centre on.
+
+    An object reaching to infinity in a dimension has an infinite (or, when
+    it spans the whole axis, NaN) centre there, which would make every
+    query drawn on it, and every side calibrated over it, infinite.  Such
+    objects still count as results.  When twice the largest bound of
+    ``space``, the objects' MBB, is finite, no centre can overflow and
+    ``objects`` is returned as it is.  Raises ``ValueError`` when no object
+    has a finite centre.
+    """
+    if math.isfinite(2.0 * max(map(abs, space.low + space.high))):
+        return objects
+    centred = [obj for obj in objects if all(map(math.isfinite, obj.rect.center))]
+    if not centred:
+        raise ValueError("a workload needs an object with a finite centre")
+    return centred
+
+
 class RangeQueryWorkload:
     """Generates square range queries with a calibrated selectivity.
 
@@ -42,6 +62,8 @@ class RangeQueryWorkload:
     via vectorised counting over a sample of candidate centres) so that the
     expected number of results matches ``target_results``; individual
     queries then vary only through the choice of the (dithered) centre.
+    Centres, and the extent the sides are fractions of, come from the
+    objects with a finite centre; results are counted over all of them.
     """
 
     def __init__(
@@ -61,6 +83,7 @@ class RangeQueryWorkload:
         self.dither = float(dither)
         self.seed = seed
         self.space = mbb_of_rects([obj.rect for obj in self._objects])
+        self._centred = _centred(self._objects, self.space)
 
     # ------------------------------------------------------------------
     # calibration
@@ -83,13 +106,16 @@ class RangeQueryWorkload:
             raise ValueError("a workload needs a non-empty object collection")
         dims = objects[0].dims
         space = mbb_of_rects([obj.rect for obj in objects])
+        centred = _centred(objects, space)
+        if len(centred) < len(objects):
+            space = mbb_of_rects([obj.rect for obj in centred])
         extents = [max(space.side(i), 1e-12) for i in range(dims)]
 
         lows = np.array([obj.rect.low for obj in objects])
         highs = np.array([obj.rect.high for obj in objects])
         rng = random.Random(seed)
         sample_centers = np.array(
-            [rng.choice(objects).rect.center for _ in range(calibration_samples)]
+            [rng.choice(centred).rect.center for _ in range(calibration_samples)]
         )
 
         def average_results(fraction: float) -> float:
@@ -132,7 +158,7 @@ class RangeQueryWorkload:
         """Yield ``count`` queries at dithered object centres."""
         rng = random.Random(self.seed if seed is None else seed)
         for _ in range(count):
-            obj = rng.choice(self._objects)
+            obj = rng.choice(self._centred)
             center = [
                 c + rng.uniform(-self.dither, self.dither) for c in obj.rect.center
             ]

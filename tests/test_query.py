@@ -1,7 +1,10 @@
 """Tests for the query workload generator, execution helpers, and kNN search."""
 
+import math
+
 import pytest
 
+from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.query.knn import knn_query
 from repro.query.range_query import brute_force_range, execute_workload
@@ -55,6 +58,25 @@ class TestWorkloadCalibration:
             RangeQueryWorkload.from_objects([], target_results=5)
         with pytest.raises(ValueError):
             RangeQueryWorkload(objects, side_lengths=(1.0,), dither=0.1)
+
+    def test_objects_of_infinite_extent_are_results_but_never_centres(self):
+        objects = make_random_objects(200, seed=39)
+        finite = RangeQueryWorkload.from_objects(objects, target_results=5, seed=4)
+        unbounded = [
+            SpatialObject(1000, Rect((-math.inf, 0.0), (math.inf, 1.0))),
+            SpatialObject(1001, Rect((0.0, 0.0), (math.inf, 1.0))),
+        ]
+        workload = RangeQueryWorkload.from_objects(objects + unbounded, target_results=5, seed=4)
+        queries = workload.query_list(40, seed=5)
+        assert all(math.isfinite(b) for q in queries for b in q.low + q.high)
+        assert all(math.isfinite(side) for side in workload.side_lengths)
+        # Same centres and extents as over the finite objects alone, but the
+        # two unbounded ones still count as results, so the sides shrink.
+        assert workload.side_lengths[0] < finite.side_lengths[0]
+        with pytest.raises(ValueError, match="finite centre"):
+            RangeQueryWorkload.from_objects(unbounded, target_results=1)
+        with pytest.raises(ValueError, match="finite centre"):
+            RangeQueryWorkload(unbounded, side_lengths=(1.0, 1.0), dither=0.0)
 
     def test_query_at(self):
         objects = make_random_objects(50, seed=36)

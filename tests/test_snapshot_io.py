@@ -578,6 +578,59 @@ def test_hostile_entry_rows_are_refused_at_load(tmp_path, edit, message):
             load_snapshot(tmp_path, mmap=mmap)
 
 
+def _root_row_to_a_grandchild(reference, lows, highs, child):
+    # Row 0 already contains the first leaf below its own child.
+    child[0] = child[reference.entry_start[child[0]]]
+
+
+def _root_row_to_the_root(reference, lows, highs, child):
+    root = slice(0, reference.entry_count[0])
+    lows[0], highs[0] = lows[root].min(axis=0), highs[root].max(axis=0)
+    child[0] = 0
+
+
+def _leaf_and_directory_swapped(reference, lows, highs, child):
+    # The root's last row takes slot 1's first leaf and slot 1's first row
+    # the root's last child: one parent each, every child a later slot and
+    # inside its row, but leaves on two levels.
+    last, first = reference.entry_count[0] - 1, reference.entry_start[1]
+    hull = lows[: last + 1].min(axis=0), highs[: last + 1].max(axis=0)
+    lows[first], highs[first] = lows[last].copy(), highs[last].copy()
+    lows[0], highs[0] = hull
+    lows[last], highs[last] = hull
+    child[first], child[last] = child[last], child[first]
+
+
+#: Node slots that are not one balanced tree: (what the files say, the edit
+#: of the entry rows and children, what the error names).  Each loaded
+#: before the tree's shape was checked; the first answered an all-space
+#: query with 249 of 300 objects, the second never finished one.
+HOSTILE_TREE_SHAPES = [
+    ("a root row pointing at a leaf two levels down", _root_row_to_a_grandchild,
+     "node slot 1 is the child of 0 directory rows"),
+    ("a root row pointing back at the root", _root_row_to_the_root,
+     "directory row 0 points back at node slot 0"),
+    ("a leaf and a directory node swapped across levels", _leaf_and_directory_swapped,
+     "is not one level below its parent, node slot 0"),
+]
+
+
+@pytest.mark.parametrize("edit,message", [row[1:] for row in HOSTILE_TREE_SHAPES],
+                         ids=[row[0] for row in HOSTILE_TREE_SHAPES])
+def test_node_slots_that_are_not_one_balanced_tree_are_refused_at_load(tmp_path, edit, message):
+    objects, reference = _frozen(dims=2, count=300, clip="stairline", variant="str")
+    assert reference.node_levels()[0] == 2 and reference.entry_count[0] > 1
+    save_snapshot(reference, tmp_path)
+    lows, highs = reference.entry_lows.copy(), reference.entry_highs.copy()
+    child = reference.entry_child.copy()
+    edit(reference, lows, highs, child)
+    for name, array in (("entry_lows", lows), ("entry_highs", highs), ("entry_child", child)):
+        _overwrite_array(tmp_path, name, array)
+    for mmap in (True, False):
+        with pytest.raises(SnapshotFormatError, match=message):
+            load_snapshot(tmp_path, mmap=mmap)
+
+
 def test_lazy_object_list(tmp_path):
     objects, reference = _frozen(count=40)
     save_snapshot(reference, tmp_path)
