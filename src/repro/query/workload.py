@@ -36,19 +36,15 @@ STANDARD_PROFILES = (
 )
 
 
-def _centred(objects: List[SpatialObject], space: Rect) -> List[SpatialObject]:
+def _centred(objects: List[SpatialObject]) -> List[SpatialObject]:
     """The objects whose centre is finite, the only ones a query can centre on.
 
     An object reaching to infinity in a dimension has an infinite (or, when
     it spans the whole axis, NaN) centre there, which would make every
     query drawn on it, and every side calibrated over it, infinite.  Such
-    objects still count as results.  When twice the largest bound of
-    ``space``, the objects' MBB, is finite, no centre can overflow and
-    ``objects`` is returned as it is.  Raises ``ValueError`` when no object
+    objects still count as results.  Raises ``ValueError`` when no object
     has a finite centre.
     """
-    if math.isfinite(2.0 * max(map(abs, space.low + space.high))):
-        return objects
     centred = [obj for obj in objects if all(map(math.isfinite, obj.rect.center))]
     if not centred:
         raise ValueError("a workload needs an object with a finite centre")
@@ -62,8 +58,9 @@ class RangeQueryWorkload:
     via vectorised counting over a sample of candidate centres) so that the
     expected number of results matches ``target_results``; individual
     queries then vary only through the choice of the (dithered) centre.
-    Centres, and the extent the sides are fractions of, come from the
-    objects with a finite centre; results are counted over all of them.
+    Centres, and the extent the sides are fractions of (``space``, their
+    MBB), come from the objects with a finite centre; results are counted
+    over all of them.
     """
 
     def __init__(
@@ -82,8 +79,8 @@ class RangeQueryWorkload:
         self.side_lengths = tuple(float(s) for s in side_lengths)
         self.dither = float(dither)
         self.seed = seed
-        self.space = mbb_of_rects([obj.rect for obj in self._objects])
-        self._centred = _centred(self._objects, self.space)
+        self._centred = _centred(self._objects)
+        self.space = mbb_of_rects([obj.rect for obj in self._centred])
 
     # ------------------------------------------------------------------
     # calibration
@@ -104,18 +101,15 @@ class RangeQueryWorkload:
         objects = list(objects)
         if not objects:
             raise ValueError("a workload needs a non-empty object collection")
-        dims = objects[0].dims
-        space = mbb_of_rects([obj.rect for obj in objects])
-        centred = _centred(objects, space)
-        if len(centred) < len(objects):
-            space = mbb_of_rects([obj.rect for obj in centred])
-        extents = [max(space.side(i), 1e-12) for i in range(dims)]
+        # Sides are calibrated below; the placeholders only pass validation.
+        workload = cls(objects, [1.0] * objects[0].dims, 0.0, seed=seed)
+        extents = [max(workload.space.side(i), 1e-12) for i in range(workload.dims)]
 
         lows = np.array([obj.rect.low for obj in objects])
         highs = np.array([obj.rect.high for obj in objects])
         rng = random.Random(seed)
         sample_centers = np.array(
-            [rng.choice(centred).rect.center for _ in range(calibration_samples)]
+            [rng.choice(workload._centred).rect.center for _ in range(calibration_samples)]
         )
 
         def average_results(fraction: float) -> float:
@@ -140,9 +134,9 @@ class RangeQueryWorkload:
             else:
                 hi_frac = mid
         fraction = (lo_frac + hi_frac) / 2.0
-        side_lengths = [fraction * e for e in extents]
-        dither = 0.5 * min(side_lengths)
-        return cls(objects, side_lengths, dither, seed=seed)
+        workload.side_lengths = tuple(fraction * e for e in extents)
+        workload.dither = 0.5 * min(workload.side_lengths)
+        return workload
 
     # ------------------------------------------------------------------
     # query generation

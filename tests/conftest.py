@@ -1,5 +1,6 @@
 """Shared fixtures and helpers for the test-suite."""
 
+import math
 import random
 from collections import Counter
 
@@ -182,12 +183,17 @@ def object_key(obj):
 
 
 def workload_queries(objects, seed, count=18):
-    """Calibrated boxes, point rectangles on corners and centres, two empty queries."""
+    """Calibrated boxes, point rectangles on corners and centres, two empty queries.
+
+    Points and empty queries, like the workload's centres, come from the
+    objects with a finite centre; all of ``objects`` calibrate the boxes.
+    """
     rng = random.Random(seed)
     workload = RangeQueryWorkload.from_objects(objects, target_results=8, seed=seed)
     queries = workload.query_list(count, seed=seed)
+    centred = [obj for obj in objects if all(map(math.isfinite, obj.rect.center))]
     for _ in range(6):
-        obj = rng.choice(objects)
+        obj = rng.choice(centred)
         queries.append(Rect(obj.rect.low, obj.rect.low))
         queries.append(Rect.from_point(obj.rect.center))
     space = workload.space

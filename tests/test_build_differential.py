@@ -41,13 +41,13 @@ from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.quadratic import QuadraticRTree
 from repro.rtree.registry import build_rtree
-from repro.query.workload import RangeQueryWorkload
 from repro.rtree.str_bulk import str_bulk_load
 from tests.conftest import (
     assert_range_contract,
     brute_force_answers,
     make_random_objects,
     scalar_clip_store,
+    workload_queries,
 )
 
 DATASETS = (("uniform02", 420), ("rea02", 380), ("axo03", 320), ("par03", 300))
@@ -564,8 +564,7 @@ class TestBuilderDifferential:
         # infinite ones sort into the last.
         assert {obj.oid for obj in vector.objects[-15:]} >= set(range(0, 60, 7))
         # Calibrated on every object; only the finite-centred ones are drawn on.
-        workload = RangeQueryWorkload.from_objects(objects, target_results=8, seed=21)
-        queries = workload.query_list(18, seed=21)
+        queries = workload_queries(objects, seed=21)
         expected = brute_force_answers(objects, queries)
         assert_range_contract(expected, [tree.range_query(q) for q in queries])
         assert_range_contract(expected, range_query_batch(vector, queries))
