@@ -55,7 +55,7 @@ from repro.datasets.registry import DATASET_NAMES, dataset_info
 from repro.metrics.dead_space import average_dead_space, clipped_dead_space_summary
 from repro.metrics.node_stats import tree_stats
 from repro.rtree.clipped import ClippedRTree
-from repro.rtree.registry import VARIANT_NAMES, build_rtree
+from repro.rtree.registry import build_rtree, canonical_variant
 
 
 def _make_config(args: argparse.Namespace) -> BenchConfig:
@@ -174,18 +174,27 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return handlers[args.bench_command](args)
 
 
+def _variant(name: str) -> Optional[str]:
+    """The canonical name of the R-tree variant ``name``; None, reported, if unknown."""
+    try:
+        return canonical_variant(name)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return None
+
+
 def _cmd_build_info(args: argparse.Namespace) -> int:
     if args.dataset not in DATASET_NAMES:
         print(f"unknown dataset {args.dataset!r}", file=sys.stderr)
         return 2
-    if args.variant not in VARIANT_NAMES:
-        print(f"unknown variant {args.variant!r}; known: {VARIANT_NAMES}", file=sys.stderr)
+    variant = _variant(args.variant)
+    if variant is None:
         return 2
     config = _make_config(args)
     objects = dataset_info(args.dataset).generate(config.size_of(args.dataset), seed=config.seed)
-    tree = build_rtree(args.variant, objects, max_entries=config.max_entries)
+    tree = build_rtree(variant, objects, max_entries=config.max_entries)
     stats = tree_stats(tree)
-    print(format_table([stats.as_row()], title=f"{args.variant} over {args.dataset}"))
+    print(format_table([stats.as_row()], title=f"{variant} over {args.dataset}"))
     print(f"average dead space per node: {100 * average_dead_space(tree):.1f}%")
     for method in ("skyline", "stairline"):
         clipped = ClippedRTree.wrap(tree, method=method)
@@ -201,8 +210,8 @@ def _cmd_snapshot_save(args: argparse.Namespace) -> int:
     if args.dataset not in DATASET_NAMES:
         print(f"unknown dataset {args.dataset!r}", file=sys.stderr)
         return 2
-    if args.variant not in VARIANT_NAMES:
-        print(f"unknown variant {args.variant!r}; known: {VARIANT_NAMES}", file=sys.stderr)
+    variant = _variant(args.variant)
+    if variant is None:
         return 2
     import time
 
@@ -210,7 +219,7 @@ def _cmd_snapshot_save(args: argparse.Namespace) -> int:
 
     config = _make_config(args)
     objects = dataset_info(args.dataset).generate(config.size_of(args.dataset), seed=config.seed)
-    index = build_rtree(args.variant, objects, max_entries=config.max_entries)
+    index = build_rtree(variant, objects, max_entries=config.max_entries)
     if args.clip != "none":
         index = ClippedRTree.wrap(index, method=args.clip)
     start = time.perf_counter()
@@ -223,7 +232,7 @@ def _cmd_snapshot_save(args: argparse.Namespace) -> int:
 
     manifest = read_manifest(args.directory)
     print(
-        f"saved {args.variant}/{args.dataset} ({args.clip} clip) to {args.directory}: "
+        f"saved {variant}/{args.dataset} ({args.clip} clip) to {args.directory}: "
         f"{len(snapshot.objects)} objects, {len(snapshot.is_leaf)} nodes, d={snapshot.dims}"
     )
     print(f"freeze {freeze_s * 1000:.1f} ms, save {save_s * 1000:.1f} ms, "
@@ -273,15 +282,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.dataset not in DATASET_NAMES:
         print(f"unknown dataset {args.dataset!r}", file=sys.stderr)
         return 2
-    if args.variant not in VARIANT_NAMES:
-        print(f"unknown variant {args.variant!r}; known: {VARIANT_NAMES}", file=sys.stderr)
+    variant = _variant(args.variant)
+    if variant is None:
         return 2
     from repro.engine import SnapshotManager
     from repro.serve.bench import report_row, run_serve_scenario
 
     config = _make_config(args)
     objects = dataset_info(args.dataset).generate(config.size_of(args.dataset), seed=config.seed)
-    index = build_rtree(args.variant, objects, max_entries=config.max_entries)
+    index = build_rtree(variant, objects, max_entries=config.max_entries)
     if args.clip != "none":
         index = ClippedRTree.wrap(index, method=args.clip)
     manager = SnapshotManager(index)
@@ -292,11 +301,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         concurrency=args.concurrency,
         admission_rate=args.admission_rate,
     )
-    row = report_row(report, dataset=args.dataset, variant=args.variant)
+    row = report_row(report, dataset=args.dataset, variant=variant)
     print(
         format_table(
             [row],
-            title=f"chaos serving over {args.variant}/{args.dataset} "
+            title=f"chaos serving over {variant}/{args.dataset} "
             f"({len(objects)} objects, seed {args.chaos_seed})",
         )
     )

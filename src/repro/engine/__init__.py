@@ -8,9 +8,10 @@ handed a ``ColumnarIndex``, and what every experiment runs after
 
 Construction: :func:`build_columnar_str` STR-packs objects straight into
 a :class:`ColumnarIndex` with no intermediate Python nodes, and
-:func:`clip_nodes_batch` computes the paper's Algorithm 1 for whole tree
-levels at once — the one path by which ``ClippedRTree.wrap`` /
-``clip_all`` / ``reclip_nodes`` build clip points.
+:func:`clip_nodes_batch` computes the paper's Algorithm 1 for a batch of
+nodes given as entry-row arrays — the one path by which
+``ClippedRTree.wrap`` / ``clip_all`` (the rows of the tree's freeze) and
+``reclip_nodes`` (the dirty nodes' rows, stacked) build clip points.
 
 Updates: :class:`SnapshotManager` + :class:`DeltaOverlay` absorb
 inserts/deletes on top of a frozen snapshot and fold them in via

@@ -1,28 +1,35 @@
-"""Level-synchronous, batched clip-point construction (Algorithm 1 for
-whole tree levels at once).
+"""Batched clip-point construction (Algorithm 1 for many nodes at once).
 
-:func:`clip_nodes_batch` computes clip points for a set of nodes — every
-node of a tree (:meth:`ClippedRTree.clip_all
-<repro.rtree.clipped.ClippedRTree.clip_all>`) or the dirty nodes of a
-compaction (:meth:`~repro.rtree.clipped.ClippedRTree.reclip_nodes`) —
-with a handful of NumPy calls per tree level instead of one Python loop
-nest per node per corner.  Each node's clip points are *identical* to
-what the scalar :func:`~repro.cbb.clipping.compute_clip_points`
-(Algorithm 1) returns for it — same coordinate values, same scores, same
-ordering (``tests/test_build_differential.py`` pins this against the
-per-node oracle across tree variants, datasets, dimensionalities and
-both clipping methods).
+:func:`clip_nodes_batch` computes clip points for a batch of nodes given
+as arrays: the nodes' entry rows back to back, ``(lows, highs)``, and
+each node's entry count.  Its two callers build that input differently.
+:meth:`ClippedRTree.clip_all <repro.rtree.clipped.ClippedRTree.clip_all>`
+hands over the entry arrays of the freeze the tree keeps
+(:meth:`RTreeBase.freeze <repro.rtree.base.RTreeBase.freeze>`), every
+node of the tree at once: a tree from
+:func:`~repro.rtree.str_bulk.str_bulk_load` kept the layout of its STR
+tiling, any other tree is walked once and keeps that walk, and either
+way the freeze stays current until the tree's ``version`` moves (an
+insert, a delete, a new structure).  The compaction's re-clip
+(:meth:`~repro.rtree.clipped.ClippedRTree.reclip_nodes`) stacks the
+entries of its dirty nodes into the same form.  The kernel does a
+handful of NumPy calls per batch instead of one Python loop nest per
+node per corner.  Each node's clip points are *identical* to what the
+scalar :func:`~repro.cbb.clipping.compute_clip_points` (Algorithm 1)
+returns for it — same coordinate values, same scores, same ordering
+(``tests/test_build_differential.py`` pins this against the per-node
+oracle across tree variants, datasets, dimensionalities and both
+clipping methods).
 
-One pass over one problem axis.  The nodes of one level form one group:
-their children fill a ``(nodes, widest fan-out, dims)`` array, padded
-with NaN past each node's own fan-out (the layout of
+One pass over one problem axis.  The batch forms one group: its nodes'
+children fill a ``(nodes, widest fan-out, dims)`` array, padded with NaN
+past each node's own fan-out (the layout of
 :meth:`ColumnarIndex.node_major <repro.engine.columnar.ColumnarIndex.node_major>`),
-so a dirty set of a few hundred nodes costs one group per level, not
-one per distinct fan-out.  Every corner is oriented once
-(:func:`~repro.engine.clip_kernels.orient` negates the max-extent
-dimensions), which turns "node x corner mask" into
-the batch axis of a single min-corner problem; nothing below loops over
-corners.  Per group:
+so nodes of every level and fan-out share one pass.  Every corner is
+oriented once (:func:`~repro.engine.clip_kernels.orient` negates the
+max-extent dimensions), which turns "node x corner mask" into the batch
+axis of a single min-corner problem; nothing below loops over corners.
+Per group:
 
 ======================================  ======================================
 stage                                   scalar counterpart
@@ -81,8 +88,7 @@ kernel-level ones are in :mod:`repro.engine.clip_kernels`):
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -100,8 +106,7 @@ from repro.engine.clip_kernels import (
     splice,
     valid_splices,
 )
-from repro.engine.kernels import masks_to_bool, stack_rows
-from repro.rtree.node import Node
+from repro.engine.kernels import masks_to_bool
 
 #: Ceiling on the element count of any broadcast intermediate, in units of
 #: about two bytes; groups are walked in chunks of nodes that stay below it.
@@ -115,43 +120,31 @@ _SKYLINE_CHUNK_BYTES = 1 << 20
 
 
 def clip_nodes_batch(
-    nodes: List[Node], dims: int, config: ClippingConfig = ClippingConfig()
-) -> Dict[int, List[ClipPoint]]:
-    """Clip points for an arbitrary set of nodes, batched by level.
+    lows: np.ndarray,
+    highs: np.ndarray,
+    counts: np.ndarray,
+    config: ClippingConfig = ClippingConfig(),
+) -> List[List[ClipPoint]]:
+    """Clip points of a batch of nodes, given their entry rows.
 
-    Returns ``{node_id: [ClipPoint, ...]}`` containing only nodes that
-    earned at least one clip point; each list is value-for-value what the
-    scalar ``compute_clip_points`` produces for that node, whatever other
-    nodes share the call.
+    Node ``i`` holds the next ``counts[i]`` rows of the ``(n, d)`` arrays
+    ``lows`` / ``highs``, in entry order, as in a snapshot's entry arrays.
+    Returns one list per node, empty where a node earned no clip point;
+    each list is value for value what the scalar ``compute_clip_points``
+    produces for that node, whatever other nodes share the call.
     """
+    results: List[List[ClipPoint]] = [[] for _ in range(len(counts))]
+    dims = lows.shape[1]
     k = config.max_clip_points(dims)
-    results: Dict[int, List[ClipPoint]] = {}
-    if k == 0:
+    if k == 0 or not counts.any():
         return results
-    levels: Dict[int, List[Node]] = defaultdict(list)
-    for node in nodes:
-        if node.entries:
-            levels[node.level].append(node)
-    for _, level_nodes in sorted(levels.items()):
-        _clip_group(level_nodes, dims, k, config, results)
-    return results
-
-
-def _clip_group(
-    nodes: List[Node],
-    dims: int,
-    k: int,
-    config: ClippingConfig,
-    results: Dict[int, List[ClipPoint]],
-) -> None:
-    """Clip one level's nodes in a few array passes, padded to the widest."""
-    counts = np.array([len(node.entries) for node in nodes])
     valid = np.arange(counts.max()) < counts[:, None]  # (g, c): a real entry
-    rects = [entry.rect for node in nodes for entry in node.entries]
-    lows = np.full(valid.shape + (dims,), np.nan)
-    highs = np.full(valid.shape + (dims,), np.nan)
-    lows[valid] = stack_rows([rect.low for rect in rects], dims, "entries", "tree")
-    highs[valid] = stack_rows([rect.high for rect in rects], dims, "entries", "tree")
+    padded_lows = np.full(valid.shape + (dims,), np.nan)
+    padded_highs = np.full(valid.shape + (dims,), np.nan)
+    padded_lows[valid] = lows
+    padded_highs[valid] = highs
+    lows, highs = padded_lows, padded_highs
+    del padded_lows, padded_highs
 
     node_low = np.fmin.reduce(lows, axis=1)  # fmin / fmax skip the NaN padding
     node_high = np.fmax.reduce(highs, axis=1)
@@ -160,12 +153,12 @@ def _clip_group(
 
     # Zero-volume nodes cannot be clipped meaningfully, and no score exceeds
     # tau times an infinite (or NaN) volume: the scalar path returns an
-    # empty list for both.
+    # empty list for both, and for an entry-less node (all NaN).
     active = np.isfinite(volume) & (volume > 0.0)
-    if not active.any():
-        return
-    if not active.all():
-        nodes = [node for node, keep in zip(nodes, active) if keep]
+    nodes = np.flatnonzero(active)
+    if not len(nodes):
+        return results
+    if len(nodes) < len(active):
         lows, highs, valid = lows[active], highs[active], valid[active]
         node_low, node_high, volume = node_low[active], node_high[active], volume[active]
     threshold = config.tau * volume
@@ -184,9 +177,9 @@ def _clip_group(
             stairline,
             k,
         )
-        for node, points in zip(nodes[part], clips):
-            if points:
-                results[node.node_id] = points
+        for node, points in zip(nodes[part].tolist(), clips):
+            results[node] = points
+    return results
 
 
 def _chunked_skyline(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:

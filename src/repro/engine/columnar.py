@@ -20,17 +20,22 @@ executor in :mod:`repro.engine.executor` never touches a Python ``Rect``
 on its hot path.
 
 **Construction.**  :meth:`ColumnarIndex.from_tree` is the one freeze.
-It walks the directory breadth first to lay out the slots; the layout
-fixes ``entry_child`` outright (directory rows lead to slots ``1, 2, …``
-in order, leaf rows to objects ``0, 1, …``).  Each node's entry rows,
-leaf objects and clip run are then either read from the tree or, when
-the caller hands over the previous generation and the node ids a batch
-of updates dirtied, copied from that generation with array gathers for
-every node outside the dirty set.  A compaction
+The slots, entry rows and leaf objects are the tree's freeze
+(:mod:`repro.rtree.freeze`): the nodes breadth first from the root, so
+the layout fixes ``entry_child`` outright (directory rows lead to slots
+``1, 2, …`` in order, leaf rows to objects ``0, 1, …``).  A tree keeps
+its last freeze, stamped with its ``version``, and this snapshot shares
+its arrays: a tree from :func:`~repro.rtree.str_bulk.str_bulk_load`
+keeps the layout of its STR tiling, any other the walk its first
+freeze or clip pass took, and an insert, a delete or a new structure
+makes the kept freeze stale, so the next freeze walks again.  Only the
+clip runs are read here, from the :class:`ClipStore`.  When the caller
+hands over the previous generation and the node ids a batch of updates
+dirtied, the walk reads only the dirty nodes and copies every other
+node's entry rows, leaf objects and clip run from that generation with
+array gathers, and the tree keeps the result.  A compaction
 (:meth:`SnapshotManager.compact <repro.engine.delta.SnapshotManager.compact>`)
-thereby pays for the nodes its batch touched, not for the tree; a first
-freeze has no previous generation, so every node is read and nothing
-copied, through the same loop.
+thereby pays for the nodes its batch touched, not for the tree.
 
 **The tree record, and the thaw.**  Every construction also records what
 the arrays cannot say about the tree: a :class:`TreeRecord` of its
@@ -65,7 +70,8 @@ objects with one fancy index of a cached object column.
 
 **Snapshot semantics / invalidation.**  A snapshot is an immutable copy:
 it shares the indexed :class:`SpatialObject` instances with the source
-tree but none of its structure.  Any ``insert``/``delete`` on the source
+tree, and the read-only arrays of the freeze that tree keeps, but none
+of its nodes.  Any ``insert``/``delete`` on the source
 tree — and, for clipped trees, any re-clipping — leaves the snapshot
 answering queries against the *old* state.  The source's
 ``version`` counter is recorded at freeze time; check :attr:`is_stale`
@@ -96,6 +102,7 @@ from repro.geometry.rect import Rect
 from repro.rtree.base import RTreeBase
 from repro.rtree.clipped import ClippedRTree
 from repro.rtree.entry import Entry
+from repro.rtree.freeze import TreeFreeze, bfs_nodes, tree_freeze
 from repro.rtree.hilbert import HilbertRTree
 from repro.rtree.node import Node
 from repro.rtree.registry import rtree_class
@@ -179,6 +186,70 @@ def _pinned(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
     copied into shape here, never silently downstream.
     """
     return np.ascontiguousarray(array, dtype=dtype)
+
+
+def _refreeze(
+    tree: RTreeBase, previous: "ColumnarIndex", dirty: AbstractSet[int]
+) -> Tuple[TreeFreeze, np.ndarray]:
+    """``tree``'s freeze, copying from ``previous`` every node outside ``dirty``.
+
+    Also returns, per slot, the slot it was copied from in ``previous``,
+    or -1 for a node read from the tree (see :meth:`ColumnarIndex.from_tree`).
+    """
+    nodes = bfs_nodes(tree)
+    n_nodes = len(nodes)
+    kept_slot = {
+        node_id: slot
+        for slot, node_id in enumerate(previous.node_ids.tolist())
+        if node_id not in dirty
+    }
+    previous_rows = previous.entry_start.tolist()
+    first_leaf_row = len(previous.entry_child) - len(previous.objects)
+    previous_slot = np.empty(n_nodes, dtype=np.int64)
+    entry_count = np.empty(n_nodes, dtype=np.int64)
+    objects: List[SpatialObject] = []
+    lows: List[tuple] = []
+    highs: List[tuple] = []
+    for slot, node in enumerate(nodes):
+        entries = node.entries
+        slot_before = kept_slot.get(node.node_id, -1)
+        previous_slot[slot] = slot_before
+        entry_count[slot] = len(entries)
+        if slot_before < 0:
+            rects = [entry.rect for entry in entries]
+            lows.extend([rect.low for rect in rects])
+            highs.extend([rect.high for rect in rects])
+            if node.is_leaf:
+                objects.extend([entry.child for entry in entries])
+        elif node.is_leaf:
+            first = previous_rows[slot_before] - first_leaf_row
+            objects.extend(previous.objects[first : first + len(entries)])
+    fresh = previous_slot < 0
+    kept = ~fresh
+
+    entry_start = np.cumsum(entry_count) - entry_count
+    total_entries = int(entry_count.sum())
+    entry_lows = np.empty((total_entries, tree.dims), dtype=np.float64)
+    entry_highs = np.empty((total_entries, tree.dims), dtype=np.float64)
+    rows, _ = expand_segments(entry_start[fresh], entry_count[fresh])
+    entry_lows[rows] = stack_rows(lows, tree.dims, "entries")
+    entry_highs[rows] = stack_rows(highs, tree.dims, "entries")
+    if kept.any():
+        _copy_runs(
+            [(entry_lows, previous.entry_lows), (entry_highs, previous.entry_highs)],
+            entry_start[kept],
+            previous.entry_start[previous_slot[kept]],
+            entry_count[kept],
+        )
+    freeze = tree_freeze(
+        is_leaf=np.array([node.is_leaf for node in nodes], dtype=bool),
+        entry_count=entry_count,
+        node_ids=np.array([node.node_id for node in nodes], dtype=np.int64),
+        entry_lows=entry_lows,
+        entry_highs=entry_highs,
+        objects=objects,
+    )
+    return freeze, previous_slot
 
 
 def slot_levels(
@@ -299,6 +370,18 @@ class ColumnarIndex:
         is a :class:`ClippedRTree`; a plain tree snapshots with empty clip
         arrays and the executor skips the pruning kernel entirely.
 
+        Without ``previous``, the slots, entry rows and objects are the
+        tree's freeze (:meth:`RTreeBase.freeze
+        <repro.rtree.base.RTreeBase.freeze>`), and only the clip runs are
+        read here.  The tree keeps its last freeze, stamped with its
+        ``version``, and shares the arrays with this snapshot: a tree from
+        :func:`~repro.rtree.str_bulk.str_bulk_load` keeps the layout of
+        its STR tiling, a clipped tree the walk its :meth:`ClippedRTree.clip_all
+        <repro.rtree.clipped.ClippedRTree.clip_all>` took.  Any insert,
+        delete or new structure moves the version, and then the tree is
+        walked again and keeps that walk; a thawed tree
+        (:meth:`to_tree`) starts without one.
+
         ``previous``, when given, is an earlier freeze of the same
         ``index`` that was current before the updates that dirtied the
         node ids ``dirty``
@@ -306,9 +389,8 @@ class ColumnarIndex:
         ``previous`` holds and ``dirty`` does not has the entries and clip
         points it had then, so its entry rows, leaf objects and clip run
         are copied from ``previous`` with array operations; every other
-        node is read from the tree.  Without ``previous`` every node is
-        read: the full freeze is the same pass with nothing to copy.
-        Either way the arrays are identical.
+        node is read from the tree.  The tree keeps the result as its
+        freeze.  Either way the arrays are those of a walk of every node.
         """
         if isinstance(index, ClippedRTree):
             tree: RTreeBase = index.tree
@@ -319,73 +401,22 @@ class ColumnarIndex:
         if previous is not None and previous.source is not index:
             raise ValueError("previous must be a freeze of the same index")
         dims = tree.dims
-
-        # Slots in BFS order, parents before children: a directory node's
-        # children take consecutive slots, so directory row r leads to
-        # slot r + 1, and the leaves' rows follow every directory row.
-        nodes = [tree.node(tree.root_id)]
-        for node in nodes:
-            if not node.is_leaf:
-                nodes.extend(tree.node(entry.child) for entry in node.entries)
-        n_nodes = len(nodes)
-
-        # Per slot: its slot in ``previous`` when it can be copied from
-        # there, else -1 and its entries are read here, in slot order.
-        kept_slot = {}
-        if previous is not None:
-            kept_slot = {
-                node_id: slot
-                for slot, node_id in enumerate(previous.node_ids.tolist())
-                if node_id not in dirty
-            }
-            previous_rows = previous.entry_start.tolist()
-            first_leaf_row = len(previous.entry_child) - len(previous.objects)
-        previous_slot = np.empty(n_nodes, dtype=np.int64)
-        entry_count = np.empty(n_nodes, dtype=np.int64)
-        objects: List[SpatialObject] = []
-        lows: List[tuple] = []
-        highs: List[tuple] = []
-        for slot, node in enumerate(nodes):
-            entries = node.entries
-            slot_before = kept_slot.get(node.node_id, -1)
-            previous_slot[slot] = slot_before
-            entry_count[slot] = len(entries)
-            if slot_before < 0:
-                rects = [entry.rect for entry in entries]
-                lows.extend([rect.low for rect in rects])
-                highs.extend([rect.high for rect in rects])
-                if node.is_leaf:
-                    objects.extend([entry.child for entry in entries])
-            elif node.is_leaf:
-                first = previous_rows[slot_before] - first_leaf_row
-                objects.extend(previous.objects[first : first + len(entries)])
+        if previous is None:
+            freeze = tree.freeze()
+            previous_slot = np.full(len(freeze.node_ids), -1, dtype=np.int64)
+        else:
+            freeze, previous_slot = _refreeze(tree, previous, dirty)
+            tree.keep_freeze(freeze)
+        n_nodes = len(previous_slot)
         fresh = previous_slot < 0
         kept = ~fresh
-
-        entry_start = np.zeros(n_nodes, dtype=np.int64)
-        np.cumsum(entry_count[:-1], out=entry_start[1:])
-        total_entries = int(entry_count.sum())
-        entry_lows = np.empty((total_entries, dims), dtype=np.float64)
-        entry_highs = np.empty((total_entries, dims), dtype=np.float64)
-        rows, _ = expand_segments(entry_start[fresh], entry_count[fresh])
-        entry_lows[rows] = stack_rows(lows, dims, "entries")
-        entry_highs[rows] = stack_rows(highs, dims, "entries")
-        if kept.any():
-            _copy_runs(
-                [(entry_lows, previous.entry_lows), (entry_highs, previous.entry_highs)],
-                entry_start[kept],
-                previous.entry_start[previous_slot[kept]],
-                entry_count[kept],
-            )
-        entry_child = np.concatenate(
-            [np.arange(1, n_nodes, dtype=np.int64), np.arange(len(objects), dtype=np.int64)]
-        )
 
         # Clip runs, one per node: the slots below the root in slot order
         # (the order the directory entries lead to them in), the root's
         # last — no entry leads to it, but the STT join probes it like
         # any other node (the scalar STT consults the ClipStore for any
         # node pair).  A node without clip points has start 0.
+        node_ids = freeze.node_ids.tolist()
         run = np.roll(np.arange(n_nodes, dtype=np.int64), -1)
         node_clip_count = np.zeros(n_nodes, dtype=np.int64)
         if kept.any():
@@ -394,7 +425,7 @@ class ColumnarIndex:
         coords: List[tuple] = []
         masks: List[int] = []
         for slot in fresh_run.tolist():
-            clips = clips_of(nodes[slot].node_id)
+            clips = clips_of(node_ids[slot])
             node_clip_count[slot] = len(clips)
             coords.extend([clip.coord for clip in clips])
             masks.extend([clip.mask for clip in clips])
@@ -415,23 +446,14 @@ class ColumnarIndex:
                 previous.node_clip_start[previous_slot[kept]],
                 node_clip_count[kept],
             )
-        is_leaf = np.array([node.is_leaf for node in nodes], dtype=bool)
-        node_ids = np.array([node.node_id for node in nodes], dtype=np.int64)
         return cls(
             source=index,
             dims=dims,
-            is_leaf=is_leaf,
-            entry_start=entry_start,
-            entry_count=entry_count,
-            node_ids=node_ids,
-            entry_lows=entry_lows,
-            entry_highs=entry_highs,
-            entry_child=entry_child,
+            **freeze._asdict(),
             clip_coords=clip_coords,
             clip_is_high=clip_is_high,
             node_clip_start=node_clip_start,
             node_clip_count=node_clip_count,
-            objects=objects,
             source_version=cls._version_of(index),
             tree_record=TreeRecord.of(index),
         )

@@ -32,8 +32,10 @@ flat array into a gather index plus an owner map, is what the two
 derivations are built with.
 
 Three helpers cross the boundary between Python objects and arrays once
-per batch rather than once per item: :func:`stack_rows` turns coordinate
-tuples (points, entry and clip coordinates) into one float64 matrix,
+per batch rather than once per item: :func:`stack_rows` (kept in
+:mod:`repro.geometry.rect`, since a tree's own freeze stacks its entry
+rows with it) turns coordinate tuples (points, entry and clip
+coordinates) into one float64 matrix,
 :func:`stack_bounds` does so for the two bounds of rectangles, and
 :func:`object_column` turns a sequence of objects into an object array
 that one fancy index gathers hits from.
@@ -42,36 +44,12 @@ that one fancy index gathers hits from.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from itertools import chain
 from operator import attrgetter
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.rect import Rect, _unchecked_rect
-
-
-def stack_rows(
-    rows: Sequence[Sequence[float]], dims: int, what: str = "rows", owner: str = "snapshot"
-) -> np.ndarray:
-    """``rows`` (``n`` sequences of ``dims`` numbers) as one ``(n, dims)`` float64 array.
-
-    One ``np.fromiter`` over the chained values takes about half the time
-    ``np.array`` needs for the same list.  ``fromiter`` stops at its
-    ``count`` and cannot tell where a row ends, so a row of another width
-    would shift every row after it; every row's length is checked first,
-    and a mismatch raises ``ValueError`` ("<what> have 3 dims, <owner>
-    expects 2"), as does a row that is not a sequence.
-    """
-    try:
-        widths = set(map(len, rows))
-    except TypeError:
-        raise ValueError(f"{what} must be sequences of {dims} numbers") from None
-    widths.discard(dims)
-    if widths:
-        raise ValueError(f"{what} have {min(widths)} dims, {owner} expects {dims}")
-    flat = np.fromiter(chain.from_iterable(rows), dtype=np.float64, count=len(rows) * dims)
-    return flat.reshape(len(rows), dims)
+from repro.geometry.rect import Rect, _unchecked_rect, stack_rows
 
 
 def stack_points(points: Sequence[Sequence[float]], dims: int) -> np.ndarray:

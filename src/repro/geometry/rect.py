@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.geometry.bitmask import corner_of
 
@@ -253,6 +256,29 @@ def _unchecked_rect(low: Tuple[float, ...], high: Tuple[float, ...]) -> Rect:
     _set_low(rect, low)
     _set_high(rect, high)
     return rect
+
+
+def stack_rows(
+    rows: Sequence[Sequence[float]], dims: int, what: str = "rows", owner: str = "snapshot"
+) -> np.ndarray:
+    """``rows`` (``n`` sequences of ``dims`` numbers) as one ``(n, dims)`` float64 array.
+
+    One ``np.fromiter`` over the chained values takes about half the time
+    ``np.array`` needs for the same list.  ``fromiter`` stops at its
+    ``count`` and cannot tell where a row ends, so a row of another width
+    would shift every row after it; every row's length is checked first,
+    and a mismatch raises ``ValueError`` ("<what> have 3 dims, <owner>
+    expects 2"), as does a row that is not a sequence.
+    """
+    try:
+        widths = set(map(len, rows))
+    except TypeError:
+        raise ValueError(f"{what} must be sequences of {dims} numbers") from None
+    widths.discard(dims)
+    if widths:
+        raise ValueError(f"{what} have {min(widths)} dims, {owner} expects {dims}")
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.float64, count=len(rows) * dims)
+    return flat.reshape(len(rows), dims)
 
 
 # The slot descriptors set a field past ``Rect.__setattr__``'s guard.

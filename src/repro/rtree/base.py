@@ -16,6 +16,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.rtree.entry import Entry
+from repro.rtree.freeze import TreeFreeze, walk
 from repro.rtree.node import Node
 from repro.storage.stats import IOStats
 
@@ -79,7 +80,7 @@ def resolve_min_entries(max_entries: int, min_entries: Optional[int] = None) -> 
 
     Defaults to the usual 40 % of capacity and clamps into
     ``[1, max_entries // 2]``.  Shared by every tree constructor *and* the
-    STR tiling both STR builders run (:func:`repro.rtree.str_bulk.str_tiling`),
+    STR packing both STR builders run (:func:`repro.rtree.str_bulk.str_layout`),
     which must size nodes as the quadratic tree it fills does.
     """
     if min_entries is None:
@@ -119,6 +120,8 @@ class RTreeBase:
         self._root_id = root.node_id
         self._size = 0
         self._version = 0
+        #: ``(version, freeze)`` of the last freeze taken (:meth:`freeze`).
+        self._freeze: Optional[Tuple[int, TreeFreeze]] = None
 
     # ------------------------------------------------------------------
     # structure access
@@ -135,9 +138,27 @@ class RTreeBase:
 
         Columnar snapshots (:class:`repro.engine.columnar.ColumnarIndex`)
         record it at freeze time to detect staleness after inserts and
-        deletes.
+        deletes, and the freeze the tree keeps (:meth:`freeze`) is stamped
+        with it.
         """
         return self._version
+
+    def freeze(self) -> TreeFreeze:
+        """The tree laid out in BFS slots, as arrays (:mod:`repro.rtree.freeze`).
+
+        The freeze the tree keeps while its ``version`` is the one that
+        freeze was stamped with; otherwise a walk of every node, which the
+        tree then keeps in its place.
+        """
+        if self._freeze is not None and self._freeze[0] == self._version:
+            return self._freeze[1]
+        self._freeze = None  # not kept alive through the walk
+        return self.keep_freeze(walk(self))
+
+    def keep_freeze(self, freeze: TreeFreeze) -> TreeFreeze:
+        """Keep ``freeze``, a layout of the tree as it is now; returns it."""
+        self._freeze = (self._version, freeze)
+        return freeze
 
     @property
     def root(self) -> Node:

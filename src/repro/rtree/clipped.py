@@ -13,12 +13,15 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
+from repro.cbb.clip_point import ClipPoint
 from repro.cbb.clipping import ClippingConfig, compute_clip_points
 from repro.cbb.intersection import clipped_intersects, insertion_keeps_clips_valid
 from repro.cbb.scoring import clipped_union_volume
 from repro.cbb.store import ClipStore
 from repro.geometry.objects import SpatialObject
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, stack_rows
 from repro.rtree.base import DeleteResult, InsertResult, RTreeBase
 from repro.rtree.node import Node
 from repro.storage.page import DEFAULT_PAGE_LAYOUT, PageLayout
@@ -120,28 +123,41 @@ class ClippedRTree:
     def clip_all(self) -> int:
         """(Re)compute clip points for every node; returns the store length.
 
-        One level-synchronous pass of the batched kernels
-        (:func:`repro.engine.bulk_clip.clip_nodes_batch`), value for value
-        what Algorithm 1 (``compute_clip_points``) gives each node — the
-        tests' oracle (``tests/test_build_differential.py``).
+        One pass of the batched kernels
+        (:func:`repro.engine.bulk_clip.clip_nodes_batch`) over the entry
+        arrays of the tree's freeze (:meth:`RTreeBase.freeze
+        <repro.rtree.base.RTreeBase.freeze>`: the layout an STR tree kept
+        from its tiling, else one walk, which the tree keeps for the
+        freeze that follows), value for value what Algorithm 1
+        (``compute_clip_points``) gives each node — the tests' oracle
+        (``tests/test_build_differential.py``).
         """
+        freeze = self.tree.freeze()
+        clips = self._clip_batch(
+            freeze.node_ids.tolist(), freeze.entry_lows, freeze.entry_highs, freeze.entry_count
+        )
         self.store.clear()
-        self._clip_batch(list(self.tree.nodes()))
+        self._store_clips([node.node_id for node in self.tree.nodes()], clips)
         return len(self.store)
 
-    def _clip_batch(self, nodes: List[Node]) -> None:
-        """Store the batched kernels' clip points for ``nodes``, in their order."""
+    def _clip_batch(
+        self, node_ids: List[int], lows: np.ndarray, highs: np.ndarray, counts: np.ndarray
+    ) -> Dict[int, List[ClipPoint]]:
+        """The batched kernels' clip points of ``node_ids``, whose entry rows these are."""
         # Imported lazily: repro.engine imports this module (through
         # incremental_clip), so a module-level import would be a cycle.
         from repro.engine.bulk_clip import clip_nodes_batch
 
-        results = clip_nodes_batch(nodes, self.tree.dims, self.config)
-        for node in nodes:
-            clips = results.get(node.node_id)
-            if clips:
-                self.store.put(node.node_id, clips)
+        return dict(zip(node_ids, clip_nodes_batch(lows, highs, counts, self.config)))
+
+    def _store_clips(self, node_ids: List[int], clips: Dict[int, List[ClipPoint]]) -> None:
+        """Store ``clips`` of ``node_ids``, in that order; a node without any leaves the store."""
+        for node_id in node_ids:
+            points = clips.get(node_id)
+            if points:
+                self.store.put(node_id, points)
             else:
-                self.store.remove(node.node_id)
+                self.store.remove(node_id)
 
     def _clip_node(self, node: Node) -> bool:
         """Clip one node; returns True when any clip point was stored."""
@@ -273,7 +289,16 @@ class ClippedRTree:
         live = sorted(nid for nid in ids if self.tree.has_node(nid))
         for node_id in ids.difference(live):
             self.store.remove(node_id)
-        self._clip_batch([self.tree.node(nid) for nid in live])
+        nodes = [self.tree.node(nid) for nid in live]
+        rects = [entry.rect for node in nodes for entry in node.entries]
+        dims = self.tree.dims
+        clips = self._clip_batch(
+            live,
+            stack_rows([rect.low for rect in rects], dims, "entries", "tree"),
+            stack_rows([rect.high for rect in rects], dims, "entries", "tree"),
+            np.array([len(node.entries) for node in nodes], dtype=np.int64),
+        )
+        self._store_clips(live, clips)
         return len(live)
 
     def _parent_index(self) -> Dict[int, int]:

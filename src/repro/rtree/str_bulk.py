@@ -4,15 +4,25 @@ Not one of the four variants evaluated in the paper, but a standard
 packing strategy of the same benchmark family; exposed as an optional
 builder (``build_rtree("str", ...)``) and used by some ablation benches.
 
-Both STR builders run one tiling, :func:`str_tiling`, on arrays: the
+Both STR builders run one packing, :func:`str_layout`, on arrays: the
 objects' bounds are stacked once, each pass orders a slab by one
 dimension's centre with a stable ``np.argsort`` — the order Python's
 stable ``sorted`` gives on the same float keys, NaN centres (an object
 spanning ``(-inf, inf)``) last — and every level's node MBBs come from
-segmented ``reduceat`` reductions.  :func:`str_bulk_load` turns the
-tiling into ``Node`` / ``Entry`` objects and
-:func:`repro.engine.builder.build_columnar_str` into snapshot arrays, so
-the two agree by construction.
+segmented ``reduceat`` reductions, written straight into BFS slot order.
+The result is the arrays of a snapshot without its clip runs
+(:class:`~repro.rtree.freeze.TreeFreeze`), so the two builders agree by
+construction: :func:`repro.engine.builder.build_columnar_str` turns it
+into a snapshot as it is, and :func:`str_bulk_load` into ``Node`` /
+``Entry`` objects.
+
+The tree :func:`str_bulk_load` returns keeps that layout as its freeze,
+stamped with its ``version`` (:meth:`RTreeBase.freeze
+<repro.rtree.base.RTreeBase.freeze>`): clipping it
+(:meth:`ClippedRTree.clip_all <repro.rtree.clipped.ClippedRTree.clip_all>`)
+and freezing it (:meth:`ColumnarIndex.from_tree
+<repro.engine.columnar.ColumnarIndex.from_tree>`) read those arrays and
+walk no node, until the first insert or delete makes the freeze stale.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from __future__ import annotations
 import math
 from itertools import chain
 from operator import attrgetter
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,32 +38,25 @@ from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import _unchecked_rect
 from repro.rtree.base import check_dims, resolve_min_entries
 from repro.rtree.entry import Entry
+from repro.rtree.freeze import TreeFreeze, tree_freeze
 from repro.rtree.quadratic import QuadraticRTree
 
 
-class StrTiling(NamedTuple):
-    """What STR packing decides, level by level from the leaves up.
-
-    ``order`` lists the objects' input positions in leaf order, and
-    ``counts[i]`` the entry count of each level-``i`` node, left to right.
-    ``lows[i]`` / ``highs[i]`` are level ``i``'s ``(n, d)`` entry rectangles
-    (the objects', then the MBBs of the level below); the last are the root's.
-    """
-
-    order: np.ndarray
-    counts: List[np.ndarray]
-    lows: List[np.ndarray]
-    highs: List[np.ndarray]
-    min_entries: int
-
-
-def str_tiling(
+def str_layout(
     objects: Sequence[SpatialObject],
     max_entries: int = 50,
     min_entries: Optional[int] = None,
     leaf_fill: float = 1.0,
-) -> StrTiling:
-    """STR-pack ``objects``: leaf order, node sizes and node MBBs per level."""
+) -> Tuple[TreeFreeze, List[int]]:
+    """STR-pack ``objects`` into a tree laid out in BFS slots.
+
+    Returns the tree's freeze and its node count per level, leaves first.
+    Slots are the levels top-down, each left to right, so the directory
+    entries lead to slots 1, 2, ... in turn.  Node ids are the ones
+    :func:`str_bulk_load` gives: the constructor's empty root takes id 0
+    and is dropped, the leaves take 1..L, then each level above continues
+    the sequence.
+    """
     if not objects:
         raise ValueError("cannot bulk load an empty object collection")
     if not 0.0 < leaf_fill <= 1.0:
@@ -81,15 +84,48 @@ def str_tiling(
     counts = [_node_counts([len(slab) for slab in slabs], capacity, min_entries)]
     while len(counts[-1]) > 1:
         counts.append(_node_counts([len(counts[-1])], max_entries, min_entries))
-    # Reassigned one at a time, so no more than three (n, d) arrays live.
-    lows = lows[order]
-    highs = highs[order]
-    level_lows, level_highs = [lows], [highs]
-    for level_counts in counts:
-        starts = np.cumsum(level_counts) - level_counts
-        level_lows.append(_first_extreme(np.minimum, level_lows[-1], starts))
-        level_highs.append(_first_extreme(np.maximum, level_highs[-1], starts))
-    return StrTiling(order, counts, level_lows, level_highs, min_entries)
+    # One side at a time, so no more than three (n, d) arrays live.
+    entry_lows = _bfs_rows(lows, order, counts, np.minimum)
+    del lows
+    entry_highs = _bfs_rows(highs, order, counts, np.maximum)
+    del highs
+
+    entry_count = np.concatenate(counts[::-1])
+    total_nodes = len(entry_count)
+    level_sizes = [len(level_counts) for level_counts in counts]
+    bottom_up = np.split(np.arange(1, total_nodes + 1, dtype=np.int64), np.cumsum(level_sizes[:-1]))
+    freeze = tree_freeze(
+        is_leaf=np.arange(total_nodes) >= total_nodes - level_sizes[0],
+        entry_count=entry_count,
+        node_ids=np.concatenate(bottom_up[::-1]),
+        entry_lows=entry_lows,
+        entry_highs=entry_highs,
+        objects=np.fromiter(objects, object, len(objects))[order].tolist(),
+    )
+    return freeze, level_sizes
+
+
+def _bfs_rows(
+    rows: np.ndarray, order: np.ndarray, counts: List[np.ndarray], ufunc: np.ufunc
+) -> np.ndarray:
+    """One bound of every entry row in BFS slot order, the objects' ``rows`` last.
+
+    Above the objects in leaf order come the node bounds of each level
+    (``counts[i]`` the entry counts of level ``i``'s nodes) from the
+    root's children down: each block is reduced from the block after it.
+    """
+    # Level i's block ends where the blocks of levels 0 .. i-1 begin.
+    above_objects = np.cumsum([len(level_counts) for level_counts in counts[:-1]], dtype=np.int64)
+    directory_rows = int(above_objects[-1]) if len(above_objects) else 0
+    out = np.empty((directory_rows + len(order), rows.shape[1]))
+    # mode="clip" writes into ``out`` unbuffered; every index is in range.
+    np.take(rows, order, axis=0, out=out[directory_rows:], mode="clip")
+    below = out[directory_rows:]
+    for level_counts, start in zip(counts, (directory_rows - above_objects).tolist()):
+        block = out[start : start + len(level_counts)]
+        block[...] = _first_extreme(ufunc, below, np.cumsum(level_counts) - level_counts)
+        below = block
+    return out
 
 
 def _tile(centres: np.ndarray, idx: np.ndarray, dim: int, capacity: int) -> List[np.ndarray]:
@@ -148,30 +184,28 @@ def str_bulk_load(
     The resulting tree behaves like a quadratic R-tree for later updates
     (STR only prescribes the initial packing).  Node ids follow the
     constructor's dropped empty root (id 0): the leaves, left to right,
-    then each level above them.
+    then each level above them.  The tree keeps :func:`str_layout` as its
+    freeze.
     """
-    tiling = str_tiling(objects, max_entries, min_entries, leaf_fill)
-    # Directory rectangles first: the tiling's (n, d) arrays are then freed
-    # before the leaf entries are built.
-    directory_rects = [
-        list(map(_unchecked_rect, zip(*lows.T.tolist()), zip(*highs.T.tolist())))
-        for lows, highs in zip(tiling.lows[1:], tiling.highs[1:])
-    ]
-    order, level_counts = tiling.order, tiling.counts
-    del tiling
+    freeze, level_sizes = str_layout(objects, max_entries, min_entries, leaf_fill)
+    levels = [level for level, size in enumerate(level_sizes) for _ in range(size)][::-1]
     tree = QuadraticRTree(objects[0].dims, max_entries=max_entries, min_entries=min_entries)
     del tree._nodes[tree.root_id]
 
-    ordered = np.fromiter(objects, object, len(objects))[order].tolist()
-    entries = [Entry(obj.rect, obj) for obj in ordered]
-    for level, (counts, rects) in enumerate(zip(level_counts, directory_rects)):
-        node_ids = []
-        start = 0
-        for count in counts.tolist():
-            node = tree._new_node(level)
-            node.entries = entries[start : start + count]
-            node_ids.append(node.node_id)
-            start += count
-        entries = list(map(Entry, rects, node_ids))
+    node_ids = freeze.node_ids.tolist()
+    directory_rows = len(node_ids) - 1
+    rects = map(
+        _unchecked_rect,
+        zip(*freeze.entry_lows[:directory_rows].T.tolist()),
+        zip(*freeze.entry_highs[:directory_rows].T.tolist()),
+    )
+    # Row r of the directory leads to slot r + 1; the leaf rows are the objects.
+    entries = list(map(Entry, rects, node_ids[1:]))
+    entries += [Entry(obj.rect, obj) for obj in freeze.objects]
+    starts, counts = freeze.entry_start.tolist(), freeze.entry_count.tolist()
+    for slot in np.argsort(freeze.node_ids).tolist():  # ids in order: leaves first
+        node = tree._new_node(levels[slot])
+        node.entries = entries[starts[slot] : starts[slot] + counts[slot]]
     tree._adopt_structure(node_ids[0], len(objects))
+    tree.keep_freeze(freeze)
     return tree

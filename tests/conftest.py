@@ -54,6 +54,19 @@ def scalar_clip_store(tree, config):
     return store
 
 
+def walked_freeze(index):
+    """``ColumnarIndex.from_tree(index)`` of a walk of every node.
+
+    A tree keeps its last freeze while its version stands still, and
+    ``from_tree`` reads that one; dropping it first makes this the
+    from-scratch oracle the kept freeze must equal.
+    """
+    from repro.engine.columnar import ColumnarIndex
+
+    getattr(index, "tree", index)._freeze = None
+    return ColumnarIndex.from_tree(index)
+
+
 def fail_after_write(manager, n, error):
     """Make the n-th write to ``manager``'s source tree from now on raise ``error``.
 

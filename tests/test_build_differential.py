@@ -17,13 +17,21 @@ Two contracts, each pinned exactly (no tolerances):
    array-for-array identical to freezing that tree
    (``ColumnarIndex.from_tree(str_bulk_load(...))``), including the
    synthesized node ids and the permuted object order.
+
+3. The freeze a tree keeps: ``str_bulk_load``'s tree keeps its tiling's
+   layout, and ``ColumnarIndex.from_tree`` reads it instead of walking
+   the tree — byte for byte what a walk of every node gives, and walked
+   again once an insert, a delete or a thaw has moved on from it.
 """
 
+import gc
 import importlib
 import math
 import random
 import tracemalloc
 import warnings
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +55,7 @@ from tests.conftest import (
     brute_force_answers,
     make_random_objects,
     scalar_clip_store,
+    walked_freeze,
     workload_queries,
 )
 
@@ -75,6 +84,20 @@ def _store_table(store):
         node_id: [(cp.coord, cp.mask, cp.score) for cp in points]
         for node_id, points in store.items()
     }
+
+
+def _entry_rows(nodes, dims):
+    """``nodes``' entry rows back to back and their counts: the kernel's input."""
+    rects = [entry.rect for node in nodes for entry in node.entries]
+    lows = np.array([rect.low for rect in rects], dtype=np.float64).reshape(-1, dims)
+    highs = np.array([rect.high for rect in rects], dtype=np.float64).reshape(-1, dims)
+    return lows, highs, np.array([len(node.entries) for node in nodes], dtype=np.int64)
+
+
+def _clip_nodes(nodes, dims, config):
+    """``clip_nodes_batch`` over ``nodes``: ``{node_id: clip points}`` of those that earned any."""
+    clips = clip_nodes_batch(*_entry_rows(nodes, dims), config)
+    return {node.node_id: points for node, points in zip(nodes, clips) if points}
 
 
 def _coord_bytes(points):
@@ -229,7 +252,7 @@ class TestClipAllBeyondThreeDimensions:
         dropped = []
         configs = [ClippingConfig(k=k, tau=tau) for k in (None, 2) for tau in (0.025, 0.0, 0.2)]
         for config in configs:
-            moved = clip_nodes_batch(nodes, dims, config)
+            moved = _clip_nodes(nodes, dims, config)
             produce = bulk_clip_module._stair_points
 
             def deduplicated(sky_pts, sky_counts):
@@ -239,7 +262,7 @@ class TestClipAllBeyondThreeDimensions:
                 return pts[first], owner[first]
 
             monkeypatch.setattr(bulk_clip_module, "_stair_points", deduplicated)
-            oracle = clip_nodes_batch(nodes, dims, config)
+            oracle = _clip_nodes(nodes, dims, config)
             monkeypatch.undo()
             assert list(moved) == list(oracle)
             for node_id, points in oracle.items():
@@ -286,7 +309,7 @@ class TestPaddedLevels:
             _leaf(4, boxes[8:11]),
         ]
         config = ClippingConfig(method=method)
-        got = clip_nodes_batch(nodes, dims, config)
+        got = _clip_nodes(nodes, dims, config)
         assert got.get(3), "the full node earns clip points"
         for node in nodes:
             expected = compute_clip_points(node.mbb(), node.child_rects(), config)
@@ -319,7 +342,7 @@ class TestDuplicatedBestSplice:
         pts, _ = stair_points(np.array(self.CORNERS), np.array([4]))
         assert sum(row == [8.0, 8.0, 2.0] for row in pts.tolist()) == 3
 
-        got = clip_nodes_batch([node], 3, config)[0]
+        got = _clip_nodes([node], 3, config)[0]
         assert [(cp.coord, cp.mask, cp.score) for cp in got] == [
             (cp.coord, cp.mask, cp.score) for cp in expected
         ]
@@ -362,14 +385,14 @@ class TestClipChunksBoundMemory:
 
     @staticmethod
     def _peaks(tree, config):
-        nodes = list(tree.nodes())
+        rows = _entry_rows(list(tree.nodes()), tree.dims)
         tracemalloc.start()
         try:
-            results = clip_nodes_batch(nodes, tree.dims, config)
+            results = clip_nodes_batch(*rows, config)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert results
+        assert any(results)
         return peak, peak - kept
 
     def test_leaf_heavy_3d_tree(self):
@@ -407,12 +430,12 @@ class TestClipChunksBoundMemory:
         config = ClippingConfig(method="stairline")
         expected = {
             node_id: [(cp.coord, cp.mask, cp.score) for cp in points]
-            for node_id, points in clip_nodes_batch(nodes, 3, config).items()
+            for node_id, points in _clip_nodes(nodes, 3, config).items()
         }
         assert expected
         for budget in (1, 20_000, 1 << 40):  # a node a chunk ... one chunk
             monkeypatch.setattr(bulk_clip_module, "_CHUNK_BUDGET", budget)
-            got = clip_nodes_batch(nodes, 3, config)
+            got = _clip_nodes(nodes, 3, config)
             assert list(got) == list(expected)
             for node_id, points in got.items():
                 assert [(cp.coord, cp.mask, cp.score) for cp in points] == expected[node_id]
@@ -586,3 +609,94 @@ class TestBuilderDifferential:
             build_columnar_str(objects, leaf_fill=0.0)
         with pytest.raises(ValueError, match="max_entries"):
             build_columnar_str(objects, max_entries=1)
+
+
+def _assert_same_snapshot(snapshot, oracle):
+    """Every snapshot array byte for byte, and the same object instances in order."""
+    for name in SNAPSHOT_ARRAYS:
+        ours, theirs = getattr(snapshot, name), getattr(oracle, name)
+        assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape), name
+        assert ours.tobytes() == theirs.tobytes(), name
+    assert len(snapshot.objects) == len(oracle.objects)
+    assert all(a is b for a, b in zip(snapshot.objects, oracle.objects))
+
+
+def _unwalked_freeze(index):
+    """``ColumnarIndex.from_tree(index)``, failing if it walks the tree."""
+    with mock.patch("repro.rtree.base.walk", side_effect=AssertionError("walked")):
+        return ColumnarIndex.from_tree(index)
+
+
+class TestKeptFreeze:
+    """An STR tree keeps its tiling's layout as its freeze, stamped with its
+    version; ``from_tree`` and ``clip_all`` read it, walking no node, and it
+    equals a walk of every node (``conftest.walked_freeze``)."""
+
+    @staticmethod
+    def _check(objects, method="stairline", **kwargs):
+        clipped = ClippedRTree.wrap(str_bulk_load(objects, **kwargs), method=method)
+        _assert_same_snapshot(_unwalked_freeze(clipped), walked_freeze(clipped))
+
+    @pytest.mark.parametrize("dataset,size", DATASETS)
+    @pytest.mark.parametrize("leaf_fill", (1.0, 0.7))
+    def test_kept_freeze_is_the_walk(self, dataset, size, leaf_fill):
+        self._check(generate(dataset, size, seed=11), max_entries=8, leaf_fill=leaf_fill)
+
+    @pytest.mark.parametrize("size,kwargs", EDGE_SHAPES)
+    def test_kept_freeze_is_the_walk_on_edge_shapes(self, size, kwargs):
+        self._check(generate("uniform02", size, seed=5), max_entries=8, **kwargs)
+
+    def test_kept_freeze_keeps_signed_zeros(self):
+        self._check(_grid_boxes(3, 400, seed=3), max_entries=5)
+
+    def test_a_tree_without_a_freeze_is_walked_once(self):
+        tree = build_rtree("rstar", generate("axo03", 300, seed=3), max_entries=8)
+        clipped = ClippedRTree.wrap(tree)  # clip_all walks, and the tree keeps the walk
+        _assert_same_snapshot(_unwalked_freeze(clipped), walked_freeze(clipped))
+
+    @pytest.mark.parametrize("change", ["insert", "delete", "reclip_nodes", "to_tree"])
+    def test_a_change_is_walked_again(self, change):
+        objects = generate("axo03", 400, seed=12)
+        clipped = ClippedRTree.wrap(str_bulk_load(objects, max_entries=8))
+        before = ColumnarIndex.from_tree(clipped)
+        if change == "insert":
+            clipped.insert(SpatialObject(10**6, objects[0].rect))
+        elif change == "delete":
+            clipped.delete(objects[0])
+        elif change == "reclip_nodes":
+            # The tree is unchanged, its clip runs are not: only the leaves keep clips.
+            clipped.store.clear()
+            clipped.reclip_nodes(node.node_id for node in clipped.tree.leaves())
+        else:
+            clipped = before.to_tree()
+        after = ColumnarIndex.from_tree(clipped)
+        _assert_same_snapshot(after, walked_freeze(clipped))
+        moved = {"insert": "entry_count", "delete": "entry_count", "to_tree": None}
+        name = moved.get(change, "node_clip_count")
+        if name is None:
+            _assert_same_snapshot(after, before)
+        else:
+            assert getattr(after, name).tobytes() != getattr(before, name).tobytes()
+
+    def test_two_wrappers_of_one_tree_get_their_own_clip_runs(self):
+        tree = str_bulk_load(generate("axo03", 400, seed=13), max_entries=8)
+        skyline = ClippedRTree.wrap(tree, method="skyline")
+        stairline = ClippedRTree.wrap(tree, method="stairline")
+        frozen = {clipped: _unwalked_freeze(clipped) for clipped in (skyline, stairline)}
+        assert frozen[skyline].entry_lows is frozen[stairline].entry_lows
+        assert frozen[skyline].clip_coords.tobytes() != frozen[stairline].clip_coords.tobytes()
+        for clipped, snapshot in frozen.items():
+            _assert_same_snapshot(snapshot, walked_freeze(clipped))
+
+    def test_a_dropped_tree_and_its_index_are_freed_by_reference_counting(self):
+        gc.collect()
+        gc.disable()
+        try:
+            tree = str_bulk_load(generate("uniform02", 300, seed=3), max_entries=8)
+            clipped = ClippedRTree.wrap(tree)
+            index = ColumnarIndex.from_tree(clipped)
+            refs = [weakref.ref(x) for x in (tree, clipped, index, index.entry_lows)]
+            del tree, clipped, index
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()

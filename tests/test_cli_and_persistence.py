@@ -99,6 +99,45 @@ class TestCli:
         assert "unknown dataset" in capsys.readouterr().err
 
 
+class TestVariantNames:
+    """The subcommands that build a tree take every name ``build_rtree`` takes
+    (``registry.canonical_variant``) and refuse only what it refuses."""
+
+    NAMES = [("r*", "rstar"), ("str", "str")]
+    MISSPELT = "rstr"
+
+    @staticmethod
+    def _runs(command, name, tmp_path):
+        if command == "build-info":
+            return ["build-info", "par02", name, "--size", "200", "--max-entries", "16"]
+        if command == "snapshot save":
+            return [
+                "snapshot", "save", str(tmp_path / "snap"), "--dataset", "par02",
+                "--variant", name, "--size", "200", "--max-entries", "16",
+            ]
+        return [
+            "serve", "--variant", name, "--size", "200", "--requests", "20",
+            "--max-entries", "16",
+        ]
+
+    @pytest.mark.parametrize("name,canonical", NAMES)
+    @pytest.mark.parametrize("command", ["build-info", "snapshot save", "serve"])
+    def test_alias_and_str_are_built(self, command, name, canonical, tmp_path, capsys):
+        assert main(self._runs(command, name, tmp_path)) == 0
+        title = {
+            "build-info": f"{canonical} over par02",
+            "snapshot save": f"saved {canonical}/par02",
+            "serve": f"chaos serving over {canonical}/par02",
+        }[command]
+        assert title in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["build-info", "snapshot save", "serve"])
+    def test_a_misspelt_name_exits_2(self, command, tmp_path, capsys):
+        assert main(self._runs(command, self.MISSPELT, tmp_path)) == 2
+        assert f"unknown R-tree variant {self.MISSPELT!r}" in capsys.readouterr().err
+        assert not (tmp_path / "snap").exists()
+
+
 class TestSnapshotCli:
     """``repro snapshot save`` then ``load``: the writer and the reader end to end."""
 

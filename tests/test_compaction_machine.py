@@ -62,6 +62,7 @@ from tests.conftest import (
     fail_after_write,
     make_random_objects,
     object_key,
+    walked_freeze,
 )
 
 
@@ -165,7 +166,7 @@ class CompactionMachine(RuleBasedStateMachine):
             assert stats.applied_inserts == stats.applied_deletes == 0
             return
         source = self.manager._source
-        fresh = ColumnarIndex.from_tree(source)
+        fresh = walked_freeze(source)
         snapshot = self.manager.snapshot
         for name in _INDEX_ARRAYS:
             assert np.array_equal(getattr(snapshot, name), getattr(fresh, name)), name

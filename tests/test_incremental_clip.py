@@ -124,9 +124,9 @@ class TestReclipNodes:
         calls = []
         batch = bulk_clip.clip_nodes_batch
 
-        def counted(nodes, dims, config):
-            calls.append(len(nodes))
-            return batch(nodes, dims, config)
+        def counted(lows, highs, counts, config):
+            calls.append(len(counts))
+            return batch(lows, highs, counts, config)
 
         monkeypatch.setattr(bulk_clip, "clip_nodes_batch", counted)
         before = _store_state(clipped)

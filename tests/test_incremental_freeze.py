@@ -6,7 +6,8 @@ nodes are read from the tree, every other node's entry rows, leaf objects
 and clip run are copied from the previous generation.  Each generation is
 built on the previous *incremental* one, so an error would compound.
 After every compaction the published snapshot must equal
-``ColumnarIndex.from_tree(source)`` with nothing to copy from:
+``ColumnarIndex.from_tree(source)`` with nothing to copy from and no
+freeze kept by the tree (``conftest.walked_freeze``):
 
 * the eleven canonical arrays and the oid column — the twelve arrays a
   snapshot persists — byte for byte (so ``-0.0`` is not ``0.0``);
@@ -41,6 +42,7 @@ from repro.geometry.rect import Rect
 from repro.rtree.clipped import ClippedRTree
 from repro.rtree.quadratic import QuadraticRTree
 from repro.rtree.registry import build_rtree
+from tests.conftest import walked_freeze
 
 CANONICAL = (
     "is_leaf", "entry_start", "entry_count", "node_ids", "entry_lows", "entry_highs",
@@ -73,7 +75,7 @@ def _fingerprint(snapshot: ColumnarIndex, directory: Path) -> str:
 def assert_is_fresh_freeze(manager: SnapshotManager, scratch: Path, fingerprint=True) -> None:
     """The manager's snapshot equals a from-scratch freeze of its source."""
     fresh = manager.snapshot
-    oracle = ColumnarIndex.from_tree(manager._source)
+    oracle = walked_freeze(manager._source)
     for name in CANONICAL:
         ours, theirs = getattr(fresh, name), getattr(oracle, name)
         assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape), name

@@ -10,6 +10,7 @@ materialisation, and the dtype/contiguity pinning that makes the arrays
 mmap-stable in the first place.
 """
 
+import dataclasses
 import json
 import shutil
 
@@ -28,6 +29,8 @@ from repro.engine import (
     save_snapshot,
     stt_batch,
 )
+from repro.cbb.clipping import ClippingConfig
+from repro.engine.columnar import TreeRecord
 from repro.engine.snapshot_io import LazyObjectList, MANIFEST_NAME, read_manifest
 from repro.geometry.rect import Rect
 from repro.rtree.clipped import ClippedRTree
@@ -413,11 +416,28 @@ def _hilbert(**fields):
     return _tree(**{"variant": "hilbert", "hilbert_bits": 16, "hilbert_space": None, **fields})
 
 
+#: Hostile tree records: (the field whose rule refuses it, what the file
+#: says, the edit), at least one row per field of the tree record (format 4).
+HOSTILE_TREE_FIELDS = [
+    ("tree.variant", "tree variant 'btree'", _tree(variant="btree")),
+    ("tree.max_entries", "tree max_entries 1", _tree(max_entries=1)),
+    ("tree.min_entries", "tree min_entries over half of max_entries", _tree(min_entries=5)),
+    ("tree.next_id", "tree next_id 0", _tree(next_id=0)),
+    ("tree.clipping.method", "tree clipping method 'hull'", _clip(method="hull")),
+    ("tree.clipping.k", "tree clipping k -1", _clip(k=-1)),
+    ("tree.clipping.tau", "tree clipping tau 1.0", _clip(tau=1.0)),
+    ("tree.hilbert_bits", "tree hilbert_bits 0", _hilbert(hilbert_bits=0)),
+    ("tree.hilbert_space", "tree hilbert_space with a NaN bound",
+     _hilbert(hilbert_space=[[0.0, float("nan")], [1.0, 1.0]])),
+    ("tree.hilbert_space", "tree hilbert_space of 3 dims",
+     _hilbert(hilbert_space=[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])),
+    ("tree.hilbert_bits", "hilbert_bits on an rstar tree", _tree(hilbert_bits=16)),
+]
+
 #: Hostile manifests: (what the file says, the edit).  Every row of the
 #: first block raised an untyped error, or loaded, before the checks were
 #: gathered into ``read_manifest``; ``load_snapshot`` already refused the
-#: last row of that block, which is the control.  The second block has one
-#: row per field of the tree record (format 4).
+#: last row of that block, which is the control.  The tree records follow.
 HOSTILE_MANIFESTS = [
     ("a list", lambda manifest: []),
     ("null", lambda manifest: None),
@@ -429,19 +449,50 @@ HOSTILE_MANIFESTS = [
     ("arrays as a list", _set("arrays", [])),
     ("no tree", lambda m: {k: v for k, v in m.items() if k != "tree"}),
     ("tree as a list", _set("tree", [])),
-    ("tree variant 'btree'", _tree(variant="btree")),
-    ("tree max_entries 1", _tree(max_entries=1)),
-    ("tree min_entries over half of max_entries", _tree(min_entries=5)),
-    ("tree next_id 0", _tree(next_id=0)),
-    ("tree clipping method 'hull'", _clip(method="hull")),
-    ("tree clipping k -1", _clip(k=-1)),
-    ("tree clipping tau 1.0", _clip(tau=1.0)),
-    ("tree hilbert_bits 0", _hilbert(hilbert_bits=0)),
-    ("tree hilbert_space with a NaN bound",
-     _hilbert(hilbert_space=[[0.0, float("nan")], [1.0, 1.0]])),
-    ("tree hilbert_space of 3 dims", _hilbert(hilbert_space=[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])),
-    ("hilbert_bits on an rstar tree", _tree(hilbert_bits=16)),
+] + [(what, edit) for _, what, edit in HOSTILE_TREE_FIELDS]
+
+_INF = float("inf")
+
+#: ``(field, accepted value, the edit)``: the edge of each tree-record
+#: field's rule, the value a rule one step stricter would refuse (a field
+#: whose rule is membership takes another member).  ``read_manifest``
+#: checks the record alone; the arrays may still contradict it at load.
+BOUNDARY_TREE_FIELDS = [
+    ("tree.variant", "rrstar", _tree(variant="rrstar")),
+    ("tree.max_entries", 2, _tree(max_entries=2, min_entries=1)),
+    ("tree.min_entries", 4, _tree(max_entries=8, min_entries=8 // 2)),
+    ("tree.next_id", 1, _tree(next_id=1)),
+    ("tree.clipping.method", "skyline", _clip(method="skyline")),
+    ("tree.clipping.k", 0, _clip(k=0)),
+    ("tree.clipping.tau", 0.0, _clip(tau=0.0)),
+    ("tree.hilbert_bits", 1, _hilbert(hilbert_bits=1)),
+    ("tree.hilbert_space", Rect((-_INF, 0.0), (_INF, 1.0)),
+     _hilbert(hilbert_space=[[-_INF, 0.0], [_INF, 1.0]])),
 ]
+
+
+def _record_field(record, field):
+    """The value at ``field`` (``tree.<name>`` or ``tree.clipping.<name>``) of ``record``."""
+    value = record
+    for name in field.split(".")[1:]:
+        value = getattr(value, name)
+    return value
+
+
+@pytest.mark.parametrize("field,value,edit", BOUNDARY_TREE_FIELDS,
+                         ids=[f"{row[0]}={row[1]!r}" for row in BOUNDARY_TREE_FIELDS])
+def test_manifest_accepts_the_edge_of_each_tree_field(tmp_path, field, value, edit):
+    _, reference = _frozen(dims=2, count=60)
+    save_snapshot(reference, tmp_path)
+    _rewrite_manifest(tmp_path, edit)
+    assert _record_field(read_manifest(tmp_path)["tree"], field) == value
+
+
+def test_every_tree_field_has_a_refused_and_an_accepted_row():
+    fields = {f"tree.{f.name}" for f in dataclasses.fields(TreeRecord) if f.name != "clipping"}
+    fields |= {f"tree.clipping.{f.name}" for f in dataclasses.fields(ClippingConfig)}
+    assert {field for field, _, _ in HOSTILE_TREE_FIELDS} == fields
+    assert {field for field, _, _ in BOUNDARY_TREE_FIELDS} == fields
 
 
 @pytest.mark.parametrize("edit", [row[1] for row in HOSTILE_MANIFESTS],
