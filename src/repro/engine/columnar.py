@@ -32,8 +32,9 @@ makes the kept freeze stale, so the next freeze walks again.  Only the
 clip runs are read here, from the :class:`ClipStore`.  When the caller
 hands over the previous generation and the node ids a batch of updates
 dirtied, the walk reads only the dirty nodes and copies every other
-node's entry rows, leaf objects and clip run from that generation with
-array gathers, and the tree keeps the result.  A compaction
+node's entry rows, leaf objects (with their ids) and clip run from that
+generation with slice copies of the runs the kept nodes form, and the
+tree keeps the result.  A compaction
 (:meth:`SnapshotManager.compact <repro.engine.delta.SnapshotManager.compact>`)
 thereby pays for the nodes its batch touched, not for the tree.
 
@@ -166,13 +167,21 @@ def _copy_runs(
 ) -> None:
     """Copy run ``i`` of ``counts[i]`` rows from ``src_starts[i]`` to ``dst_starts[i]``.
 
-    For every ``(target, source)`` of ``pairs``, with one index
-    computation shared by all of them.
+    For every ``(target, source)`` of ``pairs``.  Runs that continue one
+    another on both sides are merged first, and each merged run is one
+    slice copy per pair: a compaction keeps most nodes in their order, so
+    a few long runs cover most rows.
     """
-    dst, _ = expand_segments(dst_starts, counts)
-    src, _ = expand_segments(src_starts, counts)
-    for target, source in pairs:
-        target[dst] = source[src]
+    if not len(counts):
+        return
+    ends = dst_starts + counts
+    joined = (dst_starts[1:] == ends[:-1]) & (src_starts[1:] == src_starts[:-1] + counts[:-1])
+    first = np.flatnonzero(np.concatenate(([True], ~joined)))
+    last = np.append(first[1:], len(counts)) - 1
+    runs = zip(dst_starts[first].tolist(), src_starts[first].tolist(), ends[last].tolist())
+    for dst, src, end in runs:
+        for target, source in pairs:
+            target[dst:end] = source[src : src + end - dst]
 
 
 def _pinned(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -190,14 +199,19 @@ def _pinned(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
 
 def _refreeze(
     tree: RTreeBase, previous: "ColumnarIndex", dirty: AbstractSet[int]
-) -> Tuple[TreeFreeze, np.ndarray]:
+) -> Tuple[TreeFreeze, np.ndarray, Optional[np.ndarray]]:
     """``tree``'s freeze, copying from ``previous`` every node outside ``dirty``.
 
     Also returns, per slot, the slot it was copied from in ``previous``,
-    or -1 for a node read from the tree (see :meth:`ColumnarIndex.from_tree`).
+    or -1 for a node read from the tree (see :meth:`ColumnarIndex.from_tree`),
+    and the objects' oid column (:meth:`ColumnarIndex.object_oids`)
+    assembled the way the objects are: the kept leaves' runs copied from
+    ``previous``'s column, the fresh leaves' ids read.  None when
+    ``previous`` never built its column (no delete asked for it).
     """
     nodes = bfs_nodes(tree)
     n_nodes = len(nodes)
+    is_leaf = np.array([node.is_leaf for node in nodes], dtype=bool)
     kept_slot = {
         node_id: slot
         for slot, node_id in enumerate(previous.node_ids.tolist())
@@ -208,6 +222,7 @@ def _refreeze(
     previous_slot = np.empty(n_nodes, dtype=np.int64)
     entry_count = np.empty(n_nodes, dtype=np.int64)
     objects: List[SpatialObject] = []
+    fresh_objects: List[SpatialObject] = []
     lows: List[tuple] = []
     highs: List[tuple] = []
     for slot, node in enumerate(nodes):
@@ -220,7 +235,9 @@ def _refreeze(
             lows.extend([rect.low for rect in rects])
             highs.extend([rect.high for rect in rects])
             if node.is_leaf:
-                objects.extend([entry.child for entry in entries])
+                children = [entry.child for entry in entries]
+                objects.extend(children)
+                fresh_objects.extend(children)
         elif node.is_leaf:
             first = previous_rows[slot_before] - first_leaf_row
             objects.extend(previous.objects[first : first + len(entries)])
@@ -241,15 +258,29 @@ def _refreeze(
             previous.entry_start[previous_slot[kept]],
             entry_count[kept],
         )
+    oids = None
+    if previous._object_oids is not None:
+        # Object i is leaf row ``first_leaf + i``, in both generations.
+        first_leaf = total_entries - len(objects)
+        oids = np.empty(len(objects), dtype=np.int64)
+        kept_leaves, fresh_leaves = kept & is_leaf, fresh & is_leaf
+        _copy_runs(
+            [(oids, previous._object_oids)],
+            entry_start[kept_leaves] - first_leaf,
+            previous.entry_start[previous_slot[kept_leaves]] - first_leaf_row,
+            entry_count[kept_leaves],
+        )
+        rows, _ = expand_segments(entry_start[fresh_leaves] - first_leaf, entry_count[fresh_leaves])
+        oids[rows] = [obj.oid for obj in fresh_objects]
     freeze = tree_freeze(
-        is_leaf=np.array([node.is_leaf for node in nodes], dtype=bool),
+        is_leaf=is_leaf,
         entry_count=entry_count,
         node_ids=np.array([node.node_id for node in nodes], dtype=np.int64),
         entry_lows=entry_lows,
         entry_highs=entry_highs,
         objects=objects,
     )
-    return freeze, previous_slot
+    return freeze, previous_slot, oids
 
 
 def slot_levels(
@@ -388,9 +419,11 @@ class ColumnarIndex:
         (:func:`~repro.engine.incremental_clip.dirty_node_ids`).  A node
         ``previous`` holds and ``dirty`` does not has the entries and clip
         points it had then, so its entry rows, leaf objects and clip run
-        are copied from ``previous`` with array operations; every other
-        node is read from the tree.  The tree keeps the result as its
-        freeze.  Either way the arrays are those of a walk of every node.
+        are copied from ``previous`` with array operations (and its
+        objects' ids, when ``previous`` built its :meth:`object_oids`);
+        every other node is read from the tree.  The tree keeps the result
+        as its freeze.  Either way the arrays are those of a walk of every
+        node.
         """
         if isinstance(index, ClippedRTree):
             tree: RTreeBase = index.tree
@@ -401,11 +434,12 @@ class ColumnarIndex:
         if previous is not None and previous.source is not index:
             raise ValueError("previous must be a freeze of the same index")
         dims = tree.dims
+        oids = None
         if previous is None:
             freeze = tree.freeze()
             previous_slot = np.full(len(freeze.node_ids), -1, dtype=np.int64)
         else:
-            freeze, previous_slot = _refreeze(tree, previous, dirty)
+            freeze, previous_slot, oids = _refreeze(tree, previous, dirty)
             tree.keep_freeze(freeze)
         n_nodes = len(previous_slot)
         fresh = previous_slot < 0
@@ -446,7 +480,7 @@ class ColumnarIndex:
                 previous.node_clip_start[previous_slot[kept]],
                 node_clip_count[kept],
             )
-        return cls(
+        snapshot = cls(
             source=index,
             dims=dims,
             **freeze._asdict(),
@@ -457,6 +491,8 @@ class ColumnarIndex:
             source_version=cls._version_of(index),
             tree_record=TreeRecord.of(index),
         )
+        snapshot._object_oids = oids
+        return snapshot
 
     def to_tree(self) -> Union[RTreeBase, ClippedRTree]:
         """Thaw the tree this snapshot was frozen from, without re-clipping.

@@ -55,6 +55,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -86,6 +87,25 @@ _SLICE_SECONDS = 0.010
 #: pending inserts: what bounds its working memory, however large the
 #: batch and the buffer.
 _PENDING_BLOCK_CELLS = 1 << 16
+
+
+def _leaf_paths(index: ColumnarIndex, rows: Sequence[int]) -> List[List[int]]:
+    """Root-to-leaf node ids of the leaves holding objects ``rows`` of ``index``.
+
+    Read off the BFS layout, one ``searchsorted`` per level for all rows
+    at once: object ``row`` is leaf row ``first + row`` and lies in the
+    slot whose entry run holds that row, and a slot ``s`` below the root
+    is led to by directory row ``s - 1``, which lies in its parent's run.
+    A balanced tree's leaves reach the root slot together.
+    """
+    starts = index.entry_start
+    first = len(index.entry_child) - len(index.objects)
+    slots = np.searchsorted(starts, np.asarray(rows, dtype=np.int64) + first, side="right") - 1
+    levels = [slots]
+    while len(slots) and slots[0] != ColumnarIndex.ROOT_SLOT:
+        slots = np.searchsorted(starts, slots - 1, side="right") - 1
+        levels.append(slots)
+    return index.node_ids[np.stack(levels[::-1], axis=1)].tolist()
 
 
 class CompactionInProgressError(RuntimeError):
@@ -188,8 +208,9 @@ class DeltaOverlay:
     Inserts are appended to a list, in arrival order; readers see them
     through :meth:`pending`, an immutable :class:`PendingInserts` view
     built at most once per write.  A delete of a *base* object clears
-    that object's bit in :attr:`live` (and remembers the object so
-    compaction can replay the delete against the source tree); deleting
+    that object's bit in :attr:`live` (and remembers the object, its row
+    and whether its id is unique in the base, so compaction can replay the
+    delete against the source tree along the row's path); deleting
     a pending insert removes its first equal copy (same id and rectangle)
     in arrival order from the buffer.  Compaction folds the buffered
     inserts in arrival order.
@@ -216,6 +237,8 @@ class DeltaOverlay:
         #: None until the first delete: readers then pass the base no mask.
         self.live: Optional[np.ndarray] = None
         self._deleted_objects: List[SpatialObject] = []
+        #: per base deletion, its row and whether no other base row has its id
+        self._deleted_rows: List[Tuple[int, bool]] = []
         self.ops = 0
 
     # ------------------------------------------------------------------
@@ -246,30 +269,35 @@ class DeltaOverlay:
                 self._version += 1
                 self.ops += 1
                 return True
-        row = self._live_base_row(obj)
-        if row is None:
+        located = self._live_base_row(obj)
+        if located is None:
             return False
         if self.live is None:
             self.live = np.ones(len(self.base.objects), dtype=bool)
-        self.live[row] = False
+        self.live[located[0]] = False
         self._deleted_objects.append(obj)
+        self._deleted_rows.append(located)
         self.ops += 1
         return True
 
-    def _live_base_row(self, obj: SpatialObject) -> Optional[int]:
-        """The first live base row equal to ``obj`` (id and rectangle), or None."""
+    def _live_base_row(self, obj: SpatialObject) -> Optional[Tuple[int, bool]]:
+        """The first live base row equal to ``obj`` (id and rectangle), or None.
+
+        Paired with whether it is the only base row with ``obj``'s id.
+        """
         base, live = self.base, self.live
         low, high = obj.rect.low, obj.rect.high
         # The leaves' entries are the trailing rows of the entry columns.
         first = len(base.entry_child) - len(base.objects)
         # One compare over the oid column, then the few rows sharing the id.
-        for row in np.flatnonzero(base.object_oids() == obj.oid).tolist():
+        rows = np.flatnonzero(base.object_oids() == obj.oid).tolist()
+        for row in rows:
             if (
                 (live is None or live[row])
                 and tuple(base.entry_lows[first + row]) == low
                 and tuple(base.entry_highs[first + row]) == high
             ):
-                return row
+                return row, len(rows) == 1
         return None
 
     # ------------------------------------------------------------------
@@ -308,6 +336,10 @@ class DeltaOverlay:
         """The buffered base deletions, in arrival order (for compaction)."""
         return list(self._deleted_objects)
 
+    def deleted_rows(self) -> List[Tuple[int, bool]]:
+        """Per buffered base deletion, ``(its row, no other base row has its id)``."""
+        return list(self._deleted_rows)
+
     def inserted_objects(self) -> List[SpatialObject]:
         """The pending inserts, in arrival order (for compaction)."""
         return list(self._inserts)
@@ -336,6 +368,8 @@ class _Fold:
     base: ColumnarIndex
     deletes: List[SpatialObject]
     inserts: List[SpatialObject]
+    #: per delete, ``(its row of base, no other row of base has its id)``
+    located: List[Tuple[int, bool]] = field(default_factory=list)
     start: float = field(default_factory=time.perf_counter)
     previous: Optional[ColumnarIndex] = None  # the generation the freeze may copy from
     dirty: Set[int] = field(default_factory=set)  # what the apply dirtied, once it is done
@@ -523,7 +557,14 @@ class SnapshotManager:
         snapshot, which the buffered writes were made against):
 
         1. apply the buffered deletes, then inserts, each in arrival
-           order, to the source tree, *without* per-update re-clipping;
+           order, to the source tree, *without* per-update re-clipping.
+           A delete goes down the root-to-leaf path its tombstoned row
+           has in the generation being replaced (read off its BFS layout
+           once per fold), checked before use; it searches the tree
+           (``RTreeBase._find_leaf``) only for an object whose id other
+           base rows share, a path an earlier delete's condense-tree broke,
+           or a fold over a thawed tree.  Each write refreshes its
+           ancestors up to the first parent entry it leaves unchanged;
         2. collect what the applies changed into one dirty set
            (:func:`~repro.engine.incremental_clip.dirty_node_ids`);
         3. re-clip the dirty nodes once
@@ -565,7 +606,12 @@ class SnapshotManager:
             if self._fold is None:
                 overlay = self.overlay
                 # The input: what the fold's log starts after.
-                fold = _Fold(overlay.base, overlay.deleted_objects(), overlay.inserted_objects())
+                fold = _Fold(
+                    overlay.base,
+                    overlay.deleted_objects(),
+                    overlay.inserted_objects(),
+                    overlay.deleted_rows(),
+                )
                 if not fold.deletes and not fold.inserts:
                     # The buffered writes cancelled out (an insert deleted
                     # again): nothing to fold, and nothing is pending either.
@@ -611,15 +657,21 @@ class SnapshotManager:
         fold.previous = base if base.source is source and not base.is_stale else None
         clipped = source if isinstance(source, ClippedRTree) else None
         tree = clipped.tree if clipped is not None else source
+        hints: List[Optional[List[int]]] = [None] * len(fold.deletes)
+        if fold.previous is not None and fold.located:
+            rows, alone = zip(*fold.located)
+            paths = _leaf_paths(fold.previous, rows)
+            hints = [path if unique else None for path, unique in zip(paths, alone)]
+        writes = [partial(tree._delete_at, obj, hint) for obj, hint in zip(fold.deletes, hints)]
+        writes += [partial(tree.insert, obj) for obj in fold.inserts]
         results = []
         fold.written = True
         slice_end = time.perf_counter() + _SLICE_SECONDS
-        for apply, batch in ((tree.delete, fold.deletes), (tree.insert, fold.inserts)):
-            for obj in batch:
-                if results and time.perf_counter() >= slice_end:
-                    yield True
-                    slice_end = time.perf_counter() + _SLICE_SECONDS
-                results.append(apply(obj))
+        for write in writes:
+            if results and time.perf_counter() >= slice_end:
+                yield True
+                slice_end = time.perf_counter() + _SLICE_SECONDS
+            results.append(write())
         yield True
         dirty = fold.dirty = dirty_node_ids(results, tree)
         if clipped is None:

@@ -10,7 +10,7 @@ experiment need.  Variants only customise ``_choose_subtree`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import le
+from operator import le, lt
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.geometry.objects import SpatialObject
@@ -253,7 +253,7 @@ class RTreeBase:
         result.record_added(target.node_id, entry.rect)
         if level == 0 and result.leaf_id is None:
             result.leaf_id = target.node_id
-        self._propagate_up(path, result)
+        self._propagate_up(path, result, entry.rect)
 
     def _choose_path(self, rect: Rect, level: int) -> List[int]:
         """Node ids from the root down to the insertion target at ``level``."""
@@ -266,24 +266,55 @@ class RTreeBase:
             path.append(node.node_id)
         return path
 
-    def _propagate_up(self, path: List[int], result: InsertResult) -> None:
-        """Handle overflow and refresh parent rectangles from leaf to root."""
+    def _propagate_up(self, path: List[int], result: InsertResult, added: Rect) -> None:
+        """Handle overflow and refresh parent rectangles from ``path[-1]`` up.
+
+        ``path[-1]`` has just received an entry bounded by ``added``.  The
+        walk stops at the first node that did not overflow and whose
+        parent entry already held its MBB: that parent's entries are the
+        ones it had, so every ancestor above it is as it was, and going on
+        would find each of their entries equal and change nothing.
+        """
+        inner: Optional[Rect] = added
         for depth in range(len(path) - 1, -1, -1):
             node = self._nodes[path[depth]]
-            if len(node.entries) > self.max_entries:
+            overflow = len(node.entries) > self.max_entries
+            if overflow:
                 self._handle_overflow(node, path[:depth], result)
             if depth > 0:
                 parent = self._nodes[path[depth - 1]]
-                if self._refresh_parent_entry(parent, node):
+                changed = self._refresh_parent_entry(parent, node, None if overflow else inner)
+                if changed:
                     result.mbb_changed_node_ids.add(node.node_id)
+                elif changed is False and not overflow:
+                    return
+            inner = None
 
-    def _refresh_parent_entry(self, parent: Node, child: Node) -> bool:
-        """Sync the parent's entry rect with the child's MBB; True if it changed."""
+    def _refresh_parent_entry(
+        self, parent: Node, child: Node, inner: Optional[Rect] = None
+    ) -> Optional[bool]:
+        """Sync the parent's entry rect with the child's MBB.
+
+        True if it changed, False if it already held a value-equal rect,
+        None if ``parent`` has no entry for ``child``.  ``inner`` is the
+        one rect ``child`` gained or lost since the entry was last synced:
+        strictly inside the entry in every dimension, it bounds none of
+        the child's extremes, so the MBB is not recomputed.  Strict ``<``:
+        a ``-0.0`` / ``0.0`` tie or an infinite bound it shares with the
+        entry is recomputed, as it may have set that bound.
+        """
         entry = parent.find_child_entry(child.node_id)
         if entry is None:
+            return None
+        bounds = entry.rect
+        if (
+            inner is not None
+            and all(map(lt, bounds.low, inner.low))
+            and all(map(lt, inner.high, bounds.high))
+        ):
             return False
         new_rect = child.mbb()
-        if entry.rect != new_rect:
+        if bounds != new_rect:
             entry.rect = new_rect
             return True
         return False
@@ -322,8 +353,24 @@ class RTreeBase:
 
     def delete(self, obj: SpatialObject) -> DeleteResult:
         """Remove one object (matched by id and rectangle)."""
+        return self._delete_at(obj, None)
+
+    def _delete_at(self, obj: SpatialObject, hint: Optional[Sequence[int]]) -> DeleteResult:
+        """:meth:`delete`, along ``hint`` when it still leads to ``obj``.
+
+        ``hint`` is a guess at the root-to-leaf node ids of the leaf
+        holding ``obj`` (a compaction reads it off the freeze the tree had
+        when its deletes were buffered).  It is used only if its first id
+        is the root, each node on it still has an entry for the next, and
+        its last is a leaf holding an entry equal to ``obj``; otherwise
+        :meth:`_find_leaf` searches.  The caller vouches that no other
+        entry with ``obj``'s id is in the tree: then the checked path is
+        the one path to the one leaf the search would find.
+        """
         result = DeleteResult()
-        path = self._find_leaf(obj)
+        path = None if hint is None else self._checked_path(obj, hint)
+        if path is None:
+            path = self._find_leaf(obj)
         if path is None:
             return result
         result.found = True
@@ -336,9 +383,27 @@ class RTreeBase:
                 break
         self._size -= 1
         self._version += 1
-        self._condense_tree(path, result)
+        self._condense_tree(path, result, obj.rect)
         self._shrink_root(result)
         return result
+
+    def _checked_path(self, obj: SpatialObject, hint: Sequence[int]) -> Optional[List[int]]:
+        """``hint`` as a list if it is a root-to-leaf path to an entry equal to ``obj``."""
+        nodes = self._nodes
+        if not hint or hint[0] != self._root_id:
+            return None
+        for parent_id, child_id in zip(hint, hint[1:]):
+            parent = nodes.get(parent_id)
+            if parent is None or parent.find_child_entry(child_id) is None:
+                return None
+        leaf = nodes.get(hint[-1])
+        if leaf is None or not leaf.is_leaf:
+            return None
+        oid, rect = obj.oid, obj.rect
+        for entry in leaf.entries:
+            if entry.child.oid == oid and entry.rect == rect:
+                return list(hint)
+        return None
 
     def _find_leaf(self, obj: SpatialObject) -> Optional[List[int]]:
         """Root-to-leaf path of the leaf containing ``obj``, or None.
@@ -346,7 +411,9 @@ class RTreeBase:
         Depth first with entries in order, into every child whose rectangle
         contains ``obj``'s: the first leaf holding an entry with ``obj``'s
         id and rectangle wins.  The containment test is inlined (no method
-        call per entry): a delete visits about a dozen nodes.
+        call per entry): a search visits about a dozen nodes.  A plain
+        :meth:`delete` searches; a compaction's delete searches only when it
+        has no located path or that path no longer holds (:meth:`_delete_at`).
         """
         oid, rect = obj.oid, obj.rect
         low, high = rect.low, rect.high
@@ -373,8 +440,15 @@ class RTreeBase:
 
         return path if descend(self.root) else None
 
-    def _condense_tree(self, path: List[int], result: DeleteResult) -> None:
+    def _condense_tree(self, path: List[int], result: DeleteResult, removed: Rect) -> None:
+        """Drop underfull nodes and refresh parent rectangles from ``path[-1]`` up.
+
+        ``path[-1]`` has just lost an entry bounded by ``removed``.  As in
+        :meth:`_propagate_up`, the walk stops at the first node that kept
+        enough entries and whose parent entry already held its MBB.
+        """
         orphans: List[Tuple[int, List[Entry]]] = []
+        inner: Optional[Rect] = removed
         for depth in range(len(path) - 1, 0, -1):
             node = self._nodes[path[depth]]
             parent = self._nodes[path[depth - 1]]
@@ -387,8 +461,12 @@ class RTreeBase:
                 result.entry_removed_node_ids.add(parent.node_id)
                 del self._nodes[node.node_id]
             else:
-                if self._refresh_parent_entry(parent, node):
+                changed = self._refresh_parent_entry(parent, node, inner)
+                if changed:
                     result.mbb_changed_node_ids.add(node.node_id)
+                elif changed is False:
+                    break
+            inner = None
 
         # Re-insert entries of eliminated nodes at their original levels.
         insert_result = InsertResult()

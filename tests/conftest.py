@@ -1,8 +1,10 @@
 """Shared fixtures and helpers for the test-suite."""
 
+import contextlib
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +26,12 @@ from repro.storage.stats import IOStats
 MACHINE_EXAMPLES = 100
 MACHINE_PROFILE = "compaction-machine-100x"
 settings.register_profile(MACHINE_PROFILE, max_examples=100 * MACHINE_EXAMPLES)
+
+#: Examples of tests/test_property_rtree_updates.py per tier-1 run, and the
+#: profile that runs 25 times as many (CI chaos job).
+UPDATES_EXAMPLES = 12
+UPDATES_PROFILE = "rtree-updates-25x"
+settings.register_profile(UPDATES_PROFILE, max_examples=25 * UPDATES_EXAMPLES)
 
 #: Every tree ``build_rtree`` builds: the insertion variants and STR packing.
 ALL_VARIANTS = VARIANT_NAMES + ("str",)
@@ -67,6 +75,73 @@ def walked_freeze(index):
     return ColumnarIndex.from_tree(index)
 
 
+def full_propagate_up(self, path, result, added=None):
+    """``RTreeBase._propagate_up`` without its early stop: the oracle.
+
+    Every level up to the root: handle an overflow, recompute the child's
+    MBB and refresh its parent entry.  ``added`` is ignored.
+    """
+    for depth in range(len(path) - 1, -1, -1):
+        node = self._nodes[path[depth]]
+        if len(node.entries) > self.max_entries:
+            self._handle_overflow(node, path[:depth], result)
+        if depth > 0:
+            parent = self._nodes[path[depth - 1]]
+            if self._refresh_parent_entry(parent, node):
+                result.mbb_changed_node_ids.add(node.node_id)
+
+
+def full_condense_tree(self, path, result, removed=None):
+    """``RTreeBase._condense_tree`` without its early stop: the oracle.
+
+    Every level below the root: drop an underfull node or recompute its
+    MBB and refresh its parent entry; then re-insert the orphans.
+    ``removed`` is ignored.
+    """
+    from repro.rtree.base import InsertResult
+
+    orphans = []
+    for depth in range(len(path) - 1, 0, -1):
+        node = self._nodes[path[depth]]
+        parent = self._nodes[path[depth - 1]]
+        if len(node.entries) < self.min_entries:
+            parent.entries = [
+                e for e in parent.entries if not (e.is_node_pointer and e.child == node.node_id)
+            ]
+            orphans.append((node.level, list(node.entries)))
+            result.removed_node_ids.add(node.node_id)
+            result.entry_removed_node_ids.add(parent.node_id)
+            del self._nodes[node.node_id]
+        elif self._refresh_parent_entry(parent, node):
+            result.mbb_changed_node_ids.add(node.node_id)
+    insert_result = InsertResult()
+    for level, entries in orphans:
+        for entry in entries:
+            self._begin_insert()
+            self._insert_entry(entry, level, insert_result)
+    live = self._nodes
+    result.mbb_changed_node_ids.update(n for n in insert_result.mbb_changed_node_ids if n in live)
+    result.split_node_ids.update(n for n in insert_result.split_node_ids if n in live)
+    result.new_node_ids.update(n for n in insert_result.new_node_ids if n in live)
+    result.entry_removed_node_ids.update(
+        n for n in insert_result.entry_removed_node_ids if n in live
+    )
+    for node_id, rects in insert_result.added_rects.items():
+        if node_id in live:
+            result.added_rects.setdefault(node_id, []).extend(rects)
+
+
+@contextlib.contextmanager
+def full_refresh():
+    """Every tree updated inside refreshes each ancestor to the root (the oracle loops)."""
+    from repro.rtree.base import RTreeBase
+
+    with mock.patch.object(RTreeBase, "_propagate_up", full_propagate_up), mock.patch.object(
+        RTreeBase, "_condense_tree", full_condense_tree
+    ):
+        yield
+
+
 def fail_after_write(manager, n, error):
     """Make the n-th write to ``manager``'s source tree from now on raise ``error``.
 
@@ -78,9 +153,10 @@ def fail_after_write(manager, n, error):
     source = manager._source
     tree = getattr(source, "tree", source)
     writes = iter(range(1, n + 1))
-    for name in ("insert", "delete"):
-        def failing(obj, write=getattr(tree, name)):
-            result = write(obj)
+    # ``delete`` and a compaction's located deletes both run ``_delete_at``.
+    for name in ("insert", "_delete_at"):
+        def failing(*args, write=getattr(tree, name)):
+            result = write(*args)
             if next(writes, None) == n:
                 raise error
             return result

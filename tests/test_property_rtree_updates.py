@@ -8,6 +8,11 @@ from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.rtree.clipped import ClippedRTree
 from repro.rtree.registry import VARIANT_NAMES, build_rtree
+from tests.conftest import UPDATES_EXAMPLES, UPDATES_PROFILE
+
+#: The CI chaos job runs this file under ``UPDATES_PROFILE``, whose example
+#: count must not be overridden here.
+_scaled = settings.get_current_profile_name() == UPDATES_PROFILE
 
 
 def _random_object(rng, oid):
@@ -22,7 +27,9 @@ class TestRandomUpdateSequences:
         st.sampled_from(VARIANT_NAMES),
         st.integers(min_value=4, max_value=10),
     )
-    @settings(max_examples=12, deadline=None)
+    @settings(
+        settings.default if _scaled else settings(max_examples=UPDATES_EXAMPLES), deadline=None
+    )
     def test_mixed_insert_delete_workload(self, seed, variant, max_entries):
         rng = random.Random(seed)
         live = [_random_object(rng, i) for i in range(60)]

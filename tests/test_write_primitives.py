@@ -7,7 +7,10 @@ same path, the same floats to the bit and the same index on any input
 (ties, exact duplicates, zero-extent boxes, ``-0.0`` / ``0.0``, ±inf
 bounds whose enlargement is NaN), and trees of every variant, built and
 then updated by insertion and deletion with the old loops patched back
-in, are node for node the trees the new loops build.
+in, are node for node the trees the new loops build.  Those old loops
+include the ancestor refresh that walks to the root
+(``conftest.full_propagate_up`` / ``full_condense_tree``), which the
+tree's refresh now stops at the first parent entry left unchanged.
 """
 
 import math
@@ -26,6 +29,7 @@ from repro.rtree.entry import Entry
 from repro.rtree.node import Node
 from repro.rtree.quadratic import QuadraticRTree
 from repro.rtree.registry import build_rtree
+from tests.conftest import full_condense_tree, full_propagate_up
 
 
 # ----------------------------------------------------------------------
@@ -96,6 +100,8 @@ def reference_choose_subtree(self, node: Node, rect: Rect) -> int:
 
 def _patch_reference_loops(monkeypatch) -> None:
     monkeypatch.setattr(RTreeBase, "_find_leaf", reference_find_leaf)
+    monkeypatch.setattr(RTreeBase, "_propagate_up", full_propagate_up)
+    monkeypatch.setattr(RTreeBase, "_condense_tree", full_condense_tree)
     monkeypatch.setattr(QuadraticRTree, "_choose_subtree", reference_choose_subtree)
     monkeypatch.setattr(Node, "mbb", reference_node_mbb)
     for module in (node_module, rstar, rrstar, hilbert):
