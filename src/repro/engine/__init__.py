@@ -16,8 +16,8 @@ nodes given as entry-row arrays — the one path by which
 Updates: :class:`SnapshotManager` + :class:`DeltaOverlay` absorb
 inserts/deletes on top of a frozen snapshot and fold them in via
 compaction with dirty-node-only re-clipping
-(:func:`reclip_nodes_for_results`) and a freeze that re-reads only the
-same dirty nodes.
+(:func:`reclip_nodes_for_results`) and a freeze that takes the same
+dirty nodes' rows and clip points from the re-clip and copies the rest.
 
 Joins: :func:`inlj_batch` and :func:`stt_batch` run both spatial-join
 strategies over snapshots with scalar-identical pairs and I/O

@@ -12,11 +12,16 @@ tiling, any other tree is walked once and keeps that walk, and either
 way the freeze stays current until the tree's ``version`` moves (an
 insert, a delete, a new structure).  The compaction's re-clip
 (:meth:`~repro.rtree.clipped.ClippedRTree.reclip_nodes`) stacks the
-entries of its dirty nodes into the same form.  The kernel does a
-handful of NumPy calls per batch instead of one Python loop nest per
-node per corner.  Each node's clip points are *identical* to what the
-scalar :func:`~repro.cbb.clipping.compute_clip_points` (Algorithm 1)
-returns for it — same coordinate values, same scores, same ordering
+entries of its dirty nodes into the same form, once
+(:func:`~repro.rtree.freeze.node_rows`).  The kernel does a handful of
+NumPy calls per batch instead of one Python loop nest per node per
+corner, and returns arrays (:class:`ClipBatch`: coordinates, corner
+masks, scores and a count per node).  :func:`clip_point_lists` turns
+them into the ``ClipPoint`` lists the store keeps; the compaction's
+freeze writes its fresh clip runs from the arrays themselves.  Each
+node's clip points are *identical* to what the scalar
+:func:`~repro.cbb.clipping.compute_clip_points` (Algorithm 1) returns
+for it — same coordinate values, same scores, same ordering
 (``tests/test_build_differential.py`` pins this against the per-node
 oracle across tree variants, datasets, dimensionalities and both
 clipping methods).
@@ -48,9 +53,7 @@ that pass, one stable sort per node     ``compute_clip_points``; the
 ======================================  ======================================
 
 The surviving clip points are un-oriented at the very end and leave as
-``ClipPoint`` objects built straight from ``tolist()`` values, which are
-Python floats and ints already (``cbb.clip_point._unchecked_clip_point``;
-the public constructor would convert each value again).  The problem
+rows of a :class:`ClipBatch`, grouped by node in node order.  The problem
 axis is walked in runs of nodes whose candidate count fits
 ``_CHUNK_BUDGET`` (:func:`_candidate_slices`), and the skyline tables in
 their own, cache-sized chunks (:func:`_chunked_skyline`), so working
@@ -88,7 +91,7 @@ kernel-level ones are in :mod:`repro.engine.clip_kernels`):
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -119,25 +122,58 @@ _CHUNK_BUDGET = 4_000_000
 _SKYLINE_CHUNK_BYTES = 1 << 20
 
 
+class ClipBatch(NamedTuple):
+    """Clip points of a batch of nodes, as arrays: node ``i`` owns the next ``counts[i]`` rows.
+
+    Each node's rows are in the order the store keeps them (descending
+    score, ties by corner mask, then candidate position).
+    """
+
+    counts: np.ndarray  # (g,) int64
+    coords: np.ndarray  # (n, d) float64
+    masks: np.ndarray  # (n,) int64 corner bitmasks
+    scores: np.ndarray  # (n,) float64
+
+
+def clip_point_lists(batch: ClipBatch) -> List[List[ClipPoint]]:
+    """``batch`` as one :class:`ClipPoint` list per node, empty where a node has none.
+
+    The points are built straight from ``tolist()`` values, which are
+    Python floats and ints already (``cbb.clip_point._unchecked_clip_point``;
+    the public constructor would convert each value again).
+    """
+    # Zipping the ``tolist()`` columns yields each row as a tuple of floats.
+    points = list(
+        map(
+            _unchecked_clip_point,
+            zip(*batch.coords.T.tolist()),
+            batch.masks.tolist(),
+            batch.scores.tolist(),
+        )
+    )
+    ends = np.cumsum(batch.counts).tolist()
+    return [points[start:end] for start, end in zip([0] + ends, ends)]
+
+
 def clip_nodes_batch(
     lows: np.ndarray,
     highs: np.ndarray,
     counts: np.ndarray,
     config: ClippingConfig = ClippingConfig(),
-) -> List[List[ClipPoint]]:
+) -> ClipBatch:
     """Clip points of a batch of nodes, given their entry rows.
 
     Node ``i`` holds the next ``counts[i]`` rows of the ``(n, d)`` arrays
     ``lows`` / ``highs``, in entry order, as in a snapshot's entry arrays.
-    Returns one list per node, empty where a node earned no clip point;
-    each list is value for value what the scalar ``compute_clip_points``
-    produces for that node, whatever other nodes share the call.
+    Returns their clip points as arrays, none for a node that earned no
+    clip point; node by node, :func:`clip_point_lists` of the result is
+    value for value what the scalar ``compute_clip_points`` produces for
+    that node, whatever other nodes share the call.
     """
-    results: List[List[ClipPoint]] = [[] for _ in range(len(counts))]
     dims = lows.shape[1]
     k = config.max_clip_points(dims)
     if k == 0 or not counts.any():
-        return results
+        return _no_clips(len(counts), dims)
     valid = np.arange(counts.max()) < counts[:, None]  # (g, c): a real entry
     padded_lows = np.full(valid.shape + (dims,), np.nan)
     padded_highs = np.full(valid.shape + (dims,), np.nan)
@@ -157,7 +193,7 @@ def clip_nodes_batch(
     active = np.isfinite(volume) & (volume > 0.0)
     nodes = np.flatnonzero(active)
     if not len(nodes):
-        return results
+        return _no_clips(len(counts), dims)
     if len(nodes) < len(active):
         lows, highs, valid = lows[active], highs[active], valid[active]
         node_low, node_high, volume = node_low[active], node_high[active], volume[active]
@@ -166,8 +202,9 @@ def clip_nodes_batch(
 
     sky_mask = _chunked_skyline(lows, highs)
     sky_mask &= valid[:, None, :]
+    owners, parts = [], []
     for part in _candidate_slices(sky_mask.sum(axis=2), dims, stairline):
-        clips = _clip_slice(
+        node, *columns = _clip_slice(
             lows[part],
             highs[part],
             node_low[part],
@@ -177,9 +214,22 @@ def clip_nodes_batch(
             stairline,
             k,
         )
-        for node, points in zip(nodes[part].tolist(), clips):
-            results[node] = points
-    return results
+        owners.append(nodes[part][node])
+        parts.append(columns)
+    # The runs are in node order, and so are the rows of each.
+    coords, masks, scores = (np.concatenate(column) for column in zip(*parts))
+    clip_counts = np.bincount(np.concatenate(owners), minlength=len(counts))
+    return ClipBatch(clip_counts, coords, masks, scores)
+
+
+def _no_clips(nodes: int, dims: int) -> ClipBatch:
+    """The :class:`ClipBatch` of ``nodes`` nodes without a clip point."""
+    return ClipBatch(
+        np.zeros(nodes, dtype=np.int64),
+        np.empty((0, dims), dtype=np.float64),
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.float64),
+    )
 
 
 def _chunked_skyline(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
@@ -232,7 +282,7 @@ def _clip_slice(
     threshold: np.ndarray,
     stairline: bool,
     k: int,
-) -> List[List[ClipPoint]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Clip points of a run of nodes, given their children's skylines.
 
     ``lows`` / ``highs`` are the ``(g, c, d)`` child rectangles (NaN past a
@@ -240,7 +290,9 @@ def _clip_slice(
     MBBs, ``sky_mask`` the ``(g, 2**d, c)`` output of
     :func:`~repro.engine.clip_kernels.skyline_masks` for them, padding
     masked out, and ``threshold`` the score a node's clip points must
-    exceed.
+    exceed.  Returns the clip points as ``(node, coords, masks, scores)``
+    rows, ``node`` indexing the run, grouped by node in node order and in
+    store order within a node.
     """
     g, count, dims = lows.shape
     # One min-corner problem per (node, corner), node-major: problem p is
@@ -294,18 +346,7 @@ def _clip_slice(
     owner = owner[passing]
     pts = pts[passing]
     coords = orient(pts, pts, is_high[owner])  # negation undoes itself
-
-    # Zipping the ``tolist()`` columns yields each row as a tuple of floats.
-    points = list(
-        map(
-            _unchecked_clip_point,
-            zip(*coords.T.tolist()),
-            (owner & (corners - 1)).tolist(),
-            scores[passing].tolist(),
-        )
-    )
-    ends = np.cumsum(np.bincount(node[order], minlength=g)).tolist()
-    return [points[start:end] for start, end in zip([0] + ends, ends)]
+    return node[order], coords, owner & (corners - 1), scores[passing]
 
 
 def _stair_points(sky_pts: np.ndarray, sky_counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -135,28 +135,31 @@ def skyline_masks(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
 
 
 def _skyline_masks_2d(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """Batched 2-d skyline sweep: one lexsort + one per-row running minimum.
+    """Batched 2-d skyline sweep: two stable sorts per row + one running minimum.
 
-    The group-wide form of ``_skyline_2d_indices``: order each problem's
-    oriented points by ``(key0, key1, position)`` and keep exactly those
-    that strictly improve the running minimum of ``key1``.
+    The row-wise form of ``_skyline_2d_indices``: order each problem's
+    oriented points by ``(key0, key1, position)`` — a stable sort by
+    ``key1``, then a stable sort of that order by ``key0``, so equal keys
+    keep their positions in order — and keep exactly those that strictly
+    improve the running minimum of ``key1``.  The NaN padding sorts last
+    and never improves it.
     """
     g, c, _ = lows.shape
     is_high = masks_to_bool(np.arange(4), 2)[:, None, :]
     oriented = orient(lows[:, None], highs[:, None], is_high)  # (g, 4, c, 2)
-    rows = g * 4
-    key0 = oriented[..., 0].reshape(-1)
-    key1 = oriented[..., 1].reshape(-1)
-    owner = np.repeat(np.arange(rows, dtype=np.int64), c)
-    position = np.tile(np.arange(c, dtype=np.int64), rows)
-    order = np.lexsort((position, key1, key0, owner))
-    key1_sorted = key1[order].reshape(rows, c)
+    key0 = oriented[..., 0].reshape(g * 4, c)
+    key1 = oriented[..., 1].reshape(g * 4, c)
+    order = np.argsort(key1, axis=1, kind="stable")
+    order = np.take_along_axis(
+        order, np.argsort(np.take_along_axis(key0, order, axis=1), axis=1, kind="stable"), axis=1
+    )
+    key1_sorted = np.take_along_axis(key1, order, axis=1)
     running_min = np.minimum.accumulate(key1_sorted, axis=1)
-    improves = np.empty((rows, c), dtype=bool)
+    improves = np.empty((g * 4, c), dtype=bool)
     improves[:, 0] = True
     improves[:, 1:] = key1_sorted[:, 1:] < running_min[:, :-1]
-    mask = np.zeros(rows * c, dtype=bool)
-    mask[order[improves.reshape(-1)]] = True
+    mask = np.empty((g * 4, c), dtype=bool)
+    np.put_along_axis(mask, order, improves, axis=1)
     return mask.reshape(g, 4, c)
 
 

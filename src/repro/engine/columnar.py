@@ -31,12 +31,18 @@ freeze or clip pass took, and an insert, a delete or a new structure
 makes the kept freeze stale, so the next freeze walks again.  Only the
 clip runs are read here, from the :class:`ClipStore`.  When the caller
 hands over the previous generation and the node ids a batch of updates
-dirtied, the walk reads only the dirty nodes and copies every other
-node's entry rows, leaf objects (with their ids) and clip run from that
-generation with slice copies of the runs the kept nodes form, and the
-tree keeps the result.  A compaction
+dirtied, every other node's entry rows, leaf objects (with their ids)
+and clip run are copied from that generation with slice copies of the
+runs the kept nodes form, and the tree keeps the result.  A compaction
 (:meth:`SnapshotManager.compact <repro.engine.delta.SnapshotManager.compact>`)
-thereby pays for the nodes its batch touched, not for the tree.
+also hands over what its re-clip made of the dirty nodes — their entry
+rows, stacked once, and their clip points as arrays
+(:class:`~repro.rtree.clipped.Reclipped`) — and the fresh slots take
+both with one gather by node id each, so it reads neither those nodes'
+entries nor the store a second time; only a plain tree, which has no
+re-clip, stacks its dirty nodes' rows here.  A compaction thereby pays
+for the nodes its batch touched, not for the tree, and for each of them
+once.
 
 **The tree record, and the thaw.**  Every construction also records what
 the arrays cannot say about the tree: a :class:`TreeRecord` of its
@@ -85,7 +91,8 @@ from the frozen state and stamps the answer stale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import AbstractSet, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -101,9 +108,9 @@ from repro.engine.kernels import (
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.rtree.base import RTreeBase
-from repro.rtree.clipped import ClippedRTree
+from repro.rtree.clipped import ClippedRTree, Reclipped
 from repro.rtree.entry import Entry
-from repro.rtree.freeze import TreeFreeze, bfs_nodes, tree_freeze
+from repro.rtree.freeze import TreeFreeze, bfs_nodes, node_rows, tree_freeze
 from repro.rtree.hilbert import HilbertRTree
 from repro.rtree.node import Node
 from repro.rtree.registry import rtree_class
@@ -197,21 +204,65 @@ def _pinned(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=dtype)
 
 
+#: Runs of rows per node, as handed over: ``(node_ids, counts, columns)``,
+#: node ``node_ids[i]`` holding the next ``counts[i]`` rows of each column.
+NodeRuns = Tuple[np.ndarray, np.ndarray, Sequence[np.ndarray]]
+
+
+def _take_runs(
+    handed: Optional[NodeRuns],
+    wanted: np.ndarray,
+    read: Callable[[np.ndarray], Tuple[np.ndarray, Sequence[np.ndarray]]],
+) -> Tuple[np.ndarray, Sequence[np.ndarray]]:
+    """The runs of the node ids ``wanted``, in that order, as ``(counts, columns)``.
+
+    Taken from ``handed``, which must hold every one of them, with one
+    gather by id; ``read(wanted)`` gives them in the same form when
+    nothing is handed.
+    """
+    if handed is None:
+        return read(wanted)
+    node_ids, counts, columns = handed
+    position = dict(zip(node_ids.tolist(), range(len(node_ids))))
+    try:
+        at = np.array([position[node_id] for node_id in wanted.tolist()], dtype=np.int64)
+    except KeyError as missing:
+        raise ValueError(f"node {missing} is fresh but was not handed over") from None
+    starts = np.cumsum(counts) - counts
+    rows, _ = expand_segments(starts[at], counts[at])
+    return counts[at], [column[rows] for column in columns]
+
+
+def _stored_clips(
+    clips_of: Callable[[int], list], dims: int, node_ids: np.ndarray
+) -> Tuple[np.ndarray, Sequence[np.ndarray]]:
+    """The clip runs of ``node_ids`` read from a store, as ``(counts, (coords, masks))``."""
+    runs = [clips_of(node_id) for node_id in node_ids.tolist()]
+    clips = [clip for run in runs for clip in run]
+    return np.array([len(run) for run in runs], dtype=np.int64), (
+        stack_rows([clip.coord for clip in clips], dims, "clip points"),
+        np.array([clip.mask for clip in clips], dtype=np.int64),
+    )
+
+
 def _refreeze(
-    tree: RTreeBase, previous: "ColumnarIndex", dirty: AbstractSet[int]
+    tree: RTreeBase, previous: "ColumnarIndex", dirty: AbstractSet[int], handed: Optional[NodeRuns]
 ) -> Tuple[TreeFreeze, np.ndarray, Optional[np.ndarray]]:
     """``tree``'s freeze, copying from ``previous`` every node outside ``dirty``.
 
-    Also returns, per slot, the slot it was copied from in ``previous``,
-    or -1 for a node read from the tree (see :meth:`ColumnarIndex.from_tree`),
-    and the objects' oid column (:meth:`ColumnarIndex.object_oids`)
-    assembled the way the objects are: the kept leaves' runs copied from
-    ``previous``'s column, the fresh leaves' ids read.  None when
-    ``previous`` never built its column (no delete asked for it).
+    The other nodes' entry rows are taken from ``handed`` (the re-clip's
+    rows, see :meth:`ColumnarIndex.from_tree`), or stacked from the tree
+    when nothing is handed.  Also returns, per slot, the slot it was copied
+    from in ``previous``, or -1 for a node not copied, and the objects'
+    oid column (:meth:`ColumnarIndex.object_oids`) assembled the way the
+    objects are: the kept leaves' runs copied from ``previous``'s column,
+    the fresh leaves' ids read.  None when ``previous`` never built its
+    column (no delete asked for it).
     """
     nodes = bfs_nodes(tree)
     n_nodes = len(nodes)
     is_leaf = np.array([node.is_leaf for node in nodes], dtype=bool)
+    node_ids = np.array([node.node_id for node in nodes], dtype=np.int64)
     kept_slot = {
         node_id: slot
         for slot, node_id in enumerate(previous.node_ids.tolist())
@@ -223,17 +274,12 @@ def _refreeze(
     entry_count = np.empty(n_nodes, dtype=np.int64)
     objects: List[SpatialObject] = []
     fresh_objects: List[SpatialObject] = []
-    lows: List[tuple] = []
-    highs: List[tuple] = []
     for slot, node in enumerate(nodes):
         entries = node.entries
         slot_before = kept_slot.get(node.node_id, -1)
         previous_slot[slot] = slot_before
         entry_count[slot] = len(entries)
         if slot_before < 0:
-            rects = [entry.rect for entry in entries]
-            lows.extend([rect.low for rect in rects])
-            highs.extend([rect.high for rect in rects])
             if node.is_leaf:
                 children = [entry.child for entry in entries]
                 objects.extend(children)
@@ -244,13 +290,20 @@ def _refreeze(
     fresh = previous_slot < 0
     kept = ~fresh
 
+    def read(ids: np.ndarray) -> Tuple[np.ndarray, Sequence[np.ndarray]]:
+        rows = node_rows([tree.node(node_id) for node_id in ids.tolist()], tree.dims)
+        return rows.counts, (rows.lows, rows.highs)
+
+    counts, (lows, highs) = _take_runs(handed, node_ids[fresh], read)
+    if not np.array_equal(counts, entry_count[fresh]):
+        raise ValueError("the handed entry rows are not those of the tree")
     entry_start = np.cumsum(entry_count) - entry_count
     total_entries = int(entry_count.sum())
     entry_lows = np.empty((total_entries, tree.dims), dtype=np.float64)
     entry_highs = np.empty((total_entries, tree.dims), dtype=np.float64)
     rows, _ = expand_segments(entry_start[fresh], entry_count[fresh])
-    entry_lows[rows] = stack_rows(lows, tree.dims, "entries")
-    entry_highs[rows] = stack_rows(highs, tree.dims, "entries")
+    entry_lows[rows] = lows
+    entry_highs[rows] = highs
     if kept.any():
         _copy_runs(
             [(entry_lows, previous.entry_lows), (entry_highs, previous.entry_highs)],
@@ -275,7 +328,7 @@ def _refreeze(
     freeze = tree_freeze(
         is_leaf=is_leaf,
         entry_count=entry_count,
-        node_ids=np.array([node.node_id for node in nodes], dtype=np.int64),
+        node_ids=node_ids,
         entry_lows=entry_lows,
         entry_highs=entry_highs,
         objects=objects,
@@ -394,6 +447,7 @@ class ColumnarIndex:
         index: Union[RTreeBase, ClippedRTree],
         previous: Optional["ColumnarIndex"] = None,
         dirty: AbstractSet[int] = frozenset(),
+        reclipped: Optional[Sequence[Reclipped]] = None,
     ) -> "ColumnarIndex":
         """Freeze ``index`` (a plain or clipped R-tree) into arrays.
 
@@ -424,6 +478,15 @@ class ColumnarIndex:
         every other node is read from the tree.  The tree keeps the result
         as its freeze.  Either way the arrays are those of a walk of every
         node.
+
+        ``reclipped`` is what the re-clip of those updates made
+        (:meth:`ClippedRTree.reclip_nodes
+        <repro.rtree.clipped.ClippedRTree.reclip_nodes>`, one
+        :class:`~repro.rtree.clipped.Reclipped` per chunk): every node not
+        copied from ``previous`` takes its entry rows and clip run from
+        it, not from the tree and the store, which hold the same values;
+        ``ValueError`` if it lacks one.  Without ``previous`` it is not
+        read.
         """
         if isinstance(index, ClippedRTree):
             tree: RTreeBase = index.tree
@@ -435,11 +498,21 @@ class ColumnarIndex:
             raise ValueError("previous must be a freeze of the same index")
         dims = tree.dims
         oids = None
+        handed_rows = handed_clips = None
         if previous is None:
             freeze = tree.freeze()
             previous_slot = np.full(len(freeze.node_ids), -1, dtype=np.int64)
         else:
-            freeze, previous_slot, oids = _refreeze(tree, previous, dirty)
+            if reclipped:
+                node_ids, row_counts, lows, highs = map(
+                    np.concatenate, zip(*(part.rows for part in reclipped))
+                )
+                clip_counts, coords, masks, _ = map(
+                    np.concatenate, zip(*(part.clips for part in reclipped))
+                )
+                handed_rows = (node_ids, row_counts, (lows, highs))
+                handed_clips = (node_ids, clip_counts, (coords, masks))
+            freeze, previous_slot, oids = _refreeze(tree, previous, dirty, handed_rows)
             tree.keep_freeze(freeze)
         n_nodes = len(previous_slot)
         fresh = previous_slot < 0
@@ -450,19 +523,14 @@ class ColumnarIndex:
         # last — no entry leads to it, but the STT join probes it like
         # any other node (the scalar STT consults the ClipStore for any
         # node pair).  A node without clip points has start 0.
-        node_ids = freeze.node_ids.tolist()
         run = np.roll(np.arange(n_nodes, dtype=np.int64), -1)
         node_clip_count = np.zeros(n_nodes, dtype=np.int64)
         if kept.any():
             node_clip_count[kept] = previous.node_clip_count[previous_slot[kept]]
         fresh_run = run[fresh[run]]
-        coords: List[tuple] = []
-        masks: List[int] = []
-        for slot in fresh_run.tolist():
-            clips = clips_of(node_ids[slot])
-            node_clip_count[slot] = len(clips)
-            coords.extend([clip.coord for clip in clips])
-            masks.extend([clip.mask for clip in clips])
+        node_clip_count[fresh_run], (coords, masks) = _take_runs(
+            handed_clips, freeze.node_ids[fresh_run], partial(_stored_clips, clips_of, dims)
+        )
         run_count = node_clip_count[run]
         run_start = np.cumsum(run_count) - run_count
         node_clip_start = np.zeros(n_nodes, dtype=np.int64)
@@ -471,8 +539,8 @@ class ColumnarIndex:
         clip_coords = np.empty((total_clips, dims), dtype=np.float64)
         clip_is_high = np.empty((total_clips, dims), dtype=bool)
         rows, _ = expand_segments(node_clip_start[fresh_run], node_clip_count[fresh_run])
-        clip_coords[rows] = stack_rows(coords, dims, "clip points")
-        clip_is_high[rows] = masks_to_bool(np.array(masks, dtype=np.int64), dims)
+        clip_coords[rows] = coords
+        clip_is_high[rows] = masks_to_bool(masks, dims)
         if kept.any():
             _copy_runs(
                 [(clip_coords, previous.clip_coords), (clip_is_high, previous.clip_is_high)],

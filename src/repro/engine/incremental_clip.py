@@ -10,15 +10,17 @@ per-update re-clipping of :meth:`repro.rtree.clipped.ClippedRTree.insert`
 list changed, the current parent of every node whose MBB moved, and
 every node the batch removed.
 
-That one set has two consumers in a compaction.
-:meth:`~repro.rtree.clipped.ClippedRTree.reclip_nodes` drops the removed
-ones from the store and recomputes exactly the live nodes' clip points
-in one batched pass through
-:func:`repro.engine.bulk_clip.clip_nodes_batch`.
+That one set has two consumers in a compaction, and the first feeds the
+second.  :meth:`~repro.rtree.clipped.ClippedRTree.reclip_nodes` drops the
+removed ones from the store, stacks the live nodes' entry rows once and
+recomputes exactly their clip points in one batched pass through
+:func:`repro.engine.bulk_clip.clip_nodes_batch`; the fold keeps those rows
+and clip arrays (:class:`~repro.rtree.clipped.Reclipped`, one per chunk).
 :meth:`ColumnarIndex.from_tree <repro.engine.columnar.ColumnarIndex.from_tree>`
-then reads those nodes from the tree and copies every other node's
-entries and clip run from the previous generation.  Both rely on the
-same fact: a node outside the set has the entries it had.
+then writes the set's nodes from them, reading neither the nodes nor the
+store again, and copies every other node's entries and clip run from the
+previous generation.  Both rely on the same fact: a node outside the set
+has the entries it had.
 
 Because a node's clip points are a pure function of its own entry
 rectangles, re-clipping the dirty set leaves the store identical to a
@@ -29,10 +31,10 @@ and update interleavings.
 
 from __future__ import annotations
 
-from typing import Iterable, Set, Union
+from typing import Iterable, List, Optional, Set, Union
 
 from repro.rtree.base import DeleteResult, InsertResult, RTreeBase
-from repro.rtree.clipped import ClippedRTree
+from repro.rtree.clipped import ClippedRTree, Reclipped
 
 #: Live dirty nodes re-clipped in one step of a stepped compaction
 #: (:meth:`SnapshotManager.compact_step
@@ -74,7 +76,9 @@ def dirty_node_ids(
     return dirty
 
 
-def reclip_nodes_for_results(clipped: ClippedRTree, dirty: Iterable[int]) -> int:
+def reclip_nodes_for_results(
+    clipped: ClippedRTree, dirty: Iterable[int], reclipped: Optional[List[Reclipped]] = None
+) -> int:
     """Re-clip the nodes a batch of tracked updates dirtied; how many were live.
 
     ``dirty`` is :func:`dirty_node_ids` of the batch's results, or a chunk
@@ -82,10 +86,13 @@ def reclip_nodes_for_results(clipped: ClippedRTree, dirty: Iterable[int]) -> int
     nodes a step, the dead ids with the first).  :meth:`ClippedRTree.reclip_nodes`
     drops the dead ids from the store and re-clips the live nodes, whose
     clip points depend on their own entries only: however the set is cut,
-    the store ends up the same.
+    the store ends up the same.  The live nodes' entry rows and clip
+    arrays are appended to ``reclipped`` when it is given (the fold's
+    hand-off to its freeze).
 
     This adds nothing to ``reclip_nodes``: it is the seam a tracer patches
     at its import site in :mod:`repro.engine.delta` to time the re-clip of
-    a compaction (``perf/tracing.py``'s ``incremental_clip.reclip`` span).
+    a compaction (``perf/tracing.py``'s ``incremental_clip.reclip`` span),
+    the stacking of the rows included.
     """
-    return clipped.reclip_nodes(dirty)
+    return clipped.reclip_nodes(dirty, reclipped)

@@ -360,12 +360,13 @@ class RTreeBase:
 
         ``hint`` is a guess at the root-to-leaf node ids of the leaf
         holding ``obj`` (a compaction reads it off the freeze the tree had
-        when its deletes were buffered).  It is used only if its first id
-        is the root, each node on it still has an entry for the next, and
-        its last is a leaf holding an entry equal to ``obj``; otherwise
-        :meth:`_find_leaf` searches.  The caller vouches that no other
-        entry with ``obj``'s id is in the tree: then the checked path is
-        the one path to the one leaf the search would find.
+        when its deletes were buffered).  It is used only if, re-anchored at
+        the current root (:meth:`_checked_path`: the ids above the root are
+        dropped, or the root is prepended), each node on it still has an
+        entry for the next and its last is a leaf holding an entry equal to
+        ``obj``; otherwise :meth:`_find_leaf` searches.  The caller vouches
+        that no other entry with ``obj``'s id is in the tree: then the
+        checked path is the one path to the one leaf the search would find.
         """
         result = DeleteResult()
         path = None if hint is None else self._checked_path(obj, hint)
@@ -388,10 +389,22 @@ class RTreeBase:
         return result
 
     def _checked_path(self, obj: SpatialObject, hint: Sequence[int]) -> Optional[List[int]]:
-        """``hint`` as a list if it is a root-to-leaf path to an entry equal to ``obj``."""
+        """``hint`` re-anchored at the root, if that is a root-to-leaf path to ``obj``'s entry.
+
+        The root may have moved since the hint was read: ``_shrink_root``
+        can replace it by a node on the hint (the ids above that node are
+        dropped), and a condense-tree reinsertion can split it (the new
+        root is prepended; it holds an entry for the hint's first node if
+        the old root is that node).  Every link and the leaf's entry are
+        checked either way.
+        """
         nodes = self._nodes
-        if not hint or hint[0] != self._root_id:
-            return None
+        root_id = self._root_id
+        hint = list(hint)
+        if root_id in hint:
+            hint = hint[hint.index(root_id) :]
+        else:
+            hint.insert(0, root_id)
         for parent_id, child_id in zip(hint, hint[1:]):
             parent = nodes.get(parent_id)
             if parent is None or parent.find_child_entry(child_id) is None:
@@ -402,7 +415,7 @@ class RTreeBase:
         oid, rect = obj.oid, obj.rect
         for entry in leaf.entries:
             if entry.child.oid == oid and entry.rect == rect:
-                return list(hint)
+                return hint
         return None
 
     def _find_leaf(self, obj: SpatialObject) -> Optional[List[int]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -21,8 +21,9 @@ from repro.cbb.intersection import clipped_intersects, insertion_keeps_clips_val
 from repro.cbb.scoring import clipped_union_volume
 from repro.cbb.store import ClipStore
 from repro.geometry.objects import SpatialObject
-from repro.geometry.rect import Rect, stack_rows
+from repro.geometry.rect import Rect
 from repro.rtree.base import DeleteResult, InsertResult, RTreeBase
+from repro.rtree.freeze import NodeRows, node_rows
 from repro.rtree.node import Node
 from repro.storage.page import DEFAULT_PAGE_LAYOUT, PageLayout
 from repro.storage.stats import IOStats
@@ -54,6 +55,13 @@ class UpdateReport:
         for _, cause in self.reclips:
             counts[cause] += 1
         return counts
+
+
+class Reclipped(NamedTuple):
+    """One re-clip's output: the nodes' entry rows and, in the same node order, their clips."""
+
+    rows: NodeRows
+    clips: tuple  # a repro.engine.bulk_clip.ClipBatch
 
 
 class ClippedRTree:
@@ -133,22 +141,27 @@ class ClippedRTree:
         (``tests/test_build_differential.py``).
         """
         freeze = self.tree.freeze()
-        clips = self._clip_batch(
-            freeze.node_ids.tolist(), freeze.entry_lows, freeze.entry_highs, freeze.entry_count
+        _, clips = self._clip_batch(
+            freeze.node_ids, freeze.entry_lows, freeze.entry_highs, freeze.entry_count
         )
         self.store.clear()
         self._store_clips([node.node_id for node in self.tree.nodes()], clips)
         return len(self.store)
 
     def _clip_batch(
-        self, node_ids: List[int], lows: np.ndarray, highs: np.ndarray, counts: np.ndarray
-    ) -> Dict[int, List[ClipPoint]]:
-        """The batched kernels' clip points of ``node_ids``, whose entry rows these are."""
+        self, node_ids: np.ndarray, lows: np.ndarray, highs: np.ndarray, counts: np.ndarray
+    ) -> Tuple[tuple, Dict[int, List[ClipPoint]]]:
+        """The batched kernels' clip points of ``node_ids``, whose entry rows these are.
+
+        As arrays (:class:`~repro.engine.bulk_clip.ClipBatch`) and as the
+        lists the store keeps, by node id.
+        """
         # Imported lazily: repro.engine imports this module (through
         # incremental_clip), so a module-level import would be a cycle.
-        from repro.engine.bulk_clip import clip_nodes_batch
+        from repro.engine.bulk_clip import clip_nodes_batch, clip_point_lists
 
-        return dict(zip(node_ids, clip_nodes_batch(lows, highs, counts, self.config)))
+        batch = clip_nodes_batch(lows, highs, counts, self.config)
+        return batch, dict(zip(node_ids.tolist(), clip_point_lists(batch)))
 
     def _store_clips(self, node_ids: List[int], clips: Dict[int, List[ClipPoint]]) -> None:
         """Store ``clips`` of ``node_ids``, in that order; a node without any leaves the store."""
@@ -276,29 +289,30 @@ class ClippedRTree:
                 reclip(node_id, ReclipCause.CBB_ONLY)
         return report
 
-    def reclip_nodes(self, node_ids: Iterable[int]) -> int:
+    def reclip_nodes(
+        self, node_ids: Iterable[int], reclipped: Optional[List[Reclipped]] = None
+    ) -> int:
         """Recompute clip points for exactly ``node_ids`` (§IV-D, batched).
 
         Ids of nodes that no longer exist are dropped from the store; the
-        surviving nodes get, in one batched pass, the clip points a full
-        :meth:`clip_all` would assign them (the compaction path of
-        :class:`repro.engine.delta.SnapshotManager`).  Returns the number
-        of live nodes re-clipped.
+        surviving nodes' entry rows are stacked once
+        (:func:`~repro.rtree.freeze.node_rows`) and get, in one batched
+        pass, the clip points a full :meth:`clip_all` would assign them.
+        When ``reclipped`` is given, those rows and clip arrays are
+        appended to it as one :class:`Reclipped`: the compaction path of
+        :class:`repro.engine.delta.SnapshotManager` hands them to its
+        freeze, which then reads neither the nodes nor the store again.
+        Returns the number of live nodes re-clipped.
         """
         ids = set(node_ids)
         live = sorted(nid for nid in ids if self.tree.has_node(nid))
         for node_id in ids.difference(live):
             self.store.remove(node_id)
-        nodes = [self.tree.node(nid) for nid in live]
-        rects = [entry.rect for node in nodes for entry in node.entries]
-        dims = self.tree.dims
-        clips = self._clip_batch(
-            live,
-            stack_rows([rect.low for rect in rects], dims, "entries", "tree"),
-            stack_rows([rect.high for rect in rects], dims, "entries", "tree"),
-            np.array([len(node.entries) for node in nodes], dtype=np.int64),
-        )
+        rows = node_rows([self.tree.node(nid) for nid in live], self.tree.dims)
+        batch, clips = self._clip_batch(rows.node_ids, rows.lows, rows.highs, rows.counts)
         self._store_clips(live, clips)
+        if reclipped is not None:
+            reclipped.append(Reclipped(rows, batch))
         return len(live)
 
     def _parent_index(self) -> Dict[int, int]:

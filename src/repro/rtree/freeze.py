@@ -29,7 +29,7 @@ taken from the freeze share them.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,6 +70,31 @@ def tree_freeze(
     return TreeFreeze(*arrays, objects)
 
 
+class NodeRows(NamedTuple):
+    """Some nodes' entry rows back to back: node ``node_ids[i]`` holds the next ``counts[i]``."""
+
+    node_ids: np.ndarray
+    counts: np.ndarray
+    lows: np.ndarray
+    highs: np.ndarray
+
+
+def node_rows(nodes: Sequence[Node], dims: int) -> NodeRows:
+    """The entry rows of ``nodes``, in entry order, stacked once.
+
+    The one place a node's entry rectangles become arrays: a walk reads
+    every node through it, a compaction's re-clip its dirty nodes (and
+    hands the rows on to the freeze that follows).
+    """
+    rects = [entry.rect for node in nodes for entry in node.entries]
+    return NodeRows(
+        node_ids=np.array([node.node_id for node in nodes], dtype=np.int64),
+        counts=np.array([len(node.entries) for node in nodes], dtype=np.int64),
+        lows=stack_rows([rect.low for rect in rects], dims, "entries"),
+        highs=stack_rows([rect.high for rect in rects], dims, "entries"),
+    )
+
+
 def bfs_nodes(tree) -> List[Node]:
     """``tree``'s nodes in slot order: breadth first from the root."""
     nodes = [tree.node(tree.root_id)]
@@ -82,12 +107,12 @@ def bfs_nodes(tree) -> List[Node]:
 def walk(tree) -> TreeFreeze:
     """Read every node of ``tree`` into its freeze."""
     nodes = bfs_nodes(tree)
-    rects = [entry.rect for node in nodes for entry in node.entries]
+    rows = node_rows(nodes, tree.dims)
     return tree_freeze(
         is_leaf=np.array([node.is_leaf for node in nodes], dtype=bool),
-        entry_count=np.array([len(node.entries) for node in nodes], dtype=np.int64),
-        node_ids=np.array([node.node_id for node in nodes], dtype=np.int64),
-        entry_lows=stack_rows([rect.low for rect in rects], tree.dims, "entries"),
-        entry_highs=stack_rows([rect.high for rect in rects], tree.dims, "entries"),
+        entry_count=rows.counts,
+        node_ids=rows.node_ids,
+        entry_lows=rows.lows,
+        entry_highs=rows.highs,
         objects=[entry.child for node in nodes if node.is_leaf for entry in node.entries],
     )

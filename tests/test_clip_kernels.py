@@ -127,6 +127,78 @@ class TestSkylineKernel:
         )
 
 
+def _lexsort_skyline_masks_2d(lows, highs):
+    """The group-wide 2-d sweep the per-row sorts replaced, kept as their
+    oracle: one lexsort of every problem's points by ``(problem, key0,
+    key1, position)``, then the running minimum of ``key1`` per problem."""
+    g, c, _ = lows.shape
+    is_high = masks_to_bool(np.arange(4), 2)[:, None, :]
+    oriented = orient(lows[:, None], highs[:, None], is_high)  # (g, 4, c, 2)
+    rows = g * 4
+    key0 = oriented[..., 0].reshape(-1)
+    key1 = oriented[..., 1].reshape(-1)
+    owner = np.repeat(np.arange(rows, dtype=np.int64), c)
+    position = np.tile(np.arange(c, dtype=np.int64), rows)
+    order = np.lexsort((position, key1, key0, owner))
+    key1_sorted = key1[order].reshape(rows, c)
+    running_min = np.minimum.accumulate(key1_sorted, axis=1)
+    improves = np.empty((rows, c), dtype=bool)
+    improves[:, 0] = True
+    improves[:, 1:] = key1_sorted[:, 1:] < running_min[:, :-1]
+    mask = np.zeros(rows * c, dtype=bool)
+    mask[order[improves.reshape(-1)]] = True
+    return mask.reshape(g, 4, c)
+
+
+#: 2-d keys that tie: small integers, zeros of both signs, infinite bounds.
+_tie_key = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -np.inf, np.inf]),
+    st.integers(min_value=-2, max_value=2).map(float),
+)
+
+
+@st.composite
+def _nan_padded_2d_groups(draw):
+    """A group of 2-d nodes padded with NaN to its width, a node of every
+    fan-out from 1 to that width among them (so nodes of one and two
+    entries beside full ones), in a drawn order."""
+    width = draw(st.integers(min_value=1, max_value=10))
+    fanouts = list(range(1, width + 1))
+    fanouts += draw(st.lists(st.integers(min_value=1, max_value=width), max_size=3))
+    fanouts = draw(st.permutations(fanouts))
+    lows = np.full((len(fanouts), width, 2), np.nan)
+    highs = np.full((len(fanouts), width, 2), np.nan)
+    corner = st.tuples(_tie_key, _tie_key)
+    for node, fanout in enumerate(fanouts):
+        for child in range(fanout):
+            a, b = draw(corner), draw(corner)
+            lows[node, child] = np.minimum(a, b)
+            highs[node, child] = np.maximum(a, b)
+    return lows, highs
+
+
+class TestSkyline2dRowSorts:
+    """Two stable sorts per row decide what the group-wide lexsort decided."""
+
+    @given(_nan_padded_2d_groups())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_lexsort_sweep(self, group):
+        lows, highs = group
+        assert np.array_equal(
+            _skyline_masks_2d(lows, highs), _lexsort_skyline_masks_2d(lows, highs)
+        )
+
+    @given(_nan_padded_2d_groups())
+    @settings(max_examples=60, deadline=None)
+    def test_padding_never_enters_a_mask(self, group):
+        lows, highs = group
+        real = ~np.isnan(lows[:, :, 0])
+        masks = _skyline_masks_2d(lows, highs)
+        assert not (masks & ~real[:, None, :]).any()
+        # Every corner of every node keeps at least its first-sorted entry.
+        assert masks.any(axis=2).all()
+
+
 def _dense_skyline_masks_pairwise(lows, highs):
     """The dense pairwise filter the bitset kernel replaced, kept as its
     oracle: ``2 * d`` packed compare words per child pair, spread into a

@@ -60,9 +60,9 @@ def recorded_freezes():
     calls: List[bool] = []
     freeze = ColumnarIndex.from_tree.__func__
 
-    def recording(cls, index, previous=None, dirty=frozenset()):
+    def recording(cls, index, previous=None, *args, **kwargs):
         calls.append(previous is not None)
-        return freeze(cls, index, previous=previous, dirty=dirty)
+        return freeze(cls, index, previous, *args, **kwargs)
 
     with mock.patch.object(ColumnarIndex, "from_tree", classmethod(recording)):
         yield calls
