@@ -29,11 +29,16 @@ its arrays: a tree from :func:`~repro.rtree.str_bulk.str_bulk_load`
 keeps the layout of its STR tiling, any other the walk its first
 freeze or clip pass took, and an insert, a delete or a new structure
 makes the kept freeze stale, so the next freeze walks again.  Only the
-clip runs are read here, from the :class:`ClipStore`.  When the caller
+clip runs are read here, from the :class:`ClipStore` (see below for a
+freeze right after a build).  When the caller
 hands over the previous generation and the node ids a batch of updates
 dirtied, every other node's entry rows, leaf objects (with their ids)
-and clip run are copied from that generation with slice copies of the
-runs the kept nodes form, and the tree keeps the result.  A compaction
+and clip run are copied from that generation, and the tree keeps the
+result.  The layout itself is derived from that generation a level at
+a time: a kept node's leaf flag, entry count and children are read off
+its arrays, and only the dirty nodes are read from the tree, once each;
+every column is then one gather from the old generation's array and the
+fresh rows.  A compaction
 (:meth:`SnapshotManager.compact <repro.engine.delta.SnapshotManager.compact>`)
 also hands over what its re-clip made of the dirty nodes — their entry
 rows, stacked once, and their clip points as arrays
@@ -41,8 +46,13 @@ rows, stacked once, and their clip points as arrays
 both with one gather by node id each, so it reads neither those nodes'
 entries nor the store a second time; only a plain tree, which has no
 re-clip, stacks its dirty nodes' rows here.  A compaction thereby pays
-for the nodes its batch touched, not for the tree, and for each of them
-once.
+Python work for the nodes its batch touched, not for the tree, and for
+each of them once; what grows with the tree is a few array passes.
+Right after :meth:`ClippedRTree.clip_all
+<repro.rtree.clipped.ClippedRTree.clip_all>` (a build), the clip runs
+are the arrays that pass kept beside the tree's freeze
+(:meth:`~repro.rtree.clipped.ClippedRTree.kept_clips`), not a read-back
+of the store.
 
 **The tree record, and the thaw.**  Every construction also records what
 the arrays cannot say about the tree: a :class:`TreeRecord` of its
@@ -73,7 +83,13 @@ dimension and side of the corner mask, so the dominance probe of a whole
 candidate list is the same row gather and one strict compare per
 dimension and side.  Results go the other way through
 :meth:`ColumnarIndex.take_objects`, which gathers a whole batch's hit
-objects with one fancy index of a cached object column.
+objects with one fancy index of a cached object column.  A compacted
+generation derives these from the one it replaces, in the freeze: its
+object column always (the freeze assembles the objects as one), and
+each padded layout the replaced generation had built, by copying the
+kept slots' rows and filling only the fresh ones; a layout never built
+is derived on first use, from scratch.  So the replaced generation is
+not referenced once the swap has published the new one.
 
 **Snapshot semantics / invalidation.**  A snapshot is an immutable copy:
 it shares the indexed :class:`SpatialObject` instances with the source
@@ -110,7 +126,7 @@ from repro.geometry.rect import Rect
 from repro.rtree.base import RTreeBase
 from repro.rtree.clipped import ClippedRTree, Reclipped
 from repro.rtree.entry import Entry
-from repro.rtree.freeze import TreeFreeze, bfs_nodes, node_rows, tree_freeze
+from repro.rtree.freeze import TreeFreeze, node_rows, tree_freeze
 from repro.rtree.hilbert import HilbertRTree
 from repro.rtree.node import Node
 from repro.rtree.registry import rtree_class
@@ -166,29 +182,27 @@ def _no_clips(node_id: int) -> list:
     return []
 
 
-def _copy_runs(
-    pairs: List[Tuple[np.ndarray, np.ndarray]],
-    dst_starts: np.ndarray,
-    src_starts: np.ndarray,
+def _assembled(
     counts: np.ndarray,
-) -> None:
-    """Copy run ``i`` of ``counts[i]`` rows from ``src_starts[i]`` to ``dst_starts[i]``.
+    kept: np.ndarray,
+    kept_starts: np.ndarray,
+    columns: Sequence[Tuple[np.ndarray, np.ndarray]],
+) -> List[np.ndarray]:
+    """Runs of rows, one per slot, gathered from an earlier generation's column and fresh rows.
 
-    For every ``(target, source)`` of ``pairs``.  Runs that continue one
-    another on both sides are merged first, and each merged run is one
-    slice copy per pair: a compaction keeps most nodes in their order, so
-    a few long runs cover most rows.
+    Slot ``i`` gets ``counts[i]`` rows: a ``kept`` slot the run at its
+    ``kept_starts`` entry (one per kept slot, in order) of each column's
+    ``before`` array, every other slot the next run of its ``fresh``
+    rows, which hold the fresh slots' runs back to back in slot order.
+    One ``take`` per ``(before, fresh)`` column pair: a compaction pays a
+    few array passes, not a Python step per slot or per run.
     """
-    if not len(counts):
-        return
-    ends = dst_starts + counts
-    joined = (dst_starts[1:] == ends[:-1]) & (src_starts[1:] == src_starts[:-1] + counts[:-1])
-    first = np.flatnonzero(np.concatenate(([True], ~joined)))
-    last = np.append(first[1:], len(counts)) - 1
-    runs = zip(dst_starts[first].tolist(), src_starts[first].tolist(), ends[last].tolist())
-    for dst, src, end in runs:
-        for target, source in pairs:
-            target[dst:end] = source[src : src + end - dst]
+    source = np.empty(len(counts), dtype=np.int64)
+    fresh_counts = counts[~kept]
+    source[kept] = kept_starts
+    source[~kept] = len(columns[0][0]) + np.cumsum(fresh_counts) - fresh_counts
+    rows, _ = expand_segments(source, counts)
+    return [np.concatenate((before, fresh)).take(rows, axis=0) for before, fresh in columns]
 
 
 def _pinned(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -230,7 +244,7 @@ def _take_runs(
         raise ValueError(f"node {missing} is fresh but was not handed over") from None
     starts = np.cumsum(counts) - counts
     rows, _ = expand_segments(starts[at], counts[at])
-    return counts[at], [column[rows] for column in columns]
+    return counts[at], [column.take(rows, axis=0) for column in columns]
 
 
 def _stored_clips(
@@ -247,84 +261,105 @@ def _stored_clips(
 
 def _refreeze(
     tree: RTreeBase, previous: "ColumnarIndex", dirty: AbstractSet[int], handed: Optional[NodeRuns]
-) -> Tuple[TreeFreeze, np.ndarray, Optional[np.ndarray]]:
+) -> Tuple[TreeFreeze, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """``tree``'s freeze, copying from ``previous`` every node outside ``dirty``.
 
-    The other nodes' entry rows are taken from ``handed`` (the re-clip's
-    rows, see :meth:`ColumnarIndex.from_tree`), or stacked from the tree
-    when nothing is handed.  Also returns, per slot, the slot it was copied
-    from in ``previous``, or -1 for a node not copied, and the objects'
-    oid column (:meth:`ColumnarIndex.object_oids`) assembled the way the
-    objects are: the kept leaves' runs copied from ``previous``'s column,
-    the fresh leaves' ids read.  None when ``previous`` never built its
-    column (no delete asked for it).
+    The layout is built a level at a time from the root.  A slot whose
+    node ``previous`` holds and ``dirty`` does not takes its leaf flag,
+    entry count and children (a directory's next-level node ids, a
+    leaf's objects) from ``previous``'s arrays, with array operations;
+    only the other nodes are read from the tree (``tree.node``, once
+    each).  So the height may change between the generations: a split
+    root, a root that shrank to one of its children, an emptied tree.
+    The fresh nodes' entry rows are taken from ``handed`` (the re-clip's
+    rows, see :meth:`ColumnarIndex.from_tree`), or stacked from the nodes
+    read when nothing is handed; the kept nodes' rows, objects and, when
+    ``previous`` built them, object ids (:meth:`ColumnarIndex.object_oids`)
+    are gathered from ``previous``'s arrays (:func:`_assembled`).  The
+    objects are assembled as the object column
+    (:meth:`ColumnarIndex.take_objects`) and listed from it.
+
+    Returns the freeze; per slot, the slot it was copied from in
+    ``previous`` or -1 for a node read; the oid column (None when
+    ``previous`` never built its own); and the object column.
     """
-    nodes = bfs_nodes(tree)
-    n_nodes = len(nodes)
-    is_leaf = np.array([node.is_leaf for node in nodes], dtype=bool)
-    node_ids = np.array([node.node_id for node in nodes], dtype=np.int64)
-    kept_slot = {
-        node_id: slot
-        for slot, node_id in enumerate(previous.node_ids.tolist())
-        if node_id not in dirty
-    }
-    previous_rows = previous.entry_start.tolist()
-    first_leaf_row = len(previous.entry_child) - len(previous.objects)
-    previous_slot = np.empty(n_nodes, dtype=np.int64)
-    entry_count = np.empty(n_nodes, dtype=np.int64)
-    objects: List[SpatialObject] = []
-    fresh_objects: List[SpatialObject] = []
-    for slot, node in enumerate(nodes):
-        entries = node.entries
-        slot_before = kept_slot.get(node.node_id, -1)
-        previous_slot[slot] = slot_before
-        entry_count[slot] = len(entries)
-        if slot_before < 0:
-            if node.is_leaf:
-                children = [entry.child for entry in entries]
-                objects.extend(children)
-                fresh_objects.extend(children)
-        elif node.is_leaf:
-            first = previous_rows[slot_before] - first_leaf_row
-            objects.extend(previous.objects[first : first + len(entries)])
+    # The slot of every node of ``previous`` that may be copied, by node id.
+    order = np.argsort(previous.node_ids)
+    sorted_ids = previous.node_ids[order]
+    copyable = ~np.isin(sorted_ids, np.fromiter(dirty, dtype=np.int64, count=len(dirty)))
+
+    def slots_before(ids: np.ndarray) -> np.ndarray:
+        at = np.minimum(np.searchsorted(sorted_ids, ids), len(sorted_ids) - 1)
+        return np.where((sorted_ids[at] == ids) & copyable[at], order[at], -1)
+
+    levels = []  # per level: node ids, slots in previous, leaf flags, entry counts
+    read: List[Node] = []  # the nodes read from the tree, in slot order
+    frontier = np.array([tree.root_id], dtype=np.int64)
+    while len(frontier):
+        before = slots_before(frontier)
+        fresh = before < 0
+        copied = before[~fresh]
+        nodes = [tree.node(node_id) for node_id in frontier[fresh].tolist()]
+        read.extend(nodes)
+        is_leaf = np.empty(len(frontier), dtype=bool)
+        counts = np.empty(len(frontier), dtype=np.int64)
+        is_leaf[~fresh] = previous.is_leaf[copied]
+        counts[~fresh] = previous.entry_count[copied]
+        is_leaf[fresh] = [node.is_leaf for node in nodes]
+        counts[fresh] = [len(node.entries) for node in nodes]
+        levels.append((frontier, before, is_leaf, counts))
+        # The next level: the directory slots' children, in slot order.
+        child_counts = np.where(is_leaf, 0, counts)
+        child_starts = np.cumsum(child_counts) - child_counts
+        frontier = np.empty(int(child_counts.sum()), dtype=np.int64)
+        kept_directories = ~fresh & ~is_leaf
+        rows, _ = expand_segments(
+            previous.entry_start[before[kept_directories]], counts[kept_directories]
+        )
+        at, _ = expand_segments(child_starts[kept_directories], counts[kept_directories])
+        frontier[at] = previous.node_ids[previous.entry_child[rows]]
+        read_directories = fresh & ~is_leaf
+        at, _ = expand_segments(child_starts[read_directories], counts[read_directories])
+        frontier[at] = [
+            entry.child for node in nodes if not node.is_leaf for entry in node.entries
+        ]
+    node_ids, previous_slot, is_leaf, entry_count = map(np.concatenate, zip(*levels))
     fresh = previous_slot < 0
     kept = ~fresh
 
-    def read(ids: np.ndarray) -> Tuple[np.ndarray, Sequence[np.ndarray]]:
-        rows = node_rows([tree.node(node_id) for node_id in ids.tolist()], tree.dims)
+    def read_rows(ids: np.ndarray) -> Tuple[np.ndarray, Sequence[np.ndarray]]:
+        rows = node_rows(read, tree.dims)  # ``ids`` are the read nodes' ids, in this order
         return rows.counts, (rows.lows, rows.highs)
 
-    counts, (lows, highs) = _take_runs(handed, node_ids[fresh], read)
+    counts, (lows, highs) = _take_runs(handed, node_ids[fresh], read_rows)
     if not np.array_equal(counts, entry_count[fresh]):
         raise ValueError("the handed entry rows are not those of the tree")
-    entry_start = np.cumsum(entry_count) - entry_count
-    total_entries = int(entry_count.sum())
-    entry_lows = np.empty((total_entries, tree.dims), dtype=np.float64)
-    entry_highs = np.empty((total_entries, tree.dims), dtype=np.float64)
-    rows, _ = expand_segments(entry_start[fresh], entry_count[fresh])
-    entry_lows[rows] = lows
-    entry_highs[rows] = highs
-    if kept.any():
-        _copy_runs(
-            [(entry_lows, previous.entry_lows), (entry_highs, previous.entry_highs)],
-            entry_start[kept],
-            previous.entry_start[previous_slot[kept]],
-            entry_count[kept],
-        )
-    oids = None
+    entry_lows, entry_highs = _assembled(
+        entry_count,
+        kept,
+        previous.entry_start[previous_slot[kept]],
+        [(previous.entry_lows, lows), (previous.entry_highs, highs)],
+    )
+
+    # Object i is leaf row ``first_leaf + i`` in both generations, so a
+    # leaf slot's objects (and ids) are a run of the object column.
+    fresh_objects = [entry.child for node in read if node.is_leaf for entry in node.entries]
+    built = previous._object_column
+    columns = [
+        (object_column(previous.objects) if built is None else built, object_column(fresh_objects))
+    ]
     if previous._object_oids is not None:
-        # Object i is leaf row ``first_leaf + i``, in both generations.
-        first_leaf = total_entries - len(objects)
-        oids = np.empty(len(objects), dtype=np.int64)
-        kept_leaves, fresh_leaves = kept & is_leaf, fresh & is_leaf
-        _copy_runs(
-            [(oids, previous._object_oids)],
-            entry_start[kept_leaves] - first_leaf,
-            previous.entry_start[previous_slot[kept_leaves]] - first_leaf_row,
-            entry_count[kept_leaves],
-        )
-        rows, _ = expand_segments(entry_start[fresh_leaves] - first_leaf, entry_count[fresh_leaves])
-        oids[rows] = [obj.oid for obj in fresh_objects]
+        fresh_oids = np.fromiter((obj.oid for obj in fresh_objects), np.int64, len(fresh_objects))
+        columns.append((previous._object_oids, fresh_oids))
+    first_leaf_before = len(previous.entry_child) - len(previous.objects)
+    kept_leaves = kept[is_leaf]
+    column, *oids = _assembled(
+        entry_count[is_leaf],
+        kept_leaves,
+        previous.entry_start[previous_slot[is_leaf][kept_leaves]] - first_leaf_before,
+        columns,
+    )
+    objects = column.tolist()
     freeze = tree_freeze(
         is_leaf=is_leaf,
         entry_count=entry_count,
@@ -333,7 +368,54 @@ def _refreeze(
         entry_highs=entry_highs,
         objects=objects,
     )
-    return freeze, previous_slot, oids
+    return freeze, previous_slot, oids[0] if oids else None, column
+
+
+def _padded(
+    starts: np.ndarray,
+    counts: np.ndarray,
+    dims: int,
+    values: Callable[[np.ndarray], Sequence[np.ndarray]],
+    reuse: Optional[Tuple[tuple, np.ndarray]] = None,
+) -> tuple:
+    """Slot ``i``'s run of ``counts[i]`` rows from ``starts[i]``, one padded row per slot.
+
+    ``values(rows)`` gives each layout's ``(len(rows), dims)`` values of
+    those flat rows; each layout is a C-contiguous ``(dims, n_slots,
+    max(counts))`` array, NaN past a slot's own count.  ``reuse``,
+    ``(layouts, previous_slot)``, is the same layouts of an earlier
+    generation and, per slot, the slot whose run it holds unchanged there
+    (-1 for none): those rows are taken from it with one gather per
+    layout, over the columns both widths share, and only the other slots
+    are filled from ``values``.
+    """
+    width = int(counts.max())
+    if reuse is None:
+        slots = np.arange(len(counts), dtype=np.int64)
+    else:
+        before, previous_slot = reuse
+        slots = np.flatnonzero(previous_slot < 0)
+    flat, owners = expand_segments(starts[slots], counts[slots])
+    owners = slots[owners]
+    cells = flat - starts[owners] + owners * width  # in each (n_slots * width) plane
+    layouts = []
+    for index, rows in enumerate(values(flat)):
+        if reuse is None:
+            layout = np.full((dims, len(counts), width), np.nan, dtype=np.float64)
+        else:
+            # Every slot's row where ``previous_slot`` has it (slot 0's for a fresh one).
+            layout = before[index].take(np.maximum(previous_slot, 0), axis=1)
+            if layout.shape[2] != width:
+                common = min(width, layout.shape[2])
+                resized = np.full((dims, len(counts), width), np.nan, dtype=np.float64)
+                resized[:, :, :common] = layout[:, :, :common]
+                layout = resized
+            layout[:, slots] = np.nan
+        planes = layout.reshape(dims, -1)
+        for dim in range(dims):  # a 1-d scatter per plane: numpy's fast path
+            planes[dim][cells] = rows[:, dim]
+        layouts.append(layout)
+    return tuple(layouts)
 
 
 def slot_levels(
@@ -378,7 +460,11 @@ class ColumnarIndex:
     :meth:`node_major_clips` (clip points: all of those but kNN).  A
     fifth, :meth:`object_oids`, is cached the same way from ``objects``:
     the column a delete searches for its row and the form in which a
-    save writes the objects.
+    save writes the objects.  A compaction's freeze
+    (:meth:`from_tree` with ``previous``) fills the caches it can derive
+    from the generation it replaces — the padded layouts and the oid
+    column where that one had them, the object column always — so the
+    first read of the new generation does not rebuild them.
 
     **Leaf rows are the objects.**  Directory slots precede leaf slots
     (BFS over a balanced tree), so the leaves' entries are the trailing
@@ -465,7 +551,12 @@ class ColumnarIndex:
         <repro.rtree.clipped.ClippedRTree.clip_all>` took.  Any insert,
         delete or new structure moves the version, and then the tree is
         walked again and keeps that walk; a thawed tree
-        (:meth:`to_tree`) starts without one.
+        (:meth:`to_tree`) starts without one.  The clip runs are the
+        arrays ``clip_all`` kept beside that freeze while neither the
+        tree nor the store has changed since
+        (:meth:`ClippedRTree.kept_clips
+        <repro.rtree.clipped.ClippedRTree.kept_clips>`), else read from
+        the store.
 
         ``previous``, when given, is an earlier freeze of the same
         ``index`` that was current before the updates that dirtied the
@@ -475,9 +566,15 @@ class ColumnarIndex:
         points it had then, so its entry rows, leaf objects and clip run
         are copied from ``previous`` with array operations (and its
         objects' ids, when ``previous`` built its :meth:`object_oids`);
-        every other node is read from the tree.  The tree keeps the result
-        as its freeze.  Either way the arrays are those of a walk of every
-        node.
+        every other node is read from the tree, once.  The slot layout is
+        derived from ``previous`` a level at a time, so the freeze calls
+        ``tree.node`` only for those nodes and walks nothing: its Python
+        work grows with the dirty set, and each array costs one gather
+        over the tree.  The tree keeps the result as its freeze.  The new
+        snapshot holds its object column, and :meth:`node_major` /
+        :meth:`node_major_clips` when ``previous`` had built them, derived
+        from ``previous``'s.  Either way the arrays are those of a walk of
+        every node.
 
         ``reclipped`` is what the re-clip of those updates made
         (:meth:`ClippedRTree.reclip_nodes
@@ -497,11 +594,14 @@ class ColumnarIndex:
         if previous is not None and previous.source is not index:
             raise ValueError("previous must be a freeze of the same index")
         dims = tree.dims
-        oids = None
+        oids = column = None
         handed_rows = handed_clips = None
         if previous is None:
             freeze = tree.freeze()
             previous_slot = np.full(len(freeze.node_ids), -1, dtype=np.int64)
+            batch = index.kept_clips(freeze) if isinstance(index, ClippedRTree) else None
+            if batch is not None:
+                handed_clips = (freeze.node_ids, batch.counts, (batch.coords, batch.masks))
         else:
             if reclipped:
                 node_ids, row_counts, lows, highs = map(
@@ -512,7 +612,7 @@ class ColumnarIndex:
                 )
                 handed_rows = (node_ids, row_counts, (lows, highs))
                 handed_clips = (node_ids, clip_counts, (coords, masks))
-            freeze, previous_slot, oids = _refreeze(tree, previous, dirty, handed_rows)
+            freeze, previous_slot, oids, column = _refreeze(tree, previous, dirty, handed_rows)
             tree.keep_freeze(freeze)
         n_nodes = len(previous_slot)
         fresh = previous_slot < 0
@@ -524,30 +624,30 @@ class ColumnarIndex:
         # any other node (the scalar STT consults the ClipStore for any
         # node pair).  A node without clip points has start 0.
         run = np.roll(np.arange(n_nodes, dtype=np.int64), -1)
-        node_clip_count = np.zeros(n_nodes, dtype=np.int64)
-        if kept.any():
-            node_clip_count[kept] = previous.node_clip_count[previous_slot[kept]]
         fresh_run = run[fresh[run]]
-        node_clip_count[fresh_run], (coords, masks) = _take_runs(
+        fresh_counts, (coords, masks) = _take_runs(
             handed_clips, freeze.node_ids[fresh_run], partial(_stored_clips, clips_of, dims)
         )
+        node_clip_count = np.zeros(n_nodes, dtype=np.int64)
+        node_clip_count[fresh_run] = fresh_counts
+        kept_run = kept[run]
+        if previous is None:
+            before = (np.empty((0, dims), dtype=np.float64), np.empty((0, dims), dtype=bool))
+            kept_starts = np.empty(0, dtype=np.int64)
+        else:
+            node_clip_count[kept] = previous.node_clip_count[previous_slot[kept]]
+            before = (previous.clip_coords, previous.clip_is_high)
+            kept_starts = previous.node_clip_start[previous_slot[run[kept_run]]]
         run_count = node_clip_count[run]
+        clip_coords, clip_is_high = _assembled(
+            run_count,
+            kept_run,
+            kept_starts,
+            list(zip(before, (coords, masks_to_bool(masks, dims)))),
+        )
         run_start = np.cumsum(run_count) - run_count
         node_clip_start = np.zeros(n_nodes, dtype=np.int64)
         node_clip_start[run] = np.where(run_count > 0, run_start, 0)
-        total_clips = int(run_count.sum())
-        clip_coords = np.empty((total_clips, dims), dtype=np.float64)
-        clip_is_high = np.empty((total_clips, dims), dtype=bool)
-        rows, _ = expand_segments(node_clip_start[fresh_run], node_clip_count[fresh_run])
-        clip_coords[rows] = coords
-        clip_is_high[rows] = masks_to_bool(masks, dims)
-        if kept.any():
-            _copy_runs(
-                [(clip_coords, previous.clip_coords), (clip_is_high, previous.clip_is_high)],
-                node_clip_start[kept],
-                previous.node_clip_start[previous_slot[kept]],
-                node_clip_count[kept],
-            )
         snapshot = cls(
             source=index,
             dims=dims,
@@ -560,6 +660,18 @@ class ColumnarIndex:
             tree_record=TreeRecord.of(index),
         )
         snapshot._object_oids = oids
+        snapshot._object_column = column
+        if previous is not None:
+            # The padded layouts previous built, derived now: no reference
+            # to the replaced generation outlives the swap.
+            if previous._node_major is not None:
+                snapshot._node_major = snapshot._padded_entries(
+                    (previous._node_major, previous_slot)
+                )
+            if previous._node_major_clips is not None:
+                snapshot._node_major_clips = snapshot._padded_clips(
+                    (previous._node_major_clips, previous_slot)
+                )
         return snapshot
 
     def to_tree(self) -> Union[RTreeBase, ClippedRTree]:
@@ -744,19 +856,26 @@ class ColumnarIndex:
         of a NaN cell is NaN and fails every bound).
 
         Derivation only reads the flat arrays (they may be read-only
-        memmaps) and costs a few milliseconds per 20k objects; the result
-        holds ``n_nodes × max_fanout × 16 d`` bytes.
+        memmaps) and costs ≈ 2 ms per 20k objects (2-d, fan-out 48, on a
+        2-core host); the result holds ``n_nodes × max_fanout × 16 d``
+        bytes.  A compaction whose replaced generation had built it
+        derives it in the freeze instead, with one gather of the kept
+        slots' rows and a fill of the fresh ones: ≈ 0.6 ms for a
+        ``write_compact`` fold of ≈ 180 fresh slots in 650.
         """
         if self._node_major is None:
-            flat, owners = expand_segments(self.entry_start, self.entry_count)
-            cols = flat - self.entry_start[owners]
-            shape = (self.dims, len(self.entry_count), int(self.entry_count.max()))
-            lows = np.full(shape, np.nan, dtype=np.float64)
-            highs = np.full(shape, np.nan, dtype=np.float64)
-            lows[:, owners, cols] = self.entry_lows[flat].T
-            highs[:, owners, cols] = self.entry_highs[flat].T
-            self._node_major = (lows, highs)
+            self._node_major = self._padded_entries()
         return self._node_major
+
+    def _padded_entries(self, reuse: Optional[Tuple[tuple, np.ndarray]] = None) -> tuple:
+        """:meth:`node_major` derived, copying ``reuse``'s kept rows (:func:`_padded`)."""
+        return _padded(
+            self.entry_start,
+            self.entry_count,
+            self.dims,
+            lambda rows: (self.entry_lows[rows], self.entry_highs[rows]),
+            reuse,
+        )
 
     def node_major_clips(self) -> tuple:
         """Clip points with one padded row per node, as ``(high_side, low_side)`` (cached).
@@ -786,20 +905,22 @@ class ColumnarIndex:
 
         Derivation only reads the flat arrays (they may be read-only
         memmaps) and costs a couple of milliseconds per 30k objects; the
-        result holds ``n_nodes × max_clips × 16 d`` bytes.
+        result holds ``n_nodes × max_clips × 16 d`` bytes.  As with
+        :meth:`node_major`, a compaction derives it from the replaced
+        generation's when that one had built it.
         """
         if self._node_major_clips is None:
-            flat, owners = expand_segments(self.node_clip_start, self.node_clip_count)
-            cols = flat - self.node_clip_start[owners]
-            shape = (self.dims, len(self.node_clip_count), int(self.node_clip_count.max()))
-            high_side = np.full(shape, np.nan, dtype=np.float64)
-            low_side = np.full(shape, np.nan, dtype=np.float64)
-            coords = self.clip_coords[flat].T
-            is_high = self.clip_is_high[flat].T
-            high_side[:, owners, cols] = np.where(is_high, coords, np.nan)
-            low_side[:, owners, cols] = np.where(is_high, np.nan, coords)
-            self._node_major_clips = (high_side, low_side)
+            self._node_major_clips = self._padded_clips()
         return self._node_major_clips
+
+    def _padded_clips(self, reuse: Optional[Tuple[tuple, np.ndarray]] = None) -> tuple:
+        """:meth:`node_major_clips` derived, copying ``reuse``'s kept rows (:func:`_padded`)."""
+
+        def sides(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            coords, is_high = self.clip_coords[rows], self.clip_is_high[rows]
+            return np.where(is_high, coords, np.nan), np.where(is_high, np.nan, coords)
+
+        return _padded(self.node_clip_start, self.node_clip_count, self.dims, sides, reuse)
 
     def node_count(self) -> int:
         """Number of snapshot node slots."""

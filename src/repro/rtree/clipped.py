@@ -71,6 +71,8 @@ class ClippedRTree:
         self.tree = tree
         self.config = config
         self.store = ClipStore()
+        #: ``(version, node_ids, batch)`` of the last :meth:`clip_all` (:meth:`kept_clips`).
+        self._kept_clips: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # structure delegation (lets generic traversals — kNN search, the
@@ -141,12 +143,33 @@ class ClippedRTree:
         (``tests/test_build_differential.py``).
         """
         freeze = self.tree.freeze()
-        _, clips = self._clip_batch(
+        batch, clips = self._clip_batch(
             freeze.node_ids, freeze.entry_lows, freeze.entry_highs, freeze.entry_count
         )
         self.store.clear()
         self._store_clips([node.node_id for node in self.tree.nodes()], clips)
+        self._kept_clips = (self.version, freeze.node_ids, batch)
         return len(self.store)
+
+    def kept_clips(self, freeze) -> Optional[tuple]:
+        """The clip arrays of the last :meth:`clip_all`, if taken over ``freeze`` and still current.
+
+        A :class:`~repro.engine.bulk_clip.ClipBatch` in ``freeze``'s slot
+        order, which the freeze that follows a build reads instead of
+        the store (:meth:`ColumnarIndex.from_tree
+        <repro.engine.columnar.ColumnarIndex.from_tree>`).  None for a
+        freeze other than the one it clipped (told by its ``node_ids``
+        array, which the wrapper keeps instead of the whole freeze), and
+        once the tree or the store has changed (the ``version`` it was
+        stamped with moved); it is dropped then, and by a re-clip.
+        """
+        if self._kept_clips is None:
+            return None
+        version, node_ids, batch = self._kept_clips
+        if version != self.version:
+            self._kept_clips = None
+            return None
+        return batch if node_ids is freeze.node_ids else None
 
     def _clip_batch(
         self, node_ids: np.ndarray, lows: np.ndarray, highs: np.ndarray, counts: np.ndarray
@@ -304,6 +327,7 @@ class ClippedRTree:
         freeze, which then reads neither the nodes nor the store again.
         Returns the number of live nodes re-clipped.
         """
+        self._kept_clips = None  # the store is about to change
         ids = set(node_ids)
         live = sorted(nid for nid in ids if self.tree.has_node(nid))
         for node_id in ids.difference(live):

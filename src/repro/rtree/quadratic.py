@@ -1,8 +1,20 @@
-"""Guttman's original R-tree with the quadratic split algorithm (QR-tree)."""
+"""Guttman's original R-tree with the quadratic split algorithm (QR-tree).
+
+The split is Guttman's PickSeeds / PickNext (SIGMOD 1984) over a node's
+entry bounds as arrays.  PickSeeds is one pass over all pairs.  PickNext
+keeps, for each group, its enlargement by every entry in one array and,
+after each assignment, recomputes only the array of the group that took
+the entry, and only when its box grew: at most one array pass per step.
+Every value is :meth:`Rect.enlargement`'s and :meth:`Rect.volume`'s to
+the bit, products in the same dimension order, so the groups are those
+of the scalar loops entry for entry
+(``tests/test_quadratic_split_kernels.py`` keeps the loops as the
+oracle).
+"""
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -13,17 +25,35 @@ from repro.rtree.node import Node
 
 
 def _volumes(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """Row volumes of ``(n, d)`` bounds, multiplied in :meth:`Rect.volume`'s order."""
-    volume = np.ones(len(lows))
-    for dim in range(lows.shape[1]):
+    """Row volumes of ``(n, d)`` bounds, multiplied in :meth:`Rect.volume`'s order.
+
+    ``Rect.volume`` starts from ``1.0``; ``1.0 * x`` is ``x`` to the bit,
+    so the product starts from the first side.
+    """
+    volume = highs[:, 0] - lows[:, 0]
+    for dim in range(1, lows.shape[1]):
         volume = volume * (highs[:, dim] - lows[:, dim])
     return volume
 
 
-def _enlargements(rect: Rect, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """``rect.enlargement(row)`` for every row of ``(n, d)`` bounds, to the bit."""
-    union = _volumes(np.minimum(rect.low, lows), np.maximum(rect.high, highs))
-    return union - rect.volume()
+def _volume(low: Sequence[float], high: Sequence[float]) -> float:
+    """:meth:`Rect.volume` of the box ``low``–``high``, to the bit."""
+    volume = 1.0
+    for lo, hi in zip(low, high):
+        volume *= hi - lo
+    return volume
+
+
+def _enlargements(
+    low: Sequence[float], high: Sequence[float], volume: float, lows: np.ndarray, highs: np.ndarray
+) -> np.ndarray:
+    """``Rect(low, high).enlargement(row)`` for every row of ``(n, d)`` bounds, to the bit.
+
+    ``volume`` is the box's own (:func:`_volume`).  A row the box cannot
+    cover finitely (``inf - inf``) gives NaN; the caller silences that
+    warning.
+    """
+    return _volumes(np.minimum(low, lows), np.maximum(high, highs)) - volume
 
 
 class QuadraticRTree(RTreeBase):
@@ -65,43 +95,62 @@ class QuadraticRTree(RTreeBase):
         return best_index
 
     def _split(self, node: Node) -> Tuple[List[Entry], List[Entry]]:
+        """Guttman's PickSeeds, then PickNext until the entries run out or a group must fill.
+
+        PickNext takes the first remaining entry maximising ``|growth1 -
+        growth2|`` (a NaN difference never wins; the first remaining
+        entry does when all are NaN); the entry joins the group it
+        enlarges less, then the one of smaller volume, then the one with
+        fewer entries, the first on a full tie.
+        """
         entries = list(node.entries)
         lows = np.array([entry.rect.low for entry in entries], dtype=np.float64)
         highs = np.array([entry.rect.high for entry in entries], dtype=np.float64)
-        seed1, seed2 = self._pick_seeds(lows, highs)
-        group1 = [entries[seed1]]
-        group2 = [entries[seed2]]
-        rect1 = group1[0].rect
-        rect2 = group2[0].rect
-        # Positions into ``entries`` (and the bound arrays) still unassigned.
-        remaining = [i for i in range(len(entries)) if i not in (seed1, seed2)]
-
-        while remaining:
-            # Minimum-fill safeguard: if one group must take everything left.
-            if len(group1) + len(remaining) == self.min_entries:
-                group1.extend(entries[i] for i in remaining)
-                break
-            if len(group2) + len(remaining) == self.min_entries:
-                group2.extend(entries[i] for i in remaining)
-                break
-
-            index = self._pick_next(lows[remaining], highs[remaining], rect1, rect2)
-            entry = entries[remaining.pop(index)]
-            d1 = rect1.enlargement(entry.rect)
-            d2 = rect2.enlargement(entry.rect)
-            if d1 < d2 or (
-                d1 == d2
-                and (
-                    rect1.volume() < rect2.volume()
-                    or (rect1.volume() == rect2.volume() and len(group1) <= len(group2))
+        seeds = self._pick_seeds(lows, highs)
+        groups: Tuple[List[Entry], List[Entry]] = ([entries[seeds[0]]], [entries[seeds[1]]])
+        # Per group: its box as ``low``, ``high`` tuples and its volume.
+        boxes = [(entries[seed].rect.low, entries[seed].rect.high) for seed in seeds]
+        volumes = [_volume(*box) for box in boxes]
+        taken = np.zeros(len(entries), dtype=bool)
+        taken[list(seeds)] = True
+        left = len(entries) - 2
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN, inf: as for the floats
+            growth = [
+                _enlargements(*box, volume, lows, highs) for box, volume in zip(boxes, volumes)
+            ]
+            while left:
+                # Minimum-fill safeguard: if one group must take everything left.
+                for group in groups:
+                    if len(group) + left == self.min_entries:
+                        group.extend(entries[i] for i in np.flatnonzero(~taken).tolist())
+                        return groups
+                # A NaN difference ranks -1, below every other; a taken row -2.
+                preference = np.fmax(np.abs(growth[0] - growth[1]), -1.0)
+                index = int(np.argmax(np.where(taken, -2.0, preference)))
+                taken[index] = True
+                left -= 1
+                d1, d2 = growth[0][index], growth[1][index]
+                first = d1 < d2 or (
+                    d1 == d2
+                    and (
+                        volumes[0] < volumes[1]
+                        or (volumes[0] == volumes[1] and len(groups[0]) <= len(groups[1]))
+                    )
                 )
-            ):
-                group1.append(entry)
-                rect1 = rect1.union(entry.rect)
-            else:
-                group2.append(entry)
-                rect2 = rect2.union(entry.rect)
-        return group1, group2
+                side = 0 if first else 1
+                entry = entries[index]
+                groups[side].append(entry)
+                low, high = boxes[side]
+                # Rect.union's min / max, argument order included.
+                grown = (
+                    tuple(map(min, low, entry.rect.low)),
+                    tuple(map(max, high, entry.rect.high)),
+                )
+                if grown != boxes[side]:
+                    boxes[side] = grown
+                    volumes[side] = _volume(*grown)
+                    growth[side] = _enlargements(*grown, volumes[side], lows, highs)
+        return groups
 
     @staticmethod
     def _pick_seeds(lows: np.ndarray, highs: np.ndarray) -> Tuple[int, int]:
@@ -115,25 +164,12 @@ class QuadraticRTree(RTreeBase):
         is ``(0, 1)``.
         """
         first, second = np.triu_indices(len(lows), 1)
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for the floats
-            union = _volumes(
-                np.minimum(lows[first], lows[second]), np.maximum(highs[first], highs[second])
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN, inf: as for the floats
+            union = _volumes(  # ``take``: a row gather without fancy indexing's overhead
+                np.minimum(lows.take(first, axis=0), lows.take(second, axis=0)),
+                np.maximum(highs.take(first, axis=0), highs.take(second, axis=0)),
             )
             volume = _volumes(lows, highs)
             waste = union - volume[first] - volume[second]
         best = int(np.argmax(np.where(np.isnan(waste), -np.inf, waste)))
         return int(first[best]), int(second[best])
-
-    @staticmethod
-    def _pick_next(lows: np.ndarray, highs: np.ndarray, rect1: Rect, rect2: Rect) -> int:
-        """The entry with the strongest preference for one of the groups.
-
-        Over the remaining entries' ``(n, d)`` bounds: the first row
-        maximising ``|rect1.enlargement(row) - rect2.enlargement(row)|``;
-        a NaN difference never wins, and row 0 does when all are NaN.
-        """
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for the floats
-            difference = np.abs(
-                _enlargements(rect1, lows, highs) - _enlargements(rect2, lows, highs)
-            )
-        return int(np.argmax(np.where(np.isnan(difference), -1.0, difference)))

@@ -75,6 +75,59 @@ def walked_freeze(index):
     return ColumnarIndex.from_tree(index)
 
 
+def walked_refreeze(tree, previous, dirty):
+    """An incremental freeze that walks every node: the oracle of ``columnar._refreeze``.
+
+    ``tree`` is read breadth first, node by node; a node ``previous``
+    holds and ``dirty`` does not has its entry rows, leaf objects and
+    object ids copied from ``previous`` one slot at a time, every other
+    node is read from the tree.  Returns ``(freeze, previous_slot,
+    oids)`` as ``_refreeze`` does (oids None when ``previous`` never built
+    its column).
+    """
+    from repro.rtree.freeze import bfs_nodes, node_rows, tree_freeze
+
+    nodes = bfs_nodes(tree)
+    kept_slot = {
+        node_id: slot for slot, node_id in enumerate(previous.node_ids.tolist())
+        if node_id not in dirty
+    }
+    first_leaf_before = len(previous.entry_child) - len(previous.objects)
+    previous_slot = np.array([kept_slot.get(node.node_id, -1) for node in nodes], dtype=np.int64)
+    fresh_rows = node_rows([n for n, s in zip(nodes, previous_slot) if s < 0], tree.dims)
+    lows, highs, objects, oids = [], [], [], []
+    fresh_row = 0
+    for node, slot in zip(nodes, previous_slot.tolist()):
+        count = len(node.entries)
+        if slot < 0:
+            lows.append(fresh_rows.lows[fresh_row : fresh_row + count])
+            highs.append(fresh_rows.highs[fresh_row : fresh_row + count])
+            fresh_row += count
+            if node.is_leaf:
+                objects.extend(entry.child for entry in node.entries)
+                oids.extend(entry.child.oid for entry in node.entries)
+            continue
+        start = int(previous.entry_start[slot])
+        lows.append(previous.entry_lows[start : start + count])
+        highs.append(previous.entry_highs[start : start + count])
+        if node.is_leaf:
+            first = start - first_leaf_before
+            objects.extend(previous.objects[first : first + count])
+            if previous._object_oids is not None:
+                oids.extend(previous._object_oids[first : first + count].tolist())
+    empty = np.empty((0, tree.dims), dtype=np.float64)
+    freeze = tree_freeze(
+        is_leaf=np.array([node.is_leaf for node in nodes], dtype=bool),
+        entry_count=np.array([len(node.entries) for node in nodes], dtype=np.int64),
+        node_ids=np.array([node.node_id for node in nodes], dtype=np.int64),
+        entry_lows=np.concatenate([empty, *lows]),
+        entry_highs=np.concatenate([empty, *highs]),
+        objects=objects,
+    )
+    column = np.array(oids, dtype=np.int64) if previous._object_oids is not None else None
+    return freeze, previous_slot, column
+
+
 def full_propagate_up(self, path, result, added=None):
     """``RTreeBase._propagate_up`` without its early stop: the oracle.
 

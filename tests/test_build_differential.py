@@ -623,15 +623,23 @@ def _assert_same_snapshot(snapshot, oracle):
 
 
 def _unwalked_freeze(index):
-    """``ColumnarIndex.from_tree(index)``, failing if it walks the tree."""
-    with mock.patch("repro.rtree.base.walk", side_effect=AssertionError("walked")):
+    """``ColumnarIndex.from_tree(index)``, failing if it walks the tree or reads the store.
+
+    Right after ``clip_all``, the clip runs are the arrays it kept.
+    """
+    with mock.patch("repro.rtree.base.walk", side_effect=AssertionError("walked")), mock.patch(
+        "repro.engine.columnar._stored_clips", side_effect=AssertionError("read the store")
+    ):
         return ColumnarIndex.from_tree(index)
 
 
 class TestKeptFreeze:
     """An STR tree keeps its tiling's layout as its freeze, stamped with its
     version; ``from_tree`` and ``clip_all`` read it, walking no node, and it
-    equals a walk of every node (``conftest.walked_freeze``)."""
+    equals a walk of every node (``conftest.walked_freeze``).  ``clip_all``
+    keeps its clip arrays beside that freeze, stamped with the clipped
+    tree's version, and the freeze reads its clip runs from them, not from
+    the store, until the tree or the store changes."""
 
     @staticmethod
     def _check(objects, method="stairline", **kwargs):
@@ -670,6 +678,7 @@ class TestKeptFreeze:
             clipped.reclip_nodes(node.node_id for node in clipped.tree.leaves())
         else:
             clipped = before.to_tree()
+        assert clipped.kept_clips(clipped.tree.freeze()) is None
         after = ColumnarIndex.from_tree(clipped)
         _assert_same_snapshot(after, walked_freeze(clipped))
         moved = {"insert": "entry_count", "delete": "entry_count", "to_tree": None}
@@ -678,6 +687,15 @@ class TestKeptFreeze:
             _assert_same_snapshot(after, before)
         else:
             assert getattr(after, name).tobytes() != getattr(before, name).tobytes()
+
+    def test_kept_clips_are_those_of_the_freeze_they_clipped(self):
+        clipped = ClippedRTree.wrap(str_bulk_load(generate("axo03", 300, seed=14), max_entries=8))
+        freeze = clipped.tree.freeze()
+        assert clipped.kept_clips(freeze) is not None
+        clipped.tree._freeze = None  # a walk of the same tree: another freeze object
+        assert clipped.kept_clips(clipped.tree.freeze()) is None
+        clipped.store.remove(clipped.tree.root_id)  # the store moved: dropped for good
+        assert clipped.kept_clips(freeze) is None and clipped._kept_clips is None
 
     def test_two_wrappers_of_one_tree_get_their_own_clip_runs(self):
         tree = str_bulk_load(generate("axo03", 400, seed=13), max_entries=8)

@@ -17,11 +17,18 @@ freeze kept by the tree (``conftest.walked_freeze``):
   once per chain (a save fsyncs thirteen files) and the edge cases after
   every compaction.
 
-The chains cover every insertion variant at three fan-outs, three
-dimensionalities, clipped and plain, plus the structural edge cases: root
-splits, a root shrinking to a leaf, condense-tree reinsertion at directory
-level, an emptied tree, inserts staged mid-compaction and a base that was
-stale before the fold (which must not be reused).
+Every incremental freeze is also spied on (``recorded_freezes``): it
+calls ``tree.node`` exactly once for each dirty node the new layout
+holds and for no other node, never walks the tree (``bfs_nodes``,
+``walk``), and its layout, slot map and oid column equal those of the
+walking freeze it replaced (``conftest.walked_refreeze``).
+
+The chains cover every insertion variant and STR packing at fill 0.7, at
+three fan-outs, three dimensionalities, clipped and plain, plus the
+structural edge cases, folded whole and step by step: root splits, a
+root shrinking to a leaf, condense-tree reinsertion at directory level,
+an emptied tree, inserts staged mid-compaction and a base that was stale
+before the fold (which must not be reused).
 """
 
 import contextlib
@@ -35,34 +42,85 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import ColumnarIndex, SnapshotManager, save_snapshot
+from repro.engine import ColumnarIndex, SnapshotManager, columnar, save_snapshot
 from repro.engine.snapshot_io import read_manifest
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.rtree.clipped import ClippedRTree
 from repro.rtree.quadratic import QuadraticRTree
+from repro.rtree import base as rtree_base, freeze as rtree_freeze
 from repro.rtree.registry import build_rtree
-from tests.conftest import walked_freeze
+from repro.rtree.str_bulk import str_bulk_load
+from tests.conftest import walked_freeze, walked_refreeze
 
 CANONICAL = (
     "is_leaf", "entry_start", "entry_count", "node_ids", "entry_lows", "entry_highs",
     "entry_child", "clip_coords", "clip_is_high", "node_clip_start", "node_clip_count",
 )
 
-VARIANTS = ("quadratic", "hilbert", "rstar", "rrstar", "str")
+#: Every variant ``build_rtree`` builds, and STR packed with slack.
+BUILT = ("quadratic", "hilbert", "rstar", "rrstar", "str")
+VARIANTS = BUILT + ("str-0.7",)
 
 GENERATIONS = 10
 
 
+FREEZE_ARRAYS = (
+    "is_leaf", "entry_start", "entry_count", "node_ids", "entry_lows", "entry_highs",
+    "entry_child",
+)
+
+
+def _walk_forbidden(*args, **kwargs):
+    raise AssertionError("an incremental freeze walked the tree")
+
+
+def _spied_freeze(freeze, cls, index, previous, dirty, *args, **kwargs):
+    """``freeze`` with ``previous``, checking what it reads of the tree and what it makes."""
+    tree = index.tree if isinstance(index, ClippedRTree) else index
+    reads: List[int] = []
+    read = tree.node
+
+    def node(node_id):
+        reads.append(node_id)
+        return read(node_id)
+
+    with mock.patch.object(tree, "node", node), mock.patch.object(
+        rtree_freeze, "bfs_nodes", _walk_forbidden
+    ), mock.patch.object(rtree_base, "walk", _walk_forbidden):
+        snapshot = freeze(cls, index, previous, dirty, *args, **kwargs)
+    assert "node" not in vars(tree)
+    # Each node the fold dirtied and the layout holds, once; nothing else.
+    assert sorted(reads) == sorted(set(snapshot.node_ids.tolist()) & set(dirty))
+    oracle, oracle_slots, oracle_oids = walked_refreeze(tree, previous, dirty)
+    for name in FREEZE_ARRAYS:
+        assert getattr(snapshot, name).tobytes() == getattr(oracle, name).tobytes(), name
+    assert len(snapshot.objects) == len(oracle.objects)
+    assert all(ours is theirs for ours, theirs in zip(snapshot.objects, oracle.objects))
+    if oracle_oids is None:
+        assert snapshot._object_oids is None
+    else:
+        assert snapshot._object_oids.tobytes() == oracle_oids.tobytes()
+    _, slots, _, _ = columnar._refreeze(tree, previous, dirty, None)
+    assert slots.tobytes() == oracle_slots.tobytes()
+    return snapshot
+
+
 @contextlib.contextmanager
 def recorded_freezes():
-    """Patch ``from_tree`` to record, per call, whether it was handed a previous generation."""
+    """Patch ``from_tree`` to record, per call, whether it was handed a previous generation.
+
+    A call that was is spied on and checked against the walking freeze
+    (``_spied_freeze``).
+    """
     calls: List[bool] = []
     freeze = ColumnarIndex.from_tree.__func__
 
-    def recording(cls, index, previous=None, *args, **kwargs):
+    def recording(cls, index, previous=None, dirty=frozenset(), *args, **kwargs):
         calls.append(previous is not None)
-        return freeze(cls, index, previous, *args, **kwargs)
+        if previous is None:
+            return freeze(cls, index, previous, dirty, *args, **kwargs)
+        return _spied_freeze(freeze, cls, index, previous, dirty, *args, **kwargs)
 
     with mock.patch.object(ColumnarIndex, "from_tree", classmethod(recording)):
         yield calls
@@ -100,7 +158,10 @@ class Chain:
         self.dims = dims
         self.live = [_box(self.rng, i, dims) for i in range(count)]
         self.next_oid = 10_000
-        tree = build_rtree(variant, self.live, max_entries=max_entries)
+        if variant == "str-0.7":
+            tree = str_bulk_load(self.live, max_entries=max_entries, leaf_fill=0.7)
+        else:
+            tree = build_rtree(variant, self.live, max_entries=max_entries)
         self.source = ClippedRTree.wrap(tree, method="stairline") if clipped else tree
         self.tree = tree
         self.manager = SnapshotManager(self.source)
@@ -120,11 +181,15 @@ class Chain:
                 self.manager.insert(obj)
 
     def compact_and_check(
-        self, freezes: List[bool], scratch: Path, incremental=True, fingerprint=True
+        self, freezes: List[bool], scratch: Path, incremental=True, fingerprint=True,
+        stepped=False,
     ) -> None:
         before = len(freezes)
         # Writes may cancel out in the overlay (an insert deleted again).
         folds = not self.manager.overlay.is_empty
+        if stepped:
+            while self.manager.compact_step():
+                pass
         self.manager.compact()
         assert freezes[before:] == ([incremental] if folds else [])
         assert_is_fresh_freeze(self.manager, scratch, fingerprint)
@@ -149,35 +214,52 @@ def test_chained_generations_equal_a_fresh_freeze(variant, max_entries, dims, cl
     chain.tree.check_invariants()
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_root_splits(variant, tmp_path):
+def _root_splits(variant, stepped, tmp_path):
     chain = Chain(variant, 4, 2, True, seed=1, count=3)
     heights = set()
     with recorded_freezes() as freezes:
         for _ in range(GENERATIONS):
             chain.write(7, delete_share=0.1)
-            chain.compact_and_check(freezes, tmp_path)
+            chain.compact_and_check(freezes, tmp_path, stepped=stepped)
             heights.add(chain.tree.height)
     assert len(heights) >= 3, "the stream must split the root more than once"
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_root_shrinks_to_a_leaf_and_the_tree_empties(variant, tmp_path):
+def test_root_splits(variant, tmp_path):
+    _root_splits(variant, False, tmp_path)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_root_splits_stepped(variant, tmp_path):
+    _root_splits(variant, True, tmp_path)
+
+
+def _root_shrinks_to_a_leaf_and_the_tree_empties(variant, stepped, tmp_path):
     chain = Chain(variant, 4, 2, True, seed=2, count=90)
     assert chain.tree.height >= 3
     with recorded_freezes() as freezes:
         while chain.live:
             chain.write(min(12, len(chain.live)), delete_share=1.0)
-            chain.compact_and_check(freezes, tmp_path)
+            chain.compact_and_check(freezes, tmp_path, stepped=stepped)
         assert chain.tree.root.is_leaf and len(chain.tree) == 0
         # The emptied tree keeps taking writes, generation after generation.
         for _ in range(3):
             chain.write(5, delete_share=0.0)
-            chain.compact_and_check(freezes, tmp_path)
+            chain.compact_and_check(freezes, tmp_path, stepped=stepped)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_condense_tree_reinserts_directory_entries(variant, tmp_path):
+def test_root_shrinks_to_a_leaf_and_the_tree_empties(variant, tmp_path):
+    _root_shrinks_to_a_leaf_and_the_tree_empties(variant, False, tmp_path)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_root_shrinks_to_a_leaf_and_the_tree_empties_stepped(variant, tmp_path):
+    _root_shrinks_to_a_leaf_and_the_tree_empties(variant, True, tmp_path)
+
+
+def _condense_tree_reinserts_directory_entries(variant, stepped, tmp_path):
     chain = Chain(variant, 4, 2, True, seed=3, count=160)
     condensed = False
     with recorded_freezes() as freezes:
@@ -191,9 +273,19 @@ def test_condense_tree_reinserts_directory_entries(variant, tmp_path):
                 assert chain.manager.delete(victim)
             del chain.live[:8]
             chain.write(3, delete_share=0.0)
-            chain.compact_and_check(freezes, tmp_path)
+            chain.compact_and_check(freezes, tmp_path, stepped=stepped)
             condensed |= any(not tree.has_node(node_id) for node_id in directories)
     assert condensed, "no directory node below the root was condensed"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_condense_tree_reinserts_directory_entries(variant, tmp_path):
+    _condense_tree_reinserts_directory_entries(variant, False, tmp_path)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_condense_tree_reinserts_directory_entries_stepped(variant, tmp_path):
+    _condense_tree_reinserts_directory_entries(variant, True, tmp_path)
 
 
 def test_inserts_staged_mid_compaction(tmp_path):
@@ -301,7 +393,7 @@ def reference_freeze(index):
 
 
 @pytest.mark.parametrize("clipped", [True, False], ids=["clipped", "plain"])
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", BUILT)
 def test_full_freeze_equals_the_per_entry_walk(variant, clipped):
     """The one freeze, with nothing to copy, is the original freeze."""
     rng = random.Random(7)
