@@ -17,8 +17,9 @@ entries of its dirty nodes into the same form, once
 NumPy calls per batch instead of one Python loop nest per node per
 corner, and returns arrays (:class:`ClipBatch`: coordinates, corner
 masks, scores and a count per node).  :func:`clip_point_lists` turns
-them into the ``ClipPoint`` lists the store keeps; the compaction's
-freeze writes its fresh clip runs from the arrays themselves.  Each
+them into the ``ClipPoint`` lists the store keeps; the clipped tree
+records the arrays themselves, and the freeze reads its clip runs from
+them (:meth:`~repro.rtree.clipped.ClippedRTree.clip_pass`).  Each
 node's clip points are *identical* to what the scalar
 :func:`~repro.cbb.clipping.compute_clip_points` (Algorithm 1) returns
 for it — same coordinate values, same scores, same ordering
@@ -173,7 +174,7 @@ def clip_nodes_batch(
     dims = lows.shape[1]
     k = config.max_clip_points(dims)
     if k == 0 or not counts.any():
-        return _no_clips(len(counts), dims)
+        return _clipless(len(counts), dims)
     valid = np.arange(counts.max()) < counts[:, None]  # (g, c): a real entry
     padded_lows = np.full(valid.shape + (dims,), np.nan)
     padded_highs = np.full(valid.shape + (dims,), np.nan)
@@ -193,7 +194,7 @@ def clip_nodes_batch(
     active = np.isfinite(volume) & (volume > 0.0)
     nodes = np.flatnonzero(active)
     if not len(nodes):
-        return _no_clips(len(counts), dims)
+        return _clipless(len(counts), dims)
     if len(nodes) < len(active):
         lows, highs, valid = lows[active], highs[active], valid[active]
         node_low, node_high, volume = node_low[active], node_high[active], volume[active]
@@ -222,7 +223,7 @@ def clip_nodes_batch(
     return ClipBatch(clip_counts, coords, masks, scores)
 
 
-def _no_clips(nodes: int, dims: int) -> ClipBatch:
+def _clipless(nodes: int, dims: int) -> ClipBatch:
     """The :class:`ClipBatch` of ``nodes`` nodes without a clip point."""
     return ClipBatch(
         np.zeros(nodes, dtype=np.int64),

@@ -28,31 +28,22 @@ its last freeze, stamped with its ``version``, and this snapshot shares
 its arrays: a tree from :func:`~repro.rtree.str_bulk.str_bulk_load`
 keeps the layout of its STR tiling, any other the walk its first
 freeze or clip pass took, and an insert, a delete or a new structure
-makes the kept freeze stale, so the next freeze walks again.  Only the
-clip runs are read here, from the :class:`ClipStore` (see below for a
-freeze right after a build).  When the caller
-hands over the previous generation and the node ids a batch of updates
-dirtied, every other node's entry rows, leaf objects (with their ids)
-and clip run are copied from that generation, and the tree keeps the
-result.  The layout itself is derived from that generation a level at
-a time: a kept node's leaf flag, entry count and children are read off
-its arrays, and only the dirty nodes are read from the tree, once each;
-every column is then one gather from the old generation's array and the
-fresh rows.  A compaction
-(:meth:`SnapshotManager.compact <repro.engine.delta.SnapshotManager.compact>`)
-also hands over what its re-clip made of the dirty nodes — their entry
-rows, stacked once, and their clip points as arrays
-(:class:`~repro.rtree.clipped.Reclipped`) — and the fresh slots take
-both with one gather by node id each, so it reads neither those nodes'
-entries nor the store a second time; only a plain tree, which has no
-re-clip, stacks its dirty nodes' rows here.  A compaction thereby pays
-Python work for the nodes its batch touched, not for the tree, and for
-each of them once; what grows with the tree is a few array passes.
-Right after :meth:`ClippedRTree.clip_all
-<repro.rtree.clipped.ClippedRTree.clip_all>` (a build), the clip runs
-are the arrays that pass kept beside the tree's freeze
-(:meth:`~repro.rtree.clipped.ClippedRTree.kept_clips`), not a read-back
-of the store.
+makes the kept freeze stale, so the next freeze walks again.  When the
+caller hands over that kept freeze as the previous generation, with the
+node ids a batch of updates dirtied, every other node's entry rows,
+leaf objects (with their ids) and clip run are copied from it.  The
+layout itself is derived from it a level at a time: a kept node's leaf
+flag, entry count and children are read off its arrays, only the dirty
+nodes are read from the tree, once each, and every column is one gather
+from the old generation's array and the fresh rows.  Where the fresh
+nodes' entry rows and clip runs come from is the clipped tree's to say
+(:meth:`ClippedRTree.clip_pass
+<repro.rtree.clipped.ClippedRTree.clip_pass>`): the arrays of its last
+clip pass — ``clip_all`` over the build's freeze, a compaction's
+re-clip of its dirty nodes — or the nodes and the store once that pass
+is stale.  A plain tree stacks the nodes read and has no clip runs.  A
+compaction thereby pays Python work for the nodes its batch touched,
+once each; what grows with the tree is a few array passes.
 
 **The tree record, and the thaw.**  Every construction also records what
 the arrays cannot say about the tree: a :class:`TreeRecord` of its
@@ -107,7 +98,6 @@ from the frozen state and stamps the answer stale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import AbstractSet, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -119,12 +109,11 @@ from repro.engine.kernels import (
     masks_to_bool,
     object_column,
     rects_of_rows,
-    stack_rows,
 )
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.rtree.base import RTreeBase
-from repro.rtree.clipped import ClippedRTree, Reclipped
+from repro.rtree.clipped import ClippedRTree
 from repro.rtree.entry import Entry
 from repro.rtree.freeze import TreeFreeze, node_rows, tree_freeze
 from repro.rtree.hilbert import HilbertRTree
@@ -177,11 +166,6 @@ class TreeRecord:
         return f"{self.variant}, fan-out {self.max_entries}, {clip}"
 
 
-def _no_clips(node_id: int) -> list:
-    """The clip points of a plain tree's node: none."""
-    return []
-
-
 def _assembled(
     counts: np.ndarray,
     kept: np.ndarray,
@@ -218,50 +202,12 @@ def _pinned(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=dtype)
 
 
-#: Runs of rows per node, as handed over: ``(node_ids, counts, columns)``,
-#: node ``node_ids[i]`` holding the next ``counts[i]`` rows of each column.
-NodeRuns = Tuple[np.ndarray, np.ndarray, Sequence[np.ndarray]]
-
-
-def _take_runs(
-    handed: Optional[NodeRuns],
-    wanted: np.ndarray,
-    read: Callable[[np.ndarray], Tuple[np.ndarray, Sequence[np.ndarray]]],
-) -> Tuple[np.ndarray, Sequence[np.ndarray]]:
-    """The runs of the node ids ``wanted``, in that order, as ``(counts, columns)``.
-
-    Taken from ``handed``, which must hold every one of them, with one
-    gather by id; ``read(wanted)`` gives them in the same form when
-    nothing is handed.
-    """
-    if handed is None:
-        return read(wanted)
-    node_ids, counts, columns = handed
-    position = dict(zip(node_ids.tolist(), range(len(node_ids))))
-    try:
-        at = np.array([position[node_id] for node_id in wanted.tolist()], dtype=np.int64)
-    except KeyError as missing:
-        raise ValueError(f"node {missing} is fresh but was not handed over") from None
-    starts = np.cumsum(counts) - counts
-    rows, _ = expand_segments(starts[at], counts[at])
-    return counts[at], [column.take(rows, axis=0) for column in columns]
-
-
-def _stored_clips(
-    clips_of: Callable[[int], list], dims: int, node_ids: np.ndarray
-) -> Tuple[np.ndarray, Sequence[np.ndarray]]:
-    """The clip runs of ``node_ids`` read from a store, as ``(counts, (coords, masks))``."""
-    runs = [clips_of(node_id) for node_id in node_ids.tolist()]
-    clips = [clip for run in runs for clip in run]
-    return np.array([len(run) for run in runs], dtype=np.int64), (
-        stack_rows([clip.coord for clip in clips], dims, "clip points"),
-        np.array([clip.mask for clip in clips], dtype=np.int64),
-    )
-
-
 def _refreeze(
-    tree: RTreeBase, previous: "ColumnarIndex", dirty: AbstractSet[int], handed: Optional[NodeRuns]
-) -> Tuple[TreeFreeze, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    tree: RTreeBase,
+    previous: "ColumnarIndex",
+    dirty: AbstractSet[int],
+    clipped: Optional[ClippedRTree] = None,
+) -> Tuple[TreeFreeze, np.ndarray, Optional[np.ndarray], np.ndarray, Optional[tuple]]:
     """``tree``'s freeze, copying from ``previous`` every node outside ``dirty``.
 
     The layout is built a level at a time from the root.  A slot whose
@@ -271,9 +217,11 @@ def _refreeze(
     only the other nodes are read from the tree (``tree.node``, once
     each).  So the height may change between the generations: a split
     root, a root that shrank to one of its children, an emptied tree.
-    The fresh nodes' entry rows are taken from ``handed`` (the re-clip's
-    rows, see :meth:`ColumnarIndex.from_tree`), or stacked from the nodes
-    read when nothing is handed; the kept nodes' rows, objects and, when
+    The fresh nodes' entry rows, and their clip runs when ``clipped`` is
+    ``tree``'s wrapper, are what its last clip pass made of them
+    (:meth:`ClippedRTree.clip_pass
+    <repro.rtree.clipped.ClippedRTree.clip_pass>`); a plain tree stacks
+    the nodes read.  The kept nodes' rows, objects and, when
     ``previous`` built them, object ids (:meth:`ColumnarIndex.object_oids`)
     are gathered from ``previous``'s arrays (:func:`_assembled`).  The
     objects are assembled as the object column
@@ -281,7 +229,8 @@ def _refreeze(
 
     Returns the freeze; per slot, the slot it was copied from in
     ``previous`` or -1 for a node read; the oid column (None when
-    ``previous`` never built its own); and the object column.
+    ``previous`` never built its own); the object column; and the fresh
+    nodes' clip runs in slot order (None for a plain tree).
     """
     # The slot of every node of ``previous`` that may be copied, by node id.
     order = np.argsort(previous.node_ids)
@@ -327,18 +276,15 @@ def _refreeze(
     fresh = previous_slot < 0
     kept = ~fresh
 
-    def read_rows(ids: np.ndarray) -> Tuple[np.ndarray, Sequence[np.ndarray]]:
-        rows = node_rows(read, tree.dims)  # ``ids`` are the read nodes' ids, in this order
-        return rows.counts, (rows.lows, rows.highs)
-
-    counts, (lows, highs) = _take_runs(handed, node_ids[fresh], read_rows)
-    if not np.array_equal(counts, entry_count[fresh]):
-        raise ValueError("the handed entry rows are not those of the tree")
+    if clipped is None:
+        rows, clips = node_rows(read, tree.dims), None
+    else:
+        rows, clips = clipped.clip_pass(node_ids[fresh], read)
     entry_lows, entry_highs = _assembled(
         entry_count,
         kept,
         previous.entry_start[previous_slot[kept]],
-        [(previous.entry_lows, lows), (previous.entry_highs, highs)],
+        [(previous.entry_lows, rows.lows), (previous.entry_highs, rows.highs)],
     )
 
     # Object i is leaf row ``first_leaf + i`` in both generations, so a
@@ -368,7 +314,7 @@ def _refreeze(
         entry_highs=entry_highs,
         objects=objects,
     )
-    return freeze, previous_slot, oids[0] if oids else None, column
+    return freeze, previous_slot, oids[0] if oids else None, column, clips
 
 
 def _padded(
@@ -533,86 +479,58 @@ class ColumnarIndex:
         index: Union[RTreeBase, ClippedRTree],
         previous: Optional["ColumnarIndex"] = None,
         dirty: AbstractSet[int] = frozenset(),
-        reclipped: Optional[Sequence[Reclipped]] = None,
     ) -> "ColumnarIndex":
         """Freeze ``index`` (a plain or clipped R-tree) into arrays.
 
-        Clip points are taken from the :class:`ClipStore` when ``index``
-        is a :class:`ClippedRTree`; a plain tree snapshots with empty clip
-        arrays and the executor skips the pruning kernel entirely.
+        A plain tree snapshots with empty clip arrays, and the executor
+        skips the pruning kernel entirely; a clipped tree's clip runs, and
+        the entry rows of the nodes read here, are what its last clip pass
+        made of them (:meth:`ClippedRTree.clip_pass
+        <repro.rtree.clipped.ClippedRTree.clip_pass>`).
 
         Without ``previous``, the slots, entry rows and objects are the
         tree's freeze (:meth:`RTreeBase.freeze
         <repro.rtree.base.RTreeBase.freeze>`), and only the clip runs are
-        read here.  The tree keeps its last freeze, stamped with its
+        gathered here.  The tree keeps its last freeze, stamped with its
         ``version``, and shares the arrays with this snapshot: a tree from
         :func:`~repro.rtree.str_bulk.str_bulk_load` keeps the layout of
         its STR tiling, a clipped tree the walk its :meth:`ClippedRTree.clip_all
         <repro.rtree.clipped.ClippedRTree.clip_all>` took.  Any insert,
         delete or new structure moves the version, and then the tree is
         walked again and keeps that walk; a thawed tree
-        (:meth:`to_tree`) starts without one.  The clip runs are the
-        arrays ``clip_all`` kept beside that freeze while neither the
-        tree nor the store has changed since
-        (:meth:`ClippedRTree.kept_clips
-        <repro.rtree.clipped.ClippedRTree.kept_clips>`), else read from
-        the store.
+        (:meth:`to_tree`) starts without one.
 
-        ``previous``, when given, is an earlier freeze of the same
-        ``index`` that was current before the updates that dirtied the
-        node ids ``dirty``
-        (:func:`~repro.engine.incremental_clip.dirty_node_ids`).  A node
-        ``previous`` holds and ``dirty`` does not has the entries and clip
-        points it had then, so its entry rows, leaf objects and clip run
-        are copied from ``previous`` with array operations (and its
-        objects' ids, when ``previous`` built its :meth:`object_oids`);
-        every other node is read from the tree, once.  The slot layout is
-        derived from ``previous`` a level at a time, so the freeze calls
-        ``tree.node`` only for those nodes and walks nothing: its Python
-        work grows with the dirty set, and each array costs one gather
-        over the tree.  The tree keeps the result as its freeze.  The new
-        snapshot holds its object column, and :meth:`node_major` /
-        :meth:`node_major_clips` when ``previous`` had built them, derived
-        from ``previous``'s.  Either way the arrays are those of a walk of
-        every node.
-
-        ``reclipped`` is what the re-clip of those updates made
-        (:meth:`ClippedRTree.reclip_nodes
-        <repro.rtree.clipped.ClippedRTree.reclip_nodes>`, one
-        :class:`~repro.rtree.clipped.Reclipped` per chunk): every node not
-        copied from ``previous`` takes its entry rows and clip run from
-        it, not from the tree and the store, which hold the same values;
-        ``ValueError`` if it lacks one.  Without ``previous`` it is not
-        read.
+        ``previous``, when given, must be the freeze of ``index`` its tree
+        kept last (it shares that freeze's arrays; ``ValueError``
+        otherwise), taken before the updates that dirtied the node ids
+        ``dirty`` (:func:`~repro.engine.incremental_clip.dirty_node_ids`).
+        A node ``previous`` holds and ``dirty`` does not has the entries
+        and clip points it had then, so its entry rows, leaf objects and
+        clip run are copied from ``previous`` with array operations (and
+        its objects' ids, when ``previous`` built its
+        :meth:`object_oids`); every other node is read from the tree,
+        once.  The slot layout is derived from ``previous`` a level at a
+        time, so the freeze calls ``tree.node`` only for those nodes and
+        walks nothing: its Python work grows with the dirty set, and each
+        array costs one gather over the tree.  The tree keeps the result
+        as its freeze.  The new snapshot holds its object column, and
+        :meth:`node_major` / :meth:`node_major_clips` when ``previous`` had
+        built them, derived from ``previous``'s.  Either way the arrays
+        are those of a walk of every node.
         """
-        if isinstance(index, ClippedRTree):
-            tree: RTreeBase = index.tree
-            clips_of = index.store.get
-        else:
-            tree = index
-            clips_of = _no_clips
-        if previous is not None and previous.source is not index:
-            raise ValueError("previous must be a freeze of the same index")
+        clipped = index if isinstance(index, ClippedRTree) else None
+        tree: RTreeBase = index if clipped is None else clipped.tree
         dims = tree.dims
-        oids = column = None
-        handed_rows = handed_clips = None
+        oids = column = clips = None
         if previous is None:
             freeze = tree.freeze()
             previous_slot = np.full(len(freeze.node_ids), -1, dtype=np.int64)
-            batch = index.kept_clips(freeze) if isinstance(index, ClippedRTree) else None
-            if batch is not None:
-                handed_clips = (freeze.node_ids, batch.counts, (batch.coords, batch.masks))
+            if clipped is not None:
+                _, clips = clipped.clip_pass(freeze.node_ids)
         else:
-            if reclipped:
-                node_ids, row_counts, lows, highs = map(
-                    np.concatenate, zip(*(part.rows for part in reclipped))
-                )
-                clip_counts, coords, masks, _ = map(
-                    np.concatenate, zip(*(part.clips for part in reclipped))
-                )
-                handed_rows = (node_ids, row_counts, (lows, highs))
-                handed_clips = (node_ids, clip_counts, (coords, masks))
-            freeze, previous_slot, oids, column = _refreeze(tree, previous, dirty, handed_rows)
+            if not previous._is_last_freeze_of(index):
+                raise ValueError("previous must be the freeze of the same index its tree kept last")
+            freeze, previous_slot, oids, column, clips = _refreeze(tree, previous, dirty, clipped)
             tree.keep_freeze(freeze)
         n_nodes = len(previous_slot)
         fresh = previous_slot < 0
@@ -624,17 +542,16 @@ class ColumnarIndex:
         # any other node (the scalar STT consults the ClipStore for any
         # node pair).  A node without clip points has start 0.
         run = np.roll(np.arange(n_nodes, dtype=np.int64), -1)
-        fresh_run = run[fresh[run]]
-        fresh_counts, (coords, masks) = _take_runs(
-            handed_clips, freeze.node_ids[fresh_run], partial(_stored_clips, clips_of, dims)
-        )
         node_clip_count = np.zeros(n_nodes, dtype=np.int64)
-        node_clip_count[fresh_run] = fresh_counts
+        before = coords, masks = np.empty((0, dims)), np.empty((0, dims), dtype=bool)
+        kept_starts = np.empty(0, dtype=np.int64)
+        if clips is not None:  # the fresh slots' runs, in slot order
+            node_clip_count[fresh] = clips.counts
+            coords, masks = clips.coords, masks_to_bool(clips.masks, dims)
+            if fresh[0]:  # the root's run leads the fresh runs and goes last
+                coords, masks = (np.roll(a, -clips.counts[0], axis=0) for a in (coords, masks))
         kept_run = kept[run]
-        if previous is None:
-            before = (np.empty((0, dims), dtype=np.float64), np.empty((0, dims), dtype=bool))
-            kept_starts = np.empty(0, dtype=np.int64)
-        else:
+        if previous is not None:
             node_clip_count[kept] = previous.node_clip_count[previous_slot[kept]]
             before = (previous.clip_coords, previous.clip_is_high)
             kept_starts = previous.node_clip_start[previous_slot[run[kept_run]]]
@@ -643,7 +560,7 @@ class ColumnarIndex:
             run_count,
             kept_run,
             kept_starts,
-            list(zip(before, (coords, masks_to_bool(masks, dims)))),
+            list(zip(before, (coords, masks))),
         )
         run_start = np.cumsum(run_count) - run_count
         node_clip_start = np.zeros(n_nodes, dtype=np.int64)
@@ -732,6 +649,11 @@ class ColumnarIndex:
             if count:
                 clipped.store.put(node_id, points[start : start + count])
         return clipped
+
+    def _is_last_freeze_of(self, index: Union[RTreeBase, ClippedRTree]) -> bool:
+        """True when this snapshot shares the arrays of the freeze ``index``'s tree kept last."""
+        last = getattr(index, "tree", index)._freeze
+        return self.source is index and last is not None and last[1].node_ids is self.node_ids
 
     @staticmethod
     def _version_of(index: Union[RTreeBase, ClippedRTree, None]) -> object:

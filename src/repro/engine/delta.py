@@ -76,7 +76,7 @@ from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.join import JoinResult, check_join_algorithm
 from repro.rtree.base import RTreeBase
-from repro.rtree.clipped import ClippedRTree, Reclipped
+from repro.rtree.clipped import ClippedRTree
 from repro.storage.stats import IOStats
 
 #: Longest stretch of apply work in one :meth:`SnapshotManager.compact_step`,
@@ -373,8 +373,6 @@ class _Fold:
     start: float = field(default_factory=time.perf_counter)
     previous: Optional[ColumnarIndex] = None  # the generation the freeze may copy from
     dirty: Set[int] = field(default_factory=set)  # what the apply dirtied, once it is done
-    #: a clipped source's re-clip output, chunk by chunk: the freeze's fresh rows and clips
-    reclipped: Optional[List[Reclipped]] = None
     reclipped_nodes: int = 0
     written: bool = False  # a write reached the source tree
     whole: bool = False  # set by compact(): the re-clip left runs in one call
@@ -571,15 +569,16 @@ class SnapshotManager:
            (:func:`~repro.engine.incremental_clip.dirty_node_ids`);
         3. re-clip the dirty nodes once
            (:func:`~repro.engine.incremental_clip.reclip_nodes_for_results`,
-           in chunks when stepped), which stacks their entry rows once;
-           the fold keeps the rows and the clip arrays of every chunk;
-        4. freeze: :meth:`ColumnarIndex.from_tree` writes the dirty nodes
-           from what the re-clip handed over (a plain tree's freeze reads
-           them from the tree) and copies every other node from the
-           generation being replaced — when that generation is a freeze
-           of this tree and was current as the fold started; otherwise (a
-           thawed tree, a source mutated from outside) it reads every node
-           and every clip run.
+           in chunks when stepped), which stacks their entry rows once; the
+           clipped tree records the rows and clip arrays of every chunk
+           as its last clip pass;
+        4. freeze: :meth:`ColumnarIndex.from_tree` copies every node the
+           batch left alone from the generation being replaced — when that
+           generation is the freeze this tree kept last and was current as
+           the fold started — and takes the dirty nodes' entry rows and
+           clip runs from that record (a plain tree's freeze stacks them
+           from the nodes); otherwise (a thawed tree, a source mutated
+           from outside) it reads every node and every clip run.
 
         This call runs what :meth:`compact_step` has left of steps 1–3 (the
         re-clip left in one call), then freezes and swaps: it alone
@@ -598,9 +597,7 @@ class SnapshotManager:
             fold.whole = True
             for _ in fold.steps:
                 pass
-            fresh = ColumnarIndex.from_tree(
-                self._source, fold.previous, fold.dirty, reclipped=fold.reclipped
-            )
+            fresh = ColumnarIndex.from_tree(self._source, fold.previous, fold.dirty)
         finally:
             self._release(fold, True, fresh)
         seconds = time.perf_counter() - fold.start
@@ -660,9 +657,9 @@ class SnapshotManager:
             source = self._source = base.to_tree()
             yield True
         # The generation the fold starts from vouches for the nodes the fold
-        # leaves alone only if it is a freeze of this very tree, not mutated
-        # behind the manager's back since.
-        fold.previous = base if base.source is source and not base.is_stale else None
+        # leaves alone only if it is the freeze this very tree kept last, not
+        # mutated behind the manager's back since.
+        fold.previous = base if base._is_last_freeze_of(source) and not base.is_stale else None
         clipped = source if isinstance(source, ClippedRTree) else None
         tree = clipped.tree if clipped is not None else source
         hints: List[Optional[List[int]]] = [None] * len(fold.deletes)
@@ -686,12 +683,11 @@ class SnapshotManager:
             return
         live = sorted(node_id for node_id in dirty if tree.has_node(node_id))
         chunk = dirty.difference(live)  # the dead ids go with the first chunk
-        fold.reclipped = []
         while True:
             take = len(live) if fold.whole else incremental_clip._RECLIP_CHUNK_NODES
             chunk.update(live[:take])
             live = live[take:]
-            fold.reclipped_nodes += reclip_nodes_for_results(clipped, chunk, fold.reclipped)
+            fold.reclipped_nodes += reclip_nodes_for_results(clipped, chunk)
             if not live:
                 return
             yield True

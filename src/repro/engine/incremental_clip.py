@@ -14,13 +14,14 @@ That one set has two consumers in a compaction, and the first feeds the
 second.  :meth:`~repro.rtree.clipped.ClippedRTree.reclip_nodes` drops the
 removed ones from the store, stacks the live nodes' entry rows once and
 recomputes exactly their clip points in one batched pass through
-:func:`repro.engine.bulk_clip.clip_nodes_batch`; the fold keeps those rows
-and clip arrays (:class:`~repro.rtree.clipped.Reclipped`, one per chunk).
+:func:`repro.engine.bulk_clip.clip_nodes_batch`; the clipped tree records
+those rows and clip arrays, chunk after chunk, as its last clip pass.
 :meth:`ColumnarIndex.from_tree <repro.engine.columnar.ColumnarIndex.from_tree>`
-then writes the set's nodes from them, reading neither the nodes nor the
-store again, and copies every other node's entries and clip run from the
-previous generation.  Both rely on the same fact: a node outside the set
-has the entries it had.
+then writes the set's nodes from that record
+(:meth:`~repro.rtree.clipped.ClippedRTree.clip_pass`), reading neither
+the nodes' entries nor the store again, and copies every other node's
+entries and clip run from the previous generation.  Both rely on the
+same fact: a node outside the set has the entries it had.
 
 Because a node's clip points are a pure function of its own entry
 rectangles, re-clipping the dirty set leaves the store identical to a
@@ -31,10 +32,10 @@ and update interleavings.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Union
+from typing import Iterable, Set, Union
 
 from repro.rtree.base import DeleteResult, InsertResult, RTreeBase
-from repro.rtree.clipped import ClippedRTree, Reclipped
+from repro.rtree.clipped import ClippedRTree
 
 #: Live dirty nodes re-clipped in one step of a stepped compaction
 #: (:meth:`SnapshotManager.compact_step
@@ -76,9 +77,7 @@ def dirty_node_ids(
     return dirty
 
 
-def reclip_nodes_for_results(
-    clipped: ClippedRTree, dirty: Iterable[int], reclipped: Optional[List[Reclipped]] = None
-) -> int:
+def reclip_nodes_for_results(clipped: ClippedRTree, dirty: Iterable[int]) -> int:
     """Re-clip the nodes a batch of tracked updates dirtied; how many were live.
 
     ``dirty`` is :func:`dirty_node_ids` of the batch's results, or a chunk
@@ -86,13 +85,11 @@ def reclip_nodes_for_results(
     nodes a step, the dead ids with the first).  :meth:`ClippedRTree.reclip_nodes`
     drops the dead ids from the store and re-clips the live nodes, whose
     clip points depend on their own entries only: however the set is cut,
-    the store ends up the same.  The live nodes' entry rows and clip
-    arrays are appended to ``reclipped`` when it is given (the fold's
-    hand-off to its freeze).
+    the store ends up the same.
 
     This adds nothing to ``reclip_nodes``: it is the seam a tracer patches
     at its import site in :mod:`repro.engine.delta` to time the re-clip of
     a compaction (``perf/tracing.py``'s ``incremental_clip.reclip`` span),
     the stacking of the rows included.
     """
-    return clipped.reclip_nodes(dirty, reclipped)
+    return clipped.reclip_nodes(dirty)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from repro.cbb.intersection import clipped_intersects, insertion_keeps_clips_val
 from repro.cbb.scoring import clipped_union_volume
 from repro.cbb.store import ClipStore
 from repro.geometry.objects import SpatialObject
-from repro.geometry.rect import Rect
+from repro.geometry.rect import Rect, stack_rows
 from repro.rtree.base import DeleteResult, InsertResult, RTreeBase
 from repro.rtree.freeze import NodeRows, node_rows
 from repro.rtree.node import Node
@@ -57,13 +57,6 @@ class UpdateReport:
         return counts
 
 
-class Reclipped(NamedTuple):
-    """One re-clip's output: the nodes' entry rows and, in the same node order, their clips."""
-
-    rows: NodeRows
-    clips: tuple  # a repro.engine.bulk_clip.ClipBatch
-
-
 class ClippedRTree:
     """An R-tree variant augmented with clipped bounding boxes."""
 
@@ -71,8 +64,9 @@ class ClippedRTree:
         self.tree = tree
         self.config = config
         self.store = ClipStore()
-        #: ``(version, node_ids, batch)`` of the last :meth:`clip_all` (:meth:`kept_clips`).
-        self._kept_clips: Optional[tuple] = None
+        #: The last clip pass (:meth:`clip_pass`): the ``version`` it left,
+        #: and per kernel call the entry rows it clipped and their ClipBatch.
+        self._clip_pass: Optional[Tuple[Tuple[int, int], List[Tuple[NodeRows, tuple]]]] = None
 
     # ------------------------------------------------------------------
     # structure delegation (lets generic traversals — kNN search, the
@@ -140,41 +134,61 @@ class ClippedRTree:
         from its tiling, else one walk, which the tree keeps for the
         freeze that follows), value for value what Algorithm 1
         (``compute_clip_points``) gives each node — the tests' oracle
-        (``tests/test_build_differential.py``).
+        (``tests/test_build_differential.py``).  The pass is recorded
+        (:meth:`clip_pass`).
         """
         freeze = self.tree.freeze()
-        batch, clips = self._clip_batch(
-            freeze.node_ids, freeze.entry_lows, freeze.entry_highs, freeze.entry_count
-        )
+        rows = NodeRows(freeze.node_ids, freeze.entry_count, freeze.entry_lows, freeze.entry_highs)
+        batch, clips = self._clip_batch(rows)
         self.store.clear()
         self._store_clips([node.node_id for node in self.tree.nodes()], clips)
-        self._kept_clips = (self.version, freeze.node_ids, batch)
+        self._clip_pass = (self.version, [(rows, batch)])
         return len(self.store)
 
-    def kept_clips(self, freeze) -> Optional[tuple]:
-        """The clip arrays of the last :meth:`clip_all`, if taken over ``freeze`` and still current.
+    def clip_pass(
+        self, node_ids: np.ndarray, nodes: Optional[Sequence[Node]] = None
+    ) -> Tuple[Optional[NodeRows], tuple]:
+        """The entry rows and clip runs of ``node_ids``, in that order, as the last clip pass made them.
 
-        A :class:`~repro.engine.bulk_clip.ClipBatch` in ``freeze``'s slot
-        order, which the freeze that follows a build reads instead of
-        the store (:meth:`ColumnarIndex.from_tree
-        <repro.engine.columnar.ColumnarIndex.from_tree>`).  None for a
-        freeze other than the one it clipped (told by its ``node_ids``
-        array, which the wrapper keeps instead of the whole freeze), and
-        once the tree or the store has changed (the ``version`` it was
-        stamped with moved); it is dropped then, and by a re-clip.
+        The clip runs come back as a
+        :class:`~repro.engine.bulk_clip.ClipBatch`; the entry rows only
+        when the caller read the nodes (``nodes``, those of ``node_ids``
+        in that order), else None.  The wrapper records its last pass:
+        :meth:`clip_all` with the freeze's own rows, and every
+        :meth:`reclip_nodes` since (a compaction's chunks) with the rows
+        it stacked; each is stamped with the ``version`` it left.  While
+        the version stands and the record holds every id, both are
+        gathered from it; otherwise (an insert, a delete or a store write
+        since, or an id no pass clipped) the rows are stacked from
+        ``nodes`` and the clip runs read from the store, which hold the
+        same values.
         """
-        if self._kept_clips is None:
-            return None
-        version, node_ids, batch = self._kept_clips
-        if version != self.version:
-            self._kept_clips = None
-            return None
-        return batch if node_ids is freeze.node_ids else None
+        from repro.engine.bulk_clip import ClipBatch
 
-    def _clip_batch(
-        self, node_ids: np.ndarray, lows: np.ndarray, highs: np.ndarray, counts: np.ndarray
-    ) -> Tuple[tuple, Dict[int, List[ClipPoint]]]:
-        """The batched kernels' clip points of ``node_ids``, whose entry rows these are.
+        record = self._clip_pass
+        if record is not None and record[0] == self.version:
+            ids = _joined([rows.node_ids for rows, _ in record[1]])
+            position = dict(zip(ids.tolist(), range(len(ids))))
+            at = [position.get(node_id) for node_id in node_ids.tolist()]
+            if None not in at:
+                rows = NodeRows(*map(_joined, zip(*(rows for rows, _ in record[1]))))
+                batch = ClipBatch(*map(_joined, zip(*(batch for _, batch in record[1]))))
+                return (
+                    None if nodes is None else NodeRows(node_ids, *_runs(at, *rows[1:])),
+                    ClipBatch(*_runs(at, *batch)),
+                )
+        rows = None if nodes is None else node_rows(nodes, self.tree.dims)
+        runs = [self.store.get(node_id) for node_id in node_ids.tolist()]
+        points = [point for run in runs for point in run]
+        return rows, ClipBatch(
+            np.array([len(run) for run in runs], dtype=np.int64),
+            stack_rows([point.coord for point in points], self.tree.dims, "clip points"),
+            np.array([point.mask for point in points], dtype=np.int64),
+            np.array([point.score for point in points], dtype=np.float64),
+        )
+
+    def _clip_batch(self, rows: NodeRows) -> Tuple[tuple, Dict[int, List[ClipPoint]]]:
+        """The batched kernels' clip points of the nodes whose entry rows these are.
 
         As arrays (:class:`~repro.engine.bulk_clip.ClipBatch`) and as the
         lists the store keeps, by node id.
@@ -183,8 +197,8 @@ class ClippedRTree:
         # incremental_clip), so a module-level import would be a cycle.
         from repro.engine.bulk_clip import clip_nodes_batch, clip_point_lists
 
-        batch = clip_nodes_batch(lows, highs, counts, self.config)
-        return batch, dict(zip(node_ids.tolist(), clip_point_lists(batch)))
+        batch = clip_nodes_batch(rows.lows, rows.highs, rows.counts, self.config)
+        return batch, dict(zip(rows.node_ids.tolist(), clip_point_lists(batch)))
 
     def _store_clips(self, node_ids: List[int], clips: Dict[int, List[ClipPoint]]) -> None:
         """Store ``clips`` of ``node_ids``, in that order; a node without any leaves the store."""
@@ -312,31 +326,29 @@ class ClippedRTree:
                 reclip(node_id, ReclipCause.CBB_ONLY)
         return report
 
-    def reclip_nodes(
-        self, node_ids: Iterable[int], reclipped: Optional[List[Reclipped]] = None
-    ) -> int:
+    def reclip_nodes(self, node_ids: Iterable[int]) -> int:
         """Recompute clip points for exactly ``node_ids`` (§IV-D, batched).
 
         Ids of nodes that no longer exist are dropped from the store; the
         surviving nodes' entry rows are stacked once
         (:func:`~repro.rtree.freeze.node_rows`) and get, in one batched
         pass, the clip points a full :meth:`clip_all` would assign them.
-        When ``reclipped`` is given, those rows and clip arrays are
-        appended to it as one :class:`Reclipped`: the compaction path of
-        :class:`repro.engine.delta.SnapshotManager` hands them to its
-        freeze, which then reads neither the nodes nor the store again.
+        The rows and clip arrays join the record of the last pass
+        (:meth:`clip_pass`), which starts afresh when the tree or the
+        store has moved since: a compaction's chunks add up to one record,
+        which its freeze reads instead of the nodes and the store.
         Returns the number of live nodes re-clipped.
         """
-        self._kept_clips = None  # the store is about to change
+        record = self._clip_pass
+        parts = record[1] if record is not None and record[0] == self.version else []
         ids = set(node_ids)
         live = sorted(nid for nid in ids if self.tree.has_node(nid))
         for node_id in ids.difference(live):
             self.store.remove(node_id)
         rows = node_rows([self.tree.node(nid) for nid in live], self.tree.dims)
-        batch, clips = self._clip_batch(rows.node_ids, rows.lows, rows.highs, rows.counts)
+        batch, clips = self._clip_batch(rows)
         self._store_clips(live, clips)
-        if reclipped is not None:
-            reclipped.append(Reclipped(rows, batch))
+        self._clip_pass = (self.version, parts + [(rows, batch)])
         return len(live)
 
     def _parent_index(self) -> Dict[int, int]:
@@ -390,3 +402,21 @@ class ClippedRTree:
                         raise AssertionError(
                             f"clip point {clip} of node {node_id} clips child {rect}"
                         )
+
+
+def _joined(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``arrays`` back to back; the one array itself when there is one."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _runs(at: List[int], counts: np.ndarray, *columns: np.ndarray) -> list:
+    """Runs ``at`` of ``columns``, which hold runs of ``counts`` rows back to back.
+
+    Their counts, then each column's rows of those runs, in ``at``'s order.
+    """
+    from repro.engine.kernels import expand_segments  # lazily, as in ClippedRTree._clip_batch
+
+    at = np.array(at, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    flat, _ = expand_segments(starts[at], counts[at])
+    return [counts[at]] + [column.take(flat, axis=0) for column in columns]

@@ -83,8 +83,8 @@ def node_rows(nodes: Sequence[Node], dims: int) -> NodeRows:
     """The entry rows of ``nodes``, in entry order, stacked once.
 
     The one place a node's entry rectangles become arrays: a walk reads
-    every node through it, a compaction's re-clip its dirty nodes (and
-    hands the rows on to the freeze that follows).
+    every node through it, a compaction's re-clip its dirty nodes (the
+    clipped tree records the rows for the freeze that follows).
     """
     rects = [entry.rect for node in nodes for entry in node.entries]
     return NodeRows(

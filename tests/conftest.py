@@ -63,16 +63,64 @@ def scalar_clip_store(tree, config):
 
 
 def walked_freeze(index):
-    """``ColumnarIndex.from_tree(index)`` of a walk of every node.
+    """``ColumnarIndex.from_tree(index)`` of a walk of every node and every stored clip run.
 
-    A tree keeps its last freeze while its version stands still, and
-    ``from_tree`` reads that one; dropping it first makes this the
-    from-scratch oracle the kept freeze must equal.
+    A tree keeps its last freeze while its version stands still, and a
+    clipped tree its last clip pass (``ClippedRTree.clip_pass``), and
+    ``from_tree`` reads those; dropping both for the call makes this the
+    from-scratch oracle they must equal.  Both are put back afterwards, so
+    the oracle leaves the index as it found it.
     """
     from repro.engine.columnar import ColumnarIndex
 
-    getattr(index, "tree", index)._freeze = None
-    return ColumnarIndex.from_tree(index)
+    with contextlib.ExitStack() as dropped:
+        for owner, name in ((getattr(index, "tree", index), "_freeze"), (index, "_clip_pass")):
+            if hasattr(owner, name):
+                dropped.enter_context(mock.patch.object(owner, name, None))
+        return ColumnarIndex.from_tree(index)
+
+
+class FreezeReads:
+    """Counts what ``ColumnarIndex.from_tree`` reads for itself while it runs.
+
+    ``rows``: nodes stacked into entry rows (``rtree.freeze.node_rows``,
+    patched wherever it is imported: a walk, a plain tree's fresh nodes, a
+    stale clip pass's fallback); ``clips``: clip runs read from a
+    ``ClipStore`` (``ClipStore.get``).  Calls outside a freeze (a re-clip
+    stacking its dirty nodes) are not counted.
+    """
+
+    def __init__(self, monkeypatch):
+        from repro.engine import columnar
+        from repro.rtree import clipped, freeze
+
+        self.rows = self.clips = 0
+        self.freezing = False
+        stack, get = freeze.node_rows, ClipStore.get
+        from_tree = columnar.ColumnarIndex.from_tree.__func__
+
+        def rows(nodes, dims):
+            self.rows += self.freezing * len(nodes)
+            return stack(nodes, dims)
+
+        def clips(store, node_id):
+            self.clips += self.freezing
+            return get(store, node_id)
+
+        def spied(cls, *args, **kwargs):
+            self.freezing = True
+            try:
+                return from_tree(cls, *args, **kwargs)
+            finally:
+                self.freezing = False
+
+        for module in (freeze, columnar, clipped):
+            monkeypatch.setattr(module, "node_rows", rows)
+        monkeypatch.setattr(ClipStore, "get", clips)
+        monkeypatch.setattr(columnar.ColumnarIndex, "from_tree", classmethod(spied))
+
+    def reset(self):
+        self.rows = self.clips = 0
 
 
 def walked_refreeze(tree, previous, dirty):

@@ -38,6 +38,7 @@ import pytest
 
 from repro.cbb.clipping import ClippingConfig
 from repro.cbb.clipping import compute_clip_points
+from repro.cbb.store import ClipStore
 from repro.datasets import generate
 from repro.engine import ColumnarIndex, build_columnar_str, clip_nodes_batch, range_query_batch
 from repro.engine.bulk_clip import clip_point_lists
@@ -625,21 +626,35 @@ def _assert_same_snapshot(snapshot, oracle):
 def _unwalked_freeze(index):
     """``ColumnarIndex.from_tree(index)``, failing if it walks the tree or reads the store.
 
-    Right after ``clip_all``, the clip runs are the arrays it kept.
+    Right after ``clip_all``, the clip runs are the arrays that pass
+    recorded (``ClippedRTree.clip_pass``).
     """
     with mock.patch("repro.rtree.base.walk", side_effect=AssertionError("walked")), mock.patch(
-        "repro.engine.columnar._stored_clips", side_effect=AssertionError("read the store")
+        "repro.cbb.store.ClipStore.get", side_effect=AssertionError("read the store")
     ):
         return ColumnarIndex.from_tree(index)
+
+
+def _store_read_freeze(index):
+    """``ColumnarIndex.from_tree(index)``, checking it read every clip run from the store."""
+    reads = []
+    get = ClipStore.get
+    with mock.patch.object(
+        ClipStore, "get", lambda store, node_id: reads.append(node_id) or get(store, node_id)
+    ):
+        snapshot = ColumnarIndex.from_tree(index)
+    assert sorted(reads) == sorted(snapshot.node_ids.tolist())
+    return snapshot
 
 
 class TestKeptFreeze:
     """An STR tree keeps its tiling's layout as its freeze, stamped with its
     version; ``from_tree`` and ``clip_all`` read it, walking no node, and it
     equals a walk of every node (``conftest.walked_freeze``).  ``clip_all``
-    keeps its clip arrays beside that freeze, stamped with the clipped
-    tree's version, and the freeze reads its clip runs from them, not from
-    the store, until the tree or the store changes."""
+    records its rows and clip arrays as the clipped tree's last clip pass,
+    stamped with its version, and the freeze gathers its clip runs from
+    them by node id, not from the store, until the tree or the store
+    changes."""
 
     @staticmethod
     def _check(objects, method="stairline", **kwargs):
@@ -663,8 +678,9 @@ class TestKeptFreeze:
         clipped = ClippedRTree.wrap(tree)  # clip_all walks, and the tree keeps the walk
         _assert_same_snapshot(_unwalked_freeze(clipped), walked_freeze(clipped))
 
-    @pytest.mark.parametrize("change", ["insert", "delete", "reclip_nodes", "to_tree"])
+    @pytest.mark.parametrize("change", ["insert", "delete", "store.put", "reclip_nodes", "to_tree"])
     def test_a_change_is_walked_again(self, change):
+        """After a change, the clip pass ``clip_all`` recorded is not read: every run comes from the store."""
         objects = generate("axo03", 400, seed=12)
         clipped = ClippedRTree.wrap(str_bulk_load(objects, max_entries=8))
         before = ColumnarIndex.from_tree(clipped)
@@ -672,14 +688,16 @@ class TestKeptFreeze:
             clipped.insert(SpatialObject(10**6, objects[0].rect))
         elif change == "delete":
             clipped.delete(objects[0])
+        elif change == "store.put":  # a leaf loses its clip points
+            leaf = next(node for node in clipped.tree.leaves() if clipped.store.get(node.node_id))
+            clipped.store.put(leaf.node_id, [])
         elif change == "reclip_nodes":
             # The tree is unchanged, its clip runs are not: only the leaves keep clips.
             clipped.store.clear()
             clipped.reclip_nodes(node.node_id for node in clipped.tree.leaves())
         else:
             clipped = before.to_tree()
-        assert clipped.kept_clips(clipped.tree.freeze()) is None
-        after = ColumnarIndex.from_tree(clipped)
+        after = _store_read_freeze(clipped)
         _assert_same_snapshot(after, walked_freeze(clipped))
         moved = {"insert": "entry_count", "delete": "entry_count", "to_tree": None}
         name = moved.get(change, "node_clip_count")
@@ -688,14 +706,20 @@ class TestKeptFreeze:
         else:
             assert getattr(after, name).tobytes() != getattr(before, name).tobytes()
 
-    def test_kept_clips_are_those_of_the_freeze_they_clipped(self):
+    def test_the_record_answers_by_node_id_until_the_store_moves(self):
         clipped = ClippedRTree.wrap(str_bulk_load(generate("axo03", 300, seed=14), max_entries=8))
-        freeze = clipped.tree.freeze()
-        assert clipped.kept_clips(freeze) is not None
+        kept = _unwalked_freeze(clipped)
         clipped.tree._freeze = None  # a walk of the same tree: another freeze object
-        assert clipped.kept_clips(clipped.tree.freeze()) is None
-        clipped.store.remove(clipped.tree.root_id)  # the store moved: dropped for good
-        assert clipped.kept_clips(freeze) is None and clipped._kept_clips is None
+        with mock.patch(
+            "repro.cbb.store.ClipStore.get", side_effect=AssertionError("read the store")
+        ):
+            walked = ColumnarIndex.from_tree(clipped)
+        assert walked.node_ids is not kept.node_ids
+        _assert_same_snapshot(walked, kept)
+        clipped.store.remove(clipped.tree.root_id)  # the store moved: the record is not read
+        moved = _store_read_freeze(clipped)
+        assert moved.node_clip_count[0] == 0 < kept.node_clip_count[0]
+        _assert_same_snapshot(moved, walked_freeze(clipped))
 
     def test_two_wrappers_of_one_tree_get_their_own_clip_runs(self):
         tree = str_bulk_load(generate("axo03", 400, seed=13), max_entries=8)

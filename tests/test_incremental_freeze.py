@@ -101,7 +101,7 @@ def _spied_freeze(freeze, cls, index, previous, dirty, *args, **kwargs):
         assert snapshot._object_oids is None
     else:
         assert snapshot._object_oids.tobytes() == oracle_oids.tobytes()
-    _, slots, _, _ = columnar._refreeze(tree, previous, dirty, None)
+    _, slots, *_ = columnar._refreeze(tree, previous, dirty)
     assert slots.tobytes() == oracle_slots.tobytes()
     return snapshot
 

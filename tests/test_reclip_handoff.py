@@ -1,20 +1,27 @@
-"""A freeze fed by the re-clip's hand-off ≡ a walk of every node and a ``clip_all``.
+"""A freeze fed by the clipped tree's last clip pass ≡ a walk of every node and a ``clip_all``.
 
 A fold re-clips the nodes its writes dirtied (``ClippedRTree.reclip_nodes``,
-chunk by chunk when stepped); the re-clip stacks their entry rows once and
-its kernel returns their clip points as arrays, and the fold hands both to
-``ColumnarIndex.from_tree``, which writes the fresh slots from them and
-reads neither the nodes' entries nor the clip store again.  After every
-fold, whole or stepped, over every insertion variant and STR packing with
-slack, plain and clipped (CSKY and CSTA), in 2-d and 3-d:
+chunk by chunk when stepped); the re-clip stacks their entry rows once, its
+kernel returns their clip points as arrays, and the clipped tree records
+both, chunk after chunk, as its last clip pass.  ``ColumnarIndex.from_tree``
+asks for the fresh slots' rows and clip runs (``ClippedRTree.clip_pass``),
+so it stacks no node and reads no clip store entry.  After every fold,
+whole or stepped, over every insertion variant and STR packing with slack,
+plain and clipped (CSKY and CSTA), in 2-d and 3-d:
 
 * the published snapshot equals ``from_tree`` of the same source with its
-  kept freeze dropped (``conftest.walked_freeze``: every node walked, every
-  clip run read from the store), byte for byte, objects by identity;
+  kept freeze and clip pass dropped (``conftest.walked_freeze``: every
+  node walked, every clip run read from the store), byte for byte,
+  objects by identity;
 * the store equals a fresh ``clip_all`` of the tree, scores included.
 
 A fold over a thawed tree (no generation to copy from) walks every node
-and reads every clip run from the store, as it did before the hand-off.
+and reads every clip run from the store.  A record the store moved past
+(a direct ``store.put``) or one that lacks a fresh node is not read: the
+rows come from the nodes and the clip runs from the store (after a
+per-update ``insert`` / ``delete``: ``TestKeptFreeze`` in
+``tests/test_build_differential.py``).  Only the freeze the tree kept last
+may be the previous generation.
 """
 
 import random
@@ -22,14 +29,14 @@ import random
 import numpy as np
 import pytest
 
-from repro.engine import ColumnarIndex, SnapshotManager, columnar, delta, incremental_clip
+from repro.engine import ColumnarIndex, SnapshotManager, delta, incremental_clip
 from repro.engine.incremental_clip import dirty_node_ids, reclip_nodes_for_results
 from repro.geometry.objects import SpatialObject
 from repro.geometry.rect import Rect
 from repro.rtree.clipped import ClippedRTree
 from repro.rtree.registry import VARIANT_NAMES, build_rtree
 from repro.rtree.str_bulk import str_bulk_load
-from tests.conftest import walked_freeze
+from tests.conftest import FreezeReads, walked_freeze
 from tests.test_located_apply import assert_same_freeze
 
 SOURCES = [(name, {}) for name in VARIANT_NAMES] + [("str", {"leaf_fill": 0.7})]
@@ -57,25 +64,6 @@ def _store_table(store, scores=True):
         ]
         for node_id, points in store.items()
     }
-
-
-class Reads:
-    """Counts the freeze's own reads: rows stacked from nodes, clip runs read from a store."""
-
-    def __init__(self, monkeypatch):
-        self.rows = self.clips = 0
-        node_rows, stored_clips = columnar.node_rows, columnar._stored_clips
-
-        def rows(nodes, dims):
-            self.rows += len(nodes)
-            return node_rows(nodes, dims)
-
-        def clips(clips_of, dims, node_ids):
-            self.clips += len(node_ids)
-            return stored_clips(clips_of, dims, node_ids)
-
-        monkeypatch.setattr(columnar, "node_rows", rows)
-        monkeypatch.setattr(columnar, "_stored_clips", clips)
 
 
 class Interleaving:
@@ -134,13 +122,13 @@ def test_each_fold_equals_a_walk_and_a_clip_all(
     objects = [_box(rng, i, dims) for i in range(150)]
     manager = SnapshotManager(_source(variant, kwargs, method, objects, dims))
     run = Interleaving(manager, objects, dims, seed)
-    reads = Reads(monkeypatch)
+    reads = FreezeReads(monkeypatch)
     for _ in range(3):
         run.write(40)
-        reads.rows = reads.clips = 0
+        reads.reset()
         run.fold(stepped)
         if method is not None:
-            # Every fresh slot came from the re-clip's hand-off.
+            # Every fresh slot came from the record of the fold's re-clip.
             assert reads.rows == reads.clips == 0
         assert_fold_is_walk_and_clip_all(manager)
 
@@ -156,24 +144,30 @@ def test_a_thawed_trees_first_fold_walks(method, dims, stepped, monkeypatch):
     manager = SnapshotManager(snapshot)
     run = Interleaving(manager, objects, dims, seed=dims)
     run.write(40)
-    reads = Reads(monkeypatch)
+    reads = FreezeReads(monkeypatch)
     run.fold(stepped)
-    # No generation of this tree to copy from: every clip run is read.
-    assert reads.clips == manager.snapshot.node_count()
+    # No generation of this tree to copy from: every node is walked and a
+    # clipped tree's every clip run read from the store.
+    nodes = manager.snapshot.node_count()
+    assert (reads.rows, reads.clips) == (nodes, 0 if method is None else nodes)
     # A thawed store keeps the clip points' order, not their scores
     # (ColumnarIndex.to_tree): the nodes no fold re-clipped hold 0.0.
     assert_fold_is_walk_and_clip_all(manager, scores=False)
     run.write(40)
-    reads.rows = reads.clips = 0
+    reads.reset()
     run.fold(stepped)
     if method is not None:
         assert reads.rows == reads.clips == 0
     assert_fold_is_walk_and_clip_all(manager, scores=False)
 
 
-def test_a_hand_off_must_hold_every_fresh_node():
-    """A fold hands over every node it re-clipped, and every node it did not copy is one."""
-    rng = random.Random(3)
+def _batch(seed=3):
+    """A clipped tree, its freeze, and 20 deletes and 20 inserts made on its tree since.
+
+    Returns ``(clipped, previous, dirty, live)``: the dirty set of those
+    writes and its ids still in the tree, in order; nothing re-clipped yet.
+    """
+    rng = random.Random(seed)
     objects = [_box(rng, i, 2) for i in range(120)]
     clipped = _source("rstar", {}, "stairline", objects, 2)
     previous = ColumnarIndex.from_tree(clipped)
@@ -181,11 +175,70 @@ def test_a_hand_off_must_hold_every_fresh_node():
     results += [clipped.tree.insert(_box(rng, 1000 + i, 2)) for i in range(20)]
     dirty = dirty_node_ids(results, clipped.tree)
     live = sorted(node_id for node_id in dirty if clipped.tree.has_node(node_id))
-    handed = []
-    assert reclip_nodes_for_results(clipped, dirty - {live[-1]}, handed) == len(live) - 1
-    with pytest.raises(ValueError, match=f"node {live[-1]} is fresh but was not handed over"):
-        ColumnarIndex.from_tree(clipped, previous, dirty, reclipped=handed)
-    assert reclip_nodes_for_results(clipped, [live[-1]], handed) == 1
-    assert_same_freeze(
-        ColumnarIndex.from_tree(clipped, previous, dirty, reclipped=handed), walked_freeze(clipped)
+    return clipped, previous, dirty, live
+
+
+def _fresh_slots(snapshot, previous, dirty):
+    """The slots of ``snapshot`` not copied from ``previous``, in slot order."""
+    ids = snapshot.node_ids.tolist()
+    return [slot for slot, node_id in enumerate(ids) if node_id in dirty or node_id not in previous.node_ids]
+
+
+def test_chunks_add_up_to_one_record(monkeypatch):
+    """Two re-clip calls with nothing between them: the freeze reads both, and nothing else."""
+    clipped, previous, dirty, live = _batch()
+    assert reclip_nodes_for_results(clipped, dirty - {live[-1]}) == len(live) - 1
+    assert reclip_nodes_for_results(clipped, [live[-1]]) == 1
+    reads = FreezeReads(monkeypatch)
+    snapshot = ColumnarIndex.from_tree(clipped, previous, dirty)
+    assert reads.rows == reads.clips == 0
+    assert_same_freeze(snapshot, walked_freeze(clipped))
+
+
+def test_a_record_that_lacks_a_fresh_node_is_not_read(monkeypatch):
+    """A fresh node no pass since the writes clipped: every fresh node's rows and runs are read."""
+    clipped, previous, dirty, live = _batch()
+    assert reclip_nodes_for_results(clipped, dirty - {live[-1]}) == len(live) - 1
+    reads = FreezeReads(monkeypatch)
+    snapshot = ColumnarIndex.from_tree(clipped, previous, dirty)
+    fresh = len(_fresh_slots(snapshot, previous, dirty))
+    assert reads.rows == reads.clips == fresh > 0
+    # The store still holds the node's clip points from before the writes,
+    # and the freeze says so; a re-clip of it brings both up to date.
+    assert_same_freeze(snapshot, walked_freeze(clipped))
+    clipped, previous, dirty, live = _batch()
+    reclip_nodes_for_results(clipped, dirty)
+    assert_same_freeze(ColumnarIndex.from_tree(clipped, previous, dirty), walked_freeze(clipped))
+
+
+def test_a_store_write_after_the_re_clip_makes_the_record_stale(monkeypatch):
+    clipped, previous, dirty, live = _batch()
+    reclip_nodes_for_results(clipped, dirty)
+    root = clipped.tree.root_id
+    clipped.store.put(root, clipped.store.get(root)[1:])  # the root loses its best clip point
+    reads = FreezeReads(monkeypatch)
+    snapshot = ColumnarIndex.from_tree(clipped, previous, dirty)
+    fresh = len(_fresh_slots(snapshot, previous, dirty))
+    assert reads.rows == reads.clips == fresh > 0
+    assert_same_freeze(snapshot, walked_freeze(clipped))
+
+
+def test_a_stale_previous_is_refused():
+    """Only the freeze the tree kept last may be copied from: an older one misses later writes."""
+    rng = random.Random(5)
+    clipped = ClippedRTree.wrap(
+        build_rtree("quadratic", [_box(rng, i, 2) for i in range(300)], max_entries=8)
     )
+    generations = [ColumnarIndex.from_tree(clipped)]
+    for fold in range(2):
+        results = [clipped.tree.insert(_box(rng, 1000 * (fold + 1) + i, 2)) for i in range(20)]
+        dirty = dirty_node_ids(results, clipped.tree)
+        clipped.reclip_nodes(dirty)
+        generations.append(ColumnarIndex.from_tree(clipped, generations[-1], dirty))
+    for stale in generations[:2]:
+        with pytest.raises(ValueError, match="kept last"):
+            ColumnarIndex.from_tree(clipped, stale, dirty)
+    with pytest.raises(ValueError, match="kept last"):
+        ColumnarIndex.from_tree(clipped, walked_freeze(clipped), set())
+    assert len(generations[-1].objects) == len(clipped) == 340
+    assert_same_freeze(generations[-1], walked_freeze(clipped))
